@@ -11,8 +11,12 @@ package hexastore_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"sync"
 	"testing"
@@ -28,6 +32,7 @@ import (
 	"hexastore/internal/lubm"
 	"hexastore/internal/queries"
 	"hexastore/internal/query"
+	"hexastore/internal/server"
 	"hexastore/internal/shard"
 	"hexastore/internal/sparql"
 	"hexastore/internal/triplestore"
@@ -506,6 +511,55 @@ func BenchmarkSPARQLJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sparql.Eval(graph.Memory(s.Hexa), q); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeLargeResult serves the advisor→teacherOf join — the
+// largest answer of the end-to-end benchmark's scan-mem rotation —
+// through the full HTTP handler with the result cache off: parse, join,
+// decode and SPARQL-JSON encoding of every row are on the clock.
+// allocs/op over rows/op is the figure the columnar result path is
+// judged by.
+func BenchmarkServeLargeResult(b *testing.B) {
+	s, _ := lubmFixture(b)
+	srv := server.New(s.Hexa)
+	srv.SetResultCacheBytes(0)
+	h := srv.Handler()
+	target := "/sparql?query=" + url.QueryEscape(
+		`SELECT ?student ?course WHERE { ?student <lubm:advisor> ?prof . ?prof <lubm:teacherOf> ?course }`)
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		rows = bytes.Count(rec.Body.Bytes(), []byte(`"student":`))
+		b.SetBytes(int64(rec.Body.Len()))
+	}
+	b.ReportMetric(float64(rows), "rows/op")
+}
+
+// BenchmarkOrderByLimit times ORDER BY … LIMIT over every advisor pair:
+// all candidates are visited but only the top 100 are kept (a bounded
+// heap on keys parsed once per distinct id), so allocs/op should track
+// the limit, not the candidate count.
+func BenchmarkOrderByLimit(b *testing.B) {
+	s, _ := lubmFixture(b)
+	pl := sparql.NewPlanner(graph.Memory(s.Hexa))
+	q, err := sparql.Parse(`SELECT ?student ?prof WHERE { ?student <lubm:advisor> ?prof } ORDER BY ?student LIMIT 100`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pl.EvalColumnar(context.Background(), q, sparql.EvalOptions{})
+		if err != nil || res.Len() != 100 {
+			b.Fatalf("%d rows, %v", res.Len(), err)
 		}
 	}
 }

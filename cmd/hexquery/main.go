@@ -150,7 +150,7 @@ func main() {
 			return
 		}
 	} else {
-		res, err = sparql.ExecSource(g, src)
+		res, err = sparql.ExecContext(context.Background(), g, src)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
@@ -168,11 +168,11 @@ func main() {
 		fmt.Printf("?%s\t", v)
 	}
 	fmt.Println()
-	for _, row := range res.Rows {
-		for _, v := range res.Vars {
-			fmt.Printf("%s\t", row[v])
+	for i := 0; i < res.Len(); i++ {
+		for c := range res.Vars {
+			fmt.Printf("%s\t", res.At(i, c))
 		}
 		fmt.Println()
 	}
-	fmt.Fprintf(os.Stderr, "%d rows in %v over %d triples\n", len(res.Rows), elapsed, triples)
+	fmt.Fprintf(os.Stderr, "%d rows in %v over %d triples\n", res.Len(), elapsed, triples)
 }

@@ -11,7 +11,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -103,7 +102,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, queryText st
 	// ?explain=1 bypasses the result cache (EXPLAIN-prefixed queries
 	// bypass it inside the evaluator): a trace must describe the
 	// execution that produced these rows, never ride on cached ones.
-	res, err := s.planner().EvalOpts(ctx, q, sparql.EvalOptions{
+	res, err := s.planner().EvalColumnar(ctx, q, sparql.EvalOptions{
 		Meter: m, Trace: tr, NoResultCache: explainParam,
 	})
 	unlock()
@@ -117,16 +116,16 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, queryText st
 		s.writeQueryError(w, r, err)
 		return
 	}
-	out := resultsJSON(res)
-	if q.Explain != sparql.ExplainNone || explainParam {
+	if q.Explain == sparql.ExplainNone && !explainParam {
 		// EXPLAIN (plan-only) returns the plan tree with no bindings;
 		// EXPLAIN ANALYZE and ?explain=1 return bindings plus the executed
 		// trace. Either way the span tree is one JSON field on the normal
-		// results document, so existing clients keep parsing.
-		out["explain"] = tr
+		// results document, so existing clients keep parsing. A trace kept
+		// only for the slow-query log stays out of the response.
+		tr = nil
 	}
 	w.Header().Set("Content-Type", "application/sparql-results+json")
-	json.NewEncoder(w).Encode(out) //nolint:errcheck // client may be gone
+	_ = writeResultsJSON(w, res, tr) // a failed write means the client is gone
 }
 
 // cacheDetail summarizes the trace's cache annotations for the

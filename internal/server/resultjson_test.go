@@ -1,0 +1,270 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"testing"
+
+	"hexastore/internal/core"
+	"hexastore/internal/graph"
+	"hexastore/internal/obs"
+	"hexastore/internal/rdf"
+	"hexastore/internal/sparql"
+)
+
+// oracleResultsJSON is the encoder serveQuery used before the direct
+// writer: one map[string]any per row and per cell, rendered by
+// encoding/json. It reads the Rows compatibility view and is kept here
+// as the reference the writer is compared with.
+func oracleResultsJSON(res *sparql.Result) map[string]any {
+	if res.IsAsk {
+		return map[string]any{
+			"head":    map[string]any{},
+			"boolean": res.Answer,
+		}
+	}
+	bindings := make([]map[string]any, 0, len(res.Rows))
+	for _, row := range res.Rows {
+		b := make(map[string]any, len(row))
+		for name, term := range row {
+			var entry map[string]any
+			switch term.Kind {
+			case rdf.IRI:
+				entry = map[string]any{"type": "uri", "value": term.Value}
+			case rdf.Literal:
+				entry = map[string]any{"type": "literal", "value": term.Value}
+			case rdf.Blank:
+				entry = map[string]any{"type": "bnode", "value": term.Value}
+			}
+			b[name] = entry
+		}
+		bindings = append(bindings, b)
+	}
+	return map[string]any{
+		"head":    map[string]any{"vars": res.Vars},
+		"results": map[string]any{"bindings": bindings},
+	}
+}
+
+// nastyValues are literal values that exercise every escaping rule.
+var nastyValues = []string{
+	`plain`, `say "hi"`, `back\slash`, "line\nbreak", "tab\tand\rreturn",
+	"ctl\x00\x01\x1f", "sep\u2028and\u2029", "bad\xffutf8\xc3", "<tag>&amp;", "é☃\U0001F600", "",
+}
+
+func nastyStore() *core.Store {
+	st := core.New()
+	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
+	for i, v := range nastyValues {
+		s := ex(fmt.Sprintf("s%02d", i))
+		st.AddTriple(rdf.T(s, ex("label"), rdf.NewLiteral(v)))
+		st.AddTriple(rdf.T(s, ex("kind"), ex(fmt.Sprintf("k%d", i%3))))
+		if i%2 == 0 {
+			st.AddTriple(rdf.T(s, ex("alias"), rdf.NewBlank(fmt.Sprintf("b%d", i))))
+		}
+	}
+	return st
+}
+
+// TestResultsJSONMatchesOracle: for every result shape the server can
+// produce, the direct writer's document decodes to exactly what the old
+// encoding/json rendering decodes to.
+func TestResultsJSONMatchesOracle(t *testing.T) {
+	pl := sparql.NewPlanner(graph.Memory(nastyStore()))
+	queries := []string{
+		`ASK { ?s <http://ex/kind> <http://ex/k1> }`,
+		`ASK { ?s <http://ex/kind> <http://ex/none> }`,
+		`SELECT ?s ?l WHERE { ?s <http://ex/nothing> ?l }`,
+		`SELECT ?s ?l WHERE { ?s <http://ex/label> ?l }`,
+		`SELECT ?s ?a ?l WHERE { ?s <http://ex/label> ?l . OPTIONAL { ?s <http://ex/alias> ?a } }`,
+		`SELECT ?a WHERE { ?s <http://ex/kind> <http://ex/k0> . OPTIONAL { ?s <http://ex/alias> ?a } }`,
+		`SELECT ?k (COUNT(?s) AS ?n) WHERE { ?s <http://ex/kind> ?k } GROUP BY ?k`,
+		`SELECT DISTINCT ?k WHERE { ?s <http://ex/kind> ?k } ORDER BY DESC(?k) LIMIT 2`,
+		`SELECT ?s ?b WHERE { ?s <http://ex/alias> ?b } ORDER BY ?b`,
+		`EXPLAIN SELECT ?s ?l WHERE { ?s <http://ex/label> ?l }`,
+		`EXPLAIN ANALYZE SELECT ?s ?l WHERE { ?s <http://ex/label> ?l . ?s <http://ex/kind> ?k }`,
+	}
+	for _, src := range queries {
+		q, err := sparql.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		var tr *obs.Trace
+		if q.Explain != sparql.ExplainNone {
+			tr = obs.NewTrace("query")
+		}
+		res, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Trace: tr})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		tr.Finish()
+
+		doc := oracleResultsJSON(res)
+		if tr != nil {
+			doc["explain"] = tr
+		}
+		var old bytes.Buffer
+		if err := json.NewEncoder(&old).Encode(doc); err != nil {
+			t.Fatal(err)
+		}
+		var direct bytes.Buffer
+		if err := writeResultsJSON(&direct, res, tr); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if !json.Valid(direct.Bytes()) {
+			t.Fatalf("%s: invalid JSON: %s", src, direct.Bytes())
+		}
+		var want, got any
+		if err := json.Unmarshal(old.Bytes(), &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(direct.Bytes(), &got); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %s\nwant %s", src, direct.Bytes(), old.Bytes())
+		}
+	}
+}
+
+// TestResultsJSONFlushesAndStopsOnError: a large answer reaches the
+// writer's destination in buffer-sized pieces, and the first failed
+// write ends the encoding.
+func TestResultsJSONFlushesAndStopsOnError(t *testing.T) {
+	st := core.New()
+	for i := 0; i < 5000; i++ {
+		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/subject/%06d", i)), rdf.NewIRI("http://ex/p"), rdf.NewLiteral("v")))
+	}
+	res, err := sparql.Exec(graph.Memory(st), `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cw countingWriter
+	if err := writeResultsJSON(&cw, res, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cw.writes < 5 || cw.largest > jsonBufBytes {
+		t.Fatalf("%d bytes arrived in %d writes, largest %d: want several writes of at most %d",
+			cw.bytes, cw.writes, cw.largest, jsonBufBytes)
+	}
+	fw := countingWriter{failAt: 2}
+	if err := writeResultsJSON(&fw, res, nil); !errors.Is(err, errWriterGone) {
+		t.Fatalf("err = %v, want the writer's", err)
+	}
+	if fw.writes != 2 {
+		t.Fatalf("encoding went on for %d writes after the failed one", fw.writes-2)
+	}
+}
+
+var errWriterGone = errors.New("writer gone")
+
+type countingWriter struct {
+	writes, bytes, largest int
+	failAt                 int // the write that fails; 0 = none
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes == w.failAt {
+		return 0, errWriterGone
+	}
+	w.bytes += len(p)
+	w.largest = max(w.largest, len(p))
+	return len(p), nil
+}
+
+// FuzzResultsJSON: whatever bytes a stored term holds, the writer's
+// output is valid JSON and decodes to the value encoding/json would have
+// produced for it.
+func FuzzResultsJSON(f *testing.F) {
+	for i, v := range nastyValues {
+		f.Add(uint8(i), v)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, value string) {
+		term := rdf.Term{Kind: rdf.TermKind(kind % 3), Value: value}
+		if term.IsZero() {
+			t.Skip("the zero Term is the result's unbound marker")
+		}
+		st := core.New()
+		st.AddTriple(rdf.T(rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p"), term))
+		res, err := sparql.Exec(graph.Memory(st), `SELECT ?o WHERE { <http://ex/s> <http://ex/p> ?o }`)
+		if err != nil || res.Len() != 1 {
+			t.Fatalf("rows=%d err=%v", res.Len(), err)
+		}
+		var buf bytes.Buffer
+		if err := writeResultsJSON(&buf, res, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Fatalf("invalid JSON for %q: %s", value, buf.Bytes())
+		}
+		var doc sparqlResults
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := json.Marshal(value)
+		var want string
+		if err := json.Unmarshal(ref, &want); err != nil {
+			t.Fatal(err)
+		}
+		wantType := [...]string{rdf.IRI: "uri", rdf.Literal: "literal", rdf.Blank: "bnode"}[term.Kind]
+		if len(doc.Results.Bindings) != 1 || doc.Results.Bindings[0]["o"].Value != want || doc.Results.Bindings[0]["o"].Type != wantType {
+			t.Fatalf("%q round-tripped as %+v, want %s %q", value, doc.Results.Bindings, wantType, want)
+		}
+	})
+}
+
+// joinStore holds a two-step join with students×coursesPerProf answers:
+// every student has one advisor, every professor teaches coursesPerProf
+// courses.
+func joinStore(students, profs, coursesPerProf int) *core.Store {
+	st := core.New()
+	ex := func(kind string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/%s%05d", kind, i)) }
+	advisor, teaches := rdf.NewIRI("http://ex/advisor"), rdf.NewIRI("http://ex/teacherOf")
+	for p := 0; p < profs; p++ {
+		for c := 0; c < coursesPerProf; c++ {
+			st.AddTriple(rdf.T(ex("prof", p), teaches, ex("course", p*coursesPerProf+c)))
+		}
+	}
+	for s := 0; s < students; s++ {
+		st.AddTriple(rdf.T(ex("student", s), advisor, ex("prof", s%profs)))
+	}
+	return st
+}
+
+const largeJoin = `SELECT ?student ?course WHERE { ?student <http://ex/advisor> ?prof . ?prof <http://ex/teacherOf> ?course }`
+
+// TestServeLargeResultAllocsPerRow pins the columnar result path: a
+// 6,000-row join served through the full handler — parse, admit, join,
+// decode, encode — allocates less than once per result row. (With a map
+// per row and per cell it was ~25 per row.)
+func TestServeLargeResultAllocsPerRow(t *testing.T) {
+	srv := New(joinStore(2000, 50, 3))
+	srv.SetResultCacheBytes(0) // every request evaluates
+	h := srv.Handler()
+	target := "/sparql?query=" + url.QueryEscape(largeJoin)
+	const rows = 6000
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if n := bytes.Count(rec.Body.Bytes(), []byte(`"student":`)); n != rows {
+			t.Fatalf("%d rows in the response, want %d", n, rows)
+		}
+	}
+	serve()
+	if allocs := testing.AllocsPerRun(5, serve); allocs >= rows {
+		t.Fatalf("%.0f allocations to serve %d rows (%.2f per row), want < 1 per row", allocs, rows, allocs/rows)
+	} else {
+		t.Logf("%.0f allocations for %d rows (%.3f per row)", allocs, rows, allocs/rows)
+	}
+}

@@ -345,38 +345,6 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, updateText s
 	json.NewEncoder(w).Encode(res)
 }
 
-// resultsJSON renders a Result in the SPARQL 1.1 Query Results JSON
-// format ({"head":{},"boolean":…} for ASK queries).
-func resultsJSON(res *sparql.Result) map[string]any {
-	if res.IsAsk {
-		return map[string]any{
-			"head":    map[string]any{},
-			"boolean": res.Answer,
-		}
-	}
-	bindings := make([]map[string]any, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		b := make(map[string]any, len(row))
-		for name, term := range row {
-			var entry map[string]any
-			switch term.Kind {
-			case rdf.IRI:
-				entry = map[string]any{"type": "uri", "value": term.Value}
-			case rdf.Literal:
-				entry = map[string]any{"type": "literal", "value": term.Value}
-			case rdf.Blank:
-				entry = map[string]any{"type": "bnode", "value": term.Value}
-			}
-			b[name] = entry
-		}
-		bindings = append(bindings, b)
-	}
-	return map[string]any{
-		"head":    map[string]any{"vars": res.Vars},
-		"results": map[string]any{"bindings": bindings},
-	}
-}
-
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")

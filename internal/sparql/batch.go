@@ -169,10 +169,9 @@ type batchExec struct {
 }
 
 // runBatch joins the ordered patterns into the binding table, applying
-// each staged filter as soon as its variables are bound, then emits —
-// directly from the columns when the query has no OPTIONAL groups, or
-// through the tuple-at-a-time optional matcher otherwise.
-func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]Filter, optionals [][]idPattern, lateFilters []Filter) error {
+// each staged filter as soon as its variables are bound, then emits the
+// surviving rows (emitRows).
+func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cfilter, optionals [][]idPattern, lateFilters []*cfilter) error {
 	bx.release() // drop any previous branch's spill/accounting
 	bx.tbl.reset()
 	defer bx.release()
@@ -180,9 +179,9 @@ func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]Fil
 	// step needs to produce only as many rows as are still wanted.
 	finalCap := -1
 	ev := bx.ev
-	if ev.target > 0 && !ev.aggMode && ev.distinct == nil &&
+	if ev.target > 0 && ev.keepsEveryRow() &&
 		len(optionals) == 0 && len(lateFilters) == 0 && len(stepFilters[len(order)]) == 0 {
-		finalCap = ev.target - len(ev.res.Rows)
+		finalCap = ev.target - ev.res.n
 	}
 	for k, pi := range order {
 		if err := ev.ctxCheck(); err != nil {
@@ -235,17 +234,14 @@ func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]Fil
 		emitSp = bx.branchSp.Child("emit")
 		emitSp.SetInt("rowsIn", int64(bx.rows()))
 		defer func() {
-			emitSp.SetInt("emitted", int64(len(ev.res.Rows)))
+			emitSp.SetInt("emitted", int64(ev.res.n))
 			emitSp.Finish()
 		}()
 	}
 	if bx.spilled != nil {
 		return bx.emitSpilled(optionals, lateFilters)
 	}
-	if len(optionals) == 0 {
-		return bx.emitRows(lateFilters)
-	}
-	return bx.emitRowsWithOptionals(optionals, lateFilters)
+	return bx.emitRows(optionals, lateFilters)
 }
 
 // classify resolves one pattern against the current table.
@@ -683,6 +679,15 @@ func (bx *batchExec) fetchOne(sp *stepSpec, r int, dst []core.ID, tick func() bo
 			free = j
 		}
 	}
+	return bx.matchInto(dst, free, s, p, o, tick)
+}
+
+// matchInto is fetchOne's fallback for backends without sorted-list
+// access: position free of every match of ⟨s,p,o⟩ is appended to dst. It
+// is a function of its own so that the callback's capture of dst costs
+// the sorted path nothing (a captured, reassigned variable lives on the
+// heap from function entry — one allocation per row of the join).
+func (bx *batchExec) matchInto(dst []core.ID, free int, s, p, o core.ID, tick func() bool) ([]core.ID, error) {
 	if err := bx.src.Match(s, p, o, func(ms, mp, mo core.ID) bool {
 		if tick != nil && !tick() {
 			return false
@@ -786,17 +791,24 @@ func (bx *batchExec) candidates3(sp *stepSpec, limit int) error {
 	return err
 }
 
-// filterRows applies one staged FILTER to every row.
-func (bx *batchExec) filterRows(f Filter) error {
+// filterRows applies one staged FILTER to every row, reading its
+// variable operands straight from their columns.
+func (bx *batchExec) filterRows(f *cfilter) error {
 	tbl := &bx.tbl
+	lcol, rcol := bx.operandCol(&f.l), bx.operandCol(&f.r)
 	keep := bx.keep[:0]
-	var r int
-	lookup := bx.rowLookup(&r)
-	for r = 0; r < tbl.n; r++ {
+	for r := 0; r < tbl.n; r++ {
 		if !bx.ev.tickOK() {
 			return bx.ev.ctxErr
 		}
-		ok, err := bx.ev.evalFilterWith(f, lookup)
+		var lid, rid core.ID
+		if lcol != nil {
+			lid = lcol[r]
+		}
+		if rcol != nil {
+			rid = rcol[r]
+		}
+		ok, err := bx.ev.filterPass(f, lid, rid)
 		if err != nil {
 			return err
 		}
@@ -809,55 +821,47 @@ func (bx *batchExec) filterRows(f Filter) error {
 	return nil
 }
 
-// rowLookup returns a variable lookup over the table row *r. Column
-// indices are resolved through a map built once per call, so per-row
-// lookups cost one hash probe instead of a scan over the column names.
-func (bx *batchExec) rowLookup(r *int) func(string) (core.ID, bool) {
-	tbl := &bx.tbl
-	colOf := make(map[string]int, len(tbl.vars))
-	for i, v := range tbl.vars {
-		colOf[v] = i
+// operandCol returns the table column holding a filter operand's
+// variable; nil for a constant (and for a variable the table does not
+// bind, which reads as unbound).
+func (bx *batchExec) operandCol(o *operand) []core.ID {
+	if o.slot < 0 {
+		return nil
 	}
-	return func(name string) (core.ID, bool) {
-		if c, ok := colOf[name]; ok {
-			return tbl.cols[c][*r], true
-		}
-		return core.None, false
-	}
-}
-
-// emitRows materializes the table directly: per row, late filters run
-// on IDs, DISTINCT keys on the binary ID tuple, and terms are decoded
-// only for rows that survive.
-func (bx *batchExec) emitRows(lateFilters []Filter) error {
-	ev := bx.ev
-	var r int
-	lookup := bx.rowLookup(&r)
-	for r = 0; r < bx.tbl.n && !ev.done; r++ {
-		if !ev.tickOK() {
-			return ev.ctxErr
-		}
-		if err := ev.emitWith(lookup, lateFilters); err != nil {
-			return err
-		}
+	if c := bx.tbl.colIndex(o.name); c >= 0 {
+		return bx.tbl.cols[c]
 	}
 	return nil
 }
 
-// emitRowsWithOptionals hands each surviving row to the tuple-at-a-time
-// optional matcher: the row's bindings are installed in the evaluator's
-// binding map, and each OPTIONAL group extends (or passes through) the
-// solution exactly as before.
-func (bx *batchExec) emitRowsWithOptionals(optionals [][]idPattern, lateFilters []Filter) error {
+// emitRows emits the table: each surviving row's ids are installed in
+// the evaluator's solution slots (the table's columns are mapped to
+// slots once per call, every other slot reads unbound), then the row is
+// emitted — directly, or through the tuple-at-a-time OPTIONAL matcher,
+// which extends the solution in the same slots before emitting.
+func (bx *batchExec) emitRows(optionals [][]idPattern, lateFilters []*cfilter) error {
 	ev := bx.ev
 	tbl := &bx.tbl
-	clear(ev.binding) // drop bindings left over from a previous union branch
+	clear(ev.cur) // drop ids left over from a previous union branch
+	if len(optionals) == 0 && len(lateFilters) == 0 && ev.keepsEveryRow() {
+		// Every table row becomes a result row: size the cells once
+		// instead of doubling into them.
+		n := tbl.n
+		if ev.target > 0 {
+			n = min(n, ev.target-ev.res.n)
+		}
+		ev.res.cells = slices.Grow(ev.res.cells, n*len(ev.projSlots))
+	}
+	colSlot := make([]int, len(tbl.vars))
+	for c, name := range tbl.vars {
+		colSlot[c] = ev.slots[name]
+	}
 	for r := 0; r < tbl.n && !ev.done; r++ {
 		if !ev.tickOK() {
 			return ev.ctxErr
 		}
-		for c, name := range tbl.vars {
-			ev.binding[name] = tbl.cols[c][r]
+		for c, s := range colSlot {
+			ev.cur[s] = tbl.cols[c][r]
 		}
 		if err := ev.runOptionals(optionals, 0, lateFilters); err != nil {
 			return err

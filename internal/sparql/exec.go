@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"hexastore/internal/core"
 	"hexastore/internal/dictionary"
@@ -23,25 +25,14 @@ func newIRI(s string) rdf.Term     { return rdf.NewIRI(s) }
 func newLiteral(s string) rdf.Term { return rdf.NewLiteral(s) }
 func newBlank(s string) rdf.Term   { return rdf.NewBlank(s) }
 
-// Row is one query solution: variable name → bound term. Variables that
-// occur only in OPTIONAL groups may be absent.
-type Row map[string]rdf.Term
-
-// Result holds the solutions of a query. For ASK queries IsAsk is true,
-// Answer carries the boolean result, and Rows is empty.
-type Result struct {
-	Vars   []string
-	Rows   []Row
-	IsAsk  bool
-	Answer bool
-}
-
 // idPattern is a pattern with its constant positions resolved to
-// dictionary ids. resolved is false when some constant is not in the
+// dictionary ids and its variable positions to solution slots (-1 at a
+// constant). resolved is false when some constant is not in the
 // dictionary at all (the pattern cannot match anything).
 type idPattern struct {
 	pat      Pattern
 	ids      [3]core.ID
+	slot     [3]int
 	resolved bool
 }
 
@@ -62,11 +53,6 @@ func (p *idPattern) term(j int) Term {
 // evaluator defined its own source interface.
 type Source = graph.Graph
 
-// SourceOf wraps an in-memory Hexastore as a Source.
-//
-// Deprecated: use graph.Memory.
-func SourceOf(st *core.Store) Source { return graph.Memory(st) }
-
 // Exec parses and evaluates src against any Graph backend — the
 // in-memory Hexastore (graph.Memory), the disk-based Hexastore, or the
 // baseline triples table (graph.Baseline).
@@ -86,21 +72,6 @@ func ExecContext(ctx context.Context, g graph.Graph, src string) (*Result, error
 		return nil, err
 	}
 	return EvalContext(ctx, g, q)
-}
-
-// ExecSource parses and evaluates queryText against any Graph backend.
-//
-// Deprecated: ExecSource is Exec; it remains from when Exec required an
-// in-memory store.
-func ExecSource(g graph.Graph, queryText string) (*Result, error) {
-	return Exec(g, queryText)
-}
-
-// EvalSource evaluates a parsed query against any Graph backend.
-//
-// Deprecated: EvalSource is Eval.
-func EvalSource(g graph.Graph, q *Query) (*Result, error) {
-	return Eval(g, q)
 }
 
 // Eval evaluates a parsed query against any Graph backend.
@@ -146,11 +117,22 @@ func EvalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
 // released when the evaluation returns — including when it returns early
 // with ctx.Err() or govern.ErrBudgetExceeded.
 func EvalOpts(ctx context.Context, g graph.Graph, q *Query, opt EvalOptions) (*Result, error) {
-	return evalWith(ctx, g, q, nil, opt)
+	return withRows(evalWith(ctx, g, q, nil, opt))
 }
 
-// evalWith is the shared core of EvalOpts and Planner.EvalOpts. pl is
-// nil for the package-level entry points (no statistics, no caches).
+// withRows is the adapter at the legacy edge: every exported entry point
+// but Planner.EvalColumnar passes its result through it, so callers that
+// read Result.Rows keep finding one map per solution.
+func withRows(res *Result, err error) (*Result, error) {
+	if err == nil {
+		res.fillRows()
+	}
+	return res, err
+}
+
+// evalWith is the shared core of every entry point. pl is nil for the
+// package-level ones (no statistics, no caches). The result is columnar
+// only: Rows is left nil.
 func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt EvalOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -250,7 +232,7 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		// Cache fill. The retained bytes charge the query's meter first —
 		// a query already at its budget does not get to pin more memory
 		// process-wide; it just skips the fill (never fails over it).
-		size := resultFootprint(res)
+		size := resultFootprint(res) + int64(len(rkey)) + resultEntryOverhead
 		ok := true
 		if ev.mem != nil {
 			if gerr := ev.mem.Grow(size); gerr != nil {
@@ -328,10 +310,22 @@ type evaluator struct {
 	spillDir string
 	rowBytes int64
 
-	vars    []string
-	optVars map[string]bool
+	vars []string
 
-	binding  map[string]core.ID
+	// Every variable of the query is numbered once, in run: slots maps a
+	// name to its slot and cur holds the solution being extended or
+	// emitted, by slot, with core.None for "unbound". Patterns, filters,
+	// the projection, GROUP BY, aggregates and ORDER BY all carry slots
+	// resolved up front, so no per-row or per-cell work looks a name up.
+	slots      map[string]int
+	cur        []core.ID
+	projSlots  []int  // per output column of a non-aggregate query
+	projOpt    []bool // that column may legitimately be unbound
+	orderSlots []int  // per ORDER BY key of a non-aggregate query
+	groupSlots []int  // per GROUP BY variable
+	aggSlots   []int  // per aggregate; -1 for COUNT(*)
+	filters    []cfilter
+
 	res      *Result
 	distinct map[string]bool
 	target   int // rows needed before OFFSET/LIMIT trimming; -1 = all
@@ -346,31 +340,37 @@ type evaluator struct {
 	keyBuf []byte
 
 	// termCache memoizes dictionary decodes for the current query, so a
-	// term is decoded once however many rows it appears in.
+	// term is decoded once however many rows it appears in; numCache does
+	// the same for the numeric parse FILTER and ORDER BY compare on
+	// (order.go).
 	termCache map[core.ID]rdf.Term
+	numCache  map[core.ID]numVal
 
-	// orderKeys[i] holds the ORDER BY key terms of res.Rows[i]; kept
-	// separately because sort variables need not be projected.
-	orderKeys [][]orderVal
+	// ORDER BY state (order.go). orderKeys holds len(q.OrderBy) keys per
+	// collected row — kept apart from the cells because sort variables
+	// need not be projected — and orderSeq the row's emit sequence number.
+	// topK > 0 bounds collection to that many rows (ORDER BY with LIMIT);
+	// heap then indexes them once the bound is reached. keyScratch is the
+	// candidate row's keys.
+	orderKeys  []sortKey
+	orderSeq   []int
+	seq        int
+	topK       int
+	heap       []int
+	keyScratch []sortKey
 
 	// Aggregation state (len(q.Aggregates) > 0): solutions are folded
-	// into groups instead of emitted as rows.
-	aggMode  bool
-	groups   map[string]*aggGroup
-	groupSeq []string // insertion order of group keys
-}
-
-// aggGroup accumulates one GROUP BY bucket.
-type aggGroup struct {
-	keyIDs   map[string]core.ID     // group-by variable → id
-	counts   []int                  // per aggregate
-	distinct []map[core.ID]struct{} // per DISTINCT aggregate
-}
-
-// orderVal is one ORDER BY key value of one solution.
-type orderVal struct {
-	term  rdf.Term
-	bound bool
+	// into groups instead of emitted as rows. groups numbers the GROUP BY
+	// buckets by their binary key; bucket i's state lies at stride i in
+	// three flat arrays, so a new bucket costs its map key and nothing
+	// else: groupIDs (one id per GROUP BY variable, None = unbound),
+	// groupCounts (one per aggregate) and groupSets (one per aggregate,
+	// non-nil for COUNT(DISTINCT)).
+	aggMode     bool
+	groups      map[string]int
+	groupIDs    []core.ID
+	groupCounts []int
+	groupSets   []map[core.ID]struct{}
 }
 
 // tickOK is the evaluator's cancellation check, called once per row in
@@ -422,8 +422,7 @@ func (ev *evaluator) run() (*Result, error) {
 	if len(ev.vars) == 0 {
 		ev.vars = q.AllVars()
 	}
-	ev.optVars = q.OptionalVars()
-	ev.binding = make(map[string]core.ID)
+	ev.slots = make(map[string]int)
 	ev.termCache = make(map[core.ID]rdf.Term)
 	ev.batch.ev = ev
 	ev.batch.src = ev.src
@@ -439,7 +438,15 @@ func (ev *evaluator) run() (*Result, error) {
 	}
 	if len(q.Aggregates) > 0 {
 		ev.aggMode = true
-		ev.groups = make(map[string]*aggGroup)
+		ev.groups = make(map[string]int)
+		ev.groupSlots = ev.slotsOf(q.GroupBy)
+		for _, a := range q.Aggregates {
+			s := -1
+			if a.Var != "" {
+				s = ev.slotOf(a.Var)
+			}
+			ev.aggSlots = append(ev.aggSlots, s)
+		}
 		// Output columns: the group-key variables followed by the
 		// aggregate aliases.
 		outVars := append([]string(nil), q.Vars...)
@@ -447,24 +454,42 @@ func (ev *evaluator) run() (*Result, error) {
 			outVars = append(outVars, a.As)
 		}
 		ev.vars = outVars
+	} else {
+		optVars := q.OptionalVars()
+		ev.projSlots = ev.slotsOf(ev.vars)
+		for _, name := range ev.vars {
+			ev.projOpt = append(ev.projOpt, optVars[name])
+		}
+		for _, k := range q.OrderBy {
+			ev.orderSlots = append(ev.orderSlots, ev.slotOf(k.Var))
+		}
+	}
+	if err := ev.compileFilters(); err != nil {
+		return nil, err
 	}
 	ev.res = &Result{Vars: ev.vars}
 	ev.tickFn = ev.tickOK
-	// Accounted estimate of one materialized row: map + terms, DISTINCT
-	// key, ORDER BY keys. Result rows cannot spill, so they count against
+	// What one collected row retains: its cells, its ORDER BY keys and
+	// sequence number. Result rows cannot spill, so they count against
 	// the hard cap — a query whose output alone is enormous fails typed
 	// instead of exhausting memory.
-	ev.rowBytes = int64(96 + 56*len(ev.vars) + 40*len(q.OrderBy))
+	ev.rowBytes = int64(len(ev.vars))*int64(unsafe.Sizeof(rdf.Term{})) +
+		int64(len(q.OrderBy))*int64(unsafe.Sizeof(sortKey{})) + 8
 	// Whatever path exits, drop spill files and return accounted bytes.
 	defer ev.batch.release()
 	if q.Distinct && !ev.aggMode {
 		ev.distinct = make(map[string]bool)
 	}
 	// Early termination is only sound without ORDER BY or aggregation:
-	// otherwise the full solution set must be materialized first.
+	// otherwise every solution is a candidate. With ORDER BY and LIMIT the
+	// candidates are still all visited, but only offset+limit are kept.
 	ev.target = -1
-	if len(q.OrderBy) == 0 && !ev.aggMode && q.Limit > 0 {
-		ev.target = q.Offset + q.Limit
+	if !ev.aggMode && q.Limit > 0 {
+		if len(q.OrderBy) == 0 {
+			ev.target = q.Offset + q.Limit
+		} else {
+			ev.topK = q.Offset + q.Limit
+		}
 	}
 	if q.Ask {
 		ev.target = 1 // one solution decides the answer
@@ -475,12 +500,17 @@ func (ev *evaluator) run() (*Result, error) {
 	for _, group := range q.Optionals {
 		optionals = append(optionals, ev.resolve(group))
 	}
-
+	branches := make([][]idPattern, 0, 1)
 	for _, branch := range expandUnions(q) {
+		branches = append(branches, ev.resolve(branch))
+	}
+	// Every variable has its slot by now.
+	ev.cur = make([]core.ID, len(ev.slots))
+
+	for _, pats := range branches {
 		if err := ev.ctxCheck(); err != nil {
 			return nil, err
 		}
-		pats := ev.resolve(branch)
 		if err := ev.runBranch(pats, optionals); err != nil {
 			return nil, err
 		}
@@ -495,13 +525,30 @@ func (ev *evaluator) run() (*Result, error) {
 		}
 	}
 	if q.Ask {
-		ev.res.IsAsk = true
-		ev.res.Answer = len(ev.res.Rows) > 0
-		ev.res.Rows, ev.res.Vars = nil, nil
-		return ev.res, nil
+		return &Result{IsAsk: true, Answer: ev.res.n > 0}, nil
 	}
 	ev.applyModifiers()
 	return ev.res, nil
+}
+
+// slotOf returns the solution slot of variable name, assigning the next
+// free one on first sight. Only run and resolve call it: by the time
+// rows flow, every name the query mentions is numbered.
+func (ev *evaluator) slotOf(name string) int {
+	s, ok := ev.slots[name]
+	if !ok {
+		s = len(ev.slots)
+		ev.slots[name] = s
+	}
+	return s
+}
+
+func (ev *evaluator) slotsOf(names []string) []int {
+	out := make([]int, len(names))
+	for i, name := range names {
+		out[i] = ev.slotOf(name)
+	}
+	return out
 }
 
 // expandUnions returns the branches of the query: the required patterns
@@ -523,21 +570,22 @@ func expandUnions(q *Query) [][]Pattern {
 	return branches
 }
 
-// resolve maps the constants of pats to dictionary ids.
+// resolve maps the constants of pats to dictionary ids and their
+// variables to solution slots.
 func (ev *evaluator) resolve(pats []Pattern) []idPattern {
 	out := make([]idPattern, len(pats))
 	for i, p := range pats {
-		out[i] = idPattern{pat: p, resolved: true}
+		out[i] = idPattern{pat: p, slot: [3]int{-1, -1, -1}, resolved: true}
 		for j, term := range [3]Term{p.S, p.P, p.O} {
 			if term.Kind != Const {
+				out[i].slot[j] = ev.slotOf(term.Name)
 				continue
 			}
-			id, ok := ev.dict.Lookup(term.RDF)
-			if !ok {
+			if id, ok := ev.dict.Lookup(term.RDF); ok {
+				out[i].ids[j] = id
+			} else {
 				out[i].resolved = false
-				break
 			}
-			out[i].ids[j] = id
 		}
 	}
 	return out
@@ -639,9 +687,10 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 			branchVars[v] = true
 		}
 	}
-	stepFilters := make([][]Filter, len(order)+1)
-	var lateFilters []Filter
-	for _, f := range ev.q.Filters {
+	stepFilters := make([][]*cfilter, len(order)+1)
+	var lateFilters []*cfilter
+	for fi := range ev.filters {
+		f := &ev.filters[fi]
 		step, late := 0, false
 		for _, v := range f.Vars() {
 			if !branchVars[v] {
@@ -675,10 +724,11 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	return ev.batch.runBatch(pats, order, stepFilters, optionals, lateFilters)
 }
 
-// runOptionals extends the current binding with optional group g onward,
-// then emits. An optional group that matches produces one solution per
-// match; a group that does not match leaves its variables unbound.
-func (ev *evaluator) runOptionals(optionals [][]idPattern, g int, lateFilters []Filter) error {
+// runOptionals extends the current solution with optional group g
+// onward, then emits. An optional group that matches produces one
+// solution per match; a group that does not match leaves its variables
+// unbound.
+func (ev *evaluator) runOptionals(optionals [][]idPattern, g int, lateFilters []*cfilter) error {
 	if ev.done {
 		return nil
 	}
@@ -705,35 +755,35 @@ func (ev *evaluator) runOptionals(optionals [][]idPattern, g int, lateFilters []
 				return ev.runOptionals(optionals, g+1, lateFilters)
 			}
 			p := &group[i]
-			s, sVar := resolvePos(p, 0, ev.binding)
-			pr, pVar := resolvePos(p, 1, ev.binding)
-			o, oVar := resolvePos(p, 2, ev.binding)
+			s, sVar := ev.resolvePos(p, 0)
+			pr, pVar := ev.resolvePos(p, 1)
+			o, oVar := ev.resolvePos(p, 2)
 			var walkErr error
 			merr := ev.src.Match(s, pr, o, func(ms, mp, mo core.ID) bool {
 				if !ev.tickOK() {
 					return false
 				}
-				if sVar != "" {
-					ev.binding[sVar] = ms
+				if sVar >= 0 {
+					ev.cur[sVar] = ms
 				}
-				if pVar != "" {
+				if pVar >= 0 {
 					if pVar == sVar && mp != ms {
 						return true
 					}
-					ev.binding[pVar] = mp
+					ev.cur[pVar] = mp
 				}
-				if oVar != "" {
+				if oVar >= 0 {
 					if (oVar == sVar && mo != ms) || (oVar == pVar && mo != mp) {
 						return true
 					}
-					ev.binding[oVar] = mo
+					ev.cur[oVar] = mo
 				}
 				walkErr = matchGroup(i + 1)
 				return walkErr == nil && !ev.done
 			})
-			for _, v := range []string{sVar, pVar, oVar} {
-				if v != "" {
-					delete(ev.binding, v)
+			for _, v := range [3]int{sVar, pVar, oVar} {
+				if v >= 0 {
+					ev.cur[v] = core.None
 				}
 			}
 			if walkErr != nil {
@@ -753,14 +803,6 @@ func (ev *evaluator) runOptionals(optionals [][]idPattern, g int, lateFilters []
 		return ev.runOptionals(optionals, g+1, lateFilters)
 	}
 	return nil
-}
-
-// bindingLookup reads a variable from the tuple-at-a-time binding map;
-// it is the lookup used by the OPTIONAL matcher. The batch engine
-// passes column-backed lookups instead.
-func (ev *evaluator) bindingLookup(name string) (core.ID, bool) {
-	id, ok := ev.binding[name]
-	return id, ok
 }
 
 // appendIDKey appends the fixed-width binary encoding of one id to a
@@ -784,19 +826,16 @@ func (ev *evaluator) decodeCached(id core.ID) (rdf.Term, error) {
 	return t, nil
 }
 
-// emit projects the current binding into a row, applying late filters
-// and DISTINCT.
-func (ev *evaluator) emit(lateFilters []Filter) error {
-	return ev.emitWith(ev.bindingLookup, lateFilters)
-}
-
-// emitWith projects one solution, reading variables through lookup —
-// the binding map on the tuple-at-a-time path, a table column on the
-// batch path. Late materialization: DISTINCT is decided on the binary
-// ID tuple and terms are decoded only for rows that are actually kept.
-func (ev *evaluator) emitWith(lookup func(string) (core.ID, bool), lateFilters []Filter) error {
+// emit turns the current solution (ev.cur) into a result row — the one
+// place rows are made, whichever path bound the solution: the batch
+// engine's table rows, the OPTIONAL matcher, or spilled chunks read
+// back. Late materialization: late filters and DISTINCT are decided on
+// ids, an ORDER BY … LIMIT candidate that cannot make the cut is dropped
+// on its keys alone, and terms are decoded only for rows that are kept.
+func (ev *evaluator) emit(lateFilters []*cfilter) error {
+	cur := ev.cur
 	for _, f := range lateFilters {
-		ok, err := ev.evalFilterWith(f, lookup)
+		ok, err := ev.filterPass(f, f.l.id(cur), f.r.id(cur))
 		if err != nil {
 			return err
 		}
@@ -805,315 +844,343 @@ func (ev *evaluator) emitWith(lookup func(string) (core.ID, bool), lateFilters [
 		}
 	}
 	if ev.aggMode {
-		return ev.foldWith(lookup)
+		return ev.fold()
 	}
 	if ev.distinct != nil {
 		key := ev.keyBuf[:0]
-		for _, name := range ev.vars {
-			id, ok := lookup(name)
-			if !ok && !ev.optVars[name] {
-				return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", name)
-			}
-			key = appendIDKey(key, id) // unbound: id == None
+		for _, s := range ev.projSlots {
+			key = appendIDKey(key, cur[s]) // unbound: None
 		}
 		ev.keyBuf = key
 		if ev.distinct[string(key)] {
 			return nil
 		}
+		if ev.mem != nil {
+			if err := ev.mem.Grow(int64(len(key)) + keyEntryOverhead); err != nil {
+				return err
+			}
+		}
 		ev.distinct[string(key)] = true
 	}
-	if ev.mem != nil {
-		if err := ev.mem.Grow(ev.rowBytes); err != nil {
-			return err
+
+	res := ev.res
+	row := res.n // where the row goes: appended, unless it displaces the heap's root
+	if nk := len(ev.orderSlots); nk > 0 {
+		keys := ev.keyScratch[:0]
+		for _, s := range ev.orderSlots {
+			var k sortKey
+			if id := cur[s]; id != core.None {
+				var err error
+				if k, err = ev.keyOf(id); err != nil {
+					return err
+				}
+			}
+			keys = append(keys, k)
+		}
+		ev.keyScratch = keys
+		seq := ev.seq
+		ev.seq++
+		if ev.topK > 0 && res.n == ev.topK {
+			if ev.heap == nil {
+				ev.heapify()
+			}
+			// The candidate is the latest row, so on equal keys it sorts
+			// after the root and is dropped.
+			row = ev.heap[0]
+			if ev.compareRowKeys(keys, ev.rowKeys(row)) >= 0 {
+				return nil
+			}
+			copy(ev.rowKeys(row), keys)
+			ev.orderSeq[row] = seq
+		} else {
+			ev.orderKeys = append(ev.orderKeys, keys...)
+			ev.orderSeq = append(ev.orderSeq, seq)
 		}
 	}
-	row := make(Row, len(ev.vars))
-	for _, name := range ev.vars {
-		id, ok := lookup(name)
-		if !ok {
-			if !ev.optVars[name] {
-				return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", name)
+	nc := len(ev.projSlots)
+	if row == res.n {
+		if ev.mem != nil {
+			if err := ev.mem.Grow(ev.rowBytes); err != nil {
+				return err
 			}
+		}
+		res.cells = slices.Grow(res.cells, nc)[:len(res.cells)+nc]
+		res.n++
+	}
+	dst := res.cells[row*nc : (row+1)*nc]
+	for i, s := range ev.projSlots {
+		id := cur[s]
+		if id == core.None {
+			if !ev.projOpt[i] {
+				return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", ev.vars[i])
+			}
+			dst[i] = rdf.Term{}
 			continue
 		}
 		term, err := ev.decodeCached(id)
 		if err != nil {
 			return err
 		}
-		row[name] = term
+		dst[i] = term
 	}
-	ev.res.Rows = append(ev.res.Rows, row)
-	if len(ev.q.OrderBy) > 0 {
-		keys := make([]orderVal, len(ev.q.OrderBy))
-		for i, k := range ev.q.OrderBy {
-			if id, ok := lookup(k.Var); ok {
-				term, err := ev.decodeCached(id)
-				if err != nil {
-					return err
-				}
-				keys[i] = orderVal{term: term, bound: true}
-			}
-		}
-		ev.orderKeys = append(ev.orderKeys, keys)
+	if ev.heap != nil {
+		ev.siftDown(0)
 	}
-	if ev.target > 0 && len(ev.res.Rows) >= ev.target {
+	if ev.target > 0 && res.n >= ev.target {
 		ev.done = true
 	}
 	return nil
 }
 
-// foldWith accumulates the current solution into its GROUP BY bucket,
-// keyed by the fixed-width binary encoding of the group ids.
-func (ev *evaluator) foldWith(lookup func(string) (core.ID, bool)) error {
+// keepsEveryRow reports whether every solution that reaches emit with
+// its late filters passed becomes a result row: nothing folds, dedups or
+// competes for a bounded number of places.
+func (ev *evaluator) keepsEveryRow() bool {
+	return !ev.aggMode && ev.distinct == nil && ev.topK == 0
+}
+
+// keyEntryOverhead is the accounted cost of one DISTINCT-set or GROUP BY
+// map entry beyond its key bytes: the string header, the value and the
+// entry's share of the map's buckets.
+const keyEntryOverhead = 48
+
+// fold accumulates the current solution into its GROUP BY bucket, keyed
+// by the fixed-width binary encoding of the group ids.
+func (ev *evaluator) fold() error {
+	cur := ev.cur
 	key := ev.keyBuf[:0]
-	for _, name := range ev.q.GroupBy {
-		id, _ := lookup(name) // unbound: id == None
-		key = appendIDKey(key, id)
+	for _, s := range ev.groupSlots {
+		key = appendIDKey(key, cur[s]) // unbound: None
 	}
 	ev.keyBuf = key
+	na := len(ev.aggSlots)
 	g, ok := ev.groups[string(key)]
 	if !ok {
 		if ev.mem != nil {
-			if err := ev.mem.Grow(ev.rowBytes); err != nil {
+			if err := ev.mem.Grow(ev.rowBytes + int64(len(key)) + keyEntryOverhead); err != nil {
 				return err
 			}
 		}
-		g = &aggGroup{
-			keyIDs:   make(map[string]core.ID, len(ev.q.GroupBy)),
-			counts:   make([]int, len(ev.q.Aggregates)),
-			distinct: make([]map[core.ID]struct{}, len(ev.q.Aggregates)),
-		}
-		for _, name := range ev.q.GroupBy {
-			if id, ok := lookup(name); ok {
-				g.keyIDs[name] = id
-			}
-		}
-		for i, a := range ev.q.Aggregates {
-			if a.Distinct {
-				g.distinct[i] = make(map[core.ID]struct{})
-			}
-		}
+		g = len(ev.groups)
 		ev.groups[string(key)] = g
-		ev.groupSeq = append(ev.groupSeq, string(key))
+		for _, s := range ev.groupSlots {
+			ev.groupIDs = append(ev.groupIDs, cur[s])
+		}
+		for _, a := range ev.q.Aggregates {
+			ev.groupCounts = append(ev.groupCounts, 0)
+			var set map[core.ID]struct{}
+			if a.Distinct {
+				set = make(map[core.ID]struct{})
+			}
+			ev.groupSets = append(ev.groupSets, set)
+		}
 	}
-	for i, a := range ev.q.Aggregates {
-		if a.Var == "" {
-			g.counts[i]++
-			continue
-		}
-		id, bound := lookup(a.Var)
-		if !bound {
-			continue // COUNT skips unbound (optional) values, as in SPARQL
-		}
-		if a.Distinct {
-			g.distinct[i][id] = struct{}{}
-		} else {
-			g.counts[i]++
+	for i, s := range ev.aggSlots {
+		switch {
+		case s < 0: // COUNT(*)
+			ev.groupCounts[g*na+i]++
+		case cur[s] == core.None:
+			// COUNT skips unbound (optional) values, as in SPARQL.
+		case ev.groupSets[g*na+i] != nil:
+			ev.groupSets[g*na+i][cur[s]] = struct{}{}
+		default:
+			ev.groupCounts[g*na+i]++
 		}
 	}
 	return nil
 }
 
 // materializeGroups turns the GROUP BY buckets into result rows, in
-// group-key order for determinism when no ORDER BY is given.
+// group-key order for determinism when no ORDER BY is given. ORDER BY
+// variables are output columns here (group keys or aggregate aliases),
+// so each row's sort keys come from its own cells.
 func (ev *evaluator) materializeGroups() error {
-	keys := append([]string(nil), ev.groupSeq...)
+	q := ev.q
+	// Column c < len(q.Vars) shows GROUP BY variable groupCol[c] (-1: the
+	// variable is not grouped on, so it is unbound in every row).
+	groupCol := make([]int, len(q.Vars))
+	for c, name := range q.Vars {
+		groupCol[c] = slices.Index(q.GroupBy, name)
+	}
+	orderCol := make([]int, len(q.OrderBy))
+	for i, k := range q.OrderBy {
+		orderCol[i] = slices.Index(ev.vars, k.Var)
+	}
+	keys := make([]string, 0, len(ev.groups))
+	for key := range ev.groups {
+		keys = append(keys, key)
+	}
 	sort.Strings(keys)
+	ng, na := len(ev.groupSlots), len(ev.aggSlots)
+	res := ev.res
+	res.cells = make([]rdf.Term, 0, len(keys)*len(ev.vars))
 	for _, key := range keys {
 		g := ev.groups[key]
-		row := make(Row, len(ev.vars))
-		for _, name := range ev.q.Vars {
-			if id, ok := g.keyIDs[name]; ok {
-				term, err := ev.dict.Decode(id)
-				if err != nil {
+		base := len(res.cells)
+		for _, gi := range groupCol {
+			var term rdf.Term
+			if gi >= 0 && ev.groupIDs[g*ng+gi] != core.None {
+				var err error
+				if term, err = ev.dict.Decode(ev.groupIDs[g*ng+gi]); err != nil {
 					return err
 				}
-				row[name] = term
 			}
+			res.cells = append(res.cells, term)
 		}
-		for i, a := range ev.q.Aggregates {
-			n := g.counts[i]
-			if a.Distinct {
-				n = len(g.distinct[i])
+		for i := 0; i < na; i++ {
+			n := ev.groupCounts[g*na+i]
+			if set := ev.groupSets[g*na+i]; set != nil {
+				n = len(set)
 			}
-			row[a.As] = rdf.NewLiteral(strconv.Itoa(n))
+			res.cells = append(res.cells, rdf.NewLiteral(strconv.Itoa(n)))
 		}
-		ev.res.Rows = append(ev.res.Rows, row)
+		for _, c := range orderCol {
+			var k sortKey
+			if c >= 0 && !res.cells[base+c].IsZero() {
+				k = newSortKey(res.cells[base+c])
+			}
+			ev.orderKeys = append(ev.orderKeys, k)
+		}
+		if len(orderCol) > 0 {
+			ev.orderSeq = append(ev.orderSeq, res.n)
+		}
+		res.n++
 	}
 	return nil
 }
 
-// evalFilterWith evaluates f with variables read through lookup — the
-// binding map on the tuple-at-a-time path, a table column on the batch
-// path. A filter whose variable is unbound (possible only for optional
-// variables) fails.
-func (ev *evaluator) evalFilterWith(f Filter, lookup func(string) (core.ID, bool)) (bool, error) {
-	left, lok, err := ev.operandWith(f.Left, lookup)
-	if err != nil {
-		return false, err
-	}
-	right, rok, err := ev.operandWith(f.Right, lookup)
-	if err != nil {
-		return false, err
-	}
-	if !lok || !rok {
-		return false, nil
-	}
-	switch f.Op {
-	case "=":
-		return left == right, nil
-	case "!=":
-		return left != right, nil
-	}
-	// Ordering comparison: numeric when both operands are numeric
-	// literals, lexicographic on the term value otherwise.
-	var cmp int
-	lf, lerr := strconv.ParseFloat(left.Value, 64)
-	rf, rerr := strconv.ParseFloat(right.Value, 64)
-	if lerr == nil && rerr == nil {
-		switch {
-		case lf < rf:
-			cmp = -1
-		case lf > rf:
-			cmp = 1
-		}
-	} else {
-		cmp = strings.Compare(left.Value, right.Value)
-	}
-	switch f.Op {
-	case "<":
-		return cmp < 0, nil
-	case "<=":
-		return cmp <= 0, nil
-	case ">":
-		return cmp > 0, nil
-	case ">=":
-		return cmp >= 0, nil
-	default:
-		return false, fmt.Errorf("sparql: unknown filter operator %q", f.Op)
-	}
+// filterOp is a FILTER comparison operator.
+type filterOp uint8
+
+const (
+	opEq filterOp = iota
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+var filterOps = map[string]filterOp{"=": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe}
+
+// operand is one side of a compiled FILTER: a variable's solution slot,
+// or a constant with its comparison key prepared once per query.
+type operand struct {
+	slot int     // -1 for a constant
+	name string  // the variable
+	key  sortKey // the constant
 }
 
-// operandWith resolves a filter operand to a term through lookup; ok is
-// false when the operand is an unbound variable.
-func (ev *evaluator) operandWith(t Term, lookup func(string) (core.ID, bool)) (rdf.Term, bool, error) {
-	if t.Kind == Const {
-		return t.RDF, true, nil
+// id returns the operand's id in solution cur (None for a constant or an
+// unbound variable).
+func (o *operand) id(cur []core.ID) core.ID {
+	if o.slot < 0 {
+		return core.None
 	}
-	id, ok := lookup(t.Name)
-	if !ok {
-		return rdf.Term{}, false, nil
+	return cur[o.slot]
+}
+
+// cfilter is a FILTER compiled for per-row evaluation.
+type cfilter struct {
+	Filter
+	op   filterOp
+	l, r operand
+}
+
+// compileFilters prepares the query's filters once: operator decoded,
+// variables resolved to slots, constants parsed.
+func (ev *evaluator) compileFilters() error {
+	compile := func(t Term) operand {
+		if t.Kind == Const {
+			return operand{slot: -1, key: newSortKey(t.RDF)}
+		}
+		return operand{slot: ev.slotOf(t.Name), name: t.Name}
 	}
-	term, err := ev.decodeCached(id)
-	if err != nil {
-		return rdf.Term{}, false, err
+	ev.filters = make([]cfilter, len(ev.q.Filters))
+	for i, f := range ev.q.Filters {
+		op, ok := filterOps[f.Op]
+		if !ok {
+			return fmt.Errorf("sparql: unknown filter operator %q", f.Op)
+		}
+		ev.filters[i] = cfilter{Filter: f, op: op, l: compile(f.Left), r: compile(f.Right)}
 	}
-	return term, true, nil
+	return nil
+}
+
+// filterPass evaluates f for one solution, given the ids of its variable
+// operands (ignored for constants). A filter whose variable is unbound
+// (possible only for optional variables) fails. Equality compares whole
+// terms — for two variables, their ids; ordering compares numerically
+// when both operands are numeric, lexicographically on the term value
+// otherwise. Each distinct id is decoded and parsed once per query.
+func (ev *evaluator) filterPass(f *cfilter, lid, rid core.ID) (bool, error) {
+	lvar, rvar := f.l.slot >= 0, f.r.slot >= 0
+	if (lvar && lid == core.None) || (rvar && rid == core.None) {
+		return false, nil
+	}
+	if lvar && rvar && f.op <= opNe {
+		return (lid == rid) == (f.op == opEq), nil
+	}
+	left, right := f.l.key, f.r.key
+	var err error
+	if lvar {
+		if left, err = ev.keyOf(lid); err != nil {
+			return false, err
+		}
+	}
+	if rvar {
+		if right, err = ev.keyOf(rid); err != nil {
+			return false, err
+		}
+	}
+	var cmp int
+	switch {
+	case f.op <= opNe:
+		return (left.term == right.term) == (f.op == opEq), nil
+	case left.num.ok && right.num.ok:
+		cmp = compareFloats(left.num.f, right.num.f)
+	default:
+		cmp = strings.Compare(left.term.Value, right.term.Value)
+	}
+	switch f.op {
+	case opLt:
+		return cmp < 0, nil
+	case opLe:
+		return cmp <= 0, nil
+	case opGt:
+		return cmp > 0, nil
+	default:
+		return cmp >= 0, nil
+	}
 }
 
 // applyModifiers sorts, offsets and limits the collected rows.
 func (ev *evaluator) applyModifiers() {
-	q := ev.q
-	if ev.aggMode && len(q.OrderBy) > 0 {
-		// In grouping mode every sort variable is an output column
-		// (group key or aggregate alias), so sort on row values.
-		sort.SliceStable(ev.res.Rows, func(i, j int) bool {
-			for _, k := range q.OrderBy {
-				a, aok := ev.res.Rows[i][k.Var]
-				b, bok := ev.res.Rows[j][k.Var]
-				if aok != bok {
-					if k.Desc {
-						return aok
-					}
-					return !aok
-				}
-				c := compareTerms(a, b)
-				if c != 0 {
-					if k.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-	} else if len(q.OrderBy) > 0 {
-		type indexed struct {
-			row  Row
-			keys []orderVal
-		}
-		sols := make([]indexed, len(ev.res.Rows))
-		for i := range sols {
-			sols[i] = indexed{row: ev.res.Rows[i], keys: ev.orderKeys[i]}
-		}
-		sort.SliceStable(sols, func(i, j int) bool {
-			for ki, k := range q.OrderBy {
-				a, b := sols[i].keys[ki], sols[j].keys[ki]
-				// Unbound sorts before bound, as in SPARQL.
-				if a.bound != b.bound {
-					if k.Desc {
-						return a.bound
-					}
-					return !a.bound
-				}
-				c := compareTerms(a.term, b.term)
-				if c != 0 {
-					if k.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		for i := range sols {
-			ev.res.Rows[i] = sols[i].row
-		}
+	if len(ev.q.OrderBy) > 0 {
+		ev.sortRows()
+		return
 	}
-	rows := ev.res.Rows
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
-	}
-	ev.res.Rows = rows
+	// Trim in place, so the cell array's capacity stays the whole of what
+	// the result retains.
+	res := ev.res
+	lo, hi := window(res.n, ev.q.Offset, ev.q.Limit)
+	nc := len(res.Vars)
+	res.cells = res.cells[:copy(res.cells, res.cells[lo*nc:hi*nc])]
+	res.n = hi - lo
 }
 
-// compareTerms orders terms numerically when both values are numbers,
-// lexicographically by value otherwise.
-func compareTerms(a, b rdf.Term) int {
-	af, aerr := strconv.ParseFloat(a.Value, 64)
-	bf, berr := strconv.ParseFloat(b.Value, 64)
-	if aerr == nil && berr == nil {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+// resolvePos returns the id to use for position j of an OPTIONAL pattern
+// (a constant id, a bound variable's id, or None) and the slot to bind
+// if the position is an unbound variable (-1 otherwise).
+func (ev *evaluator) resolvePos(p *idPattern, j int) (core.ID, int) {
+	s := p.slot[j]
+	if s < 0 {
+		return p.ids[j], -1
 	}
-	return strings.Compare(a.String(), b.String())
-}
-
-// resolvePos returns the id to use for position j (a constant id, a
-// bound variable's id, or None) and the variable name to bind if the
-// position is an unbound variable ("" otherwise).
-func resolvePos(p *idPattern, j int, binding map[string]core.ID) (core.ID, string) {
-	term := p.term(j)
-	if term.Kind == Const {
-		return p.ids[j], ""
+	if id := ev.cur[s]; id != core.None {
+		return id, -1
 	}
-	if id, ok := binding[term.Name]; ok {
-		return id, ""
-	}
-	return core.None, term.Name
+	return core.None, s
 }
 
 // estimateSteps prices each step of the chosen order for the trace,
@@ -1211,18 +1278,4 @@ func planOrder(eng *query.Engine, pats []idPattern, preBound map[string]bool) []
 		}
 	}
 	return chosen
-}
-
-// SortRows orders rows lexicographically by the projection variables,
-// for deterministic presentation.
-func (r *Result) SortRows() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		for _, v := range r.Vars {
-			a, b := r.Rows[i][v].String(), r.Rows[j][v].String()
-			if a != b {
-				return a < b
-			}
-		}
-		return false
-	})
 }

@@ -83,13 +83,22 @@ func governBackends(t *testing.T, data []rdf.Triple) map[string]graph.Graph {
 }
 
 // renderRows flattens a result into one string per row, in emission
-// order, for exact (order-preserving) comparison.
-func renderRows(res *Result) []string {
-	out := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
+// order, for exact (order-preserving) comparison. It reads the columnar
+// body through Len/At and fails the test if the Rows compatibility view
+// says anything else.
+func renderRows(t testing.TB, res *Result) []string {
+	t.Helper()
+	if len(res.Rows) != res.Len() {
+		t.Fatalf("Rows view has %d rows, columnar body %d", len(res.Rows), res.Len())
+	}
+	out := make([]string, 0, res.Len())
+	for i := 0; i < res.Len(); i++ {
 		parts := make([]string, 0, len(res.Vars))
-		for _, v := range res.Vars {
-			term := row[v]
+		for c, v := range res.Vars {
+			term := res.At(i, c)
+			if got, bound := res.Rows[i][v]; got != term || bound == term.IsZero() {
+				t.Fatalf("row %d ?%s: Rows view has %v (bound=%v), At has %v", i, v, got, bound, term)
+			}
 			parts = append(parts, fmt.Sprintf("%s=%d:%q", v, term.Kind, term.Value))
 		}
 		out = append(out, strings.Join(parts, " "))
@@ -197,7 +206,7 @@ func TestSpillDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s query %d unlimited: %v", name, qi, err)
 			}
-			want := renderRows(base)
+			want := renderRows(t, base)
 			for _, workers := range []int{1, 4} {
 				dir := t.TempDir()
 				m := govern.NewMeter(4096, 1<<30)
@@ -207,7 +216,7 @@ func TestSpillDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s query %d budgeted workers=%d: %v", name, qi, workers, err)
 				}
-				got := renderRows(res)
+				got := renderRows(t, res)
 				if len(got) != len(want) {
 					t.Fatalf("%s query %d workers=%d: %d rows budgeted vs %d unlimited",
 						name, qi, workers, len(got), len(want))
@@ -251,7 +260,7 @@ func TestSpillFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderRows(base)
+	want := renderRows(t, base)
 
 	cases := []struct {
 		name  string
@@ -276,7 +285,7 @@ func TestSpillFaultInjection(t *testing.T) {
 				if inj.Count(tc.fault.Op) == 0 {
 					t.Fatal("fault never fired: spill path not exercised")
 				}
-				got := renderRows(res)
+				got := renderRows(t, res)
 				if len(got) != len(want) {
 					t.Fatalf("absorbed fault corrupted results: %d rows, want %d", len(got), len(want))
 				}

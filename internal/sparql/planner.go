@@ -138,6 +138,14 @@ func (pl *Planner) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 // planning and the plan/result caches: the planner's analogue of the
 // package-level EvalOpts.
 func (pl *Planner) EvalOpts(ctx context.Context, q *Query, opt EvalOptions) (*Result, error) {
+	return withRows(pl.EvalColumnar(ctx, q, opt))
+}
+
+// EvalColumnar is EvalOpts without the Rows compatibility view: the
+// result is read through Len and At only, and no map is built per row.
+// It is what a caller that streams the answer out — the HTTP server —
+// should use; on a result-cache hit it costs one header allocation.
+func (pl *Planner) EvalColumnar(ctx context.Context, q *Query, opt EvalOptions) (*Result, error) {
 	return evalWith(ctx, pl.g, q, pl, opt)
 }
 

@@ -151,7 +151,7 @@ type resultCache struct {
 
 type resultNode struct {
 	key  string
-	res  *Result
+	res  Result // columnar only (Rows nil); immutable once cached
 	size int64
 }
 
@@ -162,10 +162,10 @@ func newResultCache(capBytes int64) *resultCache {
 	return &resultCache{capBytes: capBytes, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns a private shallow copy of the cached result for key at
-// epoch. The copy shares Row maps (treated as read-only by every
-// consumer) but owns its Rows and Vars slices, so SortRows or slice
-// trimming on a served result cannot corrupt the cached entry.
+// get returns the cached result for key at epoch: a private header over
+// the shared, immutable cell array — no cell or row is copied. The
+// caller may fill or sort its own header (fillRows, SortRows build fresh
+// slices); nothing reachable from it may be written in place.
 func (c *resultCache) get(key, epoch string) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -177,10 +177,13 @@ func (c *resultCache) get(key, epoch string) (*Result, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return cloneResult(el.Value.(*resultNode).res), true
+	res := el.Value.(*resultNode).res
+	return &res, true
 }
 
-// put caches res for key at epoch, storing its own shallow copy. A put
+// put caches res — straight from the evaluator, so columnar only — for
+// key at epoch; size is what the entry retains (resultFootprint plus the
+// key and entry overhead). The cells are shared, never copied. A put
 // under a new epoch first purges every resident entry (they belong to a
 // superseded state) and counts one epoch churn.
 func (c *resultCache) put(key, epoch string, res *Result, size int64) {
@@ -203,10 +206,10 @@ func (c *resultCache) put(key, epoch string, res *Result, size int64) {
 	if el, found := c.items[key]; found {
 		n := el.Value.(*resultNode)
 		c.bytes += size - n.size
-		n.res, n.size = cloneResult(res), size
+		n.res, n.size = *res, size
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&resultNode{key: key, res: cloneResult(res), size: size})
+		el := c.ll.PushFront(&resultNode{key: key, res: *res, size: size})
 		c.items[key] = el
 		c.bytes += size
 	}
@@ -224,27 +227,6 @@ func (c *resultCache) snapshot() (entries int, bytes, capBytes int64, evictions,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items), c.bytes, c.capBytes, c.evictions, c.epochChurn
-}
-
-// cloneResult returns a shallow copy of r: fresh Vars and Rows slices
-// over the same (read-only) Row maps.
-func cloneResult(r *Result) *Result {
-	out := &Result{IsAsk: r.IsAsk, Answer: r.Answer}
-	if r.Vars != nil {
-		out.Vars = append([]string(nil), r.Vars...)
-	}
-	if r.Rows != nil {
-		out.Rows = append([]Row(nil), r.Rows...)
-	}
-	return out
-}
-
-// resultFootprint estimates the retained bytes of a cached result, used
-// both for the cache's byte cap and for charging the filling query's
-// memory meter.
-func resultFootprint(r *Result) int64 {
-	perRow := int64(96 + 56*len(r.Vars))
-	return 128 + int64(len(r.Vars))*24 + int64(len(r.Rows))*perRow
 }
 
 // CacheStats is a point-in-time snapshot of a Planner's plan- and

@@ -112,16 +112,16 @@ func TestPlanCacheLRUAndEpoch(t *testing.T) {
 // eviction, and isolation of served copies from the cached entry.
 func TestResultCacheEpochAndBytes(t *testing.T) {
 	mk := func(n int) *Result {
-		r := &Result{Vars: []string{"x"}}
+		r := &Result{Vars: []string{"x"}, n: n}
 		for i := 0; i < n; i++ {
-			r.Rows = append(r.Rows, Row{"x": rdf.NewLiteral(fmt.Sprint(i))})
+			r.cells = append(r.cells, rdf.NewLiteral(fmt.Sprint(i)))
 		}
 		return r
 	}
 	c := newResultCache(4096)
 	small := mk(3)
 	c.put("k1", "e1", small, resultFootprint(small))
-	if got, ok := c.get("k1", "e1"); !ok || len(got.Rows) != 3 {
+	if got, ok := c.get("k1", "e1"); !ok || got.Len() != 3 {
 		t.Fatalf("get = %v %v", got, ok)
 	}
 	if _, ok := c.get("k1", "e2"); ok {
@@ -151,17 +151,19 @@ func TestResultCacheEpochAndBytes(t *testing.T) {
 		t.Fatalf("bytes %d cap %d evictions %d", bytes, capBytes, evictions)
 	}
 
-	// A served copy owns its Rows slice: sorting it must not disturb
-	// the cached order.
-	r := &Result{Vars: []string{"x"}, Rows: []Row{
-		{"x": rdf.NewLiteral("b")}, {"x": rdf.NewLiteral("a")},
-	}}
+	// A served result is a private header over the shared cells: sorting
+	// it or filling its Rows view must not disturb the cached body.
+	r := &Result{Vars: []string{"x"}, n: 2, cells: []rdf.Term{rdf.NewLiteral("b"), rdf.NewLiteral("a")}}
 	c.put("sorted", "e2", r, resultFootprint(r))
 	got, _ := c.get("sorted", "e2")
-	got.Rows[0], got.Rows[1] = got.Rows[1], got.Rows[0]
+	got.fillRows()
+	got.SortRows()
+	if got.At(0, 0).Value != "a" || got.Rows[0]["x"].Value != "a" {
+		t.Fatalf("SortRows left %v / %v first", got.At(0, 0), got.Rows[0])
+	}
 	again, _ := c.get("sorted", "e2")
-	if again.Rows[0]["x"].Value != "b" {
-		t.Fatal("mutating a served copy corrupted the cached entry")
+	if again.At(0, 0).Value != "b" || again.Rows != nil {
+		t.Fatal("mutating a served result corrupted the cached entry")
 	}
 }
 
@@ -200,7 +202,7 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s (cached): %v", src, err)
 					}
-					if !reflect.DeepEqual(renderRows(first), renderRows(second)) ||
+					if !reflect.DeepEqual(renderRows(t, first), renderRows(t, second)) ||
 						!reflect.DeepEqual(first.Vars, second.Vars) {
 						t.Fatalf("%s: cached result differs from uncached", src)
 					}
@@ -212,14 +214,14 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s (replanned): %v", src, err)
 					}
-					if !reflect.DeepEqual(renderRows(first), renderRows(replanned)) {
+					if !reflect.DeepEqual(renderRows(t, first), renderRows(t, replanned)) {
 						t.Fatalf("%s: plan-cache-hit rows differ from original", src)
 					}
 					ref, err := bare.EvalOpts(context.Background(), mustParse(t, src), opt)
 					if err != nil {
 						t.Fatalf("%s (no caches): %v", src, err)
 					}
-					got, want := renderRows(second), renderRows(ref)
+					got, want := renderRows(t, second), renderRows(t, ref)
 					if q := mustParse(t, src); len(q.OrderBy) == 0 {
 						sort.Strings(got)
 						sort.Strings(want)
@@ -278,7 +280,7 @@ func TestPlanCacheSharedShapeDifferentConstants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(renderRows(got), renderRows(want)) {
+		if !reflect.DeepEqual(renderRows(t, got), renderRows(t, want)) {
 			t.Fatalf("constant %s: plan-cached rows differ", c)
 		}
 	}

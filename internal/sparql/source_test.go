@@ -9,11 +9,11 @@ import (
 	"hexastore/internal/rdf"
 )
 
-// TestExecSourceOverDiskStore runs the SPARQL engine against the
-// disk-based Hexastore: the disk store satisfies Source directly, so
+// TestExecOverDiskStore runs the SPARQL engine against the
+// disk-based Hexastore: the disk store satisfies graph.Graph directly, so
 // every query feature (joins, filters, optionals, aggregates) works on
 // the persistent substrate too.
-func TestExecSourceOverDiskStore(t *testing.T) {
+func TestExecOverDiskStore(t *testing.T) {
 	st, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 		}
 	}
 
-	res, err := ExecSource(st, `
+	res, err := Exec(st, `
 		PREFIX ex: <http://ex/>
 		SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z }`)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 		t.Fatalf("row = %v", res.Rows[0])
 	}
 
-	res, err = ExecSource(st, `
+	res, err = Exec(st, `
 		PREFIX ex: <http://ex/>
 		SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p`)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 		}
 	}
 
-	res, err = ExecSource(st, `
+	res, err = Exec(st, `
 		PREFIX ex: <http://ex/>
 		SELECT ?who WHERE { ?who ex:age ?a . FILTER (?a > 18) }`)
 	if err != nil {
@@ -68,43 +68,6 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0]["who"].Value != "http://ex/alice" {
 		t.Fatalf("filter rows = %v", res.Rows)
-	}
-}
-
-// TestExecSourceMatchesExecOnCoreStore checks that the Source-generic
-// path and the engine-assisted path produce identical results on the
-// in-memory store.
-func TestExecSourceMatchesExecOnCoreStore(t *testing.T) {
-	st := familyStore(t)
-	queries := []string{
-		`PREFIX ex: <http://example.org/>
-		 SELECT ?who WHERE { ?who ex:age ?age . FILTER (?age > 18) }`,
-		`PREFIX ex: <http://example.org/>
-		 SELECT ?a ?b WHERE { ?a ex:knows ?b . ?b ex:age ?x }`,
-		`PREFIX ex: <http://example.org/>
-		 SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`,
-	}
-	for _, src := range queries {
-		want, err := Exec(st, src)
-		if err != nil {
-			t.Fatalf("Exec(%q): %v", src, err)
-		}
-		got, err := ExecSource(st, src)
-		if err != nil {
-			t.Fatalf("ExecSource(%q): %v", src, err)
-		}
-		want.SortRows()
-		got.SortRows()
-		if len(want.Rows) != len(got.Rows) {
-			t.Fatalf("query %q: %d vs %d rows", src, len(want.Rows), len(got.Rows))
-		}
-		for i := range want.Rows {
-			for _, v := range want.Vars {
-				if want.Rows[i][v] != got.Rows[i][v] {
-					t.Fatalf("query %q row %d differs", src, i)
-				}
-			}
-		}
 	}
 }
 
@@ -129,10 +92,10 @@ type mockError struct{}
 
 func (*mockError) Error() string { return "boom" }
 
-func TestExecSourcePropagatesMatchErrors(t *testing.T) {
+func TestExecPropagatesMatchErrors(t *testing.T) {
 	st := familyStore(t)
 	src := &erroringSource{Graph: st}
-	_, err := ExecSource(src, `
+	_, err := Exec(src, `
 		PREFIX ex: <http://example.org/>
 		SELECT ?a ?b WHERE { ?a ex:knows ?x . ?x ex:knows ?b }`)
 	if err == nil {

@@ -617,7 +617,7 @@ func (bx *batchExec) streamExpandChunk(sp *stepSpec, sink *tableSink, rowIndep b
 
 // streamFilterExpr applies one staged FILTER to a spilled table, chunk
 // by chunk, through a fresh sink.
-func (bx *batchExec) streamFilterExpr(f Filter) error {
+func (bx *batchExec) streamFilterExpr(f *cfilter) error {
 	ev := bx.ev
 	in := bx.spilled
 	bx.spilled = nil
@@ -643,7 +643,7 @@ func (bx *batchExec) streamFilterExpr(f Filter) error {
 
 // applyFilter routes one staged FILTER to the in-memory or streaming
 // path and keeps the accounting current.
-func (bx *batchExec) applyFilter(f Filter) error {
+func (bx *batchExec) applyFilter(f *cfilter) error {
 	if bx.spilled != nil {
 		return bx.streamFilterExpr(f)
 	}
@@ -656,9 +656,8 @@ func (bx *batchExec) applyFilter(f Filter) error {
 	return nil
 }
 
-// emitSpilled materializes a spilled table chunk by chunk through the
-// normal emission paths.
-func (bx *batchExec) emitSpilled(optionals [][]idPattern, lateFilters []Filter) error {
+// emitSpilled emits a spilled table chunk by chunk through emitRows.
+func (bx *batchExec) emitSpilled(optionals [][]idPattern, lateFilters []*cfilter) error {
 	ev := bx.ev
 	in := bx.spilled
 	bx.spilled = nil
@@ -676,13 +675,7 @@ func (bx *batchExec) emitSpilled(optionals [][]idPattern, lateFilters []Filter) 
 		if err := bx.setAccounted(tableBytes(&bx.tbl)); err != nil {
 			return err
 		}
-		var err error
-		if len(optionals) == 0 {
-			err = bx.emitRows(lateFilters)
-		} else {
-			err = bx.emitRowsWithOptionals(optionals, lateFilters)
-		}
-		if err != nil {
+		if err := bx.emitRows(optionals, lateFilters); err != nil {
 			return err
 		}
 	}

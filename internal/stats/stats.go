@@ -63,7 +63,7 @@ func Build(st *core.Store) *Summary {
 		vec := st.Head(core.PSO, p)
 		s.PredDistinctS[p] = vec.Len()
 		n := 0
-		vec.Range(func(_ ID, list *idlist.List) bool {
+		vec.RangeViews(func(_ ID, list idlist.View) bool {
 			n += list.Len()
 			return true
 		})
@@ -73,7 +73,7 @@ func Build(st *core.Store) *Summary {
 	}
 	for _, o := range st.HeadIDs(core.OSP) {
 		n := 0
-		st.Head(core.OSP, o).Range(func(_ ID, list *idlist.List) bool {
+		st.Head(core.OSP, o).RangeViews(func(_ ID, list idlist.View) bool {
 			n += list.Len()
 			return true
 		})
@@ -81,7 +81,7 @@ func Build(st *core.Store) *Summary {
 	}
 	for _, subj := range st.HeadIDs(core.SPO) {
 		n := 0
-		st.Head(core.SPO, subj).Range(func(_ ID, list *idlist.List) bool {
+		st.Head(core.SPO, subj).RangeViews(func(_ ID, list idlist.View) bool {
 			n += list.Len()
 			return true
 		})
