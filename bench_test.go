@@ -32,6 +32,7 @@ import (
 	"hexastore/internal/lubm"
 	"hexastore/internal/queries"
 	"hexastore/internal/query"
+	"hexastore/internal/rdf"
 	"hexastore/internal/server"
 	"hexastore/internal/shard"
 	"hexastore/internal/sparql"
@@ -739,6 +740,134 @@ func BenchmarkWrite01(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// liveFixture is the store the overlay write-path benchmarks run over:
+// the 30-university LUBM set of the end-to-end benchmark's mixed-live
+// workload (~555k triples), packed, with its courses and its existing
+// enrolment triples at hand to build deltas from.
+var (
+	liveOnce    sync.Once
+	liveMain    *core.Store
+	liveCourses []rdf.Term
+	liveTakes   []rdf.Triple
+)
+
+func liveFixture(b *testing.B) *core.Store {
+	b.Helper()
+	liveOnce.Do(func() {
+		bl := core.NewBuilder(nil)
+		seen := map[rdf.Term]bool{}
+		lubm.Config{Universities: 30, Seed: 1}.Generate(func(t rdf.Triple) bool {
+			bl.AddTriple(t)
+			if t.Predicate == lubm.PropTakesCourse {
+				liveTakes = append(liveTakes, t)
+				if !seen[t.Object] {
+					seen[t.Object] = true
+					liveCourses = append(liveCourses, t.Object)
+				}
+			}
+			return true
+		})
+		liveMain = bl.BuildParallel(runtime.GOMAXPROCS(0))
+	})
+	return liveMain
+}
+
+// enrolments returns n new takesCourse triples about students numbered
+// from first on, who exist nowhere else — the mixed-live writer's rows.
+func enrolments(first, n int) []graph.TripleOp {
+	rng := rand.New(rand.NewSource(int64(first)))
+	ops := make([]graph.TripleOp, n)
+	for i := range ops {
+		ops[i].T = rdf.T(rdf.NewIRI(fmt.Sprintf("%sBenchStudent%d", lubm.Namespace, first+i)),
+			lubm.PropTakesCourse, liveCourses[rng.Intn(len(liveCourses))])
+	}
+	return ops
+}
+
+// BenchmarkOverlayApply times one 8-triple write batch (no WAL, so no
+// fsync hides it) against a delta that already holds 0, 4k or 16k rows:
+// even iterations insert the batch, odd ones delete it again, so the
+// delta keeps its size. A write should cost what the batch touches —
+// time and bytes per op that do not grow with the delta it joins.
+func BenchmarkOverlayApply(b *testing.B) {
+	main := liveFixture(b)
+	for _, size := range []int{0, 4 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("delta=%d", size), func(b *testing.B) {
+			ov, err := delta.New(graph.Memory(main), delta.Options{CompactThreshold: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := enrolments(1<<20, 8) // encoded before the rows below, so it does not just append to every run
+			remove := make([]graph.TripleOp, len(batch))
+			for i, op := range batch {
+				remove[i] = graph.TripleOp{Del: true, T: op.T}
+			}
+			for _, ops := range [][]graph.TripleOp{batch, remove, enrolments(0, size/2)} {
+				if _, _, err := ov.ApplyTriples(ops); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tombstones := make([]graph.TripleOp, size/2)
+			for i := range tombstones {
+				tombstones[i] = graph.TripleOp{Del: true, T: liveTakes[i*len(liveTakes)/len(tombstones)]}
+			}
+			if _, _, err := ov.ApplyTriples(tombstones); err != nil {
+				b.Fatal(err)
+			}
+			if st := ov.Stats(); st.DeltaAdds+st.DeltaDels != size {
+				b.Fatalf("delta holds %d rows, want %d", st.DeltaAdds+st.DeltaDels, size)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ops := batch
+				if i%2 == 1 {
+					ops = remove
+				}
+				if ins, del, err := ov.ApplyTriples(ops); err != nil || ins+del != len(ops) {
+					b.Fatalf("batch applied %d+%d of %d ops: %v", ins, del, len(ops), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOverlayCompact times folding a 20k-row delta (10k new
+// enrolments, 10k tombstones) into the ~555k-triple main: what one
+// background compaction of the mixed-live workload costs. The delta
+// names a few per cent of the store, so the compaction should cost a
+// few per cent of a rebuild.
+func BenchmarkOverlayCompact(b *testing.B) {
+	main := liveFixture(b)
+	ops := enrolments(0, 10000)
+	for i := 0; i < 10000; i++ {
+		ops = append(ops, graph.TripleOp{Del: true, T: liveTakes[i*len(liveTakes)/10000]})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		// The overlay never mutates its main: every iteration folds the
+		// same delta into the same store.
+		ov, err := delta.New(graph.Memory(main), delta.Options{CompactThreshold: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ov.ApplyTriples(ops); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := ov.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st := ov.Stats(); st.DeltaAdds+st.DeltaDels != 0 || st.MainTriples != main.Len() {
+			b.Fatalf("after compaction: %+v, main had %d triples", st, main.Len())
+		}
+		b.StartTimer()
 	}
 }
 

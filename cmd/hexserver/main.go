@@ -105,7 +105,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 1024,
 		"concurrently served non-query requests before load-shedding with 503 + Retry-After (0 = unlimited); /sparql traffic is admitted by the query governor instead (-max-queries)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second,
-		"per-request deadline; expiry answers 503 (0 = unlimited)")
+		"per-request deadline: the request's context expires after this long, and a query or update still running answers 408 (0 = unlimited)")
 	maxQueries := flag.Int("max-queries", 64,
 		"concurrently executing /sparql queries; excess waits briefly in a bounded deadline-aware queue, then sheds with 503 + Retry-After (0 = unlimited)")
 	queryTimeout := flag.Duration("query-timeout", 0,

@@ -254,6 +254,8 @@ func WithCompactThreshold(n int) Option { return func(o *options) { o.compactThr
 // the skip tables; see the space01 benchmark figure. Pass false to keep
 // the raw layout (shared terminal lists in memory, fixed-width leaf
 // records on disk), which the differential test suites compare against.
+// The switch governs the initial build, snapshot restores and the disk
+// leaves; an overlay's compaction always leaves a packed memory main.
 //
 // A compressed in-memory store converts itself back to the raw layout
 // on its first direct Add/Remove (one O(n) pass); live updates through
@@ -374,7 +376,6 @@ func Open(opts ...Option) (*DB, error) {
 	dopts := delta.Options{
 		WALPath:          o.walPath,
 		CompactThreshold: o.compactThreshold,
-		Uncompressed:     !o.compress,
 	}
 	if o.walPath != "" && o.dir == "" && !o.baseline {
 		dopts.SnapshotPath = o.walPath + ".snapshot"

@@ -30,12 +30,12 @@ func (o *Overlay) maybeCompactLocked(st *state) {
 
 // backgroundCompact folds the delta into the main.
 //
-// Memory main: the rebuild runs offline — a snapshot of the current
-// state is merged into a brand-new core.Store with the parallel bulk
-// builder while readers AND writers proceed; writes landing meanwhile
-// are recorded (pending) and replayed onto the rebuilt main under a
-// brief writeMu hold. The old main is never mutated, so pinned snapshots
-// stay valid forever.
+// Memory main: the patch runs offline — the pinned state's delta is
+// folded into a new core.Store that shares every head vector the delta
+// does not name with the old main (see patchMain), while readers AND
+// writers proceed; writes landing meanwhile are recorded (pending) and
+// replayed onto the patched main under a brief writeMu hold. The old
+// main is never mutated, so pinned snapshots stay valid forever.
 //
 // Disk main: the delta is merged into the six B+-trees in place, under
 // writeMu for the whole merge — writers stall, readers do not (every
@@ -62,17 +62,15 @@ func (o *Overlay) backgroundCompact() {
 	o.pendingActive = true
 	o.writeMu.Unlock()
 
-	newMain, err := o.rebuild(snap)
+	newMain := patchMain(snap)
 
 	o.writeMu.Lock()
 	defer o.writeMu.Unlock()
-	if err == nil {
-		err = o.swapRebuiltLocked(newMain)
-	}
+	err := o.swapPatchedLocked(newMain)
 	o.pendingActive = false
 	o.pending = nil
 	if err == nil && o.wal != nil && o.opts.SnapshotPath != "" && o.cur.Load().deltaLen() == 0 {
-		// Bound the log: no writes raced the rebuild, so the rebuilt
+		// Bound the log: no writes raced the patch, so the patched
 		// main is the whole visible set — persist it and truncate. When
 		// writes did race (pending delta non-empty), skip; the next
 		// compaction or an explicit Checkpoint will truncate.
@@ -105,27 +103,27 @@ func (o *Overlay) CompactErr() error {
 	return o.lastCompactErr
 }
 
-// rebuild merges a pinned state into a fresh in-memory Hexastore using
-// the sort-once parallel bulk builder — the same machinery as initial
-// loads, which is what makes compaction cost a bulk build, not
-// visible-set × per-triple index maintenance.
-func (o *Overlay) rebuild(snap *state) (*core.Store, error) {
-	ts := make([][3]ID, 0, snap.visible)
-	if err := snap.Match(None, None, None, func(s, p, oo ID) bool {
-		ts = append(ts, [3]ID{s, p, oo})
-		return true
-	}); err != nil {
-		return nil, err
+// patchMain folds a pinned state's delta into its memory main. The
+// delta already holds its rows sorted in all six orderings, which is the
+// input each index needs: core.Store.Patch re-encodes only the head
+// vectors those rows name and shares the rest with the old main, so a
+// compaction costs what the delta touches, not what the store holds.
+// The result is always in the packed layout.
+func patchMain(snap *state) *core.Store {
+	var adds, dels [6][][3]ID
+	for _, ix := range core.AllIndexes {
+		adds[ix] = snap.adds[ix].all()
+		dels[ix] = snap.dels[ix].all()
 	}
-	b := core.NewBuilder(o.dict)
-	b.SetCompression(!o.opts.Uncompressed)
-	b.AddAll(ts)
-	return b.BuildParallel(o.opts.workers()), nil
+	newMain, ps := snap.mainCore.Patch(adds, dels)
+	deltaCompactHeadsRebuilt.Add(int64(ps.HeadsRebuilt))
+	deltaCompactHeadsShared.Add(int64(ps.HeadsShared))
+	return newMain
 }
 
-// swapRebuiltLocked publishes a rebuilt memory main, replaying the ops
-// that landed while the rebuild ran offline. Caller holds writeMu.
-func (o *Overlay) swapRebuiltLocked(newMain *core.Store) error {
+// swapPatchedLocked publishes a patched memory main, replaying the ops
+// that landed while the patch ran offline. Caller holds writeMu.
+func (o *Overlay) swapPatchedLocked(newMain *core.Store) error {
 	mainGraph := graph.Memory(newMain)
 	base := &state{
 		main:     mainGraph,
@@ -142,7 +140,7 @@ func (o *Overlay) swapRebuiltLocked(newMain *core.Store) error {
 	ns := base
 	if len(o.pending) > 0 {
 		// The pending ops are already WAL-durable; re-derive their delta
-		// against the rebuilt main.
+		// against the patched main.
 		replayed, _, _, _, err := applyOps(base, o.pending)
 		if err != nil {
 			return err
@@ -152,7 +150,7 @@ func (o *Overlay) swapRebuiltLocked(newMain *core.Store) error {
 		}
 	}
 	// The published state is content-identical to the current one
-	// (rebuilt snapshot + pending replay = snapshot state + pending
+	// (patched snapshot + pending replay = snapshot state + pending
 	// publishes), so the epoch token is preserved: cached results stay
 	// valid across compaction.
 	ns.epoch = o.cur.Load().epoch
@@ -195,13 +193,13 @@ func (o *Overlay) compactDiskLocked() error {
 		o.undoTail.rec.Store(&undoRec{adds: st.adds, dels: st.dels, next: newTail})
 		o.undoTail = newTail
 		undo = newTail
-		for _, t := range st.adds[core.SPO] {
+		for _, t := range st.adds[core.SPO].all() {
 			if _, err := o.diskMain.Add(t[0], t[1], t[2]); err != nil {
 				o.diskMergeErr = fmt.Errorf("delta: disk merge add: %w", err)
 				return o.diskMergeErr
 			}
 		}
-		for _, t := range st.dels[core.SPO] {
+		for _, t := range st.dels[core.SPO].all() {
 			if _, err := o.diskMain.Remove(t[0], t[1], t[2]); err != nil {
 				o.diskMergeErr = fmt.Errorf("delta: disk merge remove: %w", err)
 				return o.diskMergeErr
@@ -261,11 +259,7 @@ func (o *Overlay) compactMainLocked() error {
 	if st.mainCore == nil {
 		return nil // baseline main: nothing sorted to merge into
 	}
-	newMain, err := o.rebuild(st)
-	if err != nil {
-		return err
-	}
-	if err := o.swapRebuiltLocked(newMain); err != nil {
+	if err := o.swapPatchedLocked(patchMain(st)); err != nil {
 		return err
 	}
 	o.compactions.Add(1)

@@ -18,9 +18,10 @@
 // between checkpoints loses nothing that Append reported durable.
 //
 // Snapshot isolation holds on every backend. The memory main is never
-// mutated — compaction builds a replacement store — so pinned states
-// are trivially stable. The disk main IS mutated in place by
-// compaction, and stays isolated through undo compensation (treeUndo):
+// mutated — compaction builds a replacement store that shares the
+// untouched, immutable vectors — so pinned states are trivially stable.
+// The disk main IS mutated in place by compaction, and stays isolated
+// through undo compensation (treeUndo):
 // before the first tree mutation, the merge publishes an immutable
 // record of the delta being folded in; any state pinned before (or
 // while) the merge reads the shared trees through the record — merged
@@ -36,7 +37,6 @@ package delta
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -71,17 +71,6 @@ type Options struct {
 	// negative disables automatic compaction.
 	CompactThreshold int
 
-	// Workers bounds the parallelism of compaction rebuilds
-	// (core.Builder.BuildParallel); <= 0 means runtime.GOMAXPROCS(0).
-	Workers int
-
-	// Uncompressed makes memory-main compaction rebuild into the raw
-	// index layout instead of the block-compressed default. The overlay
-	// never mutates its main in place, so the compressed layout's
-	// decompress-on-write cost is never paid here — compression plus
-	// overlay is the intended live-update configuration.
-	Uncompressed bool
-
 	// FS routes the overlay's own file I/O — the WAL and checkpoint
 	// snapshots — through a fault-injection layer; nil means the real
 	// filesystem. The main store's I/O is configured where the main is
@@ -94,13 +83,6 @@ func (o Options) threshold() int {
 		return DefaultCompactThreshold
 	}
 	return o.CompactThreshold
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // idOp is one dictionary-encoded write operation.
@@ -145,8 +127,8 @@ type Overlay struct {
 	writeMu     sync.Mutex
 	compactDone *sync.Cond // broadcast when compacting drops to false
 	compacting  bool
-	// pending records effective ops landed while a memory-main rebuild
-	// runs offline; they are replayed onto the rebuilt main.
+	// pending records effective ops landed while a memory-main patch
+	// runs offline; they are replayed onto the patched main.
 	pendingActive bool
 	pending       []idOp
 	closed        bool
@@ -369,7 +351,7 @@ func (o *Overlay) lookupTriple(t rdf.Triple) ([3]ID, bool) {
 }
 
 // membership tracks one batch-touched triple's delta status: where it
-// started (wasAdd/wasDel, from the base arrays) and where it is now.
+// started (wasAdd/wasDel, from the base runs) and where it is now.
 type membership struct {
 	wasAdd, wasDel bool
 	inAdd, inDel   bool
@@ -379,20 +361,20 @@ type membership struct {
 // the effective (state-changing) ops, and the insert/delete counts. A
 // nil state means nothing changed. Pure with respect to base.
 //
-// Cost is O(ops·(log delta + main.Has) + delta): visibility is answered
-// by binary search on the base arrays (plus a small map for triples the
-// batch itself touched), and the six new orderings are produced by one
-// linear merge of the base array with the sorted batch changes — no
-// per-write set rebuild or re-sort, so a stream of single-triple writes
-// stays linear in the delta instead of quadratic between compactions.
+// Cost is O(ops·(log delta + main.Has)) plus, per ordering, the run's
+// chunk directory and the chunks the batch lands in (see run.apply):
+// visibility is answered by binary search on the base runs (plus a small
+// map for triples the batch itself touched), and the successor state
+// shares every other chunk with base — a write's cost follows the batch,
+// not the delta it joins.
 func applyOps(base *state, ops []idOp) (*state, []idOp, int, int, error) {
 	touched := make(map[[3]ID]*membership, len(ops))
 	get := func(t [3]ID) *membership {
 		m := touched[t]
 		if m == nil {
 			m = &membership{
-				wasAdd: runContains(base.adds[core.SPO], t),
-				wasDel: runContains(base.dels[core.SPO], t),
+				wasAdd: base.adds[core.SPO].contains(t),
+				wasDel: base.dels[core.SPO].contains(t),
 			}
 			m.inAdd, m.inDel = m.wasAdd, m.wasDel
 			touched[t] = m
@@ -478,8 +460,8 @@ func applyOps(base *state, ops []idOp) (*state, []idOp, int, int, error) {
 		epoch:    base.epoch + 1, // content changed: invalidate cached results
 	}
 	for _, ix := range core.AllIndexes {
-		ns.adds[ix] = mergeApply(base.adds[ix], ix, addIns, addDel)
-		ns.dels[ix] = mergeApply(base.dels[ix], ix, delIns, delDel)
+		ns.adds[ix] = base.adds[ix].apply(permuteSorted(ix, addIns), permuteSorted(ix, addDel))
+		ns.dels[ix] = base.dels[ix].apply(permuteSorted(ix, delIns), permuteSorted(ix, delDel))
 	}
 	return ns, effective, inserted, deleted, nil
 }
@@ -573,6 +555,10 @@ type Stats struct {
 	// tombstones.
 	DeltaAdds int `json:"deltaAdds"`
 	DeltaDels int `json:"deltaDels"`
+	// DeltaChunks is the number of chunks the delta's twelve sorted runs
+	// (adds and tombstones in six orderings) are held in: what a write
+	// copies a directory of, and how fragmented the delta is.
+	DeltaChunks int `json:"deltaChunks"`
 	// CompactThreshold is the delta size that triggers compaction.
 	CompactThreshold int `json:"compactThreshold"`
 	// Compactions counts completed delta→main merges.
@@ -608,10 +594,13 @@ func (o *Overlay) Stats() Stats {
 	s := Stats{
 		Visible:          st.visible,
 		MainTriples:      st.main.Len(),
-		DeltaAdds:        len(st.adds[core.SPO]),
-		DeltaDels:        len(st.dels[core.SPO]),
+		DeltaAdds:        st.adds[core.SPO].len(),
+		DeltaDels:        st.dels[core.SPO].len(),
 		CompactThreshold: o.opts.threshold(),
 		Compactions:      o.compactions.Load(),
+	}
+	for _, ix := range core.AllIndexes {
+		s.DeltaChunks += len(st.adds[ix].chunks) + len(st.dels[ix].chunks)
 	}
 	if o.wal != nil {
 		s.WALBytes = o.wal.Size()

@@ -2,6 +2,9 @@ package delta_test
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +13,7 @@ import (
 	"hexastore/internal/delta"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
+	"hexastore/internal/rdf"
 	"hexastore/internal/sparql"
 )
 
@@ -151,6 +155,139 @@ func TestReaderWriterIsolation(t *testing.T) {
 			want := writers * (batches - deleted)
 			if len(res.Rows) != want {
 				t.Fatalf("final join rows = %d, want %d", len(res.Rows), want)
+			}
+		})
+	}
+}
+
+// answers renders everything a graph can be asked about a handful of
+// bindings — all eight Match shapes (as sets), Count, and the sorted
+// list and pair streams the batch engine reads (in order) — so that two
+// renderings are equal exactly when the graph answers the same.
+func answers(t *testing.T, g graph.Graph, probes [][3]ID) string {
+	t.Helper()
+	ss, ok := graph.AsSortedSource(g)
+	if !ok {
+		t.Fatal("graph serves no sorted streams")
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "len=%d\n", g.Len())
+	for _, tr := range probes {
+		for mask := 0; mask < 8; mask++ {
+			pat := [3]ID{None, None, None}
+			bound := 0
+			for j := 0; j < 3; j++ {
+				if mask&(1<<j) != 0 {
+					pat[j] = tr[j]
+					bound++
+				}
+			}
+			var rows []string
+			if err := g.Match(pat[0], pat[1], pat[2], func(s, p, o ID) bool {
+				rows = append(rows, fmt.Sprint(s, p, o))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(rows)
+			n, err := g.Count(pat[0], pat[1], pat[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%v: count=%d match=%v", pat, n, rows)
+			switch bound {
+			case 2:
+				list, err := ss.AppendSortedList(nil, pat[0], pat[1], pat[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, " list=%v", list)
+			case 1:
+				if err := ss.SortedPairs(pat[0], pat[1], pat[2], func(x, y ID) bool {
+					fmt.Fprintf(&b, " (%d,%d)", x, y)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// TestPinnedSnapshotAcrossCompactions pins a snapshot whose delta spans
+// several chunks per ordering, then lets 600 further writes — inserts,
+// and deletes of triples the snapshot sees in its main and in its delta
+// — and two compactions go by. On a memory main each compaction patches
+// a new store that shares vectors with the pinned one; on a disk main it
+// merges into the trees the snapshot reads through its undo chain.
+// Either way the snapshot must answer exactly as when pinned, and the
+// overlay exactly as a store that took the same writes directly.
+func TestPinnedSnapshotAcrossCompactions(t *testing.T) {
+	for name, ov := range overlays(t, -1) {
+		if name == "baseline" {
+			continue // no compactable main
+		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			ref := core.New()
+			var live [][3]ID
+			write := func(n int) {
+				ops := make([]graph.TripleOp, 0, n)
+				for i := 0; i < n; i++ {
+					if len(live) > 0 && rng.Intn(3) == 0 {
+						j := rng.Intn(len(live))
+						tr := live[j]
+						live[j] = live[len(live)-1]
+						live = live[:len(live)-1]
+						dt, err := ov.Dictionary().DecodeTriple(tr[0], tr[1], tr[2])
+						if err != nil {
+							t.Fatal(err)
+						}
+						ops = append(ops, graph.TripleOp{Del: true, T: dt})
+						ref.Remove(tr[0], tr[1], tr[2])
+						continue
+					}
+					tr := rdf.T(ex(fmt.Sprintf("s%d", rng.Intn(90))), ex(fmt.Sprintf("p%d", rng.Intn(5))), ex(fmt.Sprintf("o%d", rng.Intn(60))))
+					s, p, o := ov.Dictionary().EncodeTriple(tr)
+					if ref.Add(s, p, o) {
+						live = append(live, [3]ID{s, p, o})
+					}
+					ops = append(ops, graph.TripleOp{T: tr})
+				}
+				if _, _, err := ov.ApplyTriples(ops); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			write(700) // into the main …
+			if err := ov.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			write(700) // … and into the delta the snapshot pins with it
+			if st := ov.Stats(); st.DeltaChunks <= 12 {
+				t.Fatalf("delta of %d adds and %d tombstones sits in %d chunks: too small to cross a chunk boundary",
+					st.DeltaAdds, st.DeltaDels, st.DeltaChunks)
+			}
+			probes := append([][3]ID(nil), live[:12]...)
+			snap := ov.Snapshot()
+			pinned := answers(t, snap, probes)
+
+			for round := 1; round <= 2; round++ {
+				write(300)
+				if err := ov.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if got := answers(t, snap, probes); got != pinned {
+					t.Fatalf("snapshot answers differently after %d writes and compaction %d", 300*round, round)
+				}
+				if got, want := answers(t, ov, probes), answers(t, graph.Memory(ref), probes); got != want {
+					t.Fatalf("overlay diverges from the reference after compaction %d", round)
+				}
+			}
+			if st := ov.Stats(); st.DeltaAdds+st.DeltaDels+st.DeltaChunks != 0 || st.Compactions != 3 {
+				t.Fatalf("after the last compaction: %+v", st)
 			}
 		})
 	}

@@ -61,18 +61,10 @@ func cmpPrefix(row, pre [3]ID, k int) int {
 	return 0
 }
 
-// rangeOf returns the half-open subrange of rows (sorted in their
-// ordering) whose first k elements equal pre[:k].
-func rangeOf(rows [][3]ID, k int, pre [3]ID) (int, int) {
-	lo := sort.Search(len(rows), func(i int) bool { return cmpPrefix(rows[i], pre, k) >= 0 })
-	hi := lo + sort.Search(len(rows)-lo, func(i int) bool { return cmpPrefix(rows[lo+i], pre, k) > 0 })
-	return lo, hi
-}
-
-// runContains reports whether the sorted run holds exactly row.
-func runContains(run [][3]ID, row [3]ID) bool {
-	i := sort.Search(len(run), func(i int) bool { return cmpPrefix(run[i], row, 3) >= 0 })
-	return i < len(run) && run[i] == row
+// rowsContain reports whether the sorted rows hold exactly row.
+func rowsContain(rows [][3]ID, row [3]ID) bool {
+	i := sort.Search(len(rows), func(i int) bool { return cmpPrefix(rows[i], row, 3) >= 0 })
+	return i < len(rows) && rows[i] == row
 }
 
 // treeUndo is the MVCC compensation hook for disk mains, whose six
@@ -96,7 +88,7 @@ type treeUndo struct {
 // undoRec is one published merge: the delta that was (or is being)
 // folded into the trees, in all six orderings, plus the next epoch.
 type undoRec struct {
-	adds, dels [6][][3]ID
+	adds, dels [6]run
 	next       *treeUndo
 }
 
@@ -127,9 +119,9 @@ func layeredMainHas(chain []*undoRec, treeHas bool, t [3]ID) bool {
 	v := treeHas
 	for i := len(chain) - 1; i >= 0; i-- {
 		switch {
-		case runContains(chain[i].adds[core.SPO], t):
+		case chain[i].adds[core.SPO].contains(t):
 			v = false // merged add: the pre-merge main lacked it
-		case runContains(chain[i].dels[core.SPO], t):
+		case chain[i].dels[core.SPO].contains(t):
 			v = true // merged delete: the pre-merge main held it
 		}
 	}
@@ -162,8 +154,7 @@ func (st *state) compensatedRows(ix core.Index, pre [3]ID, k int, s, p, o ID) ([
 	// Resurrection candidates: every chained merge's deletes in range.
 	var extra [][3]ID
 	for _, rec := range chain {
-		lo, hi := rangeOf(rec.dels[ix], k, pre)
-		extra = append(extra, rec.dels[ix][lo:hi]...)
+		extra = append(extra, rec.dels[ix].slice(k, pre)...)
 	}
 	sort.Slice(extra, func(i, j int) bool { return cmpPrefix(extra[i], extra[j], 3) < 0 })
 	out := make([][3]ID, 0, len(rows)+len(extra))
@@ -205,39 +196,15 @@ func (st *state) compensatedRows(ix core.Index, pre [3]ID, k int, s, p, o ID) ([
 // permuteSorted renders a small canonical triple set as a sorted run of
 // ordering ix.
 func permuteSorted(ix core.Index, ts [][3]ID) [][3]ID {
+	if len(ts) == 0 {
+		return nil
+	}
 	rows := make([][3]ID, len(ts))
 	for i, t := range ts {
 		rows[i] = permute(ix, t)
 	}
 	sort.Slice(rows, func(i, j int) bool { return cmpPrefix(rows[i], rows[j], 3) < 0 })
 	return rows
-}
-
-// mergeApply produces the copy-on-write successor of one sorted delta
-// ordering: base with the (canonical) ins triples spliced in and the
-// del triples dropped, in a single linear merge. base is never mutated —
-// readers may still be iterating it.
-func mergeApply(base [][3]ID, ix core.Index, ins, del [][3]ID) [][3]ID {
-	if len(ins) == 0 && len(del) == 0 {
-		return base
-	}
-	insRows := permuteSorted(ix, ins)
-	delRows := permuteSorted(ix, del)
-	out := make([][3]ID, 0, len(base)+len(insRows)-len(delRows))
-	di := 0
-	for _, row := range base {
-		for len(insRows) > 0 && cmpPrefix(insRows[0], row, 3) < 0 {
-			out = append(out, insRows[0])
-			insRows = insRows[1:]
-		}
-		if di < len(delRows) && delRows[di] == row {
-			di++
-			continue
-		}
-		out = append(out, row)
-	}
-	out = append(out, insRows...)
-	return out
 }
 
 // state is one immutable MVCC version of the overlay: a main graph that
@@ -259,13 +226,14 @@ type state struct {
 	dict     *dictionary.Dictionary
 
 	// adds holds delta triples not present in main; dels holds
-	// tombstones for main triples. Both are sorted per ordering.
+	// tombstones for main triples. Both are kept as one persistent
+	// sorted run per ordering (see run).
 	// Invariants: adds ∩ main = ∅, dels ⊆ main, adds ∩ dels = ∅ —
 	// where "main" is the undo-compensated image for disk-backed
 	// states (see treeUndo); the raw trees may transiently disagree
 	// during a merge, and every merged read stream deduplicates.
-	adds [6][][3]ID
-	dels [6][][3]ID
+	adds [6]run
+	dels [6]run
 
 	// undo is the state's epoch node for disk mains (nil for memory and
 	// baseline mains): the compensation layer that keeps this state's
@@ -286,7 +254,7 @@ type state struct {
 func (st *state) Epoch() string { return "o" + strconv.FormatUint(st.epoch, 10) }
 
 // deltaLen returns the number of delta entries (adds + tombstones).
-func (st *state) deltaLen() int { return len(st.adds[core.SPO]) + len(st.dels[core.SPO]) }
+func (st *state) deltaLen() int { return st.adds[core.SPO].len() + st.dels[core.SPO].len() }
 
 func (st *state) Dictionary() *dictionary.Dictionary { return st.dict }
 func (st *state) Len() int                           { return st.visible }
@@ -300,10 +268,10 @@ func (st *state) Snapshot() graph.Graph { return st }
 
 func (st *state) Has(s, p, o ID) (bool, error) {
 	t := [3]ID{s, p, o}
-	if runContains(st.dels[core.SPO], t) {
+	if st.dels[core.SPO].contains(t) {
 		return false, nil
 	}
-	if runContains(st.adds[core.SPO], t) {
+	if st.adds[core.SPO].contains(t) {
 		return true, nil
 	}
 	return st.mainHas(t)
@@ -367,14 +335,12 @@ func (st *state) Match(s, p, o ID, fn func(s, p, o ID) bool) error {
 		}
 		return nil
 	}
-	alo, ahi := rangeOf(st.adds[ix], k, pre)
-	addRun := st.adds[ix][alo:ahi]
-	dlo, dhi := rangeOf(st.dels[ix], k, pre)
-	delRun := st.dels[ix][dlo:dhi]
+	addRun := st.adds[ix].slice(k, pre)
+	delRun := st.dels[ix].slice(k, pre)
 
 	stopped := false
 	emitMain := func(row [3]ID) bool {
-		if runContains(delRun, row) || runContains(addRun, row) {
+		if rowsContain(delRun, row) || rowsContain(addRun, row) {
 			return true
 		}
 		t := unpermute(ix, row)
@@ -451,9 +417,7 @@ func (st *state) Count(s, p, o ID) (int, error) {
 			n = len(rows)
 		}
 	}
-	alo, ahi := rangeOf(st.adds[ix], k, pre)
-	dlo, dhi := rangeOf(st.dels[ix], k, pre)
-	n += (ahi - alo) - (dhi - dlo)
+	n += st.adds[ix].count(k, pre) - st.dels[ix].count(k, pre)
 	if n < 0 {
 		n = 0
 	}
@@ -529,10 +493,8 @@ func (st *state) SortedListView(s, p, o ID) (idlist.View, bool, error) {
 	if err != nil || !ok {
 		return idlist.View{}, false, err
 	}
-	alo, ahi := rangeOf(st.adds[ix], 2, pre)
-	addRun := st.adds[ix][alo:ahi]
-	dlo, dhi := rangeOf(st.dels[ix], 2, pre)
-	delRun := st.dels[ix][dlo:dhi]
+	addRun := st.adds[ix].slice(2, pre)
+	delRun := st.dels[ix].slice(2, pre)
 	if len(addRun) == 0 && len(delRun) == 0 {
 		return mainView, true, nil
 	}
@@ -570,10 +532,8 @@ func (st *state) AppendSortedList(dst []ID, s, p, o ID) ([]ID, error) {
 	if k != 2 {
 		return nil, fmt.Errorf("delta: AppendSortedList needs exactly two bound positions, got ⟨%d,%d,%d⟩", s, p, o)
 	}
-	alo, ahi := rangeOf(st.adds[ix], 2, pre)
-	addRun := st.adds[ix][alo:ahi]
-	dlo, dhi := rangeOf(st.dels[ix], 2, pre)
-	delRun := st.dels[ix][dlo:dhi]
+	addRun := st.adds[ix].slice(2, pre)
+	delRun := st.dels[ix].slice(2, pre)
 	if len(addRun) == 0 && len(delRun) == 0 {
 		return st.mainSortedList(dst, s, p, o)
 	}
@@ -666,10 +626,8 @@ func (st *state) SortedPairs(s, p, o ID, fn func(a, b ID) bool) error {
 	if k != 1 {
 		return fmt.Errorf("delta: SortedPairs needs exactly one bound position, got ⟨%d,%d,%d⟩", s, p, o)
 	}
-	alo, ahi := rangeOf(st.adds[ix], 1, pre)
-	addRun := st.adds[ix][alo:ahi]
-	dlo, dhi := rangeOf(st.dels[ix], 1, pre)
-	delRun := st.dels[ix][dlo:dhi]
+	addRun := st.adds[ix].slice(1, pre)
+	delRun := st.dels[ix].slice(1, pre)
 
 	ai := 0
 	stopped := false
@@ -694,7 +652,7 @@ func (st *state) SortedPairs(s, p, o ID, fn func(a, b ID) bool) error {
 				return false
 			}
 		}
-		if runContains(delRun, [3]ID{pre[0], a, b}) {
+		if rowsContain(delRun, [3]ID{pre[0], a, b}) {
 			return true // tombstoned
 		}
 		return emit(a, b)

@@ -175,6 +175,23 @@ func TestPackedRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: Range visited %d, want %d", trial, i, nKeys)
 		}
 
+		// A copy assembled from views — compressed payloads taken over
+		// as bytes, raw slices encoded — is the same vector.
+		var cb PackedBuilder
+		cb.Grow(p.SizeBytes())
+		i = 0
+		p.Range(func(k ID, v View) bool {
+			if i%2 == 1 {
+				v = ViewOf(lists[i])
+			}
+			cb.AppendView(k, v)
+			i++
+			return true
+		})
+		if c := cb.Finish(); !reflect.DeepEqual(c, p) {
+			t.Fatalf("trial %d: AppendView copy differs from the vector it copied", trial)
+		}
+
 		// Find hits every present key and misses absent ones.
 		present := make(map[ID]int, nKeys)
 		for i, k := range keys {

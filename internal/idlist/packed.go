@@ -23,7 +23,10 @@ package idlist
 // valid however the owning store evolves (mutation replaces packed
 // structures, it never edits them).
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // packedGroup is the entry stride of the packed vector's key skip table.
 const packedGroup = 16
@@ -53,6 +56,23 @@ type PackedBuilder struct {
 // strictly increasing; both are the invariants every index build in
 // this repository already maintains, so violations panic.
 func (b *PackedBuilder) Append(key ID, vals []ID) {
+	b.appendEntry(key, len(vals), AppendCompressed(nil, vals), nil)
+}
+
+// AppendView adds an entry whose list is v. A compressed view — an entry
+// of another Packed, say — is copied as the bytes it already is, with no
+// decode and re-encode; a raw view is encoded like Append's slice.
+func (b *PackedBuilder) AppendView(key ID, v View) {
+	if v.isRaw {
+		b.Append(key, v.raw)
+		return
+	}
+	b.appendEntry(key, v.c.n, v.c.skip, v.c.data)
+}
+
+// appendEntry writes one entry whose n-value list payload is the
+// concatenation of p1 and p2.
+func (b *PackedBuilder) appendEntry(key ID, n int, p1, p2 []byte) {
 	if b.p.nKeys > 0 && key <= b.prevKey {
 		panic("idlist: PackedBuilder key out of order")
 	}
@@ -61,14 +81,18 @@ func (b *PackedBuilder) Append(key ID, vals []ID) {
 		b.p.skipOff = append(b.p.skipOff, uint32(len(b.p.data)))
 	}
 	b.p.data = binary.AppendUvarint(b.p.data, uint64(key-b.prevKey))
-	b.p.data = binary.AppendUvarint(b.p.data, uint64(len(vals)))
-	payload := AppendCompressed(nil, vals)
-	b.p.data = binary.AppendUvarint(b.p.data, uint64(len(payload)))
-	b.p.data = append(b.p.data, payload...)
+	b.p.data = binary.AppendUvarint(b.p.data, uint64(n))
+	b.p.data = binary.AppendUvarint(b.p.data, uint64(len(p1)+len(p2)))
+	b.p.data = append(b.p.data, p1...)
+	b.p.data = append(b.p.data, p2...)
 	b.prevKey = key
 	b.p.nKeys++
-	b.p.total += len(vals)
+	b.p.total += n
 }
+
+// Grow reserves room for n more blob bytes, for callers that know
+// roughly how large the vector will be.
+func (b *PackedBuilder) Grow(n int) { b.p.data = slices.Grow(b.p.data, n) }
 
 // Len returns the number of entries appended so far.
 func (b *PackedBuilder) Len() int { return b.p.nKeys }

@@ -168,7 +168,6 @@ func memoryScenario() scenario {
 			WALPath:          walPath,
 			SnapshotPath:     snap,
 			CompactThreshold: -1, // manual only: op sequences must be deterministic
-			Workers:          1,
 			FS:               fsys,
 		})
 	}
@@ -221,7 +220,6 @@ func diskScenario() scenario {
 			ov, err := delta.Open(graph.Disk(st), delta.Options{
 				WALPath:          filepath.Join(dir, "store.wal"),
 				CompactThreshold: -1,
-				Workers:          1,
 				FS:               fsys,
 			})
 			if err != nil {

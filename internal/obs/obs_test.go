@@ -40,10 +40,10 @@ func TestNilSpanIsSafe(t *testing.T) {
 func TestSpanTreeJSON(t *testing.T) {
 	tr := NewTrace("query")
 	plan := tr.Child("plan")
-	plan.Set("order", "[1 0]")
+	plan.Set("order", lazy("[1 0]"))
 	plan.SetInt("est", 42)
 	plan.Finish()
-	step := tr.Child("step[?s p ?o]")
+	step := tr.ChildOf("step", lazy("?s p ?o"))
 	step.SetInt("rowsIn", 1)
 	step.SetInt("rowsOut", 10)
 	step.Add("spillBytes", 100)
@@ -66,6 +66,14 @@ func TestSpanTreeJSON(t *testing.T) {
 	if got.Name != "query" || len(got.Children) != 2 {
 		t.Fatalf("bad tree: %s", b)
 	}
+	// A Stringer label or attribute renders as its string, in JSON and
+	// in the tree alike.
+	if got.Children[0].Attrs["order"] != "[1 0]" || got.Children[1].Name != "step[?s p ?o]" {
+		t.Fatalf("lazy values not rendered: %s", b)
+	}
+	if tree := tr.String(); !strings.Contains(tree, "order=[1 0]") || !strings.Contains(tree, "step[?s p ?o] ") {
+		t.Fatalf("lazy values not rendered:\n%s", tree)
+	}
 	if got.Children[1].Attrs["spillBytes"] != float64(128) {
 		t.Fatalf("Add did not accumulate: %s", b)
 	}
@@ -75,6 +83,11 @@ func TestSpanTreeJSON(t *testing.T) {
 		t.Fatalf("attr order not preserved: %s", raw)
 	}
 }
+
+// lazy is a value rendered only when a span is printed.
+type lazy string
+
+func (l lazy) String() string { return string(l) }
 
 type jsonSpanView struct {
 	Name  string         `json:"name"`

@@ -36,7 +36,9 @@ func NewTrace(name string) *Trace { return newSpan(name) }
 
 // Attr is one key/value annotation on a span, kept in insertion order
 // so renderings read in the order the engine recorded them
-// (est before actual, rows-in before rows-out).
+// (est before actual, rows-in before rows-out). A value that is a
+// fmt.Stringer is kept as recorded and rendered when the span is
+// printed, so describing a span costs nothing for a trace nobody reads.
 type Attr struct {
 	Key   string
 	Value any
@@ -49,6 +51,7 @@ type Attr struct {
 type Span struct {
 	mu       sync.Mutex
 	name     string
+	label    fmt.Stringer // see ChildOf
 	start    time.Time
 	end      time.Time
 	attrs    []Attr
@@ -72,6 +75,18 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
+// ChildOf starts a nested span whose name is name[label], with the
+// label rendered only when the name is read — the trace kept for the
+// slow-query log names every join step after its pattern, and a fast
+// query never prints it. label must not change once passed.
+func (s *Span) ChildOf(name string, label fmt.Stringer) *Span {
+	c := s.Child(name)
+	if c != nil {
+		c.label = label
+	}
+	return c
+}
+
 // Finish stamps the span's end time. Repeated calls keep the first
 // stamp so a deferred Finish cannot clobber an explicit one.
 func (s *Span) Finish() {
@@ -86,8 +101,8 @@ func (s *Span) Finish() {
 }
 
 // Set records (or overwrites) an attribute. Values should be one of
-// string, bool, int64, int, or float64 so JSON and tree renderings stay
-// stable.
+// string, bool, int64, int, float64 or an immutable fmt.Stringer (which
+// renders as its string) so JSON and tree renderings stay stable.
 func (s *Span) Set(key string, v any) {
 	if s == nil {
 		return
@@ -136,6 +151,9 @@ func (s *Span) Add(key string, delta int64) {
 func (s *Span) Name() string {
 	if s == nil {
 		return ""
+	}
+	if s.label != nil {
+		return s.name + "[" + s.label.String() + "]"
 	}
 	return s.name
 }
@@ -201,10 +219,10 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 		return []byte("null"), nil
 	}
 	s.mu.Lock()
-	name := s.name
 	attrs := append([]Attr(nil), s.attrs...)
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
+	name := s.Name()
 	dur := s.Duration()
 
 	var b bytes.Buffer
@@ -228,7 +246,11 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 			}
 			b.Write(kb)
 			b.WriteByte(':')
-			vb, err := json.Marshal(a.Value)
+			v := a.Value
+			if st, ok := v.(fmt.Stringer); ok {
+				v = st.String()
+			}
+			vb, err := json.Marshal(v)
 			if err != nil {
 				return nil, err
 			}
@@ -269,10 +291,10 @@ func (s *Span) WriteTree(w io.Writer) error {
 
 func (s *Span) writeTree(w io.Writer, depth int) error {
 	s.mu.Lock()
-	name := s.name
 	attrs := append([]Attr(nil), s.attrs...)
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
+	name := s.Name()
 	var b strings.Builder
 	for i := 0; i < depth; i++ {
 		b.WriteString("  ")

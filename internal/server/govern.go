@@ -107,10 +107,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, queryText st
 	})
 	unlock()
 	tr.Finish()
-	if tr != nil {
-		s.gov.Observe(queryText, time.Since(start), err, m, cacheDetail(tr), tr.FormatTop(3))
+	if d := time.Since(start); s.slowQuery > 0 && d >= s.slowQuery {
+		// Only a query the governor will log pays for the log line's
+		// detail: the cache verdicts and the three most expensive spans.
+		s.gov.Observe(queryText, d, err, m, cacheDetail(tr), tr.FormatTop(3))
 	} else {
-		s.gov.Observe(queryText, time.Since(start), err, m)
+		s.gov.Observe(queryText, d, err, m)
 	}
 	if err != nil {
 		s.writeQueryError(w, r, err)
@@ -167,7 +169,8 @@ func findAttr(sp *obs.Span, key string) (any, bool) {
 //
 //   - client disconnected → 499 (never a 500: the server did nothing
 //     wrong, and the connection is gone anyway)
-//   - deadline exceeded (per-query timeout or client deadline) → 408
+//   - deadline exceeded (per-query timeout, request timeout or client
+//     deadline) → 408
 //   - memory budget exhausted → 503 + Retry-After (the query may
 //     succeed when the server is less loaded or with a tighter query)
 //   - admission rejected / queue timeout → 503 + Retry-After

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -191,5 +192,73 @@ func TestStatsIncludesGovernCounters(t *testing.T) {
 	}
 	if out.Govern.Admitted < 1 {
 		t.Fatalf("admitted = %d, want >= 1", out.Govern.Admitted)
+	}
+}
+
+// TestRequestTimeoutAnswers408 bounds a multi-second join with a 50 ms
+// request timeout and no per-query limit: the deadline middleware's
+// context must stop the join within a few deadlines, the client reads a
+// 408, and — the handler runs on the caller's goroutine — nothing is
+// left running behind the response.
+func TestRequestTimeoutAnswers408(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	srv := New(governStore(800, 40, 20))
+	srv.SetGovernor(govern.Config{Logf: func(string, ...any) {}})
+	srv.SetRequestTimeout(timeout)
+	h := srv.Handler()
+
+	before := runtime.NumGoroutine()
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(governJoin), nil))
+	if took := time.Since(start); took > 10*timeout {
+		t.Errorf("answered after %s, want within a few %s deadlines", took, timeout)
+	}
+	if rec.Code != http.StatusRequestTimeout {
+		t.Fatalf("status = %d (%s), want 408", rec.Code, rec.Body)
+	}
+	if st := srv.GovernorStats(); st.Canceled != 1 || st.Active != 0 {
+		t.Errorf("governor counts canceled=%d active=%d, want 1 and 0", st.Canceled, st.Active)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Errorf("%d goroutines after the timed-out request, %d before it", now, before)
+	}
+}
+
+// TestSlowQueryLogCostsFastQueriesNothing serves the same fast query
+// with the slow-query log on and off: the log's detail (cache verdicts,
+// the three most expensive spans) is only rendered for a query that was
+// slow, and spans hold their patterns unrendered, so a fast query pays
+// for the span tree alone (35 allocations for this two-step join: seven
+// spans and their attributes) — not for sorting and formatting them on
+// every request (96 before).
+func TestSlowQueryLogCostsFastQueriesNothing(t *testing.T) {
+	st := joinStore(200, 20, 3)
+	target := "/sparql?query=" + url.QueryEscape(largeJoin+" LIMIT 5")
+	allocs := func(slow time.Duration) float64 {
+		srv := New(st)
+		srv.SetResultCacheBytes(0) // every request evaluates, and so traces
+		srv.SetGovernor(govern.Config{SlowQuery: slow, Logf: func(string, ...any) {
+			t.Error("a fast query reached the slow-query log")
+		}})
+		h := srv.Handler()
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		serve()
+		return testing.AllocsPerRun(50, serve)
+	}
+	off, on := allocs(0), allocs(time.Minute)
+	t.Logf("allocations per request: %.0f with the slow-query log off, %.0f with it on", off, on)
+	if on > off+40 {
+		t.Errorf("the slow-query log costs a fast query %.0f allocations (%.0f → %.0f), want at most 40", on-off, off, on)
 	}
 }

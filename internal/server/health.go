@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -25,7 +26,7 @@ import (
 //     lag bound. The body lists every failing reason so an operator can
 //     see why a node left rotation from the probe output alone.
 //
-// Both bypass the load-shedding and timeout middleware: the moments a
+// Both bypass the load-shedding and deadline middleware: the moments a
 // server is saturated or degraded are exactly the moments its probes
 // must still answer.
 
@@ -76,9 +77,26 @@ func (s *Server) SetMaxInflight(n int) {
 	s.inflight = make(chan struct{}, n)
 }
 
-// SetRequestTimeout bounds each data request end-to-end; expiry answers
-// 503. 0 disables the limit. Configure before Handler.
+// SetRequestTimeout bounds each data request end-to-end: d after the
+// request arrives its context expires, which the query and update paths
+// observe (at 128-id granularity inside a join) and answer with 408.
+// 0 disables the limit. Configure before Handler.
 func (s *Server) SetRequestTimeout(d time.Duration) { s.reqTimeout = d }
+
+// withDeadline is the request-deadline middleware: it runs the handler
+// on the request's own goroutine with a context that expires after the
+// request timeout, so bounding a request costs one timer — no second
+// goroutine, no copy of the response body.
+func (s *Server) withDeadline(next http.Handler) http.Handler {
+	if s.reqTimeout <= 0 {
+		return next
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
+		defer cancel()
+		next.ServeHTTP(w, r.WithContext(ctx))
+	})
+}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")

@@ -178,7 +178,7 @@ func (s *Server) SetReadOnly(ro bool) { s.readOnly = ro }
 //
 // The data endpoints sit behind the resilience middleware: panic
 // recovery (a crashing request answers 500 instead of killing the
-// process), the per-request timeout, and the load-shedding semaphore.
+// process), the per-request deadline, and the load-shedding semaphore.
 // The probe endpoints bypass all three — a saturated or degraded
 // server must still answer its health checks, since those are exactly
 // the signals that pull it from rotation. Configure the middleware
@@ -191,10 +191,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/triples", s.instrument("/triples", s.handleTriples))
 	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
 
-	var h http.Handler = mux
-	if s.reqTimeout > 0 {
-		h = http.TimeoutHandler(h, s.reqTimeout, `{"error":"request timed out"}`)
-	}
+	h := s.withDeadline(mux)
 	h = s.shedLoad(h)
 	h = recoverPanics(h)
 
@@ -373,6 +370,12 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "parse: %v", err)
 		return
 	}
+	if err := r.Context().Err(); err != nil {
+		// The deadline passed (or the client left) while the body was read
+		// and parsed: give up before applying anything, never half-way.
+		s.writeQueryError(w, r, err)
+		return
+	}
 	defer s.wlock()()
 	// One batch: on a BatchUpdater backend (the delta overlay) the whole
 	// ingest is a single WAL commit and version swap.
@@ -450,13 +453,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A delta overlay reports the live-update subsystem's state: delta
-	// size, WAL footprint, compaction count. The index-layout stats
+	// size and chunk count, WAL footprint, compaction count. The index-layout stats
 	// below then describe the overlay's main store.
 	inner := s.g
 	if ov, ok := s.g.(*delta.Overlay); ok {
 		ds := ov.Stats()
 		out["deltaAdds"] = ds.DeltaAdds
 		out["deltaDels"] = ds.DeltaDels
+		out["deltaChunks"] = ds.DeltaChunks
 		out["compactThreshold"] = ds.CompactThreshold
 		out["compactions"] = ds.Compactions
 		out["mainTriples"] = ds.MainTriples

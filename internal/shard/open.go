@@ -30,9 +30,11 @@ type Config struct {
 	WALPath string
 	// CompactThreshold is passed to each shard's delta overlay.
 	CompactThreshold int
-	// Uncompressed disables block-compressed index layouts.
+	// Uncompressed disables block-compressed index layouts for the initial
+	// build, snapshot restores and disk leaves (a shard overlay's
+	// compaction always leaves a packed memory main).
 	Uncompressed bool
-	// Workers bounds load/compaction parallelism; <= 0 means GOMAXPROCS.
+	// Workers bounds load parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Load bulk-loads these encoded triples into a fresh cluster using
 	// the parallel build pipeline, partitioned by owning shard. It is an
@@ -102,8 +104,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 			fresh bool
 			dopts = delta.Options{
 				CompactThreshold: cfg.CompactThreshold,
-				Uncompressed:     cfg.Uncompressed,
-				Workers:          workers,
 				FS:               cfg.FS,
 			}
 		)

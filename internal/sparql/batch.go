@@ -204,7 +204,7 @@ func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cf
 			bx.curHint = bx.stepHints[k]
 		}
 		if bx.branchSp != nil {
-			sp := bx.branchSp.Child("step[" + pats[pi].pat.String() + "]")
+			sp := bx.branchSp.ChildOf("step", &pats[pi].pat)
 			if bx.stepEsts != nil {
 				sp.SetInt("estRows", int64(bx.stepEsts[k]))
 			}

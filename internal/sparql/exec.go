@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -159,7 +160,7 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	// released when the evaluation returns, success or not.
 	defer pin.Finish()
 	if pin != nil {
-		pin.Set("backend", fmt.Sprintf("%T", graph.Unwrap(g)))
+		pin.Set("backend", reflect.TypeOf(graph.Unwrap(g)))
 	}
 
 	// The repeated-query fast path. The shape key feeds both caches; the
@@ -591,6 +592,24 @@ func (ev *evaluator) resolve(pats []Pattern) []idPattern {
 	return out
 }
 
+// joinOrder is a branch's patterns in the order the plan joins them,
+// rendered ("p1 ; p2 ; …") only if the trace that carries it is printed.
+type joinOrder struct {
+	pats  []idPattern
+	order []int
+}
+
+func (o joinOrder) String() string {
+	var b strings.Builder
+	for si, pi := range o.order {
+		if si > 0 {
+			b.WriteString(" ; ")
+		}
+		b.WriteString(o.pats[pi].pat.String())
+	}
+	return b.String()
+}
+
 // runBranch evaluates one union branch.
 func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error {
 	var br *obs.Span
@@ -601,7 +620,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	for i := range pats {
 		if !pats[i].resolved {
 			// Some constant unknown: the branch has no solutions.
-			br.Set("unresolvable", pats[i].pat.String())
+			br.Set("unresolvable", &pats[i].pat)
 			return nil
 		}
 	}
@@ -652,14 +671,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 		if planCacheAttr != "" {
 			plan.Set("planCache", planCacheAttr)
 		}
-		var ob strings.Builder
-		for si, pi := range order {
-			if si > 0 {
-				ob.WriteString(" ; ")
-			}
-			ob.WriteString(pats[pi].pat.String())
-		}
-		plan.Set("order", ob.String())
+		plan.Set("order", joinOrder{pats, order})
 		plan.Finish()
 		ev.batch.branchSp = br
 		ev.batch.stepEsts = ests
@@ -669,7 +681,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 		// EXPLAIN without ANALYZE: emit the plan's step spans with
 		// estimates only; no join step runs.
 		for si, pi := range order {
-			sp := br.Child("step[" + pats[pi].pat.String() + "]")
+			sp := br.ChildOf("step", &pats[pi].pat)
 			if ests != nil {
 				sp.SetInt("estRows", int64(ests[si]))
 			}
