@@ -664,6 +664,63 @@ func BenchmarkSPARQLJoinBackends(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskLookup times the disk store's two sorted reads on probes
+// drawn uniformly from the loaded triples, behind the 512-page (2 MiB)
+// pool and the dataset the lookup-disk workload of benchmark/ serves —
+// the orderings probed are twice the pool, so a probe pays a descent, a
+// miss every other time, and the seek inside one compressed leaf. The probes bind the subject, so each
+// returns a handful of ids and the cost of finding them dominates.
+func BenchmarkDiskLookup(b *testing.B) {
+	var triples [][3]core.ID
+	ds, err := disk.Create(b.TempDir(), disk.Options{CacheSize: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	lubm.Config{Universities: 30, Seed: 1}.Generate(func(t rdf.Triple) bool {
+		s, p, o := ds.Dictionary().EncodeTriple(t)
+		triples = append(triples, [3]core.ID{s, p, o})
+		return true
+	})
+	if err := ds.BulkLoad(triples); err != nil {
+		b.Fatal(err)
+	}
+	if err := ds.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if ds.NumPages() < 6*512 {
+		b.Fatalf("store of %d pages: the two orderings probed do not outgrow the pool", ds.NumPages())
+	}
+
+	b.Run("SortedList", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		var dst []core.ID
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := triples[rng.Intn(len(triples))]
+			if i%2 == 0 {
+				dst, err = ds.AppendSortedList(dst[:0], t[0], t[1], core.None)
+			} else {
+				dst, err = ds.AppendSortedList(dst[:0], t[0], core.None, t[2])
+			}
+			if err != nil || len(dst) == 0 {
+				b.Fatalf("probe of %v: %d ids, %v", t, len(dst), err)
+			}
+		}
+	})
+	b.Run("SortedPairs", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(2))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := triples[rng.Intn(len(triples))]
+			n := 0
+			if err := ds.SortedPairs(t[0], core.None, core.None, func(_, _ core.ID) bool { n++; return true }); err != nil || n == 0 {
+				b.Fatalf("probe of %v: %d pairs, %v", t, n, err)
+			}
+		}
+	})
+}
+
 // BenchmarkWrite01 is the Go-benchmark twin of the hexbench write01
 // figure: the bench.MixedWorkload mixed read/write driver (concurrent
 // chain-join SELECTs against a stream of INSERT/DELETE batches) per

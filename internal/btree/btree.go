@@ -44,16 +44,29 @@ var MaxKey = Key{^uint64(0), ^uint64(0), ^uint64(0)}
 //
 //	leaf:      [0]=tagLeaf  [2:4]=count [4:8]=next leaf id   [8:]=keys
 //	comp leaf: [0]=tagCompLeaf [2:4]=count [4:8]=next leaf id
-//	           [8:10]=byte length of the delta stream [10:]=stream
+//	           [8:10]=byte length L of the key stream [10:10+L]=stream
+//	           [10+L:10+L+2R]=restart table: R=(count-1)/restartEvery
+//	           uint16 stream offsets
 //	internal:  [0]=tagInner [2:4]=count [8:8+4*(maxInnerKeys+1)]=children
 //	           [innerKeysOff:]=keys
 //
 // A compressed leaf holds its keys as a prefix-delta uvarint stream
 // (see appendKeyDelta) instead of fixed 24-byte records, typically
 // packing 3-6x more keys per page — fewer pages, fewer I/Os, and a
-// smaller buffer-pool working set for the same triple set. Leaves of
-// both kinds coexist in one tree: bulk builds emit compressed leaves
-// (when the tree's compression flag is on) and in-place mutation
+// smaller buffer-pool working set for the same triple set. Every
+// restartEvery-th key is a restart point: it is written in full, like
+// the first, and entry j-1 of the restart table is the stream offset of
+// key j*restartEvery. A reader looking for lo binary-searches the table
+// (decoding only the full key at each probed offset) and starts at the
+// last restart key <= lo, so it decodes at most restartEvery keys
+// before its first hit instead of half a ~900-key leaf. BulkBuild
+// closes a leaf where its plain delta encoding would cross 90% of the
+// page, so the restart keys and the table (about 100 bytes) come out of
+// the fill slack and a tree has the page count it would have without
+// them.
+//
+// Leaves of both kinds coexist in one tree: bulk builds emit compressed
+// leaves (when the tree's compression flag is on) and in-place mutation
 // re-encodes or splits them, so the formats are distinguished per page
 // by the tag alone.
 const (
@@ -67,10 +80,15 @@ const (
 	// MaxLeafKeys is the raw leaf fanout.
 	MaxLeafKeys = (pagefile.PayloadSize - leafKeysOff) / keySize
 
-	// compLeafDataOff is where a compressed leaf's delta stream starts;
-	// compLeafCap is the stream's byte capacity.
+	// compLeafDataOff is where a compressed leaf's key stream starts;
+	// compLeafCap is the byte capacity the stream and the restart table
+	// share.
 	compLeafDataOff = 10
 	compLeafCap     = pagefile.PayloadSize - compLeafDataOff
+
+	// restartEvery is the distance in keys between restart points of a
+	// compressed leaf: the most a seek decodes before reaching its key.
+	restartEvery = 64
 
 	// MaxInnerKeys is the internal fanout minus one.
 	MaxInnerKeys = (pagefile.PayloadSize - 8 - 4) / (keySize + 4)
@@ -94,10 +112,10 @@ type Tree struct {
 	// format is per-page, carried by the tag).
 	compress bool
 
-	// scratch buffers reused across compressed-leaf decodes and
-	// re-encodes; a Tree is single-goroutine (the disk store locks).
+	// scratch state reused across compressed-leaf decodes and
+	// re-encodes; writers are single-goroutine (the disk store locks).
 	scratchKeys []Key
-	scratchBuf  []byte
+	enc         leafEncoder
 }
 
 // SetCompression selects whether BulkBuild writes compressed leaves.
@@ -166,8 +184,9 @@ func putChildAt(d []byte, i int, id pagefile.PageID) {
 	binary.LittleEndian.PutUint32(d[childrenOff+4*i:], uint32(id))
 }
 
-// Compressed-leaf codec. Keys are emitted as prefix deltas: the first
-// key as three full uvarints, each following key as
+// Compressed-leaf codec. Keys are emitted as prefix deltas: a restart
+// key (the first, and every restartEvery-th after it) as three full
+// uvarints, any other key as
 //
 //	uvarint(k0-p0); if the delta is nonzero, k1 and k2 follow in full;
 //	otherwise uvarint(k1-p1); if nonzero, k2 follows in full; otherwise
@@ -177,9 +196,10 @@ func putChildAt(d []byte, i int, id pagefile.PageID) {
 // ordering — cost one byte each, so a typical key takes 3-6 bytes
 // instead of 24.
 
-// appendKeyDelta appends k's delta encoding relative to prev.
-func appendKeyDelta(dst []byte, prev, k Key, first bool) []byte {
-	if first {
+// appendKeyDelta appends k's delta encoding relative to prev, or its
+// full encoding when full is set.
+func appendKeyDelta(dst []byte, prev, k Key, full bool) []byte {
+	if full {
 		dst = binary.AppendUvarint(dst, k[0])
 		dst = binary.AppendUvarint(dst, k[1])
 		return binary.AppendUvarint(dst, k[2])
@@ -198,71 +218,209 @@ func appendKeyDelta(dst []byte, prev, k Key, first bool) []byte {
 	return binary.AppendUvarint(dst, k[2]-prev[2])
 }
 
-// encodeLeafStream renders keys as a delta stream into dst (reset to
-// zero length first).
-func encodeLeafStream(dst []byte, keys []Key) []byte {
-	dst = dst[:0]
-	var prev Key
-	for i, k := range keys {
-		dst = appendKeyDelta(dst, prev, k, i == 0)
-		prev = k
+// numRestarts is the length of the restart table of a leaf of n keys:
+// one entry per restart key after the first, whose offset is always 0.
+func numRestarts(n int) int {
+	if n == 0 {
+		return 0
 	}
-	return dst
+	return (n - 1) / restartEvery
 }
 
-// compLeafStreamLen returns the byte length of a compressed leaf's
-// delta stream.
+// restartOff reads the stream offset of restart key r*restartEvery,
+// r >= 1, from a leaf's restart table.
+func restartOff(table []byte, r int) int {
+	return int(binary.LittleEndian.Uint16(table[2*(r-1):]))
+}
+
+// leafEncoder builds the body of a compressed leaf — key stream and
+// restart table — one key at a time. Every writer of the format
+// (BulkBuild, mutateCompLeaf, the burst split) encodes through it and
+// stores the result with writeCompLeaf.
+type leafEncoder struct {
+	stream   []byte
+	restarts []uint16 // stream offsets of keys restartEvery, 2*restartEvery, ...
+	n        int
+	prev     Key
+	// plain is the length the stream would have with no restart keys;
+	// BulkBuild places leaf boundaries by it.
+	plain int
+}
+
+func (e *leafEncoder) reset() {
+	e.stream, e.restarts, e.n, e.plain = e.stream[:0], e.restarts[:0], 0, 0
+}
+
+// size is the number of bytes the leaf body takes in a page.
+func (e *leafEncoder) size() int { return len(e.stream) + 2*len(e.restarts) }
+
+// add appends k, which must be greater than every key added before it.
+func (e *leafEncoder) add(k Key) {
+	mark := len(e.stream)
+	e.stream = appendKeyDelta(e.stream, e.prev, k, e.n == 0)
+	e.plain += len(e.stream) - mark
+	if e.n > 0 && e.n%restartEvery == 0 {
+		e.restarts = append(e.restarts, uint16(mark))
+		e.stream = appendKeyDelta(e.stream[:mark], e.prev, k, true)
+	}
+	e.prev = k
+	e.n++
+}
+
+// encodeLeafStream replaces e's contents with the encoding of keys.
+func encodeLeafStream(e *leafEncoder, keys []Key) {
+	e.reset()
+	for _, k := range keys {
+		e.add(k)
+	}
+}
+
+// writeCompLeaf stores e's keys into page payload d as a compressed
+// leaf, preserving the next-leaf pointer already in d. e.size() must
+// not exceed compLeafCap.
+func writeCompLeaf(d []byte, e *leafEncoder) {
+	d[0] = tagCompLeaf
+	setNodeCount(d, e.n)
+	binary.LittleEndian.PutUint16(d[8:10], uint16(len(e.stream)))
+	table := d[compLeafDataOff+copy(d[compLeafDataOff:], e.stream):]
+	for i, off := range e.restarts {
+		binary.LittleEndian.PutUint16(table[2*i:], off)
+	}
+}
+
+// compLeafStreamLen returns the byte length of a compressed leaf's key
+// stream.
 func compLeafStreamLen(d []byte) int {
 	return int(binary.LittleEndian.Uint16(d[8:10]))
 }
 
-// forEachCompKey streams a compressed leaf's keys in ascending order
-// until fn returns false, decoding one key at a time with no buffer.
-// It returns the stream position reached and the stream's recorded
-// byte length (equal when every key was visited — CheckInvariants
-// validates exactly that). Every reader of the compressed leaf format
-// goes through this walk, so the layout lives in one place.
-func forEachCompKey(d []byte, fn func(Key) bool) (pos, streamLen int) {
-	n := nodeCount(d)
-	streamLen = compLeafStreamLen(d)
-	stream := d[compLeafDataOff : compLeafDataOff+streamLen]
-	var k Key
-	for i := 0; i < n; i++ {
-		k, pos = decodeNextKey(stream, pos, k, i == 0)
-		if !fn(k) {
-			return pos, streamLen
+// compIter decodes a compressed leaf's keys in ascending order, one per
+// next call, holding no buffer — so concurrent readers of a page share
+// no state. Every reader of the format walks it, so the layout is
+// decoded in one place.
+type compIter struct {
+	stream []byte
+	pos    int // stream offset of key i
+	i, n   int
+	k      Key // the key the last next call decoded
+}
+
+// iterCompLeaf returns an iterator positioned before the leaf's first
+// key.
+func iterCompLeaf(d []byte) compIter {
+	return compIter{
+		stream: d[compLeafDataOff : compLeafDataOff+compLeafStreamLen(d)],
+		n:      nodeCount(d),
+	}
+}
+
+// next decodes the next key into it.k, reporting false at the leaf's
+// end.
+func (it *compIter) next() bool {
+	if it.i >= it.n {
+		return false
+	}
+	it.k, it.pos = decodeNextKey(it.stream, it.pos, it.k, it.i%restartEvery == 0)
+	it.i++
+	return true
+}
+
+// seekCompLeaf returns an iterator positioned before the last restart
+// key <= lo (before the first key when there is none): the following
+// next calls reach the first key >= lo after at most restartEvery
+// decodes. The restart table is binary-searched by decoding the full
+// key at each probed offset.
+func seekCompLeaf(d []byte, lo Key) compIter {
+	it := iterCompLeaf(d)
+	table := d[compLeafDataOff+len(it.stream):]
+	// r is the restart to start from; restart 0 is key 0 at offset 0.
+	r, hi := 0, numRestarts(it.n)
+	for r < hi {
+		mid := int(uint(r+hi+1) >> 1)
+		if k, _ := decodeNextKey(it.stream, restartOff(table, mid), Key{}, true); Less(lo, k) {
+			hi = mid - 1
+		} else {
+			r = mid
 		}
 	}
-	return pos, streamLen
+	if r > 0 {
+		it.pos, it.i = restartOff(table, r), r*restartEvery
+	}
+	return it
 }
 
 // decodeCompLeaf decodes a compressed leaf's keys into dst (reset to
 // zero length first).
 func decodeCompLeaf(d []byte, dst []Key) []Key {
 	dst = dst[:0]
-	forEachCompKey(d, func(k Key) bool {
-		dst = append(dst, k)
-		return true
-	})
+	for it := iterCompLeaf(d); it.next(); {
+		dst = append(dst, it.k)
+	}
 	return dst
 }
 
-func streamUvarint(b []byte, pos int) (uint64, int) {
-	if v := b[pos]; v < 0x80 {
-		return uint64(v), pos + 1
+// containsCompLeaf reports whether k is in the compressed leaf payload
+// d.
+func containsCompLeaf(d []byte, k Key) bool {
+	for it := seekCompLeaf(d, k); it.next(); {
+		if c := Compare(it.k, k); c >= 0 {
+			return c == 0
+		}
 	}
-	v, k := binary.Uvarint(b[pos:])
-	return v, pos + k
+	return false
 }
 
-// writeCompLeaf writes keys into page payload d as a compressed leaf,
-// preserving the next-leaf pointer already in d. stream must be the
-// encoded form of keys and fit compLeafCap.
-func writeCompLeaf(d []byte, keys []Key, stream []byte) {
-	d[0] = tagCompLeaf
-	setNodeCount(d, len(keys))
-	binary.LittleEndian.PutUint16(d[8:10], uint16(len(stream)))
-	copy(d[compLeafDataOff:], stream)
+// checkCompLeaf validates the compressed leaf payload d without
+// trusting any of it: the stream and the restart table lie inside the
+// page, count keys decode to exactly the stream's length in strictly
+// increasing order, and every table entry is the offset at which the
+// sequential decode reaches its restart key. It never reads outside d.
+func checkCompLeaf(d []byte) error {
+	if len(d) < compLeafDataOff {
+		return fmt.Errorf("compressed leaf of %d bytes has no header", len(d))
+	}
+	n, streamLen := nodeCount(d), compLeafStreamLen(d)
+	if compLeafDataOff+streamLen+2*numRestarts(n) > len(d) {
+		return fmt.Errorf("stream of %d bytes and %d restarts overrun the page", streamLen, numRestarts(n))
+	}
+	table := d[compLeafDataOff+streamLen:]
+	it := iterCompLeaf(d)
+	var prev Key
+	for i := 0; i < n; i++ {
+		if i > 0 && i%restartEvery == 0 {
+			if off := restartOff(table, i/restartEvery); off != it.pos {
+				return fmt.Errorf("restart %d at offset %d, key %d starts at %d", i/restartEvery, off, i, it.pos)
+			}
+		}
+		it.next()
+		if it.pos > streamLen {
+			return fmt.Errorf("key %d runs past the stream's %d bytes", i, streamLen)
+		}
+		if i > 0 && !Less(prev, it.k) {
+			return fmt.Errorf("key %d out of order", i)
+		}
+		prev = it.k
+	}
+	if it.pos != streamLen {
+		return fmt.Errorf("stream length %d, %d keys decoded %d", streamLen, n, it.pos)
+	}
+	return nil
+}
+
+// streamUvarint reads the uvarint at pos. A truncated or overlong one
+// yields a position past the stream's end, from which every later read
+// fails the same way: a reader of a damaged stream sees garbage keys
+// and checkCompLeaf sees pos > len(b), neither reads out of bounds.
+func streamUvarint(b []byte, pos int) (uint64, int) {
+	if pos < len(b) {
+		if v := b[pos]; v < 0x80 {
+			return uint64(v), pos + 1
+		}
+		if v, k := binary.Uvarint(b[pos:]); k > 0 {
+			return v, pos + k
+		}
+	}
+	return 0, len(b) + 1
 }
 
 // searchKeys returns the index of the first key at off >= k.
@@ -290,29 +448,11 @@ func removeKeyAt(d []byte, off, count, i int) {
 	copy(d[off+i*keySize:off+(count-1)*keySize], d[off+(i+1)*keySize:off+count*keySize])
 }
 
-// containsCompLeaf reports whether k is in the compressed leaf payload
-// d, decoding the delta stream one key at a time and stopping at the
-// first key >= k — no buffer, so concurrent readers stay allocation-
-// and state-free.
-func containsCompLeaf(d []byte, k Key) bool {
-	found := false
-	forEachCompKey(d, func(cur Key) bool {
-		switch Compare(cur, k) {
-		case 0:
-			found = true
-			return false
-		case 1:
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// decodeNextKey decodes one delta-encoded key from stream at pos.
-func decodeNextKey(stream []byte, pos int, prev Key, first bool) (Key, int) {
+// decodeNextKey decodes the key at pos: a full key when full is set,
+// otherwise a delta against prev.
+func decodeNextKey(stream []byte, pos int, prev Key, full bool) (Key, int) {
 	var k Key
-	if first {
+	if full {
 		var v uint64
 		v, pos = streamUvarint(stream, pos)
 		k[0] = v
@@ -345,29 +485,18 @@ func decodeNextKey(stream []byte, pos int, prev Key, first bool) (Key, int) {
 	return k, pos
 }
 
-// Contains reports whether k is in the tree.
-func (t *Tree) Contains(k Key) (bool, error) {
-	if t.root == pagefile.NilPage {
-		return false, nil
-	}
+// findLeaf descends to the leaf whose key range covers k and returns it
+// pinned; the caller releases it.
+func (t *Tree) findLeaf(k Key) (*pagefile.Page, error) {
 	id := t.root
 	for {
 		p, err := t.pf.Get(id)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		d := p.Data()
-		switch nodeTag(d) {
-		case tagLeaf:
-			n := nodeCount(d)
-			i := searchKeys(d, leafKeysOff, n, k)
-			found := i < n && Compare(keyAt(d, leafKeysOff, i), k) == 0
-			t.pf.Release(p)
-			return found, nil
-		case tagCompLeaf:
-			found := containsCompLeaf(d, k)
-			t.pf.Release(p)
-			return found, nil
+		if tag := nodeTag(d); tag == tagLeaf || tag == tagCompLeaf {
+			return p, nil
 		}
 		n := nodeCount(d)
 		i := searchKeys(d, innerKeysOff, n, k)
@@ -377,6 +506,25 @@ func (t *Tree) Contains(k Key) (bool, error) {
 		id = childAt(d, i)
 		t.pf.Release(p)
 	}
+}
+
+// Contains reports whether k is in the tree.
+func (t *Tree) Contains(k Key) (bool, error) {
+	if t.root == pagefile.NilPage {
+		return false, nil
+	}
+	p, err := t.findLeaf(k)
+	if err != nil {
+		return false, err
+	}
+	defer t.pf.Release(p)
+	d := p.Data()
+	if nodeTag(d) == tagCompLeaf {
+		return containsCompLeaf(d, k), nil
+	}
+	n := nodeCount(d)
+	i := searchKeys(d, leafKeysOff, n, k)
+	return i < n && Compare(keyAt(d, leafKeysOff, i), k) == 0, nil
 }
 
 // splitRef describes one new right sibling produced by a node
@@ -620,29 +768,28 @@ func (t *Tree) mutateCompLeaf(p *pagefile.Page, k Key, del bool) (bool, []splitR
 	}
 	t.scratchKeys = keys
 
-	t.scratchBuf = encodeLeafStream(t.scratchBuf, keys)
-	if len(t.scratchBuf) <= compLeafCap {
-		writeCompLeaf(d, keys, t.scratchBuf)
+	encodeLeafStream(&t.enc, keys)
+	if t.enc.size() <= compLeafCap {
+		writeCompLeaf(d, &t.enc)
 		p.MarkDirty()
 		return true, nil, nil
 	}
 
 	// Burst: halve recursively until every group encodes within a page.
-	groups := splitEncodable(keys)
+	groups := t.splitEncodable(keys)
 	next := leafNext(d)
 	var splits []splitRef
 	// Rewrite this page with the first group.
-	t.scratchBuf = encodeLeafStream(t.scratchBuf, groups[0])
-	writeCompLeaf(d, groups[0], t.scratchBuf)
+	encodeLeafStream(&t.enc, groups[0])
+	writeCompLeaf(d, &t.enc)
 	prev := p
 	for gi := 1; gi < len(groups); gi++ {
 		rp, err := t.pf.Allocate()
 		if err != nil {
 			return false, nil, err
 		}
-		rd := rp.Data()
-		t.scratchBuf = encodeLeafStream(t.scratchBuf, groups[gi])
-		writeCompLeaf(rd, groups[gi], t.scratchBuf)
+		encodeLeafStream(&t.enc, groups[gi])
+		writeCompLeaf(rp.Data(), &t.enc)
 		setLeafNext(prev.Data(), rp.ID())
 		prev.MarkDirty()
 		if prev != p {
@@ -702,15 +849,15 @@ func (t *Tree) splitInternal(p *pagefile.Page, keys []Key, children []pagefile.P
 	return splits, nil
 }
 
-// splitEncodable partitions keys into consecutive groups whose
-// delta-stream encodings each fit a compressed leaf page, by recursive
-// halving. Groups alias the input slice.
-func splitEncodable(keys []Key) [][]Key {
-	if len(encodeLeafStream(nil, keys)) <= compLeafCap {
+// splitEncodable partitions keys into consecutive groups that each
+// encode within a compressed leaf page, by recursive halving. Groups
+// alias the input slice.
+func (t *Tree) splitEncodable(keys []Key) [][]Key {
+	if encodeLeafStream(&t.enc, keys); t.enc.size() <= compLeafCap {
 		return [][]Key{keys}
 	}
 	mid := len(keys) / 2
-	return append(splitEncodable(keys[:mid]), splitEncodable(keys[mid:])...)
+	return append(t.splitEncodable(keys[:mid]), t.splitEncodable(keys[mid:])...)
 }
 
 // Scan streams every key in [lo, hi] to fn in ascending order, stopping
@@ -719,73 +866,50 @@ func (t *Tree) Scan(lo, hi Key, fn func(Key) bool) error {
 	if t.root == pagefile.NilPage || Less(hi, lo) {
 		return nil
 	}
-	// Descend to the leaf that would contain lo.
-	id := t.root
+	// The leaf the descent reaches stays pinned into the walk along the
+	// leaf chain; exactly one leaf is pinned at a time.
+	p, err := t.findLeaf(lo)
+	if err != nil {
+		return err
+	}
 	for {
-		p, err := t.pf.Get(id)
-		if err != nil {
+		d := p.Data()
+		more := scanLeaf(d, lo, hi, fn)
+		next := leafNext(d)
+		t.pf.Release(p)
+		if !more || next == pagefile.NilPage {
+			return nil
+		}
+		if p, err = t.pf.Get(next); err != nil {
 			return err
 		}
-		d := p.Data()
-		if tag := nodeTag(d); tag == tagLeaf || tag == tagCompLeaf {
-			t.pf.Release(p)
-			break
-		}
-		n := nodeCount(d)
-		i := searchKeys(d, innerKeysOff, n, lo)
-		if i < n && Compare(keyAt(d, innerKeysOff, i), lo) == 0 {
-			i++
-		}
-		id = childAt(d, i)
-		t.pf.Release(p)
 	}
-	// Walk the leaf chain. Compressed leaves are decoded streaming —
-	// one key at a time, no buffer — so concurrent scans share no
-	// state; keys below lo are decoded (delta chains force it) but
-	// skipped without the callback.
-	for id != pagefile.NilPage {
-		p, err := t.pf.Get(id)
-		if err != nil {
-			return err
-		}
-		d := p.Data()
-		if nodeTag(d) == tagCompLeaf {
-			stopped := false
-			forEachCompKey(d, func(k Key) bool {
-				if Less(k, lo) {
-					return true
-				}
-				if Less(hi, k) || !fn(k) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped {
-				t.pf.Release(p)
-				return nil
+}
+
+// scanLeaf streams the keys of leaf payload d that lie in [lo, hi] to
+// fn, reporting whether the scan goes on into the next leaf: false once
+// a key above hi was seen or fn stopped it. A compressed leaf is
+// entered at its last restart key <= lo, so the keys decoded but
+// skipped below lo number less than restartEvery.
+func scanLeaf(d []byte, lo, hi Key, fn func(Key) bool) bool {
+	if nodeTag(d) == tagCompLeaf {
+		for it := seekCompLeaf(d, lo); it.next(); {
+			if Less(it.k, lo) {
+				continue
 			}
-			id = leafNext(d)
-			t.pf.Release(p)
-			continue
-		}
-		n := nodeCount(d)
-		i := searchKeys(d, leafKeysOff, n, lo)
-		for ; i < n; i++ {
-			k := keyAt(d, leafKeysOff, i)
-			if Less(hi, k) {
-				t.pf.Release(p)
-				return nil
-			}
-			if !fn(k) {
-				t.pf.Release(p)
-				return nil
+			if Less(hi, it.k) || !fn(it.k) {
+				return false
 			}
 		}
-		id = leafNext(d)
-		t.pf.Release(p)
+		return true
 	}
-	return nil
+	n := nodeCount(d)
+	for i := searchKeys(d, leafKeysOff, n, lo); i < n; i++ {
+		if k := keyAt(d, leafKeysOff, i); Less(hi, k) || !fn(k) {
+			return false
+		}
+	}
+	return true
 }
 
 // ScanPrefix1 streams keys whose first component equals a.
@@ -826,15 +950,16 @@ func (t *Tree) BulkBuild(keys []Key) error {
 	var level []nodeRef
 	var prevLeaf *pagefile.Page
 
-	// flushLeaf writes one leaf page holding keys[start:end].
-	flushLeaf := func(start, end int, stream []byte) error {
+	// flushLeaf writes one leaf page holding keys[start:end]: as the
+	// compressed leaf enc holds, or raw when enc is nil.
+	flushLeaf := func(start, end int, enc *leafEncoder) error {
 		p, err := t.pf.Allocate()
 		if err != nil {
 			return err
 		}
 		d := p.Data()
-		if stream != nil {
-			writeCompLeaf(d, keys[start:end], stream)
+		if enc != nil {
+			writeCompLeaf(d, enc)
 		} else {
 			d[0] = tagLeaf
 			for i, k := range keys[start:end] {
@@ -854,29 +979,33 @@ func (t *Tree) BulkBuild(keys []Key) error {
 	}
 
 	if t.compress {
-		// Fill compressed leaves to ~90% of the page's byte budget so
-		// subsequent inserts re-encode in place instead of bursting.
+		// Close a leaf before the key whose plain delta encoding would
+		// cross ~90% of the page's byte budget, so subsequent inserts
+		// re-encode in place instead of bursting. The restart keys and
+		// table are paid from the remaining 10%, not from the key
+		// budget; only ids of 2^49 and up in keys a few bytes apart can
+		// outgrow that slack, and such a leaf closes when the page
+		// itself is full.
 		byteTarget := compLeafCap * 9 / 10
-		stream := t.scratchBuf[:0]
+		enc := &t.enc
+		enc.reset()
 		start := 0
-		var prev Key
 		for i, k := range keys {
-			mark := len(stream)
-			stream = appendKeyDelta(stream, prev, k, i == start)
-			prev = k
-			if len(stream) > byteTarget && i > start {
-				if err := flushLeaf(start, i, stream[:mark]); err != nil {
+			before := *enc
+			enc.add(k)
+			if i > start && (enc.plain > byteTarget || enc.size() > compLeafCap) {
+				*enc = before
+				if err := flushLeaf(start, i, enc); err != nil {
 					return err
 				}
 				start = i
-				stream = appendKeyDelta(stream[:0], Key{}, k, true)
-				prev = k
+				enc.reset()
+				enc.add(k)
 			}
 		}
-		if err := flushLeaf(start, len(keys), stream); err != nil {
+		if err := flushLeaf(start, len(keys), enc); err != nil {
 			return err
 		}
-		t.scratchBuf = stream
 	} else {
 		// Fill raw leaves to ~90% so subsequent inserts do not
 		// immediately split.
@@ -1017,21 +1146,13 @@ func (t *Tree) CheckInvariants() error {
 			}
 			return nil
 		case tagCompLeaf:
-			if compLeafDataOff+compLeafStreamLen(d) > len(d) {
-				return fmt.Errorf("btree: compressed leaf %d stream overruns page", id)
+			if err := checkCompLeaf(d); err != nil {
+				return fmt.Errorf("btree: compressed leaf %d: %w", id, err)
 			}
-			var keyErr error
-			i := 0
-			pos, streamLen := forEachCompKey(d, func(k Key) bool {
-				keyErr = checkLeafKey(i, k)
-				i++
-				return keyErr == nil
-			})
-			if keyErr != nil {
-				return keyErr
-			}
-			if pos != streamLen {
-				return fmt.Errorf("btree: compressed leaf %d stream length %d, decoded %d", id, streamLen, pos)
+			for it := iterCompLeaf(d); it.next(); {
+				if err := checkLeafKey(it.i-1, it.k); err != nil {
+					return err
+				}
 			}
 			return nil
 		case tagInner:

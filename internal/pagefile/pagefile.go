@@ -37,8 +37,16 @@ const (
 	// RootSlots is the number of root ids a File stores for its clients.
 	RootSlots = 16
 
-	// metaMagic identifies a pagefile; it doubles as a format version.
-	metaMagic = "HEXPAGE1"
+	// metaMagic identifies a pagefile; its last byte doubles as the
+	// version of the formats its clients keep in the pages. Version 2
+	// added restart points to the B+-tree's compressed leaves.
+	metaMagic = "HEXPAGE2"
+
+	// maxFreeBufs bounds the page buffers kept for reuse after their
+	// pages were evicted. In steady state each miss takes the buffer
+	// the previous miss's eviction left, so one is enough; the rest
+	// absorb a pool shrinking back after pins had grown it.
+	maxFreeBufs = 16
 )
 
 // PageID identifies a page within a File. Page 0 is the meta page and is
@@ -79,7 +87,8 @@ type Stats struct {
 // until Release; after Release the Data slice must not be touched.
 type Page struct {
 	id    PageID
-	data  []byte // PayloadSize bytes
+	buf   []byte // the page as on disk, PageSize bytes; nil once evicted
+	data  []byte // the payload, buf[headerSize:]
 	pins  int
 	dirty bool
 	// LRU bookkeeping (guarded by the File mutex).
@@ -109,8 +118,9 @@ type File struct {
 
 	cacheCap int
 	cache    map[PageID]*Page
-	lruHead  *Page // most recently used
-	lruTail  *Page // least recently used
+	lruHead  *Page    // most recently used
+	lruTail  *Page    // least recently used
+	freeBufs [][]byte // buffers of evicted pages, at most maxFreeBufs
 
 	stats  Stats
 	closed bool
@@ -192,12 +202,18 @@ func (pf *File) writeMeta() error {
 }
 
 func (pf *File) readMeta() error {
-	buf, err := pf.readPage(0)
+	raw, err := pf.readPage(0)
 	if err != nil {
 		return err
 	}
-	if string(buf[0:8]) != metaMagic {
-		return fmt.Errorf("pagefile: %s: bad magic (not a pagefile or wrong version)", pf.path)
+	defer pf.putBuf(raw)
+	buf := raw[headerSize:]
+	if magic := string(buf[0:8]); magic != metaMagic {
+		if magic[:7] == metaMagic[:7] {
+			return fmt.Errorf("pagefile: %s: page format version %q, this build reads %q: reload the store from its N-Triples source or its WAL",
+				pf.path, magic[7:], metaMagic[7:])
+		}
+		return fmt.Errorf("pagefile: %s: bad magic (not a pagefile)", pf.path)
 	}
 	pf.numPages = binary.LittleEndian.Uint32(buf[8:12])
 	pf.freeHead = PageID(binary.LittleEndian.Uint32(buf[12:16]))
@@ -220,17 +236,50 @@ func (pf *File) writePage(id PageID, payload []byte) error {
 	return nil
 }
 
-// readPage reads and checksum-verifies one page, returning its payload.
+// readPage reads and checksum-verifies one page into a buffer from
+// takeBuf and returns the whole page, header included. A buffer whose
+// read failed goes back to the free list, never into the pool.
 func (pf *File) readPage(id PageID) ([]byte, error) {
-	raw := make([]byte, PageSize)
+	raw := pf.takeBuf()
 	if _, err := pf.f.ReadAt(raw, int64(id)*PageSize); err != nil {
+		pf.putBuf(raw)
 		return nil, fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
 	want := binary.LittleEndian.Uint32(raw[0:4])
 	if crc32.ChecksumIEEE(raw[headerSize:]) != want {
+		pf.putBuf(raw)
 		return nil, &CorruptionError{Path: pf.path, Page: id}
 	}
-	return raw[headerSize:], nil
+	return raw, nil
+}
+
+// takeBuf returns a PageSize buffer of unspecified contents: an evicted
+// page's when one is kept, else a new one.
+func (pf *File) takeBuf() []byte {
+	if n := len(pf.freeBufs); n > 0 {
+		buf := pf.freeBufs[n-1]
+		pf.freeBufs = pf.freeBufs[:n-1]
+		return buf
+	}
+	return make([]byte, PageSize)
+}
+
+// putBuf keeps buf for the next takeBuf, unless enough are kept.
+func (pf *File) putBuf(buf []byte) {
+	if len(pf.freeBufs) < maxFreeBufs {
+		pf.freeBufs = append(pf.freeBufs, buf)
+	}
+}
+
+// newPage wraps the page buffer raw as page id with one pin and adds it
+// to the pool.
+func (pf *File) newPage(id PageID, raw []byte, dirty bool) (*Page, error) {
+	p := &Page{id: id, buf: raw, data: raw[headerSize:], pins: 1, dirty: dirty}
+	if err := pf.insertCache(p); err != nil {
+		pf.putBuf(raw)
+		return nil, err
+	}
+	return p, nil
 }
 
 // SetRoot stores v in root slot i (persisted at the next Flush/Close).
@@ -293,11 +342,9 @@ func (pf *File) Allocate() (*Page, error) {
 	pf.metaDirt = true
 	pf.stats.Allocs++
 
-	p := &Page{id: id, data: make([]byte, PayloadSize), pins: 1, dirty: true}
-	if err := pf.insertCache(p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	raw := pf.takeBuf()
+	clear(raw)
+	return pf.newPage(id, raw, true)
 }
 
 // Free returns page id to the free list. The page must not be pinned.
@@ -343,15 +390,11 @@ func (pf *File) getLocked(id PageID) (*Page, error) {
 		return p, nil
 	}
 	pf.stats.Misses++
-	payload, err := pf.readPage(id)
+	raw, err := pf.readPage(id)
 	if err != nil {
 		return nil, err
 	}
-	p := &Page{id: id, data: payload, pins: 1}
-	if err := pf.insertCache(p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return pf.newPage(id, raw, false)
 }
 
 // Release unpins p. Dirty pages stay cached and are written back on
@@ -366,7 +409,10 @@ func (pf *File) Release(p *Page) {
 }
 
 // insertCache adds p to the pool, evicting the least recently used
-// unpinned page if the pool is full.
+// unpinned page if the pool is full. An evicted page gives up its
+// buffer for reuse: nobody holds it (a Page is untouchable after
+// Release), and a stale holder now faults on nil instead of reading
+// another page's bytes.
 func (pf *File) insertCache(p *Page) error {
 	for len(pf.cache) >= pf.cacheCap {
 		victim := pf.lruTail
@@ -385,6 +431,8 @@ func (pf *File) insertCache(p *Page) error {
 		}
 		pf.lruRemove(victim)
 		delete(pf.cache, victim.id)
+		pf.putBuf(victim.buf)
+		victim.buf, victim.data = nil, nil
 		pf.stats.Evictions++
 	}
 	pf.cache[p.id] = p

@@ -3,8 +3,10 @@ package pagefile
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -379,5 +381,120 @@ func TestFreedPagePersistsAcrossReopen(t *testing.T) {
 	defer pf2.Release(q)
 	if q.ID() != id1 {
 		t.Fatalf("recycled id after reopen = %d, want %d", q.ID(), id1)
+	}
+}
+
+// numberedPages creates a file of n pages behind a pool of cacheSize,
+// page i's payload starting with i, and reopens it so no page is cached.
+func numberedPages(t *testing.T, n, cacheSize int) *File {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "numbered.db")
+	pf, err := Create(path, Options{CacheSize: cacheSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		p, err := pf.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(p.Data(), uint64(p.ID()))
+		p.MarkDirty()
+		pf.Release(p)
+	}
+	if err := pf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pf, err = Open(path, Options{CacheSize: cacheSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pf.Close() })
+	return pf
+}
+
+// TestMissReusesEvictedBuffer: once the pool is full, a miss reads into
+// the buffer of the page an earlier miss evicted, so it allocates the
+// Page and nothing else — and still returns the right page's bytes.
+func TestMissReusesEvictedBuffer(t *testing.T) {
+	const n = 64
+	pf := numberedPages(t, n, 4)
+	next := 0
+	miss := func() {
+		next = next%n + 1
+		p, err := pf.Get(PageID(next))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint64(p.Data()); got != uint64(next) {
+			t.Fatalf("page %d holds page %d's payload", next, got)
+		}
+		pf.Release(p)
+	}
+	for i := 0; i < 2*n; i++ {
+		miss()
+	}
+	before := pf.Stats()
+	allocs := testing.AllocsPerRun(4*n, miss)
+	after := pf.Stats()
+	if after.Hits != before.Hits || after.Misses-before.Misses < 4*n {
+		t.Fatalf("the loop was meant to miss every time: %+v then %+v", before, after)
+	}
+	if allocs > 1 {
+		t.Fatalf("%.1f allocations per miss, want the Page alone", allocs)
+	}
+}
+
+// TestFailedReadLeavesNoPage: a page that fails its checksum is not
+// cached, and the buffer its bytes were read into serves the next miss
+// as scratch space only.
+func TestFailedReadLeavesNoPage(t *testing.T) {
+	pf := numberedPages(t, 8, 4)
+	raw, err := os.ReadFile(pf.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[3*PageSize+headerSize+100] ^= 0xff
+	if err := os.WriteFile(pf.Path(), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		var ce *CorruptionError
+		if _, err := pf.Get(3); !errors.As(err, &ce) {
+			t.Fatalf("round %d: Get of the corrupted page: %v", round, err)
+		}
+		for id := PageID(4); id <= 8; id++ {
+			p, err := pf.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := binary.LittleEndian.Uint64(p.Data()); got != uint64(id) {
+				t.Fatalf("page %d holds page %d's payload", id, got)
+			}
+			pf.Release(p)
+		}
+	}
+}
+
+// TestOpenOlderFormatVersion: a pagefile of an older format version
+// holds pages this build would misread, so Open refuses it and says how
+// to get a current one.
+func TestOpenOlderFormatVersion(t *testing.T) {
+	pf := newTempFile(t, Options{})
+	if err := pf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(pf.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw[headerSize:], "HEXPAGE1")
+	binary.LittleEndian.PutUint32(raw, crc32.ChecksumIEEE(raw[headerSize:PageSize]))
+	if err := os.WriteFile(pf.Path(), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(pf.Path(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "reload the store") {
+		t.Fatalf("Open of a version-1 pagefile: %v", err)
 	}
 }

@@ -16,6 +16,9 @@ import (
 	"strconv"
 	"time"
 
+	"hexastore/internal/delta"
+	"hexastore/internal/disk"
+	"hexastore/internal/graph"
 	"hexastore/internal/obs"
 	"hexastore/internal/sparql"
 )
@@ -47,6 +50,42 @@ func (s *Server) metricsInit() {
 			return float64(ms.HeapAlloc)
 		})
 	s.registerCacheMetrics()
+	s.registerPagefileMetrics()
+}
+
+// diskStore returns the disk store the served graph is, or is an
+// overlay or adapter over; nil for every other backend.
+func (s *Server) diskStore() *disk.Store {
+	inner := s.g
+	if ov, ok := inner.(*delta.Overlay); ok {
+		inner = ov.Main()
+	}
+	st, _ := graph.Unwrap(inner).(*disk.Store)
+	return st
+}
+
+// registerPagefileMetrics publishes the buffer pool counters of a
+// disk-backed graph, so a cold or undersized pool shows as misses and
+// evictions climbing with the request rate. The counters are the
+// pagefile's own, read on scrape; other backends have no pool and
+// expose no such families.
+func (s *Server) registerPagefileMetrics() {
+	st := s.diskStore()
+	if st == nil {
+		return
+	}
+	s.reg.CounterFunc("hex_pagefile_hits_total",
+		"Page fetches served from the buffer pool.",
+		func() float64 { return float64(st.FileStats().Hits) })
+	s.reg.CounterFunc("hex_pagefile_misses_total",
+		"Page fetches that read the page from disk.",
+		func() float64 { return float64(st.FileStats().Misses) })
+	s.reg.CounterFunc("hex_pagefile_evictions_total",
+		"Pages evicted from the buffer pool to make room.",
+		func() float64 { return float64(st.FileStats().Evictions) })
+	s.reg.CounterFunc("hex_pagefile_writes_total",
+		"Pages written to disk.",
+		func() float64 { return float64(st.FileStats().Writes) })
 }
 
 // registerCacheMetrics publishes the planner's plan- and result-cache

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,72 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(text, `le="+Inf"`) {
 		t.Error("/metrics missing +Inf bucket")
+	}
+	if strings.Contains(text, "hex_pagefile_") {
+		t.Error("/metrics of a memory server exposes buffer pool families")
+	}
+}
+
+// metricValue returns the value of the unlabelled sample name in the
+// server's /metrics exposition, failing the test when it is not there.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics missing %s", name)
+	return 0
+}
+
+// TestMetricsPagefileFamilies: a disk store's buffer pool counters are
+// on /metrics — here behind the overlay, as hexserver -disk -live serves
+// it — and a query moves them.
+func TestMetricsPagefileFamilies(t *testing.T) {
+	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b"))); err != nil {
+		t.Fatal(err)
+	}
+	ov, err := delta.Open(graph.Disk(ds), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ov.Close() })
+	ts := httptest.NewServer(NewGraph(ov).Handler())
+	t.Cleanup(ts.Close)
+
+	for _, name := range []string{"hex_pagefile_misses_total", "hex_pagefile_evictions_total", "hex_pagefile_writes_total"} {
+		metricValue(t, ts.URL, name)
+	}
+	const hits = "hex_pagefile_hits_total"
+	before := metricValue(t, ts.URL, hits)
+	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(`SELECT ?o WHERE { <http://ex/a> <http://ex/p> ?o }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if after := metricValue(t, ts.URL, hits); after <= before {
+		t.Errorf("%s = %v before a query and %v after it", hits, before, after)
+	}
+	if got, want := metricValue(t, ts.URL, hits), float64(ds.FileStats().Hits); got != want {
+		t.Errorf("%s reported %v, the pagefile counted %v", hits, got, want)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
-	"hexastore/internal/disk"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
 	"hexastore/internal/obs"
@@ -492,7 +491,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// The disk backend reports its on-disk footprint (pagefile plus
 	// dictionary sidecar) per triple.
-	if st, ok := graph.Unwrap(inner).(*disk.Store); ok {
+	if st := s.diskStore(); st != nil {
 		if bytes, err := st.SizeBytes(); err == nil {
 			out["diskBytes"] = bytes
 			if n := st.Len(); n > 0 {
