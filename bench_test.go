@@ -721,6 +721,92 @@ func BenchmarkDiskLookup(b *testing.B) {
 	})
 }
 
+// lubm30 returns the 30-university LUBM dataset the benchmark/ workloads
+// serve, dictionary-encoded, with the dictionary it was encoded in.
+func lubm30() (*hexastore.Dictionary, [][3]core.ID) {
+	dict := hexastore.NewDictionary()
+	var triples [][3]core.ID
+	lubm.Config{Universities: 30, Seed: 1}.Generate(func(t rdf.Triple) bool {
+		s, p, o := dict.EncodeTriple(t)
+		triples = append(triples, [3]core.ID{s, p, o})
+		return true
+	})
+	return dict, triples
+}
+
+// BenchmarkMemLookup is BenchmarkDiskLookup's twin on the packed memory
+// store the lookup-mem and scan-mem workloads serve: 2-bound probes and
+// 1-bound walks drawn uniformly from the loaded triples, so each pays
+// the arena's directory, one packed vector's header and a Find. The
+// zero-copy view probe allocates nothing.
+func BenchmarkMemLookup(b *testing.B) {
+	dict, triples := lubm30()
+	bl := core.NewBuilder(dict)
+	bl.AddAll(triples)
+	st := bl.Build()
+
+	b.Run("SortedListView", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := triples[rng.Intn(len(triples))]
+			v, ok := st.SortedListView(t[0], t[1], core.None)
+			if i%2 == 1 {
+				v, ok = st.SortedListView(t[0], core.None, t[2])
+			}
+			if !ok || v.Len() == 0 {
+				b.Fatalf("probe of %v: %d ids, zero-copy %v", t, v.Len(), ok)
+			}
+		}
+	})
+	b.Run("AppendSortedList", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		var dst []core.ID
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := triples[rng.Intn(len(triples))]
+			if i%2 == 0 {
+				dst = st.AppendSorted(dst[:0], t[0], t[1], core.None)
+			} else {
+				dst = st.AppendSorted(dst[:0], t[0], core.None, t[2])
+			}
+			if len(dst) == 0 {
+				b.Fatalf("probe of %v: no ids", t)
+			}
+		}
+	})
+	b.Run("SortedPairs", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(2))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := triples[rng.Intn(len(triples))]
+			n := 0
+			st.SortedPairs(t[0], core.None, core.None, func(_, _ core.ID) bool { n++; return true })
+			if n == 0 {
+				b.Fatalf("probe of %v: no pairs", t)
+			}
+		}
+	})
+}
+
+// BenchmarkBuildPacked times the packed build of the pre-encoded
+// 30-university dataset with the two workers the benchmark host has, and
+// reports what the built index costs: bytes per triple, and (allocs/op)
+// how many heap objects the build makes — the index itself is a few
+// dozen of them.
+func BenchmarkBuildPacked(b *testing.B) {
+	dict, triples := lubm30()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st *core.Store
+	for i := 0; i < b.N; i++ {
+		bl := core.NewBuilder(dict)
+		bl.AddAll(triples)
+		st = bl.BuildParallel(2)
+	}
+	b.ReportMetric(st.IndexStats().BytesPerTriple(), "B/triple")
+}
+
 // BenchmarkWrite01 is the Go-benchmark twin of the hexbench write01
 // figure: the bench.MixedWorkload mixed read/write driver (concurrent
 // chain-join SELECTs against a stream of INSERT/DELETE batches) per

@@ -149,7 +149,7 @@ func fillStore(st *Store, ts [][3]ID, workers int, compress bool) {
 	// pass runs one ordering pair's build in the raw or packed layout.
 	pass := func(ts [][3]ID, a, b, c int, lists map[pairKey]*idlist.List, fwd, mirror Index) {
 		if compress {
-			packPass(ts, a, b, c, st.pidx[fwd], st.pidx[mirror])
+			st.pidx[fwd], st.pidx[mirror] = packPass(ts, a, b, c)
 		} else {
 			buildPass(ts, a, b, c, lists, st.idx[fwd], st.idx[mirror])
 		}
@@ -257,55 +257,59 @@ func buildPass(ts [][3]ID, a, b, c int, lists map[pairKey]*idlist.List, fwd, mir
 
 // packPass is buildPass for the block-compressed layout: it consumes
 // triples sorted by positions (a, b, c) and renders both the forward
-// index (head a, key b) and the mirror index (head b, key a) as packed
-// delta+varint vectors — keys and terminal lists in one immutable blob
-// per head, no per-pair map entries and no per-list allocations. Unlike
-// the raw layout the two orderings do not share list storage (a packed
-// blob has no pointers to share), which the compression win pays for
-// several times over; see Store.IndexBytes.
+// index (head a, key b) and the mirror index (head b, key a) as arenas
+// of packed delta+varint vectors — keys and terminal lists in one run of
+// bytes per head, no per-pair map entries and no per-head allocations.
+// Unlike the raw layout the two orderings do not share list storage (a
+// packed vector has no pointers to share), which the compression win
+// pays for several times over; see Store.IndexBytes.
 //
-// The pass is a-major, so forward blobs build head by head; mirror
-// blobs accumulate in per-head builders (their keys a still arrive in
-// ascending order within each head b) and finish at the end.
-func packPass(ts [][3]ID, a, b, c int, fwd, mirror map[ID]*idlist.Packed) {
-	mirrors := make(map[ID]*idlist.PackedBuilder)
-	var fb *idlist.PackedBuilder
-	var fhead ID
-	members := make([]ID, 0, 64)
-	i := 0
-	for i < len(ts) {
-		ka, kb := ts[i][a], ts[i][b]
-		j := i
-		for j < len(ts) && ts[j][a] == ka && ts[j][b] == kb {
-			j++
-		}
-		members = members[:0]
-		for k := i; k < j; k++ {
-			members = append(members, ts[k][c])
-		}
-		if fb == nil || ka != fhead {
-			if fb != nil {
-				fwd[fhead] = fb.Finish()
-			}
-			fb = &idlist.PackedBuilder{}
-			fhead = ka
-		}
-		fb.Append(kb, members)
+// The pass is a-major, so the forward arena fills head by head from ts;
+// a stable counting sort on column b gives (b, a, c) order for the mirror.
+func packPass(ts [][3]ID, a, b, c int) (fwd, mirror arena) {
+	return packOrdering(ts, a, b, c), packOrdering(sortedByColumn(ts, b), b, a, c)
+}
 
-		mb := mirrors[kb]
-		if mb == nil {
-			mb = &idlist.PackedBuilder{}
-			mirrors[kb] = mb
+// packOrdering builds ordering (a, b, c)'s arena from ts sorted by it.
+func packOrdering(ts [][3]ID, a, b, c int) arena {
+	ar := new(arena).fork()
+	members := make([]ID, 0, 64)
+	for i := 0; i < len(ts); {
+		head := ts[i][a]
+		for i < len(ts) && ts[i][a] == head {
+			key := ts[i][b]
+			members = members[:0]
+			for ; i < len(ts) && ts[i][a] == head && ts[i][b] == key; i++ {
+				members = append(members, ts[i][c])
+			}
+			ar.pb.Append(key, members)
 		}
-		mb.Append(ka, members)
-		i = j
+		ar.set(head)
 	}
-	if fb != nil {
-		fwd[fhead] = fb.Finish()
+	ar.seal()
+	return ar
+}
+
+// sortedByColumn returns a copy of ts stably sorted by column col alone:
+// a counting sort over the id range, dictionary ids being dense.
+func sortedByColumn(ts [][3]ID, col int) [][3]ID {
+	out := make([][3]ID, len(ts))
+	var top ID
+	for _, t := range ts {
+		top = max(top, t[col])
 	}
-	for kb, mb := range mirrors {
-		mirror[kb] = mb.Finish()
+	next := make([]uint32, top+2) // next[id+1] counts id, then next[id] is its write cursor
+	for _, t := range ts {
+		next[t[col]+1]++
 	}
+	for id := 1; id < len(next); id++ {
+		next[id] += next[id-1]
+	}
+	for _, t := range ts {
+		out[next[t[col]]] = t
+		next[t[col]]++
+	}
+	return out
 }
 
 // sortTriples sorts ts by positions (a, b, c) using up to workers

@@ -14,15 +14,16 @@ type PatchStats struct {
 // adds minus dels, leaving st untouched. adds[ix] and dels[ix] each hold
 // the same triple set as rows of ordering ix — (head, key, member), e.g.
 // (p, o, s) for POS — sorted ascending without duplicates: exactly what
-// each index needs to fold the change in with one merge per head. An add
-// st already holds and a delete it lacks are ignored.
+// each index needs to fold the change in with one merge per head. The
+// two sets are disjoint; an add st already holds and a delete it lacks
+// are ignored.
 //
-// Only the heads the rows name are re-encoded: per ordering the head map
-// is copied, and every other head's immutable packed vector is shared
-// between st and the result. Cost is therefore one map copy per ordering
-// plus the size of the named heads, not the size of the store. A
-// raw-layout st has no packed vectors to share, so each of its heads is
-// encoded once.
+// Only the heads the rows name are re-encoded: per ordering their new
+// vectors go into one new arena segment, the directory chunks that point
+// at them are copied, and every other segment and chunk is shared
+// between st and the result. Cost is therefore the size of the named
+// heads, not the size of the store. A raw-layout st has no arena to
+// share, so each of its heads is encoded once.
 func (st *Store) Patch(adds, dels [6][][3]ID) (*Store, PatchStats) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -31,61 +32,43 @@ func (st *Store) Patch(adds, dels [6][][3]ID) (*Store, PatchStats) {
 	out.size = st.size
 	var stats PatchStats
 	for _, ix := range AllIndexes {
-		// Sized for every head the adds could create, so that filling it in
-		// never grows — which would rehash the whole copy.
-		heads := make(map[ID]*idlist.Packed, len(st.pidx[ix])+len(st.idx[ix])+countHeads(adds[ix]))
-		for h, pk := range st.pidx[ix] {
-			heads[h] = pk
-		}
+		ar := st.pidx[ix].fork()
+		// rest is the raw layout's heads, every one of which is to be
+		// encoded whether the rows name it or not.
+		var rest []ID
 		for h := range st.idx[ix] {
-			heads[h] = nil // raw layout: to encode below, unless the rows name it first
+			rest = append(rest, h)
 		}
+		sortIDs(rest)
 		rebuilt := 0
 		add, del := adds[ix], dels[ix]
-		for len(add) > 0 || len(del) > 0 {
-			var head ID
-			if len(del) == 0 || (len(add) > 0 && add[0][0] < del[0][0]) {
-				head = add[0][0]
-			} else {
-				head = del[0][0]
+		for len(add) > 0 || len(del) > 0 || len(rest) > 0 {
+			head := ^ID(0)
+			for _, rows := range [2][][3]ID{add, del} {
+				if len(rows) > 0 {
+					head = min(head, rows[0][0])
+				}
+			}
+			if len(rest) > 0 && rest[0] <= head {
+				head, rest = rest[0], rest[1:]
 			}
 			na, nd := headRows(add, head), headRows(del, head)
-			pk, grew := st.patchHeadLocked(ix, head, add[:na], del[:nd])
-			if pk == nil {
-				delete(heads, head)
-			} else {
-				heads[head] = pk
+			grew := st.patchHeadLocked(&ar, ix, head, add[:na], del[:nd])
+			if ar.pb.Len() > 0 {
 				rebuilt++
 			}
+			ar.set(head)
 			if ix == SPO {
 				out.size += grew
 			}
 			add, del = add[na:], del[nd:]
 		}
-		if !st.compressed {
-			for h, pk := range heads {
-				if pk == nil {
-					heads[h], _ = st.patchHeadLocked(ix, h, nil, nil)
-					rebuilt++
-				}
-			}
-		}
-		out.pidx[ix] = heads
+		ar.seal()
+		out.pidx[ix] = ar
 		stats.HeadsRebuilt += rebuilt
-		stats.HeadsShared += len(heads) - rebuilt
+		stats.HeadsShared += ar.heads - rebuilt
 	}
 	return out, stats
-}
-
-// countHeads returns the number of distinct heads in sorted rows.
-func countHeads(rows [][3]ID) int {
-	n := 0
-	for i, row := range rows {
-		if i == 0 || row[0] != rows[i-1][0] {
-			n++
-		}
-	}
-	return n
 }
 
 // headRows returns how many leading rows have the given head.
@@ -97,16 +80,14 @@ func headRows(rows [][3]ID, head ID) int {
 	return n
 }
 
-// patchHeadLocked encodes head's vector of ordering ix with the rows add
-// spliced in and the rows del dropped (all of this head, sorted by key
-// then member). It returns nil when no entry is left, and by how many
-// list members the vector grew. Entries the rows do not name are copied
-// as the bytes they are. Caller holds st.mu.
-func (st *Store) patchHeadLocked(ix Index, head ID, add, del [][3]ID) (*idlist.Packed, int) {
-	var b idlist.PackedBuilder
-	if st.compressed {
-		b.Grow(st.pidx[ix][head].SizeBytes() + 8*len(add))
-	}
+// patchHeadLocked appends to out's empty builder head's vector of
+// ordering ix with the rows add spliced in and the rows del dropped (all
+// of this head, sorted by key then member); the builder stays empty when
+// no entry is left. It returns by how many list members the vector grew.
+// Entries the rows do not name are copied as the bytes they are. Caller
+// holds st.mu.
+func (st *Store) patchHeadLocked(out *arena, ix Index, head ID, add, del [][3]ID) int {
+	b := &out.pb
 	var old, merged []ID
 	grew := 0
 	// newKeys appends the first n rows of add, whose keys the old vector
@@ -153,10 +134,7 @@ func (st *Store) patchHeadLocked(ix Index, head ID, add, del [][3]ID) (*idlist.P
 		return true
 	})
 	newKeys(len(add))
-	if b.Len() == 0 {
-		return nil, grew
-	}
-	return b.Finish(), grew
+	return grew
 }
 
 // mergeMembers appends (old ∪ members of add) \ members of del to dst in

@@ -53,20 +53,7 @@ func (st *Store) Snapshot(w io.Writer) error {
 	// output — the emitted bytes are identical for the raw and
 	// compressed layouts, which is what lets the differential suites
 	// assert compressed ≡ uncompressed at the snapshot level.
-	var heads []ID
-	if st.compressed {
-		heads = make([]ID, 0, len(st.pidx[SPO]))
-		for s := range st.pidx[SPO] {
-			heads = append(heads, s)
-		}
-	} else {
-		heads = make([]ID, 0, len(st.idx[SPO]))
-		for s := range st.idx[SPO] {
-			heads = append(heads, s)
-		}
-	}
-	sortIDs(heads)
-	for _, s := range heads {
+	writeHead := func(s ID) bool {
 		st.rangeHeadLocked(SPO, s, func(p ID, view idlist.View) bool {
 			var prevO ID
 			view.Range(func(o ID) bool {
@@ -84,6 +71,19 @@ func (st *Store) Snapshot(w io.Writer) error {
 			})
 			return true
 		})
+		return true
+	}
+	if st.compressed {
+		st.pidx[SPO].rangeHeads(writeHead)
+		return bw.Flush()
+	}
+	heads := make([]ID, 0, len(st.idx[SPO]))
+	for s := range st.idx[SPO] {
+		heads = append(heads, s)
+	}
+	sortIDs(heads)
+	for _, s := range heads {
+		writeHead(s)
 	}
 	return bw.Flush()
 }

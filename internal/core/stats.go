@@ -41,10 +41,10 @@ func (s Stats) SizeBytes() int64 {
 	return int64(s.TotalEntries()) * entryBytes
 }
 
-// Stats computes the current sizes. It is O(#vectors) — the per-list
-// lengths are summed from the shared tables (raw layout) or the packed
-// vectors' stored totals (compressed layout; the spo/sop/pos totals
-// equal the three shared tables' entry counts, so the two layouts
+// Stats computes the current sizes. On the raw layout it is O(#vectors),
+// the per-list lengths summed from the shared tables; on the compressed
+// layout it reads the arenas' running counters (the spo/sop/pos list
+// totals equal the three shared tables' entry counts, so the two layouts
 // report identical logical sizes).
 func (st *Store) Stats() Stats {
 	st.mu.RLock()
@@ -56,15 +56,11 @@ func (st *Store) Stats() Stats {
 
 	if st.compressed {
 		for i := range st.pidx {
-			out.Headers += len(st.pidx[i])
-			for _, pk := range st.pidx[i] {
-				out.VectorEntries += pk.Len()
-			}
+			out.Headers += st.pidx[i].heads
+			out.VectorEntries += st.pidx[i].vecEntries
 		}
 		for _, ix := range [3]Index{SPO, SOP, POS} {
-			for _, pk := range st.pidx[ix] {
-				out.ListEntries += pk.Total()
-			}
+			out.ListEntries += st.pidx[ix].listEntries
 		}
 		return out
 	}
@@ -86,18 +82,16 @@ func (st *Store) Stats() Stats {
 	return out
 }
 
-// IndexStats is the physical (heap-byte) counterpart of Stats: an
-// estimate of what the six indexes actually cost in memory under the
-// current layout, plus what the same content would cost in the other
-// layout — the space01 experiment's measurement.
+// IndexStats is the physical (heap-byte) counterpart of Stats: what the
+// six indexes cost in memory under the current layout — the space01
+// experiment's measurement.
 type IndexStats struct {
 	// Triples is the number of distinct triples stored.
 	Triples int `json:"triples"`
 	// Compressed reports the current layout.
 	Compressed bool `json:"compressed"`
-	// Bytes estimates the heap footprint of the six indexes (maps,
-	// vector structures, keys, terminal lists; the dictionary is
-	// excluded) under the current layout.
+	// Bytes is the heap footprint of the six indexes (the dictionary is
+	// excluded) under the current layout; see Store.IndexBytes.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -109,17 +103,16 @@ func (s IndexStats) BytesPerTriple() float64 {
 	return float64(s.Bytes) / float64(s.Triples)
 }
 
-// Estimated per-structure heap costs, in bytes. Slice headers are 24,
-// pointers and IDs 8; mapSlack models Go map bucket overhead and load
-// factor (~1.5x the entry payload); allocSlack is the allocator's
-// per-object header/rounding.
+// Estimated per-structure heap costs of the raw layout, in bytes. Slice
+// headers are 24, pointers and IDs 8; mapSlack models Go map bucket
+// overhead and load factor (~1.5x the entry payload); allocSlack is the
+// allocator's per-object header/rounding.
 const (
-	sliceHeader  = 24
-	mapSlack     = 3 // numerator of the 3/2 map overhead factor
-	allocSlack   = 16
-	vecStruct    = 2*sliceHeader + 8  // keys, lists, packed pointer
-	listStruct   = sliceHeader + 8    // ids + comp pointer
-	packedStruct = 16 + sliceHeader*3 // nKeys+total, data, skipKey+skipOff
+	sliceHeader = 24
+	mapSlack    = 3 // numerator of the 3/2 map overhead factor
+	allocSlack  = 16
+	vecStruct   = 2*sliceHeader + 8 // keys, lists, packed pointer
+	listStruct  = sliceHeader + 8   // ids + comp pointer
 )
 
 // mapBytes estimates a Go map holding n entries of entrySize payload.
@@ -127,26 +120,22 @@ func mapBytes(n, entrySize int) int64 {
 	return int64(n) * int64(entrySize) * mapSlack / 2
 }
 
-// IndexBytes estimates the heap bytes the six indexes occupy under the
-// current layout. Raw layout: head maps, Vec structs with key and
-// list-pointer slices, the three shared pair maps, and one List
-// allocation plus 8 bytes per id per shared terminal list. Compressed
-// layout: head maps, Vec structs, and each packed vector's blob and
-// skip table. The estimate deliberately counts structure overheads
-// (slice headers, map slack, allocator rounding) — they are where the
-// raw layout's bytes actually go on short-list RDF data, and omitting
-// them would overstate the compression win.
+// IndexBytes returns the heap bytes the six indexes occupy under the
+// current layout. Compressed layout: an exact sum, the capacity of every
+// arena segment (dead bytes included) plus the directories. Raw layout:
+// an estimate over head maps, Vec structs with key and list-pointer
+// slices, the three shared pair maps, and one List allocation plus 8
+// bytes per id per shared terminal list; it deliberately counts
+// structure overheads (slice headers, map slack, allocator rounding) —
+// they are where the raw layout's bytes actually go on short-list RDF
+// data, and omitting them would overstate the compression win.
 func (st *Store) IndexBytes() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	var total int64
 	if st.compressed {
 		for i := range st.pidx {
-			// Head map entry: ID key + *Packed value.
-			total += mapBytes(len(st.pidx[i]), 16)
-			for _, pk := range st.pidx[i] {
-				total += packedStruct + allocSlack + int64(pk.SizeBytes())
-			}
+			total += st.pidx[i].bytes()
 		}
 		return total
 	}
@@ -167,6 +156,29 @@ func (st *Store) IndexBytes() int64 {
 	return total
 }
 
+// ArenaStats sums the compressed layout's six arenas; all zero on a raw
+// store.
+type ArenaStats struct {
+	HeapBytes int64 // what IndexBytes reports
+	Bytes     int64 // held by the segments
+	DeadBytes int64 // of Bytes: vectors a Patch replaced, until the next rewrite
+	Segments  int
+}
+
+// ArenaStats reads the arenas' running counters.
+func (st *Store) ArenaStats() ArenaStats {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	var out ArenaStats
+	for i := range st.pidx {
+		out.HeapBytes += st.pidx[i].bytes()
+		out.Bytes += st.pidx[i].size
+		out.DeadBytes += st.pidx[i].dead
+		out.Segments += len(st.pidx[i].segs)
+	}
+	return out
+}
+
 // IndexStats reports the store's physical index footprint.
 func (st *Store) IndexStats() IndexStats {
 	return IndexStats{
@@ -178,7 +190,7 @@ func (st *Store) IndexStats() IndexStats {
 
 // EstimateRawIndexBytes estimates what the logical content described
 // by s would cost in the raw (uncompressed) layout, using the same
-// per-structure constants as IndexBytes. The server's /stats uses it
+// per-structure constants as IndexBytes does for a raw store. The server's /stats uses it
 // to report a compression ratio for a compressed store without
 // building the raw twin; on a raw store it coincides with IndexBytes
 // up to rounding.

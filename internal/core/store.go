@@ -92,14 +92,15 @@ type Store struct {
 	// Six head indices (raw layout).
 	idx [6]map[ID]*Vec
 
-	// Six head indices in the block-compressed layout: every vector is a
-	// packed delta+varint blob (idlist.Packed) holding its keys and
-	// terminal lists together. When compressed is set these maps carry
-	// the store's whole content, idx and the three pair maps above are
-	// empty, and 2-bound lookups go through the packed vectors. Bulk
-	// builders set it; the first direct Add/Remove clears it by
-	// decompressing the whole store (see decompressLocked).
-	pidx       [6]map[ID]*idlist.Packed
+	// Six head indices in the block-compressed layout: one arena per
+	// ordering (arena.go), every vector packed delta+varint bytes
+	// (idlist.Packed) holding its keys and terminal lists together. When
+	// compressed is set the arenas carry the store's whole content, idx
+	// and the three pair maps above are empty, and 2-bound lookups go
+	// through the packed vectors. Bulk builders set it; the first direct
+	// Add/Remove clears it by decompressing the whole store (see
+	// decompressLocked).
+	pidx       [6]arena
 	compressed bool
 
 	size int
@@ -132,7 +133,6 @@ func NewShared(dict *dictionary.Dictionary) *Store {
 	}
 	for i := range s.idx {
 		s.idx[i] = make(map[ID]*Vec)
-		s.pidx[i] = make(map[ID]*idlist.Packed)
 	}
 	return s
 }
@@ -151,7 +151,7 @@ func (s *Store) Compressed() bool {
 // decompressLocked converts a block-compressed store to the raw
 // shared-terminal-list layout in place: the triple set is decoded from
 // the packed spo vectors and the six indexes are rebuilt with the bulk
-// fill. The packed blobs themselves are never mutated, so zero-copy
+// fill. The arena segments themselves are never mutated, so zero-copy
 // views handed out before the conversion keep reading a consistent
 // (pre-mutation) image. Caller holds st.mu exclusively.
 //
@@ -164,18 +164,17 @@ func (st *Store) decompressLocked() {
 		return
 	}
 	ts := make([][3]ID, 0, st.size)
-	for s, pk := range st.pidx[SPO] {
-		pk.Range(func(p ID, v idlist.View) bool {
+	st.pidx[SPO].rangeHeads(func(s ID) bool {
+		st.pidx[SPO].vec(s).Range(func(p ID, v idlist.View) bool {
 			v.Range(func(o ID) bool {
 				ts = append(ts, [3]ID{s, p, o})
 				return true
 			})
 			return true
 		})
-	}
-	for i := range st.pidx {
-		st.pidx[i] = make(map[ID]*idlist.Packed)
-	}
+		return true
+	})
+	st.pidx = [6]arena{}
 	fillStore(st, ts, 1, false)
 }
 
@@ -183,7 +182,7 @@ func (st *Store) decompressLocked() {
 // vector in ix, whichever layout the store is in; caller holds st.mu.
 func (st *Store) rangeHeadLocked(ix Index, head ID, fn func(ID, idlist.View) bool) {
 	if st.compressed {
-		st.pidx[ix][head].Range(fn)
+		st.pidx[ix].vec(head).Range(fn)
 		return
 	}
 	st.idx[ix][head].RangeViews(fn)
@@ -196,11 +195,11 @@ func (st *Store) terminalViewLocked(s, p, o ID) idlist.View {
 	var v idlist.View
 	switch {
 	case s != None && p != None && o == None:
-		v, _ = st.pidx[SPO][s].Find(p)
+		v, _ = st.pidx[SPO].vec(s).Find(p)
 	case s != None && p == None && o != None:
-		v, _ = st.pidx[SOP][s].Find(o)
+		v, _ = st.pidx[SOP].vec(s).Find(o)
 	case s == None && p != None && o != None:
-		v, _ = st.pidx[POS][p].Find(o)
+		v, _ = st.pidx[POS].vec(p).Find(o)
 	default:
 		panic("core: terminal view needs exactly two bound positions")
 	}
@@ -295,7 +294,7 @@ func (st *Store) Has(s, p, o ID) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if st.compressed {
-		v, ok := st.pidx[SPO][s].Find(p)
+		v, ok := st.pidx[SPO].vec(s).Find(p)
 		return ok && v.Contains(o)
 	}
 	return st.objLists[pairKey{s, p}].Contains(o)
@@ -338,14 +337,14 @@ func getOrCreate(m map[pairKey]*idlist.List, k pairKey) (l *idlist.List, created
 // not occur in that position. For example, Head(SPO, s) is the sorted
 // property vector of subject s, and each vector entry's list holds the
 // objects of ⟨s, p, ·⟩. On a compressed store the returned Vec is a
-// freshly materialized wrapper around the immutable packed blob (its
+// freshly materialized wrapper around the immutable packed bytes (its
 // accessors stay zero-copy).
 func (st *Store) Head(ix Index, head ID) *Vec {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	st.advisor.hit(ix)
 	if st.compressed {
-		if pk := st.pidx[ix][head]; pk != nil {
+		if pk := st.pidx[ix].vec(head); pk.Len() > 0 {
 			return idlist.FromPacked(pk)
 		}
 		return nil
@@ -359,20 +358,22 @@ func (st *Store) Heads(ix Index) int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if st.compressed {
-		return len(st.pidx[ix])
+		return st.pidx[ix].heads
 	}
 	return len(st.idx[ix])
 }
 
-// HeadIDs returns the head resources of ordering ix in unspecified order.
+// HeadIDs returns the head resources of ordering ix, ascending on a
+// compressed store.
 func (st *Store) HeadIDs(ix Index) []ID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if st.compressed {
-		out := make([]ID, 0, len(st.pidx[ix]))
-		for id := range st.pidx[ix] {
+		out := make([]ID, 0, st.pidx[ix].heads)
+		st.pidx[ix].rangeHeads(func(id ID) bool {
 			out = append(out, id)
-		}
+			return true
+		})
 		return out
 	}
 	out := make([]ID, 0, len(st.idx[ix]))
@@ -390,7 +391,7 @@ func (st *Store) Objects(s, p ID) *idlist.List {
 	defer st.mu.RUnlock()
 	st.advisor.hit(SPO)
 	if st.compressed {
-		if v, ok := st.pidx[SPO][s].Find(p); ok {
+		if v, ok := st.pidx[SPO].vec(s).Find(p); ok {
 			return idlist.ListOf(v)
 		}
 		return nil
@@ -404,7 +405,7 @@ func (st *Store) Subjects(p, o ID) *idlist.List {
 	defer st.mu.RUnlock()
 	st.advisor.hit(POS)
 	if st.compressed {
-		if v, ok := st.pidx[POS][p].Find(o); ok {
+		if v, ok := st.pidx[POS].vec(p).Find(o); ok {
 			return idlist.ListOf(v)
 		}
 		return nil
@@ -418,7 +419,7 @@ func (st *Store) Properties(s, o ID) *idlist.List {
 	defer st.mu.RUnlock()
 	st.advisor.hit(SOP)
 	if st.compressed {
-		if v, ok := st.pidx[SOP][s].Find(o); ok {
+		if v, ok := st.pidx[SOP].vec(s).Find(o); ok {
 			return idlist.ListOf(v)
 		}
 		return nil
@@ -509,7 +510,7 @@ func (st *Store) PatternCardinality(s, p, o ID) int {
 func (st *Store) patternCardinalityCompressedLocked(s, p, o ID) int {
 	switch {
 	case s != None && p != None && o != None:
-		v, ok := st.pidx[SPO][s].Find(p)
+		v, ok := st.pidx[SPO].vec(s).Find(p)
 		if ok && v.Contains(o) {
 			return 1
 		}
@@ -525,24 +526,21 @@ func (st *Store) patternCardinalityCompressedLocked(s, p, o ID) int {
 		return st.terminalViewLocked(s, p, o).Len()
 	case s != None:
 		st.advisor.hit(SPO)
-		return st.pidx[SPO][s].Total()
+		return st.pidx[SPO].vec(s).Total()
 	case p != None:
 		st.advisor.hit(PSO)
-		return st.pidx[PSO][p].Total()
+		return st.pidx[PSO].vec(p).Total()
 	case o != None:
 		st.advisor.hit(OSP)
-		return st.pidx[OSP][o].Total()
+		return st.pidx[OSP].vec(o).Total()
 	default:
 		return st.size
 	}
 }
 
 // vecSumLocked sums the terminal-list lengths of v; the caller must
-// hold st.mu. Packed vectors answer from their stored total.
+// hold st.mu.
 func vecSumLocked(v *Vec) int {
-	if pk := v.Packed(); pk != nil {
-		return pk.Total()
-	}
 	n := 0
 	v.RangeViews(func(_ ID, view idlist.View) bool {
 		n += view.Len()
@@ -576,8 +574,8 @@ func (st *Store) AppendSorted(dst []ID, s, p, o ID) []ID {
 // SortedListView returns a read-only view of the sorted candidate
 // values of a 2-bound pattern's free position, and reports whether the
 // view is zero-copy. On a compressed store the view aliases the
-// immutable packed blob — safe across concurrent mutations, which
-// replace packed structures rather than editing them — so the batch
+// immutable arena bytes — safe across concurrent mutations, which
+// write new vectors rather than editing them — so the batch
 // engine can merge against it with block skipping and no
 // materialization. On a raw store ok is false: raw lists alias mutable
 // storage, and callers should fall back to the copying AppendSorted.

@@ -141,20 +141,43 @@ func TestMergeFilterView(t *testing.T) {
 	}
 }
 
+// finishPacked encodes b's entries behind a prefix and in front of
+// trailing bytes that are not the vector's, and decodes them from there:
+// the encoding must delimit itself. It checks EncodedLen on the way.
+func finishPacked(t *testing.T, b *PackedBuilder) Packed {
+	t.Helper()
+	n := b.Len()
+	enc := b.Finish([]byte("prefix"))[len("prefix"):]
+	if b.Len() != 0 {
+		t.Fatal("Finish left entries in the builder")
+	}
+	if n == 0 {
+		if len(enc) != 0 {
+			t.Fatalf("an empty vector encoded to %d bytes", len(enc))
+		}
+		return Packed{}
+	}
+	p := DecodePacked(append(enc, 0xff, 0xff, 0xff))
+	if p.EncodedLen() != len(enc) {
+		t.Fatalf("EncodedLen = %d, encoding has %d bytes", p.EncodedLen(), len(enc))
+	}
+	return p
+}
+
 func TestPackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var b, cb PackedBuilder // reused across trials, as the index builds reuse theirs
 	for trial := 0; trial < 50; trial++ {
 		nKeys := rng.Intn(120)
 		keys := randSorted(rng, nKeys, 9)
 		lists := make([][]ID, nKeys)
-		var b PackedBuilder
 		total := 0
 		for i, k := range keys {
 			lists[i] = randSorted(rng, rng.Intn(300)+1, 11)
 			total += len(lists[i])
 			b.Append(k, lists[i])
 		}
-		p := b.Finish()
+		p := finishPacked(t, &b)
 		if p.Len() != nKeys || p.Total() != total {
 			t.Fatalf("trial %d: Len/Total = %d/%d, want %d/%d", trial, p.Len(), p.Total(), nKeys, total)
 		}
@@ -177,8 +200,6 @@ func TestPackedRoundTrip(t *testing.T) {
 
 		// A copy assembled from views — compressed payloads taken over
 		// as bytes, raw slices encoded — is the same vector.
-		var cb PackedBuilder
-		cb.Grow(p.SizeBytes())
 		i = 0
 		p.Range(func(k ID, v View) bool {
 			if i%2 == 1 {
@@ -188,7 +209,7 @@ func TestPackedRoundTrip(t *testing.T) {
 			i++
 			return true
 		})
-		if c := cb.Finish(); !reflect.DeepEqual(c, p) {
+		if c := finishPacked(t, &cb); !reflect.DeepEqual(c, p) {
 			t.Fatalf("trial %d: AppendView copy differs from the vector it copied", trial)
 		}
 
@@ -230,7 +251,7 @@ func TestVecPackedAccessors(t *testing.T) {
 	b.Append(2, []ID{10, 20})
 	b.Append(5, []ID{7})
 	b.Append(9, []ID{1, 2, 3})
-	v := FromPacked(b.Finish())
+	v := FromPacked(finishPacked(t, &b))
 
 	if v.Len() != 3 {
 		t.Fatalf("Len = %d", v.Len())
@@ -254,7 +275,7 @@ func TestVecPackedAccessors(t *testing.T) {
 
 	// Mutation unpacks, preserving content.
 	v.Insert(7, FromSorted([]ID{42}))
-	if v.Packed() != nil {
+	if v.pk != nil {
 		t.Fatal("Insert did not unpack")
 	}
 	if got := v.Keys(); !reflect.DeepEqual(got, []ID{2, 5, 7, 9}) {

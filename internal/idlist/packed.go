@@ -1,67 +1,98 @@
 package idlist
 
 // Packed is the block-compressed rendering of a whole association
-// vector: the sorted keys AND their terminal lists, laid out in one
-// contiguous byte blob. Where the raw Vec pays a slice header, a List
-// allocation, and eight bytes per id, a Packed pays a couple of delta
-// varints per entry — which is what turns the paper's five-fold space
-// overhead into roughly one compact copy per ordering.
+// vector: the sorted keys AND their terminal lists, laid out as one
+// self-delimiting run of bytes. Where the raw Vec pays a slice header, a
+// List allocation, and eight bytes per id, a packed vector pays a couple
+// of delta varints per entry — which is what turns the paper's five-fold
+// space overhead into roughly one compact copy per ordering — and it
+// holds no pointer, so any number of them can sit back to back in one
+// buffer the garbage collector never scans (core's index arena).
 //
-// Blob layout — a sequence of entries, one per (key, list) pair in
-// ascending key order:
+// Encoding:
 //
-//	uvarint keyDelta   key − previous key (the first entry stores the
-//	                   key itself)
-//	uvarint n          terminal-list length
-//	uvarint byteLen    byte length of the list payload that follows
-//	payload            AppendCompressed form of the n list values
+//	uvarint nKeys      number of entries
+//	uvarint total      sum of the terminal-list lengths
+//	uvarint dataLen    byte length of the entries
+//	skip table         only when nKeys > packedGroup: for every
+//	                   packedGroup-th entry, its key (8 bytes LE) and its
+//	                   byte offset into the entries (4 bytes LE)
+//	entries            one per (key, list) pair in ascending key order:
+//	    uvarint keyDelta   key − previous key (the first entry stores the
+//	                       key itself)
+//	    uvarint n          terminal-list length
+//	    uvarint byteLen    byte length of the list payload that follows
+//	    payload            AppendCompressed form of the n list values
 //
-// A skip table of every packedGroup-th key (and its byte offset) makes
-// Find a binary search plus a bounded forward walk; byteLen makes the
-// walk skip list payloads without decoding them. Lookups hand out
-// zero-copy Views into the blob; Packed is immutable, so the views stay
-// valid however the owning store evolves (mutation replaces packed
-// structures, it never edits them).
+// The skip table makes Find a binary search plus a bounded forward walk;
+// byteLen makes the walk skip list payloads without decoding them.
+// Lookups hand out zero-copy Views into the bytes, which are immutable,
+// so the views stay valid however the owning store evolves (mutation
+// writes new vectors, it never edits one).
 
-import (
-	"encoding/binary"
-	"slices"
+import "encoding/binary"
+
+const (
+	packedGroup = 16 // entry stride of the packed vector's key skip table
+	skipEntry   = 12 // bytes per skip-table entry
 )
 
-// packedGroup is the entry stride of the packed vector's key skip table.
-const packedGroup = 16
-
-// Packed is an immutable packed association vector.
+// Packed is a packed association vector decoded for reading: a small
+// value whose slices alias the encoded bytes. The zero value is the empty
+// vector.
 type Packed struct {
 	nKeys int
-	total int // sum of terminal-list lengths
-	data  []byte
-	// Skip table: first key and byte offset of every packedGroup-th
-	// entry. Nil when the vector fits in one group — the common case on
-	// real RDF data, where most heads have a handful of keys; a blob
-	// that small is walked from offset zero, and dropping the two skip
-	// slices saves two allocations per vector.
-	skipKey []ID
-	skipOff []uint32
+	total int
+	size  int    // byte length of the whole encoding
+	skip  []byte // nil when the vector fits in one group
+	data  []byte // the entries
 }
 
+// DecodePacked reads the header of the packed vector that starts at
+// b[0]; b may extend past the vector's end.
+func DecodePacked(b []byte) Packed {
+	nKeys, pos := uvarintAt(b, 0)
+	total, pos := uvarintAt(b, pos)
+	dataLen, pos := uvarintAt(b, pos)
+	p := Packed{nKeys: int(nKeys), total: int(total)}
+	if p.nKeys > packedGroup {
+		n := (p.nKeys + packedGroup - 1) / packedGroup * skipEntry
+		p.skip = b[pos : pos+n]
+		pos += n
+	}
+	p.size = pos + int(dataLen)
+	p.data = b[pos:p.size]
+	return p
+}
+
+// EncodedLen returns the byte length of the vector's encoding — header,
+// skip table and entries. The empty vector has no encoding: 0.
+func (p Packed) EncodedLen() int { return p.size }
+
 // PackedBuilder accumulates (key, sorted list) entries in ascending key
-// order and produces a Packed.
+// order and writes the packed vector into a buffer of the caller's.
+// Finish leaves it empty but keeps its scratch space, so encoding a run
+// of vectors allocates nothing per vector.
 type PackedBuilder struct {
-	p       Packed
+	nKeys   int
+	total   int
 	prevKey ID
+	skip    []byte
+	data    []byte
+	list    []byte // one list's payload, between AppendCompressed and appendEntry
 }
 
 // Append adds an entry. Keys must arrive strictly increasing and vals
 // strictly increasing; both are the invariants every index build in
 // this repository already maintains, so violations panic.
 func (b *PackedBuilder) Append(key ID, vals []ID) {
-	b.appendEntry(key, len(vals), AppendCompressed(nil, vals), nil)
+	b.list = AppendCompressed(b.list[:0], vals)
+	b.appendEntry(key, len(vals), b.list, nil)
 }
 
 // AppendView adds an entry whose list is v. A compressed view — an entry
-// of another Packed, say — is copied as the bytes it already is, with no
-// decode and re-encode; a raw view is encoded like Append's slice.
+// of another packed vector, say — is copied as the bytes it already is,
+// with no decode and re-encode; a raw view is encoded like Append's slice.
 func (b *PackedBuilder) AppendView(key ID, v View) {
 	if v.isRaw {
 		b.Append(key, v.raw)
@@ -73,64 +104,48 @@ func (b *PackedBuilder) AppendView(key ID, v View) {
 // appendEntry writes one entry whose n-value list payload is the
 // concatenation of p1 and p2.
 func (b *PackedBuilder) appendEntry(key ID, n int, p1, p2 []byte) {
-	if b.p.nKeys > 0 && key <= b.prevKey {
+	if b.nKeys > 0 && key <= b.prevKey {
 		panic("idlist: PackedBuilder key out of order")
 	}
-	if b.p.nKeys%packedGroup == 0 {
-		b.p.skipKey = append(b.p.skipKey, key)
-		b.p.skipOff = append(b.p.skipOff, uint32(len(b.p.data)))
+	if b.nKeys%packedGroup == 0 {
+		b.skip = binary.LittleEndian.AppendUint64(b.skip, uint64(key))
+		b.skip = binary.LittleEndian.AppendUint32(b.skip, uint32(len(b.data)))
 	}
-	b.p.data = binary.AppendUvarint(b.p.data, uint64(key-b.prevKey))
-	b.p.data = binary.AppendUvarint(b.p.data, uint64(n))
-	b.p.data = binary.AppendUvarint(b.p.data, uint64(len(p1)+len(p2)))
-	b.p.data = append(b.p.data, p1...)
-	b.p.data = append(b.p.data, p2...)
+	b.data = binary.AppendUvarint(b.data, uint64(key-b.prevKey))
+	b.data = binary.AppendUvarint(b.data, uint64(n))
+	b.data = binary.AppendUvarint(b.data, uint64(len(p1)+len(p2)))
+	b.data = append(b.data, p1...)
+	b.data = append(b.data, p2...)
 	b.prevKey = key
-	b.p.nKeys++
-	b.p.total += n
+	b.nKeys++
+	b.total += n
 }
 
-// Grow reserves room for n more blob bytes, for callers that know
-// roughly how large the vector will be.
-func (b *PackedBuilder) Grow(n int) { b.p.data = slices.Grow(b.p.data, n) }
-
 // Len returns the number of entries appended so far.
-func (b *PackedBuilder) Len() int { return b.p.nKeys }
+func (b *PackedBuilder) Len() int { return b.nKeys }
 
-// Finish returns the packed vector. The builder must not be reused.
-func (b *PackedBuilder) Finish() *Packed {
-	p := b.p
-	if p.nKeys <= packedGroup {
-		p.skipKey, p.skipOff = nil, nil
+// Finish appends the encoding of the entries added since the last Finish
+// (nothing, if none) to dst and empties the builder.
+func (b *PackedBuilder) Finish(dst []byte) []byte {
+	if b.nKeys > 0 {
+		dst = binary.AppendUvarint(dst, uint64(b.nKeys))
+		dst = binary.AppendUvarint(dst, uint64(b.total))
+		dst = binary.AppendUvarint(dst, uint64(len(b.data)))
+		if b.nKeys > packedGroup {
+			dst = append(dst, b.skip...)
+		}
+		dst = append(dst, b.data...)
 	}
-	b.p = Packed{}
-	return &p
+	*b = PackedBuilder{skip: b.skip[:0], data: b.data[:0], list: b.list[:0]}
+	return dst
 }
 
 // Len returns the number of keys.
-func (p *Packed) Len() int {
-	if p == nil {
-		return 0
-	}
-	return p.nKeys
-}
+func (p Packed) Len() int { return p.nKeys }
 
 // Total returns the sum of terminal-list lengths — the number of index
 // entries the vector holds.
-func (p *Packed) Total() int {
-	if p == nil {
-		return 0
-	}
-	return p.total
-}
-
-// SizeBytes returns the in-memory footprint of the blob and skip table.
-func (p *Packed) SizeBytes() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.data) + len(p.skipKey)*8 + len(p.skipOff)*4
-}
+func (p Packed) Total() int { return p.total }
 
 // uvarintAt is binary.Uvarint with a fast path for the one-byte values
 // that dominate delta streams.
@@ -146,27 +161,25 @@ func uvarintAt(b []byte, pos int) (uint64, int) {
 // delta is relative to prevKey): the key, the list length, the body
 // byte range, and the offset of the next entry. Walks over non-matching
 // entries stay header-only — no view construction, no inner skip-walk.
-func (p *Packed) headerAt(pos int, prevKey ID) (key ID, n, bodyStart, next int) {
+func (p Packed) headerAt(pos int, prevKey ID) (key ID, n, bodyStart, next int) {
 	d, pos := uvarintAt(p.data, pos)
 	nn, pos := uvarintAt(p.data, pos)
 	bl, pos := uvarintAt(p.data, pos)
 	return prevKey + ID(d), int(nn), pos, pos + int(bl)
 }
 
-// entryAt decodes the entry at byte offset pos (whose key delta is
-// relative to prevKey) and returns the key, the list view, and the
-// offset of the next entry.
-func (p *Packed) entryAt(pos int, prevKey ID) (key ID, v View, next int) {
-	key, n, bodyStart, next := p.headerAt(pos, prevKey)
-	return key, MakeCompressed(n, p.data[bodyStart:next]).View(), next
+// group returns the key and the entries offset of skip-table group g.
+func (p Packed) group(g int) (key ID, off int) {
+	e := p.skip[g*skipEntry : g*skipEntry+skipEntry]
+	return ID(binary.LittleEndian.Uint64(e)), int(binary.LittleEndian.Uint32(e[8:]))
 }
 
 // groupFor returns the skip-table group whose key range contains key.
-func (p *Packed) groupFor(key ID) int {
-	lo, hi := 0, len(p.skipKey)
+func (p Packed) groupFor(key ID) int {
+	lo, hi := 0, len(p.skip)/skipEntry
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if p.skipKey[mid] <= key {
+		if k, _ := p.group(mid); k <= key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -176,20 +189,19 @@ func (p *Packed) groupFor(key ID) int {
 }
 
 // Find returns the terminal-list view for key. The view aliases the
-// blob — zero copy.
-func (p *Packed) Find(key ID) (View, bool) {
-	if p == nil || p.nKeys == 0 {
+// encoded bytes — zero copy.
+func (p Packed) Find(key ID) (View, bool) {
+	if p.nKeys == 0 {
 		return View{}, false
 	}
 	first, pos, prev := 0, 0, ID(0)
-	if p.skipKey != nil {
+	if p.skip != nil {
 		g := p.groupFor(key)
 		if g < 0 {
 			return View{}, false
 		}
 		first = g * packedGroup
-		pos = int(p.skipOff[g])
-		prev = p.skipKey[g] // group head: absolute key from the skip table
+		prev, pos = p.group(g) // group head: absolute key from the skip table
 	}
 	end := first + packedGroup
 	if end > p.nKeys {
@@ -197,8 +209,8 @@ func (p *Packed) Find(key ID) (View, bool) {
 	}
 	for i := first; i < end; i++ {
 		k, n, bodyStart, next := p.headerAt(pos, prev)
-		if i == first && p.skipKey != nil {
-			// Entry key deltas chain across the whole blob; the decoded
+		if i == first && p.skip != nil {
+			// Entry key deltas chain across all the entries; the decoded
 			// delta at a group head is relative to the previous group's
 			// last key, so substitute the skip table's absolute key.
 			k = prev
@@ -217,15 +229,12 @@ func (p *Packed) Find(key ID) (View, bool) {
 
 // Range streams every (key, list view) pair in ascending key order
 // until fn returns false.
-func (p *Packed) Range(fn func(key ID, v View) bool) {
-	if p == nil {
-		return
-	}
+func (p Packed) Range(fn func(key ID, v View) bool) {
 	pos := 0
 	prev := ID(0)
 	for i := 0; i < p.nKeys; i++ {
-		k, v, next := p.entryAt(pos, prev)
-		if !fn(k, v) {
+		k, n, bodyStart, next := p.headerAt(pos, prev)
+		if !fn(k, MakeCompressed(n, p.data[bodyStart:next]).View()) {
 			return
 		}
 		prev = k
@@ -235,17 +244,15 @@ func (p *Packed) Range(fn func(key ID, v View) bool) {
 
 // entry returns the i-th entry (0-based) by walking forward from the
 // nearest skip-table group — O(packedGroup) header decodes.
-func (p *Packed) entry(i int) (key ID, v View) {
+func (p Packed) entry(i int) (key ID, v View) {
 	first, pos, prev := 0, 0, ID(0)
-	if p.skipKey != nil {
-		g := i / packedGroup
-		first = g * packedGroup
-		pos = int(p.skipOff[g])
-		prev = p.skipKey[g]
+	if p.skip != nil {
+		first = i / packedGroup * packedGroup
+		prev, pos = p.group(i / packedGroup)
 	}
 	for j := first; ; j++ {
 		k, n, bodyStart, next := p.headerAt(pos, prev)
-		if j == first && p.skipKey != nil {
+		if j == first && p.skip != nil {
 			k = prev
 		}
 		if j == i {
@@ -257,7 +264,7 @@ func (p *Packed) entry(i int) (key ID, v View) {
 }
 
 // AppendKeys appends every key in ascending order to dst.
-func (p *Packed) AppendKeys(dst []ID) []ID {
+func (p Packed) AppendKeys(dst []ID) []ID {
 	p.Range(func(k ID, _ View) bool {
 		dst = append(dst, k)
 		return true

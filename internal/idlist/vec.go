@@ -21,15 +21,15 @@ type Vec struct {
 	pk    *Packed
 }
 
-// FromPacked wraps a packed vector.
-func FromPacked(p *Packed) *Vec { return &Vec{pk: p} }
-
-// Packed returns the packed rendering, or nil when the vector is raw.
-func (v *Vec) Packed() *Packed {
-	if v == nil {
-		return nil
-	}
-	return v.pk
+// FromPacked wraps a packed vector; the Vec and its copy of the decoded
+// header are one allocation.
+func FromPacked(p Packed) *Vec {
+	w := &struct {
+		Vec
+		p Packed
+	}{p: p}
+	w.pk = &w.p
+	return &w.Vec
 }
 
 // Len returns the number of keys in the vector.

@@ -127,7 +127,7 @@ func TestPackedDifferential(t *testing.T) {
 			lists[k] = l
 			b.Append(k, l)
 		}
-		p := b.Finish()
+		p := finishPacked(t, &b)
 		if p.Len() != nk {
 			t.Fatalf("Len")
 		}

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"time"
 
+	"hexastore/internal/core"
 	"hexastore/internal/delta"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
@@ -51,17 +52,56 @@ func (s *Server) metricsInit() {
 		})
 	s.registerCacheMetrics()
 	s.registerPagefileMetrics()
+	s.registerIndexMetrics()
 }
 
-// diskStore returns the disk store the served graph is, or is an
-// overlay or adapter over; nil for every other backend.
-func (s *Server) diskStore() *disk.Store {
+// mainStore returns the store the served graph is, or is an overlay or
+// adapter over. It resolves through the overlay's current main on every
+// call, so what it returns follows compactions.
+func (s *Server) mainStore() any {
 	inner := s.g
 	if ov, ok := inner.(*delta.Overlay); ok {
 		inner = ov.Main()
 	}
-	st, _ := graph.Unwrap(inner).(*disk.Store)
+	return graph.Unwrap(inner)
+}
+
+// diskStore returns mainStore when it is a disk store; nil for every
+// other backend.
+func (s *Server) diskStore() *disk.Store {
+	st, _ := s.mainStore().(*disk.Store)
 	return st
+}
+
+// memStore returns mainStore when it is an in-memory Hexastore; nil for
+// every other backend.
+func (s *Server) memStore() *core.Store {
+	st, _ := s.mainStore().(*core.Store)
+	return st
+}
+
+// registerIndexMetrics publishes the memory store's index footprint: the
+// heap bytes of the six arenas, the bytes in them that compactions have
+// orphaned and the next rewrite reclaims — garbage accumulating between
+// rewrites is the layout's one failure mode, and this is where it shows
+// — and the head count per ordering. All are the store's running
+// counters, read on scrape; other backends expose no such families.
+func (s *Server) registerIndexMetrics() {
+	if s.memStore() == nil {
+		return
+	}
+	s.reg.GaugeFunc("hex_index_bytes",
+		"Heap bytes of the packed index arenas (0 while the store is in the raw layout).",
+		func() float64 { return float64(s.memStore().ArenaStats().HeapBytes) })
+	s.reg.GaugeFunc("hex_index_dead_bytes",
+		"Arena bytes no head reaches anymore, awaiting a rewrite.",
+		func() float64 { return float64(s.memStore().ArenaStats().DeadBytes) })
+	for _, ix := range core.AllIndexes {
+		s.reg.GaugeFunc("hex_index_heads",
+			"Head resources per index ordering.",
+			func() float64 { return float64(s.memStore().Heads(ix)) },
+			"ordering", ix.String())
+	}
 }
 
 // registerPagefileMetrics publishes the buffer pool counters of a

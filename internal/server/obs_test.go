@@ -87,9 +87,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// metricValue returns the value of the unlabelled sample name in the
-// server's /metrics exposition, failing the test when it is not there.
-func metricValue(t *testing.T, url, name string) float64 {
+// metricsText returns the server's /metrics exposition.
+func metricsText(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -100,7 +99,15 @@ func metricValue(t *testing.T, url, name string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(string(body), "\n") {
+	return string(body)
+}
+
+// metricValue returns the value of the sample name (labels included, if
+// it has any) in the server's /metrics exposition, failing the test when
+// it is not there.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(metricsText(t, url), "\n") {
 		if rest, ok := strings.CutPrefix(line, name+" "); ok {
 			v, err := strconv.ParseFloat(rest, 64)
 			if err != nil {
@@ -148,6 +155,101 @@ func TestMetricsPagefileFamilies(t *testing.T) {
 	if got, want := metricValue(t, ts.URL, hits), float64(ds.FileStats().Hits); got != want {
 		t.Errorf("%s reported %v, the pagefile counted %v", hits, got, want)
 	}
+}
+
+// TestIndexFootprintObservable: what the packed index costs is on /stats
+// and /metrics of a memory server and of a live one, read from the
+// store's counters — on the live server through the overlay's current
+// main, so a compaction's orphaned bytes show up as dead and a rewrite
+// takes them away again — and absent on a disk server.
+func TestIndexFootprintObservable(t *testing.T) {
+	iri := func(kind string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/%s%d", kind, i)) }
+	b := core.NewBuilder(nil)
+	for i := 0; i < 400; i++ {
+		b.AddTriple(rdf.T(iri("s", i%40), iri("p", i%5), iri("o", i)))
+	}
+	st := b.Build()
+	const spoHeads, deadBytes = `hex_index_heads{ordering="spo"}`, "hex_index_dead_bytes"
+
+	t.Run("memory", func(t *testing.T) {
+		ts := httptest.NewServer(New(st).Handler())
+		t.Cleanup(ts.Close)
+		got := statsKeys(t, ts.URL)
+		wantKeys(t, "memory", got, []string{"indexArenaBytes", "indexDeadBytes", "indexSegments"})
+		if got["indexArenaBytes"].(float64) <= 0 || got["indexDeadBytes"].(float64) != 0 || got["indexSegments"].(float64) != 6 {
+			t.Errorf("/stats of a fresh build: arena %v, dead %v, segments %v", got["indexArenaBytes"], got["indexDeadBytes"], got["indexSegments"])
+		}
+		if v := metricValue(t, ts.URL, "hex_index_bytes"); v != float64(st.IndexBytes()) || v != got["indexBytes"].(float64) {
+			t.Errorf("hex_index_bytes = %v, IndexBytes %d, /stats indexBytes %v", v, st.IndexBytes(), got["indexBytes"])
+		}
+		if v := metricValue(t, ts.URL, deadBytes); v != 0 {
+			t.Errorf("%s = %v on a fresh build", deadBytes, v)
+		}
+		if v := metricValue(t, ts.URL, spoHeads); v != 40 {
+			t.Errorf("%s = %v, want 40", spoHeads, v)
+		}
+		if v := metricValue(t, ts.URL, `hex_index_heads{ordering="pos"}`); v != 5 {
+			t.Errorf("pos heads = %v, want 5", v)
+		}
+	})
+
+	t.Run("live", func(t *testing.T) {
+		ov, err := delta.Open(graph.Memory(st), delta.Options{CompactThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ov.Close() })
+		ts := httptest.NewServer(NewGraph(ov).Handler())
+		t.Cleanup(ts.Close)
+		if v := metricValue(t, ts.URL, deadBytes); v != 0 {
+			t.Fatalf("%s = %v before any compaction", deadBytes, v)
+		}
+		// One new triple under one new subject per compaction: each leaves
+		// a few replaced vectors behind, until an ordering is rewritten.
+		rose, fell, prev := false, false, 0.0
+		for i := 0; i < 60 && !fell; i++ {
+			if _, _, err := ov.ApplyTriples([]graph.TripleOp{{T: rdf.T(iri("new", 0), iri("p", 0), iri("fresh", i))}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ov.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			dead := metricValue(t, ts.URL, deadBytes)
+			rose = rose || dead > prev
+			fell = rose && dead < prev
+			prev = dead
+		}
+		if !rose || !fell {
+			t.Errorf("%s over 60 compactions: rose %v, fell after a rewrite %v", deadBytes, rose, fell)
+		}
+		if v := metricValue(t, ts.URL, spoHeads); v != 41 {
+			t.Errorf("%s = %v after compacting a new subject in, want 41", spoHeads, v)
+		}
+		main := graph.Unwrap(ov.Main()).(*core.Store)
+		if v := metricValue(t, ts.URL, "hex_index_bytes"); v != float64(main.IndexBytes()) {
+			t.Errorf("hex_index_bytes = %v, the current main holds %d", v, main.IndexBytes())
+		}
+		if got := statsKeys(t, ts.URL); got["indexDeadBytes"].(float64) != prev {
+			t.Errorf("/stats indexDeadBytes = %v, /metrics says %v", got["indexDeadBytes"], prev)
+		}
+	})
+
+	t.Run("disk", func(t *testing.T) {
+		ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		if _, err := ds.AddTriple(rdf.T(iri("s", 0), iri("p", 0), iri("o", 0))); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewGraph(graph.Disk(ds)).Handler())
+		t.Cleanup(ts.Close)
+		rejectKeys(t, "disk", statsKeys(t, ts.URL), []string{"indexArenaBytes", "indexDeadBytes", "indexSegments"})
+		if strings.Contains(metricsText(t, ts.URL), "hex_index_") {
+			t.Error("/metrics of a disk server exposes index arena families")
+		}
+	})
 }
 
 // explainResults is sparqlResults plus the explain tree.

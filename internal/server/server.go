@@ -454,7 +454,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// A delta overlay reports the live-update subsystem's state: delta
 	// size and chunk count, WAL footprint, compaction count. The index-layout stats
 	// below then describe the overlay's main store.
-	inner := s.g
 	if ov, ok := s.g.(*delta.Overlay); ok {
 		ds := ov.Stats()
 		out["deltaAdds"] = ds.DeltaAdds
@@ -467,14 +466,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			out["walBytes"] = ds.WALBytes
 			out["walPath"] = ds.WALPath
 		}
-		inner = ov.Main()
 	}
 	// The in-memory Hexastore additionally reports its index layout,
 	// the §4.1 space-expansion factor, and the physical footprint of
 	// the block-compressed index layer: approximate heap bytes, bytes
 	// per triple, and the compression ratio against the raw layout's
-	// estimated cost for the same content.
-	if st, ok := graph.Unwrap(inner).(*core.Store); ok {
+	// estimated cost for the same content; a compressed store also what
+	// its arenas hold, how much of that is dead, and in how many segments.
+	if st := s.memStore(); st != nil {
 		stats := st.Stats()
 		out["headers"] = stats.Headers
 		out["vectorEntries"] = stats.VectorEntries
@@ -485,8 +484,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out["indexBytes"] = is.Bytes
 		out["indexBytesPerTriple"] = is.BytesPerTriple()
 		out["indexCompressed"] = is.Compressed
-		if is.Compressed && is.Bytes > 0 {
-			out["compressionRatio"] = float64(core.EstimateRawIndexBytes(stats)) / float64(is.Bytes)
+		if is.Compressed {
+			as := st.ArenaStats()
+			out["indexArenaBytes"] = as.Bytes
+			out["indexDeadBytes"] = as.DeadBytes
+			out["indexSegments"] = as.Segments
+			if is.Bytes > 0 {
+				out["compressionRatio"] = float64(core.EstimateRawIndexBytes(stats)) / float64(is.Bytes)
+			}
 		}
 	}
 	// The disk backend reports its on-disk footprint (pagefile plus
