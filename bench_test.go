@@ -544,6 +544,59 @@ func BenchmarkServeLargeResult(b *testing.B) {
 	b.ReportMetric(float64(rows), "rows/op")
 }
 
+// scanRotation is the end-to-end benchmark's scan-mem rotation
+// (benchmark/workloads.go, copied so that neither can change under the
+// other): five join shapes, an ORDER BY … LIMIT over a unique key and a
+// FILTER between two variables.
+var scanRotation = []string{
+	`SELECT ?student ?course WHERE { ?student <lubm:advisor> ?prof . ?prof <lubm:teacherOf> ?course }`,
+	`SELECT ?student ?course WHERE { ?student <lubm:advisor> ?prof . ?prof <lubm:teacherOf> ?course . ?student <lubm:takesCourse> ?course }`,
+	`SELECT DISTINCT ?prof WHERE { ?student <lubm:advisor> ?prof . ?student <lubm:takesCourse> ?course }`,
+	`SELECT ?prof (COUNT(?student) AS ?n) WHERE { ?student <lubm:advisor> ?prof } GROUP BY ?prof`,
+	`SELECT ?prof (COUNT(DISTINCT ?student) AS ?n) WHERE { ?student <lubm:advisor> ?prof . ?student <lubm:takesCourse> ?course } GROUP BY ?prof`,
+	`SELECT ?student ?prof WHERE { ?student <lubm:advisor> ?prof } ORDER BY ?student LIMIT 100`,
+	`SELECT ?student ?course WHERE { ?student <lubm:teachingAssistantOf> ?course . ?student <lubm:advisor> ?prof . ?prof <lubm:teacherOf> ?c2 . FILTER (?course != ?c2) }`,
+}
+
+// BenchmarkScanRotation serves one round of the scan-mem rotation per
+// iteration through the full HTTP handler, result cache off, over a
+// store whose advisor seed (~8k rows) spans several of the join
+// pipeline's chunks. B/op and allocs/op are the committed allocation
+// figure of the chunked executor: what a round of analytic queries
+// allocates between parse and the last byte of SPARQL-JSON.
+func BenchmarkScanRotation(b *testing.B) {
+	bld := core.NewBuilder(nil)
+	lubm.Config{
+		Universities: 10, Seed: 1, DeptsPerUniv: 15,
+		UndergradPerDept: 120, GradPerDept: 30, CoursesPerDept: 20,
+	}.Generate(func(t rdf.Triple) bool {
+		bld.AddTriple(t)
+		return true
+	})
+	srv := server.New(bld.Build())
+	srv.SetResultCacheBytes(0)
+	h := srv.Handler()
+	targets := make([]string, len(scanRotation))
+	for i, q := range scanRotation {
+		targets[i] = "/sparql?query=" + url.QueryEscape(q)
+	}
+	var bytesOut int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bytesOut = 0
+		for _, target := range targets {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			bytesOut += int64(rec.Body.Len())
+		}
+	}
+	b.SetBytes(bytesOut)
+}
+
 // BenchmarkOrderByLimit times ORDER BY … LIMIT over every advisor pair:
 // all candidates are visited but only the top 100 are kept (a bounded
 // heap on keys parsed once per distinct id), so allocs/op should track

@@ -50,6 +50,15 @@ type Dictionary struct {
 	// revMu guards reverse, the merged id → term-key view all shards
 	// allocate from; reverse[id-1] = term key. Lock order: a shard mutex
 	// may be held when taking revMu, never the other way around.
+	//
+	// reverse is append-only: Encode is its only writer and it only ever
+	// appends, so an element, once written, is never written again — an
+	// append either fills spare capacity past every header taken earlier
+	// or moves to a new array and leaves the old one as it was. A slice
+	// header copied under revMu is therefore an immutable prefix that
+	// can be read without the lock for as long as it is kept, which is
+	// what Snapshot relies on. Anything that would rewrite or truncate
+	// reverse has to retire the snapshots first.
 	revMu   sync.RWMutex
 	reverse []string
 }
@@ -125,6 +134,45 @@ func (d *Dictionary) Decode(id ID) (rdf.Term, error) {
 		return rdf.Term{}, fmt.Errorf("dictionary: unknown id %d", id)
 	}
 	return rdf.TermFromKey(d.reverse[id-1])
+}
+
+// Snapshot is a decoder over the terms the dictionary held when the
+// snapshot was last refreshed: it reads a private header of
+// the append-only key table, so Decode takes no lock. A query takes one
+// and decodes every cell of its answer through it, where Dictionary.Decode
+// would take and drop the read lock once per cell. A Snapshot is not safe
+// for concurrent use; any number of them may be in use while other
+// goroutines Encode.
+type Snapshot struct {
+	d    *Dictionary
+	keys []string
+}
+
+// Snapshot returns a decoder over the dictionary's terms. The key table
+// is read on the first Decode, so a snapshot nothing decodes through
+// costs nothing.
+func (d *Dictionary) Snapshot() Snapshot { return Snapshot{d: d} }
+
+func (s *Snapshot) refresh() {
+	s.d.revMu.RLock()
+	s.keys = s.d.reverse
+	s.d.revMu.RUnlock()
+}
+
+// Decode returns the term for id, as Dictionary.Decode does. An id past
+// the snapshot's end — assigned since it was taken — refreshes it once.
+func (s *Snapshot) Decode(id ID) (rdf.Term, error) {
+	// id-1 wraps None around to the largest value, so one compare turns
+	// away both "no term" and an id the snapshot does not cover.
+	if uint64(id-1) >= uint64(len(s.keys)) {
+		if id != None {
+			s.refresh()
+		}
+		if uint64(id-1) >= uint64(len(s.keys)) {
+			return rdf.Term{}, fmt.Errorf("dictionary: unknown id %d", id)
+		}
+	}
+	return rdf.TermFromKey(s.keys[id-1])
 }
 
 // MustDecode is Decode for callers that know the id is valid (e.g. ids

@@ -259,3 +259,61 @@ func TestSizeBytesGrows(t *testing.T) {
 		t.Errorf("SizeBytes did not grow: before=%d after=%d", before, after)
 	}
 }
+
+// TestSnapshotDecodeDuringEncode decodes through snapshots while another
+// goroutine encodes past their end — the shape of a query emitting rows
+// beside a writer. Under -race it holds the append-only invariant the
+// snapshot relies on: an element of the key table, once written, is never
+// written again, so the lock-free reads of the prefix and the appends
+// behind it touch different memory. An id assigned after the snapshot was
+// taken must decode too, through the one refresh.
+func TestSnapshotDecodeDuringEncode(t *testing.T) {
+	d := New()
+	const pre, post = 500, 20000
+	for i := 0; i < pre; i++ {
+		d.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/pre%d", i)))
+	}
+	grown := make(chan ID, 1)
+	go func() {
+		var last ID
+		for i := 0; i < post; i++ {
+			last = d.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/post%d", i)))
+		}
+		grown <- last
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snap := d.Snapshot()
+			for round := 0; round < 50; round++ {
+				for id := ID(1); id <= pre; id++ {
+					term, err := snap.Decode(id)
+					if want := fmt.Sprintf("http://ex/pre%d", id-1); err != nil || term.Value != want {
+						t.Errorf("Decode(%d) = %v, %v; want %s", id, term, err, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	last := <-grown
+	stale := d.Snapshot()
+	if _, err := stale.Decode(1); err != nil {
+		t.Fatal(err)
+	}
+	next := d.Encode(rdf.NewIRI("http://ex/after"))
+	if term, err := stale.Decode(next); err != nil || term.Value != "http://ex/after" {
+		t.Fatalf("Decode past the snapshot's end = %v, %v", term, err)
+	}
+	if term, err := stale.Decode(last); err != nil || term.Value != fmt.Sprintf("http://ex/post%d", post-1) {
+		t.Fatalf("Decode(%d) = %v, %v", last, term, err)
+	}
+	for _, id := range []ID{None, next + 1} {
+		if _, err := stale.Decode(id); err == nil {
+			t.Errorf("Decode(%d) succeeded on an id never assigned", id)
+		}
+	}
+}

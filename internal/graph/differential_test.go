@@ -358,17 +358,16 @@ func TestConcurrentQueryUpdate(t *testing.T) {
 // 1, 2 and 8 over every backend (the disk engine's sorted accessors run
 // one independent B+-tree scan per call, so concurrent workers are safe)
 // and requires results identical to the sequential evaluation — not just
-// the same solution set, but the same row order, since parallel steps
-// splice their partitions in row order.
+// the same solution set, but the same row order, since chunks are
+// emitted in seed order whichever worker joined them. The fixture is
+// sized so that every seed spans several of the pipeline's chunks.
 func TestDifferentialWorkers(t *testing.T) {
-	sparql.SetParallelRowThreshold(2)
-	defer sparql.SetParallelRowThreshold(0)
-
+	const people = 1500
 	var triples []rdf.Triple
-	for i := 0; i < 120; i++ {
+	for i := 0; i < people; i++ {
 		triples = append(triples,
-			rdf.T(ex(fmt.Sprintf("p%d", i)), ex("knows"), ex(fmt.Sprintf("p%d", (i*7+3)%120))),
-			rdf.T(ex(fmt.Sprintf("p%d", i)), ex("knows"), ex(fmt.Sprintf("p%d", (i*13+5)%120))),
+			rdf.T(ex(fmt.Sprintf("p%d", i)), ex("knows"), ex(fmt.Sprintf("p%d", (i*7+3)%people))),
+			rdf.T(ex(fmt.Sprintf("p%d", i)), ex("knows"), ex(fmt.Sprintf("p%d", (i*13+5)%people))),
 			rdf.T(ex(fmt.Sprintf("p%d", i)), ex("likes"), ex(fmt.Sprintf("t%d", i%9))))
 	}
 	queries := []string{

@@ -55,6 +55,28 @@ func snapshotBytes(t *testing.T, ov *delta.Overlay) []byte {
 	return buf.Bytes()
 }
 
+// waitSameSnapshot waits for a background follower to bring the replica
+// to the (quiescent) leader's content: the store snapshots byte for byte.
+// Equal Len is not convergence — a batch that adds as many triples as it
+// deletes leaves Len where the batch before it did, so a wait on Len can
+// return with the replica one batch behind.
+func waitSameSnapshot(t *testing.T, replica, leader *delta.Overlay, f *shard.Follower) {
+	t.Helper()
+	want := snapshotBytes(t, leader)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := snapshotBytes(t, replica)
+		if bytes.Equal(got, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica snapshot differs from the leader's (%d vs %d bytes, %d of %d triples, stats %+v)",
+				len(got), len(want), replica.Len(), leader.Len(), f.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func writerBatches(t *testing.T, g graph.Graph, gens int) {
 	t.Helper()
 	for gen := 0; gen < gens; gen++ {
@@ -165,13 +187,7 @@ func TestFollowerPolling(t *testing.T) {
 	defer f.Close()
 
 	writerBatches(t, leader, 4)
-	deadline := time.Now().Add(5 * time.Second)
-	for replica.Len() != leader.Len() {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at %d of %d triples (stats %+v)", replica.Len(), leader.Len(), f.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitSameSnapshot(t, replica, leader, f)
 }
 
 // TestFollowerTCP ships the WAL over a socket: leader serves with
@@ -193,17 +209,7 @@ func TestFollowerTCP(t *testing.T) {
 	defer f.Close()
 
 	writerBatches(t, leader, 4)
-	waitConverged := func() {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for replica.Len() != leader.Len() {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica stuck at %d of %d triples (stats %+v)", replica.Len(), leader.Len(), f.Stats())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitConverged()
+	waitSameSnapshot(t, replica, leader, f)
 
 	// Checkpoint truncates the log; the serving connection drops, the
 	// follower reconnects with shipReset and keeps following.
@@ -211,10 +217,7 @@ func TestFollowerTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	writerBatches(t, leader, 2)
-	waitConverged()
-	if got, want := snapshotBytes(t, replica), snapshotBytes(t, leader); !bytes.Equal(got, want) {
-		t.Fatal("TCP replica diverged")
-	}
+	waitSameSnapshot(t, replica, leader, f)
 }
 
 // TestReplicaCluster replicates a 2-shard leader cluster into a

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
 	"net"
 	"os"
 	"path/filepath"
@@ -64,19 +63,8 @@ func TestFollowerReconnectConvergence(t *testing.T) {
 	f.Start()
 	defer f.Close()
 
-	waitConverged := func(leader *delta.Overlay) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for replica.Len() != leader.Len() {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica stuck at %d of %d triples (stats %+v)",
-					replica.Len(), leader.Len(), f.Stats())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
 	writerBatches(t, leader, 3)
-	waitConverged(leader)
+	waitSameSnapshot(t, replica, leader, f)
 
 	// Injected leader failure: the next WAL group write tears after 7
 	// bytes. The writer sees the error, the log poisons itself, and the
@@ -128,10 +116,7 @@ func TestFollowerReconnectConvergence(t *testing.T) {
 	go shard.ServeWALWith(l2, []string{walPath}, shard.ShipOptions{Keepalive: 10 * time.Millisecond}) //nolint:errcheck // ends with the listener
 
 	writerBatches(t, leader, 2)
-	waitConverged(leader)
-	if got, want := snapshotBytes(t, replica), snapshotBytes(t, leader); !bytes.Equal(got, want) {
-		t.Fatalf("replica snapshot differs from repaired leader (%d vs %d bytes)", len(got), len(want))
-	}
+	waitSameSnapshot(t, replica, leader, f)
 	if st := f.Stats(); st.Degraded || st.ConsecutiveFailures != 0 {
 		t.Fatalf("follower should be healthy after reconnect (stats %+v)", st)
 	}

@@ -1,11 +1,9 @@
 package sparql
 
 // This file implements the vectorized batch execution engine under the
-// SPARQL evaluator. Instead of the historical tuple-at-a-time bind join
-// (one map[string]ID binding per step, one Match callback per candidate
-// triple), a basic graph pattern is evaluated against a columnar
-// binding table: one []core.ID column per variable, one join step per
-// triple pattern.
+// SPARQL evaluator. A basic graph pattern is evaluated against a
+// columnar binding table: one []core.ID column per variable, one join
+// step per triple pattern.
 //
 // Each step is one of three shapes (paper §4.2 — every Hexastore vector
 // and terminal list is sorted, so pairwise joins are linear
@@ -13,35 +11,42 @@ package sparql
 //
 //   - merge/probe filter: the pattern binds no new variable. When the
 //     pattern is one join column against two constants, its sorted
-//     candidate list is fetched once and merge-intersected against the
-//     column with galloping (idlist.MergeFilter); otherwise each row is
-//     an existence probe.
+//     candidate list is merge-intersected against the column with
+//     galloping (idlist.MergeFilter); otherwise each row is an existence
+//     probe.
 //   - expansion: the pattern binds new variables. Candidate values come
 //     from the backend's sorted lists (graph.SortedSource) and are
-//     appended to fresh columns with bulk slice copies — a batched bind
-//     join with no per-triple callback into the evaluator.
+//     appended to the output columns with bulk slice copies — a batched
+//     bind join with no per-triple callback into the evaluator.
 //   - fallback: backends without sorted-list access (the flat baseline
 //     table) collect candidates through Match into reusable scratch
 //     buffers; the table machinery is identical, only the fetch differs.
 //
+// The join is a pipeline over chunks. The steps up to the first one that
+// binds a variable run once and leave the seed table, materialised in
+// full (a probe made from inside a fetch callback would re-enter the
+// store's read lock, so the seed is never streamed). The seed is then cut
+// into chunks of chunkRows rows, and each chunk runs through the
+// remaining steps, the staged FILTERs and emission before the next one
+// starts: the binding table at any moment is one chunk and what it fans
+// out to, not the whole intermediate result, its columns come from and
+// return to the executor's free list, and LIMIT / ASK stop the loop
+// between chunks. What a step fetches that does not depend on the row —
+// a merge filter's candidate list, the shared list of a cross product, a
+// constant pattern's existence — is fetched by the first chunk that
+// reaches the step and kept for the branch (a disk backend pays a
+// B+-tree scan for each). A table of at most one chunk is the
+// one-iteration case of the same loop. See parallel.go for how chunks
+// spread over workers.
+//
 // Rows stay dictionary-encoded IDs until final projection (late
 // materialization): DISTINCT and GROUP BY key on fixed-width binary ID
-// tuples and terms are decoded once per emitted row through a per-query
-// cache.
-//
-// Trade-off versus the old depth-first walk: batch execution
-// materializes each intermediate table in full. The final join step is
-// capped when every surviving row is guaranteed to be emitted (rowCap,
-// restoring early termination for plain ASK/LIMIT), but intermediate
-// steps — and queries where DISTINCT, trailing filters or OPTIONAL
-// groups sit between the join and emission — do the whole join before
-// the limit applies, where the streaming walk could stop mid-join.
-// Chunked (per-seed-range) execution would recover that and is the
-// natural follow-up once execution is partitioned for parallelism.
+// tuples and a term is decoded only for a cell that is kept.
 
 import (
 	"slices"
 	"strings"
+	"sync"
 
 	"hexastore/internal/core"
 	"hexastore/internal/graph"
@@ -49,33 +54,24 @@ import (
 	"hexastore/internal/obs"
 )
 
+// chunkRows is how many seed rows one pass of the join pipeline carries.
+// Large enough that per-chunk bookkeeping vanishes beside the row loops,
+// small enough that a chunk and its fan-out stay in cache. It is a
+// constant of the engine: only the chunk-boundary tests assign it.
+var chunkRows = 1024
+
 // batchTable is the columnar binding table: cols[i] holds the value of
-// variable vars[i] for every intermediate row. n is the row count; the
-// table starts as one logical row with no columns (the unit table), so
-// seeding and cross products need no special casing. sorted[i] records
-// that cols[i] is non-decreasing, which is what licenses the galloping
-// merge in filter steps.
+// variable vars[i] for every row. n is the row count; the unit table (one
+// row, no columns) is what a branch starts from, so seeding and cross
+// products need no special casing. sorted[i] records that cols[i] is
+// non-decreasing, which is what licenses the galloping merge in filter
+// steps. vars and sorted belong to the branch's plan (the schema after a
+// step is the same for every chunk); cols belongs to the executor.
 type batchTable struct {
 	vars   []string
 	cols   [][]core.ID
 	sorted []bool
 	n      int
-}
-
-func (t *batchTable) reset() {
-	t.vars = t.vars[:0]
-	t.cols = t.cols[:0]
-	t.sorted = t.sorted[:0]
-	t.n = 1
-}
-
-func (t *batchTable) colIndex(name string) int {
-	for i, v := range t.vars {
-		if v == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // compact keeps only the rows whose indices are listed in keep
@@ -99,7 +95,7 @@ const (
 	posFree                  // new variable (output slot sp.slot[j])
 )
 
-// stepSpec is one pattern classified against the current binding table.
+// stepSpec is one pattern classified against the binding table's schema.
 type stepSpec struct {
 	kind [3]stepKind
 	ids  [3]core.ID // constants; None at col/free positions — i.e. the fetch pattern before per-row substitution
@@ -114,7 +110,68 @@ type stepSpec struct {
 	nFree    int      // number of posFree positions (duplicates counted)
 }
 
-// batchExec evaluates one union branch over a binding table.
+// stepPlan is one join step of a branch: its pattern classified once
+// against the schema the steps before it leave, the FILTERs staged in
+// front of it, and the part of its work that is the same for every chunk.
+type stepPlan struct {
+	stepSpec
+	hint    stepHint   // the planner's access-path choice (advisory: it biases merge-vs-probe, never the rows)
+	filters []*cfilter // staged FILTERs applied before the step
+	seeds   bool       // first step to bind a variable: it runs once, on the unit table
+	last    bool       // final join step of the branch: the one a row cap applies to
+	vars    []string   // schema after the step
+	sorted  []bool
+
+	// Tracing (span stays nil with tracing off): the step's span opens
+	// when the first chunk reaches it, named after pat and carrying est,
+	// the planner's cardinality estimate.
+	pat  *Pattern
+	est  int64
+	span *obs.Span
+
+	// The row-independent fetch, made by the first chunk that reaches the
+	// step (fetchShared) and read-only afterwards: whether a constant
+	// pattern exists, the candidate view of a one-column merge filter, or
+	// the candidate lists of an expansion with no bound column. lists
+	// backs view when the backend has no zero-copy one; held is what the
+	// meter carries for it until the branch ends.
+	fetch, open sync.Once
+	err         error
+	exists      bool
+	view        idlist.View
+	lists       [3][]core.ID
+	held        int64
+}
+
+// branchRun is one union branch's join as the chunk pipeline sees it.
+type branchRun struct {
+	steps       []stepPlan
+	tail        []*cfilter // FILTERs staged after the last step
+	optionals   [][]idPattern
+	lateFilters []*cfilter
+	colSlot     []int // solution slot of each column of the joined table
+	// capped: nothing after the join can reject or merge rows, so the
+	// last step needs to produce only as many rows as are still wanted.
+	// emitsAll: every joined row becomes a result row.
+	capped, emitsAll bool
+
+	// The seed: the table the steps before from leave, in memory or
+	// spilled, and what the meter carries for it.
+	from      int
+	seed      batchTable
+	seedSpill *spillTable
+	seedBytes int64
+
+	// span is the branch's span and emitSp the one emission accumulates
+	// into; both nil with tracing off.
+	span, emitSp *obs.Span
+}
+
+// batchExec is a join executor: the binding table of the chunk it is
+// running and the scratch that outlives chunks. The evaluator's own
+// (ev.batch) plans each branch, runs the seed and drives the pipeline;
+// with more than one worker it is also the first of the lanes chunks
+// spread over.
 type batchExec struct {
 	ev     *evaluator
 	src    graph.Graph
@@ -123,129 +180,318 @@ type batchExec struct {
 	tbl    batchTable
 
 	// workers is the intra-query parallelism budget for this evaluation
-	// (see parallel.go); 1 keeps every step on the calling goroutine.
+	// (see parallel.go); 1 keeps every chunk on the calling goroutine.
 	workers int
 
-	// Reusable scratch, to keep the steady state allocation-free.
-	keep []int
-	bufA []core.ID
-	bufB []core.ID
-	bufC []core.ID
+	// Cancellation and term decoding private to the goroutine running the
+	// executor, so lanes share neither a counter nor a cache.
+	cancelTick
+	terms termReader
+
+	// Reusable buffers, pooled between evaluations (see scratch); spare is
+	// the column header an expansion builds its output in — it never
+	// shares an array with tbl.cols — and borrowed says tbl.cols are views
+	// of the seed rather than buffers to recycle.
+	*scratch
+	spare    [][]core.ID
+	borrowed bool
 
 	// Budget/spill state (see spill.go). spilled, when non-nil, holds
 	// the current binding table's rows on disk (tbl keeps the schema and
 	// serves as per-chunk scratch). accounted is what the meter currently
-	// carries for engine state; pendCells batches expansion accounting;
-	// scratchBytes covers a streaming step's shared candidate buffers;
+	// carries for the table; pendCells batches expansion accounting;
 	// decBuf is chunk-decode scratch.
-	spilled      *spillTable
-	accounted    int64
-	pendCells    int
-	scratchBytes int64
-	decBuf       []byte
+	spilled   *spillTable
+	accounted int64
+	pendCells int
+	decBuf    []byte
 
-	// rowCap, when ≥ 0, bounds the rows produced by the current step.
-	// It is set only on the final join step of a branch where every
-	// surviving row is guaranteed to be emitted (no DISTINCT, trailing
-	// filters or OPTIONAL groups), restoring the streaming engine's
-	// early termination for ASK and plain LIMIT queries.
-	rowCap int
+	// rowCap, when ≥ 0, bounds the rows produced by the current step: it
+	// is finalCap on the last step of a capped branch and -1 elsewhere.
+	finalCap int
+	rowCap   int
 
-	// Tracing state (nil when tracing is off — the common case, and the
-	// nil-safe span methods keep every recording site a cheap no-op).
-	// branchSp is the current union branch's span and stepEsts the
-	// planner's per-step estimates aligned with the order; curSp is the
-	// in-flight step's span, annotated by the step shapes below.
-	branchSp *obs.Span
-	stepEsts []float64
-	curSp    *obs.Span
+	// chunksLeft is how many chunks of the seed rows at hand remain, the
+	// one being run included. curSp is the in-flight step's span (nil when
+	// tracing is off — the nil-safe span methods keep every recording site
+	// a cheap no-op).
+	chunksLeft int
+	curSp      *obs.Span
 
-	// stepHints, when non-nil, carries the planner's per-step access-path
-	// choices aligned with the order (memoized by the plan cache);
-	// curHint is the in-flight step's. Hints are advisory: they bias the
-	// merge-vs-probe choice of one-column filter steps, never the rows.
+	// Set while planning a branch: its span, the planner's per-step
+	// estimates and access-path hints, each aligned with the order.
+	branchSp  *obs.Span
+	stepEsts  []float64
 	stepHints []stepHint
-	curHint   stepHint
+
+	// Lane state (parallel.go): the outcome of the chunk last run and the
+	// signal that it is ready.
+	err  error
+	done chan struct{}
 }
 
-// runBatch joins the ordered patterns into the binding table, applying
-// each staged filter as soon as its variables are bound, then emits the
-// surviving rows (emitRows).
-func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cfilter, optionals [][]idPattern, lateFilters []*cfilter) error {
-	bx.release() // drop any previous branch's spill/accounting
-	bx.tbl.reset()
-	defer bx.release()
-	// When nothing after the join can reject or merge rows, the final
-	// step needs to produce only as many rows as are still wanted.
-	finalCap := -1
-	ev := bx.ev
-	if ev.target > 0 && ev.keepsEveryRow() &&
-		len(optionals) == 0 && len(lateFilters) == 0 && len(stepFilters[len(order)]) == 0 {
-		finalCap = ev.target - ev.res.n
+// scratch is what keeps an executor's steady state allocation-free: free
+// holds the column buffers no table uses — every column of every chunk
+// comes from it and goes back to it — beside the row-index and candidate
+// buffers of the step kernels. An evaluation takes its executors' scratch
+// from scratchPool and returns it when it ends, so a query also starts
+// with the buffers an earlier one grew.
+type scratch struct {
+	free [][]core.ID
+	keep []int
+	bufA []core.ID
+	bufB []core.ID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getCol returns an empty column buffer, recycled when one is free.
+func (bx *batchExec) getCol() []core.ID {
+	if n := len(bx.free); n > 0 {
+		col := bx.free[n-1]
+		bx.free = bx.free[:n-1]
+		return col[:0]
 	}
+	return nil
+}
+
+// setCols makes cols the table's columns — buffers the executor owns —
+// and recycles the ones it replaces.
+func (bx *batchExec) setCols(cols [][]core.ID, n int) {
+	old := bx.tbl.cols
+	if !bx.borrowed {
+		bx.free = append(bx.free, old...)
+	}
+	bx.spare = old[:0]
+	bx.tbl.cols, bx.tbl.n = cols, n
+	bx.borrowed = false
+}
+
+// planBranch classifies the ordered patterns against the schema each
+// step inherits and stages the FILTERs.
+func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*cfilter, optionals [][]idPattern, lateFilters []*cfilter) *branchRun {
+	ev := bx.ev
+	br := &branchRun{
+		steps:       make([]stepPlan, len(order)),
+		tail:        stepFilters[len(order)],
+		optionals:   optionals,
+		lateFilters: lateFilters,
+	}
+	br.span = bx.branchSp
+	br.emitsAll = len(optionals) == 0 && len(lateFilters) == 0 && ev.keepsEveryRow()
+	br.capped = br.emitsAll && ev.target > 0 && len(br.tail) == 0
+	var vars []string
+	var sorted []bool
 	for k, pi := range order {
-		if err := ev.ctxCheck(); err != nil {
+		st := &br.steps[k]
+		st.stepSpec = classify(&pats[pi], vars)
+		st.filters = stepFilters[k]
+		st.last = k == len(order)-1
+		if k < len(bx.stepHints) {
+			st.hint = bx.stepHints[k]
+		}
+		// A single sorted fetch expanding the unit table seeds a genuinely
+		// sorted first column (SortedList values, or the first position of
+		// a SortedPairs stream); everything else is only sorted within runs.
+		seeds := len(vars) == 0 && len(st.newNames) > 0
+		for i, name := range st.newNames {
+			vars = append(vars, name)
+			sorted = append(sorted, seeds && i == 0 && bx.sorted != nil && st.nFree <= 2)
+		}
+		st.vars, st.sorted = vars, sorted
+		if st.seeds = seeds; seeds {
+			br.from = k + 1
+		}
+		st.pat = &pats[pi].pat
+		if bx.stepEsts != nil {
+			st.est = int64(bx.stepEsts[k])
+		}
+	}
+	if len(vars) == 0 {
+		br.from = len(order) // nothing binds: the unit table is the seed
+	}
+	br.colSlot = make([]int, len(vars))
+	for c, name := range vars {
+		br.colSlot[c] = ev.slots[name]
+	}
+	return br
+}
+
+// runBatch joins the ordered patterns: the seed on this executor, the
+// rest of the steps chunk by chunk, each staged filter applied as soon
+// as its variables are bound and the surviving rows emitted (emitChunk).
+func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cfilter, optionals [][]idPattern, lateFilters []*cfilter) error {
+	ev := bx.ev
+	br := bx.planBranch(pats, order, stepFilters, optionals, lateFilters)
+	defer bx.endBranch(br)
+	clear(ev.cur) // drop ids left over from a previous union branch
+
+	bx.beginChunk(br, nil, 0, 1, 1) // the unit table
+	for k := 0; k < br.from; k++ {
+		if err := bx.runStep(br, &br.steps[k]); err != nil || bx.rows() == 0 {
 			return err
 		}
-		for _, f := range stepFilters[k] {
-			if err := bx.applyFilter(f); err != nil {
-				return err
-			}
+	}
+	// The seed leaves the executor, whose table is about to hold chunks;
+	// the unit table, when nothing bound a variable, has no columns to
+	// hand over. The executor gets a fresh column header: the one it had
+	// is the seed's now, and spare must never share its array.
+	br.seed, br.seedSpill, br.seedBytes = bx.tbl, bx.spilled, bx.accounted
+	if bx.borrowed {
+		br.seed.cols = nil
+	}
+	bx.tbl.cols, bx.spilled, bx.accounted, bx.borrowed = nil, nil, 0, true
+
+	if br.span != nil {
+		// The emit span opens with the first chunk emitted (emitChunk).
+		chunks, decoded := ev.chunks, ev.terms.decoded
+		defer func() {
+			br.emitSp.SetInt("emitted", int64(ev.res.n))
+			br.emitSp.SetInt("chunks", int64(ev.chunks-chunks))
+			br.emitSp.SetInt("termsDecoded", int64(ev.terms.decoded-decoded))
+			br.emitSp.Finish()
+		}()
+	}
+	if br.seedSpill == nil {
+		return bx.runChunks(br, br.seed.cols, br.seed.n)
+	}
+	// A seed that spilled comes back one spill chunk at a time.
+	in := br.seedSpill
+	for k := range in.chunks {
+		if err := ev.ctxCheck(); err != nil || ev.done {
+			return err
 		}
-		if bx.rows() == 0 {
-			return nil
-		}
-		bx.rowCap = -1
-		if k == len(order)-1 {
-			bx.rowCap = finalCap
-		}
-		bx.curHint = hintNone
-		if k < len(bx.stepHints) {
-			bx.curHint = bx.stepHints[k]
-		}
-		if bx.branchSp != nil {
-			sp := bx.branchSp.ChildOf("step", &pats[pi].pat)
-			if bx.stepEsts != nil {
-				sp.SetInt("estRows", int64(bx.stepEsts[k]))
-			}
-			sp.SetInt("rowsIn", int64(bx.rows()))
-			bx.curSp = sp
-		}
-		err := bx.stepGoverned(&pats[pi])
-		if bx.curSp != nil {
-			bx.curSp.SetInt("rowsOut", int64(bx.rows()))
-			bx.curSp.Finish()
-			bx.curSp = nil
-		}
+		buf, cols, n, err := in.readChunk(k, bx.decBuf, br.seed.cols)
+		bx.decBuf, br.seed.cols = buf, cols
 		if err != nil {
 			return err
 		}
-		if bx.rows() == 0 {
-			return nil
+		if err := ev.reaccount(&br.seedBytes, int64(n)*int64(len(cols))*8); err != nil {
+			return err
+		}
+		if err := bx.runChunks(br, cols, n); err != nil {
+			return err
 		}
 	}
-	for _, f := range stepFilters[len(order)] {
+	return nil
+}
+
+// endBranch gives back what the branch held: the seed's columns and the
+// shared fetches' lists to the free list, their bytes to the meter, the
+// seed's spill file to the filesystem.
+func (bx *batchExec) endBranch(br *branchRun) {
+	bx.endChunk()
+	bx.free = append(bx.free, br.seed.cols...)
+	br.seedSpill.drop()
+	held := br.seedBytes
+	for k := range br.steps {
+		st := &br.steps[k]
+		for _, l := range st.lists {
+			if l != nil {
+				bx.free = append(bx.free, l)
+			}
+		}
+		held += st.held
+		st.span.Finish()
+	}
+	if bx.ev.mem != nil {
+		bx.ev.mem.Shrink(held)
+	}
+}
+
+// beginChunk points the executor's table at rows [lo, hi) of the seed
+// columns cols. Called by the goroutine driving the pipeline, before the
+// chunk is handed to a lane.
+func (bx *batchExec) beginChunk(br *branchRun, cols [][]core.ID, lo, hi, chunksLeft int) {
+	tbl := &bx.tbl
+	tbl.cols = tbl.cols[:0]
+	for _, col := range cols {
+		tbl.cols = append(tbl.cols, col[lo:hi])
+	}
+	tbl.n = hi - lo
+	tbl.vars, tbl.sorted = br.seed.vars, br.seed.sorted
+	bx.borrowed = true
+	bx.chunksLeft = chunksLeft
+	bx.finalCap = -1
+	if br.capped {
+		bx.finalCap = bx.ev.target - bx.ev.res.n
+	}
+}
+
+// runChunk takes the executor's table through the steps after the seed
+// and the trailing FILTERs; what is left is the chunk's share of the
+// join, ready for emitChunk.
+func (bx *batchExec) runChunk(br *branchRun) error {
+	for k := br.from; k < len(br.steps); k++ {
+		if err := bx.runStep(br, &br.steps[k]); err != nil || bx.rows() == 0 {
+			return err
+		}
+	}
+	for _, f := range br.tail {
 		if err := bx.applyFilter(f); err != nil {
 			return err
 		}
 	}
-	var emitSp *obs.Span
-	if bx.branchSp != nil {
-		emitSp = bx.branchSp.Child("emit")
-		emitSp.SetInt("rowsIn", int64(bx.rows()))
-		defer func() {
-			emitSp.SetInt("emitted", int64(ev.res.n))
-			emitSp.Finish()
-		}()
-	}
-	if bx.spilled != nil {
-		return bx.emitSpilled(optionals, lateFilters)
-	}
-	return bx.emitRows(optionals, lateFilters)
+	return nil
 }
 
-// classify resolves one pattern against the current table.
-func (bx *batchExec) classify(p *idPattern) stepSpec {
+// endChunk drops the chunk's table: its spill file, its accounted bytes,
+// and its columns back to the free list.
+func (bx *batchExec) endChunk() {
+	bx.release()
+	bx.setCols(bx.spare[:0], 0)
+}
+
+// runStep applies one step, and the FILTERs staged in front of it, to
+// the executor's table.
+func (bx *batchExec) runStep(br *branchRun, st *stepPlan) error {
+	if err := bx.ctxCheck(); err != nil {
+		return err
+	}
+	for _, f := range st.filters {
+		if err := bx.applyFilter(f); err != nil {
+			return err
+		}
+	}
+	if bx.rows() == 0 {
+		return nil
+	}
+	bx.rowCap = -1
+	if st.last {
+		bx.rowCap = bx.finalCap
+	}
+	if br.span == nil {
+		return bx.stepGoverned(st)
+	}
+	// A step's span runs from the first chunk that reaches it to the last
+	// chunk leaving it (endBranch, if a LIMIT stops the pipeline sooner or
+	// the seed comes back from a spill in pieces); rows and chunks
+	// accumulate in between.
+	sp := st.openSpan(br.span)
+	sp.Add("chunks", 1)
+	sp.Add("rowsIn", int64(bx.rows()))
+	bx.curSp = sp
+	err := bx.stepGoverned(st)
+	bx.curSp = nil
+	sp.Add("rowsOut", int64(bx.rows()))
+	if bx.chunksLeft == 1 {
+		sp.Finish()
+	}
+	return err
+}
+
+// openSpan returns the step's span, starting it under parent on the
+// first call.
+func (st *stepPlan) openSpan(parent *obs.Span) *obs.Span {
+	st.open.Do(func() {
+		st.span = parent.ChildOf("step", st.pat)
+		st.span.SetInt("estRows", st.est)
+	})
+	return st.span
+}
+
+// classify resolves one pattern against the schema vars.
+func classify(p *idPattern, vars []string) stepSpec {
 	sp := stepSpec{colAt: [3]int{-1, -1, -1}, slot: [3]int{-1, -1, -1}}
 	for j := 0; j < 3; j++ {
 		t := p.term(j)
@@ -254,7 +500,7 @@ func (bx *batchExec) classify(p *idPattern) stepSpec {
 			sp.ids[j] = p.ids[j]
 			continue
 		}
-		if c := bx.tbl.colIndex(t.Name); c >= 0 {
+		if c := slices.Index(vars, t.Name); c >= 0 {
 			sp.kind[j] = posCol
 			sp.colAt[j] = c
 			sp.nCols++
@@ -280,79 +526,96 @@ func (bx *batchExec) classify(p *idPattern) stepSpec {
 
 // subst returns the value of position j for row r: the constant, or the
 // row's value of the bound column. Free positions return None.
-func (bx *batchExec) subst(sp *stepSpec, j, r int) core.ID {
+func (bx *batchExec) subst(sp *stepPlan, j, r int) core.ID {
 	if sp.colAt[j] >= 0 {
 		return bx.tbl.cols[sp.colAt[j]][r]
 	}
 	return sp.ids[j]
 }
 
-func (bx *batchExec) step(p *idPattern) error {
-	sp := bx.classify(p)
-	if len(sp.newNames) == 0 {
-		return bx.filterStep(&sp)
+// fetchShared makes the step's row-independent fetch if no chunk has
+// yet: whichever lane reaches the step first pays for it, the others
+// wait and then read. The lists it keeps are accounted until the branch
+// ends — except the seed's, which become the table and are accounted as
+// that.
+func (bx *batchExec) fetchShared(sp *stepPlan) error {
+	sp.fetch.Do(func() {
+		sp.err = bx.fetchOnce(sp)
+		if sp.err == nil && bx.ev.mem != nil && !sp.seeds {
+			held := int64(len(sp.lists[0])+len(sp.lists[1])+len(sp.lists[2])) * 8
+			if sp.err = bx.ev.mem.Grow(held); sp.err == nil {
+				sp.held = held
+			}
+		}
+	})
+	return sp.err
+}
+
+func (bx *batchExec) fetchOnce(sp *stepPlan) error {
+	var err error
+	switch {
+	case len(sp.newNames) > 0:
+		// The candidates of an expansion none of whose positions is a
+		// column: one list per new variable, shared by every row. The row
+		// cap bounds them — it only shrinks as rows are emitted, so the
+		// chunk that fetches has the loosest one any chunk will need.
+		switch sp.nFree {
+		case 1:
+			sp.lists[0], err = bx.fetchOne(sp, 0, bx.getCol())
+		case 2:
+			sp.lists[0], sp.lists[1], err = bx.fetchPair(sp, 0, bx.rowCap, bx.getCol(), bx.getCol())
+		default:
+			err = bx.fetchAll(sp, bx.rowCap)
+		}
+		if err == nil {
+			err = bx.ctxErr
+		}
+		bx.curSp.SetInt("candidates", int64(len(sp.lists[0])))
+	case sp.nCols == 0:
+		sp.exists, err = bx.src.Has(sp.ids[0], sp.ids[1], sp.ids[2])
+	default:
+		sp.view, err = bx.candidateView(sp)
+		bx.curSp.SetInt("candidates", int64(sp.view.Len()))
 	}
-	return bx.expandStep(&sp)
+	return err
 }
 
 // filterStep handles patterns that bind nothing new: every position is
 // a constant or a join column, so the step only discards rows.
-func (bx *batchExec) filterStep(sp *stepSpec) error {
+func (bx *batchExec) filterStep(sp *stepPlan) error {
 	tbl := &bx.tbl
 	switch {
 	case sp.nCols == 0:
 		// Fully constant pattern: one existence probe decides all rows.
 		bx.curSp.Set("kind", "const-probe")
-		ok, err := bx.src.Has(sp.ids[0], sp.ids[1], sp.ids[2])
-		if err != nil {
+		if err := bx.fetchShared(sp); err != nil {
 			return err
 		}
-		if !ok {
+		if !sp.exists {
 			tbl.compact(nil)
 		}
 		return nil
 
-	case sp.nCols == 1:
-		// One join column against two constants. The planner's
-		// distinct-count model may have hinted that the candidate list
-		// dwarfs the binding table — then fetching it to merge is the
-		// wrong trade and the step probes the store once per row instead.
-		if bx.curHint == hintProbe {
-			bx.curSp.Set("kind", "probe")
-			bx.curSp.Set("access", "hinted")
-			return bx.probeFilter(sp)
-		}
-		// The merge-join step: fetch the pattern's sorted candidate list
-		// once and intersect it with the column. On a block-compressed
-		// backend the list arrives as a zero-copy view of the packed blob
-		// and the merge skips whole blocks via the skip table; raw
-		// backends hand over a copied slice and take the slice gallop. A
-		// sorted column takes the linear merge; an unsorted one degrades
-		// to one binary probe per row against the single list.
-		view, err := bx.candidateView(sp)
-		if err != nil {
+	case sp.nCols == 1 && sp.hint != hintProbe:
+		// The merge-join step: the pattern's sorted candidate list — one
+		// join column against two constants — intersected with the column.
+		// On a block-compressed backend the list arrives as a zero-copy
+		// view of the packed blob and the merge skips whole blocks via the
+		// skip table; raw backends hand over a copied slice and take the
+		// slice gallop. A sorted column takes the linear merge; an unsorted
+		// one degrades to one binary probe per row against the single list.
+		if err := bx.fetchShared(sp); err != nil {
 			return err
 		}
-		c := -1
-		for j := 0; j < 3; j++ {
-			if sp.colAt[j] >= 0 {
-				c = sp.colAt[j]
-			}
-		}
-		if bx.curSp != nil {
-			bx.curSp.SetInt("candidates", int64(view.Len()))
-			if tbl.sorted[c] {
-				bx.curSp.Set("kind", "merge")
-			} else {
-				bx.curSp.Set("kind", "probe-list")
-			}
-		}
+		c := max(sp.colAt[0], sp.colAt[1], sp.colAt[2])
 		keep := bx.keep[:0]
 		if tbl.sorted[c] {
-			idlist.MergeFilterView(tbl.cols[c], view, func(i int) { keep = append(keep, i) })
+			bx.curSp.Set("kind", "merge")
+			idlist.MergeFilterView(tbl.cols[c], sp.view, func(i int) { keep = append(keep, i) })
 		} else {
+			bx.curSp.Set("kind", "probe-list")
 			for i, v := range tbl.cols[c] {
-				if view.Contains(v) {
+				if sp.view.Contains(v) {
 					keep = append(keep, i)
 				}
 			}
@@ -362,25 +625,27 @@ func (bx *batchExec) filterStep(sp *stepSpec) error {
 		return nil
 
 	default:
-		// Two or more bound columns: per-row existence probe, which the
-		// store answers from the right index for any binding shape.
+		// Two or more bound columns — or one whose candidate list the
+		// planner's distinct-count model says dwarfs the binding table, so
+		// that fetching it to merge is the wrong trade: a per-row existence
+		// probe, which the store answers from the right index for any
+		// binding shape.
 		bx.curSp.Set("kind", "probe")
+		if sp.nCols == 1 {
+			bx.curSp.Set("access", "hinted")
+		}
 		return bx.probeFilter(sp)
 	}
 }
 
 // probeFilter keeps the rows whose substituted pattern exists in the
-// store: one indexed Has per row, partitioned across workers when the
-// table is large.
-func (bx *batchExec) probeFilter(sp *stepSpec) error {
+// store: one indexed Has per row.
+func (bx *batchExec) probeFilter(sp *stepPlan) error {
 	tbl := &bx.tbl
-	if bx.parallelOK(tbl.n) {
-		return bx.probeRowsParallel(sp)
-	}
 	keep := bx.keep[:0]
 	for r := 0; r < tbl.n; r++ {
-		if !bx.ev.tickOK() {
-			return bx.ev.ctxErr
+		if !bx.tickOK() {
+			return bx.ctxErr
 		}
 		if bx.rowCap >= 0 && len(keep) >= bx.rowCap {
 			break
@@ -401,9 +666,10 @@ func (bx *batchExec) probeFilter(sp *stepSpec) error {
 // candidateView returns the sorted candidate values of the single free
 // position of the 2-bound fetch pattern in sp as a read-only view:
 // zero-copy from a ViewSource backend (compressed memory store, delta
-// overlay over one), else a view over the copied/collected slice from
-// candidateList.
-func (bx *batchExec) candidateView(sp *stepSpec) (idlist.View, error) {
+// overlay over one), else a view over a list the step keeps — appended
+// by a SortedSource, or collected through Match and sorted for backends
+// without sorted-list access.
+func (bx *batchExec) candidateView(sp *stepPlan) (idlist.View, error) {
 	if bx.views != nil {
 		v, ok, err := bx.views.SortedListView(sp.ids[0], sp.ids[1], sp.ids[2])
 		if err != nil {
@@ -413,49 +679,22 @@ func (bx *batchExec) candidateView(sp *stepSpec) (idlist.View, error) {
 			return v, nil
 		}
 	}
-	ids, err := bx.candidateList(sp)
-	if err != nil {
-		return idlist.View{}, err
-	}
-	return idlist.ViewOf(ids), nil
-}
-
-// candidateList returns the sorted candidate values of the single free
-// (None) position of the 2-bound fetch pattern in sp — appended into
-// the reused scratch buffer by a SortedSource, or collected through
-// Match and sorted for backends without sorted-list access.
-func (bx *batchExec) candidateList(sp *stepSpec) ([]core.ID, error) {
+	var ids []core.ID
+	var err error
 	if bx.sorted != nil {
-		ids, err := bx.sorted.AppendSortedList(bx.bufA[:0], sp.ids[0], sp.ids[1], sp.ids[2])
-		if err != nil {
-			return nil, err
+		ids, err = bx.sorted.AppendSortedList(bx.getCol(), sp.ids[0], sp.ids[1], sp.ids[2])
+	} else {
+		// The fetch pattern leaves None exactly at the join-column
+		// position; that is the position whose values are collected.
+		free := slices.IndexFunc(sp.colAt[:], func(c int) bool { return c >= 0 })
+		ids, err = bx.matchInto(bx.getCol(), free, sp.ids[0], sp.ids[1], sp.ids[2])
+		if err == nil {
+			err = bx.ctxErr
 		}
-		bx.bufA = ids
-		return ids, nil
+		slices.Sort(ids)
 	}
-	// The fetch pattern leaves None exactly at the join-column position;
-	// that is the position whose values we collect.
-	free := 0
-	for j := 0; j < 3; j++ {
-		if sp.colAt[j] >= 0 {
-			free = j
-		}
-	}
-	bx.bufA = bx.bufA[:0]
-	if err := bx.src.Match(sp.ids[0], sp.ids[1], sp.ids[2], func(ms, mp, mo core.ID) bool {
-		if !bx.ev.tickOK() {
-			return false
-		}
-		bx.bufA = append(bx.bufA, pick(free, ms, mp, mo))
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if bx.ev.ctxErr != nil {
-		return nil, bx.ev.ctxErr
-	}
-	slices.Sort(bx.bufA)
-	return bx.bufA, nil
+	sp.lists[0] = ids
+	return idlist.ViewOf(ids), err
 }
 
 func pick(j int, s, p, o core.ID) core.ID {
@@ -480,245 +719,156 @@ func appendRun(dst []core.ID, v core.ID, k int) []core.ID {
 // expandStep handles patterns that bind one or two new variables (three
 // only for the all-free pattern): for every row, the candidate values
 // of the free positions are fetched — one sorted-list or sorted-pairs
-// access per row, or a single shared fetch when the bound positions are
-// all constants — and spliced onto the table with bulk appends.
-func (bx *batchExec) expandStep(sp *stepSpec) error {
+// access per row, or the step's shared fetch when the bound positions
+// are all constants — and spliced onto the table with bulk appends into
+// recycled columns.
+func (bx *batchExec) expandStep(sp *stepPlan) error {
 	tbl := &bx.tbl
-	rowIndep := sp.nCols == 0
 	if bx.curSp != nil {
 		bx.curSp.Set("kind", "expand")
 		bx.curSp.Set("newVars", strings.Join(sp.newNames, ","))
 	}
-	// Row-dependent expansions over a large table partition across
-	// workers; row-independent fetches are a single shared list and the
-	// all-free seed is one scan, so neither benefits from splitting.
-	if !rowIndep && sp.nFree <= 2 && bx.parallelOK(tbl.n) {
-		return bx.expandStepParallel(sp)
-	}
-	oldCols := tbl.cols
-	out := make([][]core.ID, len(oldCols)+len(sp.newNames))
-
-	// remaining returns how many more rows this step may produce, or -1
-	// for unlimited; 0 means stop.
-	remaining := func() int {
-		if bx.rowCap < 0 {
-			return -1
-		}
-		left := bx.rowCap - len(out[len(oldCols)])
-		if left < 0 {
-			return 0
-		}
-		return left
-	}
-
-	switch sp.nFree {
-	case 1:
-		var shared []core.ID
-		if rowIndep {
-			ids, err := bx.candidates1(sp, 0)
-			if err != nil {
-				return err
-			}
-			shared = ids
-			bx.curSp.SetInt("candidates", int64(len(shared)))
-		}
-		for r := 0; r < tbl.n; r++ {
-			if !bx.ev.tickOK() {
-				return bx.ev.ctxErr
-			}
-			left := remaining()
-			if left == 0 {
-				break
-			}
-			ids := shared
-			if !rowIndep {
-				var err error
-				ids, err = bx.candidates1(sp, r)
-				if err != nil {
-					return err
-				}
-			}
-			if left >= 0 && len(ids) > left {
-				ids = ids[:left]
-			}
-			if len(ids) == 0 {
-				continue
-			}
-			for c := range oldCols {
-				out[c] = appendRun(out[c], oldCols[c][r], len(ids))
-			}
-			out[len(oldCols)] = append(out[len(oldCols)], ids...)
-			if err := bx.noteGrowth(len(ids) * (len(oldCols) + 1)); err != nil {
-				return err
-			}
-		}
-
-	case 2:
-		for r := 0; r < tbl.n; r++ {
-			if !bx.ev.tickOK() {
-				return bx.ev.ctxErr
-			}
-			left := remaining()
-			if left == 0 {
-				break
-			}
-			if rowIndep && r > 0 {
-				// Cross product against a shared fetch: the scratch
-				// buffers still hold row 0's candidates.
-			} else if err := bx.candidates2(sp, r, left); err != nil {
-				return err
-			}
-			k := len(bx.bufA)
-			if left >= 0 && k > left {
-				k = left
-			}
-			if k == 0 {
-				continue
-			}
-			for c := range oldCols {
-				out[c] = appendRun(out[c], oldCols[c][r], k)
-			}
-			out[len(oldCols)] = append(out[len(oldCols)], bx.bufA[:k]...)
-			if len(sp.newNames) == 2 {
-				out[len(oldCols)+1] = append(out[len(oldCols)+1], bx.bufB[:k]...)
-			}
-			if err := bx.noteGrowth(k * (len(oldCols) + len(sp.newNames))); err != nil {
-				return err
-			}
-		}
-
-	default: // 3 free positions: full scan seed (or cross product)
-		if err := bx.candidates3(sp, bx.rowCap); err != nil {
+	if sp.nCols == 0 {
+		if err := bx.fetchShared(sp); err != nil {
 			return err
 		}
-		for r := 0; r < tbl.n && len(bx.bufA) > 0; r++ {
-			if !bx.ev.tickOK() {
-				return bx.ev.ctxErr
-			}
-			k := len(bx.bufA)
-			left := remaining()
-			if left == 0 {
+	}
+	nOld, nNew := len(tbl.cols), len(sp.newNames)
+	if sp.seeds {
+		// The shared lists are the table, so they move into it where any
+		// other expansion would copy them row by row.
+		k := len(sp.lists[0])
+		if bx.rowCap >= 0 {
+			k = min(k, bx.rowCap)
+		}
+		if err := bx.noteGrowth(k * nNew); err != nil {
+			return err
+		}
+		out := bx.spare[:0]
+		for j := 0; j < nNew; j++ {
+			out = append(out, sp.lists[j][:k])
+			sp.lists[j] = nil
+		}
+		bx.setCols(out, k)
+		tbl.vars, tbl.sorted = sp.vars, sp.sorted
+		return nil
+	}
+
+	out := bx.spare[:0]
+	for i := 0; i < nOld+nNew; i++ {
+		out = append(out, bx.getCol())
+	}
+	produced := 0
+	err := bx.expandRows(sp, &produced, func(r, k int, news [3][]core.ID) error {
+		for c := 0; c < nOld; c++ {
+			out[c] = appendRun(out[c], tbl.cols[c][r], k)
+		}
+		for j := 0; j < nNew; j++ {
+			out[nOld+j] = append(out[nOld+j], news[j][:k]...)
+		}
+		produced += k
+		return bx.noteGrowth(k * len(out))
+	})
+	if err != nil {
+		bx.free = append(bx.free, out...)
+		return err
+	}
+	bx.setCols(out, produced)
+	tbl.vars, tbl.sorted = sp.vars, sp.sorted
+	return nil
+}
+
+// expandRows is the row loop of an expansion: for every row of the
+// table it hands emit the row's candidates — the step's shared lists, or
+// the row's own fetch — cut to what the row cap still allows given the
+// *produced rows so far; rows without candidates are skipped.
+func (bx *batchExec) expandRows(sp *stepPlan, produced *int, emit func(r, k int, news [3][]core.ID) error) error {
+	news := sp.lists
+	for r := 0; r < bx.tbl.n; r++ {
+		if !bx.tickOK() {
+			return bx.ctxErr
+		}
+		left := -1
+		if bx.rowCap >= 0 {
+			if left = bx.rowCap - *produced; left <= 0 {
 				break
 			}
-			if left >= 0 && k > left {
-				k = left
-			}
-			for c := range oldCols {
-				out[c] = appendRun(out[c], oldCols[c][r], k)
-			}
-			out[len(oldCols)] = append(out[len(oldCols)], bx.bufA[:k]...)
-			if len(sp.newNames) >= 2 {
-				out[len(oldCols)+1] = append(out[len(oldCols)+1], bx.bufB[:k]...)
-			}
-			if len(sp.newNames) == 3 {
-				out[len(oldCols)+2] = append(out[len(oldCols)+2], bx.bufC[:k]...)
-			}
-			if err := bx.noteGrowth(k * (len(oldCols) + len(sp.newNames))); err != nil {
+		}
+		if sp.nCols > 0 {
+			var err error
+			if news[0], news[1], err = bx.candidates(sp, r, left); err != nil {
 				return err
 			}
 		}
-	}
-
-	newSorted := make([]bool, len(out))
-	copy(newSorted, tbl.sorted)
-	// A single sorted fetch expanding the unit table seeds a genuinely
-	// sorted first column (SortedList values, or the first position of a
-	// SortedPairs stream); everything else is only sorted within runs.
-	if rowIndep && tbl.n == 1 && bx.sorted != nil && sp.nFree <= 2 {
-		newSorted[len(oldCols)] = true
-	}
-	tbl.vars = append(tbl.vars, sp.newNames...)
-	tbl.cols = out
-	tbl.sorted = newSorted
-	if len(out) > 0 {
-		tbl.n = len(out[len(out)-1])
-	} else {
-		tbl.n = 0
-	}
-	if bx.rowCap >= 0 && tbl.n > bx.rowCap {
-		for c := range tbl.cols {
-			tbl.cols[c] = tbl.cols[c][:bx.rowCap]
+		k := len(news[0])
+		if left >= 0 {
+			k = min(k, left)
 		}
-		tbl.n = bx.rowCap
+		if k == 0 {
+			continue
+		}
+		if err := emit(r, k, news); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// candidates1 returns the candidate values of the single free position
-// for row r, appended into the reused scratch buffer — one sorted-list
-// copy under the store's lock with a SortedSource, a Match collection
-// otherwise.
-func (bx *batchExec) candidates1(sp *stepSpec, r int) ([]core.ID, error) {
-	ids, err := bx.fetchOne(sp, r, bx.bufA[:0], bx.ev.tickFn)
-	if err != nil {
-		return nil, err
+// candidates fetches row r's candidate values for the one or two free
+// positions of a row-dependent expansion into the executor's scratch
+// buffers; b is nil when the step binds one variable. A non-negative
+// limit stops a pair collection once that many pairs are kept.
+func (bx *batchExec) candidates(sp *stepPlan, r, limit int) (a, b []core.ID, err error) {
+	if sp.nFree == 1 {
+		a, err = bx.fetchOne(sp, r, bx.bufA[:0])
+		bx.bufA = a
+	} else {
+		a, b, err = bx.fetchPair(sp, r, limit, bx.bufA[:0], bx.bufB[:0])
+		bx.bufA, bx.bufB = a, b
 	}
-	if bx.ev.ctxErr != nil {
-		return nil, bx.ev.ctxErr
+	if err == nil {
+		err = bx.ctxErr
 	}
-	bx.bufA = ids
-	return ids, nil
+	return a, b, err
 }
 
 // fetchOne appends the candidate values of the single free position for
-// row r into dst and returns the extended slice. It reads only immutable
-// step state and the table columns, so concurrent workers may call it as
-// long as each owns its dst (both backends' sorted accessors and Match
-// are safe for concurrent readers). tick, when non-nil, is consulted per
-// streamed candidate; returning false stops the stream (the caller then
-// surfaces its context error) — sequential callers pass the evaluator's
-// tick, parallel workers pass a private one, so no counter is shared.
-func (bx *batchExec) fetchOne(sp *stepSpec, r int, dst []core.ID, tick func() bool) ([]core.ID, error) {
+// row r into dst and returns the extended slice — one sorted-list copy
+// under the store's lock with a SortedSource, a Match collection
+// otherwise. Both backends' sorted accessors and Match are safe for
+// concurrent readers, and everything else it touches is the executor's.
+func (bx *batchExec) fetchOne(sp *stepPlan, r int, dst []core.ID) ([]core.ID, error) {
 	s, p, o := bx.subst(sp, 0, r), bx.subst(sp, 1, r), bx.subst(sp, 2, r)
 	if bx.sorted != nil {
 		return bx.sorted.AppendSortedList(dst, s, p, o)
 	}
-	free := 0
-	for j := 0; j < 3; j++ {
-		if sp.kind[j] == posFree {
-			free = j
-		}
-	}
-	return bx.matchInto(dst, free, s, p, o, tick)
+	free := slices.Index(sp.kind[:], posFree)
+	return bx.matchInto(dst, free, s, p, o)
 }
 
-// matchInto is fetchOne's fallback for backends without sorted-list
-// access: position free of every match of ⟨s,p,o⟩ is appended to dst. It
-// is a function of its own so that the callback's capture of dst costs
-// the sorted path nothing (a captured, reassigned variable lives on the
-// heap from function entry — one allocation per row of the join).
-func (bx *batchExec) matchInto(dst []core.ID, free int, s, p, o core.ID, tick func() bool) ([]core.ID, error) {
-	if err := bx.src.Match(s, p, o, func(ms, mp, mo core.ID) bool {
-		if tick != nil && !tick() {
+// matchInto is the fallback for backends without sorted-list access:
+// position free of every match of ⟨s,p,o⟩ is appended to dst. It is a
+// function of its own so that the callback's capture of dst costs the
+// sorted path nothing (a captured, reassigned variable lives on the
+// heap from function entry — one allocation per row of the join). A
+// cancellation stops the stream; the caller surfaces bx.ctxErr.
+func (bx *batchExec) matchInto(dst []core.ID, free int, s, p, o core.ID) ([]core.ID, error) {
+	err := bx.src.Match(s, p, o, func(ms, mp, mo core.ID) bool {
+		if !bx.tickOK() {
 			return false
 		}
 		dst = append(dst, pick(free, ms, mp, mo))
 		return true
-	}); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// candidates2 fills bufA/bufB with the value pairs of the two free
-// positions for row r, applying the repeated-variable constraint when
-// both positions share a slot (?x <p> ?x keeps only equal pairs, in
-// bufA alone). A non-negative limit stops collection once that many
-// pairs are kept.
-func (bx *batchExec) candidates2(sp *stepSpec, r, limit int) error {
-	a, b, err := bx.fetchPair(sp, r, limit, bx.bufA[:0], bx.bufB[:0], bx.ev.tickFn)
-	bx.bufA, bx.bufB = a, b
-	if err == nil && bx.ev.ctxErr != nil {
-		return bx.ev.ctxErr
-	}
-	return err
+	})
+	return dst, err
 }
 
 // fetchPair collects the value pairs of the two free positions for row r
-// into the caller's a/b buffers (a alone when the positions share a slot)
-// and returns the extended slices. Like fetchOne it is safe for
-// concurrent workers with private buffers and a private tick.
-func (bx *batchExec) fetchPair(sp *stepSpec, r, limit int, a, b []core.ID, tick func() bool) ([]core.ID, []core.ID, error) {
+// into the caller's a/b buffers and returns the extended slices,
+// applying the repeated-variable constraint when both positions share a
+// slot (?x <p> ?x keeps only equal pairs, in a alone). A non-negative
+// limit stops collection once that many pairs are kept.
+func (bx *batchExec) fetchPair(sp *stepPlan, r, limit int, a, b []core.ID) ([]core.ID, []core.ID, error) {
 	s, p, o := bx.subst(sp, 0, r), bx.subst(sp, 1, r), bx.subst(sp, 2, r)
 	ja, jb := -1, -1
 	for j := 0; j < 3; j++ {
@@ -732,7 +882,7 @@ func (bx *batchExec) fetchPair(sp *stepSpec, r, limit int, a, b []core.ID, tick 
 	}
 	same := sp.slot[ja] == sp.slot[jb]
 	add := func(x, y core.ID) bool {
-		if tick != nil && !tick() {
+		if !bx.tickOK() {
 			return false
 		}
 		if same {
@@ -756,15 +906,16 @@ func (bx *batchExec) fetchPair(sp *stepSpec, r, limit int, a, b []core.ID, tick 
 	return a, b, err
 }
 
-// candidates3 fills bufA/bufB/bufC with the values of the (up to three
+// fetchAll fills the step's lists with the values of the (up to three
 // distinct) free variables of an all-free pattern, enforcing slot
 // equality for repeated names (?x ?x ?o, ?x ?p ?x, ?x ?x ?x). A
 // non-negative limit stops the scan once that many matches are kept.
-func (bx *batchExec) candidates3(sp *stepSpec, limit int) error {
-	bx.bufA, bx.bufB, bx.bufC = bx.bufA[:0], bx.bufB[:0], bx.bufC[:0]
-	bufs := [3]*[]core.ID{&bx.bufA, &bx.bufB, &bx.bufC}
-	err := bx.src.Match(core.None, core.None, core.None, func(ms, mp, mo core.ID) bool {
-		if !bx.ev.tickOK() {
+func (bx *batchExec) fetchAll(sp *stepPlan, limit int) error {
+	for i := range sp.newNames {
+		sp.lists[i] = bx.getCol()
+	}
+	return bx.src.Match(core.None, core.None, core.None, func(ms, mp, mo core.ID) bool {
+		if !bx.tickOK() {
 			return false
 		}
 		vals := [3]core.ID{ms, mp, mo}
@@ -781,14 +932,10 @@ func (bx *batchExec) candidates3(sp *stepSpec, limit int) error {
 			out[sl], seen[sl] = vals[j], true
 		}
 		for i := range sp.newNames {
-			*bufs[i] = append(*bufs[i], out[i])
+			sp.lists[i] = append(sp.lists[i], out[i])
 		}
-		return limit < 0 || len(bx.bufA) < limit
+		return limit < 0 || len(sp.lists[0]) < limit
 	})
-	if err == nil && bx.ev.ctxErr != nil {
-		return bx.ev.ctxErr
-	}
-	return err
 }
 
 // filterRows applies one staged FILTER to every row, reading its
@@ -798,8 +945,8 @@ func (bx *batchExec) filterRows(f *cfilter) error {
 	lcol, rcol := bx.operandCol(&f.l), bx.operandCol(&f.r)
 	keep := bx.keep[:0]
 	for r := 0; r < tbl.n; r++ {
-		if !bx.ev.tickOK() {
-			return bx.ev.ctxErr
+		if !bx.tickOK() {
+			return bx.ctxErr
 		}
 		var lid, rid core.ID
 		if lcol != nil {
@@ -808,7 +955,7 @@ func (bx *batchExec) filterRows(f *cfilter) error {
 		if rcol != nil {
 			rid = rcol[r]
 		}
-		ok, err := bx.ev.filterPass(f, lid, rid)
+		ok, err := bx.terms.filterPass(f, lid, rid)
 		if err != nil {
 			return err
 		}
@@ -828,42 +975,47 @@ func (bx *batchExec) operandCol(o *operand) []core.ID {
 	if o.slot < 0 {
 		return nil
 	}
-	if c := bx.tbl.colIndex(o.name); c >= 0 {
+	if c := slices.Index(bx.tbl.vars, o.name); c >= 0 {
 		return bx.tbl.cols[c]
 	}
 	return nil
 }
 
-// emitRows emits the table: each surviving row's ids are installed in
-// the evaluator's solution slots (the table's columns are mapped to
-// slots once per call, every other slot reads unbound), then the row is
+// emitChunk emits the executor's table on the evaluator's goroutine:
+// each surviving row's ids are installed in the evaluator's solution
+// slots (every slot no column maps to reads unbound), then the row is
 // emitted — directly, or through the tuple-at-a-time OPTIONAL matcher,
 // which extends the solution in the same slots before emitting.
-func (bx *batchExec) emitRows(optionals [][]idPattern, lateFilters []*cfilter) error {
+func (bx *batchExec) emitChunk(br *branchRun) error {
+	if bx.spilled != nil {
+		return bx.emitSpilled(br)
+	}
 	ev := bx.ev
 	tbl := &bx.tbl
-	clear(ev.cur) // drop ids left over from a previous union branch
-	if len(optionals) == 0 && len(lateFilters) == 0 && ev.keepsEveryRow() {
-		// Every table row becomes a result row: size the cells once
-		// instead of doubling into them.
+	if br.span != nil {
+		if br.emitSp == nil {
+			br.emitSp = br.span.Child("emit")
+		}
+		br.emitSp.Add("rowsIn", int64(tbl.n))
+	}
+	if br.emitsAll {
+		// Every table row becomes a result row: make room for this chunk's
+		// in one step. Nothing is assumed of the chunks to come — fan-out
+		// may be skewed — so across chunks the cells grow as append grows.
 		n := tbl.n
 		if ev.target > 0 {
 			n = min(n, ev.target-ev.res.n)
 		}
 		ev.res.cells = slices.Grow(ev.res.cells, n*len(ev.projSlots))
 	}
-	colSlot := make([]int, len(tbl.vars))
-	for c, name := range tbl.vars {
-		colSlot[c] = ev.slots[name]
-	}
 	for r := 0; r < tbl.n && !ev.done; r++ {
 		if !ev.tickOK() {
 			return ev.ctxErr
 		}
-		for c, s := range colSlot {
+		for c, s := range br.colSlot {
 			ev.cur[s] = tbl.cols[c][r]
 		}
-		if err := ev.runOptionals(optionals, 0, lateFilters); err != nil {
+		if err := ev.runOptionals(br.optionals, 0, br.lateFilters); err != nil {
 			return err
 		}
 	}

@@ -128,9 +128,11 @@ func TestBatchCrossProduct(t *testing.T) {
 }
 
 // TestBatchEarlyTermination checks LIMIT and ASK short-circuit the
-// final join step: correctness here, work-bounding by construction (the
-// row cap truncates expansion, which the cardinalities below witness).
+// join: the row cap truncates the final step's expansion (the
+// cardinalities below witness it) and the pipeline stops between chunks
+// (the ids-examined count does).
 func TestBatchEarlyTermination(t *testing.T) {
+	t.Run("ids-examined", testLimitIDsExamined)
 	var triples [][3]string
 	for i := 0; i < 500; i++ {
 		triples = append(triples, [3]string{fmt.Sprintf("s%03d", i), "p", fmt.Sprintf("o%03d", i)})
@@ -210,6 +212,45 @@ func TestBatchRandomDifferential(t *testing.T) {
 			if strings.Join(canonRows(t, pres), "\n") != strings.Join(canonRows(t, bres), "\n") {
 				t.Errorf("trial %d: planner differs on %q", trial, src)
 			}
+		}
+	}
+}
+
+// testLimitIDsExamined: a LIMIT over a three-step join stops the
+// pipeline between chunks, so the middle step examines ids for one chunk
+// of the seed, not for all of it — a count, not a timing. (Whole-table
+// execution ran the middle step over every seed row: 3·seed + limit ids
+// where this asserts 2·seed + chunk + limit.)
+func testLimitIDsExamined(t *testing.T) {
+	const seed, limit = 5000, 4
+	st := core.New()
+	enc := func(l string) core.ID { return st.Dictionary().Encode(cx(l)) }
+	for i := 0; i < seed; i++ {
+		st.Add(enc(fmt.Sprintf("a%04d", i)), enc("p"), enc(fmt.Sprintf("b%04d", i)))
+		st.Add(enc(fmt.Sprintf("b%04d", i)), enc("q"), enc(fmt.Sprintf("c%04d", i)))
+		st.Add(enc(fmt.Sprintf("c%04d", i)), enc("r"), enc(fmt.Sprintf("d%04d", i)))
+	}
+	mem := graph.Memory(st)
+	ss, _ := graph.AsSortedSource(mem)
+	q, err := Parse(fmt.Sprintf(`SELECT ?a ?d WHERE { ?a <http://c/p> ?b . ?b <http://c/q> ?c . ?c <http://c/r> ?d } LIMIT %d`, limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		cg := &countGraph{Graph: mem, sorted: ss}
+		res, err := EvalWorkers(cg, q, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != limit {
+			t.Fatalf("workers=%d: %d rows, want %d", workers, res.Len(), limit)
+		}
+		// Whatever the budget, a capped branch runs one chunk at a time
+		// and stops after the first.
+		bound := int64(2*seed + chunkRows + limit)
+		if got := cg.ids.Load(); got > bound {
+			t.Errorf("workers=%d: examined %d ids, want at most %d (whole-table execution: %d)",
+				workers, got, bound, 3*seed+limit)
 		}
 	}
 }

@@ -101,7 +101,8 @@ func EvalContext(ctx context.Context, g graph.Graph, q *Query) (*Result, error) 
 // EvalWorkers is Eval with an explicit intra-query worker budget,
 // overriding the package-wide SetMaxWorkers default for this evaluation
 // (workers <= 1 keeps execution single-threaded; see parallel.go for
-// what parallelizes and why results are identical for every budget).
+// how chunks spread over workers and why results are identical for every
+// budget).
 func EvalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
 	return EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers})
 }
@@ -289,16 +290,9 @@ type evaluator struct {
 	// span methods make every recording site a predictable no-op).
 	tr *obs.Span
 
-	// ctx is non-nil only when the evaluation is cancelable (the caller's
-	// context has a Done channel); ctxTick counts tick sites so the check
-	// itself runs once per 128 of them, and ctxErr latches the first
-	// observed context error so every later tick fails fast.
-	ctx     context.Context
-	ctxTick int
-	ctxErr  error
-	// tickFn is tickOK bound once, handed to streaming fetches so their
-	// callbacks can observe cancellation without a per-call closure.
-	tickFn func() bool
+	// The cancellation tick of the goroutine that evaluates the query:
+	// planning, emission and the OPTIONAL matcher (see parallel.go).
+	cancelTick
 
 	// mem accounts binding-table and result-row growth (nil: unlimited);
 	// noSpill turns a soft-budget crossing into an immediate
@@ -333,19 +327,20 @@ type evaluator struct {
 	done     bool
 
 	// batch is the columnar join executor, one per evaluation; its
-	// binding table and scratch buffers are reused across branches.
-	batch batchExec
+	// binding table and scratch buffers are reused across chunks and
+	// branches. laneSet is batch followed by the executors made for other
+	// workers' chunks, and chunks counts the chunks run (parallel.go).
+	batch   batchExec
+	laneSet []*batchExec
+	chunks  int
 
 	// keyBuf is the reusable buffer for binary DISTINCT / GROUP BY keys
 	// (fixed-width big-endian ids; None encodes unbound).
 	keyBuf []byte
 
-	// termCache memoizes dictionary decodes for the current query, so a
-	// term is decoded once however many rows it appears in; numCache does
-	// the same for the numeric parse FILTER and ORDER BY compare on
+	// terms decodes ids for emission, ORDER BY keys and late FILTERs
 	// (order.go).
-	termCache map[core.ID]rdf.Term
-	numCache  map[core.ID]numVal
+	terms termReader
 
 	// ORDER BY state (order.go). orderKeys holds len(q.OrderBy) keys per
 	// collected row — kept apart from the cells because sort variables
@@ -374,42 +369,6 @@ type evaluator struct {
 	groupSets   []map[core.ID]struct{}
 }
 
-// tickOK is the evaluator's cancellation check, called once per row in
-// join loops and once per streamed candidate in Match callbacks: it
-// returns false once the context is done, with the actual ctx.Err()
-// latched in ev.ctxErr. The context is consulted every 128 ticks, so the
-// steady-state cost is one increment and one branch.
-func (ev *evaluator) tickOK() bool {
-	if ev.ctxErr != nil {
-		return false
-	}
-	if ev.ctx == nil {
-		return true
-	}
-	if ev.ctxTick++; ev.ctxTick&127 != 0 {
-		return true
-	}
-	if err := ev.ctx.Err(); err != nil {
-		ev.ctxErr = err
-		return false
-	}
-	return true
-}
-
-// ctxCheck consults the context directly (no tick amortization); used at
-// step and chunk boundaries.
-func (ev *evaluator) ctxCheck() error {
-	if ev.ctxErr != nil {
-		return ev.ctxErr
-	}
-	if ev.ctx != nil {
-		if err := ev.ctx.Err(); err != nil {
-			ev.ctxErr = err
-		}
-	}
-	return ev.ctxErr
-}
-
 // canSpill reports whether a soft-budget crossing may be answered by
 // spilling (rather than failing): spilling enabled and a soft budget
 // configured to size the spill chunks by.
@@ -424,19 +383,19 @@ func (ev *evaluator) run() (*Result, error) {
 		ev.vars = q.AllVars()
 	}
 	ev.slots = make(map[string]int)
-	ev.termCache = make(map[core.ID]rdf.Term)
+	ev.terms = newTermReader(ev.dict)
 	ev.batch.ev = ev
 	ev.batch.src = ev.src
-	ev.batch.workers = ev.workers
-	if ev.batch.workers < 1 {
-		ev.batch.workers = 1
-	}
+	ev.batch.workers = max(ev.workers, 1)
 	if ss, ok := graph.AsSortedSource(ev.src); ok {
 		ev.batch.sorted = ss
 	}
 	if vs, ok := graph.AsViewSource(ev.src); ok {
 		ev.batch.views = vs
 	}
+	ev.batch.init()
+	ev.laneSet = append(ev.laneSet, &ev.batch)
+	defer ev.finish()
 	if len(q.Aggregates) > 0 {
 		ev.aggMode = true
 		ev.groups = make(map[string]int)
@@ -469,15 +428,12 @@ func (ev *evaluator) run() (*Result, error) {
 		return nil, err
 	}
 	ev.res = &Result{Vars: ev.vars}
-	ev.tickFn = ev.tickOK
 	// What one collected row retains: its cells, its ORDER BY keys and
 	// sequence number. Result rows cannot spill, so they count against
 	// the hard cap — a query whose output alone is enormous fails typed
 	// instead of exhausting memory.
 	ev.rowBytes = int64(len(ev.vars))*int64(unsafe.Sizeof(rdf.Term{})) +
 		int64(len(q.OrderBy))*int64(unsafe.Sizeof(sortKey{})) + 8
-	// Whatever path exits, drop spill files and return accounted bytes.
-	defer ev.batch.release()
 	if q.Distinct && !ev.aggMode {
 		ev.distinct = make(map[string]bool)
 	}
@@ -824,20 +780,6 @@ func appendIDKey(buf []byte, id core.ID) []byte {
 	return binary.BigEndian.AppendUint64(buf, uint64(id))
 }
 
-// decodeCached decodes id through the per-query term cache, so each
-// distinct term is materialized once no matter how many rows carry it.
-func (ev *evaluator) decodeCached(id core.ID) (rdf.Term, error) {
-	if t, ok := ev.termCache[id]; ok {
-		return t, nil
-	}
-	t, err := ev.dict.Decode(id)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	ev.termCache[id] = t
-	return t, nil
-}
-
 // emit turns the current solution (ev.cur) into a result row — the one
 // place rows are made, whichever path bound the solution: the batch
 // engine's table rows, the OPTIONAL matcher, or spilled chunks read
@@ -847,7 +789,7 @@ func (ev *evaluator) decodeCached(id core.ID) (rdf.Term, error) {
 func (ev *evaluator) emit(lateFilters []*cfilter) error {
 	cur := ev.cur
 	for _, f := range lateFilters {
-		ok, err := ev.filterPass(f, f.l.id(cur), f.r.id(cur))
+		ok, err := ev.terms.filterPass(f, f.l.id(cur), f.r.id(cur))
 		if err != nil {
 			return err
 		}
@@ -883,7 +825,7 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 			var k sortKey
 			if id := cur[s]; id != core.None {
 				var err error
-				if k, err = ev.keyOf(id); err != nil {
+				if k, err = ev.terms.keyOf(id); err != nil {
 					return err
 				}
 			}
@@ -929,7 +871,7 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 			dst[i] = rdf.Term{}
 			continue
 		}
-		term, err := ev.decodeCached(id)
+		term, err := ev.terms.decode(id)
 		if err != nil {
 			return err
 		}
@@ -1033,7 +975,7 @@ func (ev *evaluator) materializeGroups() error {
 			var term rdf.Term
 			if gi >= 0 && ev.groupIDs[g*ng+gi] != core.None {
 				var err error
-				if term, err = ev.dict.Decode(ev.groupIDs[g*ng+gi]); err != nil {
+				if term, err = ev.terms.decode(ev.groupIDs[g*ng+gi]); err != nil {
 					return err
 				}
 			}
@@ -1124,8 +1066,8 @@ func (ev *evaluator) compileFilters() error {
 // (possible only for optional variables) fails. Equality compares whole
 // terms — for two variables, their ids; ordering compares numerically
 // when both operands are numeric, lexicographically on the term value
-// otherwise. Each distinct id is decoded and parsed once per query.
-func (ev *evaluator) filterPass(f *cfilter, lid, rid core.ID) (bool, error) {
+// otherwise.
+func (tr *termReader) filterPass(f *cfilter, lid, rid core.ID) (bool, error) {
 	lvar, rvar := f.l.slot >= 0, f.r.slot >= 0
 	if (lvar && lid == core.None) || (rvar && rid == core.None) {
 		return false, nil
@@ -1136,12 +1078,12 @@ func (ev *evaluator) filterPass(f *cfilter, lid, rid core.ID) (bool, error) {
 	left, right := f.l.key, f.r.key
 	var err error
 	if lvar {
-		if left, err = ev.keyOf(lid); err != nil {
+		if left, err = tr.keyOf(lid); err != nil {
 			return false, err
 		}
 	}
 	if rvar {
-		if right, err = ev.keyOf(rid); err != nil {
+		if right, err = tr.keyOf(rid); err != nil {
 			return false, err
 		}
 	}

@@ -2,9 +2,11 @@ package sparql
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"hexastore/internal/core"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/obs"
@@ -61,8 +63,10 @@ func attrInt(t *testing.T, sp *obs.Span, key string) int64 {
 }
 
 // checkAnalyzeTrace asserts the executed-trace shape the EXPLAIN
-// ANALYZE contract promises: a plan span naming the pattern order, and
-// one step span per pattern carrying estimated and actual cardinalities.
+// ANALYZE contract promises: a plan span naming the pattern order, one
+// step span per pattern carrying estimated and actual cardinalities and
+// the chunks that reached it, and an emit span with the rows, chunks and
+// dictionary decodes of emission.
 func checkAnalyzeTrace(t *testing.T, tr *obs.Trace, patterns, rows int) {
 	t.Helper()
 	if plans := findSpans(tr, "plan"); len(plans) != 1 {
@@ -83,6 +87,9 @@ func checkAnalyzeTrace(t *testing.T, tr *obs.Trace, patterns, rows int) {
 		attrInt(t, sp, "estRows") // may be -1 (unknown), must be present
 		attrInt(t, sp, "rowsIn")
 		attrInt(t, sp, "rowsOut")
+		if got := attrInt(t, sp, "chunks"); got < 1 {
+			t.Errorf("%s: chunks = %d, want at least 1", sp.Name(), got)
+		}
 	}
 	emits := findSpans(tr, "emit")
 	if len(emits) != 1 {
@@ -91,6 +98,10 @@ func checkAnalyzeTrace(t *testing.T, tr *obs.Trace, patterns, rows int) {
 	if got := attrInt(t, emits[0], "emitted"); got != int64(rows) {
 		t.Errorf("emit emitted = %d, want %d", got, rows)
 	}
+	if got := attrInt(t, emits[0], "chunks"); got < 1 {
+		t.Errorf("emit chunks = %d, want at least 1", got)
+	}
+	attrInt(t, emits[0], "termsDecoded") // 0 for a query that emits no cell
 	if snaps := findSpans(tr, "snapshot"); len(snaps) != 1 {
 		t.Errorf("snapshot spans = %d, want 1", len(snaps))
 	}
@@ -224,6 +235,68 @@ func TestTraceDifferential(t *testing.T) {
 					t.Fatalf("%s: row %d var %s: %v vs %v", src, i, v, term, traced.Rows[i][v])
 				}
 			}
+		}
+	}
+}
+
+// TestExplainAnalyzeChunks pins what the trace and /metrics say about
+// the pipeline: a seed of five rows in chunks of two is three chunks, the
+// step after the seed sees each of them, emission decodes one term per
+// cell, and the process-wide counters move by the same amounts — tracing
+// on or off.
+func TestExplainAnalyzeChunks(t *testing.T) {
+	setChunkRows(t, 2)
+	st := core.New()
+	for i := 0; i < 5; i++ {
+		s := iri(fmt.Sprintf("s%d", i))
+		st.AddTriple(rdf.T(s, iri("type"), iri("T")))
+		st.AddTriple(rdf.T(s, iri("val"), iri(fmt.Sprintf("v%d", i))))
+	}
+	g := graph.Memory(st)
+	q, err := Parse(`SELECT ?s ?v WHERE { ?s <type> <T> . ?s <val> ?v }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, traced := range []bool{true, false} {
+		chunks0, decoded0 := chunksTotal.Value(), termsDecodedTotal.Value()
+		opt := EvalOptions{Workers: 1}
+		if traced {
+			opt.Trace = obs.NewTrace("query")
+		}
+		res, err := EvalOpts(context.Background(), g, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 5 {
+			t.Fatalf("rows = %d, want 5", res.Len())
+		}
+		if got := chunksTotal.Value() - chunks0; got != 3 {
+			t.Errorf("traced=%v: hex_sparql_chunks_total moved by %d, want 3", traced, got)
+		}
+		if got := termsDecodedTotal.Value() - decoded0; got != 10 {
+			t.Errorf("traced=%v: hex_sparql_terms_decoded_total moved by %d, want 10", traced, got)
+		}
+		if !traced {
+			continue
+		}
+		opt.Trace.Finish()
+		checkAnalyzeTrace(t, opt.Trace, 2, 5)
+		steps := findSpans(opt.Trace, "step[")
+		if got := attrInt(t, steps[0], "chunks"); got != 1 {
+			t.Errorf("seed step chunks = %d, want 1", got)
+		}
+		if got := attrInt(t, steps[1], "chunks"); got != 3 {
+			t.Errorf("second step chunks = %d, want 3", got)
+		}
+		if in, out := attrInt(t, steps[1], "rowsIn"), attrInt(t, steps[1], "rowsOut"); in != 5 || out != 5 {
+			t.Errorf("second step rowsIn/rowsOut = %d/%d, want 5/5 summed over chunks", in, out)
+		}
+		emit := findSpans(opt.Trace, "emit")[0]
+		if got := attrInt(t, emit, "chunks"); got != 3 {
+			t.Errorf("emit chunks = %d, want 3", got)
+		}
+		if got := attrInt(t, emit, "termsDecoded"); got != 10 {
+			t.Errorf("emit termsDecoded = %d, want 10", got)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"hexastore/internal/core"
+	"hexastore/internal/dictionary"
 	"hexastore/internal/rdf"
 )
 
@@ -63,13 +64,33 @@ func parseNum(s string) numVal {
 	return numVal{f, err == nil}
 }
 
+// termReader turns ids into terms for one goroutine of an evaluation —
+// the evaluator's own for emission, one per lane for staged FILTERs —
+// through a snapshot of the dictionary's key table, so a decode is an
+// index and a slice with no lock and no per-query table to fill. nums
+// memoizes the numeric parse FILTER and ORDER BY compare on; decoded
+// counts decodes for the trace and /metrics.
+type termReader struct {
+	snap    dictionary.Snapshot
+	nums    map[core.ID]numVal
+	decoded int
+}
+
+func newTermReader(d *dictionary.Dictionary) termReader {
+	return termReader{snap: d.Snapshot()}
+}
+
+func (tr *termReader) decode(id core.ID) (rdf.Term, error) {
+	tr.decoded++
+	return tr.snap.Decode(id)
+}
+
 // keyOf returns the sort key of the term behind id. FILTER comparisons
-// and ORDER BY share it: the term comes from termCache and the numeric
-// parse is memoized beside it in numCache, so a value is decoded and
-// parsed once however many rows carry it. Values that cannot be numbers
-// are not remembered — there is nothing to save.
-func (ev *evaluator) keyOf(id core.ID) (sortKey, error) {
-	t, err := ev.decodeCached(id)
+// and ORDER BY share it: a value is parsed once however many rows carry
+// it. Values that cannot be numbers are not remembered — there is
+// nothing to save.
+func (tr *termReader) keyOf(id core.ID) (sortKey, error) {
+	t, err := tr.decode(id)
 	if err != nil {
 		return sortKey{}, err
 	}
@@ -77,13 +98,13 @@ func (ev *evaluator) keyOf(id core.ID) (sortKey, error) {
 	if !startsNumber(t.Value) {
 		return k, nil
 	}
-	n, ok := ev.numCache[id]
+	n, ok := tr.nums[id]
 	if !ok {
-		if ev.numCache == nil {
-			ev.numCache = make(map[core.ID]numVal)
+		if tr.nums == nil {
+			tr.nums = make(map[core.ID]numVal)
 		}
 		n = parseNum(t.Value)
-		ev.numCache[id] = n
+		tr.nums[id] = n
 	}
 	k.num = n
 	return k, nil

@@ -1,35 +1,29 @@
 package sparql
 
-// Intra-query parallelism for the batch engine. When a join step's
-// binding table is large, its per-row work — existence probes in
-// filterStep, candidate fetches in expandStep — partitions across
-// workers: each worker owns a contiguous row range, private scratch
-// buffers, and private output columns, and the partial results are
-// spliced back in partition order. Because every partition computes
-// exactly what the sequential loop would have computed for its rows, and
-// the splice preserves row order, the binding table after a parallel
-// step is identical to the sequential one — which is what lets the
-// differential suites assert worker-count invariance, and why results
-// and row ordering never depend on GOMAXPROCS.
-//
-// Steps whose row cap is active (the final step of an ASK/LIMIT branch)
-// stay sequential: the cap is an early-termination contract that a
-// partitioned loop would either break or have to coordinate on; capped
-// steps produce few rows by construction, so there is nothing to win.
-// Emission, FILTER evaluation and OPTIONAL matching also stay
-// sequential — they funnel into shared evaluator state (result rows,
-// DISTINCT set, decode cache) and are a small fraction of join time.
+// Intra-query parallelism for the batch engine: the chunk is the unit of
+// fan-out. The goroutine evaluating the query drives the pipeline — it
+// cuts the seed into chunks, hands each to a lane, and emits the
+// finished chunks in seed order — and with a worker budget above one
+// the lanes are up to that many executors, each with its own table,
+// free list, scratch buffers, cancellation tick and term reader, run by
+// as many goroutines. A lane computes for its chunk exactly what a
+// single lane would, emission happens on one goroutine in seed order
+// (it funnels into the evaluator's result rows, DISTINCT set and
+// aggregation buckets) — so rows and their order do not depend on the
+// worker count or on GOMAXPROCS, which is what the differential suites
+// assert. With one worker, a seed of one chunk, or a branch whose last
+// step is row-capped (a plain LIMIT or ASK: the first chunks answer it,
+// and running others ahead is the work the cap avoids), the same loop
+// runs every chunk inline and starts no goroutine.
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"hexastore/internal/core"
-	"hexastore/internal/govern"
+	"hexastore/internal/obs"
 )
 
 // maxWorkersSetting holds the configured package-wide worker budget;
@@ -52,247 +46,153 @@ func MaxWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultParallelRowThreshold is the default binding-table row count
-// above which join steps partition across workers. Below it, goroutine
-// startup and partial-column splicing cost more than the row loop.
-const DefaultParallelRowThreshold = 2048
-
-// rowThresholdSetting holds the configured threshold; <= 0 means the
-// default.
-var rowThresholdSetting atomic.Int64
-
-// SetParallelRowThreshold overrides the row count at which join steps go
-// parallel (n <= 0 restores DefaultParallelRowThreshold). Tests lower it
-// to drive the parallel paths on small fixtures; deployments with very
-// cheap rows can raise it.
-func SetParallelRowThreshold(n int) { rowThresholdSetting.Store(int64(n)) }
-
-// ParallelRowThreshold returns the active row threshold.
-func ParallelRowThreshold() int {
-	if n := rowThresholdSetting.Load(); n > 0 {
-		return int(n)
-	}
-	return DefaultParallelRowThreshold
+// cancelTick is one goroutine's view of the evaluation's cancellation:
+// ctx is non-nil only when the evaluation is cancelable (the caller's
+// context has a Done channel). ctxTick counts tick sites so the check
+// itself runs once per 128 of them, and ctxErr latches the first error
+// observed so every later tick fails fast.
+type cancelTick struct {
+	ctx     context.Context
+	ctxTick int
+	ctxErr  error
 }
 
-// parallelOK reports whether the current step should partition rows:
-// a worker budget above one, no active row cap, and a table big enough
-// to amortize the fan-out.
-func (bx *batchExec) parallelOK(rows int) bool {
-	return bx.workers > 1 && bx.rowCap < 0 && rows >= ParallelRowThreshold()
+// tickOK is the cancellation check, called once per row in join loops
+// and once per streamed candidate in fetch callbacks: it returns false
+// once the context is done, with the error latched in ctxErr. The
+// context is consulted every 128 ticks, so the steady-state cost is one
+// increment and one branch.
+func (t *cancelTick) tickOK() bool {
+	if t.ctxErr != nil {
+		return false
+	}
+	if t.ctxTick++; t.ctxTick&127 != 0 {
+		return true
+	}
+	return t.ctxCheck() == nil
 }
 
-// partitionRows splits [0, n) into at most workers contiguous,
-// near-equal ranges.
-func partitionRows(n, workers int) [][2]int {
-	if workers > n {
-		workers = n
+// ctxCheck consults the context directly (no tick amortization); used
+// at step and chunk boundaries.
+func (t *cancelTick) ctxCheck() error {
+	if t.ctxErr == nil && t.ctx != nil {
+		t.ctxErr = t.ctx.Err()
 	}
-	parts := make([][2]int, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		if lo < hi {
-			parts = append(parts, [2]int{lo, hi})
+	return t.ctxErr
+}
+
+var (
+	chunksTotal = obs.Default.Counter(
+		"hex_sparql_chunks_total", "Binding-table chunks run through join pipelines.")
+	termsDecodedTotal = obs.Default.Counter(
+		"hex_sparql_terms_decoded_total", "Dictionary ids decoded to terms by queries.")
+)
+
+// finish ends the evaluation's executors: their scratch goes back to the
+// pool — every table has been dropped by now, so nothing refers to it —
+// and their counts to /metrics, once per query from counters the
+// evaluator and its lanes kept anyway.
+func (ev *evaluator) finish() {
+	decoded := ev.terms.decoded
+	for _, ln := range ev.laneSet {
+		decoded += ln.terms.decoded
+		scratchPool.Put(ln.scratch)
+		ln.scratch = nil
+	}
+	chunksTotal.Add(int64(ev.chunks))
+	termsDecodedTotal.Add(int64(decoded))
+}
+
+// lanes returns n executors for a branch's chunks, the evaluator's own
+// first; the others are made on first need and kept for the branches
+// that follow.
+func (ev *evaluator) lanes(n int) []*batchExec {
+	for len(ev.laneSet) < n {
+		ln := &batchExec{ev: ev, src: ev.src, sorted: ev.batch.sorted, views: ev.batch.views}
+		ln.init()
+		ev.laneSet = append(ev.laneSet, ln)
+	}
+	return ev.laneSet[:n]
+}
+
+// init readies an executor for its evaluation's chunks.
+func (bx *batchExec) init() {
+	bx.ctx = bx.ev.ctx
+	bx.terms = newTermReader(bx.ev.dict)
+	bx.scratch = scratchPool.Get().(*scratch)
+}
+
+// runChunks is the pipeline: the n seed rows in cols are cut into
+// chunks, chunk i runs on lane i mod len(lanes), and chunks are emitted
+// in order, each lane taking its next chunk once its last one has been
+// emitted — so at most one chunk per lane is in memory.
+func (bx *batchExec) runChunks(br *branchRun, cols [][]core.ID, n int) error {
+	ev := bx.ev
+	nChunks := (n + chunkRows - 1) / chunkRows
+	workers := bx.workers
+	if br.capped {
+		// A plain LIMIT or ASK wants a few rows of the first chunks: a
+		// chunk run ahead on another lane is work the cap exists to avoid.
+		workers = 1
+	}
+	lanes := ev.lanes(max(1, min(workers, nChunks)))
+	var jobs chan *batchExec
+	if len(lanes) > 1 {
+		// Every lane can be queued at once, so handing out never blocks.
+		jobs = make(chan *batchExec, len(lanes))
+		var wg sync.WaitGroup
+		for range lanes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ln := range jobs {
+					ln.err = ln.runChunk(br)
+					ln.done <- struct{}{}
+				}
+			}()
 		}
+		defer func() {
+			close(jobs)
+			wg.Wait()
+		}()
 	}
-	return parts
-}
 
-// probeRowsParallel is filterStep's multi-bound-column case with the
-// existence probes partitioned across workers. Each worker collects the
-// surviving absolute row indices of its range; concatenating the ranges
-// in order yields the same keep list the sequential loop builds.
-func (bx *batchExec) probeRowsParallel(sp *stepSpec) error {
-	tbl := &bx.tbl
-	parts := partitionRows(tbl.n, bx.workers)
-	bx.curSp.SetInt("workers", int64(len(parts)))
-	keeps := make([][]int, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	ctx := bx.ev.ctx
-	for w, pr := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			keep := make([]int, 0, hi-lo)
-			for r := lo; r < hi; r++ {
-				// Workers observe the context with private counters —
-				// the evaluator's tick state is not shared across
-				// goroutines.
-				if ctx != nil && (r-lo)&127 == 0 {
-					if err := ctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
+	var firstErr error
+	stopped := false
+	for next, emitted := 0, 0; ; emitted++ {
+		for ; !stopped && next < nChunks && next-emitted < len(lanes); next++ {
+			ln := lanes[next%len(lanes)]
+			lo := next * chunkRows
+			ln.beginChunk(br, cols, lo, min(lo+chunkRows, n), nChunks-next)
+			ev.chunks++
+			if jobs != nil {
+				if ln.done == nil {
+					ln.done = make(chan struct{}, 1)
 				}
-				ok, err := bx.src.Has(bx.subst(sp, 0, r), bx.subst(sp, 1, r), bx.subst(sp, 2, r))
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if ok {
-					keep = append(keep, r)
-				}
-			}
-			keeps[w] = keep
-		}(w, pr[0], pr[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	keep := bx.keep[:0]
-	for _, k := range keeps {
-		keep = append(keep, k...)
-	}
-	tbl.compact(keep)
-	bx.keep = keep
-	return nil
-}
-
-// expandStepParallel runs a row-dependent expansion (one or two new
-// variables) with the rows partitioned across workers. Every worker
-// fetches candidates into private scratch (per-worker cursors into the
-// backend: the memory store copies terminal lists under its read lock,
-// the disk store runs an independent B+-tree prefix scan per call) and
-// builds private output columns; the partials are spliced in partition
-// order, so the resulting table equals the sequential one row for row.
-func (bx *batchExec) expandStepParallel(sp *stepSpec) error {
-	tbl := &bx.tbl
-	oldCols := tbl.cols
-	nNew := len(sp.newNames)
-	parts := partitionRows(tbl.n, bx.workers)
-	if bx.curSp != nil {
-		bx.curSp.Set("kind", "expand")
-		bx.curSp.Set("newVars", strings.Join(sp.newNames, ","))
-		bx.curSp.SetInt("workers", int64(len(parts)))
-	}
-	outs := make([][][]core.ID, len(parts))
-	errs := make([]error, len(parts))
-	ctx := bx.ev.ctx
-
-	// Budget governance across workers: a shared cell counter against the
-	// soft headroom left when the step started. Crossing it raises the
-	// abort flag; every worker sees the shared counter cross, so all stop
-	// within one row. The overshoot is bounded by one in-flight fetch per
-	// worker; the sequential re-run (spill or typed failure) is decided
-	// after the join below.
-	var abort atomic.Bool
-	var cells atomic.Int64
-	headroom := int64(-1)
-	if m := bx.ev.mem; m != nil {
-		if b := m.Budget(); b > 0 {
-			if headroom = b - m.Used(); headroom < 0 {
-				headroom = 0
+				jobs <- ln
+			} else {
+				ln.err = ln.runChunk(br)
 			}
 		}
-	}
-
-	var wg sync.WaitGroup
-	for w, pr := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			out := make([][]core.ID, len(oldCols)+nNew)
-			var bufA, bufB []core.ID
-			tick := workerTick(ctx)
-			for r := lo; r < hi; r++ {
-				if abort.Load() {
-					return
-				}
-				var k int
-				if sp.nFree == 1 {
-					ids, err := bx.fetchOne(sp, r, bufA[:0], tick)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					bufA = ids
-					k = len(ids)
-					if k > 0 {
-						out[len(oldCols)] = append(out[len(oldCols)], ids...)
-					}
-				} else {
-					var err error
-					bufA, bufB, err = bx.fetchPair(sp, r, -1, bufA[:0], bufB[:0], tick)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					k = len(bufA)
-					if k > 0 {
-						out[len(oldCols)] = append(out[len(oldCols)], bufA...)
-						if nNew == 2 {
-							out[len(oldCols)+1] = append(out[len(oldCols)+1], bufB...)
-						}
-					}
-				}
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				if k == 0 {
-					continue
-				}
-				for c := range oldCols {
-					out[c] = appendRun(out[c], oldCols[c][r], k)
-				}
-				if headroom >= 0 && cells.Add(int64(k*(len(oldCols)+nNew)))*8 > headroom {
-					abort.Store(true)
-					return
-				}
+		if emitted == next {
+			return firstErr
+		}
+		ln := lanes[emitted%len(lanes)]
+		if jobs != nil {
+			<-ln.done
+		}
+		if !stopped {
+			err := ln.err
+			if err == nil {
+				err = ln.emitChunk(br)
 			}
-			outs[w] = out
-		}(w, pr[0], pr[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			// An error or a reached LIMIT ends the pipeline: nothing more
+			// is handed out, and the loop goes on only to collect the at
+			// most len(lanes)-1 chunks in flight, whose rows are dropped.
+			if firstErr = err; err != nil || ev.done {
+				stopped = true
+			}
 		}
-	}
-	if abort.Load() {
-		if bx.ev.canSpill() {
-			return errSpillNeeded
-		}
-		return fmt.Errorf("%w: step output crossed the %d-byte budget with spilling disabled",
-			govern.ErrBudgetExceeded, bx.ev.mem.Budget())
-	}
-
-	out := make([][]core.ID, len(oldCols)+nNew)
-	for _, po := range outs {
-		for c := range out {
-			out[c] = append(out[c], po[c]...)
-		}
-	}
-	// The table had at least parallelRowThreshold rows, so no column can
-	// seed the sorted flag here (that needs the one-row unit table);
-	// existing flags survive because row order is preserved.
-	newSorted := make([]bool, len(out))
-	copy(newSorted, tbl.sorted)
-	tbl.vars = append(tbl.vars, sp.newNames...)
-	tbl.cols = out
-	tbl.sorted = newSorted
-	tbl.n = len(out[len(out)-1])
-	return nil
-}
-
-// workerTick returns a goroutine-private cancellation tick for streamed
-// fetch callbacks: every 128 calls it consults ctx directly. nil when
-// the evaluation is not cancelable.
-func workerTick(ctx context.Context) func() bool {
-	if ctx == nil {
-		return nil
-	}
-	n := 0
-	return func() bool {
-		if n++; n&127 != 0 {
-			return true
-		}
-		return ctx.Err() == nil
+		ln.endChunk()
 	}
 }

@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// lowerThreshold drops the parallel row threshold so small fixtures hit
-// the partitioned paths, restoring the default afterwards.
-func lowerThreshold(t *testing.T) {
+// setChunkRows shrinks the pipeline's chunk so small fixtures span many
+// chunks — and so several lanes — restoring the constant afterwards.
+func setChunkRows(t testing.TB, n int) {
 	t.Helper()
-	SetParallelRowThreshold(4)
-	t.Cleanup(func() { SetParallelRowThreshold(0) })
+	old := chunkRows
+	chunkRows = n
+	t.Cleanup(func() { chunkRows = old })
 }
 
 // joinFixture builds a memory/baseline pair with enough fan-out that
@@ -35,12 +36,12 @@ func joinFixture() (mem, base Source) {
 // TestWorkersInvariance runs join-heavy queries at worker counts 1, 2
 // and 8 over both the merge-join engine (memory) and the bind-probe
 // fallback (baseline) and requires bit-identical results — same rows in
-// the same order — because parallel steps splice partitions in row
-// order. Exercises expansion steps (new variables), multi-column probe
-// steps (?x knows ?y . ?y knows ?x), OPTIONAL, DISTINCT, GROUP BY,
-// ORDER BY and LIMIT (the capped final step stays sequential).
+// the same order — because chunks are emitted in seed order whichever
+// lane ran them. Exercises expansion steps (new variables), multi-column
+// probe steps (?x knows ?y . ?y knows ?x), OPTIONAL, DISTINCT, GROUP BY,
+// ORDER BY and LIMIT (each chunk's cap on the final step).
 func TestWorkersInvariance(t *testing.T) {
-	lowerThreshold(t)
+	setChunkRows(t, 4)
 	mem, base := joinFixture()
 	queries := []string{
 		`SELECT ?a ?c WHERE { ?a <knows> ?b . ?b <knows> ?c }`,
@@ -83,11 +84,11 @@ func TestWorkersInvariance(t *testing.T) {
 }
 
 // TestWorkersInvarianceUnionsAndRepeats covers the remaining step
-// shapes under partitioning: union branches sharing one evaluator,
+// shapes across lanes: union branches sharing one evaluator,
 // repeated variables inside a single pattern (shared output slot), and
 // a two-free-position expansion against a bound column.
 func TestWorkersInvarianceUnionsAndRepeats(t *testing.T) {
-	lowerThreshold(t)
+	setChunkRows(t, 4)
 	mem, base := joinFixture()
 	queries := []string{
 		`SELECT ?a ?x ?y WHERE { ?a <knows> ?b . ?b ?x ?y }`,
@@ -130,8 +131,5 @@ func TestMaxWorkersSetting(t *testing.T) {
 	SetMaxWorkers(0)
 	if got := MaxWorkers(); got < 1 {
 		t.Errorf("MaxWorkers default = %d, want >= 1", got)
-	}
-	if got := ParallelRowThreshold(); got != DefaultParallelRowThreshold {
-		t.Errorf("ParallelRowThreshold = %d, want default %d", got, DefaultParallelRowThreshold)
 	}
 }

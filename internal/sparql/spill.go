@@ -1,24 +1,26 @@
 package sparql
 
 // Spill-to-disk execution for budgeted queries. When a query carries a
-// memory budget (govern.Meter) and a join step's output would cross it,
-// the step restarts in streaming mode: input rows are processed in
-// order and the output is accumulated through a tableSink that flushes
-// fixed-size chunks to a temp spill file instead of materializing the
-// whole binding table. Later steps, FILTERs and final emission then
-// stream the spilled table chunk by chunk — each chunk is a small
-// batchTable, so the existing step machinery (merge-intersect filters,
-// sorted-list expansions, per-row probes) runs unchanged per chunk and
+// memory budget (govern.Meter) and a join step's output for the chunk at
+// hand would cross it, the step restarts in streaming mode: input rows
+// are processed in order and the output is accumulated through a
+// tableSink that flushes fixed-size pieces to a temp spill file instead
+// of materializing the chunk's whole table. Later steps, FILTERs and
+// emission then stream the spilled table piece by piece — each piece is
+// a small batchTable, so the step kernels (merge-intersect filters,
+// sorted-list expansions, per-row probes) run unchanged per piece and
 // the result is bit-identical to the in-memory evaluation: row order is
-// preserved end to end, and a chunk of a sorted column is still sorted,
-// which keeps the galloping merge licensed.
+// preserved end to end, and a piece of a sorted column is still sorted,
+// which keeps the galloping merge licensed. Budget state is per
+// executor, so lanes account — and spill — their own chunks against the
+// query's one meter; a seed that spilled is read back a piece at a time
+// and chunked from there (batch.go).
 //
 // Spill files go through iofault.FS, so the fault-injection harness
 // covers this path: a torn write or ENOSPC surfaces as an error that
-// fails the query cleanly (chunks additionally carry a CRC32 that read
+// fails the query cleanly (pieces additionally carry a CRC32 that read
 // paths verify). Files are created lazily in SpillDir on the first
-// flush and removed when the owning table is replaced or the
-// evaluation returns.
+// flush and removed when the owning table is replaced or dropped.
 
 import (
 	"encoding/binary"
@@ -47,7 +49,7 @@ var errSpillNeeded = fmt.Errorf("sparql: internal: spill needed")
 
 // budgetCheckCells is how many appended binding-table cells may
 // accumulate between accounting checks during an in-memory expansion;
-// it bounds the overshoot past the soft budget to 8 KiB per worker.
+// it bounds the overshoot past the soft budget to 8 KiB per lane.
 const budgetCheckCells = 1024
 
 // spillSeq disambiguates spill file names within a process.
@@ -189,13 +191,17 @@ func (bx *batchExec) newSink(vars []string, sorted []bool) *tableSink {
 	if fb > 8<<20 {
 		fb = 8 << 20
 	}
-	return &tableSink{
+	sk := &tableSink{
 		bx:         bx,
 		vars:       vars,
 		sorted:     sorted,
 		cols:       make([][]core.ID, len(vars)),
 		flushBytes: fb,
 	}
+	for c := range sk.cols {
+		sk.cols[c] = bx.getCol()
+	}
+	return sk
 }
 
 func (sk *tableSink) bufBytes() int64 {
@@ -204,14 +210,14 @@ func (sk *tableSink) bufBytes() int64 {
 
 // settle is called after every append: it spills the buffer once it
 // crosses the flush threshold and reconciles the meter with the bytes
-// actually held (current input chunk + output buffer + shared scratch).
+// actually held (current input chunk + output buffer).
 func (sk *tableSink) settle() error {
 	if sk.bufBytes() >= sk.flushBytes {
 		if err := sk.flush(); err != nil {
 			return err
 		}
 	}
-	return sk.bx.setAccounted(tableBytes(&sk.bx.tbl) + sk.bufBytes() + sk.bx.scratchBytes)
+	return sk.bx.setAccounted(sk.bx.tableBytes() + sk.bufBytes())
 }
 
 // flush writes the buffered rows as one chunk and empties the buffer.
@@ -260,14 +266,13 @@ func (sk *tableSink) appendTable(cols [][]core.ID, n int) error {
 // old column values replicated k times, followed by the new columns'
 // candidate values. Large k is appended in flush-sized segments so the
 // buffer never holds more than one segment past the threshold.
-func (sk *tableSink) appendExpand(oldCols [][]core.ID, r, k int, a, b, c []core.ID) error {
+func (sk *tableSink) appendExpand(oldCols [][]core.ID, r, k int, news [3][]core.ID) error {
 	segRows := k
 	if perRow := int64(len(sk.cols)) * 8; perRow > 0 {
 		if s := int(sk.flushBytes / perRow); s > 0 && s < segRows {
 			segRows = s
 		}
 	}
-	news := [3][]core.ID{a, b, c}
 	nNew := len(sk.vars) - len(oldCols)
 	for off := 0; off < k; off += segRows {
 		end := off + segRows
@@ -294,30 +299,30 @@ func (sk *tableSink) appendExpand(oldCols [][]core.ID, r, k int, a, b, c []core.
 // (with any tail rows flushed as a final chunk).
 func (sk *tableSink) finish() error {
 	bx := sk.bx
+	bx.tbl.vars, bx.tbl.sorted = sk.vars, sk.sorted
 	if sk.sp == nil {
-		bx.tbl.vars = sk.vars
-		bx.tbl.sorted = sk.sorted
-		bx.tbl.cols = sk.cols
-		bx.tbl.n = sk.nbuf
-		return bx.setAccounted(tableBytes(&bx.tbl))
+		bx.setCols(sk.cols, sk.nbuf)
+		return bx.setAccounted(bx.tableBytes())
 	}
 	if err := sk.flush(); err != nil {
 		sk.sp.drop()
+		bx.free = append(bx.free, sk.cols...)
 		return err
 	}
 	bx.spilled = sk.sp
-	bx.tbl.vars = sk.vars
-	bx.tbl.sorted = sk.sorted
 	// Keep per-chunk column scratch; no in-memory rows.
-	bx.tbl.cols = sk.cols
-	bx.tbl.n = 0
+	bx.setCols(sk.cols, 0)
 	return bx.setAccounted(0)
 }
 
-// tableBytes is the accounted size of an in-memory binding table:
-// 8 bytes per cell.
-func tableBytes(t *batchTable) int64 {
-	return int64(t.n) * int64(len(t.cols)) * 8
+// tableBytes is the accounted size of the executor's in-memory binding
+// table: 8 bytes per cell — none for views of the seed, which the
+// branch accounts once.
+func (bx *batchExec) tableBytes() int64 {
+	if bx.borrowed {
+		return 0
+	}
+	return int64(bx.tbl.n) * int64(len(bx.tbl.cols)) * 8
 }
 
 // rows returns the current table's row count, wherever it lives.
@@ -329,35 +334,35 @@ func (bx *batchExec) rows() int {
 }
 
 // release drops any spilled table and returns the accounted bytes of
-// the engine state to the meter. Called when a branch's table is
-// discarded (start and end of every runBatch).
+// the table to the meter. Called when a chunk's table is discarded.
 func (bx *batchExec) release() {
-	if bx.spilled != nil {
-		bx.spilled.drop()
-		bx.spilled = nil
-	}
+	bx.spilled.drop()
+	bx.spilled = nil
 	bx.setAccounted(0) //nolint:errcheck // shrinking cannot fail
 	bx.pendCells = 0
-	bx.scratchBytes = 0
 }
 
-// setAccounted reconciles the meter with total live engine bytes; a
+// setAccounted reconciles the meter with the bytes the executor's table
+// holds; see reaccount.
+func (bx *batchExec) setAccounted(total int64) error {
+	return bx.ev.reaccount(&bx.accounted, total)
+}
+
+// reaccount moves what the meter carries on behalf of *held to total; a
 // growth that crosses the hard cap fails with govern.ErrBudgetExceeded
 // (wrapped) and leaves the accounting unchanged.
-func (bx *batchExec) setAccounted(total int64) error {
-	ev := bx.ev
+func (ev *evaluator) reaccount(held *int64, total int64) error {
 	if ev.mem == nil {
 		return nil
 	}
-	d := total - bx.accounted
-	if d > 0 {
+	if d := total - *held; d > 0 {
 		if err := ev.mem.Grow(d); err != nil {
 			return err
 		}
-	} else if d < 0 {
+	} else {
 		ev.mem.Shrink(-d)
 	}
-	bx.accounted = total
+	*held = total
 	return nil
 }
 
@@ -403,13 +408,10 @@ func (bx *batchExec) flushGrowth() error {
 }
 
 // loadChunk decodes chunk k of sp into the executor's table, whose
-// vars/sorted already carry sp's schema.
+// vars/sorted already carry sp's schema and whose columns are the scratch
+// the sink that wrote sp left behind.
 func (bx *batchExec) loadChunk(sp *spillTable, k int) error {
 	tbl := &bx.tbl
-	for len(tbl.cols) < len(sp.vars) {
-		tbl.cols = append(tbl.cols, nil)
-	}
-	tbl.cols = tbl.cols[:len(sp.vars)]
 	buf, cols, n, err := sp.readChunk(k, bx.decBuf, tbl.cols)
 	bx.decBuf, tbl.cols = buf, cols
 	if err != nil {
@@ -423,25 +425,27 @@ func (bx *batchExec) loadChunk(sp *spillTable, k int) error {
 // the plain path; governed ones account table growth, restart
 // budget-crossing expansions in streaming mode, and stream every step
 // whose input is already spilled.
-func (bx *batchExec) stepGoverned(p *idPattern) error {
+func (bx *batchExec) stepGoverned(sp *stepPlan) error {
 	if bx.ev.mem == nil && bx.spilled == nil {
-		return bx.step(p)
+		if len(sp.newNames) == 0 {
+			return bx.filterStep(sp)
+		}
+		return bx.expandStep(sp)
 	}
-	sp := bx.classify(p)
 	if bx.spilled != nil {
-		return bx.streamStep(&sp)
+		return bx.streamStep(sp)
 	}
 	if len(sp.newNames) == 0 {
 		// Filters only discard rows; run in place and re-account.
-		if err := bx.filterStep(&sp); err != nil {
+		if err := bx.filterStep(sp); err != nil {
 			return err
 		}
-		return bx.setAccounted(tableBytes(&bx.tbl))
+		return bx.setAccounted(bx.tableBytes())
 	}
-	err := bx.expandStep(&sp)
+	err := bx.expandStep(sp)
 	if err == nil {
 		bx.pendCells = 0
-		return bx.setAccounted(tableBytes(&bx.tbl))
+		return bx.setAccounted(bx.tableBytes())
 	}
 	if err != errSpillNeeded {
 		return err
@@ -450,10 +454,10 @@ func (bx *batchExec) stepGoverned(p *idPattern) error {
 	// untouched (expansions build output separately), so roll the
 	// accounting back and restart this step streaming through a sink.
 	bx.pendCells = 0
-	if err := bx.setAccounted(tableBytes(&bx.tbl)); err != nil {
+	if err := bx.setAccounted(bx.tableBytes()); err != nil {
 		return err
 	}
-	return bx.streamStep(&sp)
+	return bx.streamStep(sp)
 }
 
 // streamStep runs one join step in streaming mode: input rows come
@@ -461,88 +465,47 @@ func (bx *batchExec) stepGoverned(p *idPattern) error {
 // a tableSink that spills oversized partitions. Row order and per-row
 // semantics replicate the in-memory step exactly, so results are
 // bit-identical whichever path ran.
-func (bx *batchExec) streamStep(sp *stepSpec) error {
+func (bx *batchExec) streamStep(sp *stepPlan) error {
 	bx.curSp.Set("streamed", true)
-	ev := bx.ev
 	in := bx.spilled
 	bx.spilled = nil
 	if in != nil {
 		defer in.drop()
 	}
-	defer func() { bx.scratchBytes = 0 }()
-
-	inRows := bx.tbl.n
-	if in != nil {
-		inRows = in.rows
-	}
-
-	outVars := bx.tbl.vars
-	outSorted := bx.tbl.sorted
 	expand := len(sp.newNames) > 0
-	rowIndep := sp.nCols == 0
-	if expand {
-		outVars = append(append([]string(nil), bx.tbl.vars...), sp.newNames...)
-		outSorted = make([]bool, len(outVars))
-		copy(outSorted, bx.tbl.sorted)
-		// Same seeding rule as expandStep: only a single sorted fetch
-		// expanding a one-row table yields a genuinely sorted column.
-		if rowIndep && inRows == 1 && bx.sorted != nil && sp.nFree <= 2 {
-			outSorted[len(bx.tbl.vars)] = true
+	// Row-independent expansions fetch their candidates once for the
+	// branch, exactly like expandStep's shared fetch.
+	if expand && sp.nCols == 0 {
+		if err := bx.fetchShared(sp); err != nil {
+			return err
 		}
-	} else {
-		outVars = append([]string(nil), outVars...)
-		outSorted = append([]bool(nil), outSorted...)
 	}
-	sink := bx.newSink(outVars, outSorted)
+	sink := bx.newSink(sp.vars, sp.sorted)
 	// Any exit that did not install the sink's spill table as the
 	// current result (a write fault, a cancel, a budget kill mid-stream)
 	// must remove it; drop is idempotent, so the happy path is safe.
 	defer func() {
-		if sink.sp != nil && bx.spilled != sink.sp {
+		if bx.spilled != sink.sp {
 			sink.sp.drop()
 		}
 	}()
 
-	// Row-independent expansions fetch their candidates once for the
-	// whole step, exactly like expandStep's shared fetch.
-	if expand && rowIndep {
-		var err error
-		switch sp.nFree {
-		case 1:
-			_, err = bx.candidates1(sp, 0)
-		case 2:
-			err = bx.candidates2(sp, 0, -1)
-		default:
-			err = bx.candidates3(sp, bx.rowCap)
+	process := func() error {
+		if expand {
+			return bx.streamExpandChunk(sp, sink)
 		}
+		// Save/restore the row cap around the per-chunk filter: the
+		// cap is global across chunks.
+		savedCap := bx.rowCap
+		if savedCap >= 0 {
+			bx.rowCap = savedCap - sink.rows
+		}
+		err := bx.filterStep(sp)
+		bx.rowCap = savedCap
 		if err != nil {
 			return err
 		}
-		if ev.ctxErr != nil {
-			return ev.ctxErr
-		}
-		bx.scratchBytes = int64(len(bx.bufA)+len(bx.bufB)+len(bx.bufC)) * 8
-		if err := bx.setAccounted(tableBytes(&bx.tbl) + bx.scratchBytes); err != nil {
-			return err
-		}
-	}
-
-	process := func() error {
-		if !expand {
-			// Save/restore the row cap around the per-chunk filter: the
-			// cap is global across chunks.
-			savedCap := bx.rowCap
-			if savedCap >= 0 {
-				bx.rowCap = savedCap - sink.rows
-			}
-			err := bx.filterStep(sp)
-			bx.rowCap = savedCap
-			if err != nil {
-				return err
-			}
-			return sink.appendTable(bx.tbl.cols, bx.tbl.n)
-		}
-		return bx.streamExpandChunk(sp, sink, rowIndep)
+		return sink.appendTable(bx.tbl.cols, bx.tbl.n)
 	}
 
 	if in == nil {
@@ -551,7 +514,7 @@ func (bx *batchExec) streamStep(sp *stepSpec) error {
 		}
 	} else {
 		for k := range in.chunks {
-			if err := ev.ctxCheck(); err != nil {
+			if err := bx.ctxCheck(); err != nil {
 				return err
 			}
 			if bx.rowCap >= 0 && sink.rows >= bx.rowCap {
@@ -570,61 +533,27 @@ func (bx *batchExec) streamStep(sp *stepSpec) error {
 }
 
 // streamExpandChunk expands the current table (one input chunk) row by
-// row into the sink, mirroring expandStep's fetch semantics.
-func (bx *batchExec) streamExpandChunk(sp *stepSpec, sink *tableSink, rowIndep bool) error {
-	ev := bx.ev
-	tbl := &bx.tbl
-	oldCols := tbl.cols
-	for r := 0; r < tbl.n; r++ {
-		if !ev.tickOK() {
-			return ev.ctxErr
-		}
-		left := -1
-		if bx.rowCap >= 0 {
-			left = bx.rowCap - sink.rows
-			if left <= 0 {
-				break
-			}
-		}
-		if !rowIndep {
-			var err error
-			switch sp.nFree {
-			case 1:
-				_, err = bx.candidates1(sp, r)
-			default:
-				err = bx.candidates2(sp, r, left)
-			}
-			if err != nil {
-				return err
-			}
-			if ev.ctxErr != nil {
-				return ev.ctxErr
-			}
-		}
-		k := len(bx.bufA)
-		if left >= 0 && k > left {
-			k = left
-		}
-		if k == 0 {
-			continue
-		}
-		if err := sink.appendExpand(oldCols, r, k, bx.bufA, bx.bufB, bx.bufC); err != nil {
-			return err
-		}
-	}
-	return nil
+// row into the sink, with expandStep's fetch semantics (expandRows).
+func (bx *batchExec) streamExpandChunk(sp *stepPlan, sink *tableSink) error {
+	return bx.expandRows(sp, &sink.rows, func(r, k int, news [3][]core.ID) error {
+		return sink.appendExpand(bx.tbl.cols, r, k, news)
+	})
 }
 
 // streamFilterExpr applies one staged FILTER to a spilled table, chunk
 // by chunk, through a fresh sink.
 func (bx *batchExec) streamFilterExpr(f *cfilter) error {
-	ev := bx.ev
 	in := bx.spilled
 	bx.spilled = nil
 	defer in.drop()
-	sink := bx.newSink(append([]string(nil), bx.tbl.vars...), append([]bool(nil), bx.tbl.sorted...))
+	sink := bx.newSink(bx.tbl.vars, bx.tbl.sorted)
+	defer func() {
+		if bx.spilled != sink.sp {
+			sink.sp.drop()
+		}
+	}()
 	for k := range in.chunks {
-		if err := ev.ctxCheck(); err != nil {
+		if err := bx.ctxCheck(); err != nil {
 			return err
 		}
 		if err := bx.loadChunk(in, k); err != nil {
@@ -651,31 +580,29 @@ func (bx *batchExec) applyFilter(f *cfilter) error {
 		return err
 	}
 	if bx.ev.mem != nil {
-		return bx.setAccounted(tableBytes(&bx.tbl))
+		return bx.setAccounted(bx.tableBytes())
 	}
 	return nil
 }
 
-// emitSpilled emits a spilled table chunk by chunk through emitRows.
-func (bx *batchExec) emitSpilled(optionals [][]idPattern, lateFilters []*cfilter) error {
+// emitSpilled emits a spilled chunk result piece by piece through
+// emitChunk.
+func (bx *batchExec) emitSpilled(br *branchRun) error {
 	ev := bx.ev
 	in := bx.spilled
 	bx.spilled = nil
 	defer in.drop()
 	for k := range in.chunks {
-		if err := ev.ctxCheck(); err != nil {
+		if err := ev.ctxCheck(); err != nil || ev.done {
 			return err
-		}
-		if ev.done {
-			break
 		}
 		if err := bx.loadChunk(in, k); err != nil {
 			return err
 		}
-		if err := bx.setAccounted(tableBytes(&bx.tbl)); err != nil {
+		if err := bx.setAccounted(bx.tableBytes()); err != nil {
 			return err
 		}
-		if err := bx.emitRows(optionals, lateFilters); err != nil {
+		if err := bx.emitChunk(br); err != nil {
 			return err
 		}
 	}
