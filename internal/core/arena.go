@@ -1,29 +1,34 @@
 package core
 
-// The packed index layout: one arena per ordering.
+// The packed index layout: one arena per head position.
 //
-// An arena holds every head vector of one ordering (spo, sop, …) as the
-// self-delimiting bytes idlist.Packed describes, back to back in a short
-// list of immutable segments, and finds a head's vector through a
-// directory indexed by the head's id:
+// The six orderings pair up by the position of their head — S holds spo
+// and sop, P holds pso and pos, O holds osp and ops — and each pair has
+// one arena. A head's record in it is the head's two vectors back to
+// back, first ordering first, each the self-delimiting bytes idlist.Packed
+// describes; the second is found by skipping the first's EncodedLen. The
+// two vectors of a record index the same triples, so a head has both or
+// neither. An arena keeps its records in a short list of immutable
+// segments and finds a head's record through a directory indexed by the
+// head's id:
 //
 //	segments   pointer-free []byte, so the garbage collector never scans
 //	           them; their concatenation is the arena's logical byte
 //	           space. A bulk build writes one; a Patch appends one with
-//	           the vectors it re-encoded and shares the older ones.
+//	           the records it re-encoded and shares the older ones.
 //	directory  dictionary ids are dense, so it is an array: chunks of
 //	           dirChunk uint32 slots, slot = 1 + logical offset of the
-//	           head's vector, 0 (or a nil chunk) = head absent. An
-//	           ordering with 18 heads costs one chunk, not a slot per
+//	           head's record, 0 (or a nil chunk) = head absent. A
+//	           position with 18 heads costs one chunk, not a slot per
 //	           term. Patch copies the chunk-pointer slice (8 bytes per
 //	           dirChunk ids of the id space — why head ids must stay
 //	           dictionary-dense) and only the chunks it writes to.
 //	counters   what Stats and IndexBytes report without a walk.
 //
-// A vector a Patch replaces stays in its segment as dead bytes; when they
+// A record a Patch replaces stays in its segment as dead bytes; when they
 // pass a quarter of the arena, or the segment list passes maxSegments,
-// seal rewrites the ordering into one segment. A published arena is
-// never written again, so readers of an older store keep their image.
+// seal rewrites the arena into one segment. A published arena is never
+// written again, so readers of an older store keep their image.
 
 import (
 	"math"
@@ -38,8 +43,8 @@ const (
 	maxSegments = 16   // rewrite when the segment list passes this
 )
 
-// segment is an immutable run of packed vectors; start is the logical
-// offset of b[0].
+// segment is an immutable run of records; start is the logical offset of
+// b[0].
 type segment struct {
 	start uint32
 	b     []byte
@@ -49,30 +54,37 @@ type arena struct {
 	segs []segment
 	dir  []*[dirChunk]uint32
 
-	heads       int   // occupied directory slots
-	vecEntries  int   // Σ vector lengths
-	listEntries int   // Σ terminal-list lengths
-	chunks      int   // non-nil directory chunks
-	size        int64 // logical bytes: Σ len(segment)
-	dead        int64 // bytes of size no slot leads to anymore
+	heads       int    // occupied directory slots
+	vecEntries  [2]int // Σ vector lengths, per half
+	listEntries int    // Σ terminal-list lengths of either half
+	chunks      int    // non-nil directory chunks
+	size        int64  // logical bytes: Σ len(segment)
+	dead        int64  // bytes of size no slot leads to anymore
 
-	// Between fork and seal: pb collects the entries of the vector the
-	// next set writes, and own is 1 + the index of the one directory chunk
-	// private to this arena — every other chunk may be shared with the
-	// arena it was forked from. Writers set heads in ascending order, so a
-	// chunk once left is never written again.
-	pb  idlist.PackedBuilder
+	// Between fork and seal: pb collects the entries of the two vectors
+	// the next set writes, and own is 1 + the index of the one directory
+	// chunk private to this arena — every other chunk may be shared with
+	// the arena it was forked from. Writers set heads in ascending order,
+	// so a chunk once left is never written again.
+	pb  [2]idlist.PackedBuilder
 	own int
 }
 
-// vec returns head's packed vector — the empty one when head is absent.
-func (a *arena) vec(head ID) idlist.Packed {
+// record returns the bytes from the start of head's record to its
+// segment's end, nil when head is absent.
+func (a *arena) record(head ID) []byte {
 	if c := head / dirChunk; c < ID(len(a.dir)) && a.dir[c] != nil {
 		if slot := a.dir[c][head%dirChunk]; slot != 0 {
-			return idlist.DecodePacked(a.at(slot - 1))
+			return a.at(slot - 1)
 		}
 	}
-	return idlist.Packed{}
+	return nil
+}
+
+// halves decodes the two vectors of the record that starts at rec[0].
+func halves(rec []byte) [2]idlist.Packed {
+	first := idlist.DecodePacked(rec)
+	return [2]idlist.Packed{first, idlist.DecodePacked(rec[first.EncodedLen():])}
 }
 
 // at returns the bytes from logical offset off to its segment's end.
@@ -109,17 +121,31 @@ func (a *arena) fork() arena {
 	return out
 }
 
-// set makes the vector pb holds head's (pb empty: head has none),
-// appending its encoding to the open segment and emptying pb. Heads must
+// set makes the two vectors pb holds head's record (pb empty: head has
+// none), appending it to the open segment and emptying pb. Heads must
 // arrive in ascending order.
 func (a *arena) set(head ID) {
-	b := &a.pb
-	if old := a.vec(head); old.Len() > 0 {
+	if (a.pb[0].Len() == 0) != (a.pb[1].Len() == 0) {
+		panic("core: the two vectors of a record must be empty together")
+	}
+	seg := &a.segs[len(a.segs)-1]
+	at := len(seg.b)
+	seg.b = a.pb[1].Finish(a.pb[0].Finish(seg.b))
+	a.put(head, at)
+}
+
+// put makes the record that starts at byte at of the open segment head's
+// — no record, if the segment ends there — and counts it.
+func (a *arena) put(head ID, at int) {
+	seg := a.segs[len(a.segs)-1].b
+	if rec := a.record(head); rec != nil {
+		old := halves(rec)
 		a.heads--
-		a.vecEntries -= old.Len()
-		a.listEntries -= old.Total()
-		a.dead += int64(old.EncodedLen())
-	} else if b.Len() == 0 {
+		a.vecEntries[0] -= old[0].Len()
+		a.vecEntries[1] -= old[1].Len()
+		a.listEntries -= old[0].Total()
+		a.dead += int64(old[0].EncodedLen() + old[1].EncodedLen())
+	} else if at == len(seg) {
 		return
 	}
 	c := int(head / dirChunk)
@@ -141,30 +167,28 @@ func (a *arena) set(head ID) {
 	}
 	slot := &a.dir[c][head%dirChunk]
 	*slot = 0
-	if b.Len() == 0 {
+	if at == len(seg) {
 		return
 	}
-	seg := &a.segs[len(a.segs)-1]
-	at := len(seg.b)
-	seg.b = b.Finish(seg.b)
-	if a.size+int64(len(seg.b)-at) > math.MaxUint32 {
-		panic("core: an index ordering's arena passed 4 GiB")
+	if a.size+int64(len(seg)-at) > math.MaxUint32 {
+		panic("core: an index arena passed 4 GiB")
 	}
-	pk := idlist.DecodePacked(seg.b[at:])
+	rec := halves(seg[at:])
 	a.heads++
-	a.vecEntries += pk.Len()
-	a.listEntries += pk.Total()
+	a.vecEntries[0] += rec[0].Len()
+	a.vecEntries[1] += rec[1].Len()
+	a.listEntries += rec[0].Total()
 	*slot = uint32(a.size) + 1
-	a.size += int64(len(seg.b) - at)
+	a.size += int64(len(seg) - at)
 }
 
 // seal closes the open segment — cut to size, dropped if nothing was
 // set — and applies the rewrite rule.
 func (a *arena) seal() {
-	a.pb = idlist.PackedBuilder{}
+	a.pb = [2]idlist.PackedBuilder{}
 	if last := &a.segs[len(a.segs)-1]; len(last.b) == 0 {
 		a.segs = a.segs[:len(a.segs)-1]
-	} else {
+	} else if len(last.b) < cap(last.b) {
 		last.b = slices.Clone(last.b)
 	}
 	if a.dead*deadDivisor > a.size || len(a.segs) > maxSegments {
@@ -172,7 +196,7 @@ func (a *arena) seal() {
 	}
 }
 
-// rewrite copies the live vectors into a single new segment behind a new
+// rewrite copies the live records into a single new segment behind a new
 // directory, in head order.
 func (a *arena) rewrite() {
 	b := make([]byte, 0, a.size-a.dead)
@@ -185,8 +209,9 @@ func (a *arena) rewrite() {
 			a.chunks++
 		}
 		dir[c][head%dirChunk] = uint32(len(b)) + 1
-		src := a.at(a.dir[c][head%dirChunk] - 1)
-		b = append(b, src[:idlist.DecodePacked(src).EncodedLen()]...)
+		rec := a.record(head)
+		v := halves(rec)
+		b = append(b, rec[:v[0].EncodedLen()+v[1].EncodedLen()]...)
 		return true
 	})
 	a.segs, a.dir = []segment{{b: b}}, dir

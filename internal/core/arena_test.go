@@ -168,20 +168,25 @@ func checkStore(t testing.TB, st *Store, want [][3]ID, probes [][3]ID) {
 
 // checkCounters recounts every arena of a packed store the long way and
 // compares its running counters — what Stats, IndexBytes and ArenaStats
-// are served from.
+// are served from — and holds every record to both its vectors or none.
 func checkCounters(t testing.TB, st *Store) {
 	t.Helper()
 	var as ArenaStats
-	for _, ix := range AllIndexes {
-		a := &st.pidx[ix]
-		var heads, vecEntries, listEntries, chunks int
+	for i := range st.arenas {
+		a := &st.arenas[i]
+		var heads, listEntries, chunks int
+		var vecEntries [2]int
 		var live, size, heap int64
 		a.rangeHeads(func(head ID) bool {
-			pk := a.vec(head)
+			v := halves(a.record(head))
+			if v[0].Len() == 0 || v[1].Len() == 0 || v[0].Total() != v[1].Total() {
+				t.Fatalf("arena %d head %d: a record of %d and %d keys, %d and %d ids", i, head, v[0].Len(), v[1].Len(), v[0].Total(), v[1].Total())
+			}
 			heads++
-			vecEntries += pk.Len()
-			listEntries += pk.Total()
-			live += int64(pk.EncodedLen())
+			vecEntries[0] += v[0].Len()
+			vecEntries[1] += v[1].Len()
+			listEntries += v[0].Total()
+			live += int64(v[0].EncodedLen() + v[1].EncodedLen())
 			return true
 		})
 		for _, s := range a.segs {
@@ -196,12 +201,12 @@ func checkCounters(t testing.TB, st *Store) {
 		heap += int64(chunks)*dirChunk*4 + int64(cap(a.dir))*8 + int64(cap(a.segs))*32
 		if heads != a.heads || vecEntries != a.vecEntries || listEntries != a.listEntries ||
 			chunks != a.chunks || size != a.size || size-live != a.dead || heap != a.bytes() {
-			t.Fatalf("%s: counters say heads %d, entries %d/%d, chunks %d, size %d, dead %d, heap %d; a recount %d, %d/%d, %d, %d, %d, %d",
-				ix, a.heads, a.vecEntries, a.listEntries, a.chunks, a.size, a.dead, a.bytes(),
+			t.Fatalf("arena %d: counters say heads %d, entries %v/%d, chunks %d, size %d, dead %d, heap %d; a recount %d, %v/%d, %d, %d, %d, %d",
+				i, a.heads, a.vecEntries, a.listEntries, a.chunks, a.size, a.dead, a.bytes(),
 				heads, vecEntries, listEntries, chunks, size, size-live, heap)
 		}
 		if a.dead*deadDivisor > a.size || len(a.segs) > maxSegments {
-			t.Fatalf("%s: %d of %d bytes dead in %d segments: the rewrite rule was not applied", ix, a.dead, a.size, len(a.segs))
+			t.Fatalf("arena %d: %d of %d bytes dead in %d segments: the rewrite rule was not applied", i, a.dead, a.size, len(a.segs))
 		}
 		as.HeapBytes += heap
 		as.Bytes += size
@@ -275,6 +280,16 @@ func edgeDatasets() map[string][][3]ID {
 		ts = append(ts, [3]ID{ID(rng.Intn(500) + 1), ID(rng.Intn(12) + 1), ID(rng.Intn(2500) + 1)})
 	}
 	sets["random"] = ts
+
+	// Every terminal list one id, so every entry is a singleton: distinct
+	// (s, p), (s, o) and (p, o) pairs, with heads of 1 to 40 keys.
+	ts = nil
+	for s := ID(1); s <= 40; s++ {
+		for k := ID(1); k <= s; k++ {
+			ts = append(ts, [3]ID{s, 100 + s*40 + k, 5000 + s*40 + k})
+		}
+	}
+	sets["every list one id"] = ts
 	return sets
 }
 
@@ -376,9 +391,9 @@ func TestArenaPatchChain(t *testing.T) {
 		for _, tr := range dels {
 			model.Remove(tr[0], tr[1], tr[2])
 		}
-		oldSeg := &st.pidx[SPO].segs[0].b[0]
+		oldSeg := &st.arena(SPO).segs[0].b[0]
 		next, ps := st.Patch(sixOrders(adds), sixOrders(dels))
-		if &next.pidx[SPO].segs[0].b[0] != oldSeg {
+		if &next.arena(SPO).segs[0].b[0] != oldSeg {
 			rewrites++
 		}
 		want := visible()
@@ -396,9 +411,9 @@ func TestArenaPatchChain(t *testing.T) {
 			if !bytes.Equal(snapshotBytes(t, next), snapshotBytes(t, scratch)) {
 				t.Fatalf("step %d: the patched store and one built from scratch snapshot differently", step)
 			}
-			for _, ix := range AllIndexes {
-				if live := next.pidx[ix].size - next.pidx[ix].dead; live != scratch.pidx[ix].size {
-					t.Fatalf("step %d: %s holds %d live bytes, a build writes %d", step, ix, live, scratch.pidx[ix].size)
+			for i, a := range next.arenas {
+				if live := a.size - a.dead; live != scratch.arenas[i].size {
+					t.Fatalf("step %d: arena %d holds %d live bytes, a build writes %d", step, i, live, scratch.arenas[i].size)
 				}
 			}
 		}
@@ -411,6 +426,37 @@ func TestArenaPatchChain(t *testing.T) {
 	}
 	if rewrites < 2 {
 		t.Fatalf("the chain rewrote spo %d times; it is meant to cross the rule at least twice", rewrites)
+	}
+}
+
+// lubmTriples encodes the LUBM dataset of the given size, seed 1, into a
+// fresh dictionary, in generation order.
+func lubmTriples(universities int) (*dictionary.Dictionary, [][3]ID) {
+	dict := dictionary.New()
+	var triples [][3]ID
+	lubm.Config{Universities: universities, Seed: 1}.Generate(func(tr rdf.Triple) bool {
+		s, p, o := dict.EncodeTriple(tr)
+		triples = append(triples, [3]ID{s, p, o})
+		return true
+	})
+	return dict, triples
+}
+
+// TestPackedBytesPerTriple pins what the packed index costs on LUBM: a
+// change to the vector codec or the record layout that spends more bytes
+// fails here, not only in the benchmark. The build is deterministic, so
+// the figure repeats exactly; the bound is the layout's figure plus half
+// a byte.
+func TestPackedBytesPerTriple(t *testing.T) {
+	dict, triples := lubmTriples(7)
+	b := NewBuilder(dict)
+	b.AddAll(triples)
+	st := b.BuildParallel(1)
+	got := float64(st.IndexBytes()) / float64(st.Len())
+	t.Logf("%d triples, IndexBytes %d = %.3f B/triple", st.Len(), st.IndexBytes(), got)
+	const bound = 22.1 + 0.5
+	if got > bound {
+		t.Fatalf("the packed index costs %.3f B/triple, more than %.1f", got, bound)
 	}
 }
 
@@ -429,13 +475,7 @@ func heapAlloc() uint64 {
 // a chain of patches leaves, whose dead bytes and older segments must be
 // counted, not hidden.
 func TestIndexBytesMatchesHeap(t *testing.T) {
-	dict := dictionary.New()
-	var triples [][3]ID
-	lubm.Config{Universities: 7, Seed: 1}.Generate(func(tr rdf.Triple) bool {
-		s, p, o := dict.EncodeTriple(tr)
-		triples = append(triples, [3]ID{s, p, o})
-		return true
-	})
+	dict, triples := lubmTriples(7)
 	if len(triples) < 100_000 {
 		t.Fatalf("only %d triples", len(triples))
 	}
@@ -470,7 +510,7 @@ func TestIndexBytesMatchesHeap(t *testing.T) {
 		}
 		st, _ = st.Patch(sixOrders(spoSorted(adds)), sixOrders(spoSorted(dels)))
 	}
-	if as := st.ArenaStats(); as.DeadBytes == 0 || as.Segments <= 6 {
+	if as := st.ArenaStats(); as.DeadBytes == 0 || as.Segments <= len(st.arenas) {
 		t.Fatalf("the patch chain left no garbage to count: %+v", as)
 	}
 	within("patch chain", st, heapAlloc()-before)

@@ -130,7 +130,7 @@ func buildFrom(dict *dictionary.Dictionary, ts [][3]ID, workers int, compress bo
 // raw or block-compressed layout. With workers > 1 the (s,o,p) and
 // (p,o,s) passes get their own sorted copies and all three passes run
 // concurrently — they touch disjoint store maps (objLists/spo/pso,
-// propLists/sop/osp, subjLists/pos/ops), so no locking is needed.
+// propLists/sop/osp, subjLists/pos/ops) or runs, so no locking is needed.
 // fillStore owns ts. The built content is identical for every worker
 // count: each pass consumes the fully sorted triple set in its own
 // order, so neither goroutine scheduling nor the parallel sort's
@@ -146,10 +146,12 @@ func fillStore(st *Store, ts [][3]ID, workers int, compress bool) {
 	st.size = len(ts)
 	st.compressed = compress
 
-	// pass runs one ordering pair's build in the raw or packed layout.
+	// pass runs one ordering pair's build in the raw or packed layout; the
+	// packed orderings meet in their head position's arena at the end.
+	var runs [6]packedRun
 	pass := func(ts [][3]ID, a, b, c int, lists map[pairKey]*idlist.List, fwd, mirror Index) {
 		if compress {
-			st.pidx[fwd], st.pidx[mirror] = packPass(ts, a, b, c)
+			runs[fwd], runs[mirror] = packPass(ts, a, b, c)
 		} else {
 			buildPass(ts, a, b, c, lists, st.idx[fwd], st.idx[mirror])
 		}
@@ -168,49 +170,53 @@ func fillStore(st *Store, ts [][3]ID, workers int, compress bool) {
 		// Pass 3 — sorted by (p,o,s): subject lists shared by pos and ops.
 		sortTriples(ts, 1, 2, 0, 1)
 		pass(ts, 1, 2, 0, st.subjLists, POS, OPS)
-		return
-	}
-
-	// Parallel passes: pass 1 reuses the (s,p,o)-sorted ts as is and runs
-	// on the calling goroutine (which would otherwise idle in Wait);
-	// passes 2 and 3 sort private copies. The spawned lanes stay within
-	// the budget: with workers == 2 a single lane handles both re-sorts
-	// sequentially, otherwise two lanes split the remaining workers-1
-	// budget between their sorts — so at most `workers` goroutines are
-	// CPU-bound at any moment.
-	ts2 := slices.Clone(ts)
-	ts3 := slices.Clone(ts)
-	pass2 := func(sortWorkers int) {
-		sortTriples(ts2, 0, 2, 1, sortWorkers)
-		pass(ts2, 0, 2, 1, st.propLists, SOP, OSP)
-	}
-	pass3 := func(sortWorkers int) {
-		sortTriples(ts3, 1, 2, 0, sortWorkers)
-		pass(ts3, 1, 2, 0, st.subjLists, POS, OPS)
-	}
-	var wg sync.WaitGroup
-	if workers == 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pass2(1)
-			pass3(1)
-		}()
 	} else {
-		s2 := (workers - 1) / 2
-		s3 := workers - 1 - s2
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			pass2(s2)
-		}()
-		go func() {
-			defer wg.Done()
-			pass3(s3)
-		}()
+		// Parallel passes: pass 1 reuses the (s,p,o)-sorted ts as is and
+		// runs on the calling goroutine (which would otherwise idle in
+		// Wait); passes 2 and 3 sort private copies. The spawned lanes stay
+		// within the budget: with workers == 2 a single lane handles both
+		// re-sorts sequentially, otherwise two lanes split the remaining
+		// workers-1 budget between their sorts — so at most `workers`
+		// goroutines are CPU-bound at any moment.
+		ts2 := slices.Clone(ts)
+		ts3 := slices.Clone(ts)
+		pass2 := func(sortWorkers int) {
+			sortTriples(ts2, 0, 2, 1, sortWorkers)
+			pass(ts2, 0, 2, 1, st.propLists, SOP, OSP)
+		}
+		pass3 := func(sortWorkers int) {
+			sortTriples(ts3, 1, 2, 0, sortWorkers)
+			pass(ts3, 1, 2, 0, st.subjLists, POS, OPS)
+		}
+		var wg sync.WaitGroup
+		if workers == 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pass2(1)
+				pass3(1)
+			}()
+		} else {
+			s2 := (workers - 1) / 2
+			s3 := workers - 1 - s2
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				pass2(s2)
+			}()
+			go func() {
+				defer wg.Done()
+				pass3(s3)
+			}()
+		}
+		pass(ts, 0, 1, 2, st.objLists, SPO, PSO)
+		wg.Wait()
 	}
-	pass(ts, 0, 1, 2, st.objLists, SPO, PSO)
-	wg.Wait()
+	if compress {
+		for i := range st.arenas {
+			st.arenas[i] = records(runs[2*i], runs[2*i+1])
+		}
+	}
 }
 
 // buildPass consumes triples sorted by positions (a, b, c) and builds:
@@ -257,22 +263,31 @@ func buildPass(ts [][3]ID, a, b, c int, lists map[pairKey]*idlist.List, fwd, mir
 
 // packPass is buildPass for the block-compressed layout: it consumes
 // triples sorted by positions (a, b, c) and renders both the forward
-// index (head a, key b) and the mirror index (head b, key a) as arenas
-// of packed delta+varint vectors — keys and terminal lists in one run of
+// index (head a, key b) and the mirror index (head b, key a) as runs of
+// packed delta+varint vectors — keys and terminal lists in one run of
 // bytes per head, no per-pair map entries and no per-head allocations.
 // Unlike the raw layout the two orderings do not share list storage (a
 // packed vector has no pointers to share), which the compression win
 // pays for several times over; see Store.IndexBytes.
 //
-// The pass is a-major, so the forward arena fills head by head from ts;
-// a stable counting sort on column b gives (b, a, c) order for the mirror.
-func packPass(ts [][3]ID, a, b, c int) (fwd, mirror arena) {
+// The pass is a-major, so the forward run fills head by head from ts; a
+// stable counting sort on column b gives (b, a, c) order for the mirror.
+func packPass(ts [][3]ID, a, b, c int) (fwd, mirror packedRun) {
 	return packOrdering(ts, a, b, c), packOrdering(sortedByColumn(ts, b), b, a, c)
 }
 
-// packOrdering builds ordering (a, b, c)'s arena from ts sorted by it.
-func packOrdering(ts [][3]ID, a, b, c int) arena {
-	ar := new(arena).fork()
+// packedRun is one ordering's packed vectors back to back, heads
+// ascending: what a pass builds before records pairs it with the other
+// ordering of its head position.
+type packedRun struct {
+	heads []ID
+	b     []byte
+}
+
+// packOrdering builds ordering (a, b, c)'s run from ts sorted by it.
+func packOrdering(ts [][3]ID, a, b, c int) packedRun {
+	var run packedRun
+	var pb idlist.PackedBuilder
 	members := make([]ID, 0, 64)
 	for i := 0; i < len(ts); {
 		head := ts[i][a]
@@ -282,9 +297,32 @@ func packOrdering(ts [][3]ID, a, b, c int) arena {
 			for ; i < len(ts) && ts[i][a] == head && ts[i][b] == key; i++ {
 				members = append(members, ts[i][c])
 			}
-			ar.pb.Append(key, members)
+			pb.Append(key, members)
 		}
-		ar.set(head)
+		run.heads = append(run.heads, head)
+		run.b = pb.Finish(run.b)
+	}
+	return run
+}
+
+// records interleaves the runs of a head position's two orderings, which
+// index the same triples and so have the same heads, into the arena of
+// their records.
+func records(first, second packedRun) arena {
+	if !slices.Equal(first.heads, second.heads) {
+		panic("core: the two orderings of a head position disagree on its heads")
+	}
+	ar := new(arena).fork()
+	seg := &ar.segs[0]
+	seg.b = make([]byte, 0, len(first.b)+len(second.b))
+	var o1, o2 int
+	for _, head := range first.heads {
+		n1 := idlist.DecodePacked(first.b[o1:]).EncodedLen()
+		n2 := idlist.DecodePacked(second.b[o2:]).EncodedLen()
+		at := len(seg.b)
+		seg.b = append(append(seg.b, first.b[o1:o1+n1]...), second.b[o2:o2+n2]...)
+		ar.put(head, at)
+		o1, o2 = o1+n1, o2+n2
 	}
 	ar.seal()
 	return ar

@@ -29,7 +29,7 @@ func (st *Store) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 	// as a view, from the packed vectors or the shared pair maps.
 	terminal := func(ix Index, m map[pairKey]*idlist.List, k pairKey) idlist.View {
 		if st.compressed {
-			v, _ := st.pidx[ix].vec(k.a).Find(k.b)
+			v, _ := st.vec(ix, k.a).Find(k.b)
 			return v
 		}
 		return m[k].View()
@@ -90,7 +90,7 @@ func (st *Store) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 		}
 		if st.compressed {
 			// The directory ascends, so the scan is in (s, p, o) order.
-			st.pidx[SPO].rangeHeads(scanHead)
+			st.arena(SPO).rangeHeads(scanHead)
 			return
 		}
 		for subj := range st.idx[SPO] {

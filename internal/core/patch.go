@@ -18,12 +18,13 @@ type PatchStats struct {
 // two sets are disjoint; an add st already holds and a delete it lacks
 // are ignored.
 //
-// Only the heads the rows name are re-encoded: per ordering their new
-// vectors go into one new arena segment, the directory chunks that point
-// at them are copied, and every other segment and chunk is shared
-// between st and the result. Cost is therefore the size of the named
-// heads, not the size of the store. A raw-layout st has no arena to
-// share, so each of its heads is encoded once.
+// Only the heads the rows name are re-encoded: per head position both
+// vectors of each named head go into one new record in one new arena
+// segment, the directory chunks that point at them are copied, and every
+// other segment and chunk is shared between st and the result. Cost is
+// therefore the size of the named heads, not the size of the store. A
+// raw-layout st has no arena to share, so each of its heads is encoded
+// once.
 func (st *Store) Patch(adds, dels [6][][3]ID) (*Store, PatchStats) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -31,20 +32,23 @@ func (st *Store) Patch(adds, dels [6][][3]ID) (*Store, PatchStats) {
 	out.compressed = true
 	out.size = st.size
 	var stats PatchStats
-	for _, ix := range AllIndexes {
-		ar := st.pidx[ix].fork()
+	pt := patcher{st: st}
+	for i := range st.arenas {
+		ar := st.arenas[i].fork()
 		// rest is the raw layout's heads, every one of which is to be
 		// encoded whether the rows name it or not.
 		var rest []ID
-		for h := range st.idx[ix] {
+		for h := range st.idx[2*i] {
 			rest = append(rest, h)
 		}
 		sortIDs(rest)
 		rebuilt := 0
-		add, del := adds[ix], dels[ix]
-		for len(add) > 0 || len(del) > 0 || len(rest) > 0 {
+		// Both orderings of a position index the same triples under the
+		// same heads, so the first one's rows say which heads are named.
+		add, del := adds[2*i:2*i+2], dels[2*i:2*i+2]
+		for len(add[0]) > 0 || len(del[0]) > 0 || len(rest) > 0 {
 			head := ^ID(0)
-			for _, rows := range [2][][3]ID{add, del} {
+			for _, rows := range [2][][3]ID{add[0], del[0]} {
 				if len(rows) > 0 {
 					head = min(head, rows[0][0])
 				}
@@ -52,21 +56,24 @@ func (st *Store) Patch(adds, dels [6][][3]ID) (*Store, PatchStats) {
 			if len(rest) > 0 && rest[0] <= head {
 				head, rest = rest[0], rest[1:]
 			}
-			na, nd := headRows(add, head), headRows(del, head)
-			grew := st.patchHeadLocked(&ar, ix, head, add[:na], del[:nd])
-			if ar.pb.Len() > 0 {
-				rebuilt++
+			for h := range 2 {
+				ix := Index(2*i + h)
+				na, nd := headRows(add[h], head), headRows(del[h], head)
+				grew := pt.head(&ar.pb[h], ix, head, add[h][:na], del[h][:nd])
+				if ix == SPO {
+					out.size += grew
+				}
+				add[h], del[h] = add[h][na:], del[h][nd:]
+			}
+			if ar.pb[0].Len() > 0 {
+				rebuilt += 2
 			}
 			ar.set(head)
-			if ix == SPO {
-				out.size += grew
-			}
-			add, del = add[na:], del[nd:]
 		}
 		ar.seal()
-		out.pidx[ix] = ar
+		out.arenas[i] = ar
 		stats.HeadsRebuilt += rebuilt
-		stats.HeadsShared += ar.heads - rebuilt
+		stats.HeadsShared += 2*ar.heads - rebuilt
 	}
 	return out, stats
 }
@@ -80,36 +87,27 @@ func headRows(rows [][3]ID, head ID) int {
 	return n
 }
 
-// patchHeadLocked appends to out's empty builder head's vector of
-// ordering ix with the rows add spliced in and the rows del dropped (all
-// of this head, sorted by key then member); the builder stays empty when
-// no entry is left. It returns by how many list members the vector grew.
-// Entries the rows do not name are copied as the bytes they are. Caller
-// holds st.mu.
-func (st *Store) patchHeadLocked(out *arena, ix Index, head ID, add, del [][3]ID) int {
-	b := &out.pb
-	var old, merged []ID
+// patcher re-encodes the heads a Patch names, with scratch lists it
+// reuses from head to head. Its Store's mu is held.
+type patcher struct {
+	st          *Store
+	old, merged []ID
+}
+
+// head appends to the empty builder b head's vector of ordering ix with
+// the rows add spliced in and the rows del dropped (all of this head,
+// sorted by key then member); b stays empty when no entry is left. It
+// returns by how many list members the vector grew. Entries the rows do
+// not name are copied as the bytes they are.
+func (pt *patcher) head(b *idlist.PackedBuilder, ix Index, head ID, add, del [][3]ID) int {
 	grew := 0
-	// newKeys appends the first n rows of add, whose keys the old vector
-	// lacks, as entries of their own.
-	newKeys := func(n int) {
-		for i := 0; i < n; {
-			key := add[i][1]
-			merged = merged[:0]
-			for ; i < n && add[i][1] == key; i++ {
-				merged = append(merged, add[i][2])
-			}
-			b.Append(key, merged)
-		}
-		grew += n
-		add = add[n:]
-	}
-	st.rangeHeadLocked(ix, head, func(key ID, view idlist.View) bool {
+	pt.st.rangeHeadLocked(ix, head, func(key ID, view idlist.View) bool {
 		n := 0
 		for n < len(add) && add[n][1] < key {
 			n++
 		}
-		newKeys(n)
+		grew += pt.newKeys(b, add[:n])
+		add = add[n:]
 		for len(del) > 0 && del[0][1] < key {
 			del = del[1:]
 		}
@@ -124,17 +122,30 @@ func (st *Store) patchHeadLocked(out *arena, ix Index, head ID, add, del [][3]ID
 			b.AppendView(key, view)
 			return true
 		}
-		old = view.AppendTo(old[:0])
-		merged = mergeMembers(merged[:0], old, add[:na], del[:nd])
-		grew += len(merged) - len(old)
-		if len(merged) > 0 {
-			b.Append(key, merged)
+		pt.old = view.AppendTo(pt.old[:0])
+		pt.merged = mergeMembers(pt.merged[:0], pt.old, add[:na], del[:nd])
+		grew += len(pt.merged) - len(pt.old)
+		if len(pt.merged) > 0 {
+			b.Append(key, pt.merged)
 		}
 		add, del = add[na:], del[nd:]
 		return true
 	})
-	newKeys(len(add))
-	return grew
+	return grew + pt.newKeys(b, add)
+}
+
+// newKeys appends rows, whose keys the old vector lacks, to b as entries
+// of their own and returns how many there were.
+func (pt *patcher) newKeys(b *idlist.PackedBuilder, rows [][3]ID) int {
+	for i := 0; i < len(rows); {
+		key := rows[i][1]
+		pt.merged = pt.merged[:0]
+		for ; i < len(rows) && rows[i][1] == key; i++ {
+			pt.merged = append(pt.merged, rows[i][2])
+		}
+		b.Append(key, pt.merged)
+	}
+	return len(rows)
 }
 
 // mergeMembers appends (old ∪ members of add) \ members of del to dst in

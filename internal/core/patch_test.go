@@ -28,13 +28,13 @@ func sixOrders(ts [][3]ID) (out [6][][3]ID) {
 	return out
 }
 
-// vecAddr returns where head's packed vector starts in memory, nil when
-// head is absent.
-func vecAddr(a *arena, head ID) *byte {
-	if a.vec(head).Len() == 0 {
-		return nil
+// recAddr returns where head's record starts in memory, nil when head
+// is absent.
+func recAddr(a *arena, head ID) *byte {
+	if rec := a.record(head); rec != nil {
+		return &rec[0]
 	}
-	return &a.at(a.dir[head/dirChunk][head%dirChunk] - 1)[0]
+	return nil
 }
 
 // matchStream is what Match emits for one pattern, in emission order.
@@ -138,9 +138,9 @@ func testPatchMatchesRebuild(t *testing.T, compressed bool, seed int64) {
 	if g, w := got.Stats(), want.Stats(); g != w {
 		t.Fatalf("Stats = %+v, rebuild has %+v", g, w)
 	}
-	for _, ix := range AllIndexes {
-		if g, w := got.pidx[ix].size-got.pidx[ix].dead, want.pidx[ix].size; g != w || want.pidx[ix].dead != 0 {
-			t.Fatalf("%s: %d live arena bytes, rebuild has %d", ix, g, w)
+	for i, a := range got.arenas {
+		if g, w := a.size-a.dead, want.arenas[i].size; g != w || want.arenas[i].dead != 0 {
+			t.Fatalf("arena %d: %d live bytes, rebuild has %d", i, g, w)
 		}
 	}
 
@@ -181,18 +181,18 @@ func testPatchMatchesRebuild(t *testing.T, compressed bool, seed int64) {
 				named[row[0]] = true
 			}
 		}
-		// A rewrite moves every vector, shared or not, into a new segment.
-		ga, oa := &got.pidx[ix], &old.pidx[ix]
+		// A rewrite moves every record, shared or not, into a new segment.
+		ga, oa := got.arena(ix), old.arena(ix)
 		rewritten := compressed && &ga.segs[0].b[0] != &oa.segs[0].b[0]
 		ga.rangeHeads(func(head ID) bool {
 			if compressed && !named[head] {
-				if !rewritten && vecAddr(ga, head) != vecAddr(oa, head) {
+				if !rewritten && recAddr(ga, head) != recAddr(oa, head) {
 					t.Fatalf("%s head %d was re-encoded though the change does not name it", ix, head)
 				}
 				shared++
 				return true
 			}
-			if compressed && vecAddr(ga, head) == vecAddr(oa, head) {
+			if compressed && recAddr(ga, head) == recAddr(oa, head) {
 				t.Fatalf("%s head %d is named by the change but still the old vector", ix, head)
 			}
 			rebuilt++

@@ -74,7 +74,7 @@ func (st *Store) Snapshot(w io.Writer) error {
 		return true
 	}
 	if st.compressed {
-		st.pidx[SPO].rangeHeads(writeHead)
+		st.arena(SPO).rangeHeads(writeHead)
 		return bw.Flush()
 	}
 	heads := make([]ID, 0, len(st.idx[SPO]))

@@ -43,9 +43,9 @@ func (s Stats) SizeBytes() int64 {
 
 // Stats computes the current sizes. On the raw layout it is O(#vectors),
 // the per-list lengths summed from the shared tables; on the compressed
-// layout it reads the arenas' running counters (the spo/sop/pos list
-// totals equal the three shared tables' entry counts, so the two layouts
-// report identical logical sizes).
+// layout it reads the arenas' running counters (the spo/pso/osp list
+// totals, like the three shared tables' entry counts, are one per triple
+// each, so the two layouts report identical logical sizes).
 func (st *Store) Stats() Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -55,12 +55,11 @@ func (st *Store) Stats() Stats {
 	out.TripleTableEntries = st.size * 3
 
 	if st.compressed {
-		for i := range st.pidx {
-			out.Headers += st.pidx[i].heads
-			out.VectorEntries += st.pidx[i].vecEntries
-		}
-		for _, ix := range [3]Index{SPO, SOP, POS} {
-			out.ListEntries += st.pidx[ix].listEntries
+		for i := range st.arenas {
+			a := &st.arenas[i]
+			out.Headers += 2 * a.heads
+			out.VectorEntries += a.vecEntries[0] + a.vecEntries[1]
+			out.ListEntries += a.listEntries
 		}
 		return out
 	}
@@ -134,8 +133,8 @@ func (st *Store) IndexBytes() int64 {
 	defer st.mu.RUnlock()
 	var total int64
 	if st.compressed {
-		for i := range st.pidx {
-			total += st.pidx[i].bytes()
+		for i := range st.arenas {
+			total += st.arenas[i].bytes()
 		}
 		return total
 	}
@@ -156,12 +155,12 @@ func (st *Store) IndexBytes() int64 {
 	return total
 }
 
-// ArenaStats sums the compressed layout's six arenas; all zero on a raw
+// ArenaStats sums the compressed layout's three arenas; all zero on a raw
 // store.
 type ArenaStats struct {
 	HeapBytes int64 // what IndexBytes reports
 	Bytes     int64 // held by the segments
-	DeadBytes int64 // of Bytes: vectors a Patch replaced, until the next rewrite
+	DeadBytes int64 // of Bytes: records a Patch replaced, until the next rewrite
 	Segments  int
 }
 
@@ -170,11 +169,12 @@ func (st *Store) ArenaStats() ArenaStats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	var out ArenaStats
-	for i := range st.pidx {
-		out.HeapBytes += st.pidx[i].bytes()
-		out.Bytes += st.pidx[i].size
-		out.DeadBytes += st.pidx[i].dead
-		out.Segments += len(st.pidx[i].segs)
+	for i := range st.arenas {
+		a := &st.arenas[i]
+		out.HeapBytes += a.bytes()
+		out.Bytes += a.size
+		out.DeadBytes += a.dead
+		out.Segments += len(a.segs)
 	}
 	return out
 }

@@ -92,15 +92,16 @@ type Store struct {
 	// Six head indices (raw layout).
 	idx [6]map[ID]*Vec
 
-	// Six head indices in the block-compressed layout: one arena per
-	// ordering (arena.go), every vector packed delta+varint bytes
+	// Six head indices in the block-compressed layout: one arena per head
+	// position (arena.go) — S, P, O at ix/2 — whose records hold a head's
+	// vectors of both orderings, every vector packed delta+varint bytes
 	// (idlist.Packed) holding its keys and terminal lists together. When
 	// compressed is set the arenas carry the store's whole content, idx
 	// and the three pair maps above are empty, and 2-bound lookups go
 	// through the packed vectors. Bulk builders set it; the first direct
 	// Add/Remove clears it by decompressing the whole store (see
 	// decompressLocked).
-	pidx       [6]arena
+	arenas     [3]arena
 	compressed bool
 
 	size int
@@ -164,8 +165,8 @@ func (st *Store) decompressLocked() {
 		return
 	}
 	ts := make([][3]ID, 0, st.size)
-	st.pidx[SPO].rangeHeads(func(s ID) bool {
-		st.pidx[SPO].vec(s).Range(func(p ID, v idlist.View) bool {
+	st.arena(SPO).rangeHeads(func(s ID) bool {
+		st.vec(SPO, s).Range(func(p ID, v idlist.View) bool {
 			v.Range(func(o ID) bool {
 				ts = append(ts, [3]ID{s, p, o})
 				return true
@@ -174,15 +175,32 @@ func (st *Store) decompressLocked() {
 		})
 		return true
 	})
-	st.pidx = [6]arena{}
+	st.arenas = [3]arena{}
 	fillStore(st, ts, 1, false)
+}
+
+// arena returns the arena that holds ordering ix: its head position's.
+func (st *Store) arena(ix Index) *arena { return &st.arenas[ix/2] }
+
+// vec returns head's packed vector in ordering ix — half ix%2 of its
+// record — or the empty vector; caller holds st.mu.
+func (st *Store) vec(ix Index, head ID) idlist.Packed {
+	rec := st.arena(ix).record(head)
+	if rec == nil {
+		return idlist.Packed{}
+	}
+	pk := idlist.DecodePacked(rec)
+	if ix%2 == 1 {
+		pk = idlist.DecodePacked(rec[pk.EncodedLen():])
+	}
+	return pk
 }
 
 // rangeHeadLocked streams the (key, terminal-list view) pairs of head's
 // vector in ix, whichever layout the store is in; caller holds st.mu.
 func (st *Store) rangeHeadLocked(ix Index, head ID, fn func(ID, idlist.View) bool) {
 	if st.compressed {
-		st.pidx[ix].vec(head).Range(fn)
+		st.vec(ix, head).Range(fn)
 		return
 	}
 	st.idx[ix][head].RangeViews(fn)
@@ -195,11 +213,11 @@ func (st *Store) terminalViewLocked(s, p, o ID) idlist.View {
 	var v idlist.View
 	switch {
 	case s != None && p != None && o == None:
-		v, _ = st.pidx[SPO].vec(s).Find(p)
+		v, _ = st.vec(SPO, s).Find(p)
 	case s != None && p == None && o != None:
-		v, _ = st.pidx[SOP].vec(s).Find(o)
+		v, _ = st.vec(SOP, s).Find(o)
 	case s == None && p != None && o != None:
-		v, _ = st.pidx[POS].vec(p).Find(o)
+		v, _ = st.vec(POS, p).Find(o)
 	default:
 		panic("core: terminal view needs exactly two bound positions")
 	}
@@ -294,7 +312,7 @@ func (st *Store) Has(s, p, o ID) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if st.compressed {
-		v, ok := st.pidx[SPO].vec(s).Find(p)
+		v, ok := st.vec(SPO, s).Find(p)
 		return ok && v.Contains(o)
 	}
 	return st.objLists[pairKey{s, p}].Contains(o)
@@ -344,7 +362,7 @@ func (st *Store) Head(ix Index, head ID) *Vec {
 	defer st.mu.RUnlock()
 	st.advisor.hit(ix)
 	if st.compressed {
-		if pk := st.pidx[ix].vec(head); pk.Len() > 0 {
+		if pk := st.vec(ix, head); pk.Len() > 0 {
 			return idlist.FromPacked(pk)
 		}
 		return nil
@@ -358,7 +376,7 @@ func (st *Store) Heads(ix Index) int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if st.compressed {
-		return st.pidx[ix].heads
+		return st.arena(ix).heads
 	}
 	return len(st.idx[ix])
 }
@@ -369,8 +387,8 @@ func (st *Store) HeadIDs(ix Index) []ID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if st.compressed {
-		out := make([]ID, 0, st.pidx[ix].heads)
-		st.pidx[ix].rangeHeads(func(id ID) bool {
+		out := make([]ID, 0, st.arena(ix).heads)
+		st.arena(ix).rangeHeads(func(id ID) bool {
 			out = append(out, id)
 			return true
 		})
@@ -391,7 +409,7 @@ func (st *Store) Objects(s, p ID) *idlist.List {
 	defer st.mu.RUnlock()
 	st.advisor.hit(SPO)
 	if st.compressed {
-		if v, ok := st.pidx[SPO].vec(s).Find(p); ok {
+		if v, ok := st.vec(SPO, s).Find(p); ok {
 			return idlist.ListOf(v)
 		}
 		return nil
@@ -405,7 +423,7 @@ func (st *Store) Subjects(p, o ID) *idlist.List {
 	defer st.mu.RUnlock()
 	st.advisor.hit(POS)
 	if st.compressed {
-		if v, ok := st.pidx[POS].vec(p).Find(o); ok {
+		if v, ok := st.vec(POS, p).Find(o); ok {
 			return idlist.ListOf(v)
 		}
 		return nil
@@ -419,7 +437,7 @@ func (st *Store) Properties(s, o ID) *idlist.List {
 	defer st.mu.RUnlock()
 	st.advisor.hit(SOP)
 	if st.compressed {
-		if v, ok := st.pidx[SOP].vec(s).Find(o); ok {
+		if v, ok := st.vec(SOP, s).Find(o); ok {
 			return idlist.ListOf(v)
 		}
 		return nil
@@ -510,7 +528,7 @@ func (st *Store) PatternCardinality(s, p, o ID) int {
 func (st *Store) patternCardinalityCompressedLocked(s, p, o ID) int {
 	switch {
 	case s != None && p != None && o != None:
-		v, ok := st.pidx[SPO].vec(s).Find(p)
+		v, ok := st.vec(SPO, s).Find(p)
 		if ok && v.Contains(o) {
 			return 1
 		}
@@ -526,13 +544,13 @@ func (st *Store) patternCardinalityCompressedLocked(s, p, o ID) int {
 		return st.terminalViewLocked(s, p, o).Len()
 	case s != None:
 		st.advisor.hit(SPO)
-		return st.pidx[SPO].vec(s).Total()
+		return st.vec(SPO, s).Total()
 	case p != None:
 		st.advisor.hit(PSO)
-		return st.pidx[PSO].vec(p).Total()
+		return st.vec(PSO, p).Total()
 	case o != None:
 		st.advisor.hit(OSP)
-		return st.pidx[OSP].vec(o).Total()
+		return st.vec(OSP, o).Total()
 	default:
 		return st.size
 	}

@@ -18,17 +18,22 @@ package idlist
 //	                   packedGroup-th entry, its key (8 bytes LE) and its
 //	                   byte offset into the entries (4 bytes LE)
 //	entries            one per (key, list) pair in ascending key order:
-//	    uvarint keyDelta   key − previous key (the first entry stores the
-//	                       key itself)
+//	    uvarint head       delta<<1 | single, delta = key − previous key
+//	                       (the first entry stores the key itself)
+//	    single = 1:
+//	    uvarint value      the one list value — AppendCompressed's form of
+//	                       a one-id list, which delimits itself
+//	    single = 0:
 //	    uvarint n          terminal-list length
 //	    uvarint byteLen    byte length of the list payload that follows
 //	    payload            AppendCompressed form of the n list values
 //
-// The skip table makes Find a binary search plus a bounded forward walk;
-// byteLen makes the walk skip list payloads without decoding them.
-// Lookups hand out zero-copy Views into the bytes, which are immutable,
-// so the views stay valid however the owning store evolves (mutation
-// writes new vectors, it never edits one).
+// Most RDF terminal lists hold one id, so most entries pay two small
+// varints and no framing. The skip table makes Find a binary search plus
+// a bounded forward walk; byteLen makes the walk skip longer payloads
+// without decoding them. Lookups hand out zero-copy Views into the bytes,
+// which are immutable, so the views stay valid however the owning store
+// evolves (mutation writes new vectors, it never edits one).
 
 import "encoding/binary"
 
@@ -82,9 +87,9 @@ type PackedBuilder struct {
 	list    []byte // one list's payload, between AppendCompressed and appendEntry
 }
 
-// Append adds an entry. Keys must arrive strictly increasing and vals
-// strictly increasing; both are the invariants every index build in
-// this repository already maintains, so violations panic.
+// Append adds an entry. Keys must arrive strictly increasing, less than
+// 2^63 apart (the first key less than 2^63), and vals strictly
+// increasing; dense dictionary ids keep all of it, so violations panic.
 func (b *PackedBuilder) Append(key ID, vals []ID) {
 	b.list = AppendCompressed(b.list[:0], vals)
 	b.appendEntry(key, len(vals), b.list, nil)
@@ -107,13 +112,21 @@ func (b *PackedBuilder) appendEntry(key ID, n int, p1, p2 []byte) {
 	if b.nKeys > 0 && key <= b.prevKey {
 		panic("idlist: PackedBuilder key out of order")
 	}
+	d := uint64(key - b.prevKey)
+	if d >= 1<<63 {
+		panic("idlist: PackedBuilder key delta ≥ 2^63")
+	}
 	if b.nKeys%packedGroup == 0 {
 		b.skip = binary.LittleEndian.AppendUint64(b.skip, uint64(key))
 		b.skip = binary.LittleEndian.AppendUint32(b.skip, uint32(len(b.data)))
 	}
-	b.data = binary.AppendUvarint(b.data, uint64(key-b.prevKey))
-	b.data = binary.AppendUvarint(b.data, uint64(n))
-	b.data = binary.AppendUvarint(b.data, uint64(len(p1)+len(p2)))
+	if n == 1 {
+		b.data = binary.AppendUvarint(b.data, d<<1|1)
+	} else {
+		b.data = binary.AppendUvarint(b.data, d<<1)
+		b.data = binary.AppendUvarint(b.data, uint64(n))
+		b.data = binary.AppendUvarint(b.data, uint64(len(p1)+len(p2)))
+	}
 	b.data = append(b.data, p1...)
 	b.data = append(b.data, p2...)
 	b.prevKey = key
@@ -160,12 +173,18 @@ func uvarintAt(b []byte, pos int) (uint64, int) {
 // headerAt decodes only the entry header at byte offset pos (whose key
 // delta is relative to prevKey): the key, the list length, the body
 // byte range, and the offset of the next entry. Walks over non-matching
-// entries stay header-only — no view construction, no inner skip-walk.
+// entries stay header-only — no view construction, no inner skip-walk;
+// a one-id entry's body is its one varint.
 func (p Packed) headerAt(pos int, prevKey ID) (key ID, n, bodyStart, next int) {
-	d, pos := uvarintAt(p.data, pos)
+	h, pos := uvarintAt(p.data, pos)
+	key = prevKey + ID(h>>1)
+	if h&1 != 0 {
+		_, next = uvarintAt(p.data, pos)
+		return key, 1, pos, next
+	}
 	nn, pos := uvarintAt(p.data, pos)
 	bl, pos := uvarintAt(p.data, pos)
-	return prevKey + ID(d), int(nn), pos, pos + int(bl)
+	return key, int(nn), pos, pos + int(bl)
 }
 
 // group returns the key and the entries offset of skip-table group g.

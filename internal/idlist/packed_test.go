@@ -1,0 +1,206 @@
+package idlist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// checkPacked encodes keys[i] → lists[i] as a packed vector and holds
+// every accessor to the input: Len, Total, Range, AppendKeys, entry, Find
+// on every key and on the absent keys beside them. A copy rebuilt from
+// the vector's own views — compressed ones taken over as bytes, every
+// third one re-encoded from a raw slice — must be the same bytes, entry
+// for entry.
+func checkPacked(t *testing.T, keys []ID, lists [][]ID) {
+	t.Helper()
+	var b PackedBuilder
+	total := 0
+	for i, k := range keys {
+		b.Append(k, lists[i])
+		total += len(lists[i])
+	}
+	enc := b.Finish(nil)
+	if len(keys) == 0 {
+		if len(enc) != 0 {
+			t.Fatalf("an empty vector encoded to %x", enc)
+		}
+		return
+	}
+	p := DecodePacked(append(slices.Clone(enc), 0xff, 0xff))
+	if p.EncodedLen() != len(enc) || p.Len() != len(keys) || p.Total() != total {
+		t.Fatalf("EncodedLen/Len/Total = %d/%d/%d, want %d/%d/%d", p.EncodedLen(), p.Len(), p.Total(), len(enc), len(keys), total)
+	}
+
+	i := 0
+	p.Range(func(k ID, v View) bool {
+		if k != keys[i] || !slices.Equal(v.AppendTo(nil), lists[i]) {
+			t.Fatalf("Range entry %d = %d → %v, want %d → %v", i, k, v.AppendTo(nil), keys[i], lists[i])
+		}
+		if i%3 == 2 {
+			v = ViewOf(lists[i])
+		}
+		b.AppendView(k, v)
+		i++
+		return true
+	})
+	if i != len(keys) {
+		t.Fatalf("Range visited %d entries, want %d", i, len(keys))
+	}
+	if cp := b.Finish(nil); !bytes.Equal(cp, enc) {
+		t.Fatalf("the copy assembled from views is %x, the vector %x", cp, enc)
+	}
+	if got := p.AppendKeys(nil); !slices.Equal(got, keys) {
+		t.Fatalf("AppendKeys = %v, want %v", got, keys)
+	}
+
+	present := make(map[ID]bool, len(keys))
+	for _, k := range keys {
+		present[k] = true
+	}
+	for i, k := range keys {
+		if gk, gv := p.entry(i); gk != k || !slices.Equal(gv.AppendTo(nil), lists[i]) {
+			t.Fatalf("entry(%d) = %d → %v, want %d → %v", i, gk, gv.AppendTo(nil), k, lists[i])
+		}
+		if v, ok := p.Find(k); !ok || !slices.Equal(v.AppendTo(nil), lists[i]) {
+			t.Fatalf("Find(%d) = %v, %v; want %v", k, v.AppendTo(nil), ok, lists[i])
+		}
+		for _, probe := range []ID{k - 1, k + 1} {
+			if _, ok := p.Find(probe); ok != present[probe] {
+				t.Fatalf("Find(%d) found = %v, want %v", probe, ok, present[probe])
+			}
+		}
+	}
+}
+
+// packedLists returns a list per key: a singleton where one(i), else
+// n ids; ids start high enough for multi-byte varints where wide.
+func packedLists(keys []ID, one func(i int) bool, n int, wide bool) [][]ID {
+	lists := make([][]ID, len(keys))
+	for i := range keys {
+		start := ID(i*977 + 1)
+		if wide {
+			start += 1 << 60
+		}
+		m := n
+		if one(i) {
+			m = 1
+		}
+		for j := 0; j < m; j++ {
+			lists[i] = append(lists[i], start+ID(j*(i%5+1)))
+		}
+	}
+	return lists
+}
+
+// TestPackedSingletonEntries mixes one-id entries, whose value rides in
+// the entry header, with longer ones in every position relative to the
+// skip table's 16-entry groups, over dense keys and over key deltas near
+// 2^62.
+func TestPackedSingletonEntries(t *testing.T) {
+	patterns := map[string]func(i, n int) bool{
+		"all singletons":       func(i, n int) bool { return true },
+		"no singletons":        func(i, n int) bool { return false },
+		"group heads":          func(i, n int) bool { return i%packedGroup == 0 },
+		"all but group heads":  func(i, n int) bool { return i%packedGroup != 0 },
+		"last entry":           func(i, n int) bool { return i == n-1 },
+		"alternate":            func(i, n int) bool { return i%2 == 0 },
+		"group tails and last": func(i, n int) bool { return i%packedGroup == packedGroup-1 || i == n-1 },
+	}
+	for _, n := range []int{1, 2, 16, 17, 33} {
+		for _, wide := range []bool{false, true} {
+			keys := make([]ID, n)
+			for i := range keys {
+				keys[i] = ID(3*i + 1)
+			}
+			if wide { // the first key and two deltas near 2^62
+				keys[0] = 1<<62 - 1
+				for i := 1; i < n; i++ {
+					keys[i] = keys[i-1] + ID(i)
+					if i == 1 || i == n/2 {
+						keys[i] += 1 << 62
+					}
+				}
+			}
+			for name, one := range patterns {
+				for _, long := range []int{2, BlockSize + 3} {
+					t.Run(fmt.Sprintf("%d keys/wide=%v/%s/%d ids", n, wide, name, long), func(t *testing.T) {
+						checkPacked(t, keys, packedLists(keys, func(i int) bool { return one(i, n) }, long, wide))
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestPackedEncodingBytes pins the entry format on a two-entry vector: a
+// one-id entry is its tagged key delta and its value, a longer one keeps
+// its length and byte length.
+func TestPackedEncodingBytes(t *testing.T) {
+	var b PackedBuilder
+	b.Append(5, []ID{7})
+	b.Append(9, []ID{1, 2})
+	want := []byte{
+		2, 3, 7, // nKeys, total, dataLen
+		5<<1 | 1, 7, // key 5, one id: 7
+		4 << 1, 2, 2, 1, 1, // key 9 = 5+4, two ids in two bytes: 1, +1
+	}
+	if got := b.Finish(nil); !bytes.Equal(got, want) {
+		t.Fatalf("encoded %v, want %v", got, want)
+	}
+}
+
+// TestPackedKeyDeltaLimit: a key delta — the first key included — of
+// 2^63 or more does not fit the tagged header, and the builder refuses
+// it; one less is accepted.
+func TestPackedKeyDeltaLimit(t *testing.T) {
+	for _, keys := range [][]ID{{1 << 63}, {1, 1 + 1<<63}, {5, 6, 7 + 1<<63}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("keys %v: no panic", keys)
+				}
+			}()
+			var b PackedBuilder
+			for _, k := range keys {
+				b.Append(k, []ID{1})
+			}
+		}()
+	}
+	checkPacked(t, []ID{1<<63 - 1, 1<<64 - 2}, [][]ID{{3}, {4, 5}})
+}
+
+// FuzzPackedVector turns bytes into a key set and list lengths — per
+// entry a uvarint key gap (up to 2^62) and a length byte, below 160 a
+// one-id list — and holds every accessor of the encoded vector to them.
+func FuzzPackedVector(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var keys []ID
+		var lists [][]ID
+		var prev ID
+		for len(data) >= 2 && len(keys) < 200 {
+			g, k := binary.Uvarint(data)
+			if k <= 0 || k >= len(data) {
+				break
+			}
+			lb := data[k]
+			data = data[k+1:]
+			key := prev + 1 + ID(g%(1<<62))
+			if key <= prev {
+				break // past 2^64
+			}
+			n := 1
+			if lb >= 160 {
+				n = int(lb-159) * 3
+			}
+			list := make([]ID, n)
+			for j := range list {
+				list[j] = 1 + ID(lb)<<(lb%50) + ID(j*(int(key%5)+1))
+			}
+			keys, lists, prev = append(keys, key), append(lists, list), key
+		}
+		checkPacked(t, keys, lists)
+	})
+}

@@ -81,7 +81,7 @@ func (s *Server) memStore() *core.Store {
 }
 
 // registerIndexMetrics publishes the memory store's index footprint: the
-// heap bytes of the six arenas, the bytes in them that compactions have
+// heap bytes of the three arenas, the bytes in them that compactions have
 // orphaned and the next rewrite reclaims — garbage accumulating between
 // rewrites is the layout's one failure mode, and this is where it shows
 // — and the head count per ordering. All are the store's running

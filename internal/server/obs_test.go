@@ -176,7 +176,7 @@ func TestIndexFootprintObservable(t *testing.T) {
 		t.Cleanup(ts.Close)
 		got := statsKeys(t, ts.URL)
 		wantKeys(t, "memory", got, []string{"indexArenaBytes", "indexDeadBytes", "indexSegments"})
-		if got["indexArenaBytes"].(float64) <= 0 || got["indexDeadBytes"].(float64) != 0 || got["indexSegments"].(float64) != 6 {
+		if got["indexArenaBytes"].(float64) <= 0 || got["indexDeadBytes"].(float64) != 0 || got["indexSegments"].(float64) != 3 {
 			t.Errorf("/stats of a fresh build: arena %v, dead %v, segments %v", got["indexArenaBytes"], got["indexDeadBytes"], got["indexSegments"])
 		}
 		if v := metricValue(t, ts.URL, "hex_index_bytes"); v != float64(st.IndexBytes()) || v != got["indexBytes"].(float64) {
@@ -205,7 +205,7 @@ func TestIndexFootprintObservable(t *testing.T) {
 			t.Fatalf("%s = %v before any compaction", deadBytes, v)
 		}
 		// One new triple under one new subject per compaction: each leaves
-		// a few replaced vectors behind, until an ordering is rewritten.
+		// a few replaced records behind, until an arena is rewritten.
 		rose, fell, prev := false, false, 0.0
 		for i := 0; i < 60 && !fell; i++ {
 			if _, _, err := ov.ApplyTriples([]graph.TripleOp{{T: rdf.T(iri("new", 0), iri("p", 0), iri("fresh", i))}}); err != nil {
