@@ -191,16 +191,17 @@ func BenchmarkKowariStoreVsHexastore(b *testing.B) {
 // ordering with the statistics-driven planner on a join where ordering
 // matters: a highly selective pattern buried behind an unselective one.
 func BenchmarkPlannerStatsVsGreedy(b *testing.B) {
-	st := core.New()
+	bld := core.NewBuilder(nil)
 	rng := rand.New(rand.NewSource(77))
 	common := rdf.NewIRI("common")
 	rare := rdf.NewIRI("rare")
 	for i := 0; i < 30_000; i++ {
-		st.AddTriple(rdf.T(numIRI("s", rng.Intn(3000)), common, numIRI("o", rng.Intn(3000))))
+		bld.AddTriple(rdf.T(numIRI("s", rng.Intn(3000)), common, numIRI("o", rng.Intn(3000))))
 	}
 	for i := 0; i < 30; i++ {
-		st.AddTriple(rdf.T(numIRI("s", i), rare, rdf.NewLiteral("x")))
+		bld.AddTriple(rdf.T(numIRI("s", i), rare, rdf.NewLiteral("x")))
 	}
+	st := bld.Build()
 	src := `SELECT ?s ?o WHERE { ?s <common> ?o . ?s <rare> "x" }`
 	q, err := sparql.Parse(src)
 	if err != nil {

@@ -2,10 +2,11 @@
 // endpoint (SPARQL 1.1 JSON results), a SPARQL UPDATE endpoint
 // (INSERT DATA / DELETE DATA), bulk N-Triples/Turtle ingestion, and
 // store statistics. The same HTTP API serves either the in-memory
-// Hexastore (default) or the disk-based Hexastore (-disk), optionally
-// behind the live-update subsystem (-live / -wal): an MVCC delta overlay
-// in which queries pin consistent snapshots and never block on updates,
-// plus a group-committed write-ahead log for crash recovery.
+// Hexastore (default) or the disk-based Hexastore (-disk). The memory
+// store always sits behind the live-update subsystem — an MVCC delta
+// overlay in which queries pin consistent snapshots and never block on
+// updates — and -wal adds a group-committed write-ahead log for crash
+// recovery. -live puts the disk store behind the overlay too.
 //
 // With -shards=N the store becomes a sharded scatter-gather serving
 // tier: N subject-hash-partitioned stores behind one shared dictionary,
@@ -87,7 +88,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"goroutines for the startup bulk load and per-query join parallelism; 1 = sequential")
 	live := flag.Bool("live", false,
-		"serve through the MVCC delta overlay: queries pin snapshots and never block on updates")
+		"serve -disk through the MVCC delta overlay: queries pin snapshots and never block on updates (the memory store always is)")
 	walPath := flag.String("wal", "",
 		"write-ahead log path for crash-safe updates (implies -live); replayed on start, truncated at checkpoints; with -shards, shard i logs to <path>.<i>")
 	compactThreshold := flag.Int("compact-threshold", 0,
@@ -178,7 +179,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("hexserver: %v", err)
 		}
-		if *live || *walPath != "" {
+		if *live || *walPath != "" || *diskDir == "" {
 			ov, oerr := delta.Open(g, delta.Options{
 				WALPath:          *walPath,
 				SnapshotPath:     snapshotPath(*diskDir, *walPath),
@@ -400,9 +401,9 @@ func readFile(path string, asTurtle bool) ([]rdf.Triple, error) {
 }
 
 // openStore builds the base graph: the disk store (opened or created,
-// bulk-loading startup triples into a fresh one) or the in-memory store
-// (restored from a WAL checkpoint snapshot when one exists, else
-// bulk-built from the startup triples).
+// bulk-loading startup triples into a fresh one) or the sealed in-memory
+// store (restored from a WAL checkpoint snapshot when one exists, else
+// bulk-built from the startup triples), which main wraps in an overlay.
 func openStore(diskDir string, cache int, walPath string, triples []rdf.Triple, workers int) (graph.Graph, func() error, error) {
 	if diskDir != "" {
 		g, err := openDisk(diskDir, cache, triples, workers)
@@ -414,7 +415,7 @@ func openStore(diskDir string, cache int, walPath string, triples []rdf.Triple, 
 	}
 
 	if snap := snapshotPath(diskDir, walPath); snap != "" {
-		st, ok, err := delta.RestoreSnapshot(snap, true)
+		st, ok, err := delta.RestoreSnapshot(snap)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -427,10 +428,9 @@ func openStore(diskDir string, cache int, walPath string, triples []rdf.Triple, 
 		}
 	}
 
-	// Sort-once bulk construction: far faster than per-triple Add,
-	// which pays the six-index insertion cost per statement (§4.2).
-	// Encoding and the index build spread across -workers cores, and
-	// the consuming build avoids a second copy of the triple set.
+	// Sort-once bulk construction: encoding and the index build spread
+	// across -workers cores, and the consuming build avoids a second copy
+	// of the triple set.
 	b := core.NewBuilder(nil)
 	b.AddAll(core.EncodeTriples(b.Dictionary(), triples, workers))
 	return graph.Memory(b.BuildParallel(workers)), nil, nil

@@ -12,6 +12,7 @@ import (
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
 	"hexastore/internal/graph"
+	"hexastore/internal/triplestore"
 )
 
 // canonQuery renders a SELECT result in a canonical, order-free form.
@@ -50,40 +51,43 @@ func seedTriples(t *testing.T, db *hexastore.DB, n int) {
 
 const compressProbeQuery = `SELECT ?s ?o WHERE { ?s <p1> ?o . ?o ?p ?x }`
 
-// TestWithCompressionEquivalence opens every backend with compression
-// on and off, applies the same data and updates, and requires
-// identical query results — the facade-level differential gate for the
+// TestWithCompressionEquivalence applies the same data and updates to
+// every backend with compression on and to its reference — the same
+// disk backend with raw leaves, and for the memory backend (which has
+// one, packed, layout) the flat triples-table baseline — and requires
+// identical query results: the facade-level differential gate for the
 // block-compressed index layer.
 func TestWithCompressionEquivalence(t *testing.T) {
-	type mk func(t *testing.T, compress bool) *hexastore.DB
+	type mk func(t *testing.T, reference bool) *hexastore.DB
+	open := func(t *testing.T, opts ...hexastore.Option) *hexastore.DB {
+		db, err := hexastore.Open(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
 	backends := map[string]mk{
-		"memory": func(t *testing.T, compress bool) *hexastore.DB {
-			db, err := hexastore.Open(hexastore.WithCompression(compress))
-			if err != nil {
-				t.Fatal(err)
+		"memory": func(t *testing.T, reference bool) *hexastore.DB {
+			if reference {
+				return open(t, hexastore.WithBaseline())
 			}
-			return db
+			return open(t)
 		},
-		"disk": func(t *testing.T, compress bool) *hexastore.DB {
-			db, err := hexastore.Open(hexastore.WithDisk(t.TempDir()), hexastore.WithCompression(compress))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return db
+		"disk": func(t *testing.T, reference bool) *hexastore.DB {
+			return open(t, hexastore.WithDisk(t.TempDir()), hexastore.WithCompression(!reference))
 		},
-		"overlay": func(t *testing.T, compress bool) *hexastore.DB {
-			db, err := hexastore.Open(hexastore.WithDeltaOverlay(), hexastore.WithCompression(compress))
-			if err != nil {
-				t.Fatal(err)
+		"overlay": func(t *testing.T, reference bool) *hexastore.DB {
+			if reference {
+				return open(t, hexastore.WithDeltaOverlay(), hexastore.WithBaseline())
 			}
-			return db
+			return open(t, hexastore.WithDeltaOverlay())
 		},
 	}
 	for name, make := range backends {
 		t.Run(name, func(t *testing.T) {
 			var results [2]string
-			for i, compress := range []bool{true, false} {
-				db := make(t, compress)
+			for i, reference := range []bool{false, true} {
+				db := make(t, reference)
 				defer db.Close()
 				seedTriples(t, db, 200)
 				if _, err := db.Update(`INSERT DATA { <extra> <p1> <o1> . <o1> <p2> <z> } ; DELETE DATA { <s1> <p1> <o1> }`); err != nil {
@@ -95,82 +99,67 @@ func TestWithCompressionEquivalence(t *testing.T) {
 				results[i] = canonQuery(t, db, compressProbeQuery)
 			}
 			if results[0] != results[1] {
-				t.Fatalf("compressed and raw results differ:\n%s\nvs\n%s", results[0], results[1])
+				t.Fatalf("compressed and reference results differ:\n%s\nvs\n%s", results[0], results[1])
 			}
 		})
 	}
 }
 
-// TestCompressedSnapshotRestore checks snapshot round-trips across
-// layouts: a compressed store snapshots to the same bytes as its raw
-// twin, and restoring selects the requested layout.
+// TestCompressedSnapshotRestore checks the packed store's snapshot round
+// trip against the triplestore oracle: the restored store holds exactly
+// the oracle's triples, and snapshots to the same bytes again.
 func TestCompressedSnapshotRestore(t *testing.T) {
-	triples := make([][3]core.ID, 0, 300)
+	b := core.NewBuilder(nil)
+	for id := core.ID(1); id <= 36; id++ {
+		b.Dictionary().Encode(hexastore.IRI(fmt.Sprintf("t%d", id)))
+	}
+	oracle := triplestore.New(b.Dictionary())
 	for i := 0; i < 300; i++ {
-		triples = append(triples, [3]core.ID{core.ID(i%13 + 1), core.ID(i%4 + 14), core.ID(i%19 + 18)})
+		tr := [3]core.ID{core.ID(i%13 + 1), core.ID(i%4 + 14), core.ID(i%19 + 18)}
+		b.Add(tr[0], tr[1], tr[2])
+		oracle.Add(tr[0], tr[1], tr[2])
 	}
-	var snaps [2]bytes.Buffer
-	for i, compress := range []bool{true, false} {
-		b := core.NewBuilder(nil)
-		b.SetCompression(compress)
-		for id := core.ID(1); id <= 36; id++ {
-			b.Dictionary().Encode(hexastore.IRI(fmt.Sprintf("t%d", id)))
-		}
-		b.AddAll(triples)
-		st := b.BuildParallel(2)
-		if st.Compressed() != compress {
-			t.Fatalf("Compressed() = %v, want %v", st.Compressed(), compress)
-		}
-		if err := st.Snapshot(&snaps[i]); err != nil {
-			t.Fatal(err)
-		}
+	var snap, again bytes.Buffer
+	if err := b.BuildParallel(2).Snapshot(&snap); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
-		t.Fatal("compressed and raw layouts produced different snapshot bytes")
+	st, err := core.Restore(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, compress := range []bool{true, false} {
-		st, err := core.RestoreWith(bytes.NewReader(snaps[0].Bytes()), compress)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Compressed() != compress {
-			t.Fatalf("restored Compressed() = %v, want %v", st.Compressed(), compress)
-		}
-		if got := st.Len(); got != len(dedupe(triples)) {
-			t.Fatalf("restored Len = %d", got)
-		}
+	if st.Len() != oracle.Len() {
+		t.Fatalf("restored Len = %d, oracle holds %d", st.Len(), oracle.Len())
 	}
-}
-
-func dedupe(ts [][3]core.ID) [][3]core.ID {
-	seen := map[[3]core.ID]bool{}
-	var out [][3]core.ID
-	for _, t := range ts {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+	oracle.Match(core.None, core.None, core.None, func(s, p, o core.ID) bool {
+		if !st.Has(s, p, o) {
+			t.Fatalf("restored store lacks (%d, %d, %d)", s, p, o)
 		}
+		return true
+	})
+	if err := st.Snapshot(&again); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+		t.Fatal("the restored store snapshots to different bytes")
+	}
 }
 
 // TestCompressedWALRecovery crashes a WAL-backed DB (no Close) after a
-// checkpoint plus further updates and reopens it with compression on:
-// the checkpoint snapshot restores into a block-compressed main and the
-// WAL tail replays on top of it. The same sequence with compression off
-// must agree, so recovery is layout-independent.
+// checkpoint plus further updates and reopens it: the checkpoint
+// snapshot restores into a packed main, the WAL tail replays on top of
+// it, and the result answers like a baseline DB that saw the same
+// writes and never crashed.
 func TestCompressedWALRecovery(t *testing.T) {
-	var results [2]string
-	for i, compress := range []bool{true, false} {
-		wal := filepath.Join(t.TempDir(), "wal.log")
-		open := func() *hexastore.DB {
-			db, err := hexastore.Open(hexastore.WithWAL(wal), hexastore.WithCompression(compress))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return db
+	wal := filepath.Join(t.TempDir(), "wal.log")
+	open := func(opts ...hexastore.Option) *hexastore.DB {
+		db, err := hexastore.Open(opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		db := open()
+		return db
+	}
+	var results [2]string
+	for i, db := range []*hexastore.DB{open(hexastore.WithWAL(wal)), open(hexastore.WithBaseline())} {
 		seedTriples(t, db, 150)
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -178,26 +167,20 @@ func TestCompressedWALRecovery(t *testing.T) {
 		if _, err := db.Update(`INSERT DATA { <post> <p1> <o5> . <o5> <p0> <tail> }`); err != nil {
 			t.Fatal(err)
 		}
-		db = nil //nolint:ineffassign // crash: no Close
-
-		re := open()
-		if compress {
-			// The restored main must actually be the compressed layout.
-			st, ok := coreMain(re)
-			if !ok {
+		if i == 0 {
+			// Crash: no Close.
+			db = open(hexastore.WithWAL(wal))
+			if _, ok := coreMain(db); !ok {
 				t.Fatal("recovered DB has no core main")
 			}
-			if !st.Compressed() {
-				t.Fatal("recovered main is not compressed")
-			}
 		}
-		results[i] = canonQuery(t, re, compressProbeQuery)
-		if err := re.Close(); err != nil {
+		results[i] = canonQuery(t, db, compressProbeQuery)
+		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if results[0] != results[1] {
-		t.Fatalf("recovery differs between layouts:\n%s\nvs\n%s", results[0], results[1])
+		t.Fatalf("the recovered DB and the baseline differ:\n%s\nvs\n%s", results[0], results[1])
 	}
 }
 

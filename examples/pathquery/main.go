@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	st := hexastore.New()
+	bld := hexastore.NewBuilder(nil)
 	iri := hexastore.IRI
 
 	// A small org chart: employees report to managers, managers lead
@@ -33,15 +33,16 @@ func main() {
 		{"sales", "gtm-division"},
 	}
 	for _, r := range reports {
-		st.AddTriple(hexastore.T(iri(r[0]), iri("reportsTo"), iri(r[1])))
+		bld.AddTriple(hexastore.T(iri(r[0]), iri("reportsTo"), iri(r[1])))
 	}
 	for _, l := range leads {
-		st.AddTriple(hexastore.T(iri(l[0]), iri("leadsDept"), iri(l[1])))
+		bld.AddTriple(hexastore.T(iri(l[0]), iri("leadsDept"), iri(l[1])))
 	}
 	for _, b := range belongs {
-		st.AddTriple(hexastore.T(iri(b[0]), iri("inDivision"), iri(b[1])))
+		bld.AddTriple(hexastore.T(iri(b[0]), iri("inDivision"), iri(b[1])))
 	}
 
+	st := bld.Build()
 	eng := hexastore.NewEngine(st)
 	dict := st.Dictionary()
 

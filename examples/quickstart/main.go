@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	st := hexastore.New()
+	b := hexastore.NewBuilder(nil)
 
 	// The paper's Figure 1 sample data: academic facts about four people.
 	facts := [][3]string{
@@ -36,9 +36,10 @@ func main() {
 		{"ID4", "bachelorsFrom", "Columbia"},
 	}
 	for _, f := range facts {
-		st.AddTriple(hexastore.T(
+		b.AddTriple(hexastore.T(
 			hexastore.IRI(f[0]), hexastore.IRI(f[1]), hexastore.IRI(f[2])))
 	}
+	st := b.Build()
 	fmt.Printf("loaded %d triples\n\n", st.Len())
 
 	// Statement pattern: everything about ID2 (subject-bound, spo index).

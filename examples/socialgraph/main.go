@@ -13,8 +13,8 @@ import (
 )
 
 func main() {
-	st := hexastore.New()
-	dict := st.Dictionary()
+	b := hexastore.NewBuilder(nil)
+	dict := b.Dictionary()
 
 	people := make([]hexastore.Term, 200)
 	for i := range people {
@@ -33,10 +33,11 @@ func main() {
 			if other == i {
 				continue
 			}
-			st.AddTriple(hexastore.T(
+			b.AddTriple(hexastore.T(
 				people[i], relations[rng.Intn(len(relations))], people[other]))
 		}
 	}
+	st := b.Build()
 	fmt.Printf("social graph: %d people, %d edges\n\n", len(people), st.Len())
 
 	eng := hexastore.NewEngine(st)

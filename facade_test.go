@@ -48,10 +48,10 @@ func TestParseTurtleFacade(t *testing.T) {
 }
 
 func TestPlannerFacade(t *testing.T) {
-	st := hexastore.New()
-	st.AddTriple(hexastore.T(hexastore.IRI("a"), hexastore.IRI("p"), hexastore.IRI("b")))
-	st.AddTriple(hexastore.T(hexastore.IRI("b"), hexastore.IRI("p"), hexastore.IRI("c")))
-	pl := hexastore.NewPlanner(st)
+	b := hexastore.NewBuilder(nil)
+	b.AddTriple(hexastore.T(hexastore.IRI("a"), hexastore.IRI("p"), hexastore.IRI("b")))
+	b.AddTriple(hexastore.T(hexastore.IRI("b"), hexastore.IRI("p"), hexastore.IRI("c")))
+	pl := hexastore.NewPlanner(b.Build())
 	res, err := pl.Exec(`SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }`)
 	if err != nil {
 		t.Fatal(err)
@@ -64,12 +64,16 @@ func TestPlannerFacade(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersAndWriters exercises the store's concurrency
-// contract: parallel readers with a concurrent writer must not race
-// (run with -race) and every read must observe a consistent snapshot
-// size (never more than the number of triples ever added).
+// TestConcurrentReadersAndWriters exercises the in-memory handle's
+// concurrency contract: parallel readers with concurrent writers must
+// not race (run with -race) and every read must observe a consistent
+// snapshot size (never more than the number of triples ever added).
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	st := hexastore.New()
+	st, err := hexastore.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	const writers, readers, n = 2, 4, 500
 
 	var wg sync.WaitGroup
@@ -78,7 +82,10 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				st.Add(hexastore.ID(w*n+i+1), hexastore.ID(i%7+1), hexastore.ID(i%11+1))
+				if _, err := st.Add(hexastore.ID(w*n+i+1), hexastore.ID(i%7+1), hexastore.ID(i%11+1)); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -87,8 +94,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				cnt := st.Count(hexastore.None, hexastore.ID(i%7+1), hexastore.None)
-				if cnt < 0 || cnt > writers*n {
+				cnt, err := st.Count(hexastore.None, hexastore.ID(i%7+1), hexastore.None)
+				if err != nil || cnt < 0 || cnt > writers*n {
 					t.Errorf("Count out of range: %d", cnt)
 					return
 				}
@@ -105,10 +112,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 }
 
 func TestConcurrentSPARQLQueries(t *testing.T) {
-	st := hexastore.New()
+	b := hexastore.NewBuilder(nil)
 	for i := 1; i <= 100; i++ {
-		st.Add(hexastore.ID(i), 101, hexastore.ID(i%10+200))
+		b.Add(hexastore.ID(i), 101, hexastore.ID(i%10+200))
 	}
+	st := b.Build()
 	// The dictionary is empty of these raw ids' terms, so query through
 	// pattern matching concurrently instead.
 	var wg sync.WaitGroup

@@ -5,14 +5,13 @@
 // one Graph interface.
 //
 // A Hexastore materializes all six orderings of the RDF triple elements
-// (spo, sop, pso, pos, osp, ops). The in-memory rendering shares
-// terminal lists between index pairs so the worst-case space overhead
-// over a plain triples table is five-fold, not six-fold; the disk
+// (spo, sop, pso, pos, osp, ops). The in-memory rendering packs each
+// head's vectors as delta+varint bytes in immutable arenas; the disk
 // rendering keeps the six orderings as B+-trees in one pagefile (the
 // "fully operational disk-based Hexastore" of the paper's §7). In
-// exchange, every statement pattern — with any combination of bound
-// subject, predicate and object — is answered from a purpose-built
-// index.
+// exchange for the space, every statement pattern — with any combination
+// of bound subject, predicate and object — is answered from a
+// purpose-built index.
 //
 // # Opening a store
 //
@@ -20,7 +19,7 @@
 // that the SPARQL query and update engines, the serializers, and the
 // HTTP server all accept:
 //
-//	db, _ := hexastore.Open()                          // in-memory Hexastore
+//	db, _ := hexastore.Open()                          // in-memory Hexastore (delta overlay)
 //	db, _ := hexastore.Open(hexastore.WithDisk(dir))   // disk-based Hexastore
 //	db, _ := hexastore.Open(hexastore.WithBaseline())  // flat triples table
 //	defer db.Close()
@@ -31,13 +30,11 @@
 //	res, _ := db.Query(`SELECT ?who WHERE { <alice> <knows> ?who }`)
 //	db.Update(`INSERT DATA { <alice> <knows> <carol> }`)
 //
-// The pre-Graph constructors New, NewBuilder and the package-level Query
-// remain as thin wrappers over the in-memory backend.
-//
-// Bulk loads should use NewBuilder (sort-once construction) or
-// LoadNTriples for N-Triples streams. See the examples directory for
-// complete programs, and DESIGN.md / EXPERIMENTS.md for the paper
-// reproduction.
+// A Store built with NewBuilder, LoadNTriples or Restore is sealed: it
+// answers queries (Query, NewPlanner, AsGraph) but takes no writes. Open
+// returns the writable in-memory handle: a delta overlay over a sealed
+// store. See the examples directory for complete programs, and
+// DESIGN.md / EXPERIMENTS.md for the paper reproduction.
 package hexastore
 
 import (
@@ -63,9 +60,9 @@ import (
 
 // Core data-model types.
 type (
-	// Store is the six-index in-memory Hexastore.
+	// Store is the sealed six-index in-memory Hexastore.
 	Store = core.Store
-	// Builder bulk-loads a Store (sort-once, much faster than repeated Add).
+	// Builder bulk-loads a Store (sort-once construction).
 	Builder = core.Builder
 	// Stats reports index sizes and the §4.1 space-expansion factor.
 	Stats = core.Stats
@@ -120,19 +117,21 @@ const (
 // (sparql.Exec, server.NewGraph, WriteNTriples, …) while adding
 // string-level conveniences and lifecycle management.
 //
-// The DB methods are safe to call concurrently with each other:
+// The DB methods are safe to call concurrently with each other. On the
+// backends that mutate in place (disk without an overlay, baseline),
 // mutations (Update, AddTriple, RemoveTriple) are serialized against
 // queries and serializers, because query evaluation nests store read
 // locks and a writer arriving between two nested read locks would
-// deadlock both goroutines. Calling the embedded Graph's mutation
-// methods directly bypasses this guard; callers doing so must not
-// mutate while a query is streaming.
+// deadlock both goroutines; calling the embedded Graph's mutation
+// methods directly bypasses this guard. Every other backend pins
+// snapshots and needs no guard.
 type DB struct {
 	graph.Graph
 	closer io.Closer
 
-	// overlay is the delta overlay behind Graph when Open was given
-	// WithWAL or WithDeltaOverlay; nil otherwise.
+	// overlay is the delta overlay behind Graph: always for the memory
+	// backend, with WithWAL or WithDeltaOverlay for the others; nil
+	// otherwise.
 	overlay *delta.Overlay
 
 	// cluster is the sharded serving tier behind Graph when Open was
@@ -141,9 +140,9 @@ type DB struct {
 	cluster *shard.Cluster
 
 	// mu orders DB-level operations: queries and serializers share it,
-	// mutations take it exclusively. With a delta overlay the lock is
-	// not taken at all — readers pin immutable snapshots and the
-	// overlay serializes its own writers, so queries stream concurrently
+	// mutations take it exclusively. With an overlay or a cluster the
+	// lock is not taken at all — readers pin immutable snapshots and the
+	// backend serializes its own writers, so queries stream concurrently
 	// with updates.
 	mu sync.RWMutex
 
@@ -161,8 +160,8 @@ type DB struct {
 	resultCacheBytes int64
 }
 
-// Unwrap exposes the concrete store behind the handle, so the planner
-// and server keep their in-memory fast paths when handed a *DB.
+// Unwrap exposes the backend behind the handle — the concrete store, or
+// the delta overlay — so layers handed a *DB find its capabilities.
 func (db *DB) Unwrap() any { return graph.Unwrap(db.Graph) }
 
 // options collects the Open configuration.
@@ -207,7 +206,9 @@ func WithBaseline() Option { return func(o *options) { o.baseline = true } }
 // overlay (package delta): the main indexes stay immutable for readers,
 // writes land in a small sorted in-memory delta, queries pin consistent
 // snapshots without locking against writers, and background compaction
-// folds the delta into the main. Durability follows the backend: on the
+// folds the delta into the main. The memory backend always has one — it
+// is how a sealed store takes writes — so the option matters for the
+// disk and baseline backends. Durability follows the backend: on the
 // disk backend every DB.Update still ends durable (Flush merges the
 // delta into the trees eagerly when no WAL absorbs it); on the memory
 // backend there is none. Combine with WithWAL for group-committed
@@ -242,25 +243,14 @@ func WithShards(n int) Option { return func(o *options) { o.shards = max(n, 1) }
 // WithCompactThreshold sets the delta size (pending adds + tombstones)
 // that triggers background compaction of a delta overlay; 0 keeps the
 // default (delta.DefaultCompactThreshold), negative disables automatic
-// compaction. No effect without WithDeltaOverlay/WithWAL.
+// compaction. No effect on a disk or baseline backend without
+// WithDeltaOverlay/WithWAL.
 func WithCompactThreshold(n int) Option { return func(o *options) { o.compactThreshold = n } }
 
-// WithCompression selects the block-compressed index layout (on by
-// default): delta-encoded varint posting blocks with skip tables, in
-// memory (packed vectors built by the bulk loader, snapshot restores,
-// and overlay compaction) and on disk (delta-packed B+-tree leaf
-// pages). Compression roughly halves — on real RDF data, better than
-// halves — bytes per triple while merge-joins skip whole blocks via
-// the skip tables; see the space01 benchmark figure. Pass false to keep
-// the raw layout (shared terminal lists in memory, fixed-width leaf
-// records on disk), which the differential test suites compare against.
-// The switch governs the initial build, snapshot restores and the disk
-// leaves; an overlay's compaction always leaves a packed memory main.
-//
-// A compressed in-memory store converts itself back to the raw layout
-// on its first direct Add/Remove (one O(n) pass); live updates through
-// WithDeltaOverlay/WithWAL never pay that, because the overlay never
-// mutates the main indexes in place.
+// WithCompression selects delta-packed B+-tree leaf pages for the disk
+// backend (on by default); false writes fixed-width leaf records, which
+// the differential test suites compare against. The memory backend has
+// one layout, always packed, and ignores the option.
 func WithCompression(on bool) Option { return func(o *options) { o.compress = on } }
 
 // WithQueryTimeout bounds every Query/QueryContext on the handle: an
@@ -306,9 +296,9 @@ func WithResultCache(bytes int64) Option {
 }
 
 // Open returns a Graph-backed store handle. With no options it opens an
-// empty in-memory Hexastore; see WithDisk, WithBaseline, WithDictionary,
-// WithDiskCache, WithDeltaOverlay, WithWAL, WithQueryTimeout and
-// WithMemBudget.
+// empty in-memory Hexastore behind a delta overlay; see WithDisk,
+// WithBaseline, WithDictionary, WithDiskCache, WithDeltaOverlay, WithWAL,
+// WithQueryTimeout and WithMemBudget.
 func Open(opts ...Option) (*DB, error) {
 	o := options{compress: true}
 	for _, fn := range opts {
@@ -353,7 +343,7 @@ func Open(opts ...Option) (*DB, error) {
 			// Crash recovery, step 1: restore the last checkpoint
 			// snapshot, if one was written; WAL replay (step 2, inside
 			// delta.Open) re-applies everything since.
-			restored, ok, err := delta.RestoreSnapshot(o.walPath+".snapshot", o.compress)
+			restored, ok, err := delta.RestoreSnapshot(o.walPath + ".snapshot")
 			if err != nil {
 				return nil, err
 			}
@@ -368,6 +358,7 @@ func Open(opts ...Option) (*DB, error) {
 			st = core.New()
 		}
 		base = graph.Memory(st)
+		o.overlay = true // a sealed store takes writes only through an overlay
 	}
 
 	if !o.overlay {
@@ -532,8 +523,8 @@ func (db *DB) planner() *sparql.Planner {
 // (building the planner if no query has run yet).
 func (db *DB) CacheStats() sparql.CacheStats { return db.planner().CacheStats() }
 
-// rlock takes the shared DB lock unless the backend is an overlay
-// (whose readers pin immutable snapshots instead of locking).
+// rlock takes the shared DB lock unless the backend is an overlay or a
+// cluster (whose readers pin immutable snapshots instead of locking).
 func (db *DB) rlock() func() {
 	if db.overlay != nil || db.cluster != nil {
 		return func() {}
@@ -542,8 +533,8 @@ func (db *DB) rlock() func() {
 	return db.mu.RUnlock
 }
 
-// wlock takes the exclusive DB lock unless the backend is an overlay
-// (which serializes its own writers without blocking readers).
+// wlock takes the exclusive DB lock unless the backend is an overlay or
+// a cluster (which serializes its own writers without blocking readers).
 func (db *DB) wlock() func() {
 	if db.overlay != nil || db.cluster != nil {
 		return func() {}
@@ -661,12 +652,6 @@ func (db *DB) WriteTurtle(w io.Writer, prefixes map[string]string) error {
 	return WriteTurtle(graph.Snapshot(db.Graph), w, prefixes)
 }
 
-// New returns an empty in-memory Hexastore with a fresh dictionary.
-func New() *Store { return core.New() }
-
-// NewWithDictionary returns an empty in-memory Hexastore sharing dict.
-func NewWithDictionary(dict *Dictionary) *Store { return core.NewShared(dict) }
-
 // NewDictionary returns an empty term dictionary.
 func NewDictionary() *Dictionary { return dictionary.New() }
 
@@ -674,7 +659,8 @@ func NewDictionary() *Dictionary { return dictionary.New() }
 // (pass nil for a fresh dictionary).
 func NewBuilder(dict *Dictionary) *Builder { return core.NewBuilder(dict) }
 
-// AsGraph adapts an in-memory Store to the Graph interface.
+// AsGraph adapts a sealed in-memory Store to the (read-only) Graph
+// interface.
 func AsGraph(st *Store) Graph { return graph.Memory(st) }
 
 // NewEngine returns a query engine over the in-memory store st.

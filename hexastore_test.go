@@ -9,13 +9,13 @@ import (
 )
 
 func TestFacadeQuickstart(t *testing.T) {
-	st := hexastore.New()
-	st.AddTriple(hexastore.T(
+	b := hexastore.NewBuilder(nil)
+	b.AddTriple(hexastore.T(
 		hexastore.IRI("alice"), hexastore.IRI("knows"), hexastore.IRI("bob")))
-	st.AddTriple(hexastore.T(
+	b.AddTriple(hexastore.T(
 		hexastore.IRI("bob"), hexastore.IRI("knows"), hexastore.IRI("carol")))
 
-	res, err := hexastore.Query(st, `SELECT ?who WHERE { <alice> <knows> ?who }`)
+	res, err := hexastore.Query(b.Build(), `SELECT ?who WHERE { <alice> <knows> ?who }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,9 @@ func TestLoadNTriplesError(t *testing.T) {
 }
 
 func TestFacadeSnapshotRestore(t *testing.T) {
-	st := hexastore.New()
-	st.AddTriple(hexastore.T(hexastore.IRI("x"), hexastore.IRI("y"), hexastore.Literal("z")))
+	b := hexastore.NewBuilder(nil)
+	b.AddTriple(hexastore.T(hexastore.IRI("x"), hexastore.IRI("y"), hexastore.Literal("z")))
+	st := b.Build()
 	var buf bytes.Buffer
 	if err := st.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -88,11 +89,14 @@ func TestFacadeEngineAndPatterns(t *testing.T) {
 
 func TestFacadeDictionarySharing(t *testing.T) {
 	dict := hexastore.NewDictionary()
-	a := hexastore.NewWithDictionary(dict)
-	b := hexastore.NewWithDictionary(dict)
-	sa, _, _, _ := a.AddTriple(hexastore.T(hexastore.IRI("x"), hexastore.IRI("p"), hexastore.IRI("y")))
-	sb, _, _, _ := b.AddTriple(hexastore.T(hexastore.IRI("x"), hexastore.IRI("q"), hexastore.IRI("z")))
-	if sa != sb {
-		t.Errorf("shared dictionary assigned different ids: %d vs %d", sa, sb)
+	a := hexastore.NewBuilder(dict)
+	b := hexastore.NewBuilder(dict)
+	a.AddTriple(hexastore.T(hexastore.IRI("x"), hexastore.IRI("p"), hexastore.IRI("y")))
+	b.AddTriple(hexastore.T(hexastore.IRI("x"), hexastore.IRI("q"), hexastore.IRI("z")))
+	sa, sb := a.Build(), b.Build()
+	x, _ := dict.Lookup(hexastore.IRI("x"))
+	if sa.Dictionary() != dict || sb.Dictionary() != dict ||
+		sa.Count(x, hexastore.None, hexastore.None) != 1 || sb.Count(x, hexastore.None, hexastore.None) != 1 {
+		t.Error("stores built on a shared dictionary do not share the subject's id")
 	}
 }

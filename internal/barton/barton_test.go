@@ -27,10 +27,11 @@ func TestGenerateAllTriplesValid(t *testing.T) {
 }
 
 func TestStructuralFeaturesForQueries(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for _, tr := range smallConfig().GenerateAll() {
-		st.AddTriple(tr)
+		stb.AddTriple(tr)
 	}
+	st := stb.Build()
 	dict := st.Dictionary()
 	lookup := func(term rdf.Term) core.ID {
 		id, ok := dict.Lookup(term)
@@ -105,10 +106,11 @@ func TestStructuralFeaturesForQueries(t *testing.T) {
 }
 
 func TestPropertyTailIsZipfian(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for _, tr := range smallConfig().GenerateAll() {
-		st.AddTriple(tr)
+		stb.AddTriple(tr)
 	}
+	st := stb.Build()
 	// Many distinct properties, most of them rare.
 	nProps := st.Heads(core.PSO)
 	if nProps < 50 {
@@ -126,10 +128,11 @@ func TestPropertyTailIsZipfian(t *testing.T) {
 }
 
 func TestTotalPropertiesBound(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for _, tr := range (Config{Records: 20000, Seed: 1}).GenerateAll() {
-		st.AddTriple(tr)
+		stb.AddTriple(tr)
 	}
+	st := stb.Build()
 	if n := st.Heads(core.PSO); n > TotalProperties {
 		t.Errorf("%d distinct properties exceed the declared %d", n, TotalProperties)
 	}

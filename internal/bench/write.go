@@ -25,62 +25,28 @@ const writeMixQuery = `SELECT ?student ?course WHERE {
 	?student <lubm:advisor> ?prof .
 	?prof <lubm:teacherOf> ?course }`
 
-// lockedGraph reproduces the pre-overlay concurrency discipline (the
-// DB/server request lock): queries share an RWMutex, updates take it
-// exclusively — so every update stalls every reader for its duration.
-// It is the baseline the MVCC overlay is measured against.
-type lockedGraph struct {
-	mu sync.RWMutex
-	g  graph.Graph
+// runMixed runs the mixed workload over ov: snapshot-pinned queries, one
+// overlay batch per update, no request lock in either direction.
+func runMixed(ov *delta.Overlay, q *sparql.Query, tag string) error {
+	query := func() error {
+		_, err := sparql.Eval(ov, q)
+		return err
+	}
+	update := func(ops []graph.TripleOp) error {
+		_, _, err := ov.ApplyTriples(ops)
+		return err
+	}
+	return MixedWorkload(query, update, tag)
 }
 
-func (l *lockedGraph) query(q *sparql.Query) error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	_, err := sparql.Eval(l.g, q)
-	return err
-}
-
-func (l *lockedGraph) update(ops []graph.TripleOp) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, _, err := graph.ApplyTriples(l.g, ops)
-	return err
-}
-
-// overlayGraph is the live-update path: snapshot-pinned queries, no
-// request lock in either direction.
-type overlayGraph struct{ ov *delta.Overlay }
-
-func (o overlayGraph) query(q *sparql.Query) error {
-	_, err := sparql.Eval(o.ov, q)
-	return err
-}
-
-func (o overlayGraph) update(ops []graph.TripleOp) error {
-	_, _, err := o.ov.ApplyTriples(ops)
-	return err
-}
-
-type mixedStore interface {
-	query(q *sparql.Query) error
-	update(ops []graph.TripleOp) error
-}
-
-// runMixed adapts a mixedStore to the exported workload driver.
-func runMixed(ms mixedStore, q *sparql.Query, tag string) error {
-	return MixedWorkload(func() error { return ms.query(q) }, ms.update, tag)
-}
-
-// MixedWorkload drives the write01 mixed read/write workload against
-// one store discipline: 2 reader goroutines each run 40 evaluations of
-// the query while 2 writer goroutines each commit 40 update batches
-// (5 inserts followed, one batch later, by their 5 deletes — so the
-// store returns to its initial state and repeats stay comparable). The
-// same driver backs the hexbench write01 figure and BenchmarkWrite01,
-// so the benchmark twin cannot drift from the figure it mirrors. tag
-// namespaces the written triples, keeping every invocation's inserts
-// fresh.
+// MixedWorkload drives the write01 mixed read/write workload: 2 reader
+// goroutines each run 40 evaluations of the query while 2 writer
+// goroutines each commit 40 update batches (5 inserts followed, one
+// batch later, by their 5 deletes — so the store returns to its initial
+// state and repeats stay comparable). The same driver backs the hexbench
+// write01 figure and BenchmarkWrite01, so the benchmark twin cannot
+// drift from the figure it mirrors. tag namespaces the written triples,
+// keeping every invocation's inserts fresh.
 func MixedWorkload(query func() error, update func([]graph.TripleOp) error, tag string) error {
 	const (
 		readers    = 2
@@ -147,9 +113,9 @@ func MixedWorkload(query func() error, update func([]graph.TripleOp) error, tag 
 
 // RunWrite times the write01 figure: a fixed mixed read/write workload
 // (concurrent chain-join SELECTs against a stream of INSERT/DELETE
-// batches) over growing LUBM prefixes, once per concurrency discipline —
-// the request-locked store, the MVCC delta overlay, and the overlay with
-// a group-committed WAL (durability included in the measured path).
+// batches) over growing LUBM prefixes, through the MVCC delta overlay —
+// the one write path of a memory store — without and with a
+// group-committed WAL (durability included in the measured path).
 func RunWrite(cfg Config, progress func(string)) ([]*Figure, error) {
 	cfg = cfg.withDefaults()
 	data := lubm.Config{Universities: cfg.LUBMUniversities, Seed: cfg.Seed}.GenerateAll()
@@ -163,7 +129,7 @@ func RunWrite(cfg Config, progress func(string)) ([]*Figure, error) {
 
 	fig := &Figure{
 		ID:     "write01",
-		Title:  "Mixed read/write throughput: request lock vs MVCC overlay vs overlay+WAL",
+		Title:  "Mixed read/write throughput: MVCC overlay vs overlay+WAL",
 		YLabel: "seconds",
 	}
 	walDir, err := os.MkdirTemp("", "hexbench-wal")
@@ -172,7 +138,7 @@ func RunWrite(cfg Config, progress func(string)) ([]*Figure, error) {
 	}
 	defer os.RemoveAll(walDir)
 
-	series := []string{"Locked", "Overlay", "Overlay+WAL"}
+	series := []string{"Overlay", "Overlay+WAL"}
 	run := 0
 	for _, n := range prefixSizes(len(encoded), cfg.Steps) {
 		if progress != nil {
@@ -180,52 +146,29 @@ func RunWrite(cfg Config, progress func(string)) ([]*Figure, error) {
 		}
 		for si, name := range series {
 			// A fresh store per series, bulk-built on the shared
-			// dictionary so query constants resolve identically. The
-			// Locked series mutates its store in place, so it gets the
-			// raw layout (a compressed store would decompress itself on
-			// the first write, billing an O(n) conversion to this
-			// figure); the overlay series keep the compressed default —
-			// the overlay never mutates its main, which is exactly the
-			// configuration compression is designed for.
-			build := func(compress bool) *core.Store {
-				b := core.NewBuilder(dict)
-				b.SetCompression(compress)
-				b.AddAll(encoded[:n])
-				return b.BuildParallel(cfg.Workers)
+			// dictionary so query constants resolve identically.
+			b := core.NewBuilder(dict)
+			b.AddAll(encoded[:n])
+			opts := delta.Options{}
+			if name == "Overlay+WAL" {
+				run++
+				opts.WALPath = filepath.Join(walDir, fmt.Sprintf("w%d.log", run))
 			}
-			var (
-				ms      mixedStore
-				closeFn func() error
-			)
-			switch name {
-			case "Locked":
-				ms = &lockedGraph{g: graph.Memory(build(false))}
-			default:
-				opts := delta.Options{}
-				if name == "Overlay+WAL" {
-					run++
-					opts.WALPath = filepath.Join(walDir, fmt.Sprintf("w%d.log", run))
-				}
-				ov, oerr := delta.Open(graph.Memory(build(true)), opts)
-				if oerr != nil {
-					return nil, oerr
-				}
-				ms = overlayGraph{ov: ov}
-				closeFn = ov.Close
+			ov, oerr := delta.Open(graph.Memory(b.BuildParallel(cfg.Workers)), opts)
+			if oerr != nil {
+				return nil, oerr
 			}
 
 			var runErr error
 			tag := 0
 			p := measureBest(cfg.Repeats, func() {
 				tag++
-				if err := runMixed(ms, q, fmt.Sprintf("%d-%d", run, tag)); err != nil && runErr == nil {
+				if err := runMixed(ov, q, fmt.Sprintf("%d-%d", run, tag)); err != nil && runErr == nil {
 					runErr = err
 				}
 			})
-			if closeFn != nil {
-				if err := closeFn(); err != nil && runErr == nil {
-					runErr = err
-				}
+			if err := ov.Close(); err != nil && runErr == nil {
+				runErr = err
 			}
 			if runErr != nil {
 				return nil, fmt.Errorf("bench: write01 %s: %w", name, runErr)

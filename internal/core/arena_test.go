@@ -49,11 +49,10 @@ func batchRows(adds, dels [][3]ID) (a, d [][3]ID) {
 // to constants, every ordering's stream is the matching subset of want in
 // (s, p, o) order. Every access path is compared for each probe — the
 // eight Match shapes, SortedPairs, SortedListView, AppendSorted,
-// PatternCardinality, Has — then Len, Heads, HeadIDs and Stats. A raw
-// store's full scan and HeadIDs come in map order and are sorted first.
+// PatternCardinality, Has — then Len, Heads, HeadIDs, Stats and the
+// arenas' counters.
 func checkStore(t testing.TB, st *Store, want [][3]ID, probes [][3]ID) {
 	t.Helper()
-	packed := st.Compressed()
 	if st.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", st.Len(), len(want))
 	}
@@ -82,9 +81,6 @@ func checkStore(t testing.TB, st *Store, want [][3]ID, probes [][3]ID) {
 				}
 			}
 			got := matchStream(st, pat[0], pat[1], pat[2])
-			if mask == 0 && !packed {
-				got = orderRows(SPO, got)
-			}
 			if !slices.Equal(got, exp) {
 				t.Fatalf("Match%v yields %v, want %v", pat, got, exp)
 			}
@@ -100,9 +96,8 @@ func checkStore(t testing.TB, st *Store, want [][3]ID, probes [][3]ID) {
 				if got := st.AppendSorted(nil, pat[0], pat[1], pat[2]); !slices.Equal(got, ids) {
 					t.Fatalf("AppendSorted%v = %v, want %v", pat, got, ids)
 				}
-				v, ok := st.SortedListView(pat[0], pat[1], pat[2])
-				if ok != packed || (ok && !slices.Equal(v.AppendTo(nil), ids)) {
-					t.Fatalf("SortedListView%v = %v (zero-copy %v), want %v", pat, v.AppendTo(nil), ok, ids)
+				if v := st.SortedListView(pat[0], pat[1], pat[2]); !slices.Equal(v.AppendTo(nil), ids) {
+					t.Fatalf("SortedListView%v = %v, want %v", pat, v.AppendTo(nil), ids)
 				}
 			case 2:
 				var pairs [][2]ID
@@ -144,9 +139,6 @@ func checkStore(t testing.TB, st *Store, want [][3]ID, probes [][3]ID) {
 		}
 		slices.Sort(exp)
 		got := st.HeadIDs(ix)
-		if !packed {
-			slices.Sort(got)
-		}
 		if !slices.Equal(got, exp) || st.Heads(ix) != len(exp) {
 			t.Fatalf("%s: HeadIDs = %v (Heads %d), want %v", ix, got, st.Heads(ix), exp)
 		}
@@ -161,12 +153,10 @@ func checkStore(t testing.TB, st *Store, want [][3]ID, probes [][3]ID) {
 	if got := st.Stats(); got != wantStats {
 		t.Fatalf("Stats = %+v, want %+v", got, wantStats)
 	}
-	if packed {
-		checkCounters(t, st)
-	}
+	checkCounters(t, st)
 }
 
-// checkCounters recounts every arena of a packed store the long way and
+// checkCounters recounts every arena of a store the long way and
 // compares its running counters — what Stats, IndexBytes and ArenaStats
 // are served from — and holds every record to both its vectors or none.
 func checkCounters(t testing.TB, st *Store) {
@@ -218,20 +208,11 @@ func checkCounters(t testing.TB, st *Store) {
 	}
 }
 
-// buildBoth builds ts in the packed and in the raw layout.
-func buildBoth(ts [][3]ID, workers int) (packed, raw *Store) {
-	dict := dictionary.New()
-	for _, compress := range []bool{true, false} {
-		b := NewBuilder(dict)
-		b.SetCompression(compress)
-		b.AddAll(slices.Clone(ts))
-		if compress {
-			packed = b.BuildParallel(workers)
-		} else {
-			raw = b.BuildParallel(workers)
-		}
-	}
-	return packed, raw
+// buildPacked builds ts with the given worker count.
+func buildPacked(ts [][3]ID, workers int) *Store {
+	b := NewBuilder(nil)
+	b.AddAll(slices.Clone(ts))
+	return b.BuildParallel(workers)
 }
 
 // edgeDatasets are the generated inputs that sit on the layout's edges.
@@ -293,14 +274,18 @@ func edgeDatasets() map[string][][3]ID {
 	return sets
 }
 
-// TestArenaMatchesRawLayout: on every edge dataset the packed store and
-// the raw-layout store built from the same triples give the oracle's
-// answer through every access path, the packed full scan and HeadIDs
-// ascend, and the two layouts' snapshots are the same bytes.
+// TestArenaMatchesRawLayout: on every edge dataset the packed store gives
+// the triplestore oracle's answer through every access path, its full
+// scan and HeadIDs ascend, and every worker count builds a store with the
+// same snapshot bytes.
 func TestArenaMatchesRawLayout(t *testing.T) {
 	for name, ts := range edgeDatasets() {
 		t.Run(name, func(t *testing.T) {
-			want := spoSorted(ts)
+			model := triplestore.New(dictionary.New())
+			for _, tr := range ts {
+				model.Add(tr[0], tr[1], tr[2])
+			}
+			want := modelTriples(model)
 			probes := slices.Clone(want)
 			if len(probes) > 60 {
 				rand.New(rand.NewSource(3)).Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
@@ -309,13 +294,14 @@ func TestArenaMatchesRawLayout(t *testing.T) {
 			// Absent: in a nil chunk, past the directory, and a head that
 			// exists under a key that does not.
 			probes = append(probes, [3]ID{900_000, 1, 1}, [3]ID{1 << 40, 1 << 41, 1 << 42}, [3]ID{want[0][0], 77777, want[0][2]})
+			var snaps [][]byte
 			for _, workers := range []int{1, 3} {
-				packed, raw := buildBoth(ts, workers)
-				checkStore(t, packed, want, probes)
-				checkStore(t, raw, want, probes)
-				if !bytes.Equal(snapshotBytes(t, packed), snapshotBytes(t, raw)) {
-					t.Fatal("the packed and the raw layout snapshot to different bytes")
-				}
+				st := buildPacked(ts, workers)
+				checkStore(t, st, want, probes)
+				snaps = append(snaps, snapshotBytes(t, st))
+			}
+			if !bytes.Equal(snaps[0], snaps[1]) {
+				t.Fatal("one and three workers build stores that snapshot to different bytes")
 			}
 		})
 	}
@@ -352,7 +338,7 @@ func TestArenaPatchChain(t *testing.T) {
 		base = append(base, tr)
 		model.Add(tr[0], tr[1], tr[2])
 	}
-	st, _ := buildBoth(base, 2)
+	st := buildPacked(base, 2)
 	visible := func() [][3]ID { return modelTriples(model) }
 	type heldView struct {
 		v    idlist.View
@@ -365,7 +351,7 @@ func TestArenaPatchChain(t *testing.T) {
 		cur := visible()
 		pick := func() [3]ID { return cur[rng.Intn(len(cur))] }
 		tr := pick()
-		v, _ := st.SortedListView(tr[0], tr[1], None)
+		v := st.SortedListView(tr[0], tr[1], None)
 		views = append(views, heldView{v, v.AppendTo(nil)})
 
 		var adds, dels [][3]ID
@@ -407,7 +393,7 @@ func TestArenaPatchChain(t *testing.T) {
 			t.Fatalf("step %d: PatchStats %+v for a store of %d heads", step, ps, heads)
 		}
 		if step%10 == 9 {
-			scratch, _ := buildBoth(want, 2)
+			scratch := buildPacked(want, 2)
 			if !bytes.Equal(snapshotBytes(t, next), snapshotBytes(t, scratch)) {
 				t.Fatalf("step %d: the patched store and one built from scratch snapshot differently", step)
 			}
@@ -557,7 +543,7 @@ func FuzzArenaPatch(f *testing.F) {
 				model.Add(tr[0], tr[1], tr[2])
 			}
 		}
-		st, _ := buildBoth(build, 1)
+		st := buildPacked(build, 1)
 		visible := func() [][3]ID { return modelTriples(model) }
 		checkStore(t, st, visible(), build)
 		// Ops: a flag byte (bit 0: delete, bit 7: last of its batch), then

@@ -10,41 +10,22 @@ import (
 	"hexastore/internal/rdf"
 )
 
-// Builder bulk-loads a Hexastore. Incremental Store.Add keeps six indices
-// sorted per insertion; for initial loads it is much cheaper to collect
-// all triples, sort three times, and construct every vector and terminal
-// list in its final sorted order. Typical speedup is an order of
-// magnitude on million-triple loads.
+// Builder bulk-loads a Hexastore: it collects all triples, sorts them
+// three times, and writes every vector and terminal list in its final
+// sorted order.
 type Builder struct {
 	dict    *dictionary.Dictionary
 	triples [][3]ID
-	// compress selects the block-compressed index layout (packed
-	// delta+varint vectors) for the built store. On by default: bulk-built
-	// stores are read-mostly, and the compressed layout is both the space
-	// answer to the paper's five-fold overhead and the layout the delta
-	// overlay's compaction rebuilds into. SetCompression(false) restores
-	// the raw shared-terminal-list layout.
-	compress bool
 }
 
 // NewBuilder returns a bulk loader that will produce a store sharing
-// dict. The built store uses the block-compressed index layout; see
-// SetCompression.
+// dict (nil: a fresh dictionary).
 func NewBuilder(dict *dictionary.Dictionary) *Builder {
 	if dict == nil {
 		dict = dictionary.New()
 	}
-	return &Builder{dict: dict, compress: true}
+	return &Builder{dict: dict}
 }
-
-// SetCompression selects between the block-compressed (true, the
-// default) and raw shared-list (false) index layouts for the built
-// store. Both layouts answer every query identically; they differ only
-// in bytes per triple and in the cost of later in-place mutation (a
-// compressed store decompresses itself wholesale on its first direct
-// Add/Remove — live updates should instead go through the delta
-// overlay, which never mutates a bulk-built main).
-func (b *Builder) SetCompression(on bool) { b.compress = on }
 
 // Add records the triple ⟨s,p,o⟩ for loading. Duplicates are removed at
 // Build time.
@@ -99,7 +80,7 @@ func (b *Builder) Dictionary() *dictionary.Dictionary { return b.dict }
 func (b *Builder) Build() *Store {
 	ts := make([][3]ID, len(b.triples))
 	copy(ts, b.triples)
-	return buildFrom(b.dict, ts, 1, b.compress)
+	return buildFrom(b.dict, ts, 1)
 }
 
 // BuildParallel constructs the store using up to workers goroutines
@@ -116,26 +97,17 @@ func (b *Builder) Build() *Store {
 func (b *Builder) BuildParallel(workers int) *Store {
 	ts := b.triples
 	b.triples = nil
-	return buildFrom(b.dict, ts, workers, b.compress)
+	return buildFrom(b.dict, ts, workers)
 }
 
-// buildFrom runs the three sort+build passes over ts, which it owns.
-func buildFrom(dict *dictionary.Dictionary, ts [][3]ID, workers int, compress bool) *Store {
-	st := NewShared(dict)
-	fillStore(st, ts, workers, compress)
-	return st
-}
-
-// fillStore sorts, dedupes and loads ts into the empty store st, in the
-// raw or block-compressed layout. With workers > 1 the (s,o,p) and
-// (p,o,s) passes get their own sorted copies and all three passes run
-// concurrently — they touch disjoint store maps (objLists/spo/pso,
-// propLists/sop/osp, subjLists/pos/ops) or runs, so no locking is needed.
-// fillStore owns ts. The built content is identical for every worker
-// count: each pass consumes the fully sorted triple set in its own
-// order, so neither goroutine scheduling nor the parallel sort's
-// chunking can change what is built.
-func fillStore(st *Store, ts [][3]ID, workers int, compress bool) {
+// buildFrom sorts, dedupes and packs ts, which it owns, into a new store.
+// With workers > 1 the (s,o,p) and (p,o,s) passes get their own sorted
+// copies and all three passes run concurrently, each writing only its own
+// two runs. The built content is identical for every worker count: each
+// pass consumes the fully sorted triple set in its own order, so neither
+// goroutine scheduling nor the parallel sort's chunking can change what
+// is built.
+func buildFrom(dict *dictionary.Dictionary, ts [][3]ID, workers int) *Store {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -143,33 +115,24 @@ func fillStore(st *Store, ts [][3]ID, workers int, compress bool) {
 	// Dedupe on (s,p,o).
 	sortTriples(ts, 0, 1, 2, workers)
 	ts = dedupeTriples(ts)
+	st := NewShared(dict)
 	st.size = len(ts)
-	st.compressed = compress
 
-	// pass runs one ordering pair's build in the raw or packed layout; the
-	// packed orderings meet in their head position's arena at the end.
+	// Each pass packs one ordering pair's runs; the orderings meet in
+	// their head position's arena at the end.
 	var runs [6]packedRun
-	pass := func(ts [][3]ID, a, b, c int, lists map[pairKey]*idlist.List, fwd, mirror Index) {
-		if compress {
-			runs[fwd], runs[mirror] = packPass(ts, a, b, c)
-		} else {
-			buildPass(ts, a, b, c, lists, st.idx[fwd], st.idx[mirror])
-		}
-	}
 
 	if workers <= 1 {
-		// Pass 1 — sorted by (s,p,o): object lists shared by spo and pso.
-		// Consecutive runs of equal (s,p) become one terminal list; the
-		// spo vectors receive their keys already in order.
-		pass(ts, 0, 1, 2, st.objLists, SPO, PSO)
+		// Pass 1 — sorted by (s,p,o): the spo and pso vectors.
+		runs[SPO], runs[PSO] = packPass(ts, 0, 1, 2)
 
-		// Pass 2 — sorted by (s,o,p): property lists shared by sop and osp.
+		// Pass 2 — sorted by (s,o,p): sop and osp.
 		sortTriples(ts, 0, 2, 1, 1)
-		pass(ts, 0, 2, 1, st.propLists, SOP, OSP)
+		runs[SOP], runs[OSP] = packPass(ts, 0, 2, 1)
 
-		// Pass 3 — sorted by (p,o,s): subject lists shared by pos and ops.
+		// Pass 3 — sorted by (p,o,s): pos and ops.
 		sortTriples(ts, 1, 2, 0, 1)
-		pass(ts, 1, 2, 0, st.subjLists, POS, OPS)
+		runs[POS], runs[OPS] = packPass(ts, 1, 2, 0)
 	} else {
 		// Parallel passes: pass 1 reuses the (s,p,o)-sorted ts as is and
 		// runs on the calling goroutine (which would otherwise idle in
@@ -182,11 +145,11 @@ func fillStore(st *Store, ts [][3]ID, workers int, compress bool) {
 		ts3 := slices.Clone(ts)
 		pass2 := func(sortWorkers int) {
 			sortTriples(ts2, 0, 2, 1, sortWorkers)
-			pass(ts2, 0, 2, 1, st.propLists, SOP, OSP)
+			runs[SOP], runs[OSP] = packPass(ts2, 0, 2, 1)
 		}
 		pass3 := func(sortWorkers int) {
 			sortTriples(ts3, 1, 2, 0, sortWorkers)
-			pass(ts3, 1, 2, 0, st.subjLists, POS, OPS)
+			runs[POS], runs[OPS] = packPass(ts3, 1, 2, 0)
 		}
 		var wg sync.WaitGroup
 		if workers == 2 {
@@ -209,66 +172,22 @@ func fillStore(st *Store, ts [][3]ID, workers int, compress bool) {
 				pass3(s3)
 			}()
 		}
-		pass(ts, 0, 1, 2, st.objLists, SPO, PSO)
+		runs[SPO], runs[PSO] = packPass(ts, 0, 1, 2)
 		wg.Wait()
 	}
-	if compress {
-		for i := range st.arenas {
-			st.arenas[i] = records(runs[2*i], runs[2*i+1])
-		}
+	for i := range st.arenas {
+		st.arenas[i] = records(runs[2*i], runs[2*i+1])
 	}
+	return st
 }
 
-// buildPass consumes triples sorted by positions (a, b, c) and builds:
-// the shared terminal lists keyed by (a,b) holding the c members, the
-// "forward" index (head a, key b) and the "mirror" index (head b, key a).
-// Both fill in sorted order: the pass is a-major, so forward keys (b
-// within one head a) and mirror keys (a within one head b) are each
-// strictly increasing.
-func buildPass(ts [][3]ID, a, b, c int, lists map[pairKey]*idlist.List, fwd, mirror map[ID]*Vec) {
-	i := 0
-	for i < len(ts) {
-		ka, kb := ts[i][a], ts[i][b]
-		j := i
-		for j < len(ts) && ts[j][a] == ka && ts[j][b] == kb {
-			j++
-		}
-		members := make([]ID, 0, j-i)
-		for k := i; k < j; k++ {
-			members = append(members, ts[k][c])
-		}
-		list := idlist.FromSorted(members)
-		lists[pairKey{ka, kb}] = list
-
-		fv := fwd[ka]
-		if fv == nil {
-			fv = &Vec{}
-			fwd[ka] = fv
-		}
-		// Keys arrive in strictly ascending order within each head: the
-		// pass is sorted a-major then b, so both the forward vectors
-		// (head a, keys b) and the mirror vectors (head b, keys a) can
-		// use the checked bulk Append.
-		fv.Append(kb, list)
-
-		mv := mirror[kb]
-		if mv == nil {
-			mv = &Vec{}
-			mirror[kb] = mv
-		}
-		mv.Append(ka, list)
-		i = j
-	}
-}
-
-// packPass is buildPass for the block-compressed layout: it consumes
-// triples sorted by positions (a, b, c) and renders both the forward
-// index (head a, key b) and the mirror index (head b, key a) as runs of
-// packed delta+varint vectors — keys and terminal lists in one run of
-// bytes per head, no per-pair map entries and no per-head allocations.
-// Unlike the raw layout the two orderings do not share list storage (a
-// packed vector has no pointers to share), which the compression win
-// pays for several times over; see Store.IndexBytes.
+// packPass consumes triples sorted by positions (a, b, c) and renders
+// both the forward index (head a, key b) and the mirror index (head b,
+// key a) as runs of packed delta+varint vectors — keys and terminal lists
+// in one run of bytes per head, no per-head allocations. Unlike the
+// paper's layout the two orderings do not share list storage (a packed
+// vector has no pointers to share), which the compression win pays for
+// several times over; see Store.IndexBytes.
 //
 // The pass is a-major, so the forward run fills head by head from ts; a
 // stable counting sort on column b gives (b, a, c) order for the mirror.

@@ -2,23 +2,32 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hexastore/internal/dictionary"
+	"hexastore/internal/idlist"
 	"hexastore/internal/rdf"
+	"hexastore/internal/triplestore"
 )
 
+// TestBuilderMatchesIncremental: one bulk build and a chain of 30
+// patches of 100 adds each, from an empty store, end in the same store.
 func TestBuilderMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	inc := New()
 	b := NewBuilder(inc.Dictionary())
+	var batch [][3]ID
 	for i := 0; i < 3000; i++ {
 		s := ID(rng.Intn(30) + 1)
 		p := ID(rng.Intn(10) + 1)
 		o := ID(rng.Intn(40) + 1)
-		inc.Add(s, p, o)
+		batch = append(batch, [3]ID{s, p, o})
 		b.Add(s, p, o)
+		if len(batch) == 100 {
+			inc, batch = patchOps(inc, batch, nil), nil
+		}
 	}
 	bulk := b.Build()
 
@@ -69,28 +78,46 @@ func TestBuilderIgnoresNone(t *testing.T) {
 	}
 }
 
+// TestBuilderSharesTerminalLists: in a bulk build, the two orderings of
+// each pair the paper shares a terminal list between hold, for every
+// (head, key), the list the triplestore oracle answers for that pattern.
 func TestBuilderSharesTerminalLists(t *testing.T) {
-	// Pointer-level list sharing is a property of the raw layout; the
-	// compressed layout renders each ordering as its own packed blob.
+	rng := rand.New(rand.NewSource(8))
 	b := NewBuilder(nil)
-	b.SetCompression(false)
-	b.Add(1, 2, 3)
-	b.Add(1, 2, 4)
+	model := triplestore.New(b.Dictionary())
+	for i := 0; i < 400; i++ {
+		tr := [3]ID{ID(rng.Intn(12) + 1), ID(rng.Intn(5) + 1), ID(rng.Intn(12) + 1)}
+		b.Add(tr[0], tr[1], tr[2])
+		model.Add(tr[0], tr[1], tr[2])
+	}
 	st := b.Build()
-	spoList, _ := st.Head(SPO, 1).Find(2)
-	psoList, _ := st.Head(PSO, 2).Find(1)
-	if spoList == nil || spoList != psoList {
-		t.Error("bulk-built spo and pso do not share object lists")
+	// oracle lists the free position of pattern pat, ascending.
+	oracle := func(pat [3]ID, free int) []ID {
+		var ids []ID
+		model.Match(pat[0], pat[1], pat[2], func(s, p, o ID) bool {
+			ids = append(ids, [3]ID{s, p, o}[free])
+			return true
+		})
+		slices.Sort(ids)
+		return ids
 	}
-	sopList, _ := st.Head(SOP, 1).Find(3)
-	ospList, _ := st.Head(OSP, 3).Find(1)
-	if sopList == nil || sopList != ospList {
-		t.Error("bulk-built sop and osp do not share property lists")
-	}
-	posList, _ := st.Head(POS, 2).Find(3)
-	opsList, _ := st.Head(OPS, 3).Find(2)
-	if posList == nil || posList != opsList {
-		t.Error("bulk-built pos and ops do not share subject lists")
+	for _, pair := range []struct {
+		a, b       Index
+		pos, other int // head position of a, head position of b
+		free       int
+	}{{SPO, PSO, 0, 1, 2}, {SOP, OSP, 0, 2, 1}, {POS, OPS, 1, 2, 0}} {
+		for _, head := range st.HeadIDs(pair.a) {
+			st.Head(pair.a, head).Range(func(key ID, la *idlist.List) bool {
+				pat := [3]ID{None, None, None}
+				pat[pair.pos], pat[pair.other] = head, key
+				lb, _ := st.Head(pair.b, key).Find(head)
+				want := oracle(pat, pair.free)
+				if !slices.Equal(la.IDs(), want) || !slices.Equal(lb.IDs(), want) {
+					t.Fatalf("%s/%s list of %v: %v and %v, oracle %v", pair.a, pair.b, pat, la.IDs(), lb.IDs(), want)
+				}
+				return true
+			})
+		}
 	}
 }
 

@@ -10,16 +10,11 @@ import (
 
 func buildSample(t *testing.T) *Store {
 	t.Helper()
-	st := New()
-	triples := [][3]ID{
-		{1, 10, 100}, {1, 10, 101}, {1, 11, 100},
-		{2, 10, 100}, {2, 12, 102},
-		{3, 11, 101}, {3, 11, 103},
-	}
-	for _, tr := range triples {
-		st.Add(tr[0], tr[1], tr[2])
-	}
-	return st
+	return buildStore(
+		[3]ID{1, 10, 100}, [3]ID{1, 10, 101}, [3]ID{1, 11, 100},
+		[3]ID{2, 10, 100}, [3]ID{2, 12, 102},
+		[3]ID{3, 11, 101}, [3]ID{3, 11, 103},
+	)
 }
 
 func collect(st *Store, s, p, o ID) [][3]ID {
@@ -88,17 +83,18 @@ func TestMatchEarlyStop(t *testing.T) {
 
 func TestMatchAgainstNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	st := New()
+	b := NewBuilder(nil)
 	var model [][3]ID
 	seen := make(map[[3]ID]bool)
 	for i := 0; i < 2000; i++ {
 		tr := [3]ID{ID(rng.Intn(15) + 1), ID(rng.Intn(6) + 1), ID(rng.Intn(20) + 1)}
-		st.Add(tr[0], tr[1], tr[2])
+		b.Add(tr[0], tr[1], tr[2])
 		if !seen[tr] {
 			seen[tr] = true
 			model = append(model, tr)
 		}
 	}
+	st := b.Build()
 
 	naive := func(s, p, o ID) map[[3]ID]bool {
 		out := make(map[[3]ID]bool)
@@ -155,9 +151,10 @@ func TestTriples(t *testing.T) {
 }
 
 func TestDecodeMatch(t *testing.T) {
-	st := New()
+	b := NewBuilder(nil)
 	tr := rdf.T(rdf.NewIRI("alice"), rdf.NewIRI("knows"), rdf.NewIRI("bob"))
-	st.AddTriple(tr)
+	b.AddTriple(tr)
+	st := b.Build()
 	var got []rdf.Triple
 	if err := st.DecodeMatch(None, None, None, func(t rdf.Triple) bool {
 		got = append(got, t)

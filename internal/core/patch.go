@@ -10,51 +10,35 @@ type PatchStats struct {
 	HeadsShared  int
 }
 
-// Patch returns a new block-compressed store holding st's triples plus
-// adds minus dels, leaving st untouched. adds[ix] and dels[ix] each hold
-// the same triple set as rows of ordering ix — (head, key, member), e.g.
-// (p, o, s) for POS — sorted ascending without duplicates: exactly what
-// each index needs to fold the change in with one merge per head. The
-// two sets are disjoint; an add st already holds and a delete it lacks
-// are ignored.
+// Patch returns a new store holding st's triples plus adds minus dels,
+// leaving st untouched. adds[ix] and dels[ix] each hold the same triple
+// set as rows of ordering ix — (head, key, member), e.g. (p, o, s) for
+// POS — sorted ascending without duplicates: exactly what each index
+// needs to fold the change in with one merge per head. The two sets are
+// disjoint; an add st already holds and a delete it lacks are ignored.
 //
 // Only the heads the rows name are re-encoded: per head position both
 // vectors of each named head go into one new record in one new arena
 // segment, the directory chunks that point at them are copied, and every
 // other segment and chunk is shared between st and the result. Cost is
-// therefore the size of the named heads, not the size of the store. A
-// raw-layout st has no arena to share, so each of its heads is encoded
-// once.
+// therefore the size of the named heads, not the size of the store.
 func (st *Store) Patch(adds, dels [6][][3]ID) (*Store, PatchStats) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	out := NewShared(st.dict)
-	out.compressed = true
 	out.size = st.size
 	var stats PatchStats
 	pt := patcher{st: st}
 	for i := range st.arenas {
 		ar := st.arenas[i].fork()
-		// rest is the raw layout's heads, every one of which is to be
-		// encoded whether the rows name it or not.
-		var rest []ID
-		for h := range st.idx[2*i] {
-			rest = append(rest, h)
-		}
-		sortIDs(rest)
 		rebuilt := 0
 		// Both orderings of a position index the same triples under the
 		// same heads, so the first one's rows say which heads are named.
 		add, del := adds[2*i:2*i+2], dels[2*i:2*i+2]
-		for len(add[0]) > 0 || len(del[0]) > 0 || len(rest) > 0 {
+		for len(add[0]) > 0 || len(del[0]) > 0 {
 			head := ^ID(0)
 			for _, rows := range [2][][3]ID{add[0], del[0]} {
 				if len(rows) > 0 {
 					head = min(head, rows[0][0])
 				}
-			}
-			if len(rest) > 0 && rest[0] <= head {
-				head, rest = rest[0], rest[1:]
 			}
 			for h := range 2 {
 				ix := Index(2*i + h)
@@ -88,7 +72,7 @@ func headRows(rows [][3]ID, head ID) int {
 }
 
 // patcher re-encodes the heads a Patch names, with scratch lists it
-// reuses from head to head. Its Store's mu is held.
+// reuses from head to head.
 type patcher struct {
 	st          *Store
 	old, merged []ID
@@ -101,7 +85,7 @@ type patcher struct {
 // not name are copied as the bytes they are.
 func (pt *patcher) head(b *idlist.PackedBuilder, ix Index, head ID, add, del [][3]ID) int {
 	grew := 0
-	pt.st.rangeHeadLocked(ix, head, func(key ID, view idlist.View) bool {
+	pt.st.vec(ix, head).Range(func(key ID, view idlist.View) bool {
 		n := 0
 		for n < len(add) && add[n][1] < key {
 			n++

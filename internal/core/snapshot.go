@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"hexastore/internal/dictionary"
-	"hexastore/internal/idlist"
 	"hexastore/internal/rdf"
 )
 
@@ -28,9 +26,6 @@ func (st *Store) Snapshot(w io.Writer) error {
 		return err
 	}
 
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-
 	// Dictionary section: count, then (len, bytes) per term key in id order.
 	nTerms := st.dict.Len()
 	writeUvarint(bw, uint64(nTerms))
@@ -48,57 +43,30 @@ func (st *Store) Snapshot(w io.Writer) error {
 
 	// Triple section: count, then delta-encoded spo-ordered triples.
 	writeUvarint(bw, uint64(st.size))
-	var prevS, prevP ID
-	// Walk spo in sorted head order for deterministic, delta-friendly
-	// output — the emitted bytes are identical for the raw and
-	// compressed layouts, which is what lets the differential suites
-	// assert compressed ≡ uncompressed at the snapshot level.
-	writeHead := func(s ID) bool {
-		st.rangeHeadLocked(SPO, s, func(p ID, view idlist.View) bool {
-			var prevO ID
-			view.Range(func(o ID) bool {
-				writeUvarint(bw, uint64(s-prevS))
-				if s != prevS {
-					prevP, prevO = 0, 0
-				}
-				writeUvarint(bw, uint64(p-prevP))
-				if p != prevP {
-					prevO = 0
-				}
-				writeUvarint(bw, uint64(o-prevO))
-				prevS, prevP, prevO = s, p, o
-				return true
-			})
-			return true
-		})
+	// Match's full scan ascends in (s, p, o) order: deterministic,
+	// delta-friendly output.
+	var prevS, prevP, prevO ID
+	st.Match(None, None, None, func(s, p, o ID) bool {
+		writeUvarint(bw, uint64(s-prevS))
+		if s != prevS {
+			prevP, prevO = 0, 0
+		}
+		writeUvarint(bw, uint64(p-prevP))
+		if p != prevP {
+			prevO = 0
+		}
+		writeUvarint(bw, uint64(o-prevO))
+		prevS, prevP, prevO = s, p, o
 		return true
-	}
-	if st.compressed {
-		st.arena(SPO).rangeHeads(writeHead)
-		return bw.Flush()
-	}
-	heads := make([]ID, 0, len(st.idx[SPO]))
-	for s := range st.idx[SPO] {
-		heads = append(heads, s)
-	}
-	sortIDs(heads)
-	for _, s := range heads {
-		writeHead(s)
-	}
+	})
 	return bw.Flush()
 }
 
 // Restore reads a snapshot produced by Snapshot and returns a new store
-// with a fresh dictionary containing exactly the snapshot's terms, in
-// the block-compressed layout. Use RestoreWith to choose the layout.
-func Restore(r io.Reader) (*Store, error) { return RestoreWith(r, true) }
+// with a fresh dictionary containing exactly the snapshot's terms.
+func Restore(r io.Reader) (*Store, error) { return RestoreShared(r, nil) }
 
-// RestoreWith is Restore with an explicit index-layout choice.
-func RestoreWith(r io.Reader, compress bool) (*Store, error) {
-	return RestoreShared(r, nil, compress)
-}
-
-// RestoreShared is RestoreWith against a shared dictionary (nil restores
+// RestoreShared is Restore against a shared dictionary (nil restores
 // into a fresh one). Each snapshot term must encode to the same dense id
 // it held when the snapshot was written. That holds whenever dict and
 // the snapshot descend from one shared instance: dictionaries are
@@ -108,7 +76,7 @@ func RestoreWith(r io.Reader, compress bool) (*Store, error) {
 // shared instance past it. Any disagreement aborts the restore, which
 // is what enforces the cluster's shared-dictionary ownership rule when
 // per-shard snapshots are restored at startup.
-func RestoreShared(r io.Reader, dict *dictionary.Dictionary, compress bool) (*Store, error) {
+func RestoreShared(r io.Reader, dict *dictionary.Dictionary) (*Store, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -119,7 +87,6 @@ func RestoreShared(r io.Reader, dict *dictionary.Dictionary, compress bool) (*St
 	}
 
 	b := NewBuilder(dict)
-	b.SetCompression(compress)
 	dict = b.dict
 
 	nTerms, err := binary.ReadUvarint(br)
@@ -186,5 +153,3 @@ func writeUvarint(w *bufio.Writer, v uint64) {
 	n := binary.PutUvarint(buf[:], v)
 	w.Write(buf[:n]) //nolint:errcheck // flushed and checked at the end
 }
-
-func sortIDs(ids []ID) { slices.Sort(ids) }

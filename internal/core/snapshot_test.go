@@ -11,14 +11,15 @@ import (
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	st := New()
-	dict := st.Dictionary()
+	b := NewBuilder(nil)
+	dict := b.Dictionary()
 	for i := 0; i < 1000; i++ {
 		s := dict.Encode(rdf.NewIRI(randName(rng, "s")))
 		p := dict.Encode(rdf.NewIRI(randName(rng, "p")))
 		o := dict.Encode(rdf.NewLiteral(randName(rng, "o")))
-		st.Add(s, p, o)
+		b.Add(s, p, o)
 	}
+	st := b.Build()
 
 	var buf bytes.Buffer
 	if err := st.Snapshot(&buf); err != nil {
@@ -83,11 +84,9 @@ func TestRestoreRejectsBadMagic(t *testing.T) {
 }
 
 func TestRestoreRejectsTruncated(t *testing.T) {
-	st := New()
-	st.Add(1, 1, 1) // ids without dictionary entries are fine for Add but
-	// Snapshot needs the dictionary; encode real terms instead.
-	st = New()
-	st.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("b"), rdf.NewIRI("c")))
+	b := NewBuilder(nil)
+	b.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("b"), rdf.NewIRI("c")))
+	st := b.Build()
 	var buf bytes.Buffer
 	if err := st.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -101,9 +100,10 @@ func TestRestoreRejectsTruncated(t *testing.T) {
 }
 
 func TestSnapshotIsDeterministic(t *testing.T) {
-	st := New()
-	st.AddTriple(rdf.T(rdf.NewIRI("x"), rdf.NewIRI("y"), rdf.NewIRI("z")))
-	st.AddTriple(rdf.T(rdf.NewIRI("x"), rdf.NewIRI("y"), rdf.NewIRI("w")))
+	bld := NewBuilder(nil)
+	bld.AddTriple(rdf.T(rdf.NewIRI("x"), rdf.NewIRI("y"), rdf.NewIRI("z")))
+	bld.AddTriple(rdf.T(rdf.NewIRI("x"), rdf.NewIRI("y"), rdf.NewIRI("w")))
+	st := bld.Build()
 	var a, b bytes.Buffer
 	if err := st.Snapshot(&a); err != nil {
 		t.Fatal(err)

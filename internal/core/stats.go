@@ -1,7 +1,5 @@
 package core
 
-import "hexastore/internal/idlist"
-
 // Stats describes the physical size of a Hexastore in index entries, the
 // unit the paper's space argument (§4.1) is phrased in: each resource of
 // a worst-case triple contributes two header entries, two vector entries
@@ -41,56 +39,31 @@ func (s Stats) SizeBytes() int64 {
 	return int64(s.TotalEntries()) * entryBytes
 }
 
-// Stats computes the current sizes. On the raw layout it is O(#vectors),
-// the per-list lengths summed from the shared tables; on the compressed
-// layout it reads the arenas' running counters (the spo/pso/osp list
-// totals, like the three shared tables' entry counts, are one per triple
-// each, so the two layouts report identical logical sizes).
+// Stats reads the sizes off the arenas' running counters. Each ordering
+// holds every triple once in its terminal lists, so counting one list
+// table per ordering pair (spo/pso, sop/osp, pos/ops) gives the paper's
+// shared-list count: three entries per triple.
 func (st *Store) Stats() Stats {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-
-	var out Stats
-	out.Triples = st.size
-	out.TripleTableEntries = st.size * 3
-
-	if st.compressed {
-		for i := range st.arenas {
-			a := &st.arenas[i]
-			out.Headers += 2 * a.heads
-			out.VectorEntries += a.vecEntries[0] + a.vecEntries[1]
-			out.ListEntries += a.listEntries
-		}
-		return out
-	}
-	for i := range st.idx {
-		out.Headers += len(st.idx[i])
-		for _, vec := range st.idx[i] {
-			out.VectorEntries += vec.Len()
-		}
-	}
-	for _, l := range st.objLists {
-		out.ListEntries += l.Len()
-	}
-	for _, l := range st.propLists {
-		out.ListEntries += l.Len()
-	}
-	for _, l := range st.subjLists {
-		out.ListEntries += l.Len()
+	out := Stats{Triples: st.size, TripleTableEntries: st.size * 3}
+	for i := range st.arenas {
+		a := &st.arenas[i]
+		out.Headers += 2 * a.heads
+		out.VectorEntries += a.vecEntries[0] + a.vecEntries[1]
+		out.ListEntries += a.listEntries
 	}
 	return out
 }
 
 // IndexStats is the physical (heap-byte) counterpart of Stats: what the
-// six indexes cost in memory under the current layout — the space01
-// experiment's measurement.
+// six indexes cost in memory — the space01 experiment's measurement.
 type IndexStats struct {
 	// Triples is the number of distinct triples stored.
 	Triples int `json:"triples"`
-	// Compressed reports the current layout.
+	// Compressed is always true — the packed layout is the store's only
+	// one — and stays for the readers of the field.
 	Compressed bool `json:"compressed"`
 	// Bytes is the heap footprint of the six indexes (the dictionary is
-	// excluded) under the current layout; see Store.IndexBytes.
+	// excluded); see Store.IndexBytes.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -102,10 +75,11 @@ func (s IndexStats) BytesPerTriple() float64 {
 	return float64(s.Bytes) / float64(s.Triples)
 }
 
-// Estimated per-structure heap costs of the raw layout, in bytes. Slice
-// headers are 24, pointers and IDs 8; mapSlack models Go map bucket
-// overhead and load factor (~1.5x the entry payload); allocSlack is the
-// allocator's per-object header/rounding.
+// Estimated per-structure heap costs of the paper's layout, in bytes:
+// head maps of vector structs whose entries point at terminal lists
+// shared by two orderings. Slice headers are 24, pointers and IDs 8;
+// mapSlack models Go map bucket overhead and load factor (~1.5x the entry
+// payload); allocSlack is the allocator's per-object header/rounding.
 const (
 	sliceHeader = 24
 	mapSlack    = 3 // numerator of the 3/2 map overhead factor
@@ -119,44 +93,18 @@ func mapBytes(n, entrySize int) int64 {
 	return int64(n) * int64(entrySize) * mapSlack / 2
 }
 
-// IndexBytes returns the heap bytes the six indexes occupy under the
-// current layout. Compressed layout: an exact sum, the capacity of every
-// arena segment (dead bytes included) plus the directories. Raw layout:
-// an estimate over head maps, Vec structs with key and list-pointer
-// slices, the three shared pair maps, and one List allocation plus 8
-// bytes per id per shared terminal list; it deliberately counts
-// structure overheads (slice headers, map slack, allocator rounding) —
-// they are where the raw layout's bytes actually go on short-list RDF
-// data, and omitting them would overstate the compression win.
+// IndexBytes returns the heap bytes the six indexes occupy: an exact
+// sum, the capacity of every arena segment (dead bytes included) plus
+// the directories.
 func (st *Store) IndexBytes() int64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	var total int64
-	if st.compressed {
-		for i := range st.arenas {
-			total += st.arenas[i].bytes()
-		}
-		return total
-	}
-	for i := range st.idx {
-		// Head map entry: ID key + *Vec value.
-		total += mapBytes(len(st.idx[i]), 16)
-		for _, vec := range st.idx[i] {
-			total += vecStruct + allocSlack + int64(vec.Len())*16 // 8B key + 8B list pointer
-		}
-	}
-	for _, m := range []map[pairKey]*idlist.List{st.objLists, st.propLists, st.subjLists} {
-		// Pair map entry: 16B pairKey + 8B pointer.
-		total += mapBytes(len(m), 24)
-		for _, l := range m {
-			total += listStruct + allocSlack + int64(l.Len())*8
-		}
+	for i := range st.arenas {
+		total += st.arenas[i].bytes()
 	}
 	return total
 }
 
-// ArenaStats sums the compressed layout's three arenas; all zero on a raw
-// store.
+// ArenaStats sums the three arenas.
 type ArenaStats struct {
 	HeapBytes int64 // what IndexBytes reports
 	Bytes     int64 // held by the segments
@@ -166,8 +114,6 @@ type ArenaStats struct {
 
 // ArenaStats reads the arenas' running counters.
 func (st *Store) ArenaStats() ArenaStats {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	var out ArenaStats
 	for i := range st.arenas {
 		a := &st.arenas[i]
@@ -181,19 +127,14 @@ func (st *Store) ArenaStats() ArenaStats {
 
 // IndexStats reports the store's physical index footprint.
 func (st *Store) IndexStats() IndexStats {
-	return IndexStats{
-		Triples:    st.Len(),
-		Compressed: st.Compressed(),
-		Bytes:      st.IndexBytes(),
-	}
+	return IndexStats{Triples: st.size, Compressed: true, Bytes: st.IndexBytes()}
 }
 
-// EstimateRawIndexBytes estimates what the logical content described
-// by s would cost in the raw (uncompressed) layout, using the same
-// per-structure constants as IndexBytes does for a raw store. The server's /stats uses it
-// to report a compression ratio for a compressed store without
-// building the raw twin; on a raw store it coincides with IndexBytes
-// up to rounding.
+// EstimateRawIndexBytes is the paper's §4.1 cost model: what the logical
+// content described by s would cost in the shared-terminal-list layout,
+// counting the structure overheads (slice headers, map slack, allocator
+// rounding) where that layout's bytes go on short-list RDF data. The
+// server's /stats reports it against IndexBytes as a compression ratio.
 func EstimateRawIndexBytes(s Stats) int64 {
 	pairs := s.VectorEntries / 2 // each shared list is referenced by two vectors
 	return mapBytes(s.Headers, 16) +

@@ -9,13 +9,42 @@ import (
 	"hexastore/internal/rdf"
 )
 
-func TestAddAndHas(t *testing.T) {
-	st := New()
-	if !st.Add(1, 2, 3) {
-		t.Fatal("Add new triple reported no change")
+// buildStore bulk-builds a store holding ts.
+func buildStore(ts ...[3]ID) *Store {
+	b := NewBuilder(nil)
+	b.AddAll(ts)
+	return b.Build()
+}
+
+// patchOps folds one batch of adds and deletes into st with Patch, the
+// write path of a sealed store. The batch's deletes apply after its adds.
+func patchOps(st *Store, adds, dels [][3]ID) *Store {
+	last := map[[3]ID]bool{}
+	for _, tr := range adds {
+		last[tr] = true
 	}
-	if st.Add(1, 2, 3) {
-		t.Fatal("Add duplicate reported change")
+	for _, tr := range dels {
+		last[tr] = false
+	}
+	var a, d [][3]ID
+	for tr, add := range last {
+		if add {
+			a = append(a, tr)
+		} else {
+			d = append(d, tr)
+		}
+	}
+	next, _ := st.Patch(sixOrders(a), sixOrders(d))
+	return next
+}
+
+func TestAddAndHas(t *testing.T) {
+	st := patchOps(New(), [][3]ID{{1, 2, 3}}, nil)
+	if st.Len() != 1 {
+		t.Fatal("adding a new triple left Len at", st.Len())
+	}
+	if st = patchOps(st, [][3]ID{{1, 2, 3}}, nil); st.Len() != 1 {
+		t.Fatal("adding a held triple changed Len to", st.Len())
 	}
 	if !st.Has(1, 2, 3) {
 		t.Error("Has(1,2,3) = false")
@@ -23,33 +52,23 @@ func TestAddAndHas(t *testing.T) {
 	if st.Has(1, 2, 4) || st.Has(3, 2, 1) {
 		t.Error("Has reported absent triple present")
 	}
-	if st.Len() != 1 {
-		t.Errorf("Len = %d, want 1", st.Len())
-	}
 }
 
 func TestAddRejectsNone(t *testing.T) {
-	st := New()
-	if st.Add(None, 1, 2) || st.Add(1, None, 2) || st.Add(1, 2, None) {
-		t.Error("Add with None id reported change")
-	}
-	if st.Len() != 0 {
-		t.Errorf("Len = %d, want 0", st.Len())
+	b := NewBuilder(nil)
+	b.AddAll([][3]ID{{None, 1, 2}, {1, None, 2}, {1, 2, None}, {1, 2, 3}})
+	if st := b.Build(); st.Len() != 1 || !st.Has(1, 2, 3) {
+		t.Errorf("Len = %d, want only the triple without None", st.Len())
 	}
 }
 
 func TestRemove(t *testing.T) {
-	st := New()
-	st.Add(1, 2, 3)
-	st.Add(1, 2, 4)
-	if !st.Remove(1, 2, 3) {
-		t.Fatal("Remove existing reported no change")
+	st := buildStore([3]ID{1, 2, 3}, [3]ID{1, 2, 4})
+	if st = patchOps(st, nil, [][3]ID{{1, 2, 3}}); st.Len() != 1 {
+		t.Fatal("removing a held triple left Len at", st.Len())
 	}
-	if st.Remove(1, 2, 3) {
-		t.Fatal("Remove twice reported change")
-	}
-	if st.Remove(9, 9, 9) {
-		t.Fatal("Remove absent reported change")
+	if st = patchOps(st, nil, [][3]ID{{1, 2, 3}, {9, 9, 9}}); st.Len() != 1 {
+		t.Fatal("removing absent triples changed Len to", st.Len())
 	}
 	if st.Has(1, 2, 3) {
 		t.Error("removed triple still present")
@@ -57,15 +76,10 @@ func TestRemove(t *testing.T) {
 	if !st.Has(1, 2, 4) {
 		t.Error("sibling triple vanished")
 	}
-	if st.Len() != 1 {
-		t.Errorf("Len = %d, want 1", st.Len())
-	}
 }
 
 func TestRemovePrunesEmptyStructures(t *testing.T) {
-	st := New()
-	st.Add(1, 2, 3)
-	st.Remove(1, 2, 3)
+	st := patchOps(buildStore([3]ID{1, 2, 3}), nil, [][3]ID{{1, 2, 3}})
 	for _, ix := range AllIndexes {
 		if n := st.Heads(ix); n != 0 {
 			t.Errorf("index %v has %d heads after full removal", ix, n)
@@ -109,24 +123,27 @@ func TestSixIndexesStayConsistentUnderRandomOps(t *testing.T) {
 	st := New()
 	model := make(map[[3]ID]bool)
 
-	for op := 0; op < 5000; op++ {
-		s := ID(rng.Intn(20) + 1)
-		p := ID(rng.Intn(8) + 1)
-		o := ID(rng.Intn(25) + 1)
-		key := [3]ID{s, p, o}
-		if rng.Intn(3) == 0 {
-			changed := st.Remove(s, p, o)
-			if changed != model[key] {
-				t.Fatalf("op %d: Remove(%v) = %v, model has %v", op, key, changed, model[key])
+	// 100 batches of 50 random ops, each folded in with one Patch.
+	for batch := 0; batch < 100; batch++ {
+		last := map[[3]ID]bool{} // what the batch's last op on a triple did
+		for op := 0; op < 50; op++ {
+			key := [3]ID{ID(rng.Intn(20) + 1), ID(rng.Intn(8) + 1), ID(rng.Intn(25) + 1)}
+			last[key] = rng.Intn(3) != 0
+			if last[key] {
+				model[key] = true
+			} else {
+				delete(model, key)
 			}
-			delete(model, key)
-		} else {
-			changed := st.Add(s, p, o)
-			if changed == model[key] {
-				t.Fatalf("op %d: Add(%v) = %v, model has %v", op, key, changed, model[key])
-			}
-			model[key] = true
 		}
+		var adds, dels [][3]ID
+		for key, add := range last {
+			if add {
+				adds = append(adds, key)
+			} else {
+				dels = append(dels, key)
+			}
+		}
+		st = patchOps(st, adds, dels)
 	}
 
 	if st.Len() != len(model) {
@@ -145,33 +162,25 @@ func TestSixIndexesStayConsistentUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestSharedTerminalLists: the two orderings that end in the same element
+// — spo and pso, sop and osp, pos and ops — hold the same terminal list
+// for a pair, the list the paper's layout keeps one physical copy of.
 func TestSharedTerminalLists(t *testing.T) {
-	st := New()
-	st.Add(1, 2, 3)
-	st.Add(1, 2, 4)
-
-	spoList, ok := st.Head(SPO, 1).Find(2)
-	if !ok {
-		t.Fatal("spo vector missing property 2")
-	}
-	psoList, ok := st.Head(PSO, 2).Find(1)
-	if !ok {
-		t.Fatal("pso vector missing subject 1")
-	}
-	if spoList != psoList {
-		t.Error("spo and pso do not share the same object list pointer")
-	}
-
-	sopList, _ := st.Head(SOP, 1).Find(3)
-	ospList, _ := st.Head(OSP, 3).Find(1)
-	if sopList != ospList {
-		t.Error("sop and osp do not share the same property list pointer")
-	}
-
-	posList, _ := st.Head(POS, 2).Find(3)
-	opsList, _ := st.Head(OPS, 3).Find(2)
-	if posList != opsList {
-		t.Error("pos and ops do not share the same subject list pointer")
+	st := buildStore([3]ID{1, 2, 3}, [3]ID{1, 2, 4})
+	for _, pair := range []struct {
+		a, b        Index
+		headA, keyA ID
+		want        []ID
+	}{
+		{SPO, PSO, 1, 2, []ID{3, 4}},
+		{SOP, OSP, 1, 3, []ID{2}},
+		{POS, OPS, 2, 3, []ID{1}},
+	} {
+		la, _ := st.Head(pair.a, pair.headA).Find(pair.keyA)
+		lb, _ := st.Head(pair.b, pair.keyA).Find(pair.headA)
+		if !reflect.DeepEqual(la.IDs(), pair.want) || !reflect.DeepEqual(lb.IDs(), pair.want) {
+			t.Errorf("%s and %s lists of (%d, %d) are %v and %v, want %v", pair.a, pair.b, pair.headA, pair.keyA, la.IDs(), lb.IDs(), pair.want)
+		}
 	}
 }
 
@@ -180,13 +189,13 @@ func TestSharedTerminalLists(t *testing.T) {
 // occupies exactly five entries (2 headers + 2 vector slots + 1 list
 // slot), i.e. the expansion factor over a triples table is exactly 5.
 func TestWorstCaseSpaceBound(t *testing.T) {
-	st := New()
 	// Disjoint resources: triple i is (3i+1, 3i+2, 3i+3).
 	const n = 100
+	b := NewBuilder(nil)
 	for i := 0; i < n; i++ {
-		st.Add(ID(3*i+1), ID(3*i+2), ID(3*i+3))
+		b.Add(ID(3*i+1), ID(3*i+2), ID(3*i+3))
 	}
-	stats := st.Stats()
+	stats := b.Build().Stats()
 	if stats.Headers != 6*n {
 		t.Errorf("Headers = %d, want %d", stats.Headers, 6*n)
 	}
@@ -204,13 +213,13 @@ func TestWorstCaseSpaceBound(t *testing.T) {
 // TestSpaceBelowWorstCaseWithSharing: when resources repeat, the factor
 // drops below 5 (the paper: "In practice, the requirement can be lower").
 func TestSpaceBelowWorstCaseWithSharing(t *testing.T) {
-	st := New()
+	b := NewBuilder(nil)
 	for s := ID(1); s <= 10; s++ {
 		for o := ID(100); o < 110; o++ {
-			st.Add(s, 50, o) // single property, dense s×o
+			b.Add(s, 50, o) // single property, dense s×o
 		}
 	}
-	f := st.Stats().ExpansionFactor()
+	f := b.Build().Stats().ExpansionFactor()
 	if f >= 5.0 {
 		t.Errorf("ExpansionFactor = %v, want < 5 for repeating resources", f)
 	}
@@ -220,11 +229,7 @@ func TestSpaceBelowWorstCaseWithSharing(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	st := New()
-	st.Add(1, 2, 3)
-	st.Add(1, 2, 5)
-	st.Add(4, 2, 3)
-	st.Add(1, 7, 3)
+	st := buildStore([3]ID{1, 2, 3}, [3]ID{1, 2, 5}, [3]ID{4, 2, 3}, [3]ID{1, 7, 3})
 
 	if got := st.Objects(1, 2).IDs(); !reflect.DeepEqual(got, []ID{3, 5}) {
 		t.Errorf("Objects(1,2) = %v, want [3 5]", got)
@@ -241,11 +246,12 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestHeadVectorsSorted(t *testing.T) {
-	st := New()
+	b := NewBuilder(nil)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		st.Add(ID(rng.Intn(10)+1), ID(rng.Intn(10)+1), ID(rng.Intn(10)+1))
+		b.Add(ID(rng.Intn(10)+1), ID(rng.Intn(10)+1), ID(rng.Intn(10)+1))
 	}
+	st := b.Build()
 	for _, ix := range AllIndexes {
 		for _, head := range st.HeadIDs(ix) {
 			vec := st.Head(ix, head)
@@ -264,16 +270,20 @@ func TestHeadVectorsSorted(t *testing.T) {
 }
 
 func TestAddTriple(t *testing.T) {
-	st := New()
-	s, p, o, added := st.AddTriple(rdf.T(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewLiteral("o")))
-	if !added {
-		t.Fatal("AddTriple reported no change")
+	b := NewBuilder(nil)
+	tr := rdf.T(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewLiteral("o"))
+	if !b.AddTriple(tr) {
+		t.Fatal("AddTriple rejected a valid triple")
 	}
+	if b.AddTriple(rdf.Triple{}) {
+		t.Error("AddTriple accepted invalid triple")
+	}
+	st := b.Build()
+	s, _ := st.Dictionary().Lookup(tr.Subject)
+	p, _ := st.Dictionary().Lookup(tr.Predicate)
+	o, _ := st.Dictionary().Lookup(tr.Object)
 	if !st.Has(s, p, o) {
 		t.Error("encoded triple not present")
-	}
-	if _, _, _, added := st.AddTriple(rdf.Triple{}); added {
-		t.Error("AddTriple accepted invalid triple")
 	}
 	if st.Dictionary().Len() != 3 {
 		t.Errorf("dictionary has %d terms, want 3 (invalid triple must not encode)", st.Dictionary().Len())
@@ -289,25 +299,5 @@ func TestIndexString(t *testing.T) {
 	}
 	if Index(99).String() != "invalid" {
 		t.Errorf("Index(99).String() = %q", Index(99).String())
-	}
-}
-
-func TestAdvisorCountsHits(t *testing.T) {
-	st := New()
-	st.Add(1, 2, 3)
-	st.Advisor().Reset()
-	st.Objects(1, 2)
-	st.Objects(1, 2)
-	st.Subjects(2, 3)
-	hits := st.Advisor().Hits()
-	if hits[SPO] != 2 {
-		t.Errorf("spo hits = %d, want 2", hits[SPO])
-	}
-	if hits[POS] != 1 {
-		t.Errorf("pos hits = %d, want 1", hits[POS])
-	}
-	cold := st.Advisor().ColdIndexes(0)
-	if len(cold) != 4 {
-		t.Errorf("ColdIndexes(0) = %v, want 4 unused indices", cold)
 	}
 }

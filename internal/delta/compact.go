@@ -154,7 +154,7 @@ func (o *Overlay) swapPatchedLocked(newMain *core.Store) error {
 	// publishes), so the epoch token is preserved: cached results stay
 	// valid across compaction.
 	ns.epoch = o.cur.Load().epoch
-	o.cur.Store(ns)
+	o.publish(ns)
 	return nil
 }
 
@@ -220,7 +220,7 @@ func (o *Overlay) compactDiskLocked() error {
 		visible:  st.visible,
 		epoch:    st.epoch, // content-identical merge: keep cached results valid
 	}
-	o.cur.Store(ns)
+	o.publish(ns)
 	return nil
 }
 
@@ -324,8 +324,8 @@ func (o *Overlay) checkpointLocked() error {
 // silently start an empty store — and the next checkpoint would then
 // overwrite the good snapshot with it. Callers (the facade, hexserver)
 // share this helper so the distinction lives in exactly one place.
-func RestoreSnapshot(path string, compress bool) (*core.Store, bool, error) {
-	return RestoreSnapshotShared(path, nil, compress)
+func RestoreSnapshot(path string) (*core.Store, bool, error) {
+	return RestoreSnapshotShared(path, nil)
 }
 
 // RestoreSnapshotShared is RestoreSnapshot against a shared dictionary
@@ -333,13 +333,13 @@ func RestoreSnapshot(path string, compress bool) (*core.Store, bool, error) {
 // shard's per-shard snapshot into the one cluster dictionary; restores
 // must run sequentially per shard so the append-only prefix property
 // that makes shared re-encoding sound is preserved.
-func RestoreSnapshotShared(path string, dict *dictionary.Dictionary, compress bool) (*core.Store, bool, error) {
-	return RestoreSnapshotSharedFS(nil, path, dict, compress)
+func RestoreSnapshotShared(path string, dict *dictionary.Dictionary) (*core.Store, bool, error) {
+	return RestoreSnapshotSharedFS(nil, path, dict)
 }
 
 // RestoreSnapshotSharedFS is RestoreSnapshotShared with the file I/O
 // routed through fsys (nil = the real filesystem).
-func RestoreSnapshotSharedFS(fsys iofault.FS, path string, dict *dictionary.Dictionary, compress bool) (*core.Store, bool, error) {
+func RestoreSnapshotSharedFS(fsys iofault.FS, path string, dict *dictionary.Dictionary) (*core.Store, bool, error) {
 	f, err := iofault.Open(iofault.Or(fsys), path)
 	switch {
 	case err == nil:
@@ -349,7 +349,7 @@ func RestoreSnapshotSharedFS(fsys iofault.FS, path string, dict *dictionary.Dict
 		return nil, false, err
 	}
 	defer f.Close()
-	st, rerr := core.RestoreShared(f, dict, compress)
+	st, rerr := core.RestoreShared(f, dict)
 	if rerr != nil {
 		return nil, false, fmt.Errorf("delta: restore snapshot %s: %w", path, rerr)
 	}

@@ -9,8 +9,9 @@
 // immutable version with one atomic pointer load, and writers publish a
 // new version with one swap — while the six main indexes stay exactly as
 // the bulk loader built them until background compaction folds the delta
-// in (the in-memory main is rebuilt with core.Builder.BuildParallel; the
-// disk main absorbs the delta into its B+-trees).
+// in (the in-memory main is replaced by core.Store.Patch's new store; the
+// disk main absorbs the delta into its B+-trees). An overlay is the only
+// writable memory graph: a core.Store is sealed once built.
 //
 // Durability is delegated to an optional write-ahead log (package wal):
 // a write batch is appended and group-committed before it becomes
@@ -168,7 +169,7 @@ func Open(main graph.Graph, opts Options) (*Overlay, error) {
 	if vs, ok := graph.AsViewSource(main); ok {
 		base.viewSrc = vs
 	}
-	o.cur.Store(base)
+	o.publish(base)
 
 	if opts.WALPath != "" {
 		var ops []idOp
@@ -212,7 +213,7 @@ func Open(main graph.Graph, opts Options) (*Overlay, error) {
 			refreshed := *base
 			refreshed.visible = o.diskMain.Len()
 			refreshed.epoch = base.epoch + 1 // replay changed the trees
-			o.cur.Store(&refreshed)
+			o.publish(&refreshed)
 		default:
 			if _, _, err := o.apply(ops, false); err != nil {
 				l.Close()
@@ -255,9 +256,20 @@ func (o *Overlay) Dictionary() *dictionary.Dictionary { return o.dict }
 func (o *Overlay) Len() int { return o.cur.Load().visible }
 
 // Snapshot pins the current version: a consistent, immutable, read-only
-// view that stays valid across any number of subsequent writes. It
+// view that stays valid across any number of subsequent writes — the
+// main store itself while nothing is pending over a memory main. It
 // implements graph.Snapshotter; pinning is one atomic load.
-func (o *Overlay) Snapshot() graph.Graph { return o.cur.Load() }
+func (o *Overlay) Snapshot() graph.Graph { return o.cur.Load().Snapshot() }
+
+// publish makes ns the current state, first building, once, the view its
+// readers pin when it has nothing pending over a memory main.
+func (o *Overlay) publish(ns *state) {
+	ns.view = nil
+	if ns.mainCore != nil && ns.deltaLen() == 0 {
+		ns.view = &mainView{Graph: graph.Memory(ns.mainCore), st: ns.mainCore, epoch: ns.Epoch()}
+	}
+	o.cur.Store(ns)
+}
 
 // Epoch returns the current state's content-version token (see
 // graph.Epocher). Result caches must pin Snapshot first and read the
@@ -494,7 +506,7 @@ func (o *Overlay) apply(ops []idOp, logWAL bool) (inserted, deleted int, err err
 			return 0, 0, werr // not swapped: the failed batch never becomes visible
 		}
 	}
-	o.cur.Store(ns)
+	o.publish(ns)
 	if o.pendingActive {
 		o.pending = append(o.pending, effective...)
 	}
@@ -653,4 +665,5 @@ var (
 	_ graph.SortedSource = (*state)(nil)
 	_ graph.ViewSource   = (*state)(nil)
 	_ graph.Snapshotter  = (*state)(nil)
+	_ graph.Snapshotter  = (*mainView)(nil)
 )

@@ -1,6 +1,7 @@
 package delta_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -84,10 +85,10 @@ func canonResult(res *sparql.Result) string {
 }
 
 // TestOverlayDifferential drives an identical random mixed add/remove
-// workload through a delta overlay (per backend kind) and through a
-// plain in-memory reference store, comparing the full visible set, Len,
-// Has, Count and the sorted streams at several checkpoints, both before
-// and after compaction.
+// workload through a delta overlay (per backend kind) and through the
+// flat triplestore oracle, comparing the full visible set, Len, Has,
+// Count and the sorted streams (against a store bulk-built from the
+// oracle) at several checkpoints, both before and after compaction.
 func TestOverlayDifferential(t *testing.T) {
 	const (
 		subjects   = 12
@@ -97,13 +98,13 @@ func TestOverlayDifferential(t *testing.T) {
 	)
 	for name, ov := range overlays(t, -1) { // manual compaction only
 		t.Run(name, func(t *testing.T) {
-			ref := core.New()
+			ref := triplestore.New(nil)
 			rng := rand.New(rand.NewSource(42))
 			dict := ov.Dictionary()
 
 			check := func(label string) {
 				t.Helper()
-				if got, want := canonTriples(t, ov), canonTriples(t, graph.Memory(ref)); got != want {
+				if got, want := canonTriples(t, ov), canonTriples(t, graph.Baseline(ref)); got != want {
 					t.Fatalf("%s: triple sets diverge\noverlay:\n%s\nreference:\n%s", label, got, want)
 				}
 				if ov.Len() != ref.Len() {
@@ -158,7 +159,7 @@ func TestOverlayDifferential(t *testing.T) {
 				}
 			}
 			check("after workload")
-			checkSortedStreams(t, ov, ref)
+			checkSortedStreams(t, ov, sealed(ref))
 
 			if name != "baseline" {
 				if err := ov.Compact(); err != nil {
@@ -168,7 +169,7 @@ func TestOverlayDifferential(t *testing.T) {
 					t.Fatalf("delta not empty after Compact: %+v", st)
 				}
 				check("after compaction")
-				checkSortedStreams(t, ov, ref)
+				checkSortedStreams(t, ov, sealed(ref))
 			}
 		})
 	}
@@ -179,6 +180,17 @@ func pick(rng *rand.Rand, a, b ID) ID {
 		return a
 	}
 	return b
+}
+
+// sealed bulk-builds the oracle's triples, on its dictionary, into a
+// store whose sorted streams the overlay's are compared with.
+func sealed(ref *triplestore.Store) *core.Store {
+	b := core.NewBuilder(ref.Dictionary())
+	ref.Match(None, None, None, func(s, p, o ID) bool {
+		b.Add(s, p, o)
+		return true
+	})
+	return b.Build()
 }
 
 // checkSortedStreams compares the overlay's SortedSource streams against
@@ -475,6 +487,54 @@ func TestSnapshotPinning(t *testing.T) {
 	}
 	if _, err := snap.Add(s0, p0, o0); err == nil {
 		t.Fatal("snapshot accepted a mutation")
+	}
+}
+
+// TestSnapshotIsMainViewWhileNothingPending: an overlay with an empty
+// delta over a memory main pins a view of the main itself — it unwraps
+// to the *core.Store, carries the state's epoch and is its own snapshot
+// — one write turns the pin back into the merging state, and a
+// compaction returns to a main view under an unchanged epoch.
+func TestSnapshotIsMainViewWhileNothingPending(t *testing.T) {
+	b := core.NewBuilder(nil)
+	b.AddTriple(rdf.T(ex("a"), ex("p"), ex("b")))
+	main := b.Build()
+	ov, err := delta.New(graph.Memory(main), delta.Options{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isView := func(g graph.Graph) bool {
+		_, ok := graph.Unwrap(g).(*core.Store)
+		return ok
+	}
+
+	snap := ov.Snapshot()
+	if graph.Unwrap(snap) != main || graph.EpochOf(snap) != ov.Epoch() || graph.Snapshot(snap) != snap {
+		t.Fatalf("empty delta: snapshot %T unwraps to %p (main %p), epoch %q (overlay %q)",
+			snap, graph.Unwrap(snap), main, graph.EpochOf(snap), ov.Epoch())
+	}
+	if _, err := snap.Add(1, 2, 3); !errors.Is(err, graph.ErrReadOnly) {
+		t.Fatalf("the main view accepted a write: %v", err)
+	}
+
+	if _, err := graph.AddTriple(ov, rdf.T(ex("a"), ex("p"), ex("c"))); err != nil {
+		t.Fatal(err)
+	}
+	written := ov.Snapshot()
+	if isView(written) || graph.EpochOf(written) == graph.EpochOf(snap) || written.Len() != 2 {
+		t.Fatalf("after a write: snapshot %T (main view %v), epoch %q, Len %d", written, isView(written), graph.EpochOf(written), written.Len())
+	}
+
+	if err := ov.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compacted := ov.Snapshot()
+	if !isView(compacted) || graph.Unwrap(compacted) == main || graph.EpochOf(compacted) != graph.EpochOf(written) || compacted.Len() != 2 {
+		t.Fatalf("after compaction: snapshot %T (main view %v), epoch %q (before %q), Len %d",
+			compacted, isView(compacted), graph.EpochOf(compacted), graph.EpochOf(written), compacted.Len())
+	}
+	if snap.Len() != 1 || canonTriples(t, written) != canonTriples(t, compacted) {
+		t.Fatal("a pinned snapshot changed, or compaction changed what is visible")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 	"hexastore/internal/sparql"
+	"hexastore/internal/triplestore"
 )
 
 // TestReaderWriterIsolation runs concurrent SPARQL SELECTs against a
@@ -216,24 +217,29 @@ func answers(t *testing.T, g graph.Graph, probes [][3]ID) string {
 	return b.String()
 }
 
-// TestPinnedSnapshotAcrossCompactions pins a snapshot whose delta spans
-// several chunks per ordering, then lets 600 further writes — inserts,
-// and deletes of triples the snapshot sees in its main and in its delta
-// — and two compactions go by. On a memory main each compaction patches
-// a new store that shares vectors with the pinned one; on a disk main it
-// merges into the trees the snapshot reads through its undo chain.
-// Either way the snapshot must answer exactly as when pinned, and the
-// overlay exactly as a store that took the same writes directly.
+// TestPinnedSnapshotAcrossCompactions pins a snapshot, then lets 600
+// further writes — inserts, and deletes of triples the snapshot sees —
+// and two compactions go by while a reader keeps asking the snapshot.
+// The start states: a delta spanning several chunks per ordering over a
+// memory main, the same over a disk main, and ("view") a memory main with
+// nothing pending, whose snapshot is the main view itself. On a memory
+// main each compaction patches a new store that shares vectors with the
+// pinned one; on a disk main it merges into the trees the snapshot reads
+// through its undo chain. Either way the snapshot must answer exactly as
+// the triplestore oracle did when it was pinned, and the overlay exactly
+// as the oracle that took the same writes.
 func TestPinnedSnapshotAcrossCompactions(t *testing.T) {
-	for name, ov := range overlays(t, -1) {
-		if name == "baseline" {
-			continue // no compactable main
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, backend string
+		view          bool
+	}{{"memory", "memory", false}, {"disk", "disk", false}, {"view", "memory", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ov := overlays(t, -1)[tc.backend]
 			rng := rand.New(rand.NewSource(3))
-			ref := core.New()
+			ref := triplestore.New(ov.Dictionary())
 			var live [][3]ID
-			write := func(n int) {
+			// nextOps draws n writes and applies them to the oracle.
+			nextOps := func(n int) []graph.TripleOp {
 				ops := make([]graph.TripleOp, 0, n)
 				for i := 0; i < n; i++ {
 					if len(live) > 0 && rng.Intn(3) == 0 {
@@ -256,7 +262,10 @@ func TestPinnedSnapshotAcrossCompactions(t *testing.T) {
 					}
 					ops = append(ops, graph.TripleOp{T: tr})
 				}
-				if _, _, err := ov.ApplyTriples(ops); err != nil {
+				return ops
+			}
+			write := func(n int) {
+				if _, _, err := ov.ApplyTriples(nextOps(n)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -265,25 +274,43 @@ func TestPinnedSnapshotAcrossCompactions(t *testing.T) {
 			if err := ov.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			write(700) // … and into the delta the snapshot pins with it
-			if st := ov.Stats(); st.DeltaChunks <= 12 {
-				t.Fatalf("delta of %d adds and %d tombstones sits in %d chunks: too small to cross a chunk boundary",
-					st.DeltaAdds, st.DeltaDels, st.DeltaChunks)
+			if !tc.view {
+				write(700) // … and into the delta the snapshot pins with it
+				if st := ov.Stats(); st.DeltaChunks <= 12 {
+					t.Fatalf("delta of %d adds and %d tombstones sits in %d chunks: too small to cross a chunk boundary",
+						st.DeltaAdds, st.DeltaDels, st.DeltaChunks)
+				}
 			}
 			probes := append([][3]ID(nil), live[:12]...)
 			snap := ov.Snapshot()
+			if _, isMain := graph.Unwrap(snap).(*core.Store); isMain != tc.view {
+				t.Fatalf("snapshot unwraps to %T with %d pending", graph.Unwrap(snap), ov.Stats().DeltaAdds+ov.Stats().DeltaDels)
+			}
 			pinned := answers(t, snap, probes)
+			if want := answers(t, graph.Memory(sealed(ref)), probes); pinned != want {
+				t.Fatal("the pinned snapshot answers differently from the oracle")
+			}
 
 			for round := 1; round <= 2; round++ {
-				write(300)
-				if err := ov.Compact(); err != nil {
+				// The write and the compaction land while the reader asks.
+				ops := nextOps(300)
+				done := make(chan error, 1)
+				go func() {
+					_, _, err := ov.ApplyTriples(ops)
+					if err == nil {
+						err = ov.Compact()
+					}
+					done <- err
+				}()
+				got := answers(t, snap, probes)
+				if err := <-done; err != nil {
 					t.Fatal(err)
 				}
-				if got := answers(t, snap, probes); got != pinned {
-					t.Fatalf("snapshot answers differently after %d writes and compaction %d", 300*round, round)
+				if got != pinned || answers(t, snap, probes) != pinned {
+					t.Fatalf("snapshot answers differently during or after %d writes and compaction %d", 300*round, round)
 				}
-				if got, want := answers(t, ov, probes), answers(t, graph.Memory(ref), probes); got != want {
-					t.Fatalf("overlay diverges from the reference after compaction %d", round)
+				if got, want := answers(t, ov, probes), answers(t, graph.Memory(sealed(ref)), probes); got != want {
+					t.Fatalf("overlay diverges from the oracle after compaction %d", round)
 				}
 			}
 			if st := ov.Stats(); st.DeltaAdds+st.DeltaDels+st.DeltaChunks != 0 || st.Compactions != 3 {

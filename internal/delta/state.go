@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -18,9 +17,6 @@ type ID = dictionary.ID
 
 // None is the wildcard / unbound marker in pattern lookups.
 const None = dictionary.None
-
-// ErrReadOnly is returned by mutation calls on a pinned snapshot.
-var ErrReadOnly = errors.New("delta: snapshot is read-only")
 
 // permOf maps each of the six orderings to the (s,p,o) positions of its
 // key elements, mirroring the index layouts of the core and disk stores.
@@ -216,7 +212,7 @@ func permuteSorted(ix core.Index, ts [][3]ID) [][3]ID {
 // the state itself.
 //
 // state implements graph.Graph and graph.SortedSource; mutations return
-// ErrReadOnly, which is what makes it safe to hand out as the
+// graph.ErrReadOnly, which is what makes it safe to hand out as the
 // graph.Snapshotter view.
 type state struct {
 	main     graph.Graph
@@ -246,7 +242,25 @@ type state struct {
 	// write publish bumps it; compaction publishes a content-identical
 	// state and keeps it, so cached results validly survive compaction.
 	epoch uint64
+
+	// view is what the state's readers pin when it has nothing pending
+	// over a memory main (nil otherwise); see Overlay.publish.
+	view *mainView
 }
+
+// mainView is a state with an empty delta over a memory main, served as
+// the main itself: read-only, under the state's epoch. Its Unwrap is the
+// *core.Store, so the sorted sources, the statistics and the query
+// engine take the store's direct paths instead of merging an empty delta.
+type mainView struct {
+	graph.Graph
+	st    *core.Store
+	epoch string
+}
+
+func (v *mainView) Unwrap() any           { return v.st }
+func (v *mainView) Epoch() string         { return v.epoch }
+func (v *mainView) Snapshot() graph.Graph { return v }
 
 // Epoch returns the state's content-version token (see graph.Epocher).
 // A state is immutable, so the token a pinned snapshot reports never
@@ -259,12 +273,17 @@ func (st *state) deltaLen() int { return st.adds[core.SPO].len() + st.dels[core.
 func (st *state) Dictionary() *dictionary.Dictionary { return st.dict }
 func (st *state) Len() int                           { return st.visible }
 
-func (st *state) Add(s, p, o ID) (bool, error)    { return false, ErrReadOnly }
-func (st *state) Remove(s, p, o ID) (bool, error) { return false, ErrReadOnly }
+func (st *state) Add(s, p, o ID) (bool, error)    { return false, graph.ErrReadOnly }
+func (st *state) Remove(s, p, o ID) (bool, error) { return false, graph.ErrReadOnly }
 
-// Snapshot returns the state itself: a snapshot of a snapshot is the
-// same instant.
-func (st *state) Snapshot() graph.Graph { return st }
+// Snapshot returns the state's main view when it has one, else the state
+// itself: a snapshot of a snapshot is the same instant.
+func (st *state) Snapshot() graph.Graph {
+	if st.view != nil {
+		return st.view
+	}
+	return st
+}
 
 func (st *state) Has(s, p, o ID) (bool, error) {
 	t := [3]ID{s, p, o}

@@ -105,7 +105,7 @@ func TestAddRejectsWildcards(t *testing.T) {
 // bound/unbound pattern shapes returns identical triple sets.
 func TestMatchAllPatternsAgainstCore(t *testing.T) {
 	ds := newStore(t)
-	ms := core.New()
+	msb := core.NewBuilder(nil)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3000; i++ {
 		s, p, o := ID(rng.Intn(40)+1), ID(rng.Intn(12)+1), ID(rng.Intn(60)+1)
@@ -113,8 +113,9 @@ func TestMatchAllPatternsAgainstCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms.Add(s, p, o)
+		msb.Add(s, p, o)
 	}
+	ms := msb.Build()
 	if ds.Len() != ms.Len() {
 		t.Fatalf("disk Len = %d, core Len = %d", ds.Len(), ms.Len())
 	}

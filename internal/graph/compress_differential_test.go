@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -28,8 +29,8 @@ func randTriples(rng *rand.Rand, n int) []rdf.Triple {
 	return out
 }
 
-// compressionQueries is the query mix the compressed and raw layouts
-// must agree on: merge-intersect steps, expansions, repeated
+// compressionQueries is the query mix the packed layouts and their
+// references must agree on: merge-intersect steps, expansions, repeated
 // variables, DISTINCT, OPTIONAL, aggregation and full scans.
 func compressionQueries(rng *rand.Rand) []string {
 	c := func(n int) string { return fmt.Sprintf("<http://ex/%s%d>", "s", rng.Intn(25)) }
@@ -69,22 +70,23 @@ func compareAll(t *testing.T, gs map[string]graph.Graph, queries []string, tag s
 	}
 }
 
-// TestCompressionDifferentialMemory asserts the block-compressed and
-// raw memory layouts answer every query identically — before and after
-// SPARQL UPDATEs (the first UPDATE decompresses the compressed store in
-// place, which must be invisible to results).
+// TestCompressionDifferentialMemory asserts the packed memory store
+// answers every query like the flat triplestore baseline — sealed, and
+// behind a delta overlay before and after SPARQL UPDATEs, which the
+// sealed store refuses.
 func TestCompressionDifferentialMemory(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		triples := randTriples(rng, 400)
 
-		build := func(compress bool) graph.Graph {
-			b := core.NewBuilder(nil)
-			b.SetCompression(compress)
-			for _, tr := range triples {
-				b.AddTriple(tr)
-			}
-			return graph.Memory(b.BuildParallel(1 + int(seed)%3))
+		b := core.NewBuilder(nil)
+		for _, tr := range triples {
+			b.AddTriple(tr)
+		}
+		sealed := graph.Memory(b.BuildParallel(1 + int(seed)%3))
+		ov, err := delta.New(sealed, delta.Options{CompactThreshold: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
 		base := graph.Baseline(triplestore.New(nil))
 		for _, tr := range triples {
@@ -92,19 +94,12 @@ func TestCompressionDifferentialMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gs := map[string]graph.Graph{
-			"compressed": build(true),
-			"raw":        build(false),
-			"baseline":   base,
-		}
-		if st, ok := graph.Unwrap(gs["compressed"]).(*core.Store); !ok || !st.Compressed() {
-			t.Fatal("compressed build is not compressed")
-		}
+		gs := map[string]graph.Graph{"sealed": sealed, "overlay": ov, "baseline": base}
 		queries := compressionQueries(rng)
 		compareAll(t, gs, queries, fmt.Sprintf("seed %d pre-update", seed))
 
-		// Random UPDATE batch applied to all three; the compressed
-		// store converts to raw on the first write.
+		// Random UPDATE batch applied to the writable graphs; the small
+		// threshold has the overlay patch new mains while it lands.
 		ins := randTriples(rng, 30)
 		del := triples[:20]
 		update := "INSERT DATA {"
@@ -116,6 +111,10 @@ func TestCompressionDifferentialMemory(t *testing.T) {
 			update += fmt.Sprintf(" %s %s %s .", tr.Subject, tr.Predicate, tr.Object)
 		}
 		update += " }"
+		if _, err := sparql.ExecUpdate(sealed, update); !errors.Is(err, graph.ErrReadOnly) {
+			t.Fatalf("seed %d: the sealed store took an update: %v", seed, err)
+		}
+		delete(gs, "sealed")
 		for name, g := range gs {
 			if _, err := sparql.ExecUpdate(g, update); err != nil {
 				t.Fatalf("seed %d: %s: update: %v", seed, name, err)
@@ -191,29 +190,34 @@ func TestCompressionDifferentialDisk(t *testing.T) {
 }
 
 // TestCompressionDifferentialOverlay asserts a delta overlay over a
-// compressed main agrees with one over a raw main through batched
-// updates and explicit compactions, and that compaction leaves both
-// with a compressed main: it shares the packed vectors of the one and
-// encodes every head of the other.
+// packed memory main agrees with one over the flat triplestore baseline
+// through batched updates and explicit compactions, each of which leaves
+// the first with a new packed main.
 func TestCompressionDifferentialOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	triples := randTriples(rng, 400)
 
-	mk := func(uncompressed bool) *delta.Overlay {
-		b := core.NewBuilder(nil)
-		b.SetCompression(!uncompressed)
-		for _, tr := range triples {
-			b.AddTriple(tr)
-		}
-		ov, err := delta.New(graph.Memory(b.BuildParallel(2)), delta.Options{CompactThreshold: -1})
+	b := core.NewBuilder(nil)
+	for _, tr := range triples {
+		b.AddTriple(tr)
+	}
+	mk := func(main graph.Graph) *delta.Overlay {
+		ov, err := delta.New(main, delta.Options{CompactThreshold: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ov.Close() })
 		return ov
 	}
-	ovC, ovR := mk(false), mk(true)
-	gs := map[string]graph.Graph{"overlay-compressed": ovC, "overlay-raw": ovR}
+	ovC := mk(graph.Memory(b.BuildParallel(2)))
+	baseline := graph.Baseline(triplestore.New(nil))
+	for _, tr := range triples {
+		if _, err := graph.AddTriple(baseline, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ovR := mk(baseline)
+	gs := map[string]graph.Graph{"overlay-packed": ovC, "overlay-baseline": ovR}
 	queries := compressionQueries(rng)
 	compareAll(t, gs, queries, "overlay initial")
 
@@ -235,16 +239,12 @@ func TestCompressionDifferentialOverlay(t *testing.T) {
 		}
 		compareAll(t, gs, queries, fmt.Sprintf("overlay round %d pre-compact", round))
 		if round%2 == 1 {
+			before := ovC.Main()
 			if err := ovC.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if err := ovR.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			for name, ov := range map[string]*delta.Overlay{"compressed": ovC, "raw": ovR} {
-				if st, ok := graph.Unwrap(ov.Main()).(*core.Store); !ok || !st.Compressed() {
-					t.Fatalf("compaction of the overlay over a %s main did not produce a compressed main", name)
-				}
+			if st, ok := graph.Unwrap(ovC.Main()).(*core.Store); !ok || ovC.Main() == before || st.Len() != ovC.Len() {
+				t.Fatal("compaction did not leave the overlay a new packed main holding its triples")
 			}
 			compareAll(t, gs, queries, fmt.Sprintf("overlay round %d post-compact", round))
 		}

@@ -1,12 +1,14 @@
 package graph_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"hexastore/internal/core"
+	"hexastore/internal/delta"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
@@ -16,7 +18,9 @@ import (
 
 // backends returns one Graph per storage engine, each loaded with the
 // same triples. The baseline triples table is the trivially-correct
-// reference; memory and disk must agree with it.
+// reference; memory and disk must agree with it. The memory graph is
+// how a memory store takes writes: a delta overlay, here over a store
+// bulk-built from the triples.
 func backends(t *testing.T, triples []rdf.Triple) map[string]graph.Graph {
 	t.Helper()
 	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
@@ -25,7 +29,6 @@ func backends(t *testing.T, triples []rdf.Triple) map[string]graph.Graph {
 	}
 	t.Cleanup(func() { ds.Close() })
 	gs := map[string]graph.Graph{
-		"memory":   graph.Memory(core.New()),
 		"disk":     graph.Disk(ds),
 		"baseline": graph.Baseline(triplestore.New(nil)),
 	}
@@ -36,7 +39,22 @@ func backends(t *testing.T, triples []rdf.Triple) map[string]graph.Graph {
 			}
 		}
 	}
+	gs["memory"] = overMemory(t, triples)
 	return gs
+}
+
+// overMemory returns a delta overlay over a store bulk-built from ts.
+func overMemory(t *testing.T, ts []rdf.Triple) *delta.Overlay {
+	t.Helper()
+	b := core.NewBuilder(nil)
+	for _, tr := range ts {
+		b.AddTriple(tr)
+	}
+	ov, err := delta.New(graph.Memory(b.Build()), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov
 }
 
 func ex(local string) rdf.Term { return rdf.NewIRI("http://ex/" + local) }
@@ -308,17 +326,11 @@ func TestDifferentialUpdate(t *testing.T) {
 }
 
 // TestConcurrentQueryUpdate runs SELECT joins concurrently with
-// INSERT/DELETE updates on the memory backend. The batch engine reads
-// candidate lists through SortedSource, which must copy or stream under
-// the store's lock — handing out aliased store internals here is a data
-// race (run with -race to enforce).
+// INSERT/DELETE updates on the memory backend, whose writes land in the
+// overlay's delta while queries pin snapshots of it (run with -race to
+// enforce that no read shares memory a write changes).
 func TestConcurrentQueryUpdate(t *testing.T) {
-	g := graph.Memory(core.New())
-	for _, tr := range sampleTriples() {
-		if _, err := graph.AddTriple(g, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := overMemory(t, sampleTriples())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -442,6 +454,39 @@ func TestGraphPrimitives(t *testing.T) {
 		if seen != g.Len() {
 			t.Fatalf("%s: DecodeMatch saw %d of %d", name, seen, g.Len())
 		}
+	}
+}
+
+// TestMemoryIsSealed: a bare memory graph refuses writes with
+// ErrReadOnly and leaves Len and Epoch as they were, and it is its own
+// snapshot.
+func TestMemoryIsSealed(t *testing.T) {
+	b := core.NewBuilder(nil)
+	for _, tr := range sampleTriples() {
+		b.AddTriple(tr)
+	}
+	g := graph.Memory(b.Build())
+	n, epoch := g.Len(), graph.EpochOf(g)
+	if epoch == "" {
+		t.Fatal("a sealed store reports no epoch")
+	}
+	alice, _ := g.Dictionary().Lookup(ex("alice"))
+	knows, _ := g.Dictionary().Lookup(ex("knows"))
+	bob, _ := g.Dictionary().Lookup(ex("bob"))
+	if _, err := g.Add(bob, knows, alice); !errors.Is(err, graph.ErrReadOnly) {
+		t.Fatalf("Add: %v, want ErrReadOnly", err)
+	}
+	if _, err := g.Remove(alice, knows, bob); !errors.Is(err, graph.ErrReadOnly) {
+		t.Fatalf("Remove: %v, want ErrReadOnly", err)
+	}
+	if _, err := sparql.ExecUpdate(g, `PREFIX ex: <http://ex/> INSERT DATA { ex:bob ex:knows ex:alice }`); !errors.Is(err, graph.ErrReadOnly) {
+		t.Fatalf("INSERT DATA: %v, want ErrReadOnly", err)
+	}
+	if g.Len() != n || graph.EpochOf(g) != epoch {
+		t.Fatalf("a refused write changed Len %d → %d or epoch %q → %q", n, g.Len(), epoch, graph.EpochOf(g))
+	}
+	if graph.Snapshot(g) != g {
+		t.Fatal("a sealed memory graph is not its own snapshot")
 	}
 }
 

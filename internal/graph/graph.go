@@ -2,7 +2,8 @@
 // query, sparql and server layers are written against, together with
 // adapters for the repository's three storage engines:
 //
-//   - the in-memory sextuple-indexed core.Store (Memory),
+//   - the sealed in-memory sextuple-indexed core.Store (Memory, read-only;
+//     writable memory graphs are delta overlays over one),
 //   - the B-tree-paged disk.Store (Disk), and
 //   - the flat-table triplestore.Store baseline (Baseline).
 //
@@ -19,6 +20,8 @@
 package graph
 
 import (
+	"errors"
+
 	"hexastore/internal/core"
 	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
@@ -32,12 +35,13 @@ type ID = dictionary.ID
 // None is the wildcard / unbound marker in pattern lookups.
 const None = dictionary.None
 
-// Graph is a mutable, pattern-matchable RDF graph. Implementations must
-// be safe for concurrent use (all three built-in backends are).
+// Graph is a pattern-matchable RDF graph. Implementations must be safe
+// for concurrent use (all built-in backends are).
 //
 // Match streams every triple matching the pattern ⟨s,p,o⟩, where None in
 // any position is a wildcard; iteration stops early when fn returns
-// false. Add and Remove report whether the graph changed.
+// false. Add and Remove report whether the graph changed; a read-only
+// graph returns ErrReadOnly.
 type Graph interface {
 	// Dictionary returns the term dictionary the graph encodes ids with.
 	Dictionary() *dictionary.Dictionary
@@ -68,7 +72,8 @@ type Flusher interface {
 // stream of concurrent updates cannot make two pattern fetches of the
 // same query observe different states. The delta-overlay backend
 // implements it with an atomic state-pointer load — pinning is free and
-// never blocks writers. Use Snapshot to pin when supported.
+// never blocks writers — and a sealed memory graph is its own snapshot.
+// Use Snapshot to pin when supported.
 type Snapshotter interface {
 	// Snapshot returns a read-only view of the graph's current state.
 	// Mutating the view is an error; the view stays valid (and
@@ -162,37 +167,24 @@ func ApplyTriples(g Graph, ops []TripleOp) (inserted, deleted int, err error) {
 	return inserted, deleted, nil
 }
 
-// memBackend is the common method shape of the error-free in-memory
-// stores (core.Store and triplestore.Store).
-type memBackend interface {
-	Dictionary() *dictionary.Dictionary
-	Len() int
-	Add(s, p, o ID) bool
-	Remove(s, p, o ID) bool
-	Has(s, p, o ID) bool
-	Match(s, p, o ID, fn func(s, p, o ID) bool)
-	Count(s, p, o ID) int
-}
+// ErrReadOnly is returned by Add and Remove on a graph that cannot
+// change: a sealed memory store, or a pinned snapshot of a live graph.
+var ErrReadOnly = errors.New("graph: read-only")
 
-// memGraph adapts an in-memory store to the error-returning Graph shape.
-type memGraph struct{ st memBackend }
+// memGraph adapts a sealed in-memory Hexastore to the error-returning
+// Graph shape. The store never changes, so the graph refuses writes, is
+// its own snapshot and reports one epoch for its whole life; a memory
+// graph that accepts writes is a delta overlay over one.
+type memGraph struct{ st *core.Store }
 
-// Memory adapts the in-memory Hexastore to the Graph interface.
+// Memory adapts a sealed in-memory Hexastore to the Graph interface.
 func Memory(st *core.Store) Graph { return memGraph{st: st} }
-
-// Baseline adapts the flat triples-table baseline to the Graph interface.
-func Baseline(st *triplestore.Store) Graph { return memGraph{st: st} }
-
-// Disk adapts the disk-based Hexastore to the Graph interface. The disk
-// store's own methods already have the error-returning shape, so the
-// adapter is the store itself.
-func Disk(st *disk.Store) Graph { return st }
 
 func (g memGraph) Dictionary() *dictionary.Dictionary { return g.st.Dictionary() }
 func (g memGraph) Len() int                           { return g.st.Len() }
 
-func (g memGraph) Add(s, p, o ID) (bool, error)    { return g.st.Add(s, p, o), nil }
-func (g memGraph) Remove(s, p, o ID) (bool, error) { return g.st.Remove(s, p, o), nil }
+func (g memGraph) Add(s, p, o ID) (bool, error)    { return false, ErrReadOnly }
+func (g memGraph) Remove(s, p, o ID) (bool, error) { return false, ErrReadOnly }
 func (g memGraph) Has(s, p, o ID) (bool, error)    { return g.st.Has(s, p, o), nil }
 
 func (g memGraph) Match(s, p, o ID, fn func(s, p, o ID) bool) error {
@@ -202,22 +194,49 @@ func (g memGraph) Match(s, p, o ID, fn func(s, p, o ID) bool) error {
 
 func (g memGraph) Count(s, p, o ID) (int, error) { return g.st.Count(s, p, o), nil }
 
-// Unwrap exposes the concrete store behind the adapter, so planners can
-// detect index-aware backends (see Unwrap).
+// Unwrap exposes the store behind the adapter, so planners can detect
+// index-aware backends (see Unwrap).
 func (g memGraph) Unwrap() any { return g.st }
 
-// Epoch forwards the content-version token of stores that maintain one
-// (core.Store does; the flat baseline does not, so graphs over it report
-// "" and stay uncacheable).
-func (g memGraph) Epoch() string {
-	if e, ok := g.st.(Epocher); ok {
-		return e.Epoch()
-	}
-	return ""
+// Snapshot returns g itself: a sealed store is already an immutable view.
+func (g memGraph) Snapshot() Graph { return g }
+
+// Epoch returns the content-version token of a store that never changes.
+func (g memGraph) Epoch() string { return "m0" }
+
+// baseGraph adapts the flat triples-table baseline, which mutates in
+// place, to the Graph interface. It has no epoch, so graphs over it stay
+// uncacheable.
+type baseGraph struct{ st *triplestore.Store }
+
+// Baseline adapts the flat triples-table baseline to the Graph interface.
+func Baseline(st *triplestore.Store) Graph { return baseGraph{st: st} }
+
+func (g baseGraph) Dictionary() *dictionary.Dictionary { return g.st.Dictionary() }
+func (g baseGraph) Len() int                           { return g.st.Len() }
+
+func (g baseGraph) Add(s, p, o ID) (bool, error)    { return g.st.Add(s, p, o), nil }
+func (g baseGraph) Remove(s, p, o ID) (bool, error) { return g.st.Remove(s, p, o), nil }
+func (g baseGraph) Has(s, p, o ID) (bool, error)    { return g.st.Has(s, p, o), nil }
+
+func (g baseGraph) Match(s, p, o ID, fn func(s, p, o ID) bool) error {
+	g.st.Match(s, p, o, fn)
+	return nil
 }
 
+func (g baseGraph) Count(s, p, o ID) (int, error) { return g.st.Count(s, p, o), nil }
+
+// Unwrap exposes the store behind the adapter.
+func (g baseGraph) Unwrap() any { return g.st }
+
+// Disk adapts the disk-based Hexastore to the Graph interface. The disk
+// store's own methods already have the error-returning shape, so the
+// adapter is the store itself.
+func Disk(st *disk.Store) Graph { return st }
+
 // Unwrap returns the concrete backend underlying g: the *core.Store or
-// *triplestore.Store behind an in-memory adapter, or g itself when the
+// *triplestore.Store behind an in-memory adapter (or a delta overlay's
+// view of its main), or g itself when the
 // graph is not a wrapper (e.g. a *disk.Store). Layers use it to pick
 // backend-specific fast paths:
 //

@@ -13,19 +13,17 @@ import (
 // falls back to a batched bind-probe over Match.
 //
 // Both built-in index-backed stores provide it: the in-memory Hexastore
-// copies its shared terminal lists under the store's read lock, and the
-// disk store materializes lists from one ordered prefix scan of the
-// right B+-tree. Both append into the caller's buffer, so a reused
-// scratch slice makes the steady state allocation-free — and, unlike
-// handing out aliased store internals, the results stay valid across
-// concurrent mutations.
+// decodes its packed terminal lists, and the disk store materializes
+// lists from one ordered prefix scan of the right B+-tree. Both append
+// into the caller's buffer, so a reused scratch slice makes the steady
+// state allocation-free — and the results stay valid across concurrent
+// mutations.
 //
 // Implementations must additionally be safe for concurrent readers: the
 // batch engine's intra-query parallelism has several workers fetch
-// candidate lists simultaneously, each into its own buffer (the memory
-// store serves them under a shared read lock; the disk store runs one
-// independent prefix scan per call over its internally locked buffer
-// pool).
+// candidate lists simultaneously, each into its own buffer (the sealed
+// memory store needs no lock for it; the disk store runs one independent
+// prefix scan per call over its internally locked buffer pool).
 //
 // Use AsSortedSource to obtain it; the concrete Graph value may be a
 // wrapper around the capable store.
@@ -56,8 +54,8 @@ func AsSortedSource(g Graph) (SortedSource, bool) {
 	return nil, false
 }
 
-// coreSorted adapts the in-memory Hexastore's lock-holding sorted
-// accessors to the SortedSource shape.
+// coreSorted adapts the in-memory Hexastore's sorted accessors to the
+// SortedSource and ViewSource shapes.
 type coreSorted struct{ st *core.Store }
 
 func (cs coreSorted) AppendSortedList(dst []ID, s, p, o ID) ([]ID, error) {
@@ -70,8 +68,7 @@ func (cs coreSorted) SortedPairs(s, p, o ID, fn func(a, b ID) bool) error {
 }
 
 func (cs coreSorted) SortedListView(s, p, o ID) (idlist.View, bool, error) {
-	v, ok := cs.st.SortedListView(s, p, o)
-	return v, ok, nil
+	return cs.st.SortedListView(s, p, o), true, nil
 }
 
 // ViewSource is an optional refinement of SortedSource: candidate
@@ -80,9 +77,8 @@ func (cs coreSorted) SortedListView(s, p, o ID) (idlist.View, bool, error) {
 // packed blobs, which lets the batch engine's merge-intersect steps
 // skip whole blocks via the skip table instead of materializing the
 // list; ok=false on a call means the backend cannot serve that pattern
-// zero-copy (e.g. the memory store in its raw layout, whose lists
-// alias mutable storage) and the caller should fall back to the
-// copying AppendSortedList.
+// zero-copy (e.g. a disk-backed overlay) and the caller should fall back
+// to the copying AppendSortedList.
 //
 // Implementations must be safe for concurrent readers, like
 // SortedSource. Views returned with ok=true must stay consistent

@@ -157,7 +157,7 @@ func memoryScenario() scenario {
 		walPath := filepath.Join(dir, "store.wal")
 		snap := walPath + ".snapshot"
 		dict := dictionary.New()
-		st, ok, err := delta.RestoreSnapshotSharedFS(fsys, snap, dict, true)
+		st, ok, err := delta.RestoreSnapshotSharedFS(fsys, snap, dict)
 		if err != nil {
 			return nil, err
 		}

@@ -45,13 +45,14 @@ func TestAddRejectsWildcards(t *testing.T) {
 // sextuple store on identical random data.
 func TestMatchAgainstCore(t *testing.T) {
 	ks := New()
-	cs := core.New()
+	csb := core.NewBuilder(nil)
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 4000; i++ {
 		s, p, o := ID(rng.Intn(40)+1), ID(rng.Intn(10)+1), ID(rng.Intn(50)+1)
 		ks.Add(s, p, o)
-		cs.Add(s, p, o)
+		csb.Add(s, p, o)
 	}
+	cs := csb.Build()
 	if ks.Len() != cs.Len() {
 		t.Fatalf("kowari Len = %d, core Len = %d", ks.Len(), cs.Len())
 	}

@@ -58,10 +58,11 @@ func TestExactlyEighteenPredicates(t *testing.T) {
 }
 
 func TestQueryAnchorsExist(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for _, tr := range smallConfig().GenerateAll() {
-		st.AddTriple(tr)
+		stb.AddTriple(tr)
 	}
+	st := stb.Build()
 	dict := st.Dictionary()
 	anchors := []rdf.Term{University(0), Course(10), AssociateProfessor(10)}
 	for _, a := range anchors {
@@ -111,10 +112,11 @@ func TestQueryAnchorsExist(t *testing.T) {
 }
 
 func TestAdvisorEdgesPointAtProfessors(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for _, tr := range smallConfig().GenerateAll() {
-		st.AddTriple(tr)
+		stb.AddTriple(tr)
 	}
+	st := stb.Build()
 	dict := st.Dictionary()
 	advisor, _ := dict.Lookup(PropAdvisor)
 	typeID, _ := dict.Lookup(PropType)

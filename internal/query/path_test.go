@@ -21,14 +21,15 @@ const (
 )
 
 func chainStore() *core.Store {
-	st := core.New()
-	st.Add(1, propA, 10)
-	st.Add(1, propA, 11)
-	st.Add(2, propA, 11)
-	st.Add(3, propC, 10)
-	st.Add(10, propB, 20)
-	st.Add(11, propB, 21)
-	st.Add(11, propB, 22)
+	stb := core.NewBuilder(nil)
+	stb.Add(1, propA, 10)
+	stb.Add(1, propA, 11)
+	stb.Add(2, propA, 11)
+	stb.Add(3, propC, 10)
+	stb.Add(10, propB, 20)
+	stb.Add(11, propB, 21)
+	stb.Add(11, propB, 22)
+	st := stb.Build()
 	return st
 }
 
@@ -122,9 +123,10 @@ func TestReachable(t *testing.T) {
 
 // Cycle safety: a→b→a must terminate and include both nodes.
 func TestReachableCycle(t *testing.T) {
-	st := core.New()
-	st.Add(1, 5, 2)
-	st.Add(2, 5, 1)
+	stb := core.NewBuilder(nil)
+	stb.Add(1, 5, 2)
+	stb.Add(2, 5, 1)
+	st := stb.Build()
 	e := NewEngine(st)
 	got := e.Reachable(1, 100).IDs()
 	if !reflect.DeepEqual(got, []ID{1, 2}) {

@@ -133,10 +133,7 @@ func (e *Engine) Selectivity(pat Pattern) int {
 		}
 		return n
 	}
-	// One locked index computation: planners run concurrently with
-	// updates, so the estimate must not read through accessors whose
-	// results alias store internals (Head/Objects are only valid until
-	// the next mutation).
+	// One index computation, no scan.
 	return st.PatternCardinality(pat.S, pat.P, pat.O)
 }
 

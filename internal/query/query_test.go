@@ -13,14 +13,15 @@ import (
 //	2 -p10→ 100, 2 -p12→ 101
 //	3 -p11→ 100
 func buildGraph() *core.Store {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for _, tr := range [][3]ID{
 		{1, 10, 100}, {1, 10, 101}, {1, 11, 102},
 		{2, 10, 100}, {2, 12, 101},
 		{3, 11, 100},
 	} {
-		st.Add(tr[0], tr[1], tr[2])
+		stb.Add(tr[0], tr[1], tr[2])
 	}
+	st := stb.Build()
 	return st
 }
 

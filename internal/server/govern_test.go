@@ -22,14 +22,15 @@ import (
 // governStore builds a store whose <takes> self-join is expensive
 // enough to outlive a short query timeout.
 func governStore(students, courses, deg int) *core.Store {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	takes := rdf.NewIRI("http://ex/takes")
 	for s := 0; s < students; s++ {
 		subj := rdf.NewIRI(fmt.Sprintf("http://ex/student%03d", s))
 		for d := 0; d < deg; d++ {
-			st.AddTriple(rdf.T(subj, takes, rdf.NewIRI(fmt.Sprintf("http://ex/course%02d", (s+d*7)%courses))))
+			stb.AddTriple(rdf.T(subj, takes, rdf.NewIRI(fmt.Sprintf("http://ex/course%02d", (s+d*7)%courses))))
 		}
 	}
+	st := stb.Build()
 	return st
 }
 

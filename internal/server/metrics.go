@@ -91,7 +91,7 @@ func (s *Server) registerIndexMetrics() {
 		return
 	}
 	s.reg.GaugeFunc("hex_index_bytes",
-		"Heap bytes of the packed index arenas (0 while the store is in the raw layout).",
+		"Heap bytes of the packed index arenas.",
 		func() float64 { return float64(s.memStore().ArenaStats().HeapBytes) })
 	s.reg.GaugeFunc("hex_index_dead_bytes",
 		"Arena bytes no head reaches anymore, awaiting a rewrite.",

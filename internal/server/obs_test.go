@@ -25,8 +25,9 @@ import (
 )
 
 func TestMetricsEndpoint(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	st := stb.Build()
 	srv := New(st)
 	srv.SetGovernor(govern.Config{MaxConcurrent: 4})
 	ts := httptest.NewServer(srv.Handler())
@@ -377,8 +378,9 @@ func TestExplainAnalyzeSharded(t *testing.T) {
 // TestSlowQueryLogIncludesSpans: with the slow-query log live, every
 // query is traced and a slow line names its most expensive spans.
 func TestSlowQueryLogIncludesSpans(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	st := stb.Build()
 	var mu sync.Mutex
 	var lines []string
 	srv := New(st)
@@ -456,8 +458,9 @@ func TestStatsGoldenShape(t *testing.T) {
 		got := statsKeys(t, ts.URL)
 		wantKeys(t, "memory", got, append(base,
 			"headers", "vectorEntries", "listEntries", "expansionFactor",
-			"indexSizeBytes", "indexBytes", "indexBytesPerTriple", "indexCompressed"))
-		rejectKeys(t, "memory", got, []string{"shards", "deltaAdds", "diskBytes", "govern"})
+			"indexSizeBytes", "indexBytes", "indexBytesPerTriple", "indexArenaBytes",
+			"deltaAdds", "deltaDels", "compactThreshold", "compactions", "mainTriples"))
+		rejectKeys(t, "memory", got, []string{"shards", "diskBytes", "govern", "walBytes"})
 	})
 
 	t.Run("disk", func(t *testing.T) {

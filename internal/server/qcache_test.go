@@ -35,11 +35,11 @@ func cacheServers(t *testing.T) map[string]*httptest.Server {
 		servers[name] = ts
 	}
 
-	mem := core.New()
+	memb := core.NewBuilder(nil)
 	for _, tr := range seed {
-		mem.AddTriple(tr)
+		memb.AddTriple(tr)
 	}
-	serve("memory", graph.Memory(mem))
+	serve("memory", New(memb.Build()).Graph())
 
 	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
 	if err != nil {
@@ -187,8 +187,9 @@ func TestResultCacheSurvivesCompactionHTTP(t *testing.T) {
 // a trace describing a real execution — repeated explain requests never
 // count result-cache hits — while plain repeats of the same query do.
 func TestExplainBypassesResultCacheHTTP(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	st := stb.Build()
 	ts := httptest.NewServer(New(st).Handler())
 	defer ts.Close()
 
@@ -221,8 +222,9 @@ func TestExplainBypassesResultCacheHTTP(t *testing.T) {
 // result-cache families, and the hit counters move after a repeated
 // query.
 func TestCacheMetricsExposed(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	st := stb.Build()
 	ts := httptest.NewServer(New(st).Handler())
 	defer ts.Close()
 

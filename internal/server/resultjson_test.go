@@ -60,16 +60,17 @@ var nastyValues = []string{
 }
 
 func nastyStore() *core.Store {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
 	for i, v := range nastyValues {
 		s := ex(fmt.Sprintf("s%02d", i))
-		st.AddTriple(rdf.T(s, ex("label"), rdf.NewLiteral(v)))
-		st.AddTriple(rdf.T(s, ex("kind"), ex(fmt.Sprintf("k%d", i%3))))
+		stb.AddTriple(rdf.T(s, ex("label"), rdf.NewLiteral(v)))
+		stb.AddTriple(rdf.T(s, ex("kind"), ex(fmt.Sprintf("k%d", i%3))))
 		if i%2 == 0 {
-			st.AddTriple(rdf.T(s, ex("alias"), rdf.NewBlank(fmt.Sprintf("b%d", i))))
+			stb.AddTriple(rdf.T(s, ex("alias"), rdf.NewBlank(fmt.Sprintf("b%d", i))))
 		}
 	}
+	st := stb.Build()
 	return st
 }
 
@@ -138,10 +139,11 @@ func TestResultsJSONMatchesOracle(t *testing.T) {
 // writer's destination in buffer-sized pieces, and the first failed
 // write ends the encoding.
 func TestResultsJSONFlushesAndStopsOnError(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for i := 0; i < 5000; i++ {
-		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/subject/%06d", i)), rdf.NewIRI("http://ex/p"), rdf.NewLiteral("v")))
+		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/subject/%06d", i)), rdf.NewIRI("http://ex/p"), rdf.NewLiteral("v")))
 	}
+	st := stb.Build()
 	res, err := sparql.Exec(graph.Memory(st), `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +194,9 @@ func FuzzResultsJSON(f *testing.F) {
 		if term.IsZero() {
 			t.Skip("the zero Term is the result's unbound marker")
 		}
-		st := core.New()
-		st.AddTriple(rdf.T(rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p"), term))
+		stb := core.NewBuilder(nil)
+		stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p"), term))
+		st := stb.Build()
 		res, err := sparql.Exec(graph.Memory(st), `SELECT ?o WHERE { <http://ex/s> <http://ex/p> ?o }`)
 		if err != nil || res.Len() != 1 {
 			t.Fatalf("rows=%d err=%v", res.Len(), err)
@@ -225,17 +228,18 @@ func FuzzResultsJSON(f *testing.F) {
 // every student has one advisor, every professor teaches coursesPerProf
 // courses.
 func joinStore(students, profs, coursesPerProf int) *core.Store {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	ex := func(kind string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/%s%05d", kind, i)) }
 	advisor, teaches := rdf.NewIRI("http://ex/advisor"), rdf.NewIRI("http://ex/teacherOf")
 	for p := 0; p < profs; p++ {
 		for c := 0; c < coursesPerProf; c++ {
-			st.AddTriple(rdf.T(ex("prof", p), teaches, ex("course", p*coursesPerProf+c)))
+			stb.AddTriple(rdf.T(ex("prof", p), teaches, ex("course", p*coursesPerProf+c)))
 		}
 	}
 	for s := 0; s < students; s++ {
-		st.AddTriple(rdf.T(ex("student", s), advisor, ex("prof", s%profs)))
+		stb.AddTriple(rdf.T(ex("student", s), advisor, ex("prof", s%profs)))
 	}
+	st := stb.Build()
 	return st
 }
 

@@ -32,9 +32,10 @@ import (
 // backend carries its own synchronization, the planner pointer is
 // guarded here, and mutating requests are serialized against query
 // evaluation (see reqMu) — unless the backend offers consistent
-// snapshots (graph.Snapshotter, the delta overlay), in which case
-// queries and updates run fully concurrently: each query pins one
-// immutable version and updates never block readers.
+// snapshots (graph.Snapshotter: the delta overlay, a sealed memory
+// store, a cluster), in which case queries and updates run fully
+// concurrently: each query pins one immutable version and updates never
+// block readers.
 type Server struct {
 	g graph.Graph
 
@@ -42,13 +43,14 @@ type Server struct {
 	// writer exclusion is unnecessary.
 	snapshots bool
 
-	// reqMu orders whole requests: queries share it, mutations take it
-	// exclusively. Query evaluation nests Match calls (the depth-first
-	// bind join re-enters the store's read lock per pattern step), so a
-	// store-level writer arriving between two nested read locks would
-	// deadlock reader and writer; excluding writers for the duration of
-	// a query removes that interleaving. Snapshot-capable backends skip
-	// this lock entirely.
+	// reqMu orders whole requests on the backends that mutate in place
+	// (disk, baseline): queries share it, mutations take it exclusively.
+	// Query evaluation nests Match calls (a fetch inside another's
+	// callback re-enters the disk store's read lock), so a store-level
+	// writer arriving between two nested read locks would deadlock reader
+	// and writer; excluding writers for the duration of a query removes
+	// that interleaving. Snapshot-capable backends skip this lock
+	// entirely.
 	reqMu sync.RWMutex
 
 	mu sync.RWMutex
@@ -107,8 +109,15 @@ type Server struct {
 	pprof        bool
 }
 
-// New returns a Server over the in-memory store st.
-func New(st *core.Store) *Server { return NewGraph(graph.Memory(st)) }
+// New returns a Server over the in-memory store st, behind a delta
+// overlay without a WAL: a sealed store takes writes only through one.
+func New(st *core.Store) *Server {
+	ov, err := delta.New(graph.Memory(st), delta.Options{})
+	if err != nil {
+		panic(err) // without a WAL, opening an overlay cannot fail
+	}
+	return NewGraph(ov)
+}
 
 // DefaultResultCacheBytes is the server's default result-cache budget.
 // Small enough to be invisible next to the indexes, large enough that a
@@ -224,23 +233,20 @@ func (s *Server) planner() *sparql.Planner {
 // refreshPlanner rebuilds statistics after mutations, in place: the
 // planner's Refresh bumps its stats epoch (invalidating memoized plans)
 // but keeps the cache structures and their hit/miss counters, so a
-// stats refresh never looks like a cache restart in /metrics. On
-// memory-backed graphs the rebuild reads index heads and is cheap, so
-// it always runs. On other backends it costs a full scan, so it is
-// skipped until the store has drifted ≥10% from the cached summary:
+// stats refresh never looks like a cache restart in /metrics. A store
+// that just took a write costs a full scan to summarize, so the rebuild
+// is skipped until the store has drifted ≥10% from the cached summary:
 // stale statistics only degrade pattern ordering, never result
 // correctness (and the result cache keys on the snapshot epoch, not on
 // statistics, so it invalidates on the write itself either way).
 func (s *Server) refreshPlanner() {
-	if _, ok := graph.Unwrap(s.g).(*core.Store); !ok {
-		built := s.planner().Stats().Triples
-		drift := s.g.Len() - built
-		if drift < 0 {
-			drift = -drift
-		}
-		if built > 0 && drift*10 < built {
-			return
-		}
+	built := s.planner().Stats().Triples
+	drift := s.g.Len() - built
+	if drift < 0 {
+		drift = -drift
+	}
+	if built > 0 && drift*10 < built {
+		return
 	}
 	s.planner().Refresh()
 }
@@ -469,10 +475,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// The in-memory Hexastore additionally reports its index layout,
 	// the §4.1 space-expansion factor, and the physical footprint of
-	// the block-compressed index layer: approximate heap bytes, bytes
-	// per triple, and the compression ratio against the raw layout's
-	// estimated cost for the same content; a compressed store also what
-	// its arenas hold, how much of that is dead, and in how many segments.
+	// the packed index: heap bytes, bytes per triple, the compression
+	// ratio against the paper's layout's estimated cost for the same
+	// content, what the arenas hold, how much of that is dead, and in how
+	// many segments.
 	if st := s.memStore(); st != nil {
 		stats := st.Stats()
 		out["headers"] = stats.Headers
@@ -483,15 +489,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		is := st.IndexStats()
 		out["indexBytes"] = is.Bytes
 		out["indexBytesPerTriple"] = is.BytesPerTriple()
-		out["indexCompressed"] = is.Compressed
-		if is.Compressed {
-			as := st.ArenaStats()
-			out["indexArenaBytes"] = as.Bytes
-			out["indexDeadBytes"] = as.DeadBytes
-			out["indexSegments"] = as.Segments
-			if is.Bytes > 0 {
-				out["compressionRatio"] = float64(core.EstimateRawIndexBytes(stats)) / float64(is.Bytes)
-			}
+		as := st.ArenaStats()
+		out["indexArenaBytes"] = as.Bytes
+		out["indexDeadBytes"] = as.DeadBytes
+		out["indexSegments"] = as.Segments
+		if is.Bytes > 0 {
+			out["compressionRatio"] = float64(core.EstimateRawIndexBytes(stats)) / float64(is.Bytes)
 		}
 	}
 	// The disk backend reports its on-disk footprint (pagefile plus

@@ -25,12 +25,12 @@ func updateBackends(t *testing.T) map[string]*httptest.Server {
 	}
 	t.Cleanup(func() { ds.Close() })
 	out := make(map[string]*httptest.Server)
-	for name, g := range map[string]graph.Graph{
-		"memory":   graph.Memory(core.New()),
-		"disk":     graph.Disk(ds),
-		"baseline": graph.Baseline(triplestore.New(nil)),
+	for name, srv := range map[string]*Server{
+		"memory":   New(core.New()),
+		"disk":     NewGraph(graph.Disk(ds)),
+		"baseline": NewGraph(graph.Baseline(triplestore.New(nil))),
 	} {
-		ts := httptest.NewServer(NewGraph(g).Handler())
+		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		out[name] = ts
 	}
@@ -124,10 +124,11 @@ func TestUpdateSyntaxErrorRejected(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesAndUpdates hammers one server with parallel
-// SELECTs and UPDATEs. Queries nest store read locks per join step, so
-// without request-level writer exclusion a concurrent writer deadlocks
-// the store; this test (run with -race in CI) guards that path.
+// TestConcurrentQueriesAndUpdates hammers one disk-backed server with
+// parallel SELECTs and UPDATEs. Queries nest the disk store's read locks
+// per join step, so without request-level writer exclusion a concurrent
+// writer deadlocks the store; this test (run with -race in CI) guards
+// that path.
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
 	if err != nil {

@@ -60,8 +60,8 @@ func (cv *ctxView) Len() int                           { return cv.v.Len() }
 // an immutable pin.
 func (cv *ctxView) Snapshot() graph.Graph { return cv }
 
-func (cv *ctxView) Add(s, p, o ID) (bool, error)    { return false, ErrReadOnly }
-func (cv *ctxView) Remove(s, p, o ID) (bool, error) { return false, ErrReadOnly }
+func (cv *ctxView) Add(s, p, o ID) (bool, error)    { return false, graph.ErrReadOnly }
+func (cv *ctxView) Remove(s, p, o ID) (bool, error) { return false, graph.ErrReadOnly }
 
 func (cv *ctxView) Has(s, p, o ID) (bool, error) {
 	if err := cv.ctx.Err(); err != nil {

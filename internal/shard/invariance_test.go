@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hexastore/internal/core"
+	"hexastore/internal/delta"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 	"hexastore/internal/shard"
@@ -42,7 +43,11 @@ func canon(res *sparql.Result) string {
 // shards=1/2/8 on the requested backend, all loaded identically.
 func invarianceBackends(t *testing.T, onDisk bool, triples []rdf.Triple) map[string]graph.Graph {
 	t.Helper()
-	gs := map[string]graph.Graph{"single": graph.Memory(core.New())}
+	single, err := delta.New(graph.Memory(core.New()), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := map[string]graph.Graph{"single": single}
 	for _, n := range []int{1, 2, 8} {
 		cfg := shard.Config{Shards: n}
 		if onDisk {

@@ -30,9 +30,8 @@ type Config struct {
 	WALPath string
 	// CompactThreshold is passed to each shard's delta overlay.
 	CompactThreshold int
-	// Uncompressed disables block-compressed index layouts for the initial
-	// build, snapshot restores and disk leaves (a shard overlay's
-	// compaction always leaves a packed memory main).
+	// Uncompressed writes disk shards' B+-tree leaves as fixed-width
+	// records instead of delta-packed ones. Memory shards have one layout.
 	Uncompressed bool
 	// Workers bounds load parallelism; <= 0 means GOMAXPROCS.
 	Workers int
@@ -153,7 +152,7 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 func openMemoryShard(cfg Config, dict *dictionary.Dictionary, load [][3]ID, i, workers int) (*core.Store, bool, error) {
 	if cfg.WALPath != "" {
 		snapPath := ShardWALPath(cfg.WALPath, i) + ".snapshot"
-		st, ok, err := delta.RestoreSnapshotSharedFS(cfg.FS, snapPath, dict, !cfg.Uncompressed)
+		st, ok, err := delta.RestoreSnapshotSharedFS(cfg.FS, snapPath, dict)
 		if err != nil {
 			return nil, false, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -170,7 +169,6 @@ func openMemoryShard(cfg Config, dict *dictionary.Dictionary, load [][3]ID, i, w
 	}
 	if len(load) > 0 {
 		b := core.NewBuilder(dict)
-		b.SetCompression(!cfg.Uncompressed)
 		b.AddAll(load)
 		return b.BuildParallel(workers), true, nil
 	}

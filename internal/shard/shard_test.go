@@ -12,6 +12,7 @@ import (
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 	"hexastore/internal/shard"
+	"hexastore/internal/triplestore"
 )
 
 type ID = dictionary.ID
@@ -95,7 +96,10 @@ func decode(t *testing.T, g graph.Graph, triples [][3]ID) []string {
 // 8-shard cluster and a single store and requires identical results.
 func TestClusterMatchesReference(t *testing.T) {
 	ts := randomTriples(800)
-	ref := graph.Memory(core.New())
+	ref, err := delta.New(graph.Memory(core.New()), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	load(t, ref, ts)
 	c := memCluster(t, 8)
 	load(t, c, ts)
@@ -321,8 +325,8 @@ func TestNewEnforcesSharedDictionary(t *testing.T) {
 	if _, err := shard.New(dict, []graph.Graph{mk(dict), mk(dict)}); err != nil {
 		t.Fatalf("New rejected a well-formed cluster: %v", err)
 	}
-	// A raw store without snapshot pinning is rejected too.
-	if _, err := shard.New(dict, []graph.Graph{graph.Memory(core.NewShared(dict))}); err == nil {
+	// A store without snapshot pinning is rejected too.
+	if _, err := shard.New(dict, []graph.Graph{graph.Baseline(triplestore.New(dict))}); err == nil {
 		t.Fatal("New accepted a shard without snapshot support")
 	}
 }

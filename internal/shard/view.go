@@ -11,9 +11,6 @@ import (
 	"hexastore/internal/graph"
 )
 
-// ErrReadOnly is returned by mutations on a pinned cluster view.
-var ErrReadOnly = errors.New("shard: snapshot view is read-only")
-
 // view is a pinned cross-shard snapshot: one immutable delta-overlay
 // state per shard, all captured under the shared side of the cluster's
 // batch lock. It implements graph.Graph and graph.SortedSource, so the
@@ -56,8 +53,8 @@ func (v *view) Epoch() string {
 	return b.String()
 }
 
-func (v *view) Add(s, p, o ID) (bool, error)    { return false, ErrReadOnly }
-func (v *view) Remove(s, p, o ID) (bool, error) { return false, ErrReadOnly }
+func (v *view) Add(s, p, o ID) (bool, error)    { return false, graph.ErrReadOnly }
+func (v *view) Remove(s, p, o ID) (bool, error) { return false, graph.ErrReadOnly }
 
 func (v *view) Len() int {
 	n := 0

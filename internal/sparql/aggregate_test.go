@@ -13,10 +13,10 @@ import (
 // with the Type property dominating.
 func catalogStore(t *testing.T) graph.Graph {
 	t.Helper()
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	typeIRI := rdf.NewIRI("http://ex/Type")
 	add := func(s, o string) {
-		st.AddTriple(rdf.T(rdf.NewIRI("http://ex/"+s), typeIRI, rdf.NewIRI("http://ex/"+o)))
+		stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/"+s), typeIRI, rdf.NewIRI("http://ex/"+o)))
 	}
 	// 5 Texts, 3 Dates, 1 Person.
 	for i := 0; i < 5; i++ {
@@ -27,7 +27,8 @@ func catalogStore(t *testing.T) graph.Graph {
 	}
 	add("p0", "Person")
 	// Extra properties to ensure grouping only sees Type triples.
-	st.AddTriple(rdf.T(rdf.NewIRI("http://ex/t0"), rdf.NewIRI("http://ex/lang"), rdf.NewLiteral("French")))
+	stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/t0"), rdf.NewIRI("http://ex/lang"), rdf.NewLiteral("French")))
+	st := stb.Build()
 	return graph.Memory(st)
 }
 
@@ -130,13 +131,14 @@ func TestCountOptionalSkipsUnbound(t *testing.T) {
 }
 
 func TestGroupByMultipleKeys(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	p1, p2 := rdf.NewIRI("p1"), rdf.NewIRI("p2")
 	for i := 0; i < 6; i++ {
 		s := rdf.NewIRI("s" + strconv.Itoa(i%2)) // two subjects
-		st.AddTriple(rdf.T(s, p1, rdf.NewIRI("o"+strconv.Itoa(i))))
-		st.AddTriple(rdf.T(s, p2, rdf.NewIRI("x")))
+		stb.AddTriple(rdf.T(s, p1, rdf.NewIRI("o"+strconv.Itoa(i))))
+		stb.AddTriple(rdf.T(s, p2, rdf.NewIRI("x")))
 	}
+	st := stb.Build()
 	res, err := Exec(graph.Memory(st), `
 		SELECT ?s ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o }
 		GROUP BY ?s ?p ORDER BY ?s ?p`)

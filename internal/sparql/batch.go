@@ -25,7 +25,8 @@ package sparql
 // The join is a pipeline over chunks. The steps up to the first one that
 // binds a variable run once and leave the seed table, materialised in
 // full (a probe made from inside a fetch callback would re-enter the
-// store's read lock, so the seed is never streamed). The seed is then cut
+// disk store's read lock, so the seed is never streamed; the sealed
+// memory store has no lock, but shares the path). The seed is then cut
 // into chunks of chunkRows rows, and each chunk runs through the
 // remaining steps, the staged FILTERs and emission before the next one
 // starts: the binding table at any moment is one chunk and what it fans
@@ -834,8 +835,7 @@ func (bx *batchExec) candidates(sp *stepPlan, r, limit int) (a, b []core.ID, err
 
 // fetchOne appends the candidate values of the single free position for
 // row r into dst and returns the extended slice — one sorted-list copy
-// under the store's lock with a SortedSource, a Match collection
-// otherwise. Both backends' sorted accessors and Match are safe for
+// with a SortedSource, a Match collection otherwise. Both backends' sorted accessors and Match are safe for
 // concurrent readers, and everything else it touches is the executor's.
 func (bx *batchExec) fetchOne(sp *stepPlan, r int, dst []core.ID) ([]core.ID, error) {
 	s, p, o := bx.subst(sp, 0, r), bx.subst(sp, 1, r), bx.subst(sp, 2, r)

@@ -17,15 +17,16 @@ import (
 // (memory implements SortedSource) can be checked against the
 // bind-probe fallback (baseline does not).
 func loadPair(triples [][3]string) (mem, base graph.Graph) {
-	st := core.New()
-	ts := triplestore.New(st.Dictionary())
+	stb := core.NewBuilder(nil)
+	ts := triplestore.New(stb.Dictionary())
 	for _, t := range triples {
-		s := st.Dictionary().Encode(newIRI(t[0]))
-		p := st.Dictionary().Encode(newIRI(t[1]))
-		o := st.Dictionary().Encode(newIRI(t[2]))
-		st.Add(s, p, o)
+		s := stb.Dictionary().Encode(newIRI(t[0]))
+		p := stb.Dictionary().Encode(newIRI(t[1]))
+		o := stb.Dictionary().Encode(newIRI(t[2]))
+		stb.Add(s, p, o)
 		ts.Add(s, p, o)
 	}
+	st := stb.Build()
 	return graph.Memory(st), graph.Baseline(ts)
 }
 
@@ -223,13 +224,14 @@ func TestBatchRandomDifferential(t *testing.T) {
 // where this asserts 2·seed + chunk + limit.)
 func testLimitIDsExamined(t *testing.T) {
 	const seed, limit = 5000, 4
-	st := core.New()
-	enc := func(l string) core.ID { return st.Dictionary().Encode(cx(l)) }
+	stb := core.NewBuilder(nil)
+	enc := func(l string) core.ID { return stb.Dictionary().Encode(cx(l)) }
 	for i := 0; i < seed; i++ {
-		st.Add(enc(fmt.Sprintf("a%04d", i)), enc("p"), enc(fmt.Sprintf("b%04d", i)))
-		st.Add(enc(fmt.Sprintf("b%04d", i)), enc("q"), enc(fmt.Sprintf("c%04d", i)))
-		st.Add(enc(fmt.Sprintf("c%04d", i)), enc("r"), enc(fmt.Sprintf("d%04d", i)))
+		stb.Add(enc(fmt.Sprintf("a%04d", i)), enc("p"), enc(fmt.Sprintf("b%04d", i)))
+		stb.Add(enc(fmt.Sprintf("b%04d", i)), enc("q"), enc(fmt.Sprintf("c%04d", i)))
+		stb.Add(enc(fmt.Sprintf("c%04d", i)), enc("r"), enc(fmt.Sprintf("d%04d", i)))
 	}
+	st := stb.Build()
 	mem := graph.Memory(st)
 	ss, _ := graph.AsSortedSource(mem)
 	q, err := Parse(fmt.Sprintf(`SELECT ?a ?d WHERE { ?a <http://c/p> ?b . ?b <http://c/q> ?c . ?c <http://c/r> ?d } LIMIT %d`, limit))

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hexastore/internal/core"
 	"hexastore/internal/delta"
 	"hexastore/internal/disk"
 	"hexastore/internal/govern"
@@ -70,13 +69,13 @@ func chunkBackends(t *testing.T, ts []rdf.Triple) (backends map[string]graph.Gra
 		}
 		return g
 	}
-	ov, err := delta.Open(load(graph.Memory(core.New()), ts[:len(ts)/2]), delta.Options{CompactThreshold: -1})
+	ov, err := delta.Open(buildMemory(ts[:len(ts)/2]), delta.Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ov.Close() })
 	backends = map[string]graph.Graph{
-		"memory":  load(graph.Memory(core.New()), ts),
+		"memory":  buildMemory(ts),
 		"disk":    load(graph.Disk(ds), ts),
 		"overlay": load(ov, ts[len(ts)/2:]),
 	}
@@ -195,12 +194,7 @@ func TestChunkSkewedFanOut(t *testing.T) {
 			}
 		}
 	}
-	g := graph.Memory(core.New())
-	for _, tr := range ts {
-		if _, err := graph.AddTriple(g, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildMemory(ts)
 	q, err := Parse(`SELECT ?a ?c WHERE { ?a <http://c/p> ?b . ?b <http://c/q> ?c }`)
 	if err != nil {
 		t.Fatal(err)

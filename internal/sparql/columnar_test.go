@@ -17,11 +17,12 @@ import (
 // valueStore holds n subjects, each with one <http://ex/v> value drawn
 // round-robin from vals.
 func valueStore(n int, vals []string) graph.Graph {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	v := rdf.NewIRI("http://ex/v")
 	for i := 0; i < n; i++ {
-		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%06d", i)), v, rdf.NewLiteral(vals[i%len(vals)])))
+		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%06d", i)), v, rdf.NewLiteral(vals[i%len(vals)])))
 	}
+	st := stb.Build()
 	return graph.Memory(st)
 }
 
@@ -128,16 +129,17 @@ func TestCompareRenderedMatchesString(t *testing.T) {
 // numeric keys, unbound OPTIONAL keys, DISTINCT and OFFSET included.
 func TestOrderByLimitMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
 	for i := 0; i < 400; i++ {
 		s := ex(fmt.Sprintf("s%03d", i))
-		st.AddTriple(rdf.T(s, ex("group"), rdf.NewLiteral(fmt.Sprint(rng.Intn(12)))))
-		st.AddTriple(rdf.T(s, ex("tag"), ex(fmt.Sprintf("t%d", rng.Intn(5)))))
+		stb.AddTriple(rdf.T(s, ex("group"), rdf.NewLiteral(fmt.Sprint(rng.Intn(12)))))
+		stb.AddTriple(rdf.T(s, ex("tag"), ex(fmt.Sprintf("t%d", rng.Intn(5)))))
 		if rng.Intn(3) > 0 {
-			st.AddTriple(rdf.T(s, ex("nick"), rdf.NewLiteral(fmt.Sprintf("n%02d", rng.Intn(30)))))
+			stb.AddTriple(rdf.T(s, ex("nick"), rdf.NewLiteral(fmt.Sprintf("n%02d", rng.Intn(30)))))
 		}
 	}
+	st := stb.Build()
 	g := graph.Memory(st)
 	shapes := []string{
 		`SELECT ?s ?g WHERE { ?s <http://ex/group> ?g } ORDER BY ?g`,

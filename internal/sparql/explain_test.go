@@ -246,12 +246,13 @@ func TestTraceDifferential(t *testing.T) {
 // on or off.
 func TestExplainAnalyzeChunks(t *testing.T) {
 	setChunkRows(t, 2)
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for i := 0; i < 5; i++ {
 		s := iri(fmt.Sprintf("s%d", i))
-		st.AddTriple(rdf.T(s, iri("type"), iri("T")))
-		st.AddTriple(rdf.T(s, iri("val"), iri(fmt.Sprintf("v%d", i))))
+		stb.AddTriple(rdf.T(s, iri("type"), iri("T")))
+		stb.AddTriple(rdf.T(s, iri("val"), iri(fmt.Sprintf("v%d", i))))
 	}
+	st := stb.Build()
 	g := graph.Memory(st)
 	q, err := Parse(`SELECT ?s ?v WHERE { ?s <type> <T> . ?s <val> ?v }`)
 	if err != nil {

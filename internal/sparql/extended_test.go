@@ -13,9 +13,9 @@ import (
 // UNION / ORDER BY semantics.
 func familyStore(t *testing.T) graph.Graph {
 	t.Helper()
-	st := core.New()
+	b := core.NewBuilder(nil)
 	add := func(s, p, o rdf.Term) {
-		if _, _, _, ok := st.AddTriple(rdf.T(s, p, o)); !ok {
+		if !b.AddTriple(rdf.T(s, p, o)) {
 			t.Fatalf("AddTriple(%v %v %v) failed", s, p, o)
 		}
 	}
@@ -32,7 +32,7 @@ func familyStore(t *testing.T) graph.Graph {
 	add(ex("alice"), rdf.NewIRI(rdfTypeIRI), ex("Person"))
 	add(ex("bob"), rdf.NewIRI(rdfTypeIRI), ex("Person"))
 	add(ex("carol"), rdf.NewIRI(rdfTypeIRI), ex("Robot"))
-	return graph.Memory(st)
+	return graph.Memory(b.Build())
 }
 
 func names(res *Result, v string) []string {

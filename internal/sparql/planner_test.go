@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hexastore/internal/core"
+	"hexastore/internal/delta"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 	"hexastore/internal/stats"
@@ -14,19 +15,20 @@ import (
 // skewedStore builds a dataset where the cost-based planner's choice
 // matters: a very common predicate and a very rare one sharing subjects.
 func skewedStore(t testing.TB) graph.Graph {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	rng := rand.New(rand.NewSource(8))
 	common := rdf.NewIRI("common")
 	rare := rdf.NewIRI("rare")
 	for i := 0; i < 5000; i++ {
 		s := rdf.NewIRI(fmt.Sprintf("s%d", rng.Intn(1000)))
 		o := rdf.NewIRI(fmt.Sprintf("o%d", rng.Intn(1000)))
-		st.AddTriple(rdf.T(s, common, o))
+		stb.AddTriple(rdf.T(s, common, o))
 	}
 	for i := 0; i < 20; i++ {
 		s := rdf.NewIRI(fmt.Sprintf("s%d", i))
-		st.AddTriple(rdf.T(s, rare, rdf.NewLiteral("x")))
+		stb.AddTriple(rdf.T(s, rare, rdf.NewLiteral("x")))
 	}
+	st := stb.Build()
 	return graph.Memory(st)
 }
 
@@ -122,13 +124,19 @@ func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 }
 
 func TestPlannerRefresh(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("p"), rdf.NewIRI("b")))
-	pl := NewPlanner(graph.Memory(st))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("p"), rdf.NewIRI("b")))
+	ov, err := delta.New(graph.Memory(stb.Build()), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(ov)
 	if pl.Stats().Triples != 1 {
 		t.Fatalf("Triples = %d, want 1", pl.Stats().Triples)
 	}
-	st.AddTriple(rdf.T(rdf.NewIRI("c"), rdf.NewIRI("p"), rdf.NewIRI("d")))
+	if _, err := graph.AddTriple(ov, rdf.T(rdf.NewIRI("c"), rdf.NewIRI("p"), rdf.NewIRI("d"))); err != nil {
+		t.Fatal(err)
+	}
 	pl.Refresh()
 	if pl.Stats().Triples != 2 {
 		t.Fatalf("after Refresh Triples = %d, want 2", pl.Stats().Triples)

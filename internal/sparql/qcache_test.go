@@ -249,21 +249,22 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 func TestPlanCacheSharedShapeDifferentConstants(t *testing.T) {
 	p := rdf.NewIRI("http://ex/p")
 	q := rdf.NewIRI("http://ex/q")
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	// Constant <hot> matches many subjects via p, few via q;
 	// <cold> is the reverse — the optimal order differs per constant.
 	for i := 0; i < 200; i++ {
-		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), p, rdf.NewIRI("http://ex/hot")))
+		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), p, rdf.NewIRI("http://ex/hot")))
 	}
 	for i := 0; i < 5; i++ {
-		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), q, rdf.NewIRI("http://ex/hot")))
+		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), q, rdf.NewIRI("http://ex/hot")))
 	}
 	for i := 0; i < 5; i++ {
-		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), p, rdf.NewIRI("http://ex/cold")))
+		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), p, rdf.NewIRI("http://ex/cold")))
 	}
 	for i := 0; i < 200; i++ {
-		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), q, rdf.NewIRI("http://ex/cold")))
+		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/s%03d", i)), q, rdf.NewIRI("http://ex/cold")))
 	}
+	st := stb.Build()
 	g := graph.Memory(st)
 	pl := NewPlanner(g)
 	bare := NewPlanner(g)
@@ -350,8 +351,9 @@ func TestResultCacheInvalidationAcrossPublishAndCompaction(t *testing.T) {
 // TestExplainBypassesResultCache: EXPLAIN ANALYZE and NoResultCache
 // evaluations never serve cached rows nor fill the cache.
 func TestExplainBypassesResultCache(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b")))
+	st := stb.Build()
 	pl := NewPlanner(graph.Memory(st))
 	pl.SetResultCacheBytes(1 << 20)
 

@@ -6,9 +6,30 @@ import (
 	"testing"
 
 	"hexastore/internal/core"
+	"hexastore/internal/delta"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 )
+
+// buildMemory bulk-builds ts into a sealed memory graph.
+func buildMemory(ts []rdf.Triple) graph.Graph {
+	b := core.NewBuilder(nil)
+	for _, tr := range ts {
+		b.AddTriple(tr)
+	}
+	return graph.Memory(b.Build())
+}
+
+// liveMemory returns a writable memory graph over main: a delta overlay
+// without a WAL.
+func liveMemory(t testing.TB, main graph.Graph) *delta.Overlay {
+	t.Helper()
+	ov, err := delta.New(main, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov
+}
 
 func TestParseBasic(t *testing.T) {
 	q, err := Parse(`SELECT ?x ?y WHERE { ?x <knows> ?y . ?y <age> "42" }`)
@@ -88,7 +109,7 @@ func iri(s string) rdf.Term { return rdf.NewIRI(s) }
 // academicStore loads the Figure 1 sample data from the paper.
 func academicStore(t *testing.T) graph.Graph {
 	t.Helper()
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	facts := [][3]string{
 		{"ID1", "type", "FullProfessor"},
 		{"ID1", "teacherOf", "AI"},
@@ -111,8 +132,9 @@ func academicStore(t *testing.T) graph.Graph {
 		{"ID4", "bachelorsFrom", "Columbia"},
 	}
 	for _, f := range facts {
-		st.AddTriple(rdf.T(iri(f[0]), iri(f[1]), iri(f[2])))
+		stb.AddTriple(rdf.T(iri(f[0]), iri(f[1]), iri(f[2])))
 	}
+	st := stb.Build()
 	return graph.Memory(st)
 }
 
@@ -192,9 +214,10 @@ func TestEvalUnknownConstant(t *testing.T) {
 }
 
 func TestEvalRepeatedVariableInPattern(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(iri("a"), iri("loves"), iri("a")))
-	st.AddTriple(rdf.T(iri("a"), iri("loves"), iri("b")))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(iri("a"), iri("loves"), iri("a")))
+	stb.AddTriple(rdf.T(iri("a"), iri("loves"), iri("b")))
+	st := stb.Build()
 	res, err := Exec(graph.Memory(st), `SELECT ?x WHERE { ?x <loves> ?x }`)
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +228,10 @@ func TestEvalRepeatedVariableInPattern(t *testing.T) {
 }
 
 func TestEvalCartesianProduct(t *testing.T) {
-	st := core.New()
-	st.AddTriple(rdf.T(iri("a"), iri("p"), iri("b")))
-	st.AddTriple(rdf.T(iri("c"), iri("q"), iri("d")))
+	stb := core.NewBuilder(nil)
+	stb.AddTriple(rdf.T(iri("a"), iri("p"), iri("b")))
+	stb.AddTriple(rdf.T(iri("c"), iri("q"), iri("d")))
+	st := stb.Build()
 	res, err := Exec(graph.Memory(st), `SELECT ?x ?y WHERE { ?x <p> ?o1 . ?y <q> ?o2 }`)
 	if err != nil {
 		t.Fatal(err)

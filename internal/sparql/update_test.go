@@ -83,7 +83,7 @@ func TestParseUpdateErrors(t *testing.T) {
 }
 
 func TestExecUpdateRoundTrip(t *testing.T) {
-	g := graph.Memory(core.New())
+	g := liveMemory(t, graph.Memory(core.New()))
 	res, err := ExecUpdate(g, `
 		PREFIX ex: <http://ex/>
 		INSERT DATA { ex:a ex:p ex:b . ex:a ex:p ex:c }`)
@@ -129,7 +129,7 @@ func TestExecUpdateRoundTrip(t *testing.T) {
 func TestEvalUpdateOrderWithinRequest(t *testing.T) {
 	// Insert then delete of the same triple in one request leaves it
 	// absent: operations apply in order.
-	g := graph.Memory(core.New())
+	g := liveMemory(t, graph.Memory(core.New()))
 	res, err := ExecUpdate(g, `
 		PREFIX ex: <http://ex/>
 		INSERT DATA { ex:x ex:p ex:y } ;

@@ -16,7 +16,6 @@ import (
 	"hexastore/internal/core"
 	"hexastore/internal/dictionary"
 	"hexastore/internal/graph"
-	"hexastore/internal/idlist"
 )
 
 // ID re-exports the dictionary id type.
@@ -46,10 +45,11 @@ type Summary struct {
 }
 
 // Build collects a Summary from st. Cost is proportional to the number
-// of distinct (head, key) pairs in the pso, pos, spo and osp indices,
-// which is at most the number of triples and usually far smaller.
+// of distinct heads in the pso, osp and spo indices: every count is a
+// vector's running total, read without walking its entries.
 func Build(st *core.Store) *Summary {
 	s := &Summary{
+		Triples:       st.Len(),
 		DistinctS:     st.Heads(core.SPO),
 		DistinctP:     st.Heads(core.PSO),
 		DistinctO:     st.Heads(core.OSP),
@@ -60,41 +60,25 @@ func Build(st *core.Store) *Summary {
 		SubjCount:     make(map[ID]int),
 	}
 	for _, p := range st.HeadIDs(core.PSO) {
-		vec := st.Head(core.PSO, p)
-		s.PredDistinctS[p] = vec.Len()
-		n := 0
-		vec.RangeViews(func(_ ID, list idlist.View) bool {
-			n += list.Len()
-			return true
-		})
-		s.PredCount[p] = n
-		s.Triples += n
+		s.PredCount[p] = st.PatternCardinality(None, p, None)
+		s.PredDistinctS[p] = st.Head(core.PSO, p).Len()
 		s.PredDistinctO[p] = st.Head(core.POS, p).Len()
 	}
 	for _, o := range st.HeadIDs(core.OSP) {
-		n := 0
-		st.Head(core.OSP, o).RangeViews(func(_ ID, list idlist.View) bool {
-			n += list.Len()
-			return true
-		})
-		s.ObjCount[o] = n
+		s.ObjCount[o] = st.PatternCardinality(None, None, o)
 	}
 	for _, subj := range st.HeadIDs(core.SPO) {
-		n := 0
-		st.Head(core.SPO, subj).RangeViews(func(_ ID, list idlist.View) bool {
-			n += list.Len()
-			return true
-		})
-		s.SubjCount[subj] = n
+		s.SubjCount[subj] = st.PatternCardinality(subj, None, None)
 	}
 	return s
 }
 
-// BuildGraph collects a Summary from any Graph backend with one full
-// scan of its triples. Backends wrapping a core.Store should prefer
-// Build, which reads the counts off the index heads without touching
-// the triples themselves.
+// BuildGraph collects a Summary from a snapshot of any Graph backend:
+// with Build when the snapshot is a core.Store — a sealed memory graph,
+// or a delta overlay with nothing pending — which reads the counts off
+// the index heads, otherwise with one full scan of its triples.
 func BuildGraph(g graph.Graph) (*Summary, error) {
+	g = graph.Snapshot(g)
 	if st, ok := graph.Unwrap(g).(*core.Store); ok {
 		return Build(st), nil
 	}

@@ -15,18 +15,19 @@ import (
 //	predicate 3: 5 triples, 5 subjects, 5 objects (sparse 1:1)
 func buildStore(t *testing.T) *core.Store {
 	t.Helper()
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	for s := ID(1); s <= 10; s++ {
 		for o := ID(101); o <= 110; o++ {
-			st.Add(s, 1, o)
+			stb.Add(s, 1, o)
 		}
 	}
 	for s := ID(11); s <= 30; s++ {
-		st.Add(s, 2, 200)
+		stb.Add(s, 2, 200)
 	}
 	for i := ID(0); i < 5; i++ {
-		st.Add(31+i, 3, 301+i)
+		stb.Add(31+i, 3, 301+i)
 	}
+	st := stb.Build()
 	return st
 }
 
@@ -134,15 +135,16 @@ func TestEstimateEmptyStore(t *testing.T) {
 // relies on: the relative order of estimates matches the relative order
 // of true cardinalities for patterns of the same shape.
 func TestEstimateOrdersSelectivityCorrectly(t *testing.T) {
-	st := core.New()
+	stb := core.NewBuilder(nil)
 	rng := rand.New(rand.NewSource(1))
 	// Predicate 1 is 50× more frequent than predicate 2.
 	for i := 0; i < 5000; i++ {
-		st.Add(ID(rng.Intn(500)+1), 1, ID(rng.Intn(500)+1001))
+		stb.Add(ID(rng.Intn(500)+1), 1, ID(rng.Intn(500)+1001))
 	}
 	for i := 0; i < 100; i++ {
-		st.Add(ID(rng.Intn(500)+1), 2, ID(rng.Intn(10)+2001))
+		stb.Add(ID(rng.Intn(500)+1), 2, ID(rng.Intn(10)+2001))
 	}
+	st := stb.Build()
 	sum := Build(st)
 	if sum.EstimatePattern(None, 2, None) >= sum.EstimatePattern(None, 1, None) {
 		t.Fatal("rare predicate estimated no cheaper than common one")

@@ -98,11 +98,11 @@ func TestAllStoresAgreeUnderRandomWorkload(t *testing.T) {
 			}
 		}
 	}
-	// The disk adapter must not have swallowed any I/O error.
+	// No adapter may have swallowed an error.
 	for _, st := range stores {
-		if d, ok := st.(*diskStore); ok {
+		if d, ok := st.(interface{ Err() error }); ok {
 			if err := d.Err(); err != nil {
-				t.Fatalf("disk store error: %v", err)
+				t.Fatalf("%s store error: %v", st.Name(), err)
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func TestParallelBulkLoadersAgree(t *testing.T) {
 		for _, tr := range triples {
 			b.Add(tr[0], tr[1], tr[2])
 		}
-		stores = append(stores, &coreStore{st: b.BuildParallel(workers)})
+		stores = append(stores, overCore(b.BuildParallel(workers)))
 
 		ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 128})
 		if err != nil {
@@ -64,7 +64,7 @@ func TestParallelBulkLoadersAgree(t *testing.T) {
 		if st.Len() != ref.Len() {
 			t.Fatalf("store %d (%s): Len = %d, reference %d", i, st.Name(), st.Len(), ref.Len())
 		}
-		if d, ok := st.(*diskStore); ok {
+		if d, ok := st.(interface{ Err() error }); ok {
 			if err := d.Err(); err != nil {
 				t.Fatalf("%s: %v", fmt.Sprintf("store %d", i), err)
 			}

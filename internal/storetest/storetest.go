@@ -15,8 +15,10 @@ import (
 	"sort"
 
 	"hexastore/internal/core"
+	"hexastore/internal/delta"
 	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
+	"hexastore/internal/graph"
 	"hexastore/internal/idlist"
 	"hexastore/internal/kowari"
 	"hexastore/internal/triplestore"
@@ -43,19 +45,53 @@ type Store interface {
 	Len() int
 }
 
-// coreStore adapts core.Store.
-type coreStore struct{ st *core.Store }
+// coreStore adapts the in-memory Hexastore the one way it takes writes:
+// a delta overlay over an empty sealed core.Store. A small compaction
+// threshold makes the overlay fold its delta into new stores with
+// core.Store.Patch while the workload runs. Overlay errors (it has no
+// WAL, so none are expected) are kept for Err.
+type coreStore struct {
+	ov  *delta.Overlay
+	err error
+}
 
 // NewCore wraps a fresh in-memory Hexastore.
-func NewCore() Store { return &coreStore{st: core.New()} }
+func NewCore() Store { return overCore(core.New()) }
 
-func (c *coreStore) Name() string           { return "hexastore" }
-func (c *coreStore) Add(s, p, o ID) bool    { return c.st.Add(s, p, o) }
-func (c *coreStore) Remove(s, p, o ID) bool { return c.st.Remove(s, p, o) }
-func (c *coreStore) Len() int               { return c.st.Len() }
-func (c *coreStore) Match(s, p, o ID, fn func(s, p, o ID) bool) {
-	c.st.Match(s, p, o, fn)
+// overCore wraps st in the overlay.
+func overCore(st *core.Store) *coreStore {
+	ov, err := delta.New(graph.Memory(st), delta.Options{CompactThreshold: 64})
+	return &coreStore{ov: ov, err: err}
 }
+
+func (c *coreStore) Name() string { return "hexastore" }
+
+func (c *coreStore) Add(s, p, o ID) bool {
+	ok, err := c.ov.Add(s, p, o)
+	c.keep(err)
+	return ok
+}
+
+func (c *coreStore) Remove(s, p, o ID) bool {
+	ok, err := c.ov.Remove(s, p, o)
+	c.keep(err)
+	return ok
+}
+
+func (c *coreStore) Len() int { return c.ov.Len() }
+
+func (c *coreStore) Match(s, p, o ID, fn func(s, p, o ID) bool) {
+	c.keep(c.ov.Match(s, p, o, fn))
+}
+
+func (c *coreStore) keep(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// Err returns the first overlay error the adapter swallowed, if any.
+func (c *coreStore) Err() error { return c.err }
 
 // tripleStore adapts the naive triples table.
 type tripleStore struct{ st *triplestore.Store }

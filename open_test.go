@@ -115,17 +115,24 @@ func TestOpenOptionConflicts(t *testing.T) {
 	}
 }
 
-// TestDBUnwrapKeepsFastPaths ensures a *DB handed to Graph-accepting
-// layers still exposes the concrete store, so index-aware fast paths
-// (planner selectivity, /stats index layout) stay active.
+// TestDBUnwrapKeepsFastPaths ensures the in-memory handle's queries
+// still reach the concrete store: while nothing is pending, the snapshot
+// a query pins unwraps to the *core.Store, so index-aware fast paths
+// (planner statistics, zero-copy sorted lists) stay active.
 func TestDBUnwrapKeepsFastPaths(t *testing.T) {
 	db, err := hexastore.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := graph.Unwrap(db).(*core.Store); !ok {
-		t.Fatalf("Unwrap(db) = %T, want *core.Store", graph.Unwrap(db))
+	defer db.Close()
+	if got := graph.Unwrap(graph.Snapshot(db.Graph)); !isCore(got) {
+		t.Fatalf("Unwrap(Snapshot(db)) = %T, want *core.Store", got)
 	}
+}
+
+func isCore(x any) bool {
+	_, ok := x.(*core.Store)
+	return ok
 }
 
 // TestDBConcurrentQueryUpdate hammers one DB with parallel queries and
