@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"hexastore/internal/bench"
-	"hexastore/internal/govern"
 	"hexastore/internal/iofault/torture"
 	"hexastore/internal/sparql"
 )
@@ -52,22 +51,12 @@ func main() {
 		rev      = flag.String("rev", "", "revision label for the -json snapshot (default: current git short hash, else 'dev')")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0),
 			"parallelism budget for the load pipeline and intra-query joins; 1 = sequential")
-		timeout = flag.Duration("timeout", 0,
-			"per-query deadline applied to every benchmark query (0 = none)")
-		memBudget = flag.String("mem-budget", "",
-			"per-query soft memory budget applied to every benchmark query (e.g. 64M; empty = unlimited)")
 		tortureRun = flag.Bool("torture", false, "run the crash-consistency torture campaign instead of benchmarks")
 		runs       = flag.Int("runs", 200, "crash runs for -torture (split across scenarios)")
 		batches    = flag.Int("batches", 0, "workload batches per -torture run (0 = harness default)")
 	)
 	flag.Parse()
 	sparql.SetMaxWorkers(*workers)
-	budget, err := govern.ParseBytes(*memBudget)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hexbench: -mem-budget: %v\n", err)
-		os.Exit(2)
-	}
-	sparql.SetDefaultLimits(budget, *timeout)
 
 	if *tortureRun {
 		logf := func(format string, a ...any) {

@@ -12,9 +12,9 @@
 // With no query argument the query text is read from stdin. -workers
 // bounds the parallelism of both the load pipeline and the intra-query
 // join workers (default GOMAXPROCS), matching hexload/hexserver/hexbench.
-// -timeout puts a deadline on the query and -mem-budget caps its engine
-// memory (oversized join state spills to temp files; 4x the budget
-// fails the query instead of OOMing). -explain prints the query plan
+// -timeout puts a deadline on the query and -mem-budget limits its
+// engine memory: crossing it fails the query instead of OOMing.
+// -explain prints the query plan
 // (pattern order and cardinality estimates) without executing;
 // -explain-analyze executes and prints the full span tree with
 // estimated vs actual rows per step — equivalent to prefixing the query
@@ -49,7 +49,7 @@ func main() {
 		timeout = flag.Duration("timeout", 0,
 			"per-query deadline; an expired query fails with context.DeadlineExceeded (0 = none)")
 		memBudget = flag.String("mem-budget", "",
-			"per-query soft memory budget (e.g. 64M, 1G); oversized join state spills to temp files, and 4x the budget kills the query instead of OOMing (empty = unlimited)")
+			"per-query memory limit (e.g. 64M, 1G): a query whose join pieces, fetched lists and result rows would cross it fails instead of OOMing — at the value itself, where earlier releases wrote temp files and failed at 4x it (empty = unlimited)")
 		explain = flag.Bool("explain", false,
 			"print the query plan (planner choice, pattern order, cardinality estimates) without executing")
 		explainAnalyze = flag.Bool("explain-analyze", false,
@@ -62,7 +62,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hexquery: -mem-budget: %v\n", err)
 		os.Exit(2)
 	}
-	sparql.SetDefaultLimits(budget, *timeout)
 
 	var (
 		st      *hexastore.Store
@@ -121,13 +120,19 @@ func main() {
 	triples = g.Len()
 
 	start := time.Now()
-	var res *hexastore.Result
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	q, err := sparql.Parse(src)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
+		os.Exit(1)
+	}
+	opt := sparql.EvalOptions{MemBudget: budget}
 	if *explain || *explainAnalyze {
-		q, perr := sparql.Parse(src)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "hexquery: %v\n", perr)
-			os.Exit(1)
-		}
 		// The flags mirror the in-query EXPLAIN [ANALYZE] prefix; a
 		// prefix already present in the query text wins.
 		if q.Explain == sparql.ExplainNone {
@@ -137,24 +142,22 @@ func main() {
 				q.Explain = sparql.ExplainExec
 			}
 		}
-		tr := obs.NewTrace("query")
-		res, err = sparql.EvalOpts(context.Background(), g, q, sparql.EvalOptions{Trace: tr})
-		tr.Finish()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
-			os.Exit(1)
-		}
-		tr.WriteTree(os.Stdout)
+	}
+	if q.Explain != sparql.ExplainNone {
+		opt.Trace = obs.NewTrace("query")
+	}
+	res, err := sparql.EvalOpts(ctx, g, q, opt)
+	opt.Trace.Finish()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
+		os.Exit(1)
+	}
+	if opt.Trace != nil {
+		opt.Trace.WriteTree(os.Stdout)
 		if q.Explain == sparql.ExplainPlan {
 			fmt.Fprintf(os.Stderr, "planned in %v over %d triples\n", time.Since(start), triples)
 			return
 		}
-	} else {
-		res, err = sparql.ExecContext(context.Background(), g, src)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
-		os.Exit(1)
 	}
 	elapsed := time.Since(start)
 

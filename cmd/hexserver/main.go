@@ -112,9 +112,9 @@ func main() {
 	queryTimeout := flag.Duration("query-timeout", 0,
 		"per-query deadline; an expired query answers 408 (0 = none beyond -request-timeout)")
 	memBudget := flag.String("mem-budget", "",
-		"per-query soft memory budget (e.g. 64M, 1G); oversized join state spills to temp files, and 4x the budget fails the query with 503 instead of OOMing (empty = unlimited)")
+		"per-query memory limit (e.g. 64M, 1G): a query whose join pieces, fetched lists and result rows would cross it fails with 503 instead of OOMing — at the value itself, where earlier releases wrote temp files and failed at 4x it (empty = unlimited)")
 	slowQuery := flag.Duration("slow-query", time.Second,
-		"log queries slower than this, with peak memory and spilled bytes (0 = disable)")
+		"log queries slower than this, with their peak memory (0 = disable)")
 	planCache := flag.Int("plan-cache", sparql.DefaultPlanCacheSize,
 		"query-shape plan cache capacity in entries: repeated query shapes reuse the memoized join order until statistics refresh (0 = disable)")
 	resultCache := flag.String("result-cache-bytes", "32M",

@@ -261,13 +261,10 @@ func WithQueryTimeout(d time.Duration) Option {
 	return func(o *options) { o.queryTimeout = d }
 }
 
-// WithMemBudget bounds every Query/QueryContext on the handle to a soft
-// memory budget of n bytes: a query whose intermediate join state would
-// cross it spills oversized partitions to temp files and streams them
-// back (results are identical, just slower), and one that cannot be
-// kept under the hard cap (4×n) even by spilling fails with
-// govern.ErrBudgetExceeded instead of exhausting process memory. 0 (the
-// default) means unlimited.
+// WithMemBudget bounds every Query/QueryContext on the handle to n bytes
+// of engine memory: a query whose join pieces, fetched lists and result
+// rows would cross it fails with govern.ErrBudgetExceeded instead of
+// exhausting process memory. 0 (the default) means unlimited.
 func WithMemBudget(n int64) Option {
 	return func(o *options) { o.memBudget = n }
 }
@@ -571,8 +568,8 @@ func (db *DB) Query(src string) (*Result, error) {
 // QueryContext is Query observing ctx and the handle-level limits
 // (WithQueryTimeout, WithMemBudget): the evaluation stops with
 // ctx.Err() shortly after ctx is done — mid-join, at block granularity,
-// releasing any pinned snapshot — and spills or fails typed when it
-// crosses the memory budget.
+// releasing any pinned snapshot — and fails typed when it would cross
+// the memory budget.
 func (db *DB) QueryContext(ctx context.Context, src string) (*Result, error) {
 	defer db.rlock()()
 	if db.queryTimeout > 0 {
@@ -590,7 +587,7 @@ func (db *DB) QueryContext(ctx context.Context, src string) (*Result, error) {
 // QueryTraced is QueryContext with execution tracing: it returns the
 // result alongside the query's span tree — planner choice and pattern
 // order with cardinality estimates, per-step rows in/out, merge-vs-probe
-// decisions, worker counts, spill volumes, and (on a sharded backend)
+// decisions, pieces per step, and (on a sharded backend)
 // per-shard scanned/pruned stream counts. A query with the EXPLAIN
 // prefix returns the plan tree and no rows; with EXPLAIN ANALYZE — or
 // with no prefix at all — it returns rows plus the executed trace.

@@ -21,8 +21,8 @@ var GovernFigureIDs = []string{"govern01"}
 // bound-subject lookups sampled while adversarial neighbors loop a
 // quadratic self-join on the same store. The ungoverned series lets the
 // hogs materialize their join state without limits; the governed series
-// runs the same hogs under a per-query memory budget (oversized state
-// spills to temp files) and a short deadline. The gap between the two
+// runs the same hogs under a per-query memory limit (a hog whose state
+// would cross it fails typed) and a short deadline. The gap between the two
 // p99 lines is the latency tax one pathological query imposes on
 // everyone else when nothing reins it in.
 const (

@@ -2,11 +2,9 @@
 // keeps one pathological query from taking the whole process down with
 // it. It has three independent pieces that the execution layers compose:
 //
-//   - Meter: per-query byte accounting for binding-table growth. The
-//     batch engine reports every materialization; a soft budget tells it
-//     when to spill partitions to disk, and a hard cap turns would-be
-//     OOMs into a typed ErrBudgetExceeded the serving tier can map to a
-//     clean 503.
+//   - Meter: per-query byte accounting of what the engine holds. One
+//     limit turns would-be OOMs into a typed ErrBudgetExceeded the
+//     serving tier can map to a clean 503.
 //
 //   - Governor: server-level admission control — a concurrency gate with
 //     a bounded, deadline-aware wait queue. Excess load queues briefly
@@ -14,7 +12,7 @@
 //     without bound.
 //
 //   - Counters: the governor aggregates per-query outcomes (canceled,
-//     budget kills, spilled bytes, slow queries) for /stats, and owns the
+//     budget kills, slow queries) for /stats, and owns the
 //     slow-query log.
 //
 // The package is deliberately dependency-free (stdlib only) so every
@@ -30,8 +28,7 @@ import (
 )
 
 // ErrBudgetExceeded is returned (possibly wrapped) when a query's memory
-// accounting crosses its hard cap and spilling cannot bring it back
-// under. Callers match it with errors.Is; the HTTP layer maps it to
+// accounting would cross its limit. Callers match it with errors.Is; the HTTP layer maps it to
 // 503 + Retry-After.
 var ErrBudgetExceeded = errors.New("query memory budget exceeded")
 
@@ -40,43 +37,28 @@ var ErrBudgetExceeded = errors.New("query memory budget exceeded")
 // layer maps it to 503 + Retry-After.
 var ErrRejected = errors.New("server at query capacity")
 
-// Meter accounts one query's engine-resident bytes. The zero budget
-// disables the corresponding limit, and every method is safe on a nil
-// receiver (accounting simply vanishes), so call sites never branch.
+// Meter accounts one query's engine-resident bytes, and every method is
+// safe on a nil receiver (accounting simply vanishes), so call sites
+// never branch.
 //
-// Budget is the soft limit: the spill threshold. Hard is the kill limit:
-// Grow fails with ErrBudgetExceeded once in-memory accounting would
-// cross it. Both are advisory byte counts, not allocator truth — the
-// engine reports 8 bytes per binding-table cell plus result-row
-// estimates, which tracks the dominant allocations.
+// Grow fails with ErrBudgetExceeded once accounting would cross the
+// limit. It is an advisory byte count, not allocator truth — the engine
+// reports 8 bytes per binding-table cell of its pieces and fetched lists
+// plus result-row estimates, which tracks the dominant allocations.
 type Meter struct {
-	budget int64
-	hard   int64
-
-	used    atomic.Int64
-	peak    atomic.Int64
-	spilled atomic.Int64
+	limit int64
+	used  atomic.Int64
+	peak  atomic.Int64
 }
 
-// NewMeter returns a meter with the given soft budget and hard cap, in
-// bytes. budget <= 0 means "never spill"; hard <= 0 means "never kill".
-// A typical configuration sets hard to a small multiple of budget so
-// spillable state streams to disk and only unspillable growth (final
-// result rows) can kill the query.
-func NewMeter(budget, hard int64) *Meter {
-	return &Meter{budget: budget, hard: hard}
-}
-
-// Budget returns the soft (spill) threshold in bytes; 0 = unlimited.
-func (m *Meter) Budget() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.budget
+// NewMeter returns a meter that fails growth past limit bytes; limit <= 0
+// means "never fail", which still measures the peak.
+func NewMeter(limit int64) *Meter {
+	return &Meter{limit: limit}
 }
 
 // Grow accounts n more live bytes. It fails with an error wrapping
-// ErrBudgetExceeded if the new total would cross the hard cap; the
+// ErrBudgetExceeded if the new total would cross the limit; the
 // accounting is NOT applied on failure.
 func (m *Meter) Grow(n int64) error {
 	if m == nil || n == 0 {
@@ -85,8 +67,8 @@ func (m *Meter) Grow(n int64) error {
 	for {
 		cur := m.used.Load()
 		next := cur + n
-		if m.hard > 0 && next > m.hard {
-			return fmt.Errorf("%w: %d bytes needed, cap %d", ErrBudgetExceeded, next, m.hard)
+		if m.limit > 0 && next > m.limit {
+			return fmt.Errorf("%w: %d bytes needed, limit %d", ErrBudgetExceeded, next, m.limit)
 		}
 		if m.used.CompareAndSwap(cur, next) {
 			for {
@@ -107,25 +89,6 @@ func (m *Meter) Shrink(n int64) {
 	m.used.Add(-n)
 }
 
-// OverBudget reports whether current accounting exceeds the soft
-// budget — the engine's cue to spill.
-func (m *Meter) OverBudget() bool {
-	return m != nil && m.budget > 0 && m.used.Load() > m.budget
-}
-
-// WouldExceed reports whether growing by n would cross the soft budget.
-func (m *Meter) WouldExceed(n int64) bool {
-	return m != nil && m.budget > 0 && m.used.Load()+n > m.budget
-}
-
-// NoteSpill records n bytes written to spill files.
-func (m *Meter) NoteSpill(n int64) {
-	if m == nil {
-		return
-	}
-	m.spilled.Add(n)
-}
-
 // Used returns the currently accounted live bytes.
 func (m *Meter) Used() int64 {
 	if m == nil {
@@ -140,14 +103,6 @@ func (m *Meter) Peak() int64 {
 		return 0
 	}
 	return m.peak.Load()
-}
-
-// Spilled returns the total bytes written to spill files.
-func (m *Meter) Spilled() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.spilled.Load()
 }
 
 // Config parameterizes a Governor.
@@ -180,7 +135,6 @@ type Stats struct {
 	Rejected      int64 `json:"rejected"`
 	Canceled      int64 `json:"canceled"`
 	BudgetKills   int64 `json:"budgetKills"`
-	SpilledBytes  int64 `json:"spilledBytes"`
 	SlowQueries   int64 `json:"slowQueries"`
 }
 
@@ -196,7 +150,6 @@ type Governor struct {
 	rejected    atomic.Int64
 	canceled    atomic.Int64
 	budgetKills atomic.Int64
-	spilled     atomic.Int64
 	slow        atomic.Int64
 }
 
@@ -264,8 +217,7 @@ func (g *Governor) release() {
 }
 
 // Observe records one finished query's outcome: its error class feeds
-// the canceled/budget-kill counters, its meter feeds spilled bytes, and
-// queries at or over the slow-query threshold are logged. query is
+// the canceled/budget-kill counters, and queries at or over the slow-query threshold are logged. query is
 // truncated for the log; m may be nil. Optional detail strings (e.g.
 // the query trace's most expensive spans) are appended to the
 // slow-query line so the log explains the latency, not just reports it.
@@ -280,9 +232,6 @@ func (g *Governor) Observe(query string, d time.Duration, err error, m *Meter, d
 	case errors.Is(err, ErrBudgetExceeded):
 		g.budgetKills.Add(1)
 	}
-	if n := m.Spilled(); n > 0 {
-		g.spilled.Add(n)
-	}
 	if g.cfg.SlowQuery > 0 && d >= g.cfg.SlowQuery {
 		g.slow.Add(1)
 		if g.cfg.Logf != nil {
@@ -296,8 +245,8 @@ func (g *Governor) Observe(query string, d time.Duration, err error, m *Meter, d
 					extra += " [" + dt + "]"
 				}
 			}
-			g.cfg.Logf("slow query (%s, peak %dB, spilled %dB, %s): %s%s",
-				d.Round(time.Millisecond), m.Peak(), m.Spilled(), outcome, truncate(query, 200), extra)
+			g.cfg.Logf("slow query (%s, peak %dB, %s): %s%s",
+				d.Round(time.Millisecond), m.Peak(), outcome, truncate(query, 200), extra)
 		}
 	}
 }
@@ -315,7 +264,6 @@ func (g *Governor) Stats() Stats {
 		Rejected:      g.rejected.Load(),
 		Canceled:      g.canceled.Load(),
 		BudgetKills:   g.budgetKills.Load(),
-		SpilledBytes:  g.spilled.Load(),
 		SlowQueries:   g.slow.Load(),
 	}
 }

@@ -10,30 +10,24 @@ import (
 )
 
 func TestMeterGrowShrinkPeak(t *testing.T) {
-	m := NewMeter(100, 200)
+	m := NewMeter(200)
 	if err := m.Grow(80); err != nil {
 		t.Fatalf("Grow(80): %v", err)
 	}
-	if m.OverBudget() {
-		t.Fatalf("80/100 should not be over budget")
+	if err := m.Grow(120); err != nil {
+		t.Fatalf("Grow(120) to exactly the limit: %v", err)
 	}
-	if err := m.Grow(60); err != nil {
-		t.Fatalf("Grow(60): %v", err)
-	}
-	if !m.OverBudget() {
-		t.Fatalf("140/100 should be over budget")
-	}
-	m.Shrink(100)
+	m.Shrink(160)
 	if got := m.Used(); got != 40 {
 		t.Fatalf("Used = %d, want 40", got)
 	}
-	if got := m.Peak(); got != 140 {
-		t.Fatalf("Peak = %d, want 140", got)
+	if got := m.Peak(); got != 200 {
+		t.Fatalf("Peak = %d, want 200", got)
 	}
-	// Hard cap: 40 + 200 > 200 fails, accounting unchanged.
-	err := m.Grow(200)
+	// The limit: 40 + 161 > 200 fails, accounting unchanged.
+	err := m.Grow(161)
 	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Grow over hard cap = %v, want ErrBudgetExceeded", err)
+		t.Fatalf("Grow over the limit = %v, want ErrBudgetExceeded", err)
 	}
 	if got := m.Used(); got != 40 {
 		t.Fatalf("failed Grow must not account: Used = %d, want 40", got)
@@ -46,14 +40,13 @@ func TestMeterNilSafe(t *testing.T) {
 		t.Fatalf("nil meter Grow: %v", err)
 	}
 	m.Shrink(5)
-	m.NoteSpill(5)
-	if m.OverBudget() || m.WouldExceed(1) || m.Used() != 0 || m.Peak() != 0 || m.Spilled() != 0 || m.Budget() != 0 {
+	if m.Used() != 0 || m.Peak() != 0 {
 		t.Fatalf("nil meter must report zeroes")
 	}
 }
 
 func TestMeterConcurrent(t *testing.T) {
-	m := NewMeter(0, 0)
+	m := NewMeter(0)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -174,8 +167,7 @@ func TestObserveCounters(t *testing.T) {
 	g := New(Config{SlowQuery: time.Millisecond, Logf: func(f string, a ...any) {
 		logged = append(logged, f)
 	}})
-	m := NewMeter(10, 20)
-	m.NoteSpill(512)
+	m := NewMeter(20)
 	g.Observe("SELECT 1", 5*time.Millisecond, nil, m)
 	g.Observe("SELECT 2", 0, context.Canceled, nil)
 	g.Observe("SELECT 3", 0, context.DeadlineExceeded, nil)
@@ -186,9 +178,6 @@ func TestObserveCounters(t *testing.T) {
 	}
 	if st.BudgetKills != 1 {
 		t.Fatalf("BudgetKills = %d, want 1", st.BudgetKills)
-	}
-	if st.SpilledBytes != 512 {
-		t.Fatalf("SpilledBytes = %d, want 512", st.SpilledBytes)
 	}
 	if st.SlowQueries != 1 || len(logged) != 1 {
 		t.Fatalf("SlowQueries = %d (%d log lines), want 1/1", st.SlowQueries, len(logged))

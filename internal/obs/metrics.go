@@ -121,7 +121,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 var LatencyBuckets = ExpBuckets(10e-6, 4, 10)
 
 // SizeBuckets spans 256B to ~16MB in ×4 steps, for byte-size
-// distributions (group-commit batches, spill chunks).
+// distributions (group-commit batches).
 var SizeBuckets = ExpBuckets(256, 4, 9)
 
 // child is one label-value instantiation of a family: exactly one of
@@ -155,7 +155,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-global registry; package-level instrumentation
-// (WAL, delta overlay, spill) registers here so subsystems deep in the
+// (WAL, delta overlay, SPARQL engine) registers here so subsystems deep in the
 // stack need no handle threading. Servers merge it into their /metrics
 // output alongside their own per-instance registry.
 var Default = NewRegistry()

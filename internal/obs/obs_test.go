@@ -46,8 +46,8 @@ func TestSpanTreeJSON(t *testing.T) {
 	step := tr.ChildOf("step", lazy("?s p ?o"))
 	step.SetInt("rowsIn", 1)
 	step.SetInt("rowsOut", 10)
-	step.Add("spillBytes", 100)
-	step.Add("spillBytes", 28)
+	step.Add("bytesRead", 100)
+	step.Add("bytesRead", 28)
 	step.Finish()
 	tr.Finish()
 
@@ -74,7 +74,7 @@ func TestSpanTreeJSON(t *testing.T) {
 	if tree := tr.String(); !strings.Contains(tree, "order=[1 0]") || !strings.Contains(tree, "step[?s p ?o] ") {
 		t.Fatalf("lazy values not rendered:\n%s", tree)
 	}
-	if got.Children[1].Attrs["spillBytes"] != float64(128) {
+	if got.Children[1].Attrs["bytesRead"] != float64(128) {
 		t.Fatalf("Add did not accumulate: %s", b)
 	}
 	// Attrs must serialize in insertion order.

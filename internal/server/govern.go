@@ -45,11 +45,9 @@ func (s *Server) SetGovernor(cfg govern.Config) {
 
 // SetQueryLimits bounds every governed query: timeout is the per-query
 // deadline (0 = none; the client's own context still applies) and
-// memBudget is the per-query soft memory budget in bytes (0 =
-// unlimited). Crossing the budget makes oversized join state spill to
-// temp files; crossing its hard cap (4× the budget) fails the query
-// with 503 instead of taking the process down. Configure before
-// Handler.
+// memBudget is the per-query memory limit in bytes (0 = unlimited):
+// crossing it fails the query with 503 instead of taking the process
+// down. Configure before Handler.
 func (s *Server) SetQueryLimits(timeout time.Duration, memBudget int64) {
 	s.queryTimeout = timeout
 	s.memBudget = memBudget
@@ -93,9 +91,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, queryText st
 	}
 	var m *govern.Meter
 	if s.memBudget > 0 {
-		// Hard cap at 4× the soft budget: spillable state stays under
-		// the budget, so only unspillable growth reaches beyond it.
-		m = govern.NewMeter(s.memBudget, 4*s.memBudget)
+		m = govern.NewMeter(s.memBudget)
 	}
 
 	unlock := s.rlock()

@@ -73,8 +73,8 @@ func TestQueryTimeoutAnswers408(t *testing.T) {
 }
 
 // TestBudgetKillAnswers503 asserts a budget-killed query maps to
-// 503 + Retry-After and bumps the budget-kill counter. The tiny budget
-// makes the hard cap (4x) unreachable for the join's result rows.
+// 503 + Retry-After and bumps the budget-kill counter: the join's result
+// rows alone are far over the tiny limit.
 func TestBudgetKillAnswers503(t *testing.T) {
 	ts, srv := governServer(t, governStore(120, 12, 6), govern.Config{}, 0, 4096)
 	code, body := queryStatus(t, ts.URL, governJoin)
@@ -255,7 +255,16 @@ func TestSlowQueryLogCostsFastQueriesNothing(t *testing.T) {
 			}
 		}
 		serve()
-		return testing.AllocsPerRun(50, serve)
+		// The least of three averages over many requests: a count also
+		// carries whatever the runtime allocates beside the request —
+		// under the race detector, sync.Pool drops a random share of what
+		// it is given, so pooled buffers are allocated again — which only
+		// adds, and averages out slowly.
+		least := testing.AllocsPerRun(200, serve)
+		for i := 0; i < 2; i++ {
+			least = min(least, testing.AllocsPerRun(200, serve))
+		}
+		return least
 	}
 	off, on := allocs(0), allocs(time.Minute)
 	t.Logf("allocations per request: %.0f with the slow-query log off, %.0f with it on", off, on)

@@ -4,7 +4,7 @@ package server
 // Server owns a registry for its own families (per-endpoint HTTP
 // latency and status counts, governor counters, follower lag, runtime
 // gauges); /metrics merges it with obs.Default, where the storage
-// packages (wal, delta, sparql spill) publish their process-wide
+// packages (wal, delta, sparql) publish their process-wide
 // families. A fresh Server re-registering runtime gauges on its own
 // registry is always consistent; the governor funcs are re-pointed by
 // SetGovernor, so the most recently configured governor is the one
@@ -187,11 +187,8 @@ func (s *Server) registerGovernorMetrics() {
 		"Queries ended by cancellation or deadline.",
 		func() float64 { return float64(gov.Stats().Canceled) })
 	s.reg.CounterFunc("hex_govern_budget_kills_total",
-		"Queries killed for crossing their hard memory cap.",
+		"Queries killed for crossing their memory limit.",
 		func() float64 { return float64(gov.Stats().BudgetKills) })
-	s.reg.CounterFunc("hex_govern_spilled_bytes_total",
-		"Bytes of join state spilled to disk by governed queries.",
-		func() float64 { return float64(gov.Stats().SpilledBytes) })
 	s.reg.CounterFunc("hex_govern_slow_queries_total",
 		"Queries at or over the slow-query threshold.",
 		func() float64 { return float64(gov.Stats().SlowQueries) })

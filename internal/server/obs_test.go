@@ -68,7 +68,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hex_wal_fsync_seconds",
 		"hex_wal_appended_bytes_total",
 		"hex_delta_compactions_total",
-		"hex_sparql_spill_bytes_total",
+		"hex_sparql_chunks_total",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics missing family %s", family)
@@ -512,7 +512,7 @@ func TestStatsGoldenShape(t *testing.T) {
 		if !ok {
 			t.Fatalf("govern section = %T", got["govern"])
 		}
-		for _, k := range []string{"maxConcurrent", "active", "queued", "admitted", "rejected", "canceled", "budgetKills", "spilledBytes", "slowQueries"} {
+		for _, k := range []string{"maxConcurrent", "active", "queued", "admitted", "rejected", "canceled", "budgetKills", "slowQueries"} {
 			if _, ok := gov[k]; !ok {
 				t.Errorf("govern section missing %q", k)
 			}

@@ -441,7 +441,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// The query governor reports its live and cumulative counters:
 	// active/queued now, and admitted/rejected/canceled/budget-killed/
-	// spilled-bytes/slow-query totals since start.
+	// slow-query totals since start.
 	if s.gov != nil {
 		out["govern"] = s.gov.Stats()
 	}

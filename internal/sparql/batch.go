@@ -22,29 +22,33 @@ package sparql
 //     table) collect candidates through Match into reusable scratch
 //     buffers; the table machinery is identical, only the fetch differs.
 //
-// The join is a pipeline over chunks. The steps up to the first one that
-// binds a variable run once and leave the seed table, materialised in
-// full (a probe made from inside a fetch callback would re-enter the
-// disk store's read lock, so the seed is never streamed; the sealed
-// memory store has no lock, but shares the path). The seed is then cut
-// into chunks of chunkRows rows, and each chunk runs through the
-// remaining steps, the staged FILTERs and emission before the next one
-// starts: the binding table at any moment is one chunk and what it fans
-// out to, not the whole intermediate result, its columns come from and
-// return to the executor's free list, and LIMIT / ASK stop the loop
-// between chunks. What a step fetches that does not depend on the row —
-// a merge filter's candidate list, the shared list of a cross product, a
-// constant pattern's existence — is fetched by the first chunk that
-// reaches the step and kept for the branch (a disk backend pays a
-// B+-tree scan for each). A table of at most one chunk is the
-// one-iteration case of the same loop. See parallel.go for how chunks
-// spread over workers.
+// The join is bounded by construction: every step hands its output to
+// the next in pieces of at most chunkRows rows, depth first. A branch
+// starts from the unit table (one row, no columns); a filter step
+// discards rows of the piece it is given in place — a piece of a sorted
+// column is still sorted, so the galloping merge stays licensed — and an
+// expansion appends into its own bounded output piece, and whenever that
+// piece fills, even in the middle of one row's candidates, runs the rest
+// of the branch on it before it resumes. The first step that binds a
+// variable is an expansion of the unit table like any other; its pieces,
+// the chunks of the seed, are views of the lists it fetched. So the
+// binding table at any step depth is never more than one piece, whatever
+// the fan-out, and governed and ungoverned queries run one code path.
+// What a step fetches that does not depend on the row — a merge filter's
+// candidate list, the shared lists of an expansion with no bound column
+// (the seed's among them), a constant pattern's existence — is fetched by
+// the first piece that reaches the step and held for the branch (a disk
+// backend pays a B+-tree scan for each). The seed is still fetched in
+// full before its first piece runs, on every backend: a LIMIT stops the
+// pipeline between pieces, not inside the seed's fetch. See parallel.go
+// for how seed pieces spread over workers.
 //
 // Rows stay dictionary-encoded IDs until final projection (late
 // materialization): DISTINCT and GROUP BY key on fixed-width binary ID
 // tuples and a term is decoded only for a cell that is kept.
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -55,11 +59,15 @@ import (
 	"hexastore/internal/obs"
 )
 
-// chunkRows is how many seed rows one pass of the join pipeline carries.
-// Large enough that per-chunk bookkeeping vanishes beside the row loops,
-// small enough that a chunk and its fan-out stay in cache. It is a
-// constant of the engine: only the chunk-boundary tests assign it.
+// chunkRows is the most rows one piece of a step's output carries.
+// Large enough that per-piece bookkeeping vanishes beside the row loops,
+// small enough that a piece stays in cache. It is a constant of the
+// engine: only the chunk-boundary tests assign it.
 var chunkRows = 1024
+
+// errStop unwinds a branch that needs no more rows: its LIMIT or ASK is
+// answered. It never leaves runBatch.
+var errStop = errors.New("sparql: internal: branch stopped")
 
 // batchTable is the columnar binding table: cols[i] holds the value of
 // variable vars[i] for every row. n is the row count; the unit table (one
@@ -67,7 +75,7 @@ var chunkRows = 1024
 // products need no special casing. sorted[i] records that cols[i] is
 // non-decreasing, which is what licenses the galloping merge in filter
 // steps. vars and sorted belong to the branch's plan (the schema after a
-// step is the same for every chunk); cols belongs to the executor.
+// step is the same for every piece).
 type batchTable struct {
 	vars   []string
 	cols   [][]core.ID
@@ -113,24 +121,24 @@ type stepSpec struct {
 
 // stepPlan is one join step of a branch: its pattern classified once
 // against the schema the steps before it leave, the FILTERs staged in
-// front of it, and the part of its work that is the same for every chunk.
+// front of it, and the part of its work that is the same for every piece.
 type stepPlan struct {
 	stepSpec
 	hint    stepHint   // the planner's access-path choice (advisory: it biases merge-vs-probe, never the rows)
 	filters []*cfilter // staged FILTERs applied before the step
-	seeds   bool       // first step to bind a variable: it runs once, on the unit table
 	last    bool       // final join step of the branch: the one a row cap applies to
 	vars    []string   // schema after the step
 	sorted  []bool
 
 	// Tracing (span stays nil with tracing off): the step's span opens
-	// when the first chunk reaches it, named after pat and carrying est,
-	// the planner's cardinality estimate.
+	// when the first piece reaches it and closes when the branch ends,
+	// named after pat and carrying est, the planner's cardinality
+	// estimate.
 	pat  *Pattern
 	est  int64
 	span *obs.Span
 
-	// The row-independent fetch, made by the first chunk that reaches the
+	// The row-independent fetch, made by the first piece that reaches the
 	// step (fetchShared) and read-only afterwards: whether a constant
 	// pattern exists, the candidate view of a one-column merge filter, or
 	// the candidate lists of an expansion with no bound column. lists
@@ -144,7 +152,7 @@ type stepPlan struct {
 	held        int64
 }
 
-// branchRun is one union branch's join as the chunk pipeline sees it.
+// branchRun is one union branch's join as the pipeline sees it.
 type branchRun struct {
 	steps       []stepPlan
 	tail        []*cfilter // FILTERs staged after the last step
@@ -155,33 +163,37 @@ type branchRun struct {
 	// last step needs to produce only as many rows as are still wanted.
 	// emitsAll: every joined row becomes a result row.
 	capped, emitsAll bool
+	// from is the depth seed pieces arrive at: the step after the first
+	// one that binds a variable.
+	from int
 
-	// The seed: the table the steps before from leave, in memory or
-	// spilled, and what the meter carries for it.
-	from      int
-	seed      batchTable
-	seedSpill *spillTable
-	seedBytes int64
+	// The lanes seed pieces run on (parallel.go; nil: the driver runs
+	// them itself): next pieces handed out, drained of them emitted or
+	// discarded, stop set by the driver once the branch wants no more rows.
+	lanes         []*batchExec
+	next, drained int
+	stop          bool
+	wg            sync.WaitGroup
 
 	// span is the branch's span and emitSp the one emission accumulates
 	// into; both nil with tracing off.
 	span, emitSp *obs.Span
 }
 
-// batchExec is a join executor: the binding table of the chunk it is
-// running and the scratch that outlives chunks. The evaluator's own
-// (ev.batch) plans each branch, runs the seed and drives the pipeline;
-// with more than one worker it is also the first of the lanes chunks
-// spread over.
+// batchExec is a join executor: one output piece per step depth and the
+// scratch that outlives pieces. The evaluator's own (ev.batch) plans each
+// branch, runs it from the unit table and emits; with more than one
+// worker it is the driver that hands seed pieces to the lanes, executors
+// of their own (parallel.go).
 type batchExec struct {
 	ev     *evaluator
 	src    graph.Graph
 	sorted graph.SortedSource // nil → Match-collect fallback
 	views  graph.ViewSource   // nil → no zero-copy candidate views
-	tbl    batchTable
 
 	// workers is the intra-query parallelism budget for this evaluation
-	// (see parallel.go); 1 keeps every chunk on the calling goroutine.
+	// (see parallel.go); only the driver has one, and 1 keeps every piece
+	// on the calling goroutine.
 	workers int
 
 	// Cancellation and term decoding private to the goroutine running the
@@ -189,59 +201,49 @@ type batchExec struct {
 	cancelTick
 	terms termReader
 
-	// Reusable buffers, pooled between evaluations (see scratch); spare is
-	// the column header an expansion builds its output in — it never
-	// shares an array with tbl.cols — and borrowed says tbl.cols are views
-	// of the seed rather than buffers to recycle.
+	// Reusable buffers, pooled between evaluations (see scratch), and
+	// what the meter carries for the executor's pieces until the branch
+	// ends.
 	*scratch
-	spare    [][]core.ID
-	borrowed bool
+	held int64
 
-	// Budget/spill state (see spill.go). spilled, when non-nil, holds
-	// the current binding table's rows on disk (tbl keeps the schema and
-	// serves as per-chunk scratch). accounted is what the meter currently
-	// carries for the table; pendCells batches expansion accounting;
-	// decBuf is chunk-decode scratch.
-	spilled   *spillTable
-	accounted int64
-	pendCells int
-	decBuf    []byte
-
-	// rowCap, when ≥ 0, bounds the rows produced by the current step: it
-	// is finalCap on the last step of a capped branch and -1 elsewhere.
-	finalCap int
-	rowCap   int
-
-	// chunksLeft is how many chunks of the seed rows at hand remain, the
-	// one being run included. curSp is the in-flight step's span (nil when
-	// tracing is off — the nil-safe span methods keep every recording site
-	// a cheap no-op).
-	chunksLeft int
-	curSp      *obs.Span
+	// Lane state (parallel.go): the seed piece handed over, the queue of
+	// finished pieces, and the slots those pieces travel in and come back
+	// through.
+	jobs  chan batchTable
+	out   chan *piece
+	slots chan *piece
+	piece [laneQueue]piece
 
 	// Set while planning a branch: its span, the planner's per-step
 	// estimates and access-path hints, each aligned with the order.
 	branchSp  *obs.Span
 	stepEsts  []float64
 	stepHints []stepHint
+}
 
-	// Lane state (parallel.go): the outcome of the chunk last run and the
-	// signal that it is ready.
-	err  error
-	done chan struct{}
+// level is what an expansion step keeps on one executor: the piece its
+// output accumulates in, and the candidates of the row being expanded
+// with what the meter carries for them.
+type level struct {
+	out  batchTable
+	a, b []core.ID
+	held int64
 }
 
 // scratch is what keeps an executor's steady state allocation-free: free
-// holds the column buffers no table uses — every column of every chunk
-// comes from it and goes back to it — beside the row-index and candidate
-// buffers of the step kernels. An evaluation takes its executors' scratch
-// from scratchPool and returns it when it ends, so a query also starts
-// with the buffers an earlier one grew.
+// holds the column buffers no piece uses — every column of every piece
+// comes from it and goes back to it — beside the row-index buffer of the
+// filter kernels, the levels (levels[k] is step k's output piece and
+// candidate buffers) and the column header of the seed piece in flight.
+// An evaluation takes its executors' scratch from scratchPool and
+// returns it when it ends, so a query also starts with the buffers an
+// earlier one grew.
 type scratch struct {
-	free [][]core.ID
-	keep []int
-	bufA []core.ID
-	bufB []core.ID
+	free     [][]core.ID
+	keep     []int
+	levels   []level
+	seedCols [][]core.ID
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -256,16 +258,32 @@ func (bx *batchExec) getCol() []core.ID {
 	return nil
 }
 
-// setCols makes cols the table's columns — buffers the executor owns —
-// and recycles the ones it replaces.
-func (bx *batchExec) setCols(cols [][]core.ID, n int) {
-	old := bx.tbl.cols
-	if !bx.borrowed {
-		bx.free = append(bx.free, old...)
+// hold accounts n more bytes the executor keeps until the branch ends.
+func (bx *batchExec) hold(n int64) error {
+	if err := bx.ev.mem.Grow(n); err != nil {
+		return err
 	}
-	bx.spare = old[:0]
-	bx.tbl.cols, bx.tbl.n = cols, n
-	bx.borrowed = false
+	bx.held += n
+	return nil
+}
+
+// release gives back what the executor held for a branch: its pieces'
+// and candidates' buffers to its free list, and the bytes the meter
+// carries for them, which it returns.
+func (bx *batchExec) release() int64 {
+	for k := range bx.levels {
+		lv := &bx.levels[k]
+		bx.free = append(bx.free, lv.out.cols...)
+		for _, buf := range [2][]core.ID{lv.a, lv.b} {
+			if buf != nil {
+				bx.free = append(bx.free, buf)
+			}
+		}
+	}
+	clear(bx.levels)
+	held := bx.held
+	bx.held = 0
+	return held
 }
 
 // planBranch classifies the ordered patterns against the schema each
@@ -277,6 +295,7 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 		tail:        stepFilters[len(order)],
 		optionals:   optionals,
 		lateFilters: lateFilters,
+		from:        len(order), // nothing binds: the unit table is the seed
 	}
 	br.span = bx.branchSp
 	br.emitsAll = len(optionals) == 0 && len(lateFilters) == 0 && ev.keepsEveryRow()
@@ -300,16 +319,13 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 			sorted = append(sorted, seeds && i == 0 && bx.sorted != nil && st.nFree <= 2)
 		}
 		st.vars, st.sorted = vars, sorted
-		if st.seeds = seeds; seeds {
+		if seeds {
 			br.from = k + 1
 		}
 		st.pat = &pats[pi].pat
 		if bx.stepEsts != nil {
 			st.est = int64(bx.stepEsts[k])
 		}
-	}
-	if len(vars) == 0 {
-		br.from = len(order) // nothing binds: the unit table is the seed
 	}
 	br.colSlot = make([]int, len(vars))
 	for c, name := range vars {
@@ -318,73 +334,48 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 	return br
 }
 
-// runBatch joins the ordered patterns: the seed on this executor, the
-// rest of the steps chunk by chunk, each staged filter applied as soon
-// as its variables are bound and the surviving rows emitted (emitChunk).
+// runBatch joins the ordered patterns: the unit table goes through the
+// steps depth first, each staged filter applied as soon as its variables
+// are bound, and the pieces that leave the last step are emitted
+// (emitPiece).
 func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cfilter, optionals [][]idPattern, lateFilters []*cfilter) error {
 	ev := bx.ev
 	br := bx.planBranch(pats, order, stepFilters, optionals, lateFilters)
 	defer bx.endBranch(br)
 	clear(ev.cur) // drop ids left over from a previous union branch
 
-	bx.beginChunk(br, nil, 0, 1, 1) // the unit table
-	for k := 0; k < br.from; k++ {
-		if err := bx.runStep(br, &br.steps[k]); err != nil || bx.rows() == 0 {
-			return err
-		}
-	}
-	// The seed leaves the executor, whose table is about to hold chunks;
-	// the unit table, when nothing bound a variable, has no columns to
-	// hand over. The executor gets a fresh column header: the one it had
-	// is the seed's now, and spare must never share its array.
-	br.seed, br.seedSpill, br.seedBytes = bx.tbl, bx.spilled, bx.accounted
-	if bx.borrowed {
-		br.seed.cols = nil
-	}
-	bx.tbl.cols, bx.spilled, bx.accounted, bx.borrowed = nil, nil, 0, true
-
 	if br.span != nil {
-		// The emit span opens with the first chunk emitted (emitChunk).
-		chunks, decoded := ev.chunks, ev.terms.decoded
+		// The emit span opens with the first piece emitted (emitPiece).
+		decoded := ev.terms.decoded
 		defer func() {
 			br.emitSp.SetInt("emitted", int64(ev.res.n))
-			br.emitSp.SetInt("chunks", int64(ev.chunks-chunks))
 			br.emitSp.SetInt("termsDecoded", int64(ev.terms.decoded-decoded))
 			br.emitSp.Finish()
 		}()
 	}
-	if br.seedSpill == nil {
-		return bx.runChunks(br, br.seed.cols, br.seed.n)
+	err := bx.run(br, 0, &batchTable{n: 1})
+	if br.lanes != nil {
+		err = bx.joinLanes(br, err)
 	}
-	// A seed that spilled comes back one spill chunk at a time.
-	in := br.seedSpill
-	for k := range in.chunks {
-		if err := ev.ctxCheck(); err != nil || ev.done {
-			return err
-		}
-		buf, cols, n, err := in.readChunk(k, bx.decBuf, br.seed.cols)
-		bx.decBuf, br.seed.cols = buf, cols
-		if err != nil {
-			return err
-		}
-		if err := ev.reaccount(&br.seedBytes, int64(n)*int64(len(cols))*8); err != nil {
-			return err
-		}
-		if err := bx.runChunks(br, cols, n); err != nil {
-			return err
-		}
+	if err == errStop {
+		err = nil
 	}
-	return nil
+	return err
 }
 
-// endBranch gives back what the branch held: the seed's columns and the
-// shared fetches' lists to the free list, their bytes to the meter, the
-// seed's spill file to the filesystem.
+// endBranch gives back what the branch held: the shared fetches' lists
+// and every executor's pieces to the free lists, their bytes to the
+// meter, and closes the step spans.
 func (bx *batchExec) endBranch(br *branchRun) {
-	bx.endChunk()
-	bx.free = append(bx.free, br.seed.cols...)
-	br.seedSpill.drop()
-	held := br.seedBytes
+	held := bx.release()
+	for _, ln := range br.lanes {
+		for i := range ln.piece {
+			p := &ln.piece[i]
+			ln.free = append(ln.free, p.tbl.cols...)
+			p.tbl.cols = p.tbl.cols[:0]
+		}
+		held += ln.release()
+	}
 	for k := range br.steps {
 		st := &br.steps[k]
 		for _, l := range st.lists {
@@ -395,90 +386,81 @@ func (bx *batchExec) endBranch(br *branchRun) {
 		held += st.held
 		st.span.Finish()
 	}
-	if bx.ev.mem != nil {
-		bx.ev.mem.Shrink(held)
-	}
+	bx.ev.mem.Shrink(held)
 }
 
-// beginChunk points the executor's table at rows [lo, hi) of the seed
-// columns cols. Called by the goroutine driving the pipeline, before the
-// chunk is handed to a lane.
-func (bx *batchExec) beginChunk(br *branchRun, cols [][]core.ID, lo, hi, chunksLeft int) {
-	tbl := &bx.tbl
-	tbl.cols = tbl.cols[:0]
-	for _, col := range cols {
-		tbl.cols = append(tbl.cols, col[lo:hi])
-	}
-	tbl.n = hi - lo
-	tbl.vars, tbl.sorted = br.seed.vars, br.seed.sorted
-	bx.borrowed = true
-	bx.chunksLeft = chunksLeft
-	bx.finalCap = -1
-	if br.capped {
-		bx.finalCap = bx.ev.target - bx.ev.res.n
-	}
-}
-
-// runChunk takes the executor's table through the steps after the seed
-// and the trailing FILTERs; what is left is the chunk's share of the
-// join, ready for emitChunk.
-func (bx *batchExec) runChunk(br *branchRun) error {
-	for k := br.from; k < len(br.steps); k++ {
-		if err := bx.runStep(br, &br.steps[k]); err != nil || bx.rows() == 0 {
+// run takes piece in through steps k onward, depth first: filter steps
+// narrow it in place, the first expansion takes it over (expand), and
+// what leaves the last step is emitted — or, on a lane, queued for the
+// driver to emit. On the driver, a seed piece goes to a lane instead
+// when the branch runs on several (parallel.go).
+func (bx *batchExec) run(br *branchRun, k int, in *batchTable) error {
+	for ; ; k++ {
+		if k == br.from && bx.workers > 0 {
+			bx.ev.chunks++
+			if br.lanes != nil || bx.fansOut(br) {
+				return bx.dispatch(br, in)
+			}
+		}
+		if k == len(br.steps) {
+			break
+		}
+		st := &br.steps[k]
+		if err := bx.ctxCheck(); err != nil {
 			return err
+		}
+		for _, f := range st.filters {
+			if err := bx.filterRows(f, in); err != nil {
+				return err
+			}
+		}
+		if in.n == 0 {
+			return nil
+		}
+		if br.span != nil {
+			sp := st.openSpan(br.span)
+			sp.Add("chunks", 1)
+			sp.Add("rowsIn", int64(in.n))
+		}
+		if len(st.newNames) > 0 {
+			return bx.expand(br, k, in)
+		}
+		if err := bx.filterStep(st, in, bx.capLeft(br, st)); err != nil {
+			return err
+		}
+		st.span.Add("rowsOut", int64(in.n))
+		if in.n == 0 {
+			return nil
 		}
 	}
 	for _, f := range br.tail {
-		if err := bx.applyFilter(f); err != nil {
+		if err := bx.filterRows(f, in); err != nil {
 			return err
 		}
+	}
+	if in.n == 0 {
+		return nil
+	}
+	if bx.out != nil {
+		return bx.queue(in)
+	}
+	if err := bx.ev.emitPiece(br, in); err != nil {
+		return err
+	}
+	if bx.ev.done {
+		return errStop
 	}
 	return nil
 }
 
-// endChunk drops the chunk's table: its spill file, its accounted bytes,
-// and its columns back to the free list.
-func (bx *batchExec) endChunk() {
-	bx.release()
-	bx.setCols(bx.spare[:0], 0)
-}
-
-// runStep applies one step, and the FILTERs staged in front of it, to
-// the executor's table.
-func (bx *batchExec) runStep(br *branchRun, st *stepPlan) error {
-	if err := bx.ctxCheck(); err != nil {
-		return err
+// capLeft is how many rows step st may still produce: what a capped
+// branch still wants, on its last step; -1 (no cap) anywhere else.
+// Capped branches run on the driver, so the count it reads is current.
+func (bx *batchExec) capLeft(br *branchRun, st *stepPlan) int {
+	if !br.capped || !st.last {
+		return -1
 	}
-	for _, f := range st.filters {
-		if err := bx.applyFilter(f); err != nil {
-			return err
-		}
-	}
-	if bx.rows() == 0 {
-		return nil
-	}
-	bx.rowCap = -1
-	if st.last {
-		bx.rowCap = bx.finalCap
-	}
-	if br.span == nil {
-		return bx.stepGoverned(st)
-	}
-	// A step's span runs from the first chunk that reaches it to the last
-	// chunk leaving it (endBranch, if a LIMIT stops the pipeline sooner or
-	// the seed comes back from a spill in pieces); rows and chunks
-	// accumulate in between.
-	sp := st.openSpan(br.span)
-	sp.Add("chunks", 1)
-	sp.Add("rowsIn", int64(bx.rows()))
-	bx.curSp = sp
-	err := bx.stepGoverned(st)
-	bx.curSp = nil
-	sp.Add("rowsOut", int64(bx.rows()))
-	if bx.chunksLeft == 1 {
-		sp.Finish()
-	}
-	return err
+	return bx.ev.target - bx.ev.res.n
 }
 
 // openSpan returns the step's span, starting it under parent on the
@@ -525,24 +507,24 @@ func classify(p *idPattern, vars []string) stepSpec {
 	return sp
 }
 
-// subst returns the value of position j for row r: the constant, or the
-// row's value of the bound column. Free positions return None.
-func (bx *batchExec) subst(sp *stepPlan, j, r int) core.ID {
+// subst returns the value of position j for row r of tbl: the constant,
+// or the row's value of the bound column. Free positions return None.
+func subst(sp *stepPlan, tbl *batchTable, j, r int) core.ID {
 	if sp.colAt[j] >= 0 {
-		return bx.tbl.cols[sp.colAt[j]][r]
+		return tbl.cols[sp.colAt[j]][r]
 	}
 	return sp.ids[j]
 }
 
-// fetchShared makes the step's row-independent fetch if no chunk has
+// fetchShared makes the step's row-independent fetch if no piece has
 // yet: whichever lane reaches the step first pays for it, the others
-// wait and then read. The lists it keeps are accounted until the branch
-// ends — except the seed's, which become the table and are accounted as
-// that.
-func (bx *batchExec) fetchShared(sp *stepPlan) error {
+// wait and then read. The lists it keeps — the seed's too — are
+// accounted until the branch ends. limit bounds a pair or triple
+// collection (see fetchOnce).
+func (bx *batchExec) fetchShared(sp *stepPlan, limit int) error {
 	sp.fetch.Do(func() {
-		sp.err = bx.fetchOnce(sp)
-		if sp.err == nil && bx.ev.mem != nil && !sp.seeds {
+		sp.err = bx.fetchOnce(sp, limit)
+		if sp.err == nil {
 			held := int64(len(sp.lists[0])+len(sp.lists[1])+len(sp.lists[2])) * 8
 			if sp.err = bx.ev.mem.Grow(held); sp.err == nil {
 				sp.held = held
@@ -552,44 +534,44 @@ func (bx *batchExec) fetchShared(sp *stepPlan) error {
 	return sp.err
 }
 
-func (bx *batchExec) fetchOnce(sp *stepPlan) error {
+func (bx *batchExec) fetchOnce(sp *stepPlan, limit int) error {
 	var err error
 	switch {
 	case len(sp.newNames) > 0:
 		// The candidates of an expansion none of whose positions is a
 		// column: one list per new variable, shared by every row. The row
 		// cap bounds them — it only shrinks as rows are emitted, so the
-		// chunk that fetches has the loosest one any chunk will need.
+		// piece that fetches has the loosest one any piece will need.
 		switch sp.nFree {
 		case 1:
-			sp.lists[0], err = bx.fetchOne(sp, 0, bx.getCol())
+			sp.lists[0], err = bx.fetchOne(sp, nil, 0, bx.getCol())
 		case 2:
-			sp.lists[0], sp.lists[1], err = bx.fetchPair(sp, 0, bx.rowCap, bx.getCol(), bx.getCol())
+			sp.lists[0], sp.lists[1], err = bx.fetchPair(sp, nil, 0, limit, bx.getCol(), bx.getCol())
 		default:
-			err = bx.fetchAll(sp, bx.rowCap)
+			err = bx.fetchAll(sp, limit)
 		}
 		if err == nil {
 			err = bx.ctxErr
 		}
-		bx.curSp.SetInt("candidates", int64(len(sp.lists[0])))
+		sp.span.SetInt("candidates", int64(len(sp.lists[0])))
 	case sp.nCols == 0:
 		sp.exists, err = bx.src.Has(sp.ids[0], sp.ids[1], sp.ids[2])
 	default:
 		sp.view, err = bx.candidateView(sp)
-		bx.curSp.SetInt("candidates", int64(sp.view.Len()))
+		sp.span.SetInt("candidates", int64(sp.view.Len()))
 	}
 	return err
 }
 
 // filterStep handles patterns that bind nothing new: every position is
-// a constant or a join column, so the step only discards rows.
-func (bx *batchExec) filterStep(sp *stepPlan) error {
-	tbl := &bx.tbl
+// a constant or a join column, so the step only discards rows of tbl, in
+// place. A non-negative limit keeps at most that many.
+func (bx *batchExec) filterStep(sp *stepPlan, tbl *batchTable, limit int) error {
 	switch {
 	case sp.nCols == 0:
 		// Fully constant pattern: one existence probe decides all rows.
-		bx.curSp.Set("kind", "const-probe")
-		if err := bx.fetchShared(sp); err != nil {
+		sp.span.Set("kind", "const-probe")
+		if err := bx.fetchShared(sp, -1); err != nil {
 			return err
 		}
 		if !sp.exists {
@@ -605,16 +587,16 @@ func (bx *batchExec) filterStep(sp *stepPlan) error {
 		// skip table; raw backends hand over a copied slice and take the
 		// slice gallop. A sorted column takes the linear merge; an unsorted
 		// one degrades to one binary probe per row against the single list.
-		if err := bx.fetchShared(sp); err != nil {
+		if err := bx.fetchShared(sp, -1); err != nil {
 			return err
 		}
 		c := max(sp.colAt[0], sp.colAt[1], sp.colAt[2])
 		keep := bx.keep[:0]
 		if tbl.sorted[c] {
-			bx.curSp.Set("kind", "merge")
+			sp.span.Set("kind", "merge")
 			idlist.MergeFilterView(tbl.cols[c], sp.view, func(i int) { keep = append(keep, i) })
 		} else {
-			bx.curSp.Set("kind", "probe-list")
+			sp.span.Set("kind", "probe-list")
 			for i, v := range tbl.cols[c] {
 				if sp.view.Contains(v) {
 					keep = append(keep, i)
@@ -631,27 +613,26 @@ func (bx *batchExec) filterStep(sp *stepPlan) error {
 		// that fetching it to merge is the wrong trade: a per-row existence
 		// probe, which the store answers from the right index for any
 		// binding shape.
-		bx.curSp.Set("kind", "probe")
+		sp.span.Set("kind", "probe")
 		if sp.nCols == 1 {
-			bx.curSp.Set("access", "hinted")
+			sp.span.Set("access", "hinted")
 		}
-		return bx.probeFilter(sp)
+		return bx.probeFilter(sp, tbl, limit)
 	}
 }
 
-// probeFilter keeps the rows whose substituted pattern exists in the
-// store: one indexed Has per row.
-func (bx *batchExec) probeFilter(sp *stepPlan) error {
-	tbl := &bx.tbl
+// probeFilter keeps the rows of tbl whose substituted pattern exists in
+// the store: one indexed Has per row.
+func (bx *batchExec) probeFilter(sp *stepPlan, tbl *batchTable, limit int) error {
 	keep := bx.keep[:0]
 	for r := 0; r < tbl.n; r++ {
 		if !bx.tickOK() {
 			return bx.ctxErr
 		}
-		if bx.rowCap >= 0 && len(keep) >= bx.rowCap {
+		if limit >= 0 && len(keep) >= limit {
 			break
 		}
-		ok, err := bx.src.Has(bx.subst(sp, 0, r), bx.subst(sp, 1, r), bx.subst(sp, 2, r))
+		ok, err := bx.src.Has(subst(sp, tbl, 0, r), subst(sp, tbl, 1, r), subst(sp, tbl, 2, r))
 		if err != nil {
 			return err
 		}
@@ -717,128 +698,174 @@ func appendRun(dst []core.ID, v core.ID, k int) []core.ID {
 	return dst
 }
 
-// expandStep handles patterns that bind one or two new variables (three
-// only for the all-free pattern): for every row, the candidate values
-// of the free positions are fetched — one sorted-list or sorted-pairs
-// access per row, or the step's shared fetch when the bound positions
-// are all constants — and spliced onto the table with bulk appends into
-// recycled columns.
-func (bx *batchExec) expandStep(sp *stepPlan) error {
-	tbl := &bx.tbl
-	if bx.curSp != nil {
-		bx.curSp.Set("kind", "expand")
-		bx.curSp.Set("newVars", strings.Join(sp.newNames, ","))
+// expand runs expansion step k — a pattern binding one or two new
+// variables (three only for the all-free pattern) — over piece in. The
+// candidate values of the free positions come from one sorted-list or
+// sorted-pairs access per row, or from the step's shared fetch when the
+// bound positions are all constants; they are spliced onto the step's
+// output piece with bulk appends, and each time that piece reaches
+// chunkRows rows the rest of the branch runs on it (flush) before the
+// expansion resumes where it stopped — mid-row if need be, without
+// fetching the row again.
+func (bx *batchExec) expand(br *branchRun, k int, in *batchTable) error {
+	st := &br.steps[k]
+	if st.span != nil {
+		st.span.Set("kind", "expand")
+		st.span.Set("newVars", strings.Join(st.newNames, ","))
 	}
-	if sp.nCols == 0 {
-		if err := bx.fetchShared(sp); err != nil {
+	limit := bx.capLeft(br, st)
+	if st.nCols == 0 {
+		if err := bx.fetchShared(st, limit); err != nil {
 			return err
 		}
 	}
-	nOld, nNew := len(tbl.cols), len(sp.newNames)
-	if sp.seeds {
-		// The shared lists are the table, so they move into it where any
-		// other expansion would copy them row by row.
-		k := len(sp.lists[0])
-		if bx.rowCap >= 0 {
-			k = min(k, bx.rowCap)
-		}
-		if err := bx.noteGrowth(k * nNew); err != nil {
-			return err
-		}
-		out := bx.spare[:0]
-		for j := 0; j < nNew; j++ {
-			out = append(out, sp.lists[j][:k])
-			sp.lists[j] = nil
-		}
-		bx.setCols(out, k)
-		tbl.vars, tbl.sorted = sp.vars, sp.sorted
-		return nil
+	nOld, nNew := len(in.cols), len(st.newNames)
+	if nOld == 0 {
+		return bx.seed(br, k, limit)
 	}
-
-	out := bx.spare[:0]
-	for i := 0; i < nOld+nNew; i++ {
-		out = append(out, bx.getCol())
-	}
-	produced := 0
-	err := bx.expandRows(sp, &produced, func(r, k int, news [3][]core.ID) error {
-		for c := 0; c < nOld; c++ {
-			out[c] = appendRun(out[c], tbl.cols[c][r], k)
-		}
-		for j := 0; j < nNew; j++ {
-			out[nOld+j] = append(out[nOld+j], news[j][:k]...)
-		}
-		produced += k
-		return bx.noteGrowth(k * len(out))
-	})
+	lv, err := bx.level(br, k, nOld+nNew)
 	if err != nil {
-		bx.free = append(bx.free, out...)
 		return err
 	}
-	bx.setCols(out, produced)
-	tbl.vars, tbl.sorted = sp.vars, sp.sorted
-	return nil
-}
-
-// expandRows is the row loop of an expansion: for every row of the
-// table it hands emit the row's candidates — the step's shared lists, or
-// the row's own fetch — cut to what the row cap still allows given the
-// *produced rows so far; rows without candidates are skipped.
-func (bx *batchExec) expandRows(sp *stepPlan, produced *int, emit func(r, k int, news [3][]core.ID) error) error {
-	news := sp.lists
-	for r := 0; r < bx.tbl.n; r++ {
+	out := &lv.out
+	news := st.lists
+	for r := 0; r < in.n; r++ {
 		if !bx.tickOK() {
 			return bx.ctxErr
 		}
 		left := -1
-		if bx.rowCap >= 0 {
-			if left = bx.rowCap - *produced; left <= 0 {
+		if limit >= 0 {
+			// Rows still in the output piece are not emitted yet.
+			if left = bx.capLeft(br, st) - out.n; left <= 0 {
 				break
 			}
 		}
-		if sp.nCols > 0 {
-			var err error
-			if news[0], news[1], err = bx.candidates(sp, r, left); err != nil {
+		if st.nCols > 0 {
+			if news[0], news[1], err = bx.candidates(lv, st, in, r, left); err != nil {
 				return err
 			}
 		}
-		k := len(news[0])
+		n := len(news[0])
 		if left >= 0 {
-			k = min(k, left)
+			n = min(n, left)
 		}
-		if k == 0 {
-			continue
+		for off := 0; off < n; {
+			m := min(n-off, chunkRows-out.n)
+			for c := 0; c < nOld; c++ {
+				out.cols[c] = appendRun(out.cols[c], in.cols[c][r], m)
+			}
+			for j := 0; j < nNew; j++ {
+				out.cols[nOld+j] = append(out.cols[nOld+j], news[j][off:off+m]...)
+			}
+			out.n += m
+			off += m
+			if out.n == chunkRows {
+				if err := bx.flush(br, k, out); err != nil {
+					return err
+				}
+			}
 		}
-		if err := emit(r, k, news); err != nil {
+	}
+	if out.n > 0 {
+		return bx.flush(br, k, out)
+	}
+	return nil
+}
+
+// seed is the expansion of the unit table by step k: its shared lists
+// are the whole output, so its pieces — the chunks of the seed — are
+// views of them, cut at chunkRows, and cost no copy.
+func (bx *batchExec) seed(br *branchRun, k, limit int) error {
+	st := &br.steps[k]
+	total := len(st.lists[0])
+	if limit >= 0 {
+		total = min(total, limit)
+	}
+	piece := batchTable{vars: st.vars, sorted: st.sorted}
+	for lo := 0; lo < total; lo += chunkRows {
+		hi := min(lo+chunkRows, total)
+		piece.cols = bx.seedCols[:0]
+		for j := range st.newNames {
+			piece.cols = append(piece.cols, st.lists[j][lo:hi])
+		}
+		bx.seedCols = piece.cols
+		piece.n = hi - lo
+		st.span.Add("rowsOut", int64(piece.n))
+		if err := bx.run(br, k+1, &piece); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// candidates fetches row r's candidate values for the one or two free
-// positions of a row-dependent expansion into the executor's scratch
-// buffers; b is nil when the step binds one variable. A non-negative
-// limit stops a pair collection once that many pairs are kept.
-func (bx *batchExec) candidates(sp *stepPlan, r, limit int) (a, b []core.ID, err error) {
-	if sp.nFree == 1 {
-		a, err = bx.fetchOne(sp, r, bx.bufA[:0])
-		bx.bufA = a
-	} else {
-		a, b, err = bx.fetchPair(sp, r, limit, bx.bufA[:0], bx.bufB[:0])
-		bx.bufA, bx.bufB = a, b
+// flush runs the rest of the branch on the output piece of step k and
+// empties it for the rows that follow.
+func (bx *batchExec) flush(br *branchRun, k int, out *batchTable) error {
+	br.steps[k].span.Add("rowsOut", int64(out.n))
+	err := bx.run(br, k+1, out)
+	for c := range out.cols {
+		out.cols[c] = out.cols[c][:0]
 	}
+	out.n = 0
+	return err
+}
+
+// level returns step k's level on this executor, taking ncols buffers of
+// chunkRows rows for its output piece on first use in the branch.
+func (bx *batchExec) level(br *branchRun, k, ncols int) (*level, error) {
+	if len(bx.levels) < len(br.steps) {
+		bx.levels = append(bx.levels, make([]level, len(br.steps)-len(bx.levels))...)
+	}
+	lv := &bx.levels[k]
+	if lv.out.cols == nil {
+		if err := bx.hold(int64(ncols*chunkRows) * 8); err != nil {
+			return nil, err
+		}
+		for c := 0; c < ncols; c++ {
+			lv.out.cols = append(lv.out.cols, slices.Grow(bx.getCol(), chunkRows))
+		}
+		lv.out.vars, lv.out.sorted = br.steps[k].vars, br.steps[k].sorted
+	}
+	return lv, nil
+}
+
+// candidates fetches row r's candidate values for the one or two free
+// positions of a row-dependent expansion into the level's buffers; b is
+// nil when the step binds one variable. A non-negative limit stops a
+// pair collection once that many pairs are kept. The buffers are
+// accounted as they grow: one row's candidates may be many.
+func (bx *batchExec) candidates(lv *level, sp *stepPlan, in *batchTable, r, limit int) (a, b []core.ID, err error) {
+	if lv.a == nil {
+		lv.a = bx.getCol()
+	}
+	if sp.nFree == 1 {
+		a, err = bx.fetchOne(sp, in, r, lv.a[:0])
+	} else {
+		if lv.b == nil {
+			lv.b = bx.getCol()
+		}
+		a, b, err = bx.fetchPair(sp, in, r, limit, lv.a[:0], lv.b[:0])
+		lv.b = b
+	}
+	lv.a = a
 	if err == nil {
 		err = bx.ctxErr
+	}
+	if n := int64(len(a)+len(b)) * 8; err == nil && n > lv.held {
+		if err = bx.hold(n - lv.held); err == nil {
+			lv.held = n
+		}
 	}
 	return a, b, err
 }
 
 // fetchOne appends the candidate values of the single free position for
-// row r into dst and returns the extended slice — one sorted-list copy
-// with a SortedSource, a Match collection otherwise. Both backends' sorted accessors and Match are safe for
-// concurrent readers, and everything else it touches is the executor's.
-func (bx *batchExec) fetchOne(sp *stepPlan, r int, dst []core.ID) ([]core.ID, error) {
-	s, p, o := bx.subst(sp, 0, r), bx.subst(sp, 1, r), bx.subst(sp, 2, r)
+// row r of in into dst and returns the extended slice — one sorted-list
+// copy with a SortedSource, a Match collection otherwise. Both backends'
+// sorted accessors and Match are safe for concurrent readers, and
+// everything else it touches is the executor's.
+func (bx *batchExec) fetchOne(sp *stepPlan, in *batchTable, r int, dst []core.ID) ([]core.ID, error) {
+	s, p, o := subst(sp, in, 0, r), subst(sp, in, 1, r), subst(sp, in, 2, r)
 	if bx.sorted != nil {
 		return bx.sorted.AppendSortedList(dst, s, p, o)
 	}
@@ -864,12 +891,12 @@ func (bx *batchExec) matchInto(dst []core.ID, free int, s, p, o core.ID) ([]core
 }
 
 // fetchPair collects the value pairs of the two free positions for row r
-// into the caller's a/b buffers and returns the extended slices,
+// of in into the caller's a/b buffers and returns the extended slices,
 // applying the repeated-variable constraint when both positions share a
 // slot (?x <p> ?x keeps only equal pairs, in a alone). A non-negative
 // limit stops collection once that many pairs are kept.
-func (bx *batchExec) fetchPair(sp *stepPlan, r, limit int, a, b []core.ID) ([]core.ID, []core.ID, error) {
-	s, p, o := bx.subst(sp, 0, r), bx.subst(sp, 1, r), bx.subst(sp, 2, r)
+func (bx *batchExec) fetchPair(sp *stepPlan, in *batchTable, r, limit int, a, b []core.ID) ([]core.ID, []core.ID, error) {
+	s, p, o := subst(sp, in, 0, r), subst(sp, in, 1, r), subst(sp, in, 2, r)
 	ja, jb := -1, -1
 	for j := 0; j < 3; j++ {
 		if sp.kind[j] == posFree {
@@ -938,11 +965,10 @@ func (bx *batchExec) fetchAll(sp *stepPlan, limit int) error {
 	})
 }
 
-// filterRows applies one staged FILTER to every row, reading its
-// variable operands straight from their columns.
-func (bx *batchExec) filterRows(f *cfilter) error {
-	tbl := &bx.tbl
-	lcol, rcol := bx.operandCol(&f.l), bx.operandCol(&f.r)
+// filterRows applies one staged FILTER to every row of tbl, in place,
+// reading its variable operands straight from their columns.
+func (bx *batchExec) filterRows(f *cfilter, tbl *batchTable) error {
+	lcol, rcol := operandCol(tbl, &f.l), operandCol(tbl, &f.r)
 	keep := bx.keep[:0]
 	for r := 0; r < tbl.n; r++ {
 		if !bx.tickOK() {
@@ -968,45 +994,46 @@ func (bx *batchExec) filterRows(f *cfilter) error {
 	return nil
 }
 
-// operandCol returns the table column holding a filter operand's
+// operandCol returns the column of tbl holding a filter operand's
 // variable; nil for a constant (and for a variable the table does not
 // bind, which reads as unbound).
-func (bx *batchExec) operandCol(o *operand) []core.ID {
+func operandCol(tbl *batchTable, o *operand) []core.ID {
 	if o.slot < 0 {
 		return nil
 	}
-	if c := slices.Index(bx.tbl.vars, o.name); c >= 0 {
-		return bx.tbl.cols[c]
+	if c := slices.Index(tbl.vars, o.name); c >= 0 {
+		return tbl.cols[c]
 	}
 	return nil
 }
 
-// emitChunk emits the executor's table on the evaluator's goroutine:
-// each surviving row's ids are installed in the evaluator's solution
+// emitPiece emits a piece that left the last step, on the evaluator's
+// goroutine: each row's ids are installed in the evaluator's solution
 // slots (every slot no column maps to reads unbound), then the row is
 // emitted — directly, or through the tuple-at-a-time OPTIONAL matcher,
-// which extends the solution in the same slots before emitting.
-func (bx *batchExec) emitChunk(br *branchRun) error {
-	if bx.spilled != nil {
-		return bx.emitSpilled(br)
-	}
-	ev := bx.ev
-	tbl := &bx.tbl
+// which extends the solution in the same slots before emitting. What the
+// rows retain reaches the meter at most a piece's worth at a time (retain).
+func (ev *evaluator) emitPiece(br *branchRun, tbl *batchTable) error {
 	if br.span != nil {
 		if br.emitSp == nil {
 			br.emitSp = br.span.Child("emit")
 		}
 		br.emitSp.Add("rowsIn", int64(tbl.n))
+		br.emitSp.Add("chunks", 1)
 	}
 	if br.emitsAll {
-		// Every table row becomes a result row: make room for this chunk's
-		// in one step. Nothing is assumed of the chunks to come — fan-out
-		// may be skewed — so across chunks the cells grow as append grows.
+		// Every row becomes a result row: make room for this piece's in
+		// one step. Nothing is assumed of the pieces to come — fan-out may
+		// be skewed — but a growth at least doubles the cells: pieces are
+		// small beside a large answer, and append's gentler growth of a
+		// large array would copy it over and over.
 		n := tbl.n
 		if ev.target > 0 {
 			n = min(n, ev.target-ev.res.n)
 		}
-		ev.res.cells = slices.Grow(ev.res.cells, n*len(ev.projSlots))
+		if cells, need := ev.res.cells, n*len(ev.projSlots); cap(cells)-len(cells) < need {
+			ev.res.cells = slices.Grow(cells, max(need, len(cells)))
+		}
 	}
 	for r := 0; r < tbl.n && !ev.done; r++ {
 		if !ev.tickOK() {
@@ -1019,5 +1046,5 @@ func (bx *batchExec) emitChunk(br *branchRun) error {
 			return err
 		}
 	}
-	return nil
+	return ev.flushRetained()
 }

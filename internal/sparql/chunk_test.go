@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -222,52 +223,53 @@ func renderResult(t testing.TB, res *Result) []string {
 	return renderRows(t, res)
 }
 
-// TestChunkBudgetForced runs the shapes under a soft budget below one
-// column of one chunk, with chunks big enough that every expansion
-// crosses an accounting check: each restarts through the streaming sink
-// and spills, and must return the unbudgeted rows bit for bit —
-// sequential and across lanes.
+// TestChunkBudgetForced runs the shapes at the limit of what they
+// account, sequentially: accounting is per piece and per fetch, in one
+// order, so the limit at the accounted peak returns the unlimited rows
+// bit for bit and gives back everything but the result rows, and one
+// byte less fails typed. Across lanes the rows and the give-back hold
+// too.
 func TestChunkBudgetForced(t *testing.T) {
 	const chunk = 512
 	backends, _ := chunkBackends(t, chunkTriples(3*chunk+7))
 	setChunkRows(t, chunk)
-	var spilled int64
 	for name, g := range backends {
 		for _, sh := range chunkShapes {
 			q, err := Parse(sh.src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// What the unbudgeted run leaves accounted is its result rows;
-			// anything a budgeted run leaves beyond that is engine state
+			// What the unlimited run leaves accounted is its result rows;
+			// anything a limited run leaves beyond that is engine state
 			// that was never given back.
-			rows := govern.NewMeter(0, 1<<40)
+			rows := govern.NewMeter(0)
 			free, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, Meter: rows})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := renderResult(t, free)
+			peak := rows.Peak()
+			if _, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, MemBudget: peak - 1}); !errors.Is(err, govern.ErrBudgetExceeded) {
+				t.Errorf("%s %s: one byte under the %d-byte peak: err = %v, want govern.ErrBudgetExceeded", name, sh.name, peak, err)
+			}
 			for _, workers := range []int{1, 4} {
-				m := govern.NewMeter(chunk*8/2, 1<<30)
-				res, err := EvalOpts(context.Background(), g, q, EvalOptions{
-					Workers: workers, Meter: m, SpillDir: t.TempDir(),
-				})
+				m := govern.NewMeter(0)
+				if workers == 1 {
+					m = govern.NewMeter(peak)
+				}
+				res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers, Meter: m})
 				if err != nil {
-					t.Fatalf("%s %s workers=%d budgeted: %v", name, sh.name, workers, err)
+					t.Fatalf("%s %s workers=%d limited: %v", name, sh.name, workers, err)
 				}
 				if got := renderResult(t, res); !slices.Equal(got, want) {
-					t.Errorf("%s %s workers=%d: budgeted rows differ from unbudgeted", name, sh.name, workers)
+					t.Errorf("%s %s workers=%d: limited rows differ from unlimited", name, sh.name, workers)
 				}
 				if m.Used() != rows.Used() {
 					t.Errorf("%s %s workers=%d: %d bytes accounted after the query, %d of them result rows",
 						name, sh.name, workers, m.Used(), rows.Used())
 				}
-				spilled += m.Spilled()
 			}
 		}
-	}
-	if spilled == 0 {
-		t.Fatal("no query spilled: the budget never forced the streaming path")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"hexastore/internal/dictionary"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
-	"hexastore/internal/iofault"
 	"hexastore/internal/obs"
 	"hexastore/internal/query"
 	"hexastore/internal/rdf"
@@ -101,16 +100,15 @@ func EvalContext(ctx context.Context, g graph.Graph, q *Query) (*Result, error) 
 // EvalWorkers is Eval with an explicit intra-query worker budget,
 // overriding the package-wide SetMaxWorkers default for this evaluation
 // (workers <= 1 keeps execution single-threaded; see parallel.go for
-// how chunks spread over workers and why results are identical for every
-// budget).
+// how seed pieces spread over workers and why results are identical for
+// every budget).
 func EvalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
 	return EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers})
 }
 
 // EvalOpts is the fully governed evaluation entry point: ctx carries
 // cancellation and deadlines, opt carries the worker budget and the
-// memory budget (see EvalOptions). Package-wide defaults installed with
-// SetDefaultLimits apply to whatever opt leaves unset.
+// memory limit (see EvalOptions).
 //
 // When the backend offers consistent snapshots (graph.Snapshotter — the
 // delta overlay, the sharded cluster), the whole evaluation is pinned to
@@ -139,8 +137,6 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := withDefaultTimeout(ctx)
-	defer cancel()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = MaxWorkers()
@@ -211,20 +207,17 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		sum = pl.sum.Load()
 	}
 	ev := &evaluator{
-		src:      g,
-		dict:     g.Dictionary(),
-		q:        q,
-		pl:       pl,
-		plans:    plans,
-		shape:    shape,
-		sum:      sum,
-		eng:      engineFor(g),
-		workers:  workers,
-		tr:       opt.Trace,
-		mem:      meterFor(&opt),
-		noSpill:  opt.NoSpill,
-		spillFS:  iofault.Or(opt.FS),
-		spillDir: opt.SpillDir,
+		src:     g,
+		dict:    g.Dictionary(),
+		q:       q,
+		pl:      pl,
+		plans:   plans,
+		shape:   shape,
+		sum:     sum,
+		eng:     engineFor(g),
+		workers: workers,
+		tr:      opt.Trace,
+		mem:     meterFor(&opt),
 	}
 	if ctx.Done() != nil {
 		ev.ctx = ctx
@@ -235,15 +228,8 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		// a query already at its budget does not get to pin more memory
 		// process-wide; it just skips the fill (never fails over it).
 		size := resultFootprint(res) + int64(len(rkey)) + resultEntryOverhead
-		ok := true
-		if ev.mem != nil {
-			if gerr := ev.mem.Grow(size); gerr != nil {
-				ok = false
-			} else {
-				defer ev.mem.Shrink(size)
-			}
-		}
-		if ok {
+		if ev.mem.Grow(size) == nil {
+			defer ev.mem.Shrink(size)
 			results.put(rkey, epoch, res, size)
 		}
 	}
@@ -294,16 +280,12 @@ type evaluator struct {
 	// planning, emission and the OPTIONAL matcher (see parallel.go).
 	cancelTick
 
-	// mem accounts binding-table and result-row growth (nil: unlimited);
-	// noSpill turns a soft-budget crossing into an immediate
-	// govern.ErrBudgetExceeded instead of spilling. spillFS/spillDir say
-	// where spill files go (see spill.go). rowBytes is the accounted
-	// estimate of one materialized result row.
+	// mem accounts what the query holds (nil: unlimited). rowBytes is the
+	// accounted estimate of one materialized result row, and grown what
+	// the rows emitted since the meter was last updated retain (retain).
 	mem      *govern.Meter
-	noSpill  bool
-	spillFS  iofault.FS
-	spillDir string
 	rowBytes int64
+	grown    int64
 
 	vars []string
 
@@ -326,10 +308,10 @@ type evaluator struct {
 	target   int // rows needed before OFFSET/LIMIT trimming; -1 = all
 	done     bool
 
-	// batch is the columnar join executor, one per evaluation; its
-	// binding table and scratch buffers are reused across chunks and
-	// branches. laneSet is batch followed by the executors made for other
-	// workers' chunks, and chunks counts the chunks run (parallel.go).
+	// batch is the columnar join executor that drives each branch, one
+	// per evaluation; its pieces and scratch buffers are reused across
+	// branches. laneSet holds the executors made for other workers, and
+	// chunks counts the seed pieces run (parallel.go).
 	batch   batchExec
 	laneSet []*batchExec
 	chunks  int
@@ -369,13 +351,6 @@ type evaluator struct {
 	groupSets   []map[core.ID]struct{}
 }
 
-// canSpill reports whether a soft-budget crossing may be answered by
-// spilling (rather than failing): spilling enabled and a soft budget
-// configured to size the spill chunks by.
-func (ev *evaluator) canSpill() bool {
-	return !ev.noSpill && ev.mem.Budget() > 0
-}
-
 func (ev *evaluator) run() (*Result, error) {
 	q := ev.q
 	ev.vars = q.Vars
@@ -394,7 +369,6 @@ func (ev *evaluator) run() (*Result, error) {
 		ev.batch.views = vs
 	}
 	ev.batch.init()
-	ev.laneSet = append(ev.laneSet, &ev.batch)
 	defer ev.finish()
 	if len(q.Aggregates) > 0 {
 		ev.aggMode = true
@@ -429,9 +403,8 @@ func (ev *evaluator) run() (*Result, error) {
 	}
 	ev.res = &Result{Vars: ev.vars}
 	// What one collected row retains: its cells, its ORDER BY keys and
-	// sequence number. Result rows cannot spill, so they count against
-	// the hard cap — a query whose output alone is enormous fails typed
-	// instead of exhausting memory.
+	// sequence number — a query whose output alone is enormous fails
+	// typed instead of exhausting memory.
 	ev.rowBytes = int64(len(ev.vars))*int64(unsafe.Sizeof(rdf.Term{})) +
 		int64(len(q.OrderBy))*int64(unsafe.Sizeof(sortKey{})) + 8
 	if q.Distinct && !ev.aggMode {
@@ -782,8 +755,7 @@ func appendIDKey(buf []byte, id core.ID) []byte {
 
 // emit turns the current solution (ev.cur) into a result row — the one
 // place rows are made, whichever path bound the solution: the batch
-// engine's table rows, the OPTIONAL matcher, or spilled chunks read
-// back. Late materialization: late filters and DISTINCT are decided on
+// engine's table rows or the OPTIONAL matcher. Late materialization: late filters and DISTINCT are decided on
 // ids, an ORDER BY … LIMIT candidate that cannot make the cut is dropped
 // on its keys alone, and terms are decoded only for rows that are kept.
 func (ev *evaluator) emit(lateFilters []*cfilter) error {
@@ -809,10 +781,8 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 		if ev.distinct[string(key)] {
 			return nil
 		}
-		if ev.mem != nil {
-			if err := ev.mem.Grow(int64(len(key)) + keyEntryOverhead); err != nil {
-				return err
-			}
+		if err := ev.retain(int64(len(key)) + keyEntryOverhead); err != nil {
+			return err
 		}
 		ev.distinct[string(key)] = true
 	}
@@ -853,10 +823,8 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 	}
 	nc := len(ev.projSlots)
 	if row == res.n {
-		if ev.mem != nil {
-			if err := ev.mem.Grow(ev.rowBytes); err != nil {
-				return err
-			}
+		if err := ev.retain(ev.rowBytes); err != nil {
+			return err
 		}
 		res.cells = slices.Grow(res.cells, nc)[:len(res.cells)+nc]
 		res.n++
@@ -898,6 +866,26 @@ func (ev *evaluator) keepsEveryRow() bool {
 // entry's share of the map's buckets.
 const keyEntryOverhead = 48
 
+// retain notes n bytes a kept row or key holds. The meter hears of them
+// once a piece's worth has gathered, and at the end of each piece
+// (flushRetained): a piece has at most chunkRows rows, but the OPTIONAL
+// matcher can make any number of result rows from each of them.
+func (ev *evaluator) retain(n int64) error {
+	ev.grown += n
+	if ev.grown < int64(chunkRows)*ev.rowBytes {
+		return nil
+	}
+	return ev.flushRetained()
+}
+
+// flushRetained charges the meter with what was retained since its last
+// update.
+func (ev *evaluator) flushRetained() error {
+	grown := ev.grown
+	ev.grown = 0
+	return ev.mem.Grow(grown)
+}
+
 // fold accumulates the current solution into its GROUP BY bucket, keyed
 // by the fixed-width binary encoding of the group ids.
 func (ev *evaluator) fold() error {
@@ -910,10 +898,8 @@ func (ev *evaluator) fold() error {
 	na := len(ev.aggSlots)
 	g, ok := ev.groups[string(key)]
 	if !ok {
-		if ev.mem != nil {
-			if err := ev.mem.Grow(ev.rowBytes + int64(len(key)) + keyEntryOverhead); err != nil {
-				return err
-			}
+		if err := ev.retain(ev.rowBytes + int64(len(key)) + keyEntryOverhead); err != nil {
+			return err
 		}
 		g = len(ev.groups)
 		ev.groups[string(key)] = g

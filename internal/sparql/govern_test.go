@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +15,6 @@ import (
 	"hexastore/internal/disk"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
-	"hexastore/internal/iofault"
 	"hexastore/internal/rdf"
 	"hexastore/internal/shard"
 )
@@ -175,8 +174,8 @@ func TestDeadlineMidJoin(t *testing.T) {
 
 // governQueries is the differential workload: a quadratic join, a
 // DISTINCT projection, an OPTIONAL extension, a grouped aggregate, an
-// ORDER BY, and an early-terminating LIMIT — every emission path the
-// spill machinery has to reproduce bit-identically.
+// ORDER BY, and an early-terminating LIMIT — every emission path a
+// memory limit must leave bit-identical.
 var governQueries = []string{
 	`SELECT ?a ?b WHERE { ?a <http://ex/takes> ?c . ?b <http://ex/takes> ?c }`,
 	`SELECT DISTINCT ?a WHERE { ?a <http://ex/takes> ?c . ?b <http://ex/takes> ?c }`,
@@ -188,131 +187,100 @@ var governQueries = []string{
 	`SELECT ?a ?b WHERE { ?a <http://ex/takes> ?c . ?b <http://ex/takes> ?c } LIMIT 500`,
 }
 
-// TestSpillDifferential runs the workload unlimited and under a budget
-// small enough to force spilling, on every backend and at 1 and 4
-// workers, and asserts the rows come back identical — same content,
-// same order.
-func TestSpillDifferential(t *testing.T) {
-	data := governTriples(120, 12, 6)
-	backends := governBackends(t, data)
-	var totalSpilled int64
-	for name, g := range backends {
-		for qi, src := range governQueries {
-			q, err := Parse(src)
-			if err != nil {
-				t.Fatalf("query %d: %v", qi, err)
-			}
-			base, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
-			if err != nil {
-				t.Fatalf("%s query %d unlimited: %v", name, qi, err)
-			}
-			want := renderRows(t, base)
-			for _, workers := range []int{1, 4} {
-				dir := t.TempDir()
-				m := govern.NewMeter(4096, 1<<30)
-				res, err := EvalOpts(context.Background(), g, q, EvalOptions{
-					Workers: workers, Meter: m, SpillDir: dir,
-				})
+// skewTriples builds a dataset whose <link> fan-out is one for every
+// node but a head with 10⁴ targets, and two of the 502 <to> edges point
+// at that head: most of a join through it comes from one row.
+func skewTriples() []rdf.Triple {
+	to, link := rdf.NewIRI("http://ex/to"), rdf.NewIRI("http://ex/link")
+	head := rdf.NewIRI("http://ex/head")
+	var ts []rdf.Triple
+	for i := 0; i < 500; i++ {
+		n := rdf.NewIRI(fmt.Sprintf("http://ex/n%04d", i))
+		ts = append(ts,
+			rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/a%04d", i)), to, n),
+			rdf.T(n, link, rdf.NewIRI(fmt.Sprintf("http://ex/m%04d", i))))
+	}
+	for j := 0; j < 2; j++ {
+		ts = append(ts, rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/src%d", j)), to, head))
+	}
+	for k := 0; k < 10000; k++ {
+		ts = append(ts, rdf.T(head, link, rdf.NewIRI(fmt.Sprintf("http://ex/t%05d", k))))
+	}
+	return ts
+}
+
+var skewQueries = []string{
+	`SELECT (COUNT(?t) AS ?n) WHERE { ?a <http://ex/to> ?b . ?b <http://ex/link> ?t }`,
+	`SELECT DISTINCT ?t WHERE { ?a <http://ex/to> ?b . ?b <http://ex/link> ?t }`,
+	`SELECT ?b (COUNT(?t) AS ?n) WHERE { ?a <http://ex/to> ?b . ?b <http://ex/link> ?t } GROUP BY ?b`,
+	`SELECT ?a ?t WHERE { ?a <http://ex/to> ?b . ?b <http://ex/link> ?t } LIMIT 300`,
+}
+
+// engineSlack is what TestBudgetDifferential lets a query hold beside
+// its result rows: the shared lists its steps fetched, one piece per step
+// depth and lane, and the lanes' queues.
+const engineSlack = 1 << 20
+
+// TestBudgetDifferential runs each workload unlimited and under a limit
+// of its result rows plus engineSlack — far below what its joins would
+// hold materialised — on every backend, at 1 and 4 workers and in pieces
+// of 4 and 1,024 rows, and asserts the rows come back identical (same
+// content, same order) with the accounted peak under the limit.
+func TestBudgetDifferential(t *testing.T) {
+	for _, ds := range []struct {
+		name    string
+		data    []rdf.Triple
+		queries []string
+	}{
+		{"uniform", governTriples(48, 8, 4), governQueries},
+		{"skewed", skewTriples(), skewQueries},
+	} {
+		backends := governBackends(t, ds.data)
+		for name, g := range backends {
+			for qi, src := range ds.queries {
+				q, err := Parse(src)
 				if err != nil {
-					t.Fatalf("%s query %d budgeted workers=%d: %v", name, qi, workers, err)
+					t.Fatalf("query %d: %v", qi, err)
 				}
-				got := renderRows(t, res)
-				if len(got) != len(want) {
-					t.Fatalf("%s query %d workers=%d: %d rows budgeted vs %d unlimited",
-						name, qi, workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s query %d workers=%d row %d:\n  budgeted:  %s\n  unlimited: %s",
-							name, qi, workers, i, got[i], want[i])
+				for _, chunk := range []int{4, 1024} {
+					setChunkRows(t, chunk)
+					rows := govern.NewMeter(0)
+					base, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, Meter: rows})
+					if err != nil {
+						t.Fatalf("%s/%s query %d unlimited: %v", ds.name, name, qi, err)
 					}
-				}
-				totalSpilled += m.Spilled()
-				ents, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ents) != 0 {
-					t.Errorf("%s query %d workers=%d: %d spill files left behind", name, qi, workers, len(ents))
+					want := renderRows(t, base)
+					limit := rows.Used() + engineSlack
+					if p := rows.Peak(); p > limit {
+						t.Fatalf("%s/%s query %d chunk=%d: unlimited run peaked at %d bytes, %d over its result rows",
+							ds.name, name, qi, chunk, p, p-rows.Used())
+					}
+					for _, workers := range []int{1, 4} {
+						m := govern.NewMeter(limit)
+						res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers, Meter: m})
+						if err != nil {
+							t.Fatalf("%s/%s query %d chunk=%d workers=%d under %d bytes: %v",
+								ds.name, name, qi, chunk, workers, limit, err)
+						}
+						if got := renderRows(t, res); !slices.Equal(got, want) {
+							t.Fatalf("%s/%s query %d chunk=%d workers=%d: rows differ from the unlimited run",
+								ds.name, name, qi, chunk, workers)
+						}
+						if m.Used() != rows.Used() {
+							t.Errorf("%s/%s query %d chunk=%d workers=%d: %d bytes accounted after the query, %d of them result rows",
+								ds.name, name, qi, chunk, workers, m.Used(), rows.Used())
+						}
+					}
 				}
 			}
 		}
 	}
-	if totalSpilled == 0 {
-		t.Fatal("no query spilled: the budget never forced the spill path")
-	}
 }
 
-// TestSpillFaultInjection points the spill path at a faulty filesystem:
-// ENOSPC, a torn write, a failing read-back, and a failing create must
-// each surface as a clean query error — never as wrong rows — and must
-// not strand spill files.
-func TestSpillFaultInjection(t *testing.T) {
-	data := governTriples(120, 12, 6)
-	b := core.NewBuilder(nil)
-	b.AddAll(core.EncodeTriples(b.Dictionary(), data, 4))
-	g := graph.Memory(b.BuildParallel(4))
-	q, err := Parse(governQueries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderRows(t, base)
-
-	cases := []struct {
-		name  string
-		fault iofault.Fault
-		match error // nil = any non-nil error acceptable
-	}{
-		{"enospc", iofault.Fault{Op: iofault.OpWrite, Path: "hexspill", Err: iofault.ErrNoSpace}, iofault.ErrNoSpace},
-		{"torn-write", iofault.Fault{Op: iofault.OpWrite, Path: "hexspill", Keep: 8}, iofault.ErrInjected},
-		{"read-back", iofault.Fault{Op: iofault.OpRead, Path: "hexspill"}, iofault.ErrInjected},
-		{"create", iofault.Fault{Op: iofault.OpOpen, Path: "hexspill"}, iofault.ErrInjected},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			inj := iofault.NewInjector(nil).AddFault(tc.fault)
-			res, err := EvalOpts(context.Background(), g, q, EvalOptions{
-				Workers: 1, MemBudget: 4096, HardCap: 1 << 30, SpillDir: dir, FS: inj,
-			})
-			if err == nil {
-				// The fault must have fired (the budget forces a spill);
-				// a fault the query absorbed must not have corrupted rows.
-				if inj.Count(tc.fault.Op) == 0 {
-					t.Fatal("fault never fired: spill path not exercised")
-				}
-				got := renderRows(t, res)
-				if len(got) != len(want) {
-					t.Fatalf("absorbed fault corrupted results: %d rows, want %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("absorbed fault corrupted row %d", i)
-					}
-				}
-				return
-			}
-			if tc.match != nil && !errors.Is(err, tc.match) {
-				t.Fatalf("err = %v, want errors.Is %v", err, tc.match)
-			}
-			ents, rdErr := os.ReadDir(dir)
-			if rdErr != nil {
-				t.Fatal(rdErr)
-			}
-			if len(ents) != 0 {
-				t.Errorf("%d spill files left behind after failure", len(ents))
-			}
-		})
-	}
-}
-
-// TestBudgetKillDeterministic asserts NoSpill turns the soft budget
-// into a deterministic kill: the same query fails with
-// govern.ErrBudgetExceeded on every run, sequential and parallel.
+// TestBudgetKillDeterministic asserts the limit is a deterministic kill:
+// a join whose shared lists and pieces fit but whose result rows do not
+// fails with govern.ErrBudgetExceeded on every run, sequential and
+// parallel.
 func TestBudgetKillDeterministic(t *testing.T) {
 	data := governTriples(120, 12, 6)
 	b := core.NewBuilder(nil)
@@ -325,7 +293,7 @@ func TestBudgetKillDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for run := 0; run < 5; run++ {
 			_, err := EvalOpts(context.Background(), g, q, EvalOptions{
-				Workers: workers, MemBudget: 32 << 10, NoSpill: true,
+				Workers: workers, MemBudget: 256 << 10,
 			})
 			if !errors.Is(err, govern.ErrBudgetExceeded) {
 				t.Fatalf("workers=%d run %d: err = %v, want govern.ErrBudgetExceeded", workers, run, err)
@@ -334,11 +302,11 @@ func TestBudgetKillDeterministic(t *testing.T) {
 	}
 }
 
-// TestPeakStaysUnderHardCap runs a join whose intermediate state is an
-// order of magnitude over the hard cap but whose result is one row: the
-// spill machinery must keep the accounted peak under the cap instead of
-// materializing the join in memory.
-func TestPeakStaysUnderHardCap(t *testing.T) {
+// TestPeakStaysUnderBudget runs a join whose intermediate result is more
+// than 30 times the limit but whose answer is one row: pieces keep the
+// accounted peak — the seed's lists included — under the limit instead of
+// materializing the join.
+func TestPeakStaysUnderBudget(t *testing.T) {
 	data := governTriples(200, 20, 10)
 	b := core.NewBuilder(nil)
 	b.AddAll(core.EncodeTriples(b.Dictionary(), data, 4))
@@ -347,35 +315,55 @@ func TestPeakStaysUnderHardCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget, hard = 64 << 10, 256 << 10
-	m := govern.NewMeter(budget, hard)
-	res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, Meter: m, SpillDir: t.TempDir()})
+	const limit, joined = 64 << 10, 200000
+	if intermediate := int64(joined * 3 * 8); intermediate < 30*limit {
+		t.Fatalf("the join's %d-byte intermediate is not 30 times the limit", intermediate)
+	}
+	m := govern.NewMeter(0)
+	if _, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, Meter: m}); err != nil {
+		t.Fatal(err)
+	}
+	p := m.Peak()
+	if seed := int64(200*10) * 2 * 8; p < seed {
+		t.Fatalf("accounted peak %d bytes is under the seed's %d-byte lists", p, seed)
+	}
+	if p > limit {
+		t.Fatalf("accounted peak %d bytes exceeds the %d-byte limit", p, limit)
+	}
+	t.Logf("accounted peak %d bytes, %d under the limit", p, limit-p)
+	res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, MemBudget: limit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "200000" {
-		t.Fatalf("rows = %v, want one count of 200000", res.Rows)
-	}
-	if m.Spilled() == 0 {
-		t.Fatal("join state never spilled: peak assertion is vacuous")
-	}
-	if p := m.Peak(); p > hard {
-		t.Fatalf("accounted peak %d bytes exceeds the %d-byte hard cap", p, hard)
+	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != fmt.Sprint(joined) {
+		t.Fatalf("rows = %v, want one count of %d", res.Rows, joined)
 	}
 }
 
-// TestDefaultLimits exercises the package-wide knobs the CLI flags land
-// on: a default timeout fails a long query with DeadlineExceeded even
-// through the no-context entry points.
-func TestDefaultLimits(t *testing.T) {
-	data := governTriples(800, 40, 20)
+// TestBudgetOptionalFanOut runs an OPTIONAL group that matches every
+// student for each enrollment row: one piece of the seed makes 86,400
+// result rows. The limit must stop it after about a piece's worth of
+// rows, not once the whole piece has been materialised.
+func TestBudgetOptionalFanOut(t *testing.T) {
+	data := governTriples(120, 12, 6)
 	b := core.NewBuilder(nil)
 	b.AddAll(core.EncodeTriples(b.Dictionary(), data, 4))
 	g := graph.Memory(b.BuildParallel(4))
-	SetDefaultLimits(0, 15*time.Millisecond)
-	defer SetDefaultLimits(0, 0)
-	_, err := Exec(g, `SELECT ?a ?b WHERE { ?a <http://ex/takes> ?c . ?b <http://ex/takes> ?c }`)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	q, err := Parse(`SELECT ?a ?x WHERE { ?a <http://ex/takes> ?c OPTIONAL { ?x <http://ex/name> ?n } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers, MemBudget: 64 << 10})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, govern.ErrBudgetExceeded) {
+			t.Fatalf("workers=%d: err = %v, want govern.ErrBudgetExceeded", workers, err)
+		}
+		// The whole answer's cells alone are 86,400 × 2 terms ≈ 10 MB.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("workers=%d: the query allocated %d bytes before it was stopped", workers, alloc)
+		}
 	}
 }

@@ -1,30 +1,45 @@
 package sparql
 
-// Intra-query parallelism for the batch engine: the chunk is the unit of
-// fan-out. The goroutine evaluating the query drives the pipeline — it
-// cuts the seed into chunks, hands each to a lane, and emits the
-// finished chunks in seed order — and with a worker budget above one
-// the lanes are up to that many executors, each with its own table,
-// free list, scratch buffers, cancellation tick and term reader, run by
-// as many goroutines. A lane computes for its chunk exactly what a
-// single lane would, emission happens on one goroutine in seed order
-// (it funnels into the evaluator's result rows, DISTINCT set and
-// aggregation buckets) — so rows and their order do not depend on the
-// worker count or on GOMAXPROCS, which is what the differential suites
-// assert. With one worker, a seed of one chunk, or a branch whose last
-// step is row-capped (a plain LIMIT or ASK: the first chunks answer it,
-// and running others ahead is the work the cap avoids), the same loop
-// runs every chunk inline and starts no goroutine.
+// Intra-query parallelism for the batch engine: the seed piece is the
+// unit of fan-out. The goroutine evaluating the query is the driver: it
+// runs the branch down to the seed, and with a worker budget above one
+// and a seed of more than one piece it hands seed pieces round-robin to
+// up to that many lanes — executors with their own pieces, free list,
+// cancellation tick and term reader, each run by a goroutine. A lane
+// runs its seed piece depth first exactly as the driver would and sends
+// every piece that leaves the last step into its queue; the driver emits
+// the lanes' queues in seed order (emission funnels into the evaluator's
+// result rows, DISTINCT set and aggregation buckets) — so rows and their
+// order do not depend on the worker count or on GOMAXPROCS, which is what
+// the differential suites assert. A queued piece travels in one of the
+// lane's laneQueue slots and comes back through the same channel once it
+// is emitted, so a lane whose slots are all out waits, and at most
+// laneQueue pieces per lane wait for their turn. With one worker, a seed
+// of one piece, or a branch whose last step is row-capped (a plain LIMIT
+// or ASK: the first pieces answer it, and running others ahead is the
+// work the cap avoids), the driver runs every piece itself and starts no
+// goroutine.
 
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
-	"hexastore/internal/core"
 	"hexastore/internal/obs"
 )
+
+// laneQueue is how many finished pieces one lane may have waiting for
+// the driver.
+const laneQueue = 4
+
+// piece is one slot of a lane's queue: a finished piece's rows, copied
+// into buffers of the lane, or — end set — the outcome of the lane's
+// seed piece.
+type piece struct {
+	tbl batchTable
+	end bool
+	err error
+}
 
 // maxWorkersSetting holds the configured package-wide worker budget;
 // <= 0 means "use runtime.GOMAXPROCS(0) at evaluation time".
@@ -73,7 +88,7 @@ func (t *cancelTick) tickOK() bool {
 }
 
 // ctxCheck consults the context directly (no tick amortization); used
-// at step and chunk boundaries.
+// at step and piece boundaries.
 func (t *cancelTick) ctxCheck() error {
 	if t.ctxErr == nil && t.ctx != nil {
 		t.ctxErr = t.ctx.Err()
@@ -83,17 +98,18 @@ func (t *cancelTick) ctxCheck() error {
 
 var (
 	chunksTotal = obs.Default.Counter(
-		"hex_sparql_chunks_total", "Binding-table chunks run through join pipelines.")
+		"hex_sparql_chunks_total", "Seed pieces run through join pipelines.")
 	termsDecodedTotal = obs.Default.Counter(
 		"hex_sparql_terms_decoded_total", "Dictionary ids decoded to terms by queries.")
 )
 
 // finish ends the evaluation's executors: their scratch goes back to the
-// pool — every table has been dropped by now, so nothing refers to it —
+// pool — every piece has been dropped by now, so nothing refers to it —
 // and their counts to /metrics, once per query from counters the
 // evaluator and its lanes kept anyway.
 func (ev *evaluator) finish() {
-	decoded := ev.terms.decoded
+	decoded := ev.terms.decoded + ev.batch.terms.decoded
+	scratchPool.Put(ev.batch.scratch)
 	for _, ln := range ev.laneSet {
 		decoded += ln.terms.decoded
 		scratchPool.Put(ln.scratch)
@@ -103,96 +119,143 @@ func (ev *evaluator) finish() {
 	termsDecodedTotal.Add(int64(decoded))
 }
 
-// lanes returns n executors for a branch's chunks, the evaluator's own
-// first; the others are made on first need and kept for the branches
-// that follow.
-func (ev *evaluator) lanes(n int) []*batchExec {
-	for len(ev.laneSet) < n {
-		ln := &batchExec{ev: ev, src: ev.src, sorted: ev.batch.sorted, views: ev.batch.views}
-		ln.init()
-		ev.laneSet = append(ev.laneSet, ln)
-	}
-	return ev.laneSet[:n]
-}
-
-// init readies an executor for its evaluation's chunks.
+// init readies an executor for its evaluation's pieces.
 func (bx *batchExec) init() {
 	bx.ctx = bx.ev.ctx
 	bx.terms = newTermReader(bx.ev.dict)
 	bx.scratch = scratchPool.Get().(*scratch)
 }
 
-// runChunks is the pipeline: the n seed rows in cols are cut into
-// chunks, chunk i runs on lane i mod len(lanes), and chunks are emitted
-// in order, each lane taking its next chunk once its last one has been
-// emitted — so at most one chunk per lane is in memory.
-func (bx *batchExec) runChunks(br *branchRun, cols [][]core.ID, n int) error {
+// fansOut reports whether the branch's seed pieces should run on lanes,
+// and if so starts them: more than one worker, a seed of more than one
+// piece, and no row cap.
+func (bx *batchExec) fansOut(br *branchRun) bool {
+	if bx.workers <= 1 || br.capped || br.from == 0 {
+		return false
+	}
+	pieces := (len(br.steps[br.from-1].lists[0]) + chunkRows - 1) / chunkRows
+	if pieces <= 1 {
+		return false
+	}
 	ev := bx.ev
-	nChunks := (n + chunkRows - 1) / chunkRows
-	workers := bx.workers
-	if br.capped {
-		// A plain LIMIT or ASK wants a few rows of the first chunks: a
-		// chunk run ahead on another lane is work the cap exists to avoid.
-		workers = 1
-	}
-	lanes := ev.lanes(max(1, min(workers, nChunks)))
-	var jobs chan *batchExec
-	if len(lanes) > 1 {
-		// Every lane can be queued at once, so handing out never blocks.
-		jobs = make(chan *batchExec, len(lanes))
-		var wg sync.WaitGroup
-		for range lanes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ln := range jobs {
-					ln.err = ln.runChunk(br)
-					ln.done <- struct{}{}
-				}
-			}()
+	for len(ev.laneSet) < min(bx.workers, pieces) {
+		ln := &batchExec{ev: ev, src: ev.src, sorted: bx.sorted, views: bx.views}
+		ln.init()
+		ln.slots = make(chan *piece, laneQueue)
+		for i := range ln.piece {
+			ln.slots <- &ln.piece[i]
 		}
-		defer func() {
-			close(jobs)
-			wg.Wait()
-		}()
+		ev.laneSet = append(ev.laneSet, ln)
 	}
+	br.lanes = ev.laneSet[:min(bx.workers, pieces)]
+	for _, ln := range br.lanes {
+		ln.jobs = make(chan batchTable, 1)
+		ln.out = make(chan *piece, laneQueue)
+		br.wg.Add(1)
+		go ln.serve(br)
+	}
+	return true
+}
 
-	var firstErr error
-	stopped := false
-	for next, emitted := 0, 0; ; emitted++ {
-		for ; !stopped && next < nChunks && next-emitted < len(lanes); next++ {
-			ln := lanes[next%len(lanes)]
-			lo := next * chunkRows
-			ln.beginChunk(br, cols, lo, min(lo+chunkRows, n), nChunks-next)
-			ev.chunks++
-			if jobs != nil {
-				if ln.done == nil {
-					ln.done = make(chan struct{}, 1)
-				}
-				jobs <- ln
-			} else {
-				ln.err = ln.runChunk(br)
-			}
-		}
-		if emitted == next {
-			return firstErr
-		}
-		ln := lanes[emitted%len(lanes)]
-		if jobs != nil {
-			<-ln.done
-		}
-		if !stopped {
-			err := ln.err
-			if err == nil {
-				err = ln.emitChunk(br)
-			}
-			// An error or a reached LIMIT ends the pipeline: nothing more
-			// is handed out, and the loop goes on only to collect the at
-			// most len(lanes)-1 chunks in flight, whose rows are dropped.
-			if firstErr = err; err != nil || ev.done {
-				stopped = true
-			}
-		}
-		ln.endChunk()
+// serve is a lane's goroutine: it runs each seed piece it is handed and
+// closes it with an end marker carrying the outcome.
+func (ln *batchExec) serve(br *branchRun) {
+	defer br.wg.Done()
+	for job := range ln.jobs {
+		err := ln.run(br, br.from, &job)
+		p := <-ln.slots
+		p.end, p.err = true, err
+		ln.out <- p
 	}
+}
+
+// queue sends a finished piece to the driver, copied into one of the
+// lane's slots; with every slot out, it waits for the driver to emit or
+// discard one.
+func (ln *batchExec) queue(in *batchTable) error {
+	p := <-ln.slots
+	p.end = false
+	cols := p.tbl.cols
+	for len(cols) < len(in.cols) {
+		cols = append(cols, ln.getCol())
+	}
+	for c, col := range in.cols {
+		cols[c] = append(cols[c][:0], col[:in.n]...)
+	}
+	p.tbl = batchTable{vars: in.vars, sorted: in.sorted, cols: cols, n: in.n}
+	ln.out <- p
+	return nil
+}
+
+// dispatch hands the driver's seed piece to the next lane round-robin,
+// once that lane's previous piece has been emitted. The slots every
+// lane's queue may fill are accounted when the first piece goes out.
+func (bx *batchExec) dispatch(br *branchRun, in *batchTable) error {
+	if br.next == 0 {
+		slots := len(br.lanes) * laneQueue * len(br.colSlot) * chunkRows
+		if err := bx.hold(int64(slots) * 8); err != nil {
+			return err
+		}
+	}
+	ln := br.lanes[br.next%len(br.lanes)]
+	if br.next-br.drained == len(br.lanes) {
+		if err := bx.drainNext(br); err != nil {
+			return err
+		}
+	}
+	ln.seedCols = append(ln.seedCols[:0], in.cols...)
+	job := *in
+	job.cols = ln.seedCols
+	ln.jobs <- job
+	br.next++
+	return nil
+}
+
+// drainNext emits the oldest seed piece still out, reading its lane's
+// queue up to the end marker and returning every slot. Once the branch
+// has stopped it reads without emitting. It returns the first error the
+// piece met, errStop when it completed the branch's answer.
+func (bx *batchExec) drainNext(br *branchRun) error {
+	ln := br.lanes[br.drained%len(br.lanes)]
+	br.drained++
+	var err error
+	for {
+		p := <-ln.out
+		if p.end {
+			if err == nil {
+				err = p.err
+			}
+			ln.slots <- p
+			return err
+		}
+		if err == nil && !br.stop {
+			if err = bx.ev.emitPiece(br, &p.tbl); err == nil && bx.ev.done {
+				err = errStop
+			}
+			br.stop = err != nil
+		}
+		ln.slots <- p
+	}
+}
+
+// joinLanes ends a branch that ran on lanes: the pieces still out are
+// emitted in order — or, after err or a reached LIMIT, only collected —
+// and the lanes' goroutines exit. It returns the first error.
+func (bx *batchExec) joinLanes(br *branchRun, err error) error {
+	for br.drained < br.next {
+		if err != nil {
+			br.stop = true
+		}
+		if e := bx.drainNext(br); err == nil {
+			err = e
+		}
+	}
+	for _, ln := range br.lanes {
+		close(ln.jobs)
+	}
+	br.wg.Wait()
+	for _, ln := range br.lanes {
+		ln.jobs, ln.out = nil, nil
+	}
+	return err
 }

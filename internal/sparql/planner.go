@@ -353,37 +353,3 @@ func planOrderJoin(sum *stats.Summary, pats []idPattern, preBound map[string]boo
 	}
 	return chosen, hints
 }
-
-// planOrderStats orders patterns by estimated join size (see
-// planOrderJoin); it remains as the hint-free entry point used by tests
-// and OPTIONAL-group planning.
-func planOrderStats(sum *stats.Summary, pats []idPattern, preBound map[string]bool) []int {
-	order, _ := planOrderJoin(sum, pats, preBound)
-	return order
-}
-
-// estimatePatternBound prices one pattern given the currently-bound
-// variable set: the summary's single-pattern estimate over the constant
-// positions, divided by the distinct count of each position held by an
-// already-bound variable (uniformity assumption). Used for single-step
-// estimates where no join context exists.
-func estimatePatternBound(sum *stats.Summary, p *idPattern, bound map[string]bool) float64 {
-	var ids [3]core.ID
-	var varBound [3]bool
-	for j := 0; j < 3; j++ {
-		t := p.term(j)
-		if t.Kind == Const {
-			ids[j] = p.ids[j]
-		} else if bound[t.Name] {
-			varBound[j] = true
-		}
-	}
-	est := sum.EstimatePattern(ids[0], ids[1], ids[2])
-	divisors := [3]int{sum.DistinctS, sum.DistinctP, sum.DistinctO}
-	for j := 0; j < 3; j++ {
-		if varBound[j] && divisors[j] > 0 {
-			est /= float64(divisors[j])
-		}
-	}
-	return est
-}

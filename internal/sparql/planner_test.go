@@ -84,7 +84,7 @@ func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 	pats[0].ids[1] = commonID
 	pats[1].ids[1] = rareID
 
-	order := planOrderStats(sum, pats, nil)
+	order, _ := planOrderJoin(sum, pats, nil)
 	if order[0] != 1 {
 		t.Fatalf("planner ordered common predicate first: order = %v", order)
 	}
@@ -113,7 +113,7 @@ func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 	pats[1].ids[1] = rareID
 	pats[2].ids[1] = commonID
 
-	order := planOrderStats(sum, pats, nil)
+	order, _ := planOrderJoin(sum, pats, nil)
 	if order[0] == 1 {
 		// Both rare patterns are equivalent starts; fine either way.
 		t.Skip("planner started with the disconnected twin; acceptable")

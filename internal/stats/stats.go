@@ -191,17 +191,6 @@ func min1(est float64) float64 {
 	return est
 }
 
-// EstimateJoin returns the estimated cardinality of joining two patterns
-// that share at least one variable, using the standard |A|*|B| /
-// max(distinct join keys) formula with the per-position distinct counts
-// as the key-domain proxy.
-func (s *Summary) EstimateJoin(cardA, cardB float64, joinDomain int) float64 {
-	if joinDomain <= 0 {
-		joinDomain = 1
-	}
-	return cardA * cardB / float64(joinDomain)
-}
-
 // String summarizes the summary, for diagnostics.
 func (s *Summary) String() string {
 	return fmt.Sprintf("stats: %d triples, %d subjects, %d predicates, %d objects",

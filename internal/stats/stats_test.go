@@ -154,16 +154,6 @@ func TestEstimateOrdersSelectivityCorrectly(t *testing.T) {
 	}
 }
 
-func TestEstimateJoin(t *testing.T) {
-	sum := &Summary{Triples: 100, DistinctS: 10}
-	if got := sum.EstimateJoin(10, 20, 10); got != 20 {
-		t.Fatalf("EstimateJoin = %g, want 20", got)
-	}
-	if got := sum.EstimateJoin(10, 20, 0); got != 200 {
-		t.Fatalf("EstimateJoin with zero domain = %g, want 200", got)
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	sum := Build(buildStore(t))
 	s := sum.String()
