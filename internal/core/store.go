@@ -222,6 +222,27 @@ func (st *Store) AppendSorted(dst []ID, s, p, o ID) []ID {
 // and no materialization.
 func (st *Store) SortedListView(s, p, o ID) idlist.View { return st.terminalView(s, p, o) }
 
+// KeyCursor returns a forward cursor over the values position keyPos
+// (0 = S, 1 = P, 2 = O) takes in the triples whose position headPos is
+// head: the sorted keys of head's vector in the ordering headed by
+// headPos and keyed by keyPos, e.g. the properties of subject s for
+// (0, 1, s) from spo. It reads the immutable arena bytes in place and
+// panics when the two positions are the same.
+func (st *Store) KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor {
+	if headPos == keyPos {
+		panic("core: a key cursor needs two different positions")
+	}
+	return st.vec(keyedBy[headPos][keyPos], head).Keys()
+}
+
+// keyedBy[h][k] is the ordering headed by position h and keyed by
+// position k (the diagonal is unused).
+var keyedBy = [3][3]Index{
+	{SPO, SPO, SOP},
+	{PSO, PSO, POS},
+	{OSP, OPS, OPS},
+}
+
 // SortedPairs streams the values of the two free positions of a
 // 1-bound pattern — (p,o) for ⟨s,·,·⟩, (s,o) for ⟨·,p,·⟩, (s,p) for
 // ⟨·,·,o⟩ — ordered by the first free position ascending and the second

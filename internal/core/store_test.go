@@ -269,6 +269,47 @@ func TestHeadVectorsSorted(t *testing.T) {
 	}
 }
 
+// TestKeyCursorPositions walks KeyCursor for every (head, key) position
+// pair and every head value and checks it yields exactly the distinct
+// values the key position takes in the triples with that head.
+func TestKeyCursorPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var ts [][3]ID
+	for i := 0; i < 400; i++ {
+		// Wide key range: vectors longer than one skip-table group.
+		ts = append(ts, [3]ID{ID(rng.Intn(4) + 1), ID(rng.Intn(60) + 1), ID(rng.Intn(60) + 1)})
+	}
+	st := buildStore(ts...)
+	for h := 0; h < 3; h++ {
+		for k := 0; k < 3; k++ {
+			if h == k {
+				continue
+			}
+			for head := ID(1); head <= 61; head++ {
+				seen := map[ID]bool{}
+				for _, tr := range ts {
+					if tr[h] == head {
+						seen[tr[k]] = true
+					}
+				}
+				var want []ID
+				for v := range seen {
+					want = append(want, v)
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				var got []ID
+				cur := st.KeyCursor(h, k, head)
+				for v, ok := cur.SeekGE(0); ok; v, ok = cur.SeekGE(v + 1) {
+					got = append(got, v)
+				}
+				if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+					t.Fatalf("KeyCursor(%d, %d, %d) = %v, want %v", h, k, head, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAddTriple(t *testing.T) {
 	b := NewBuilder(nil)
 	tr := rdf.T(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewLiteral("o"))

@@ -71,6 +71,22 @@ func (cs coreSorted) SortedListView(s, p, o ID) (idlist.View, bool, error) {
 	return cs.st.SortedListView(s, p, o), true, nil
 }
 
+func (cs coreSorted) KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor {
+	return cs.st.KeyCursor(headPos, keyPos, head)
+}
+
+// KeySource is an optional refinement of SortedSource: a forward cursor
+// over the sorted values position keyPos (0 = S, 1 = P, 2 = O) takes in
+// the triples whose position headPos is head — which values occur with
+// the head at all. It is what lets the batch engine semijoin a sorted
+// column against a constant with one merge pass instead of a lookup per
+// row; the store picks the ordering that holds those values as keys.
+// Only the sealed memory store offers it, through the SortedSource
+// AsSortedSource returns for it; find it by type assertion on that value.
+type KeySource interface {
+	KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor
+}
+
 // ViewSource is an optional refinement of SortedSource: candidate
 // lists handed out as read-only views instead of copied slices. A
 // block-compressed backend returns zero-copy views of its immutable

@@ -193,9 +193,10 @@ func (p Packed) group(g int) (key ID, off int) {
 	return ID(binary.LittleEndian.Uint64(e)), int(binary.LittleEndian.Uint32(e[8:]))
 }
 
-// groupFor returns the skip-table group whose key range contains key.
-func (p Packed) groupFor(key ID) int {
-	lo, hi := 0, len(p.skip)/skipEntry
+// groupFor returns the last skip-table group at or after from whose head
+// is at most key; from−1 when group from's head is already past key.
+func (p Packed) groupFor(key ID, from int) int {
+	lo, hi := from, len(p.skip)/skipEntry
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if k, _ := p.group(mid); k <= key {
@@ -215,7 +216,7 @@ func (p Packed) Find(key ID) (View, bool) {
 	}
 	first, pos, prev := 0, 0, ID(0)
 	if p.skip != nil {
-		g := p.groupFor(key)
+		g := p.groupFor(key, 0)
 		if g < 0 {
 			return View{}, false
 		}
@@ -280,6 +281,59 @@ func (p Packed) entry(i int) (key ID, v View) {
 		prev = k
 		pos = next
 	}
+}
+
+// KeyCursor walks the keys of a packed vector forward: the vector's half
+// of a merge join whose other half is a sorted column. It reads entry
+// headers only and jumps through the skip table over whole groups.
+type KeyCursor struct {
+	p   Packed
+	i   int // index of the current entry: −1 before the first, nKeys past the last
+	pos int // byte offset of the entry after the current one
+	key ID  // the current entry's key
+}
+
+// Keys returns a cursor positioned before the first key.
+func (p Packed) Keys() KeyCursor { return KeyCursor{p: p, i: -1} }
+
+// SeekGE moves the cursor to the first key ≥ k at or after its current
+// key and returns it, ok=false once no such key exists. The cursor stays
+// on the key it returns, so seeking it again returns it again; seeks
+// must not go backwards.
+func (c *KeyCursor) SeekGE(k ID) (ID, bool) {
+	p := &c.p
+	if c.i >= p.nKeys {
+		return 0, false
+	}
+	if c.i >= 0 && c.key >= k {
+		return c.key, true
+	}
+	if p.skip != nil {
+		// A later group that starts at or below k: jump to the last such
+		// one. Its head's delta is relative to the entry before it, which
+		// the jump skips, so the skip table's absolute key stands in.
+		if g := c.i/packedGroup + 1; g*packedGroup < p.nKeys {
+			if head, _ := p.group(g); head <= k {
+				g = p.groupFor(k, g)
+				var off int
+				c.key, off = p.group(g)
+				c.i = g * packedGroup
+				_, _, _, c.pos = p.headerAt(off, 0)
+				if c.key == k {
+					return k, true
+				}
+			}
+		}
+	}
+	for c.i+1 < p.nKeys {
+		key, _, _, next := p.headerAt(c.pos, c.key)
+		c.i, c.key, c.pos = c.i+1, key, next
+		if key >= k {
+			return key, true
+		}
+	}
+	c.i = p.nKeys
+	return 0, false
 }
 
 // AppendKeys appends every key in ascending order to dst.

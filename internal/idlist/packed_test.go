@@ -9,8 +9,9 @@ import (
 )
 
 // checkPacked encodes keys[i] → lists[i] as a packed vector and holds
-// every accessor to the input: Len, Total, Range, AppendKeys, entry, Find
-// on every key and on the absent keys beside them. A copy rebuilt from
+// every accessor to the input: Len, Total, Range, AppendKeys, the key
+// cursor's ascending seeks, entry, Find on every key and on the absent
+// keys beside them. A copy rebuilt from
 // the vector's own views — compressed ones taken over as bytes, every
 // third one re-encoded from a raw slice — must be the same bytes, entry
 // for entry.
@@ -54,6 +55,36 @@ func checkPacked(t *testing.T, keys []ID, lists [][]ID) {
 	}
 	if got := p.AppendKeys(nil); !slices.Equal(got, keys) {
 		t.Fatalf("AppendKeys = %v, want %v", got, keys)
+	}
+
+	// Ascending SeekGE sequences: every key with its neighbours (group
+	// heads, the gaps between groups), past the last key, every key
+	// seeked twice, and sparse strides that jump whole groups.
+	var targets []ID
+	for _, k := range keys {
+		for _, x := range []ID{k - 1, k, k, k + 1} {
+			if len(targets) == 0 || x >= targets[len(targets)-1] {
+				targets = append(targets, x)
+			}
+		}
+	}
+	if last := keys[len(keys)-1]; last < ^ID(0) {
+		targets = append(targets, last+1, ^ID(0))
+	}
+	for _, stride := range []int{1, 3, 7, 4*packedGroup + 1} {
+		for first := 0; first < stride && first < len(targets); first++ {
+			cur := p.Keys()
+			for i := first; i < len(targets); i += stride {
+				want, ok := ID(0), false
+				j, _ := slices.BinarySearch(keys, targets[i])
+				if j < len(keys) {
+					want, ok = keys[j], true
+				}
+				if got, gotOK := cur.SeekGE(targets[i]); got != want || gotOK != ok {
+					t.Fatalf("stride %d from %d: SeekGE(%d) = %d,%v; want %d,%v", stride, first, targets[i], got, gotOK, want, ok)
+				}
+			}
+		}
 	}
 
 	present := make(map[ID]bool, len(keys))
@@ -174,7 +205,9 @@ func TestPackedKeyDeltaLimit(t *testing.T) {
 
 // FuzzPackedVector turns bytes into a key set and list lengths — per
 // entry a uvarint key gap (up to 2^62) and a length byte, below 160 a
-// one-id list — and holds every accessor of the encoded vector to them.
+// one-id list — and holds every accessor of the encoded vector to them,
+// the key cursor's SeekGE sequences included (on vectors of up to and of
+// more than one skip-table group).
 func FuzzPackedVector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var keys []ID

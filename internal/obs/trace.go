@@ -282,6 +282,10 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 //	query 1.23ms
 //	  plan 10µs order=[1 0] est[0]=120
 //	  step[?s p ?o] 800µs kind=merge rowsIn=1 rowsOut=98
+//
+// A join step's kind is one of merge, probe-list, probe, const-probe,
+// semi-merge, semi-probe and expand; a step folded into an expansion
+// that intersects with it reads kind=folded into=step k.
 func (s *Span) WriteTree(w io.Writer) error {
 	if s == nil {
 		return nil

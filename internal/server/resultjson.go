@@ -119,11 +119,21 @@ const hexDigits = "0123456789abcdef"
 // backslashes and control bytes escaped, invalid UTF-8 replaced by
 // U+FFFD and U+2028/U+2029 escaped, as encoding/json does (so that the
 // output is also valid JavaScript). Unlike encoding/json's default it
-// leaves <, > and & alone — the document is not HTML.
+// leaves <, > and & alone — the document is not HTML. Eight bytes that
+// need none of that are passed over as one word (plainWord); the bytes
+// of a word that holds one go through the byte loop.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
+	slow := 0 // the byte loop runs up to here: the end of the last word that hit
 	for i := 0; i < len(s); {
+		if i >= slow {
+			if i+8 <= len(s) && plainWord(s, i) {
+				i += 8
+				continue
+			}
+			slow = i + 8
+		}
 		b := s[i]
 		if b < utf8.RuneSelf {
 			if b >= ' ' && b != '"' && b != '\\' {
@@ -164,4 +174,22 @@ func appendJSONString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// plainWord reports whether none of the eight bytes of s at i needs
+// escaping or a UTF-8 check: no control byte, quote or backslash, and no
+// byte ≥ 0x80. It is one load and a few word operations (SWAR): in
+// v − n·lsb a byte below n borrows into its top bit, which the byte
+// itself did not have, and as a yes-or-no over the word that test is
+// exact for n ≤ 0x80; a byte equal to c is a zero byte of v ^ c·lsb.
+func plainWord(s string, i int) bool {
+	const lsb, msb = 0x0101010101010101, 0x8080808080808080
+	_ = s[i+7]
+	x := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+	q, bs := x^('"'*lsb), x^('\\'*lsb)
+	ctl := (x - ' '*lsb) &^ x
+	quote := (q - lsb) &^ q
+	bslash := (bs - lsb) &^ bs
+	return (ctl|quote|bslash|x)&msb == 0
 }

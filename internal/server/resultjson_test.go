@@ -53,10 +53,24 @@ func oracleResultsJSON(res *sparql.Result) map[string]any {
 	}
 }
 
-// nastyValues are literal values that exercise every escaping rule.
-var nastyValues = []string{
+// nastyValues are literal values that exercise every escaping rule — and,
+// at least 17 bytes long with one special byte at offset 0, 7, 8, 9, 15
+// or 16, the first, last and next byte of the writer's eight-byte words.
+var nastyValues = append([]string{
 	`plain`, `say "hi"`, `back\slash`, "line\nbreak", "tab\tand\rreturn",
 	"ctl\x00\x01\x1f", "sep\u2028and\u2029", "bad\xffutf8\xc3", "<tag>&amp;", "é☃\U0001F600", "",
+	"http://example.org/a-plain-long-iri#with-a-fragment",
+}, wordEdgeValues()...)
+
+func wordEdgeValues() []string {
+	var out []string
+	for _, off := range []int{0, 7, 8, 9, 15, 16} {
+		for _, special := range []string{`"`, `\`, "\n", "\x01", "\x1f", "\x7f", "\xff", "é", "\u2028"} {
+			base := "abcdefghijklmnopqrstu"
+			out = append(out, base[:off]+special+base[off+1:])
+		}
+	}
+	return out
 }
 
 func nastyStore() *core.Store {

@@ -5,22 +5,41 @@ package sparql
 // columnar binding table: one []core.ID column per variable, one join
 // step per triple pattern.
 //
-// Each step is one of three shapes (paper §4.2 — every Hexastore vector
-// and terminal list is sorted, so pairwise joins are linear
-// merge-joins):
+// A step either narrows the rows it is given or expands them (paper
+// §4.2 — every Hexastore vector and terminal list is sorted, so pairwise
+// joins are linear merge-joins):
 //
-//   - merge/probe filter: the pattern binds no new variable. When the
-//     pattern is one join column against two constants, its sorted
-//     candidate list is merge-intersected against the column with
-//     galloping (idlist.MergeFilter); otherwise each row is an existence
-//     probe.
+//   - filter: the pattern binds no new variable. When the pattern is one
+//     join column against two constants, its sorted candidate list is
+//     merge-intersected against the column with galloping
+//     (idlist.MergeFilter); otherwise each row is an existence probe.
+//   - semijoin: the pattern's one free position holds an existential
+//     variable — one that occurs nowhere else in the branch and that no
+//     output, FILTER, ORDER BY or OPTIONAL reads — in a query whose
+//     answer is a set (DISTINCT, ASK, or COUNT(DISTINCT) aggregates
+//     only), so how many matches a row has cannot change the answer.
+//     The step binds nothing and keeps the rows with at least one match:
+//     over a sorted column, one forward pass of the column over the keys
+//     of the vector the constant heads (semi-merge, graph.KeySource);
+//     elsewhere one zero-copy list view per row, reused for a repeated
+//     value (semi-probe).
 //   - expansion: the pattern binds new variables. Candidate values come
 //     from the backend's sorted lists (graph.SortedSource) and are
 //     appended to the output columns with bulk slice copies — a batched
-//     bind join with no per-triple callback into the evaluator.
-//   - fallback: backends without sorted-list access (the flat baseline
-//     table) collect candidates through Match into reusable scratch
-//     buffers; the table machinery is identical, only the fetch differs.
+//     bind join with no per-triple callback into the evaluator. A row
+//     whose substituted pattern equals the previous row's reuses the
+//     candidates already fetched. When a later step binds nothing and
+//     closes a cycle through the one variable the expansion binds — its
+//     other positions constants or columns bound before the expansion,
+//     one at least a column — the expansion intersects each row's
+//     candidates with that step's list for the row and the later step is
+//     folded away: the triangle's per-row probes become one merge.
+//
+// Backends without sorted-list access (the flat baseline table) collect
+// candidates through Match into reusable scratch buffers; the table
+// machinery is identical, only the fetch differs. Every form is decided
+// from the query's structure when the branch is planned, so the join
+// order, the plan cache and the rows are the same with or without them.
 //
 // The join is bounded by construction: every step hands its output to
 // the next in pieces of at most chunkRows rows, depth first. A branch
@@ -50,6 +69,7 @@ package sparql
 import (
 	"errors"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -130,13 +150,29 @@ type stepPlan struct {
 	vars    []string   // schema after the step
 	sorted  []bool
 
+	// A semijoin step (semi) — one column, one constant and one free
+	// position, the free one existential — binds nothing: it keeps the
+	// rows with a match. With cursor set — the column is sorted and the
+	// backend has key cursors — it merges the column against the keys of
+	// the constant's vector instead of fetching per row.
+	semi, cursor bool
+
+	// isect is the fetch pattern, for the rows of this expansion, of the
+	// later step folded into it — its one position on the new variable
+	// free; nil when none is.
+	isect *stepSpec
+
 	// Tracing (span stays nil with tracing off): the step's span opens
 	// when the first piece reaches it and closes when the branch ends,
-	// named after pat and carrying est, the planner's cardinality
-	// estimate.
-	pat  *Pattern
-	est  int64
-	span *obs.Span
+	// named after pat, numbered num in the plan's order and carrying est,
+	// the planner's cardinality estimate. foldPat and foldEst are those of
+	// the step folded into this one, whose span is opened beside it.
+	pat     *Pattern
+	num     int
+	est     int64
+	foldPat *Pattern
+	foldEst int64
+	span    *obs.Span
 
 	// The row-independent fetch, made by the first piece that reaches the
 	// step (fetchShared) and read-only afterwards: whether a constant
@@ -190,6 +226,7 @@ type batchExec struct {
 	src    graph.Graph
 	sorted graph.SortedSource // nil → Match-collect fallback
 	views  graph.ViewSource   // nil → no zero-copy candidate views
+	keys   graph.KeySource    // nil → no key cursors: semijoins probe
 
 	// workers is the intra-query parallelism budget for this evaluation
 	// (see parallel.go); only the driver has one, and 1 keeps every piece
@@ -216,19 +253,30 @@ type batchExec struct {
 	piece [laneQueue]piece
 
 	// Set while planning a branch: its span, the planner's per-step
-	// estimates and access-path hints, each aligned with the order.
+	// estimates and access-path hints, each aligned with the order, and
+	// the branch's existential variables (nil: the query's answer is not
+	// a set, so none is).
 	branchSp  *obs.Span
 	stepEsts  []float64
 	stepHints []stepHint
+	exist     map[string]bool
 }
 
-// level is what an expansion step keeps on one executor: the piece its
-// output accumulates in, and the candidates of the row being expanded
-// with what the meter carries for them.
+// level is what a step keeps on one executor: the piece an expansion's
+// output accumulates in; the candidates of the row being expanded — a
+// and b for the free positions, c what is left of a after a folded
+// step's list for the row narrows it — and the substituted pattern key
+// they were fetched for (have: a and b still hold its candidates, so a
+// row with the same key reuses them); lst, the per-row list an
+// intersection or a semi-probe reads when the backend has no zero-copy
+// view; and what the meter carries for the buffers.
 type level struct {
-	out  batchTable
-	a, b []core.ID
-	held int64
+	out     batchTable
+	a, b, c []core.ID
+	lst     []core.ID
+	key     [3]core.ID
+	have    bool
+	held    int64
 }
 
 // scratch is what keeps an executor's steady state allocation-free: free
@@ -274,7 +322,7 @@ func (bx *batchExec) release() int64 {
 	for k := range bx.levels {
 		lv := &bx.levels[k]
 		bx.free = append(bx.free, lv.out.cols...)
-		for _, buf := range [2][]core.ID{lv.a, lv.b} {
+		for _, buf := range [4][]core.ID{lv.a, lv.b, lv.c, lv.lst} {
 			if buf != nil {
 				bx.free = append(bx.free, buf)
 			}
@@ -299,16 +347,18 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 	}
 	br.span = bx.branchSp
 	br.emitsAll = len(optionals) == 0 && len(lateFilters) == 0 && ev.keepsEveryRow()
-	br.capped = br.emitsAll && ev.target > 0 && len(br.tail) == 0
 	var vars []string
 	var sorted []bool
 	for k, pi := range order {
 		st := &br.steps[k]
 		st.stepSpec = classify(&pats[pi], vars)
 		st.filters = stepFilters[k]
-		st.last = k == len(order)-1
 		if k < len(bx.stepHints) {
 			st.hint = bx.stepHints[k]
+		}
+		if isSemi(&st.stepSpec, bx.exist) {
+			st.semi, st.newNames = true, nil
+			st.cursor = bx.keys != nil && sorted[max(st.colAt[0], st.colAt[1], st.colAt[2])]
 		}
 		// A single sorted fetch expanding the unit table seeds a genuinely
 		// sorted first column (SortedList values, or the first position of
@@ -322,16 +372,80 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 		if seeds {
 			br.from = k + 1
 		}
-		st.pat = &pats[pi].pat
+		st.pat, st.num = &pats[pi].pat, k+1
 		if bx.stepEsts != nil {
 			st.est = int64(bx.stepEsts[k])
 		}
 	}
+	for k := 0; k < len(br.steps); k++ {
+		br.fold(k)
+	}
+	for k := range br.steps {
+		br.steps[k].last = k == len(br.steps)-1
+	}
+	br.capped = br.emitsAll && ev.target > 0 && len(br.tail) == 0
 	br.colSlot = make([]int, len(vars))
 	for c, name := range vars {
 		br.colSlot[c] = ev.slots[name]
 	}
 	return br
+}
+
+// isSemi reports whether sp — a pattern classified against the schema
+// its step inherits — is a semijoin: one bound column, one constant, and
+// one free position whose variable is existential.
+func isSemi(sp *stepSpec, exist map[string]bool) bool {
+	return sp.nCols == 1 && sp.nFree == 1 && exist[sp.newNames[0]]
+}
+
+// fold looks for a later step that closes a cycle through the variable
+// X expansion k binds — it binds nothing, mentions X once, and its other
+// positions are constants or columns bound before k, one at least a
+// column — and folds the first one into k: k intersects each row's
+// candidates with the later step's list for the row (st.isect), and the
+// later step leaves the branch, its staged FILTERs moving to the step
+// after it.
+func (br *branchRun) fold(k int) {
+	st := &br.steps[k]
+	if st.semi || len(st.newNames) != 1 || st.nFree != 1 || st.nCols == 0 {
+		return
+	}
+	x := len(st.vars) - 1 // X's column
+	for j := k + 1; j < len(br.steps); j++ {
+		sj := &br.steps[j]
+		if sj.nFree != 0 {
+			continue
+		}
+		onX, before, after := 0, 0, false
+		for _, c := range sj.colAt {
+			switch {
+			case c == x:
+				onX++
+			case c >= 0 && c < x:
+				before++
+			case c > x:
+				after = true
+			}
+		}
+		if onX != 1 || before == 0 || after {
+			continue
+		}
+		isect := sj.stepSpec
+		px := slices.Index(isect.colAt[:], x)
+		isect.kind[px], isect.colAt[px], isect.ids[px] = posFree, -1, core.None
+		isect.nCols--
+		isect.nFree++
+		st.isect = &isect
+		st.foldPat, st.foldEst = sj.pat, sj.est
+		if j+1 < len(br.steps) {
+			next := &br.steps[j+1]
+			next.filters = append(slices.Clip(sj.filters), next.filters...)
+		} else {
+			br.tail = append(slices.Clip(sj.filters), br.tail...)
+		}
+		br.steps = slices.Delete(br.steps, j, j+1)
+		return
+	}
 }
 
 // runBatch joins the ordered patterns: the unit table goes through the
@@ -425,7 +539,13 @@ func (bx *batchExec) run(br *branchRun, k int, in *batchTable) error {
 		if len(st.newNames) > 0 {
 			return bx.expand(br, k, in)
 		}
-		if err := bx.filterStep(st, in, bx.capLeft(br, st)); err != nil {
+		var err error
+		if st.semi {
+			err = bx.semiFilter(br, k, in, bx.capLeft(br, st))
+		} else {
+			err = bx.filterStep(st, in, bx.capLeft(br, st))
+		}
+		if err != nil {
 			return err
 		}
 		st.span.Add("rowsOut", int64(in.n))
@@ -464,13 +584,33 @@ func (bx *batchExec) capLeft(br *branchRun, st *stepPlan) int {
 }
 
 // openSpan returns the step's span, starting it under parent on the
-// first call.
+// first call with what planning decided: a semijoin's kind, the pattern
+// an expansion intersects with, and — right after it — the span of that
+// folded step, which never runs.
 func (st *stepPlan) openSpan(parent *obs.Span) *obs.Span {
 	st.open.Do(func() {
 		st.span = parent.ChildOf("step", st.pat)
 		st.span.SetInt("estRows", st.est)
+		if st.semi {
+			st.span.Set("kind", st.semiKind())
+		}
+		if st.foldPat != nil {
+			st.span.Set("intersect", st.foldPat)
+			sp := parent.ChildOf("step", st.foldPat)
+			sp.SetInt("estRows", st.foldEst)
+			sp.Set("kind", "folded")
+			sp.Set("into", "step "+strconv.Itoa(st.num))
+			sp.Finish()
+		}
 	})
 	return st.span
+}
+
+func (st *stepPlan) semiKind() string {
+	if st.cursor {
+		return "semi-merge"
+	}
+	return "semi-probe"
 }
 
 // classify resolves one pattern against the schema vars.
@@ -509,7 +649,7 @@ func classify(p *idPattern, vars []string) stepSpec {
 
 // subst returns the value of position j for row r of tbl: the constant,
 // or the row's value of the bound column. Free positions return None.
-func subst(sp *stepPlan, tbl *batchTable, j, r int) core.ID {
+func subst(sp *stepSpec, tbl *batchTable, j, r int) core.ID {
 	if sp.colAt[j] >= 0 {
 		return tbl.cols[sp.colAt[j]][r]
 	}
@@ -542,11 +682,12 @@ func (bx *batchExec) fetchOnce(sp *stepPlan, limit int) error {
 		// column: one list per new variable, shared by every row. The row
 		// cap bounds them — it only shrinks as rows are emitted, so the
 		// piece that fetches has the loosest one any piece will need.
+		s, p, o := sp.ids[0], sp.ids[1], sp.ids[2]
 		switch sp.nFree {
 		case 1:
-			sp.lists[0], err = bx.fetchOne(sp, nil, 0, bx.getCol())
+			sp.lists[0], err = bx.fetchOne(&sp.stepSpec, s, p, o, bx.getCol())
 		case 2:
-			sp.lists[0], sp.lists[1], err = bx.fetchPair(sp, nil, 0, limit, bx.getCol(), bx.getCol())
+			sp.lists[0], sp.lists[1], err = bx.fetchPair(&sp.stepSpec, s, p, o, limit, bx.getCol(), bx.getCol())
 		default:
 			err = bx.fetchAll(sp, limit)
 		}
@@ -621,6 +762,105 @@ func (bx *batchExec) filterStep(sp *stepPlan, tbl *batchTable, limit int) error 
 	}
 }
 
+// semiFilter runs semijoin step k over tbl, in place: it keeps the rows
+// whose substituted pattern — the existential position free — has at
+// least one match. A sorted column and a backend with key cursors take
+// one forward pass of the column over the keys of the constant's vector,
+// galloping the column past keys it lacks (semi-merge); otherwise each
+// row fetches the pattern's list, as a zero-copy view where the backend
+// has one, and a row repeating the previous row's value reuses its
+// answer (semi-probe). A non-negative limit keeps at most that many.
+func (bx *batchExec) semiFilter(br *branchRun, k int, tbl *batchTable, limit int) error {
+	sp := &br.steps[k]
+	col := tbl.cols[max(sp.colAt[0], sp.colAt[1], sp.colAt[2])]
+	keep := bx.keep[:0]
+	if sp.cursor {
+		head, key := slices.Index(sp.kind[:], posConst), slices.Index(sp.kind[:], posCol)
+		cur := bx.keys.KeyCursor(head, key, sp.ids[head])
+		for i := 0; i < len(col) && (limit < 0 || len(keep) < limit); {
+			key, ok := cur.SeekGE(col[i])
+			switch {
+			case !ok:
+				i = len(col)
+			case key == col[i]:
+				keep = append(keep, i)
+				i++
+			default:
+				i = idlist.Gallop(col, i+1, key)
+			}
+		}
+	} else {
+		lv := bx.levelAt(br, k)
+		found := false
+		for r, v := range col {
+			if !bx.tickOK() {
+				return bx.ctxErr
+			}
+			if limit >= 0 && len(keep) >= limit {
+				break
+			}
+			if r == 0 || v != col[r-1] {
+				s, p, o := subst(&sp.stepSpec, tbl, 0, r), subst(&sp.stepSpec, tbl, 1, r), subst(&sp.stepSpec, tbl, 2, r)
+				list, err := bx.listView(lv, &sp.stepSpec, s, p, o)
+				if err != nil {
+					return err
+				}
+				found = list.Len() > 0
+			}
+			if found {
+				keep = append(keep, r)
+			}
+		}
+	}
+	tbl.compact(keep)
+	bx.keep = keep
+	return nil
+}
+
+// listView returns the sorted values of the one free position of the
+// 2-bound pattern ⟨s,p,o⟩ of sp: a zero-copy view from a ViewSource
+// backend, else a view of the level's list buffer — appended by a
+// SortedSource, or collected through Match and sorted. The buffer is
+// accounted as it grows.
+func (bx *batchExec) listView(lv *level, sp *stepSpec, s, p, o core.ID) (idlist.View, error) {
+	if bx.views != nil {
+		if v, ok, err := bx.views.SortedListView(s, p, o); ok || err != nil {
+			return v, err
+		}
+	}
+	if lv.lst == nil {
+		lv.lst = bx.getCol()
+	}
+	var err error
+	if bx.sorted != nil {
+		lv.lst, err = bx.sorted.AppendSortedList(lv.lst[:0], s, p, o)
+	} else {
+		lv.lst, err = bx.matchInto(lv.lst[:0], slices.Index(sp.kind[:], posFree), s, p, o)
+		if err == nil {
+			err = bx.ctxErr
+		}
+		slices.Sort(lv.lst)
+	}
+	if err == nil {
+		err = bx.account(lv)
+	}
+	return idlist.ViewOf(lv.lst), err
+}
+
+// account grows what the meter carries for the level's candidate and
+// list buffers to what they now hold: one row's lists may be many ids.
+func (bx *batchExec) account(lv *level) error {
+	n := int64(len(lv.a)+len(lv.b)+len(lv.c)+len(lv.lst)) * 8
+	if n <= lv.held {
+		return nil
+	}
+	if err := bx.hold(n - lv.held); err != nil {
+		return err
+	}
+	lv.held = n
+	return nil
+}
+
 // probeFilter keeps the rows of tbl whose substituted pattern exists in
 // the store: one indexed Has per row.
 func (bx *batchExec) probeFilter(sp *stepPlan, tbl *batchTable, limit int) error {
@@ -632,7 +872,7 @@ func (bx *batchExec) probeFilter(sp *stepPlan, tbl *batchTable, limit int) error
 		if limit >= 0 && len(keep) >= limit {
 			break
 		}
-		ok, err := bx.src.Has(subst(sp, tbl, 0, r), subst(sp, tbl, 1, r), subst(sp, tbl, 2, r))
+		ok, err := bx.src.Has(subst(&sp.stepSpec, tbl, 0, r), subst(&sp.stepSpec, tbl, 1, r), subst(&sp.stepSpec, tbl, 2, r))
 		if err != nil {
 			return err
 		}
@@ -813,10 +1053,7 @@ func (bx *batchExec) flush(br *branchRun, k int, out *batchTable) error {
 // level returns step k's level on this executor, taking ncols buffers of
 // chunkRows rows for its output piece on first use in the branch.
 func (bx *batchExec) level(br *branchRun, k, ncols int) (*level, error) {
-	if len(bx.levels) < len(br.steps) {
-		bx.levels = append(bx.levels, make([]level, len(br.steps)-len(bx.levels))...)
-	}
-	lv := &bx.levels[k]
+	lv := bx.levelAt(br, k)
 	if lv.out.cols == nil {
 		if err := bx.hold(int64(ncols*chunkRows) * 8); err != nil {
 			return nil, err
@@ -829,34 +1066,81 @@ func (bx *batchExec) level(br *branchRun, k, ncols int) (*level, error) {
 	return lv, nil
 }
 
+// levelAt returns step k's level on this executor.
+func (bx *batchExec) levelAt(br *branchRun, k int) *level {
+	if len(bx.levels) < len(br.steps) {
+		bx.levels = append(bx.levels, make([]level, len(br.steps)-len(bx.levels))...)
+	}
+	return &bx.levels[k]
+}
+
 // candidates fetches row r's candidate values for the one or two free
 // positions of a row-dependent expansion into the level's buffers; b is
-// nil when the step binds one variable. A non-negative limit stops a
-// pair collection once that many pairs are kept. The buffers are
-// accounted as they grow: one row's candidates may be many.
+// nil when the step binds one variable. A row whose substituted pattern
+// is the one the buffers hold reuses them, unless a non-negative limit —
+// which stops a pair collection once that many pairs are kept — may have
+// cut them short. A step with a folded step narrows the candidates to
+// that step's list for the row. The buffers are accounted as they grow:
+// one row's candidates may be many.
 func (bx *batchExec) candidates(lv *level, sp *stepPlan, in *batchTable, r, limit int) (a, b []core.ID, err error) {
-	if lv.a == nil {
-		lv.a = bx.getCol()
+	key := [3]core.ID{subst(&sp.stepSpec, in, 0, r), subst(&sp.stepSpec, in, 1, r), subst(&sp.stepSpec, in, 2, r)}
+	if !lv.have || key != lv.key {
+		lv.have = false
+		if lv.a == nil {
+			lv.a = bx.getCol()
+		}
+		if sp.nFree == 1 {
+			lv.a, err = bx.fetchOne(&sp.stepSpec, key[0], key[1], key[2], lv.a[:0])
+		} else {
+			if lv.b == nil {
+				lv.b = bx.getCol()
+			}
+			lv.a, lv.b, err = bx.fetchPair(&sp.stepSpec, key[0], key[1], key[2], limit, lv.a[:0], lv.b[:0])
+		}
+		if err == nil {
+			err = bx.ctxErr
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		lv.key, lv.have = key, limit < 0
 	}
-	if sp.nFree == 1 {
-		a, err = bx.fetchOne(sp, in, r, lv.a[:0])
+	a = lv.a
+	if sp.nFree > 1 {
+		b = lv.b
+	}
+	if sp.isect != nil {
+		if a, err = bx.intersect(lv, sp.isect, in, r); err != nil {
+			return nil, nil, err
+		}
+	}
+	return a, b, bx.account(lv)
+}
+
+// intersect narrows the level's candidates to the values of the folded
+// step's free position for row r, into the level's c buffer: a merge
+// over sorted candidates, a membership test for a backend that collects
+// them through Match, in whatever order it yields them.
+func (bx *batchExec) intersect(lv *level, j *stepSpec, in *batchTable, r int) ([]core.ID, error) {
+	list, err := bx.listView(lv, j, subst(j, in, 0, r), subst(j, in, 1, r), subst(j, in, 2, r))
+	if err != nil {
+		return nil, err
+	}
+	if lv.c == nil {
+		lv.c = bx.getCol()
+	}
+	c := lv.c[:0]
+	if bx.sorted != nil {
+		idlist.MergeFilterView(lv.a, list, func(i int) { c = append(c, lv.a[i]) })
 	} else {
-		if lv.b == nil {
-			lv.b = bx.getCol()
-		}
-		a, b, err = bx.fetchPair(sp, in, r, limit, lv.a[:0], lv.b[:0])
-		lv.b = b
-	}
-	lv.a = a
-	if err == nil {
-		err = bx.ctxErr
-	}
-	if n := int64(len(a)+len(b)) * 8; err == nil && n > lv.held {
-		if err = bx.hold(n - lv.held); err == nil {
-			lv.held = n
+		for _, v := range lv.a {
+			if list.Contains(v) {
+				c = append(c, v)
+			}
 		}
 	}
-	return a, b, err
+	lv.c = c
+	return c, nil
 }
 
 // fetchOne appends the candidate values of the single free position for
@@ -864,8 +1148,7 @@ func (bx *batchExec) candidates(lv *level, sp *stepPlan, in *batchTable, r, limi
 // copy with a SortedSource, a Match collection otherwise. Both backends'
 // sorted accessors and Match are safe for concurrent readers, and
 // everything else it touches is the executor's.
-func (bx *batchExec) fetchOne(sp *stepPlan, in *batchTable, r int, dst []core.ID) ([]core.ID, error) {
-	s, p, o := subst(sp, in, 0, r), subst(sp, in, 1, r), subst(sp, in, 2, r)
+func (bx *batchExec) fetchOne(sp *stepSpec, s, p, o core.ID, dst []core.ID) ([]core.ID, error) {
 	if bx.sorted != nil {
 		return bx.sorted.AppendSortedList(dst, s, p, o)
 	}
@@ -895,8 +1178,7 @@ func (bx *batchExec) matchInto(dst []core.ID, free int, s, p, o core.ID) ([]core
 // applying the repeated-variable constraint when both positions share a
 // slot (?x <p> ?x keeps only equal pairs, in a alone). A non-negative
 // limit stops collection once that many pairs are kept.
-func (bx *batchExec) fetchPair(sp *stepPlan, in *batchTable, r, limit int, a, b []core.ID) ([]core.ID, []core.ID, error) {
-	s, p, o := subst(sp, in, 0, r), subst(sp, in, 1, r), subst(sp, in, 2, r)
+func (bx *batchExec) fetchPair(sp *stepSpec, s, p, o core.ID, limit int, a, b []core.ID) ([]core.ID, []core.ID, error) {
 	ja, jb := -1, -1
 	for j := 0; j < 3; j++ {
 		if sp.kind[j] == posFree {

@@ -289,6 +289,10 @@ type evaluator struct {
 
 	vars []string
 
+	// reads holds the variables the query reads besides joining on them,
+	// when its answer is a set; nil when it is not (see setReads).
+	reads map[string]bool
+
 	// Every variable of the query is numbered once, in run: slots maps a
 	// name to its slot and cur holds the solution being extended or
 	// emitted, by slot, with core.None for "unbound". Patterns, filters,
@@ -354,7 +358,7 @@ type evaluator struct {
 func (ev *evaluator) run() (*Result, error) {
 	q := ev.q
 	ev.vars = q.Vars
-	if len(ev.vars) == 0 {
+	if len(ev.vars) == 0 && !q.Ask { // an ASK answer projects nothing
 		ev.vars = q.AllVars()
 	}
 	ev.slots = make(map[string]int)
@@ -364,6 +368,7 @@ func (ev *evaluator) run() (*Result, error) {
 	ev.batch.workers = max(ev.workers, 1)
 	if ss, ok := graph.AsSortedSource(ev.src); ok {
 		ev.batch.sorted = ss
+		ev.batch.keys, _ = ss.(graph.KeySource)
 	}
 	if vs, ok := graph.AsViewSource(ev.src); ok {
 		ev.batch.views = vs
@@ -401,6 +406,7 @@ func (ev *evaluator) run() (*Result, error) {
 	if err := ev.compileFilters(); err != nil {
 		return nil, err
 	}
+	ev.reads = ev.setReads()
 	ev.res = &Result{Vars: ev.vars}
 	// What one collected row retains: its cells, its ORDER BY keys and
 	// sequence number — a query whose output alone is enormous fails
@@ -459,6 +465,77 @@ func (ev *evaluator) run() (*Result, error) {
 	}
 	ev.applyModifiers()
 	return ev.res, nil
+}
+
+// setReads returns, for a query whose answer is a set of value tuples —
+// DISTINCT, ASK, or aggregates that are all COUNT(DISTINCT ?v) — the
+// variables it reads beyond joining on them: projected, grouped,
+// counted, sorted on, filtered, or in an OPTIONAL group. How many
+// solutions agree on those cannot change such an answer, which is what
+// licenses a semijoin on any other variable that occurs once in a
+// branch (existentials). For any other query it returns nil.
+func (ev *evaluator) setReads() map[string]bool {
+	q := ev.q
+	set := q.Ask || (q.Distinct && !ev.aggMode)
+	if ev.aggMode {
+		set = true
+		for _, a := range q.Aggregates {
+			set = set && a.Distinct && a.Var != ""
+		}
+	}
+	if !set {
+		return nil
+	}
+	reads := map[string]bool{}
+	for _, names := range [][]string{ev.vars, q.GroupBy} {
+		for _, v := range names {
+			reads[v] = true
+		}
+	}
+	for _, a := range q.Aggregates {
+		reads[a.Var] = true
+	}
+	for _, k := range q.OrderBy {
+		reads[k.Var] = true
+	}
+	for _, f := range q.Filters {
+		for _, v := range f.Vars() {
+			reads[v] = true
+		}
+	}
+	for _, group := range q.Optionals {
+		for _, p := range group {
+			for _, v := range p.Vars() {
+				reads[v] = true
+			}
+		}
+	}
+	return reads
+}
+
+// existentials returns the variables of a branch a semijoin may drop:
+// each occurs in exactly one position of the branch's required patterns
+// and the query does not read it (setReads). nil when the query's answer
+// is not a set.
+func (ev *evaluator) existentials(pats []idPattern) map[string]bool {
+	if ev.reads == nil {
+		return nil
+	}
+	uses := map[string]int{}
+	for i := range pats {
+		for j := 0; j < 3; j++ {
+			if t := pats[i].term(j); t.Kind == Var {
+				uses[t.Name]++
+			}
+		}
+	}
+	exist := map[string]bool{}
+	for name, n := range uses {
+		if n == 1 && !ev.reads[name] {
+			exist[name] = true
+		}
+	}
+	return exist
 }
 
 // slotOf returns the solution slot of variable name, assigning the next
@@ -584,6 +661,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 		}
 	}
 	ev.batch.stepHints = hints
+	ev.batch.exist = ev.existentials(pats)
 
 	// Record the chosen plan — pattern order plus the per-step
 	// cardinality estimates the planner saw — and hand the branch span to
@@ -605,18 +683,6 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 		ev.batch.branchSp = br
 		ev.batch.stepEsts = ests
 		defer func() { ev.batch.branchSp, ev.batch.stepEsts = nil, nil }()
-	}
-	if ev.q.Explain == ExplainPlan {
-		// EXPLAIN without ANALYZE: emit the plan's step spans with
-		// estimates only; no join step runs.
-		for si, pi := range order {
-			sp := br.ChildOf("step", &pats[pi].pat)
-			if ests != nil {
-				sp.SetInt("estRows", int64(ests[si]))
-			}
-			sp.Finish()
-		}
-		return nil
 	}
 
 	// Stage filters: filter k runs at the earliest step after which all
@@ -657,6 +723,15 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 		} else {
 			stepFilters[step] = append(stepFilters[step], f)
 		}
+	}
+	if ev.q.Explain == ExplainPlan {
+		// EXPLAIN without ANALYZE: emit the plan's step spans with the
+		// estimates and the forms planning chose; no join step runs.
+		plan := ev.batch.planBranch(pats, order, stepFilters, optionals, lateFilters)
+		for k := range plan.steps {
+			plan.steps[k].openSpan(br).Finish()
+		}
+		return nil
 	}
 
 	// Join the required patterns with the columnar batch engine; rows
@@ -1128,14 +1203,25 @@ func (ev *evaluator) resolvePos(p *idPattern, j int) (core.ID, int) {
 // estimated intermediate cardinality after each step (directly
 // comparable to the step's rowsOut actual in EXPLAIN ANALYZE); without,
 // the engine's index cardinality (core.Store.PatternCardinality under
-// the hood); -1 when the backend answers neither without a scan.
+// the hood); -1 when the backend answers neither without a scan. A
+// semijoin step only keeps or drops rows, so its estimate never exceeds
+// the step before's.
 func (ev *evaluator) estimateSteps(pats []idPattern, order []int) []float64 {
 	ests := make([]float64, len(order))
 	if ev.sum != nil {
 		js := newJoinState(ev.sum, nil)
+		var vars []string
 		for si, pi := range order {
-			ests[si] = js.cost(&pats[pi])
+			before := js.card
 			js.advance(&pats[pi])
+			if len(ev.batch.exist) > 0 {
+				if sp := classify(&pats[pi], vars); isSemi(&sp, ev.batch.exist) {
+					js.card = min(js.card, before)
+				} else {
+					vars = append(vars, sp.newNames...)
+				}
+			}
+			ests[si] = js.card
 		}
 		return ests
 	}

@@ -139,7 +139,7 @@ func (bx *batchExec) fansOut(br *branchRun) bool {
 	}
 	ev := bx.ev
 	for len(ev.laneSet) < min(bx.workers, pieces) {
-		ln := &batchExec{ev: ev, src: ev.src, sorted: bx.sorted, views: bx.views}
+		ln := &batchExec{ev: ev, src: ev.src, sorted: bx.sorted, views: bx.views, keys: bx.keys}
 		ln.init()
 		ln.slots = make(chan *piece, laneQueue)
 		for i := range ln.piece {
