@@ -175,6 +175,16 @@ func (s *Snapshot) Decode(id ID) (rdf.Term, error) {
 	return rdf.TermFromKey(s.keys[id-1])
 }
 
+// Keys refreshes the snapshot and returns its key table: keys[id-1] is
+// the key (rdf.Term.Key) of id, for every id assigned so far. The table
+// is an immutable prefix of the dictionary's own (see reverse): it may be
+// kept and read from any number of goroutines, never written, and later
+// Encodes never change what it holds.
+func (s *Snapshot) Keys() []string {
+	s.refresh()
+	return s.keys
+}
+
 // MustDecode is Decode for callers that know the id is valid (e.g. ids
 // previously produced by Encode); it panics on unknown ids.
 func (d *Dictionary) MustDecode(id ID) rdf.Term {

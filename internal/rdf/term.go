@@ -93,19 +93,32 @@ func (t Term) Key() string {
 
 // TermFromKey reverses Term.Key.
 func TermFromKey(key string) (Term, error) {
+	kind, ok := KindOfKey(key)
+	if !ok {
+		if key == "" {
+			return Term{}, fmt.Errorf("rdf: empty term key")
+		}
+		return Term{}, fmt.Errorf("rdf: malformed term key %q", key)
+	}
+	return Term{Kind: kind, Value: key[1:]}, nil
+}
+
+// KindOfKey returns the kind of the term a key (Term.Key) encodes, read
+// from its first byte; the value is key[1:]. ok is false for an empty or
+// malformed key.
+func KindOfKey(key string) (kind TermKind, ok bool) {
 	if key == "" {
-		return Term{}, fmt.Errorf("rdf: empty term key")
+		return 0, false
 	}
 	switch key[0] {
 	case '"':
-		return NewLiteral(key[1:]), nil
+		return Literal, true
 	case '_':
-		return NewBlank(key[1:]), nil
+		return Blank, true
 	case '<':
-		return NewIRI(key[1:]), nil
-	default:
-		return Term{}, fmt.Errorf("rdf: malformed term key %q", key)
+		return IRI, true
 	}
+	return 0, false
 }
 
 func escapeLiteral(s string) string {

@@ -1,9 +1,10 @@
 package server
 
-// The SPARQL 1.1 Query Results JSON writer. It renders a columnar
-// sparql.Result straight into a pooled byte buffer that is flushed to
-// the response as it fills: no intermediate document, no map per row or
-// per cell, no reflection. A large answer costs one pass over its cells.
+// The SPARQL 1.1 Query Results JSON writer. It decodes a columnar
+// sparql.Result's ids straight into a pooled byte buffer that is flushed
+// to the response as it fills: no intermediate document, no term, map or
+// row per cell, no reflection. A large answer costs one pass over its
+// cells.
 
 import (
 	"encoding/json"
@@ -18,36 +19,68 @@ import (
 
 // jsonFlushBytes is the fill level at which the writer hands its buffer
 // to the response; jsonBufBytes, the pooled capacity, leaves room for the
-// row that crosses it.
+// row that crosses it. jsonBlockRows is how many rows the writer decodes
+// at a time.
 const (
 	jsonFlushBytes = 32 << 10
 	jsonBufBytes   = 40 << 10
+	jsonBlockRows  = 256
 )
 
-var jsonBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, jsonBufBytes)
-	return &b
+// jsonScratch is what one response is written with, pooled: the output
+// buffer, a block's term keys and kinds, and the per-column
+// `"name":{"type":` prefixes (prefix[ends[c-1]:ends[c]]).
+type jsonScratch struct {
+	buf    []byte
+	keys   []string
+	kinds  []uint8
+	prefix []byte
+	ends   []int
+}
+
+var jsonScratchPool = sync.Pool{New: func() any {
+	return &jsonScratch{buf: make([]byte, 0, jsonBufBytes)}
 }}
+
+// unboundKind marks an unbound cell among a block's kinds.
+const unboundKind = 0xff
+
+// jsonTypes is the `"type":` value and the `"value":` name that follow a
+// binding's prefix, by term kind.
+var jsonTypes = [...]string{
+	rdf.IRI:     `"uri","value":`,
+	rdf.Literal: `"literal","value":`,
+	rdf.Blank:   `"bnode","value":`,
+}
 
 // writeResultsJSON writes res to w in the SPARQL 1.1 Query Results JSON
 // format ({"head":{},"boolean":…} for ASK queries): binding keys in
-// projection order, unbound variables omitted. A non-nil explain trace
-// is appended as an "explain" member. Encoding stops at the first write
-// error, which is returned.
+// projection order, unbound variables omitted. The result's ids are
+// decoded here, a block of jsonBlockRows rows at a time, in three passes:
+// gather the block's term keys (Result.AppendKeys), read each key's kind
+// from its first byte, then write the rows — the key-table loads of the
+// first pass and the key loads of the second do not depend on one
+// another, so their cache misses overlap where decoding cell by cell
+// pays each in turn. A non-nil explain trace gains a "serialize" span
+// (rows, termsDecoded, bytes) and is appended, after the rows, as an
+// "explain" member. Encoding stops at the first write error, which is
+// returned.
 func writeResultsJSON(w io.Writer, res *sparql.Result, explain *obs.Trace) error {
-	var tree []byte
-	if explain != nil {
-		var err error
-		if tree, err = json.Marshal(explain); err != nil {
-			return err
-		}
-	}
-	bp := jsonBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	sp := explain.Child("serialize")
+	sc := jsonScratchPool.Get().(*jsonScratch)
+	buf := sc.buf[:0]
 	defer func() {
-		*bp = buf
-		jsonBufPool.Put(bp)
+		sc.buf = buf[:0]
+		clear(sc.keys[:cap(sc.keys)]) // the pooled scratch must not pin a key table
+		jsonScratchPool.Put(sc)
 	}()
+	written, decoded := 0, 0
+	flush := func() error {
+		written += len(buf)
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
 
 	if res.IsAsk {
 		buf = append(buf, `{"head":{},"boolean":`...)
@@ -58,59 +91,80 @@ func writeResultsJSON(w io.Writer, res *sparql.Result, explain *obs.Trace) error
 		}
 	} else {
 		// Each column's `"name":{"type":` is the same on every row.
-		prefix := make([][]byte, len(res.Vars))
+		nc := len(res.Vars)
+		prefix, ends := sc.prefix[:0], sc.ends[:0]
 		buf = append(buf, `{"head":{"vars":[`...)
 		for c, v := range res.Vars {
 			if c > 0 {
 				buf = append(buf, ',')
 			}
 			buf = appendJSONString(buf, v)
-			prefix[c] = append(appendJSONString(nil, v), `:{"type":`...)
+			prefix = append(appendJSONString(prefix, v), `:{"type":`...)
+			ends = append(ends, len(prefix))
 		}
+		sc.prefix, sc.ends = prefix, ends
 		buf = append(buf, `]},"results":{"bindings":[`...)
-		for i, n := 0, res.Len(); i < n; i++ {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, '{')
-			first := true
-			for c := range prefix {
-				t := res.At(i, c)
-				if t.IsZero() {
-					continue // unbound OPTIONAL variable
+		for lo, n := 0, res.Len(); lo < n; lo += jsonBlockRows {
+			hi := min(lo+jsonBlockRows, n)
+			keys := res.AppendKeys(sc.keys[:0], lo, hi)
+			sc.keys = keys
+			kinds := sc.kinds[:0]
+			for _, k := range keys {
+				kind, ok := rdf.KindOfKey(k)
+				if !ok {
+					kinds = append(kinds, unboundKind)
+					continue
 				}
-				if !first {
+				kinds = append(kinds, uint8(kind))
+				decoded++
+			}
+			sc.kinds = kinds
+			for r := 0; r < hi-lo; r++ {
+				if lo+r > 0 {
 					buf = append(buf, ',')
 				}
-				first = false
-				buf = append(buf, prefix[c]...)
-				switch t.Kind {
-				case rdf.Literal:
-					buf = append(buf, `"literal","value":`...)
-				case rdf.Blank:
-					buf = append(buf, `"bnode","value":`...)
-				default:
-					buf = append(buf, `"uri","value":`...)
+				buf = append(buf, '{')
+				first := true
+				for c, i := 0, r*nc; c < nc; c, i = c+1, i+1 {
+					if kinds[i] == unboundKind {
+						continue // unbound OPTIONAL variable
+					}
+					if !first {
+						buf = append(buf, ',')
+					}
+					first = false
+					from := 0
+					if c > 0 {
+						from = ends[c-1]
+					}
+					buf = append(buf, prefix[from:ends[c]]...)
+					buf = append(buf, jsonTypes[kinds[i]]...)
+					buf = appendJSONString(buf, keys[i][1:])
+					buf = append(buf, '}')
 				}
-				buf = appendJSONString(buf, t.Value)
 				buf = append(buf, '}')
-			}
-			buf = append(buf, '}')
-			if len(buf) >= jsonFlushBytes {
-				if _, err := w.Write(buf); err != nil {
-					return err
+				if len(buf) >= jsonFlushBytes {
+					if err := flush(); err != nil {
+						return err
+					}
 				}
-				buf = buf[:0]
 			}
 		}
 		buf = append(buf, "]}"...)
 	}
-	if tree != nil {
+	if explain != nil {
+		sp.SetInt("rows", int64(res.Len()))
+		sp.SetInt("termsDecoded", int64(decoded))
+		sp.SetInt("bytes", int64(written+len(buf)))
+		sp.Finish()
+		tree, err := json.Marshal(explain)
+		if err != nil {
+			return err
+		}
 		buf = append(append(buf, `,"explain":`...), tree...)
 	}
 	buf = append(buf, "}\n"...)
-	_, err := w.Write(buf)
-	return err
+	return flush()
 }
 
 const hexDigits = "0123456789abcdef"

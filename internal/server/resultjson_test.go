@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"hexastore/internal/core"
@@ -121,17 +123,20 @@ func TestResultsJSONMatchesOracle(t *testing.T) {
 		}
 		tr.Finish()
 
+		// The writer adds its serialize span to the trace it appends, so
+		// the reference encodes the trace after the writer is done.
+		var direct bytes.Buffer
+		if err := writeResultsJSON(&direct, res, tr); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
 		doc := oracleResultsJSON(res)
 		if tr != nil {
 			doc["explain"] = tr
+			checkSerializeSpan(t, tr, res, direct.Len())
 		}
 		var old bytes.Buffer
 		if err := json.NewEncoder(&old).Encode(doc); err != nil {
 			t.Fatal(err)
-		}
-		var direct bytes.Buffer
-		if err := writeResultsJSON(&direct, res, tr); err != nil {
-			t.Fatalf("%s: %v", src, err)
 		}
 		if !json.Valid(direct.Bytes()) {
 			t.Fatalf("%s: invalid JSON: %s", src, direct.Bytes())
@@ -146,6 +151,50 @@ func TestResultsJSONMatchesOracle(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n got %s\nwant %s", src, direct.Bytes(), old.Bytes())
 		}
+	}
+}
+
+// checkSerializeSpan checks the writer's span on tr: the rows of res it
+// wrote, one decode per bound cell, and the bytes before the "explain"
+// member of a document of docLen bytes.
+func checkSerializeSpan(t *testing.T, tr *obs.Trace, res *sparql.Result, docLen int) {
+	t.Helper()
+	var sp *obs.Span
+	for _, c := range tr.Children() {
+		if c.Name() == "serialize" {
+			sp = c
+		}
+	}
+	if sp == nil {
+		t.Fatalf("no serialize span in %s", tr)
+	}
+	attr := func(key string) int64 {
+		v, ok := sp.Attr(key)
+		if !ok {
+			t.Fatalf("serialize span has no %s", key)
+		}
+		return v.(int64)
+	}
+	tree, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, bound := res.Len(), 0
+	for r := 0; r < rows; r++ {
+		for c := range res.Vars {
+			if !res.At(r, c).IsZero() {
+				bound++
+			}
+		}
+	}
+	if got := attr("rows"); got != int64(rows) {
+		t.Errorf("serialize rows = %d, want %d", got, rows)
+	}
+	if got, want := attr("bytes"), int64(docLen-len(`,"explain":`)-len(tree)-len("}\n")); got != want {
+		t.Errorf("serialize bytes = %d, want %d", got, want)
+	}
+	if got := attr("termsDecoded"); got != int64(bound) {
+		t.Errorf("serialize termsDecoded = %d, want one per bound cell: %d", got, bound)
 	}
 }
 
@@ -284,5 +333,97 @@ func TestServeLargeResultAllocsPerRow(t *testing.T) {
 		t.Fatalf("%.0f allocations to serve %d rows (%.2f per row), want < 1 per row", allocs, rows, allocs/rows)
 	} else {
 		t.Logf("%.0f allocations for %d rows (%.3f per row)", allocs, rows, allocs/rows)
+	}
+}
+
+// TestCachedResultSharedUnderWrites serves one cached result from many
+// goroutines at once — through the JSON writer and through At — while
+// UPDATEs append enough new terms that the dictionary moves its key
+// table more than once. A result decodes through the key table as it
+// stood when its evaluation ended, so every body is the first one, byte
+// for byte.
+func TestCachedResultSharedUnderWrites(t *testing.T) {
+	srv := New(joinStore(200, 10, 3))
+	pl := srv.planner()
+	q, err := sparql.Parse(largeJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := func(res *sparql.Result) string {
+		var b strings.Builder
+		for r := 0; r < res.Len(); r++ {
+			for c := range res.Vars {
+				b.WriteString(res.At(r, c).String())
+			}
+		}
+		return b.String()
+	}
+	const readers = 6
+	results := make([]*sparql.Result, readers+1)
+	for i := range results {
+		if results[i], err = pl.EvalColumnar(context.Background(), q, sparql.EvalOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits := pl.CacheStats().ResultHits; hits < readers {
+		t.Fatalf("%d result-cache hits, want %d", hits, readers)
+	}
+	var want bytes.Buffer
+	if err := writeResultsJSON(&want, results[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	wantCells := cells(results[0])
+	if n := bytes.Count(want.Bytes(), []byte(`"student":`)); n != 600 {
+		t.Fatalf("%d rows, want 600", n)
+	}
+
+	dict := srv.Graph().Dictionary()
+	terms := dict.Len()
+	h := srv.Handler()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			var u strings.Builder
+			u.WriteString("INSERT DATA { ")
+			for k := 0; k < 100; k++ {
+				fmt.Fprintf(&u, `<http://ex/new%02d_%03d> <http://ex/p> "v%d_%d" . `, i, k, i, k)
+			}
+			u.WriteString("}")
+			req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(url.Values{"update": {u.String()}}.Encode()))
+			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Errorf("update: status %d: %s", rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	for _, res := range results[1:] {
+		wg.Add(1)
+		go func(res *sparql.Result) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				var got bytes.Buffer
+				if err := writeResultsJSON(&got, res, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Error("a served body differs from the first")
+					return
+				}
+				if cells(res) != wantCells {
+					t.Error("At reads differ from the first")
+					return
+				}
+			}
+		}(res)
+	}
+	wg.Wait()
+	if grown := dict.Len() - terms; grown < 4000 {
+		t.Fatalf("the updates added %d terms, want 4000", grown)
 	}
 }

@@ -62,9 +62,9 @@ package sparql
 // pipeline between pieces, not inside the seed's fetch. See parallel.go
 // for how seed pieces spread over workers.
 //
-// Rows stay dictionary-encoded IDs until final projection (late
-// materialization): DISTINCT and GROUP BY key on fixed-width binary ID
-// tuples and a term is decoded only for a cell that is kept.
+// Rows stay dictionary-encoded IDs into the result (late
+// materialization): DISTINCT and GROUP BY number id tuples (idtable.go),
+// and a term is decoded only when the result is read.
 
 import (
 	"errors"
@@ -195,6 +195,7 @@ type branchRun struct {
 	optionals   [][]idPattern
 	lateFilters []*cfilter
 	colSlot     []int // solution slot of each column of the joined table
+	slotCol     []int // per solution slot, the column that binds it; -1 for none
 	// capped: nothing after the join can reject or merge rows, so the
 	// last step needs to produce only as many rows as are still wanted.
 	// emitsAll: every joined row becomes a result row.
@@ -385,8 +386,13 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 	}
 	br.capped = br.emitsAll && ev.target > 0 && len(br.tail) == 0
 	br.colSlot = make([]int, len(vars))
+	br.slotCol = make([]int, len(ev.slots))
+	for s := range br.slotCol {
+		br.slotCol[s] = -1
+	}
 	for c, name := range vars {
 		br.colSlot[c] = ev.slots[name]
+		br.slotCol[ev.slots[name]] = c
 	}
 	return br
 }
@@ -1290,11 +1296,14 @@ func operandCol(tbl *batchTable, o *operand) []core.ID {
 }
 
 // emitPiece emits a piece that left the last step, on the evaluator's
-// goroutine: each row's ids are installed in the evaluator's solution
-// slots (every slot no column maps to reads unbound), then the row is
-// emitted — directly, or through the tuple-at-a-time OPTIONAL matcher,
-// which extends the solution in the same slots before emitting. What the
-// rows retain reaches the meter at most a piece's worth at a time (retain).
+// goroutine. A piece every row of which becomes a result row, in the
+// order it comes (emitsAll, no ORDER BY), is appended column by column:
+// one copy loop per projected column. Otherwise each row's ids are
+// installed in the evaluator's solution slots (every slot no column maps
+// to reads unbound), then the row is emitted — directly, or through the
+// tuple-at-a-time OPTIONAL matcher, which extends the solution in the
+// same slots before emitting. What the rows retain reaches the meter at
+// most a piece's worth at a time (retain).
 func (ev *evaluator) emitPiece(br *branchRun, tbl *batchTable) error {
 	if br.span != nil {
 		if br.emitSp == nil {
@@ -1303,19 +1312,8 @@ func (ev *evaluator) emitPiece(br *branchRun, tbl *batchTable) error {
 		br.emitSp.Add("rowsIn", int64(tbl.n))
 		br.emitSp.Add("chunks", 1)
 	}
-	if br.emitsAll {
-		// Every row becomes a result row: make room for this piece's in
-		// one step. Nothing is assumed of the pieces to come — fan-out may
-		// be skewed — but a growth at least doubles the cells: pieces are
-		// small beside a large answer, and append's gentler growth of a
-		// large array would copy it over and over.
-		n := tbl.n
-		if ev.target > 0 {
-			n = min(n, ev.target-ev.res.n)
-		}
-		if cells, need := ev.res.cells, n*len(ev.projSlots); cap(cells)-len(cells) < need {
-			ev.res.cells = slices.Grow(cells, max(need, len(cells)))
-		}
+	if br.emitsAll && len(ev.orderSlots) == 0 {
+		return ev.appendPiece(br, tbl)
 	}
 	for r := 0; r < tbl.n && !ev.done; r++ {
 		if !ev.tickOK() {
@@ -1327,6 +1325,52 @@ func (ev *evaluator) emitPiece(br *branchRun, tbl *batchTable) error {
 		if err := ev.runOptionals(br.optionals, 0, br.lateFilters); err != nil {
 			return err
 		}
+	}
+	return ev.flushRetained()
+}
+
+// appendPiece appends the rows of a piece that all become result rows,
+// up to the row target, one projected column at a time.
+func (ev *evaluator) appendPiece(br *branchRun, tbl *batchTable) error {
+	if err := ev.ctxCheck(); err != nil {
+		return err
+	}
+	res := ev.res
+	n := tbl.n
+	if ev.target > 0 {
+		n = min(n, ev.target-res.n)
+	}
+	// Make room for the piece in one step. Nothing is assumed of the
+	// pieces to come — fan-out may be skewed — but a growth at least
+	// doubles the ids: pieces are small beside a large answer, and
+	// append's gentler growth of a large array would copy it over and
+	// over.
+	nc := len(ev.projSlots)
+	base := len(res.ids)
+	if need := n * nc; cap(res.ids)-base < need {
+		res.ids = slices.Grow(res.ids, max(need, base))
+	}
+	res.ids = res.ids[:base+n*nc]
+	for i, s := range ev.projSlots {
+		dst := res.ids[base+i:]
+		c := br.slotCol[s]
+		if c < 0 {
+			if !ev.projOpt[i] && n > 0 {
+				return errUnbound(ev.vars[i])
+			}
+			for r := 0; r < n; r++ {
+				dst[r*nc] = core.None
+			}
+			continue
+		}
+		for r, id := range tbl.cols[c][:n] {
+			dst[r*nc] = id
+		}
+	}
+	res.n += n
+	ev.grown += int64(n) * ev.rowBytes
+	if ev.target > 0 && res.n >= ev.target {
+		ev.done = true
 	}
 	return ev.flushRetained()
 }

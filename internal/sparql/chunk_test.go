@@ -24,8 +24,9 @@ func cx(local string) rdf.Term { return rdf.NewIRI("http://c/" + local) }
 // its one column is sorted — and around it: two r and two r2 edges per
 // subject (row-dependent expansions, with values to tell apart in a
 // FILTER), a flag on every third subject (the merge filter's candidate
-// list), one of five groups, and an optional value on every fourth. p
-// and K exist whatever n is, so an empty seed is a seed, not an
+// list), one of five groups, a skewed group (seven subjects in eight
+// share one, every eighth has its own), and an optional value on every
+// fourth. p and K exist whatever n is, so an empty seed is a seed, not an
 // unresolvable constant.
 func chunkTriples(n int) []rdf.Triple {
 	ts := []rdf.Triple{
@@ -42,6 +43,11 @@ func chunkTriples(n int) []rdf.Triple {
 			rdf.T(s, cx("r2"), cx(fmt.Sprintf("x%03d", (i*5+1)%(n+3)))),
 			rdf.T(s, cx("r2"), cx(fmt.Sprintf("y%03d", i%13))),
 			rdf.T(s, cx("grp"), cx(fmt.Sprintf("g%d", i%5))))
+		if i%8 == 7 {
+			ts = append(ts, rdf.T(s, cx("skew"), cx(fmt.Sprintf("t%03d", i))))
+		} else {
+			ts = append(ts, rdf.T(s, cx("skew"), cx("head")))
+		}
 		if i%3 == 0 {
 			ts = append(ts, rdf.T(s, cx("flag"), cx("Yes")))
 		}
@@ -95,6 +101,8 @@ var chunkShapes = []struct {
 	{name: "merge-filter", src: `SELECT ?s ?x WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/flag> <http://c/Yes> . ?s <http://c/r> ?x }`},
 	{name: "distinct", src: `SELECT DISTINCT ?x WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/r> ?x }`},
 	{name: "group-count-distinct", src: `SELECT ?g (COUNT(DISTINCT ?x) AS ?c) WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/grp> ?g . ?s <http://c/r> ?x } GROUP BY ?g`},
+	{name: "group-skewed", ordered: true, src: `SELECT ?k (COUNT(?x) AS ?c) (COUNT(DISTINCT ?x) AS ?d) WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/skew> ?k . ?s <http://c/r> ?x } GROUP BY ?k ORDER BY DESC(?c) ?k`},
+	{name: "distinct-skewed", src: `SELECT DISTINCT ?k ?x WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/skew> ?k . ?s <http://c/r> ?x }`},
 	{name: "order-limit", ordered: true, src: `SELECT ?s ?x WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/r> ?x } ORDER BY ?x DESC(?s) LIMIT 10`},
 	{name: "limit", subset: true, src: `SELECT ?s ?x WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/r> ?x } LIMIT 21`},
 	{name: "ask", src: `ASK { ?s <http://c/p> <http://c/K> . ?s <http://c/flag> <http://c/Yes> . ?s <http://c/r> ?x }`},
@@ -209,7 +217,7 @@ func TestChunkSkewedFanOut(t *testing.T) {
 		if res.Len() != chunk*fan {
 			t.Fatalf("workers=%d: %d rows, want %d", workers, res.Len(), chunk*fan)
 		}
-		if c, l := cap(res.cells), len(res.cells); c > 2*l {
+		if c, l := cap(res.ids), len(res.ids); c > 2*l {
 			t.Errorf("workers=%d: result keeps %d cells for %d used", workers, c, l)
 		}
 	}

@@ -2,11 +2,9 @@ package sparql
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -308,8 +306,8 @@ type evaluator struct {
 	filters    []cfilter
 
 	res      *Result
-	distinct map[string]bool
-	target   int // rows needed before OFFSET/LIMIT trimming; -1 = all
+	distinct *idTable // DISTINCT's seen projection tuples; nil without DISTINCT
+	target   int      // rows needed before OFFSET/LIMIT trimming; -1 = all
 	done     bool
 
 	// batch is the columnar join executor that drives each branch, one
@@ -320,12 +318,12 @@ type evaluator struct {
 	laneSet []*batchExec
 	chunks  int
 
-	// keyBuf is the reusable buffer for binary DISTINCT / GROUP BY keys
-	// (fixed-width big-endian ids; None encodes unbound).
-	keyBuf []byte
+	// tuple is the reusable buffer a DISTINCT or GROUP BY key is gathered
+	// in: one id per projected or grouped variable, None for unbound.
+	tuple []core.ID
 
-	// terms decodes ids for emission, ORDER BY keys and late FILTERs
-	// (order.go).
+	// terms decodes ids for ORDER BY keys and late FILTERs (order.go);
+	// its snapshot's key table is what the result keeps.
 	terms termReader
 
 	// ORDER BY state (order.go). orderKeys holds len(q.OrderBy) keys per
@@ -343,16 +341,14 @@ type evaluator struct {
 
 	// Aggregation state (len(q.Aggregates) > 0): solutions are folded
 	// into groups instead of emitted as rows. groups numbers the GROUP BY
-	// buckets by their binary key; bucket i's state lies at stride i in
-	// three flat arrays, so a new bucket costs its map key and nothing
-	// else: groupIDs (one id per GROUP BY variable, None = unbound),
-	// groupCounts (one per aggregate) and groupSets (one per aggregate,
-	// non-nil for COUNT(DISTINCT)).
+	// buckets by their id tuple (None = unbound) and holds those tuples;
+	// groupCounts holds bucket g's counts at stride g, one per aggregate.
+	// A COUNT(DISTINCT) aggregate i counts a row only when its (bucket,
+	// value) pair is new to seen[i]; seen[i] is nil for other aggregates.
 	aggMode     bool
-	groups      map[string]int
-	groupIDs    []core.ID
+	groups      *idTable
 	groupCounts []int
-	groupSets   []map[core.ID]struct{}
+	seen        []*idTable
 }
 
 func (ev *evaluator) run() (*Result, error) {
@@ -377,14 +373,18 @@ func (ev *evaluator) run() (*Result, error) {
 	defer ev.finish()
 	if len(q.Aggregates) > 0 {
 		ev.aggMode = true
-		ev.groups = make(map[string]int)
 		ev.groupSlots = ev.slotsOf(q.GroupBy)
-		for _, a := range q.Aggregates {
+		ev.groups = newIDTable(len(ev.groupSlots))
+		ev.seen = make([]*idTable, len(q.Aggregates))
+		for i, a := range q.Aggregates {
 			s := -1
 			if a.Var != "" {
 				s = ev.slotOf(a.Var)
 			}
 			ev.aggSlots = append(ev.aggSlots, s)
+			if a.Distinct && s >= 0 {
+				ev.seen[i] = newIDTable(2)
+			}
 		}
 		// Output columns: the group-key variables followed by the
 		// aggregate aliases.
@@ -408,13 +408,13 @@ func (ev *evaluator) run() (*Result, error) {
 	}
 	ev.reads = ev.setReads()
 	ev.res = &Result{Vars: ev.vars}
-	// What one collected row retains: its cells, its ORDER BY keys and
+	// What one collected row retains: its ids, its ORDER BY keys and
 	// sequence number — a query whose output alone is enormous fails
 	// typed instead of exhausting memory.
-	ev.rowBytes = int64(len(ev.vars))*int64(unsafe.Sizeof(rdf.Term{})) +
+	ev.rowBytes = int64(len(ev.vars))*int64(unsafe.Sizeof(core.None)) +
 		int64(len(q.OrderBy))*int64(unsafe.Sizeof(sortKey{})) + 8
 	if q.Distinct && !ev.aggMode {
-		ev.distinct = make(map[string]bool)
+		ev.distinct = newIDTable(len(ev.projSlots))
 	}
 	// Early termination is only sound without ORDER BY or aggregation:
 	// otherwise every solution is a candidate. With ORDER BY and LIMIT the
@@ -464,6 +464,9 @@ func (ev *evaluator) run() (*Result, error) {
 		return &Result{IsAsk: true, Answer: ev.res.n > 0}, nil
 	}
 	ev.applyModifiers()
+	// Freeze the key table the result decodes through: every id the
+	// answer holds was assigned by now.
+	ev.res.keys = ev.terms.snap.Keys()
 	return ev.res, nil
 }
 
@@ -821,18 +824,12 @@ func (ev *evaluator) runOptionals(optionals [][]idPattern, g int, lateFilters []
 	return nil
 }
 
-// appendIDKey appends the fixed-width binary encoding of one id to a
-// DISTINCT / GROUP BY key: 8 bytes big-endian. None (never assigned to
-// a term) encodes an unbound optional variable.
-func appendIDKey(buf []byte, id core.ID) []byte {
-	return binary.BigEndian.AppendUint64(buf, uint64(id))
-}
-
 // emit turns the current solution (ev.cur) into a result row — the one
 // place rows are made, whichever path bound the solution: the batch
-// engine's table rows or the OPTIONAL matcher. Late materialization: late filters and DISTINCT are decided on
-// ids, an ORDER BY … LIMIT candidate that cannot make the cut is dropped
-// on its keys alone, and terms are decoded only for rows that are kept.
+// engine's table rows or the OPTIONAL matcher. Late filters and DISTINCT
+// are decided on ids, an ORDER BY … LIMIT candidate that cannot make the
+// cut is dropped on its keys alone, and a kept row is its ids: terms are
+// decoded when the result is read.
 func (ev *evaluator) emit(lateFilters []*cfilter) error {
 	cur := ev.cur
 	for _, f := range lateFilters {
@@ -848,18 +845,18 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 		return ev.fold()
 	}
 	if ev.distinct != nil {
-		key := ev.keyBuf[:0]
+		key := ev.tuple[:0]
 		for _, s := range ev.projSlots {
-			key = appendIDKey(key, cur[s]) // unbound: None
+			key = append(key, cur[s]) // unbound: None
 		}
-		ev.keyBuf = key
-		if ev.distinct[string(key)] {
+		ev.tuple = key
+		before := ev.distinct.size()
+		if _, added := ev.distinct.insert(key); !added {
 			return nil
 		}
-		if err := ev.retain(int64(len(key)) + keyEntryOverhead); err != nil {
+		if err := ev.retain(ev.distinct.size() - before); err != nil {
 			return err
 		}
-		ev.distinct[string(key)] = true
 	}
 
 	res := ev.res
@@ -867,12 +864,9 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 	if nk := len(ev.orderSlots); nk > 0 {
 		keys := ev.keyScratch[:0]
 		for _, s := range ev.orderSlots {
-			var k sortKey
-			if id := cur[s]; id != core.None {
-				var err error
-				if k, err = ev.terms.keyOf(id); err != nil {
-					return err
-				}
+			k, err := ev.terms.keyOf(cur[s])
+			if err != nil {
+				return err
 			}
 			keys = append(keys, k)
 		}
@@ -901,24 +895,16 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 		if err := ev.retain(ev.rowBytes); err != nil {
 			return err
 		}
-		res.cells = slices.Grow(res.cells, nc)[:len(res.cells)+nc]
+		res.ids = slices.Grow(res.ids, nc)[:len(res.ids)+nc]
 		res.n++
 	}
-	dst := res.cells[row*nc : (row+1)*nc]
+	dst := res.ids[row*nc : (row+1)*nc]
 	for i, s := range ev.projSlots {
 		id := cur[s]
-		if id == core.None {
-			if !ev.projOpt[i] {
-				return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", ev.vars[i])
-			}
-			dst[i] = rdf.Term{}
-			continue
+		if id == core.None && !ev.projOpt[i] {
+			return errUnbound(ev.vars[i])
 		}
-		term, err := ev.terms.decode(id)
-		if err != nil {
-			return err
-		}
-		dst[i] = term
+		dst[i] = id
 	}
 	if ev.heap != nil {
 		ev.siftDown(0)
@@ -929,17 +915,18 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 	return nil
 }
 
+// errUnbound is the error of a projected variable that no pattern of the
+// branch binds and no OPTIONAL group may bind.
+func errUnbound(name string) error {
+	return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", name)
+}
+
 // keepsEveryRow reports whether every solution that reaches emit with
 // its late filters passed becomes a result row: nothing folds, dedups or
 // competes for a bounded number of places.
 func (ev *evaluator) keepsEveryRow() bool {
 	return !ev.aggMode && ev.distinct == nil && ev.topK == 0
 }
-
-// keyEntryOverhead is the accounted cost of one DISTINCT-set or GROUP BY
-// map entry beyond its key bytes: the string header, the value and the
-// entry's share of the map's buckets.
-const keyEntryOverhead = 48
 
 // retain notes n bytes a kept row or key holds. The meter hears of them
 // once a piece's worth has gathered, and at the end of each piece
@@ -961,33 +948,24 @@ func (ev *evaluator) flushRetained() error {
 	return ev.mem.Grow(grown)
 }
 
-// fold accumulates the current solution into its GROUP BY bucket, keyed
-// by the fixed-width binary encoding of the group ids.
+// fold accumulates the current solution into its GROUP BY bucket, found
+// by the tuple of its group ids. A new bucket is charged what it holds:
+// its tuple and slots in the table, its counts and the result row it
+// becomes; a new COUNT(DISTINCT) pair, what its table grew by.
 func (ev *evaluator) fold() error {
 	cur := ev.cur
-	key := ev.keyBuf[:0]
+	key := ev.tuple[:0]
 	for _, s := range ev.groupSlots {
-		key = appendIDKey(key, cur[s]) // unbound: None
+		key = append(key, cur[s]) // unbound: None
 	}
-	ev.keyBuf = key
+	ev.tuple = key
 	na := len(ev.aggSlots)
-	g, ok := ev.groups[string(key)]
-	if !ok {
-		if err := ev.retain(ev.rowBytes + int64(len(key)) + keyEntryOverhead); err != nil {
+	before := ev.groups.size()
+	g, added := ev.groups.insert(key)
+	if added {
+		ev.groupCounts = append(ev.groupCounts, make([]int, na)...)
+		if err := ev.retain(ev.groups.size() - before + int64(na)*8 + ev.rowBytes); err != nil {
 			return err
-		}
-		g = len(ev.groups)
-		ev.groups[string(key)] = g
-		for _, s := range ev.groupSlots {
-			ev.groupIDs = append(ev.groupIDs, cur[s])
-		}
-		for _, a := range ev.q.Aggregates {
-			ev.groupCounts = append(ev.groupCounts, 0)
-			var set map[core.ID]struct{}
-			if a.Distinct {
-				set = make(map[core.ID]struct{})
-			}
-			ev.groupSets = append(ev.groupSets, set)
 		}
 	}
 	for i, s := range ev.aggSlots {
@@ -996,8 +974,16 @@ func (ev *evaluator) fold() error {
 			ev.groupCounts[g*na+i]++
 		case cur[s] == core.None:
 			// COUNT skips unbound (optional) values, as in SPARQL.
-		case ev.groupSets[g*na+i] != nil:
-			ev.groupSets[g*na+i][cur[s]] = struct{}{}
+		case ev.seen[i] != nil: // COUNT(DISTINCT)
+			t := ev.seen[i]
+			pair := [2]core.ID{core.ID(g), cur[s]}
+			before := t.size()
+			if _, added := t.insert(pair[:]); added {
+				ev.groupCounts[g*na+i]++
+				if err := ev.retain(t.size() - before); err != nil {
+					return err
+				}
+			}
 		default:
 			ev.groupCounts[g*na+i]++
 		}
@@ -1006,11 +992,15 @@ func (ev *evaluator) fold() error {
 }
 
 // materializeGroups turns the GROUP BY buckets into result rows, in
-// group-key order for determinism when no ORDER BY is given. ORDER BY
-// variables are output columns here (group keys or aggregate aliases),
-// so each row's sort keys come from its own cells.
+// group-key order (id by id) for determinism when no ORDER BY is given.
+// Group columns are the bucket's ids; an aggregate's count is a computed
+// term, one per distinct count. ORDER BY variables are output columns
+// here (group keys or aggregate aliases), so each row's sort keys come
+// from its own cells.
 func (ev *evaluator) materializeGroups() error {
 	q := ev.q
+	na := len(ev.aggSlots)
+	ev.seen = nil
 	// Column c < len(q.Vars) shows GROUP BY variable groupCol[c] (-1: the
 	// variable is not grouped on, so it is unbound in every row).
 	groupCol := make([]int, len(q.Vars))
@@ -1021,38 +1011,45 @@ func (ev *evaluator) materializeGroups() error {
 	for i, k := range q.OrderBy {
 		orderCol[i] = slices.Index(ev.vars, k.Var)
 	}
-	keys := make([]string, 0, len(ev.groups))
-	for key := range ev.groups {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	ng, na := len(ev.groupSlots), len(ev.aggSlots)
 	res := ev.res
-	res.cells = make([]rdf.Term, 0, len(keys)*len(ev.vars))
-	for _, key := range keys {
-		g := ev.groups[key]
-		base := len(res.cells)
+	counts := map[int]core.ID{} // a count's computed cell
+	var countKeys []sortKey     // a computed cell's sort key
+	res.ids = make([]core.ID, 0, ev.groups.n*len(ev.vars))
+	for _, g := range ev.groups.sorted() {
+		base := len(res.ids)
+		tuple := ev.groups.tuple(g)
 		for _, gi := range groupCol {
-			var term rdf.Term
-			if gi >= 0 && ev.groupIDs[g*ng+gi] != core.None {
-				var err error
-				if term, err = ev.terms.decode(ev.groupIDs[g*ng+gi]); err != nil {
-					return err
+			id := core.None
+			if gi >= 0 {
+				id = tuple[gi]
+			}
+			res.ids = append(res.ids, id)
+		}
+		for _, n := range ev.groupCounts[g*na : (g+1)*na] {
+			id, ok := counts[n]
+			if !ok {
+				id = computedID | core.ID(len(res.computed))
+				counts[n] = id
+				lit := rdf.NewLiteral(strconv.Itoa(n))
+				res.computed = append(res.computed, lit.Key())
+				if len(orderCol) > 0 {
+					countKeys = append(countKeys, newSortKey(lit))
 				}
 			}
-			res.cells = append(res.cells, term)
-		}
-		for i := 0; i < na; i++ {
-			n := ev.groupCounts[g*na+i]
-			if set := ev.groupSets[g*na+i]; set != nil {
-				n = len(set)
-			}
-			res.cells = append(res.cells, rdf.NewLiteral(strconv.Itoa(n)))
+			res.ids = append(res.ids, id)
 		}
 		for _, c := range orderCol {
 			var k sortKey
-			if c >= 0 && !res.cells[base+c].IsZero() {
-				k = newSortKey(res.cells[base+c])
+			var err error
+			switch {
+			case c < 0:
+			case res.ids[base+c]&computedID != 0:
+				k = countKeys[res.ids[base+c]&^computedID]
+			default:
+				k, err = ev.terms.keyOf(res.ids[base+c])
+			}
+			if err != nil {
+				return err
 			}
 			ev.orderKeys = append(ev.orderKeys, k)
 		}
@@ -1175,13 +1172,17 @@ func (ev *evaluator) applyModifiers() {
 		ev.sortRows()
 		return
 	}
-	// Trim in place, so the cell array's capacity stays the whole of what
-	// the result retains.
+	// Trim in place, so the id array's capacity stays the whole of what
+	// the result retains — and a capacity that growth left more than
+	// twice the ids kept is given back.
 	res := ev.res
 	lo, hi := window(res.n, ev.q.Offset, ev.q.Limit)
 	nc := len(res.Vars)
-	res.cells = res.cells[:copy(res.cells, res.cells[lo*nc:hi*nc])]
+	res.ids = res.ids[:copy(res.ids, res.ids[lo*nc:hi*nc])]
 	res.n = hi - lo
+	if cap(res.ids) > 2*len(res.ids) {
+		res.ids = slices.Clone(res.ids)
+	}
 }
 
 // resolvePos returns the id to use for position j of an OPTIONAL pattern

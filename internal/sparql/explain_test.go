@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,9 +242,10 @@ func TestTraceDifferential(t *testing.T) {
 
 // TestExplainAnalyzeChunks pins what the trace and /metrics say about
 // the pipeline: a seed of five rows in chunks of two is three chunks, the
-// step after the seed sees each of them, emission decodes one term per
-// cell, and the process-wide counters move by the same amounts — tracing
-// on or off.
+// step after the seed sees each of them, emission decodes nothing — the
+// result keeps ids — and reading the result decodes one term per cell,
+// through a serializer's gather or At, and the process-wide counters
+// move by the same amounts — tracing on or off.
 func TestExplainAnalyzeChunks(t *testing.T) {
 	setChunkRows(t, 2)
 	stb := core.NewBuilder(nil)
@@ -264,7 +266,7 @@ func TestExplainAnalyzeChunks(t *testing.T) {
 		if traced {
 			opt.Trace = obs.NewTrace("query")
 		}
-		res, err := EvalOpts(context.Background(), g, q, opt)
+		res, err := evalWith(context.Background(), g, q, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,8 +276,22 @@ func TestExplainAnalyzeChunks(t *testing.T) {
 		if got := chunksTotal.Value() - chunks0; got != 3 {
 			t.Errorf("traced=%v: hex_sparql_chunks_total moved by %d, want 3", traced, got)
 		}
+		if got := termsDecodedTotal.Value() - decoded0; got != 0 {
+			t.Errorf("traced=%v: evaluation moved hex_sparql_terms_decoded_total by %d, want 0", traced, got)
+		}
+		if keys := res.AppendKeys(nil, 0, res.Len()); len(keys) != 10 || slices.Contains(keys, "") {
+			t.Errorf("traced=%v: AppendKeys gathered %q, want 10 keys", traced, keys)
+		}
 		if got := termsDecodedTotal.Value() - decoded0; got != 10 {
-			t.Errorf("traced=%v: hex_sparql_terms_decoded_total moved by %d, want 10", traced, got)
+			t.Errorf("traced=%v: the gather moved hex_sparql_terms_decoded_total by %d, want 10", traced, got)
+		}
+		for row := 0; row < res.Len(); row++ {
+			for c := range res.Vars {
+				res.At(row, c)
+			}
+		}
+		if got := termsDecodedTotal.Value() - decoded0; got != 10 {
+			t.Errorf("traced=%v: At moved hex_sparql_terms_decoded_total by %d, want 0 (At is not counted)", traced, got-10)
 		}
 		if !traced {
 			continue
@@ -296,8 +312,8 @@ func TestExplainAnalyzeChunks(t *testing.T) {
 		if got := attrInt(t, emit, "chunks"); got != 3 {
 			t.Errorf("emit chunks = %d, want 3", got)
 		}
-		if got := attrInt(t, emit, "termsDecoded"); got != 10 {
-			t.Errorf("emit termsDecoded = %d, want 10", got)
+		if got := attrInt(t, emit, "termsDecoded"); got != 0 {
+			t.Errorf("emit termsDecoded = %d, want 0", got)
 		}
 	}
 }

@@ -249,8 +249,22 @@ func (ns *naiveStore) match(pats []Pattern, sol map[string]rdf.Term, emit func(m
 // answer evaluates q — required patterns, FILTER (= and !=), one
 // OPTIONAL group at most, projection, DISTINCT, ASK and COUNT aggregates
 // with GROUP BY — by nested loops, and renders it as renderResult does,
-// sorted.
+// sorted. ORDER BY, OFFSET and LIMIT are ignored (see ordered).
 func (ns *naiveStore) answer(q *Query) []string {
+	if q.Ask {
+		return []string{fmt.Sprintf("ask:%v", len(ns.solutions(q)) > 0)}
+	}
+	vars, rows := ns.rows(q)
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = renderNaive(vars, row)
+	}
+	return sortedCopy(out)
+}
+
+// solutions returns q's solutions: the required patterns matched, the
+// FILTERs applied and the one OPTIONAL group joined.
+func (ns *naiveStore) solutions(q *Query) []map[string]rdf.Term {
 	var sols []map[string]rdf.Term
 	ns.match(q.Patterns, map[string]rdf.Term{}, func(sol map[string]rdf.Term) {
 		for _, f := range q.Filters {
@@ -278,24 +292,30 @@ func (ns *naiveStore) answer(q *Query) []string {
 			sols = append(sols, sol)
 		}
 	})
-	if q.Ask {
-		return []string{fmt.Sprintf("ask:%v", len(sols) > 0)}
+	return sols
+}
+
+// renderNaive renders one row as renderResult does.
+func renderNaive(vars []string, sol map[string]rdf.Term) string {
+	parts := make([]string, len(vars))
+	for i, v := range vars {
+		parts[i] = fmt.Sprintf("%s=%d:%q", v, sol[v].Kind, sol[v].Value)
 	}
-	render := func(vars []string, sol map[string]rdf.Term) string {
-		parts := make([]string, len(vars))
-		for i, v := range vars {
-			parts[i] = fmt.Sprintf("%s=%d:%q", v, sol[v].Kind, sol[v].Value)
-		}
-		return strings.Join(parts, " ")
-	}
-	var out []string
+	return strings.Join(parts, " ")
+}
+
+// rows returns the output variables of a SELECT query and its rows, in
+// no particular order: one per group for aggregates, one per distinct
+// projection under DISTINCT, one per solution otherwise.
+func (ns *naiveStore) rows(q *Query) (vars []string, rows []map[string]rdf.Term) {
+	sols := ns.solutions(q)
 	if len(q.Aggregates) > 0 {
 		groups := map[string][]map[string]rdf.Term{}
 		for _, sol := range sols {
-			key := render(q.GroupBy, sol)
+			key := renderNaive(q.GroupBy, sol)
 			groups[key] = append(groups[key], sol)
 		}
-		vars := slices.Clone(q.Vars)
+		vars = slices.Clone(q.Vars)
 		for _, a := range q.Aggregates {
 			vars = append(vars, a.As)
 		}
@@ -315,18 +335,18 @@ func (ns *naiveStore) answer(q *Query) []string {
 				}
 				row[a.As] = rdf.NewLiteral(strconv.Itoa(n))
 			}
-			out = append(out, render(vars, row))
+			rows = append(rows, row)
 		}
-	} else {
-		seen := map[string]bool{}
-		for _, sol := range sols {
-			row := render(q.Vars, sol)
-			if q.Distinct && seen[row] {
-				continue
-			}
-			seen[row] = true
-			out = append(out, row)
-		}
+		return vars, rows
 	}
-	return sortedCopy(out)
+	seen := map[string]bool{}
+	for _, sol := range sols {
+		key := renderNaive(q.Vars, sol)
+		if q.Distinct && seen[key] {
+			continue
+		}
+		seen[key] = true
+		rows = append(rows, sol)
+	}
+	return q.Vars, rows
 }

@@ -361,9 +361,46 @@ func TestBudgetOptionalFanOut(t *testing.T) {
 		if !errors.Is(err, govern.ErrBudgetExceeded) {
 			t.Fatalf("workers=%d: err = %v, want govern.ErrBudgetExceeded", workers, err)
 		}
-		// The whole answer's cells alone are 86,400 × 2 terms ≈ 10 MB.
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		// The whole answer is 86,400 × 2 ids ≈ 1.4 MB, a piece's worth of
+		// rows (1,024) 16 KiB: a meter that heard of the rows only once
+		// per piece would let the whole answer through before it stopped.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 512<<10 {
 			t.Errorf("workers=%d: the query allocated %d bytes before it was stopped", workers, alloc)
+		}
+	}
+}
+
+// TestBudgetCountDistinctFewValues counts the distinct values of a
+// join whose 200,000 rows carry only 200, interleaved: what
+// COUNT(DISTINCT) holds must grow with the distinct (group, value)
+// pairs, not with the rows. One 16-byte entry per row would need 3.2 MB;
+// the limit leaves room for the lanes' pieces and little more.
+func TestBudgetCountDistinctFewValues(t *testing.T) {
+	data := governTriples(200, 20, 10)
+	b := core.NewBuilder(nil)
+	b.AddAll(core.EncodeTriples(b.Dictionary(), data, 4))
+	g := graph.Memory(b.BuildParallel(4))
+	const limit = 512 << 10
+	for _, src := range []string{
+		`SELECT (COUNT(DISTINCT ?b) AS ?n) WHERE { ?a <http://ex/takes> ?c . ?b <http://ex/takes> ?c FILTER(?a != ?b) }`,
+		`SELECT ?c (COUNT(DISTINCT ?b) AS ?n) WHERE { ?a <http://ex/takes> ?c . ?b <http://ex/takes> ?c FILTER(?a != ?b) } GROUP BY ?c`,
+	} {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers, MemBudget: limit})
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, src, err)
+			}
+			if got, exp := renderRows(t, res), renderRows(t, want); !slices.Equal(got, exp) {
+				t.Fatalf("workers=%d %s: rows %v, want %v", workers, src, got, exp)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ package sparql
 // LIMIT only the first offset+limit rows of that order can be returned,
 // so collection keeps just those in a bounded max-heap and rejects every
 // other candidate on one comparison with the heap's root, before its
-// projected terms are even decoded.
+// projected ids are even copied.
 
 import (
 	"cmp"
@@ -65,9 +65,11 @@ func parseNum(s string) numVal {
 }
 
 // termReader turns ids into terms for one goroutine of an evaluation —
-// the evaluator's own for emission, one per lane for staged FILTERs —
-// through a snapshot of the dictionary's key table, so a decode is an
-// index and a slice with no lock and no per-query table to fill. nums
+// the evaluator's own for ORDER BY keys and late FILTERs, one per lane
+// for staged FILTERs — through a snapshot of the dictionary's key table,
+// so a decode is an index and a slice with no lock and no per-query
+// table to fill. The evaluator's snapshot, refreshed once the
+// evaluation ends, is the key table its result keeps. nums
 // memoizes the numeric parse FILTER and ORDER BY compare on; decoded
 // counts decodes for the trace and /metrics.
 type termReader struct {
@@ -80,17 +82,16 @@ func newTermReader(d *dictionary.Dictionary) termReader {
 	return termReader{snap: d.Snapshot()}
 }
 
-func (tr *termReader) decode(id core.ID) (rdf.Term, error) {
-	tr.decoded++
-	return tr.snap.Decode(id)
-}
-
-// keyOf returns the sort key of the term behind id. FILTER comparisons
-// and ORDER BY share it: a value is parsed once however many rows carry
-// it. Values that cannot be numbers are not remembered — there is
-// nothing to save.
+// keyOf returns the sort key of the term behind id — the unbound key
+// for None. FILTER comparisons and ORDER BY share it: a value is parsed
+// once however many rows carry it. Values that cannot be numbers are not
+// remembered — there is nothing to save.
 func (tr *termReader) keyOf(id core.ID) (sortKey, error) {
-	t, err := tr.decode(id)
+	if id == core.None {
+		return sortKey{}, nil
+	}
+	tr.decoded++
+	t, err := tr.snap.Decode(id)
 	if err != nil {
 		return sortKey{}, err
 	}
@@ -258,7 +259,7 @@ func (ev *evaluator) siftDown(i int) {
 }
 
 // sortRows puts the collected rows in ORDER BY order and applies OFFSET
-// and LIMIT, copying only the returned rows into the final cell array.
+// and LIMIT, copying only the returned rows into the final id array.
 func (ev *evaluator) sortRows() {
 	res := ev.res
 	perm := make([]int, res.n)
@@ -268,11 +269,11 @@ func (ev *evaluator) sortRows() {
 	slices.SortFunc(perm, ev.compareRows)
 	lo, hi := window(res.n, ev.q.Offset, ev.q.Limit)
 	nc := len(res.Vars)
-	cells := make([]rdf.Term, (hi-lo)*nc)
+	ids := make([]core.ID, (hi-lo)*nc)
 	for i, p := range perm[lo:hi] {
-		copy(cells[i*nc:(i+1)*nc], res.cells[p*nc:(p+1)*nc])
+		copy(ids[i*nc:(i+1)*nc], res.ids[p*nc:(p+1)*nc])
 	}
-	res.cells, res.n = cells, hi-lo
+	res.ids, res.n = ids, hi-lo
 }
 
 // window returns the row range [lo, hi) that OFFSET and LIMIT (0 = none)

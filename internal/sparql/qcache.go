@@ -163,7 +163,7 @@ func newResultCache(capBytes int64) *resultCache {
 }
 
 // get returns the cached result for key at epoch: a private header over
-// the shared, immutable cell array — no cell or row is copied. The
+// the shared, immutable id array — no cell or row is copied. The
 // caller may fill or sort its own header (fillRows, SortRows build fresh
 // slices); nothing reachable from it may be written in place.
 func (c *resultCache) get(key, epoch string) (*Result, bool) {

@@ -114,7 +114,8 @@ func TestResultCacheEpochAndBytes(t *testing.T) {
 	mk := func(n int) *Result {
 		r := &Result{Vars: []string{"x"}, n: n}
 		for i := 0; i < n; i++ {
-			r.cells = append(r.cells, rdf.NewLiteral(fmt.Sprint(i)))
+			r.keys = append(r.keys, rdf.NewLiteral(fmt.Sprint(i)).Key())
+			r.ids = append(r.ids, core.ID(i+1))
 		}
 		return r
 	}
@@ -144,7 +145,7 @@ func TestResultCacheEpochAndBytes(t *testing.T) {
 		t.Fatal("over-cap entry cached")
 	}
 	for i := 0; i < 64; i++ {
-		r := mk(4)
+		r := mk(12)
 		c.put(fmt.Sprintf("fill%d", i), "e2", r, resultFootprint(r))
 	}
 	if _, bytes, capBytes, evictions, _ := c.snapshot(); bytes > capBytes || evictions == 0 {
@@ -153,7 +154,7 @@ func TestResultCacheEpochAndBytes(t *testing.T) {
 
 	// A served result is a private header over the shared cells: sorting
 	// it or filling its Rows view must not disturb the cached body.
-	r := &Result{Vars: []string{"x"}, n: 2, cells: []rdf.Term{rdf.NewLiteral("b"), rdf.NewLiteral("a")}}
+	r := &Result{Vars: []string{"x"}, n: 2, ids: []core.ID{1, 2}, keys: []string{rdf.NewLiteral("b").Key(), rdf.NewLiteral("a").Key()}}
 	c.put("sorted", "e2", r, resultFootprint(r))
 	got, _ := c.get("sorted", "e2")
 	got.fillRows()

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"hexastore/internal/core"
 	"hexastore/internal/rdf"
 )
 
@@ -12,12 +13,19 @@ import (
 type Row map[string]rdf.Term
 
 // Result holds the solutions of a query as one flat, row-major array of
-// terms: row i occupies cells [i·len(Vars), (i+1)·len(Vars)), one cell
-// per projection variable in Vars order, and the zero Term marks a
-// variable left unbound by an OPTIONAL group. Read it with Len and At.
-// The evaluator builds nothing else — no map per row — and the result
-// cache hands the same immutable array to every hit, so treat Vars and
-// the cells as read-only.
+// dictionary ids: row i occupies cells [i·len(Vars), (i+1)·len(Vars)),
+// one cell per projection variable in Vars order, and None marks a
+// variable left unbound by an OPTIONAL group. A term a query computes (an
+// aggregate's count) is a cell that names an entry of a small side table
+// of computed terms. Ids become terms only when read: At decodes one
+// cell, AppendKeys hands a block of cells' term keys to a serializer.
+// Both decode through the dictionary's key table as it stood when the
+// evaluation ended — a frozen snapshot that covers every id of the
+// answer, since ids are assigned append-only and never reused — so the
+// result never refreshes it and may be read from any number of
+// goroutines. The result cache hands the same immutable cells, side
+// table and snapshot to every hit, so treat Vars and the cells as
+// read-only.
 //
 // Rows is a compatibility view of the same solutions, one map per row,
 // filled by the exported Exec*/Eval* entry points (not by
@@ -29,16 +37,68 @@ type Result struct {
 	IsAsk  bool
 	Answer bool
 
-	cells []rdf.Term
-	n     int // row count; kept apart from cells because a row may have no columns
+	ids      []core.ID
+	n        int      // row count; kept apart from ids because a row may have no columns
+	keys     []string // the frozen key table: keys[id-1] is the term key of id
+	computed []string // the term keys of computed cells (computedID)
+}
+
+// computedID marks a cell that holds entry id&^computedID of the
+// result's computed terms; the dictionary never assigns an id this
+// large.
+const computedID core.ID = 1 << 63
+
+// key returns the term key (rdf.Term.Key) of a bound cell.
+func (r *Result) key(id core.ID) string {
+	if id&computedID != 0 {
+		return r.computed[id&^computedID]
+	}
+	return r.keys[id-1]
+}
+
+// term decodes a cell; the zero Term for an unbound one.
+func (r *Result) term(id core.ID) rdf.Term {
+	if id == core.None {
+		return rdf.Term{}
+	}
+	t, _ := rdf.TermFromKey(r.key(id)) // every key came from Term.Key
+	return t
 }
 
 // Len returns the number of solutions.
 func (r *Result) Len() int { return r.n }
 
 // At returns the term bound to Vars[col] in solution row; the zero Term
-// (IsZero) when the variable is unbound there.
-func (r *Result) At(row, col int) rdf.Term { return r.cells[row*len(r.Vars)+col] }
+// (IsZero) when the variable is unbound there. Its decodes are not
+// counted in hex_sparql_terms_decoded_total: a cell read is too small to
+// pay a shared counter's update, and one cached result may be read cell
+// by cell from many goroutines at once.
+func (r *Result) At(row, col int) rdf.Term {
+	return r.term(r.ids[row*len(r.Vars)+col])
+}
+
+// AppendKeys appends the term keys (rdf.Term.Key, whose first byte gives
+// the kind: rdf.KindOfKey) of rows [lo, hi) to dst, row-major, "" for an
+// unbound cell. It is a serializer's gather: one pass over a block's ids,
+// whose key-table loads do not depend on each other, before any byte is
+// written — where decoding cell by cell pays each cache miss in turn.
+func (r *Result) AppendKeys(dst []string, lo, hi int) []string {
+	nc := len(r.Vars)
+	cells := r.ids[lo*nc : hi*nc]
+	base := len(dst)
+	dst = slices.Grow(dst, len(cells))[:base+len(cells)]
+	decoded := 0
+	for i, id := range cells {
+		k := ""
+		if id != core.None {
+			k = r.key(id)
+			decoded++
+		}
+		dst[base+i] = k
+	}
+	termsDecodedTotal.Add(int64(decoded))
+	return dst
+}
 
 // fillRows builds the Rows compatibility view from the cells.
 func (r *Result) fillRows() {
@@ -48,15 +108,18 @@ func (r *Result) fillRows() {
 	}
 	nc := len(r.Vars)
 	r.Rows = make([]Row, r.n)
+	decoded := 0
 	for i := range r.Rows {
 		row := make(Row, nc)
-		for c, t := range r.cells[i*nc : (i+1)*nc] {
-			if !t.IsZero() {
-				row[r.Vars[c]] = t
+		for c, id := range r.ids[i*nc : (i+1)*nc] {
+			if id != core.None {
+				row[r.Vars[c]] = r.term(id)
+				decoded++
 			}
 		}
 		r.Rows[i] = row
 	}
+	termsDecodedTotal.Add(int64(decoded))
 }
 
 // SortRows orders rows lexicographically by the projection variables,
@@ -70,17 +133,17 @@ func (r *Result) SortRows() {
 	}
 	slices.SortStableFunc(perm, func(a, b int) int {
 		for c := 0; c < nc; c++ {
-			if d := compareRendered(r.cells[a*nc+c], r.cells[b*nc+c]); d != 0 {
+			if d := compareRendered(r.term(r.ids[a*nc+c]), r.term(r.ids[b*nc+c])); d != 0 {
 				return d
 			}
 		}
 		return 0
 	})
-	cells := make([]rdf.Term, len(r.cells))
+	ids := make([]core.ID, len(r.ids))
 	for i, p := range perm {
-		copy(cells[i*nc:(i+1)*nc], r.cells[p*nc:(p+1)*nc])
+		copy(ids[i*nc:(i+1)*nc], r.ids[p*nc:(p+1)*nc])
 	}
-	r.cells = cells
+	r.ids = ids
 	if r.Rows != nil {
 		r.fillRows()
 	}
@@ -91,15 +154,17 @@ func (r *Result) SortRows() {
 // and its share of the index map.
 const resultEntryOverhead = 256
 
-// resultFootprint is the number of bytes a cached result retains: the
-// cell array at its capacity (a cell is a kind plus a string header; the
-// string bytes themselves belong to the dictionary) and the variable
-// names. It sizes the result cache's byte cap and is what a filling
-// query's memory meter is charged.
+// resultFootprint is the number of bytes a cached result retains: the id
+// array at its capacity (8 B a cell), the computed terms and the
+// variable names. The key table it decodes through is the dictionary's
+// and is not counted. It sizes the result cache's byte cap and is what a
+// filling query's memory meter is charged.
 func resultFootprint(r *Result) int64 {
-	size := int64(cap(r.cells)) * int64(unsafe.Sizeof(rdf.Term{}))
-	for _, v := range r.Vars {
-		size += int64(unsafe.Sizeof(v)) + int64(len(v))
+	size := int64(cap(r.ids)) * int64(unsafe.Sizeof(core.None))
+	for _, names := range [][]string{r.Vars, r.computed} {
+		for _, v := range names {
+			size += int64(unsafe.Sizeof(v)) + int64(len(v))
+		}
 	}
 	return size
 }
