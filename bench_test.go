@@ -34,7 +34,6 @@ import (
 	"hexastore/internal/query"
 	"hexastore/internal/rdf"
 	"hexastore/internal/server"
-	"hexastore/internal/shard"
 	"hexastore/internal/sparql"
 	"hexastore/internal/triplestore"
 	"hexastore/internal/vp"
@@ -1054,44 +1053,5 @@ func BenchmarkOverlayCompact(b *testing.B) {
 			b.Fatalf("after compaction: %+v, main had %d triples", st, main.Len())
 		}
 		b.StartTimer()
-	}
-}
-
-// BenchmarkShard01 is the Go-benchmark twin of the hexbench shard01
-// figure: the bench.ShardReadWorkload concurrent-reader workload
-// (scatter joins, a predicate scan, and routed bound-subject lookups,
-// intra-query parallelism pinned to 1) against the scatter-gather
-// serving tier at 1, 2 and 4 subject-hash shards. The BENCH_<rev>.json
-// trajectory tracks the same workload via `hexbench -json`.
-func BenchmarkShard01(b *testing.B) {
-	data := lubm.Config{
-		Universities: 2, Seed: 1, DeptsPerUniv: 8,
-		UndergradPerDept: 60, GradPerDept: 15, CoursesPerDept: 15,
-	}.GenerateAll()
-	qs, err := bench.ShardQueries(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, nshards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", nshards), func(b *testing.B) {
-			dict := hexastore.NewDictionary()
-			cl, err := shard.OpenCluster(shard.Config{
-				Shards:  nshards,
-				Dict:    dict,
-				Load:    core.EncodeTriples(dict, data, runtime.GOMAXPROCS(0)),
-				Workers: runtime.GOMAXPROCS(0),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bench.ShardReadWorkload(cl, qs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

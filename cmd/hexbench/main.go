@@ -99,9 +99,6 @@ func main() {
 		for _, id := range bench.WriteFigureIDs {
 			fmt.Println(id)
 		}
-		for _, id := range bench.ShardFigureIDs {
-			fmt.Println(id)
-		}
 		for _, id := range bench.GovernFigureIDs {
 			fmt.Println(id)
 		}
@@ -125,7 +122,7 @@ func main() {
 	// -list advertises the load and write suites alongside the paper
 	// figures; accept their ids through -fig too instead of bouncing
 	// users to the dedicated flags.
-	runLoad, runWrite, runSpace, runShard, runGovern, runTrace, runServe := false, *write, false, false, false, false, false
+	runLoad, runWrite, runSpace, runGovern, runTrace, runServe := false, *write, false, false, false, false
 	figIDs := ids[:0]
 	for _, id := range ids {
 		switch id {
@@ -135,8 +132,6 @@ func main() {
 			runWrite = true
 		case "space01":
 			runSpace = true
-		case "shard01":
-			runShard = true
 		case "govern01":
 			runGovern = true
 		case "trace_overhead":
@@ -206,9 +201,6 @@ func main() {
 	if runSpace && !*jsonOut {
 		runSuite(bench.RunSpace)
 	}
-	if runShard && !*jsonOut {
-		runSuite(bench.RunShard)
-	}
 	if runGovern && !*jsonOut {
 		runSuite(bench.RunGovern)
 	}
@@ -223,7 +215,6 @@ func main() {
 		runSuite(bench.RunLoad)
 		runSuite(bench.RunWrite)
 		runSuite(bench.RunSpace)
-		runSuite(bench.RunShard)
 		runSuite(bench.RunGovern)
 		runSuite(bench.RunTrace)
 		runSuite(bench.RunServe)

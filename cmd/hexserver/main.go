@@ -8,30 +8,25 @@
 // updates — and -wal adds a group-committed write-ahead log for crash
 // recovery. -live puts the disk store behind the overlay too.
 //
-// With -shards=N the store becomes a sharded scatter-gather serving
-// tier: N subject-hash-partitioned stores behind one shared dictionary,
-// each with its own delta overlay (and, with -wal, its own log at
-// <path>.<i>). Bound-subject patterns route to the owning shard; scans
-// scatter to the shards a predicate-aware router selects and gather
-// globally sorted streams, so query results are identical for every
-// shard count. -ship serves the per-shard WALs over TCP, and -follow
-// runs a read-only replica that tails them (from files or tcp://).
+// -ship serves the leader's WAL over TCP, and -follow runs a read-only
+// replica: an in-memory overlay that tails the leader's log (from the
+// file, or from tcp:// of a -ship leader).
 //
 // Usage:
 //
 //	hexserver [-addr :8751] [-disk dir] [-load data.nt] [-turtle data.ttl]
 //	          [-live] [-wal path] [-compact-threshold n]
-//	          [-shards n] [-ship addr]
+//	          [-ship addr]
 //	          [-max-queries n] [-query-timeout d] [-mem-budget 64M]
 //	          [-plan-cache n] [-result-cache-bytes 32M]
-//	hexserver -follow <walprefix|tcp://addr> [-follow-shards n] [-shards n]
+//	hexserver -follow <walpath|tcp://addr>
 //
 // Endpoints:
 //
 //	GET/POST /sparql?query=SELECT...   run a query
 //	POST     /sparql update=INSERT...  apply an update (also Content-Type application/sparql-update)
 //	POST     /triples                  ingest N-Triples (or text/turtle)
-//	GET      /stats                    store statistics (incl. per-shard rows when -shards)
+//	GET      /stats                    store statistics
 //	GET      /healthz                  liveness probe (process up)
 //	GET      /readyz                   readiness probe: 503 while draining for shutdown,
 //	                                   while the store is sticky-degraded (poisoned WAL,
@@ -40,7 +35,7 @@
 //
 // Example session:
 //
-//	hexserver -load university.nt -shards 4 -wal university.wal &
+//	hexserver -load university.nt -wal university.wal &
 //	curl 'localhost:8751/sparql?query=SELECT+?s+WHERE+{?s+?p+?o}+LIMIT+5'
 //	curl -d 'update=INSERT DATA { <s> <p> <o> }' localhost:8751/sparql
 //
@@ -48,8 +43,8 @@
 // only into a fresh (empty) disk store. With -wal, updates survive a
 // crash: the log replays on the next start, and SIGINT/SIGTERM trigger a
 // graceful shutdown — in-flight requests drain, then the store
-// checkpoints (delta compacted, snapshot/flush written, WAL truncated;
-// with -shards, every shard in turn) before exit.
+// checkpoints (delta compacted, snapshot/flush written, WAL truncated)
+// before exit.
 package main
 
 import (
@@ -69,13 +64,12 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
-	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
+	"hexastore/internal/replica"
 	"hexastore/internal/server"
-	"hexastore/internal/shard"
 	"hexastore/internal/sparql"
 )
 
@@ -90,16 +84,13 @@ func main() {
 	live := flag.Bool("live", false,
 		"serve -disk through the MVCC delta overlay: queries pin snapshots and never block on updates (the memory store always is)")
 	walPath := flag.String("wal", "",
-		"write-ahead log path for crash-safe updates (implies -live); replayed on start, truncated at checkpoints; with -shards, shard i logs to <path>.<i>")
+		"write-ahead log path for crash-safe updates (implies -live); replayed on start, truncated at checkpoints")
 	compactThreshold := flag.Int("compact-threshold", 0,
 		"delta size triggering background compaction (0 = default, negative = manual only)")
-	shards := flag.Int("shards", 1,
-		"partition the store into this many subject-hash shards served scatter-gather (each behind its own delta overlay)")
 	ship := flag.String("ship", "",
-		"serve the WAL(s) on this TCP address for -follow replicas (requires -wal)")
+		"serve the WAL on this TCP address for -follow replicas (requires -wal)")
 	follow := flag.String("follow", "",
-		"run as a read-only replica tailing leader WALs: a path (shard i at <path>.<i> when -follow-shards > 1) or tcp://host:port of a -ship leader")
-	followShards := flag.Int("follow-shards", 1, "number of leader WAL streams to tail in -follow mode (the leader's -shards)")
+		"run as a read-only replica tailing a leader's WAL: its path, or tcp://host:port of a -ship leader")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	drainGrace := flag.Duration("drain-grace", 0,
 		"delay between failing /readyz and stopping the listener on shutdown, so load balancers observe the flip and stop routing here first")
@@ -153,26 +144,20 @@ func main() {
 	}
 
 	var (
-		g         graph.Graph
-		closer    func() error
-		followers []*shard.Follower
+		g        graph.Graph
+		closer   func() error
+		follower *replica.Follower
 	)
 	switch {
 	case *follow != "":
 		if *diskDir != "" || len(triples) > 0 || *walPath != "" || *ship != "" {
 			log.Fatalf("hexserver: -follow replicas build their state from the leader's WAL alone (no -disk/-load/-turtle/-wal/-ship)")
 		}
-		cl, fs, err := openReplica(*follow, *shards, *followShards, *compactThreshold)
+		ov, f, err := openReplica(*follow, *compactThreshold)
 		if err != nil {
 			log.Fatalf("hexserver: %v", err)
 		}
-		g, closer, followers = cl, cl.Close, fs
-	case *shards > 1:
-		cl, err := openCluster(*shards, *diskDir, *cache, *walPath, *compactThreshold, triples, *workers)
-		if err != nil {
-			log.Fatalf("hexserver: %v", err)
-		}
-		g, closer = cl, cl.Close
+		g, closer, follower = ov, ov.Close, f
 	default:
 		var err error
 		g, closer, err = openStore(*diskDir, *cache, *walPath, triples, *workers)
@@ -197,7 +182,7 @@ func main() {
 		}
 	}
 
-	// -ship: serve the leader's per-shard WALs to TCP followers. The
+	// -ship: serve the leader's WAL to TCP followers. The
 	// follower protocol resumes from a byte offset, so this is safe to
 	// restart; the listener dies with the server.
 	var shipListener net.Listener
@@ -205,18 +190,17 @@ func main() {
 		if *walPath == "" {
 			log.Fatalf("hexserver: -ship requires -wal (there is no log to ship)")
 		}
-		paths := walPaths(*walPath, *shards)
 		l, err := net.Listen("tcp", *ship)
 		if err != nil {
 			log.Fatalf("hexserver: ship listen: %v", err)
 		}
 		shipListener = l
 		go func() {
-			if err := shard.ServeWAL(l, paths); err != nil && !errors.Is(err, net.ErrClosed) {
+			if err := replica.ServeWAL(l, *walPath); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("hexserver: ship: %v", err)
 			}
 		}()
-		log.Printf("hexserver: shipping %d WAL stream(s) on %s", len(paths), l.Addr())
+		log.Printf("hexserver: shipping the WAL on %s", l.Addr())
 	}
 
 	mode := "leader"
@@ -247,20 +231,17 @@ func main() {
 	// Readiness follows the backend's sticky failure state: a poisoned
 	// WAL or failed compaction pulls the node from rotation and sheds
 	// writes while reads keep flowing.
-	switch b := g.(type) {
-	case *shard.Cluster:
-		srv.SetDegradedCheck(b.Degraded)
-	case *delta.Overlay:
-		srv.SetDegradedCheck(b.Degraded)
+	if ov, ok := g.(*delta.Overlay); ok {
+		srv.SetDegradedCheck(ov.Degraded)
 	}
-	if len(followers) > 0 {
-		srv.SetFollowers(*maxReplicaLag, followers...)
+	if follower != nil {
+		srv.SetFollowers(*maxReplicaLag, follower)
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	// Graceful shutdown: trap SIGINT/SIGTERM, drain in-flight requests,
-	// stop replication endpoints, then checkpoint/flush the store (every
-	// shard, on a cluster) so nothing relies on the WAL alone.
+	// stop replication endpoints, then checkpoint/flush the store so
+	// nothing relies on the WAL alone.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -291,8 +272,8 @@ func main() {
 	if shipListener != nil {
 		shipListener.Close()
 	}
-	for _, f := range followers {
-		if err := f.Close(); err != nil {
+	if follower != nil {
+		if err := follower.Close(); err != nil {
 			log.Printf("hexserver: follower: %v", err)
 		}
 	}
@@ -304,72 +285,22 @@ func main() {
 	log.Printf("hexserver: store checkpointed, bye")
 }
 
-// walPaths lists the leader's WAL files: the plain path for a single
-// store, <path>.<i> per shard for a cluster (shard.ShardWALPath).
-func walPaths(walPath string, shards int) []string {
-	if shards <= 1 {
-		return []string{walPath}
-	}
-	paths := make([]string, shards)
-	for i := range paths {
-		paths[i] = shard.ShardWALPath(walPath, i)
-	}
-	return paths
-}
-
-// openCluster builds the -shards serving tier: the startup triples are
-// encoded once against the shared dictionary and bulk-loaded into their
-// owning shards by the parallel build pipeline. With -wal, each shard
-// restores its checkpoint snapshot and replays its own log first — in
-// that case startup files are refused, mirroring openStore.
-func openCluster(shards int, diskDir string, cache int, walPath string, compactThreshold int, triples []rdf.Triple, workers int) (*shard.Cluster, error) {
-	cfg := shard.Config{
-		Shards:           shards,
-		Dir:              diskDir,
-		CacheSize:        cache,
-		WALPath:          walPath,
-		CompactThreshold: compactThreshold,
-		Workers:          workers,
-	}
-	if len(triples) > 0 {
-		// Encoding before OpenCluster is safe only because OpenCluster
-		// refuses Load over any restored state — the encode below would
-		// otherwise claim dictionary ids ahead of the restore's terms.
-		cfg.Dict = dictionary.New()
-		cfg.Load = core.EncodeTriples(cfg.Dict, triples, workers)
-	}
-	return shard.OpenCluster(cfg)
-}
-
-// openReplica builds a -follow replica: an in-memory cluster (no WALs
-// of its own) fed by one Follower per leader WAL stream. The followers
-// apply through the cluster, so the replica routes by its own
-// dictionary ids — its shard count is free to differ from the leader's.
-func openReplica(follow string, shards, followShards, compactThreshold int) (*shard.Cluster, []*shard.Follower, error) {
-	cl, err := shard.OpenCluster(shard.Config{Shards: shards, CompactThreshold: compactThreshold})
+// openReplica builds a -follow replica: an in-memory overlay (no WAL
+// of its own) fed by one Follower tailing the leader's log, from its
+// path or from tcp://addr of a -ship leader.
+func openReplica(follow string, compactThreshold int) (*delta.Overlay, *replica.Follower, error) {
+	ov, err := delta.Open(graph.Memory(core.New()), delta.Options{CompactThreshold: compactThreshold})
 	if err != nil {
 		return nil, nil, err
 	}
-	if followShards <= 0 {
-		followShards = 1
+	var f *replica.Follower
+	if addr, tcp := strings.CutPrefix(follow, "tcp://"); tcp {
+		f = replica.NewTCPFollower(ov, addr, replica.FollowerOptions{})
+	} else {
+		f = replica.NewFollower(ov, follow, replica.FollowerOptions{})
 	}
-	var followers []*shard.Follower
-	addr, tcp := strings.CutPrefix(follow, "tcp://")
-	for i := 0; i < followShards; i++ {
-		var f *shard.Follower
-		if tcp {
-			f = shard.NewTCPFollower(cl, addr, i, shard.FollowerOptions{})
-		} else {
-			path := follow
-			if followShards > 1 {
-				path = shard.ShardWALPath(follow, i)
-			}
-			f = shard.NewFollower(cl, path, shard.FollowerOptions{})
-		}
-		f.Start()
-		followers = append(followers, f)
-	}
-	return cl, followers, nil
+	f.Start()
+	return ov, f, nil
 }
 
 // snapshotPath picks the checkpoint snapshot destination for a
@@ -415,7 +346,7 @@ func openStore(diskDir string, cache int, walPath string, triples []rdf.Triple, 
 	}
 
 	if snap := snapshotPath(diskDir, walPath); snap != "" {
-		st, ok, err := delta.RestoreSnapshot(snap)
+		st, ok, err := delta.RestoreSnapshot(nil, snap)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -53,7 +53,6 @@ import (
 	"hexastore/internal/obs"
 	"hexastore/internal/query"
 	"hexastore/internal/rdf"
-	"hexastore/internal/shard"
 	"hexastore/internal/sparql"
 	"hexastore/internal/triplestore"
 )
@@ -134,14 +133,9 @@ type DB struct {
 	// otherwise.
 	overlay *delta.Overlay
 
-	// cluster is the sharded serving tier behind Graph when Open was
-	// given WithShards; nil otherwise. Every shard is overlay-wrapped,
-	// so the same no-lock reader discipline applies.
-	cluster *shard.Cluster
-
 	// mu orders DB-level operations: queries and serializers share it,
-	// mutations take it exclusively. With an overlay or a cluster the
-	// lock is not taken at all — readers pin immutable snapshots and the
+	// mutations take it exclusively. With an overlay the lock is not
+	// taken at all — readers pin immutable snapshots and the
 	// backend serializes its own writers, so queries stream concurrently
 	// with updates.
 	mu sync.RWMutex
@@ -171,7 +165,6 @@ type options struct {
 	dict             *dictionary.Dictionary
 	baseline         bool
 	overlay          bool
-	shards           int
 	walPath          string
 	compactThreshold int
 	compress         bool
@@ -227,18 +220,6 @@ func WithWAL(path string) Option {
 		o.overlay = true
 	}
 }
-
-// WithShards serves the store through the sharded scatter-gather tier
-// (package internal/shard): n stores partitioned by subject hash behind
-// one shared dictionary, each wrapped in its own delta overlay. Queries
-// with a bound subject route to the owning shard; scans scatter to all
-// shards holding the predicate and gather globally sorted streams, so
-// SPARQL results are byte-identical for every shard count. Combine with
-// WithDisk for disk shards under dir/shard<i>, and WithWAL for
-// per-shard logs at path.<i> (tailable by shard.Follower replicas).
-// Incompatible with WithBaseline. n <= 1 means one shard — still the
-// cluster code path, useful for differential testing.
-func WithShards(n int) Option { return func(o *options) { o.shards = max(n, 1) } }
 
 // WithCompactThreshold sets the delta size (pending adds + tombstones)
 // that triggers background compaction of a delta overlay; 0 keeps the
@@ -301,9 +282,6 @@ func Open(opts ...Option) (*DB, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.shards > 0 {
-		return openCluster(o)
-	}
 	var (
 		base       graph.Graph
 		baseCloser io.Closer
@@ -340,7 +318,7 @@ func Open(opts ...Option) (*DB, error) {
 			// Crash recovery, step 1: restore the last checkpoint
 			// snapshot, if one was written; WAL replay (step 2, inside
 			// delta.Open) re-applies everything since.
-			restored, ok, err := delta.RestoreSnapshot(o.walPath + ".snapshot")
+			restored, ok, err := delta.RestoreSnapshot(nil, o.walPath+".snapshot")
 			if err != nil {
 				return nil, err
 			}
@@ -394,38 +372,6 @@ func newDB(g graph.Graph, closer io.Closer, o options) *DB {
 	}
 }
 
-// openCluster builds the WithShards serving tier: every shard is
-// overlay-wrapped by shard.OpenCluster, so the handle needs no DB-level
-// lock (readers pin per-shard snapshots, the cluster serializes batch
-// writers).
-func openCluster(o options) (*DB, error) {
-	switch {
-	case o.baseline:
-		return nil, errors.New("hexastore: WithShards and WithBaseline are mutually exclusive")
-	case o.dir != "" && o.dict != nil:
-		return nil, errors.New("hexastore: WithDictionary is not supported for disk stores (the dictionary is persisted with the store)")
-	case o.walPath != "" && o.dict != nil:
-		return nil, errors.New("hexastore: WithDictionary is not supported with WithWAL (the dictionary is restored from the snapshots)")
-	}
-	c, err := shard.OpenCluster(shard.Config{
-		Shards:           o.shards,
-		Dict:             o.dict,
-		Dir:              o.dir,
-		CacheSize:        o.cacheSize,
-		WALPath:          o.walPath,
-		CompactThreshold: o.compactThreshold,
-		Uncompressed:     !o.compress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Cluster.Close checkpoints every shard (overlay compaction +
-	// snapshot/flush + WAL truncation) before closing it.
-	db := newDB(c, c, o)
-	db.cluster = c
-	return db, nil
-}
-
 // Close flushes and releases the backend. In-memory backends are a
 // no-op.
 func (db *DB) Close() error {
@@ -442,9 +388,6 @@ func (db *DB) Flush() error { return graph.Flush(db.Graph) }
 // result (disk flush, or the WAL-side snapshot for the in-memory
 // backend) and truncates the WAL. Without an overlay it is Flush.
 func (db *DB) Checkpoint() error {
-	if db.cluster != nil {
-		return db.cluster.Checkpoint()
-	}
 	if db.overlay != nil {
 		return db.overlay.Checkpoint()
 	}
@@ -454,9 +397,6 @@ func (db *DB) Checkpoint() error {
 // Compact synchronously merges a delta overlay's pending writes into the
 // main indexes; a no-op without an overlay.
 func (db *DB) Compact() error {
-	if db.cluster != nil {
-		return db.cluster.Compact()
-	}
 	if db.overlay != nil {
 		return db.overlay.Compact()
 	}
@@ -470,15 +410,6 @@ func (db *DB) DeltaStats() (stats delta.Stats, ok bool) {
 		return delta.Stats{}, false
 	}
 	return db.overlay.Stats(), true
-}
-
-// ClusterStats reports per-shard statistics of the sharded serving
-// tier; ok is false when the DB was opened without WithShards.
-func (db *DB) ClusterStats() (stats shard.Stats, ok bool) {
-	if db.cluster == nil {
-		return shard.Stats{}, false
-	}
-	return db.cluster.Stats(), true
 }
 
 // planner returns the handle's cost-based planner, building dataset
@@ -520,20 +451,20 @@ func (db *DB) planner() *sparql.Planner {
 // (building the planner if no query has run yet).
 func (db *DB) CacheStats() sparql.CacheStats { return db.planner().CacheStats() }
 
-// rlock takes the shared DB lock unless the backend is an overlay or a
-// cluster (whose readers pin immutable snapshots instead of locking).
+// rlock takes the shared DB lock unless the backend is an overlay
+// (whose readers pin immutable snapshots instead of locking).
 func (db *DB) rlock() func() {
-	if db.overlay != nil || db.cluster != nil {
+	if db.overlay != nil {
 		return func() {}
 	}
 	db.mu.RLock()
 	return db.mu.RUnlock
 }
 
-// wlock takes the exclusive DB lock unless the backend is an overlay or
-// a cluster (which serializes its own writers without blocking readers).
+// wlock takes the exclusive DB lock unless the backend is an overlay
+// (which serializes its own writers without blocking readers).
 func (db *DB) wlock() func() {
-	if db.overlay != nil || db.cluster != nil {
+	if db.overlay != nil {
 		return func() {}
 	}
 	db.mu.Lock()
@@ -587,8 +518,7 @@ func (db *DB) QueryContext(ctx context.Context, src string) (*Result, error) {
 // QueryTraced is QueryContext with execution tracing: it returns the
 // result alongside the query's span tree — planner choice and pattern
 // order with cardinality estimates, per-step rows in/out, merge-vs-probe
-// decisions, pieces per step, and (on a sharded backend)
-// per-shard scanned/pruned stream counts. A query with the EXPLAIN
+// decisions and pieces per step. A query with the EXPLAIN
 // prefix returns the plan tree and no rows; with EXPLAIN ANALYZE — or
 // with no prefix at all — it returns rows plus the executed trace.
 func (db *DB) QueryTraced(ctx context.Context, src string) (*Result, *Trace, error) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"hexastore/internal/dictionary"
 	"hexastore/internal/rdf"
 )
 
@@ -63,20 +62,10 @@ func (st *Store) Snapshot(w io.Writer) error {
 }
 
 // Restore reads a snapshot produced by Snapshot and returns a new store
-// with a fresh dictionary containing exactly the snapshot's terms.
-func Restore(r io.Reader) (*Store, error) { return RestoreShared(r, nil) }
-
-// RestoreShared is Restore against a shared dictionary (nil restores
-// into a fresh one). Each snapshot term must encode to the same dense id
-// it held when the snapshot was written. That holds whenever dict and
-// the snapshot descend from one shared instance: dictionaries are
-// append-only, so every snapshot of the shared instance captures a
-// prefix of one global term sequence, and re-encoding that prefix in
-// order reproduces its ids — even if siblings have since pushed the
-// shared instance past it. Any disagreement aborts the restore, which
-// is what enforces the cluster's shared-dictionary ownership rule when
-// per-shard snapshots are restored at startup.
-func RestoreShared(r io.Reader, dict *dictionary.Dictionary) (*Store, error) {
+// with a fresh dictionary containing exactly the snapshot's terms. Each
+// snapshot term must encode to the dense id it held when the snapshot
+// was written; a duplicate term aborts the restore.
+func Restore(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -86,8 +75,8 @@ func RestoreShared(r io.Reader, dict *dictionary.Dictionary) (*Store, error) {
 		return nil, fmt.Errorf("core: restore: bad magic %q", magic)
 	}
 
-	b := NewBuilder(dict)
-	dict = b.dict
+	b := NewBuilder(nil)
+	dict := b.dict
 
 	nTerms, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -107,7 +96,7 @@ func RestoreShared(r io.Reader, dict *dictionary.Dictionary) (*Store, error) {
 			return nil, fmt.Errorf("core: restore: term %d: %w", i, err)
 		}
 		if got := dict.Encode(term); got != ID(i+1) {
-			return nil, fmt.Errorf("core: restore: term %d encoded as %d (duplicate in snapshot, or mismatched shared dictionary)", i+1, got)
+			return nil, fmt.Errorf("core: restore: term %d encoded as %d (duplicate in snapshot)", i+1, got)
 		}
 	}
 

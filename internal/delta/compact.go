@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hexastore/internal/core"
-	"hexastore/internal/dictionary"
 	"hexastore/internal/graph"
 	"hexastore/internal/iofault"
 )
@@ -318,28 +317,15 @@ func (o *Overlay) checkpointLocked() error {
 }
 
 // RestoreSnapshot loads a checkpoint snapshot written by this package's
-// checkpoints (or any core.Store.Snapshot image). It returns ok=false
-// with a nil error when no snapshot exists at path; any other failure
-// surfaces, because treating an unreadable snapshot as absent would
-// silently start an empty store — and the next checkpoint would then
-// overwrite the good snapshot with it. Callers (the facade, hexserver)
-// share this helper so the distinction lives in exactly one place.
-func RestoreSnapshot(path string) (*core.Store, bool, error) {
-	return RestoreSnapshotShared(path, nil)
-}
-
-// RestoreSnapshotShared is RestoreSnapshot against a shared dictionary
-// (nil restores into a fresh one). The sharded tier restores each
-// shard's per-shard snapshot into the one cluster dictionary; restores
-// must run sequentially per shard so the append-only prefix property
-// that makes shared re-encoding sound is preserved.
-func RestoreSnapshotShared(path string, dict *dictionary.Dictionary) (*core.Store, bool, error) {
-	return RestoreSnapshotSharedFS(nil, path, dict)
-}
-
-// RestoreSnapshotSharedFS is RestoreSnapshotShared with the file I/O
-// routed through fsys (nil = the real filesystem).
-func RestoreSnapshotSharedFS(fsys iofault.FS, path string, dict *dictionary.Dictionary) (*core.Store, bool, error) {
+// checkpoints (or any core.Store.Snapshot image) into a fresh
+// dictionary, reading through fsys (nil = the real filesystem). It
+// returns ok=false with a nil error when no snapshot exists at path;
+// any other failure surfaces, because treating an unreadable snapshot
+// as absent would silently start an empty store — and the next
+// checkpoint would then overwrite the good snapshot with it. Callers
+// (the facade, hexserver, the torture harness) share this helper so the
+// distinction lives in exactly one place.
+func RestoreSnapshot(fsys iofault.FS, path string) (*core.Store, bool, error) {
 	f, err := iofault.Open(iofault.Or(fsys), path)
 	switch {
 	case err == nil:
@@ -349,7 +335,7 @@ func RestoreSnapshotSharedFS(fsys iofault.FS, path string, dict *dictionary.Dict
 		return nil, false, err
 	}
 	defer f.Close()
-	st, rerr := core.RestoreShared(f, dict)
+	st, rerr := core.Restore(f)
 	if rerr != nil {
 		return nil, false, fmt.Errorf("delta: restore snapshot %s: %w", path, rerr)
 	}

@@ -3,7 +3,7 @@ package delta
 import "hexastore/internal/obs"
 
 // Process-wide compaction metrics on the default registry; every
-// overlay (one per server, or one per shard) feeds the same families.
+// overlay in the process feeds the same families.
 // The per-overlay Stats() counter stays the source of truth for /stats.
 var (
 	deltaCompactions = obs.Default.Counter(

@@ -57,27 +57,9 @@ type Options struct {
 	// self-describing, so the flag only affects future BulkBuild calls;
 	// stores with either leaf kind open identically.
 	Uncompressed bool
-	// Dictionary, when non-nil, makes the store share the given term
-	// dictionary instead of owning a private one — the sharded serving
-	// tier passes one instance to every shard so ids agree cluster-wide.
-	// Each store still persists its own sidecar: the full prefix of the
-	// shared dictionary up to the last term it flushed. Open validates
-	// that the sidecar's dense id assignment agrees with the shared
-	// instance (the i-th sidecar term must map to id i) and refuses to
-	// open otherwise, so a store can never silently attach to a
-	// dictionary that disagrees with its persisted ids.
-	Dictionary *dictionary.Dictionary
 	// FS routes the store's file I/O (pagefile and dictionary sidecar)
 	// through a fault-injection layer; nil means the real filesystem.
 	FS iofault.FS
-}
-
-// dictOr returns the configured shared dictionary, or a fresh one.
-func (o Options) dictOr() *dictionary.Dictionary {
-	if o.Dictionary != nil {
-		return o.Dictionary
-	}
-	return dictionary.New()
 }
 
 // Store is a disk-based Hexastore rooted at a directory. It is safe for
@@ -130,19 +112,13 @@ func Create(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		fs:       fsys,
 		pf:       pf,
-		dict:     opts.dictOr(),
+		dict:     dictionary.New(),
 		dictPath: filepath.Join(dir, dictFile),
 	}
 	for i := range st.trees {
 		st.trees[i] = btree.New(pf, 2*i, 2*i+1)
 		st.trees[i].SetCompression(!opts.Uncompressed)
 	}
-	// A shared dictionary may already hold terms encoded by sibling
-	// stores; this store has persisted none of them yet, so its sidecar
-	// starts empty and flushDictionary would wrongly skip the existing
-	// prefix if persistedTerms defaulted from dict.Len(). It defaults to
-	// zero, which is exactly right: the first flush writes the whole
-	// shared prefix.
 	// Write the dictionary header eagerly so Open can validate it, and
 	// sync the empty pagefile so a crash right after Create leaves an
 	// openable (empty) store for WAL replay to rebuild onto.
@@ -168,7 +144,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		fs:       fsys,
 		pf:       pf,
-		dict:     opts.dictOr(),
+		dict:     dictionary.New(),
 		dictPath: filepath.Join(dir, dictFile),
 	}
 	for i := range st.trees {
@@ -183,14 +159,9 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // loadDictionary replays the append-only term log, re-assigning the same
-// dense ids the terms had when they were persisted. With a shared
-// dictionary the sidecar must be a prefix of the shared instance in
-// identical order (dictionaries are append-only, so any sidecar flushed
-// from the shared instance is); each term is validated against the id
-// the shared instance assigns it. persistedTerms counts this store's own
-// sidecar records, not dict.Len() — a sibling shard may have pushed the
-// shared dictionary past what this sidecar has persisted, and those
-// terms still need flushing here.
+// dense ids the terms had when they were persisted; each term is
+// validated against the id the dictionary assigns it, so a sidecar with
+// a duplicate term is refused rather than silently shifting ids.
 func (st *Store) loadDictionary() error {
 	f, err := iofault.Open(st.fs, st.dictPath)
 	if err != nil {
@@ -222,7 +193,7 @@ func (st *Store) loadDictionary() error {
 		}
 		count++
 		if got := st.dict.Encode(term); got != ID(count) {
-			return fmt.Errorf("disk: %s: sidecar term %d maps to id %d — store disagrees with its dictionary (wrong shared instance?)",
+			return fmt.Errorf("disk: %s: sidecar term %d maps to id %d — duplicate term in the sidecar",
 				st.dictPath, count, got)
 		}
 	}

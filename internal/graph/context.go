@@ -2,16 +2,17 @@ package graph
 
 import "context"
 
-// ContextAware is an optional Graph capability: a backend whose single
-// operations can run long on their own — the sharded cluster view, whose
-// scatter-gather merges fan out goroutines per call — returns a
+// ContextAware is an optional Graph capability: a backend returns a
 // ctx-observing variant of itself so cancellation reaches the inside of
 // one operation, not just the gaps between operations.
 //
-// Backends without the capability do not need it for responsiveness:
-// the SPARQL evaluator checks its context between per-row probes and
-// every 128 streamed callbacks, which bounds cancellation latency to
-// one candidate-list fetch on the memory and disk stores.
+// No backend in this module implements it, and the SPARQL evaluator
+// does not call WithContext: it checks its context between per-row
+// probes and every 128 streamed callbacks, which bounds cancellation
+// latency to one candidate-list fetch on the memory and disk stores.
+// The interface and WithContext exist only because the benchmark's
+// tracing decorator (benchmark/tracedgraph.go) forwards them; delete
+// them together with that decorator.
 type ContextAware interface {
 	// WithContext returns a view of the graph whose operations fail
 	// with ctx.Err() once ctx is done. The returned graph shares the

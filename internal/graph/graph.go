@@ -8,7 +8,7 @@
 //   - the flat-table triplestore.Store baseline (Baseline).
 //
 // Every method that can touch fallible storage is error-returning, so
-// disk-backed (and, later, remote or sharded) implementations fit the
+// disk-backed (and, later, remote) implementations fit the
 // same interface as the in-memory stores. The in-memory adapters simply
 // return nil errors.
 //

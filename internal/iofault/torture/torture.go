@@ -39,7 +39,6 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
-	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/iofault"
@@ -156,13 +155,12 @@ func memoryScenario() scenario {
 	open := func(fsys iofault.FS, dir string, _ []rdf.Triple) (*delta.Overlay, error) {
 		walPath := filepath.Join(dir, "store.wal")
 		snap := walPath + ".snapshot"
-		dict := dictionary.New()
-		st, ok, err := delta.RestoreSnapshotSharedFS(fsys, snap, dict)
+		st, ok, err := delta.RestoreSnapshot(fsys, snap)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			st = core.NewShared(dict)
+			st = core.New()
 		}
 		return delta.Open(graph.Memory(st), delta.Options{
 			WALPath:          walPath,

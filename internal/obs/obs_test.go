@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -134,7 +133,7 @@ func TestSpanConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c := tr.Child("shard")
+				c := tr.Child("worker")
 				c.Add("scanned", 1)
 				c.Finish()
 			}
@@ -143,20 +142,6 @@ func TestSpanConcurrency(t *testing.T) {
 	wg.Wait()
 	if n := len(tr.Children()); n != 800 {
 		t.Fatalf("children = %d, want 800", n)
-	}
-}
-
-func TestContextCarrier(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("empty ctx should yield nil span")
-	}
-	tr := NewTrace("q")
-	ctx := NewContext(context.Background(), tr)
-	if FromContext(ctx) != tr {
-		t.Fatal("round trip failed")
-	}
-	if NewContext(context.Background(), nil) != context.Background() {
-		t.Fatal("nil span should not wrap the context")
 	}
 }
 

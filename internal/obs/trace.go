@@ -14,7 +14,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,8 +45,7 @@ type Attr struct {
 
 // Span is one timed node of an execution trace. All methods are safe on
 // a nil receiver (no-ops returning zero values), and all mutation is
-// mutex-guarded so shard scatter goroutines and parallel join workers
-// can annotate concurrently.
+// mutex-guarded so parallel join workers can annotate concurrently.
 type Span struct {
 	mu       sync.Mutex
 	name     string
@@ -354,7 +352,7 @@ func (s *Span) Top(n int) []*Span {
 }
 
 // FormatTop renders Top(n) as a single log-friendly string:
-// "step[?a p ?c] 1.2ms; merge 800µs; scatter 400µs".
+// "step[?a p ?c] 1.2ms; merge 800µs; serialize 400µs".
 func (s *Span) FormatTop(n int) string {
 	top := s.Top(n)
 	if len(top) == 0 {
@@ -365,24 +363,4 @@ func (s *Span) FormatTop(n int) string {
 		parts[i] = fmt.Sprintf("%s %s", sp.Name(), sp.Duration().Round(time.Microsecond))
 	}
 	return strings.Join(parts, "; ")
-}
-
-type ctxKey struct{}
-
-// NewContext returns a context carrying the span, for layers (shard
-// scatter-gather) reached only through context-plumbed interfaces.
-func NewContext(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext extracts the span installed by NewContext, or nil.
-func FromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
 }

@@ -1,4 +1,7 @@
-package shard
+// Package replica is WAL replication: a leader serves its write-ahead
+// log (ServeWAL, or the file itself), and a Follower tails it into a
+// read-only replica graph.
+package replica
 
 import (
 	"errors"
@@ -12,12 +15,12 @@ import (
 	"hexastore/internal/wal"
 )
 
-// Follower tails one shard's write-ahead log and replays it into its
+// Follower tails a leader's write-ahead log and replays it into its
 // own graph — the read-replica primitive. The leader's WAL records
 // carry RDF term keys, not dictionary ids, so the follower re-encodes
 // terms into its own dictionary in log order; because both sides
 // encode the same term sequence in the same order, a caught-up
-// follower's store is id-for-id identical to the leader shard (its
+// follower's store is id-for-id identical to the leader's (its
 // snapshot bytes match, which is how the tests assert convergence).
 //
 // File mode tails the log by path (same machine or shared filesystem);
@@ -28,13 +31,11 @@ import (
 // behind has lost the truncated window and reports it via
 // Stats().Resets — re-seed such a replica from a leader snapshot.
 type Follower struct {
-	dst         graph.Graph
-	path        string // file mode
-	addr        string // TCP mode leader address ("" = file mode)
-	shard       int    // TCP mode shard index
-	poll        time.Duration
-	batchSz     int
-	beforeApply func(ops []graph.TripleOp)
+	dst     graph.Graph
+	path    string // file mode
+	addr    string // TCP mode leader address ("" = file mode)
+	poll    time.Duration
+	batchSz int
 
 	backoffMin  time.Duration
 	backoffMax  time.Duration
@@ -63,10 +64,6 @@ type FollowerOptions struct {
 	// BatchSize caps the ops per replay batch (default 4096) so one
 	// giant catch-up does not turn into one giant overlay commit.
 	BatchSize int
-	// BeforeApply, when non-nil, runs on every batch just before it is
-	// applied. A replica cluster uses it to keep its read router's
-	// predicate presence in sync (Cluster.NotePredicates).
-	BeforeApply func(ops []graph.TripleOp)
 
 	// BackoffMin and BackoffMax bound the TCP reconnect backoff: the
 	// delay after the n-th consecutive failure is
@@ -152,7 +149,6 @@ func NewFollower(dst graph.Graph, walPath string, opts FollowerOptions) *Followe
 		path:        walPath,
 		poll:        opts.poll(),
 		batchSz:     opts.batch(),
-		beforeApply: opts.BeforeApply,
 		backoffMin:  opts.backoffMin(),
 		backoffMax:  opts.backoffMax(),
 		dialTimeout: opts.dialTimeout(),
@@ -162,12 +158,11 @@ func NewFollower(dst graph.Graph, walPath string, opts FollowerOptions) *Followe
 	}
 }
 
-// NewTCPFollower streams shard's log from a leader serving ServeWAL at
-// addr into dst.
-func NewTCPFollower(dst graph.Graph, addr string, shard int, opts FollowerOptions) *Follower {
+// NewTCPFollower streams the log of a leader serving ServeWAL at addr
+// into dst.
+func NewTCPFollower(dst graph.Graph, addr string, opts FollowerOptions) *Follower {
 	f := NewFollower(dst, "", opts)
 	f.addr = addr
-	f.shard = shard
 	return f
 }
 
@@ -258,7 +253,7 @@ func (f *Follower) CatchUp() (int, error) {
 
 func (f *Follower) catchUpLocked() (int, error) {
 	if f.addr != "" {
-		return 0, errors.New("shard: CatchUp is file-mode only; TCP followers stream via Start")
+		return 0, errors.New("replica: CatchUp is file-mode only; TCP followers stream via Start")
 	}
 	total := 0
 	for {
@@ -275,10 +270,8 @@ func (f *Follower) catchUpLocked() (int, error) {
 			f.offset = newOff // wal.HeaderSize
 			f.resets++
 			continue // the truncated log may already hold new records
-		case err != nil && os.IsNotExist(err):
+		case errors.Is(err, os.ErrNotExist):
 			return total, nil // leader has not created the log yet
-		case err != nil && errors.Is(err, os.ErrNotExist):
-			return total, nil
 		case err != nil:
 			f.lastErr = err
 			return total, err
@@ -322,9 +315,6 @@ func (f *Follower) applyLocked(recs []wal.Record) (int, error) {
 			}
 			ops = append(ops, op)
 		}
-		if f.beforeApply != nil {
-			f.beforeApply(ops)
-		}
 		if _, _, err := graph.ApplyTriples(f.dst, ops); err != nil {
 			return applied, err
 		}
@@ -338,15 +328,15 @@ func (f *Follower) applyLocked(recs []wal.Record) (int, error) {
 func recordOp(r wal.Record) (graph.TripleOp, error) {
 	s, err := rdf.TermFromKey(r.S)
 	if err != nil {
-		return graph.TripleOp{}, fmt.Errorf("shard: follower: %w", err)
+		return graph.TripleOp{}, fmt.Errorf("replica: follower: %w", err)
 	}
 	p, err := rdf.TermFromKey(r.P)
 	if err != nil {
-		return graph.TripleOp{}, fmt.Errorf("shard: follower: %w", err)
+		return graph.TripleOp{}, fmt.Errorf("replica: follower: %w", err)
 	}
 	o, err := rdf.TermFromKey(r.O)
 	if err != nil {
-		return graph.TripleOp{}, fmt.Errorf("shard: follower: %w", err)
+		return graph.TripleOp{}, fmt.Errorf("replica: follower: %w", err)
 	}
 	return graph.TripleOp{
 		Del: r.Op == wal.OpRemove,

@@ -1,4 +1,4 @@
-package shard_test
+package replica_test
 
 import (
 	"bytes"
@@ -10,32 +10,30 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
-	"hexastore/internal/dictionary"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
-	"hexastore/internal/shard"
-	"hexastore/internal/sparql"
+	"hexastore/internal/replica"
 )
 
 // overlayPair builds a WAL-backed leader overlay and a WAL-less replica
 // overlay, each over its own dictionary.
-func overlayPair(t *testing.T, walPath string) (leader, replica *delta.Overlay) {
+func overlayPair(t *testing.T, walPath string) (leader, repl *delta.Overlay) {
 	t.Helper()
 	// SnapshotPath so Checkpoint has a durable destination and actually
 	// truncates the WAL (otherwise it keeps the log whole).
-	leader, err := delta.Open(graph.Memory(core.NewShared(dictionary.New())),
+	leader, err := delta.Open(graph.Memory(core.New()),
 		delta.Options{WALPath: walPath, SnapshotPath: walPath + ".snapshot", CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { leader.Close() })
-	replica, err = delta.New(graph.Memory(core.NewShared(dictionary.New())),
+	repl, err = delta.New(graph.Memory(core.New()),
 		delta.Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { replica.Close() })
-	return leader, replica
+	t.Cleanup(func() { repl.Close() })
+	return leader, repl
 }
 
 // snapshotBytes compacts the overlay and snapshots its main store.
@@ -60,18 +58,18 @@ func snapshotBytes(t *testing.T, ov *delta.Overlay) []byte {
 // Equal Len is not convergence — a batch that adds as many triples as it
 // deletes leaves Len where the batch before it did, so a wait on Len can
 // return with the replica one batch behind.
-func waitSameSnapshot(t *testing.T, replica, leader *delta.Overlay, f *shard.Follower) {
+func waitSameSnapshot(t *testing.T, repl, leader *delta.Overlay, f *replica.Follower) {
 	t.Helper()
 	want := snapshotBytes(t, leader)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		got := snapshotBytes(t, replica)
+		got := snapshotBytes(t, repl)
 		if bytes.Equal(got, want) {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("replica snapshot differs from the leader's (%d vs %d bytes, %d of %d triples, stats %+v)",
-				len(got), len(want), replica.Len(), leader.Len(), f.Stats())
+				len(got), len(want), repl.Len(), leader.Len(), f.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -111,13 +109,9 @@ func writerBatches(t *testing.T, g graph.Graph, gens int) {
 // deterministic snapshot encoding all coincide.
 func TestFollowerCatchUp(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "leader.wal")
-	leader, replica := overlayPair(t, walPath)
+	leader, repl := overlayPair(t, walPath)
 
-	var hooked int
-	f := shard.NewFollower(replica, walPath, shard.FollowerOptions{
-		BatchSize:   16,
-		BeforeApply: func(ops []graph.TripleOp) { hooked += len(ops) },
-	})
+	f := replica.NewFollower(repl, walPath, replica.FollowerOptions{BatchSize: 16})
 	defer f.Close()
 
 	writerBatches(t, leader, 5)
@@ -128,11 +122,8 @@ func TestFollowerCatchUp(t *testing.T) {
 	if n == 0 {
 		t.Fatal("CatchUp applied nothing")
 	}
-	if hooked != n {
-		t.Fatalf("BeforeApply saw %d ops, CatchUp applied %d", hooked, n)
-	}
-	if replica.Len() != leader.Len() {
-		t.Fatalf("replica Len = %d, leader %d", replica.Len(), leader.Len())
+	if repl.Len() != leader.Len() {
+		t.Fatalf("replica Len = %d, leader %d", repl.Len(), leader.Len())
 	}
 
 	// More batches after the first catch-up: the follower resumes from
@@ -141,7 +132,7 @@ func TestFollowerCatchUp(t *testing.T) {
 	if _, err := f.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := snapshotBytes(t, replica), snapshotBytes(t, leader); !bytes.Equal(got, want) {
+	if got, want := snapshotBytes(t, repl), snapshotBytes(t, leader); !bytes.Equal(got, want) {
 		t.Fatalf("replica snapshot differs from leader (%d vs %d bytes)", len(got), len(want))
 	}
 	st := f.Stats()
@@ -154,8 +145,8 @@ func TestFollowerCatchUp(t *testing.T) {
 // caught-up follower, which must detect the reset and keep converging.
 func TestFollowerTruncation(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "leader.wal")
-	leader, replica := overlayPair(t, walPath)
-	f := shard.NewFollower(replica, walPath, shard.FollowerOptions{})
+	leader, repl := overlayPair(t, walPath)
+	f := replica.NewFollower(repl, walPath, replica.FollowerOptions{})
 
 	writerBatches(t, leader, 3)
 	if _, err := f.CatchUp(); err != nil {
@@ -172,7 +163,7 @@ func TestFollowerTruncation(t *testing.T) {
 	if f.Stats().Resets == 0 {
 		t.Fatal("follower did not observe the truncation")
 	}
-	if got, want := snapshotBytes(t, replica), snapshotBytes(t, leader); !bytes.Equal(got, want) {
+	if got, want := snapshotBytes(t, repl), snapshotBytes(t, leader); !bytes.Equal(got, want) {
 		t.Fatal("replica diverged across a checkpoint")
 	}
 }
@@ -181,13 +172,13 @@ func TestFollowerTruncation(t *testing.T) {
 // catch-ups.
 func TestFollowerPolling(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "leader.wal")
-	leader, replica := overlayPair(t, walPath)
-	f := shard.NewFollower(replica, walPath, shard.FollowerOptions{Poll: 5 * time.Millisecond})
+	leader, repl := overlayPair(t, walPath)
+	f := replica.NewFollower(repl, walPath, replica.FollowerOptions{Poll: 5 * time.Millisecond})
 	f.Start()
 	defer f.Close()
 
 	writerBatches(t, leader, 4)
-	waitSameSnapshot(t, replica, leader, f)
+	waitSameSnapshot(t, repl, leader, f)
 }
 
 // TestFollowerTCP ships the WAL over a socket: leader serves with
@@ -195,21 +186,21 @@ func TestFollowerPolling(t *testing.T) {
 // leader checkpoint.
 func TestFollowerTCP(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "leader.wal")
-	leader, replica := overlayPair(t, walPath)
+	leader, repl := overlayPair(t, walPath)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go shard.ServeWAL(l, []string{walPath}) //nolint:errcheck // ends with the listener
+	go replica.ServeWAL(l, walPath) //nolint:errcheck // ends with the listener
 
-	f := shard.NewTCPFollower(replica, l.Addr().String(), 0, shard.FollowerOptions{Poll: 5 * time.Millisecond})
+	f := replica.NewTCPFollower(repl, l.Addr().String(), replica.FollowerOptions{Poll: 5 * time.Millisecond})
 	f.Start()
 	defer f.Close()
 
 	writerBatches(t, leader, 4)
-	waitSameSnapshot(t, replica, leader, f)
+	waitSameSnapshot(t, repl, leader, f)
 
 	// Checkpoint truncates the log; the serving connection drops, the
 	// follower reconnects with shipReset and keeps following.
@@ -217,65 +208,5 @@ func TestFollowerTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	writerBatches(t, leader, 2)
-	waitSameSnapshot(t, replica, leader, f)
-}
-
-// TestReplicaCluster replicates a 2-shard leader cluster into a
-// replica cluster by tailing both per-shard WALs. The replica applies
-// through its own cluster (routing by its own ids — placement may
-// differ from the leader's), so queries over leader and replica must
-// agree at the SPARQL level.
-func TestReplicaCluster(t *testing.T) {
-	dir := t.TempDir()
-	walPrefix := filepath.Join(dir, "cluster.wal")
-	leader, err := shard.OpenCluster(shard.Config{Shards: 2, WALPath: walPrefix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-
-	replica, err := shard.OpenCluster(shard.Config{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Close()
-
-	var followers []*shard.Follower
-	for i := 0; i < leader.NumShards(); i++ {
-		followers = append(followers, shard.NewFollower(replica, shard.ShardWALPath(walPrefix, i), shard.FollowerOptions{}))
-	}
-
-	if _, err := sparql.ExecUpdate(leader, `PREFIX ex: <http://ex/>
-		INSERT DATA { ex:a ex:knows ex:b . ex:b ex:knows ex:c . ex:c ex:knows ex:d . ex:a ex:age "30" }`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sparql.ExecUpdate(leader, `PREFIX ex: <http://ex/> DELETE DATA { ex:b ex:knows ex:c }`); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range followers {
-		if _, err := f.CatchUp(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if replica.Len() != leader.Len() {
-		t.Fatalf("replica Len = %d, leader %d", replica.Len(), leader.Len())
-	}
-	queries := []string{
-		`PREFIX ex: <http://ex/> SELECT ?x ?y WHERE { ?x ex:knows ?y }`,
-		`PREFIX ex: <http://ex/> SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z }`,
-		`PREFIX ex: <http://ex/> SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,
-	}
-	for _, q := range queries {
-		lres, err := sparql.Exec(leader, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rres, err := sparql.Exec(replica, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if canon(lres) != canon(rres) {
-			t.Fatalf("replica differs on %q:\n%s\nvs\n%s", q, canon(rres), canon(lres))
-		}
-	}
+	waitSameSnapshot(t, repl, leader, f)
 }

@@ -1,4 +1,4 @@
-package shard_test
+package replica_test
 
 import (
 	"net"
@@ -9,11 +9,10 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
-	"hexastore/internal/dictionary"
 	"hexastore/internal/graph"
 	"hexastore/internal/iofault"
 	"hexastore/internal/rdf"
-	"hexastore/internal/shard"
+	"hexastore/internal/replica"
 )
 
 // TestFollowerReconnectConvergence is the serving-resilience
@@ -30,7 +29,7 @@ func TestFollowerReconnectConvergence(t *testing.T) {
 
 	openLeader := func(fs iofault.FS) *delta.Overlay {
 		t.Helper()
-		ov, err := delta.Open(graph.Memory(core.NewShared(dictionary.New())),
+		ov, err := delta.Open(graph.Memory(core.New()),
 			delta.Options{WALPath: walPath, SnapshotPath: walPath + ".snapshot",
 				CompactThreshold: -1, FS: fs})
 		if err != nil {
@@ -40,21 +39,21 @@ func TestFollowerReconnectConvergence(t *testing.T) {
 	}
 	leader := openLeader(inj)
 
-	replica, err := delta.New(graph.Memory(core.NewShared(dictionary.New())),
+	repl, err := delta.New(graph.Memory(core.New()),
 		delta.Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replica.Close()
+	defer repl.Close()
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	go shard.ServeWALWith(l, []string{walPath}, shard.ShipOptions{Keepalive: 10 * time.Millisecond}) //nolint:errcheck // ends with the listener
+	go replica.ServeWALWith(l, walPath, replica.ShipOptions{Keepalive: 10 * time.Millisecond}) //nolint:errcheck // ends with the listener
 
-	f := shard.NewTCPFollower(replica, addr, 0, shard.FollowerOptions{
+	f := replica.NewTCPFollower(repl, addr, replica.FollowerOptions{
 		BackoffMin:  time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 		MaxFailures: -1, // ride out the outage however long it lasts
@@ -64,7 +63,7 @@ func TestFollowerReconnectConvergence(t *testing.T) {
 	defer f.Close()
 
 	writerBatches(t, leader, 3)
-	waitSameSnapshot(t, replica, leader, f)
+	waitSameSnapshot(t, repl, leader, f)
 
 	// Injected leader failure: the next WAL group write tears after 7
 	// bytes. The writer sees the error, the log poisons itself, and the
@@ -113,10 +112,10 @@ func TestFollowerReconnectConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	go shard.ServeWALWith(l2, []string{walPath}, shard.ShipOptions{Keepalive: 10 * time.Millisecond}) //nolint:errcheck // ends with the listener
+	go replica.ServeWALWith(l2, walPath, replica.ShipOptions{Keepalive: 10 * time.Millisecond}) //nolint:errcheck // ends with the listener
 
 	writerBatches(t, leader, 2)
-	waitSameSnapshot(t, replica, leader, f)
+	waitSameSnapshot(t, repl, leader, f)
 	if st := f.Stats(); st.Degraded || st.ConsecutiveFailures != 0 {
 		t.Fatalf("follower should be healthy after reconnect (stats %+v)", st)
 	}
@@ -134,14 +133,14 @@ func TestFollowerStickyDegraded(t *testing.T) {
 	addr := l.Addr().String()
 	l.Close()
 
-	replica, err := delta.New(graph.Memory(core.NewShared(dictionary.New())),
+	repl, err := delta.New(graph.Memory(core.New()),
 		delta.Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replica.Close()
+	defer repl.Close()
 
-	f := shard.NewTCPFollower(replica, addr, 0, shard.FollowerOptions{
+	f := replica.NewTCPFollower(repl, addr, replica.FollowerOptions{
 		BackoffMin:  time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
 		MaxFailures: 3,

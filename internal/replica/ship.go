@@ -1,4 +1,4 @@
-package shard
+package replica
 
 import (
 	"bufio"
@@ -18,7 +18,7 @@ import (
 // the WAL frame format is already self-delimiting and checksummed, so
 // the wire format is the file format:
 //
-//	client → server: uvarint shard index, uvarint resume offset
+//	client → server: uvarint resume offset
 //	server → client: one status byte, then an endless stream of raw
 //	                 WAL frames starting at the granted offset
 //
@@ -53,7 +53,7 @@ const (
 // ShipOptions tune the leader side of WAL shipping (ServeWALWith).
 type ShipOptions struct {
 	// HandshakeTimeout bounds how long a new connection may take to
-	// send its shard/offset handshake before being dropped (default
+	// send its offset handshake before being dropped (default
 	// 10s), so a dead or misbehaving client cannot pin a goroutine and
 	// file descriptor pre-handshake.
 	HandshakeTimeout time.Duration
@@ -92,27 +92,26 @@ func (o ShipOptions) keepalive() time.Duration {
 	return o.Keepalive
 }
 
-// ServeWAL accepts follower connections on l and streams the given
-// shard logs (paths[i] serves shard i) with default ShipOptions. It
-// returns when the listener closes. Each connection is served by its
+// ServeWAL accepts follower connections on l and streams the log at
+// path with default ShipOptions. It returns when the listener closes. Each connection is served by its
 // own goroutine, which exits when the follower disconnects, stalls
 // past the write deadline, or its log is truncated.
-func ServeWAL(l net.Listener, paths []string) error {
-	return ServeWALWith(l, paths, ShipOptions{})
+func ServeWAL(l net.Listener, path string) error {
+	return ServeWALWith(l, path, ShipOptions{})
 }
 
 // ServeWALWith is ServeWAL with explicit timeouts and keepalive tuning.
-func ServeWALWith(l net.Listener, paths []string, opts ShipOptions) error {
+func ServeWALWith(l net.Listener, path string, opts ShipOptions) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
-		go serveFollower(conn, paths, opts)
+		go serveFollower(conn, path, opts)
 	}
 }
 
-func serveFollower(conn net.Conn, paths []string, opts ShipOptions) {
+func serveFollower(conn net.Conn, path string, opts ShipOptions) {
 	defer conn.Close()
 
 	// The handshake is the only read this side ever does; bound it so a
@@ -121,19 +120,11 @@ func serveFollower(conn net.Conn, paths []string, opts ShipOptions) {
 		return
 	}
 	br := bufio.NewReader(conn)
-	shardIdx, err := binary.ReadUvarint(br)
-	if err != nil {
-		return
-	}
 	offset, err := binary.ReadUvarint(br)
 	if err != nil {
 		return
 	}
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // no further reads
-	if shardIdx >= uint64(len(paths)) {
-		return
-	}
-	path := paths[shardIdx]
 
 	lastSent := time.Now()
 	send := func(buf []byte) error {
@@ -305,9 +296,7 @@ func (f *Follower) streamOnce() (handshook bool, err error) {
 	}
 	f.mu.Unlock()
 
-	var req []byte
-	req = binary.AppendUvarint(req, uint64(f.shard))
-	req = binary.AppendUvarint(req, uint64(off))
+	req := binary.AppendUvarint(nil, uint64(off))
 	if derr := conn.SetWriteDeadline(time.Now().Add(f.readTimeout)); derr != nil {
 		return false, derr
 	}
@@ -330,7 +319,7 @@ func (f *Follower) streamOnce() (handshook bool, err error) {
 		f.resets++
 		f.mu.Unlock()
 	default:
-		return false, fmt.Errorf("shard: follower: unknown ship status %d", status)
+		return false, fmt.Errorf("replica: follower: unknown ship status %d", status)
 	}
 
 	f.mu.Lock()

@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"time"
 
-	"hexastore/internal/shard"
+	"hexastore/internal/replica"
 )
 
 // Health and readiness. The two probes answer different questions:
@@ -40,7 +40,7 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // SetDegradedCheck installs the backend's sticky-failure probe —
-// typically (*delta.Overlay).Degraded or (*shard.Cluster).Degraded. A
+// typically (*delta.Overlay).Degraded. A
 // non-nil error fails /readyz and sheds mutating requests with 503:
 // once the WAL is poisoned, acknowledging a write would promise a
 // durability the store can no longer provide. Configure before Handler.
@@ -51,7 +51,7 @@ func (s *Server) SetDegradedCheck(fn func() error) { s.degradedCheck = fn }
 // maxLag > 0 — while any follower has not heard from its leader (a
 // frame, a keepalive, or a successful file-mode poll) within maxLag.
 // Configure before Handler.
-func (s *Server) SetFollowers(maxLag time.Duration, fs ...*shard.Follower) {
+func (s *Server) SetFollowers(maxLag time.Duration, fs ...*replica.Follower) {
 	s.followers = fs
 	s.maxLag = maxLag
 	s.metricsInit()

@@ -163,3 +163,43 @@ func TestLiveTriplesBatchIngest(t *testing.T) {
 		t.Fatalf("WAL empty after ingest: %+v", st)
 	}
 }
+
+// TestReadOnlyRejectsWrites: a replica server answers queries but turns
+// away updates and ingestion with 403.
+func TestReadOnlyRejectsWrites(t *testing.T) {
+	ov, err := delta.Open(graph.Memory(core.New()), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ov.Close() })
+	srv := NewGraph(ov)
+	srv.SetReadOnly(true)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, err := http.PostForm(ts.URL+"/sparql", url.Values{"update": {`INSERT DATA { <a> <p> <b> }`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("update on read-only replica: status = %d, want 403", resp.StatusCode)
+	}
+	resp, err = http.Post(ts.URL+"/triples", "application/n-triples",
+		strings.NewReader("<http://ex/a> <http://ex/p> <http://ex/b> .\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("ingest on read-only replica: status = %d, want 403", resp.StatusCode)
+	}
+	if ov.Len() != 0 {
+		t.Fatalf("read-only replica stored %d triples", ov.Len())
+	}
+
+	var res sparqlResults
+	if code := getJSON(t, ts.URL+"/sparql?query="+url.QueryEscape("SELECT ?s WHERE { ?s ?p ?o }"), &res); code != http.StatusOK {
+		t.Fatalf("query on read-only replica: status = %d", code)
+	}
+}

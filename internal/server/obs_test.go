@@ -1,8 +1,8 @@
 package server
 
 // Tests for the observability layer: /metrics exposition, ?explain=1
-// and the EXPLAIN prefixes over HTTP, per-shard spans on a sharded
-// backend, and the golden /stats key sets per backend mode.
+// and the EXPLAIN prefixes over HTTP, and the golden /stats key sets per
+// backend mode.
 
 import (
 	"fmt"
@@ -330,51 +330,6 @@ func TestExplainParamAndPrefix(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeSharded: EXPLAIN ANALYZE over a 3-shard cluster
-// surfaces the scatter-gather leg — one span per shard with
-// scanned/pruned stream counts.
-func TestExplainAnalyzeSharded(t *testing.T) {
-	ts, _ := newClusterServer(t)
-	resp, err := http.PostForm(ts.URL+"/sparql", url.Values{"update": {`INSERT DATA {
-		<http://ex/a> <http://ex/p> <http://ex/b> .
-		<http://ex/b> <http://ex/p> <http://ex/c> .
-		<http://ex/c> <http://ex/p> <http://ex/d> }`}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	q := url.QueryEscape(`EXPLAIN ANALYZE SELECT ?x ?z WHERE {
-		?x <http://ex/p> ?y . ?y <http://ex/p> ?z }`)
-	var res explainResults
-	if code := getJSON(t, ts.URL+"/sparql?query="+q, &res); code != 200 {
-		t.Fatalf("status = %d", code)
-	}
-	if len(res.Results.Bindings) != 2 {
-		t.Fatalf("bindings = %d, want 2", len(res.Results.Bindings))
-	}
-	if res.Explain == nil {
-		t.Fatal("missing explain tree")
-	}
-	scatter := res.Explain.find("scatter")
-	if len(scatter) != 1 {
-		t.Fatalf("scatter spans = %d, want 1", len(scatter))
-	}
-	shardSpans := res.Explain.find("shard[")
-	if len(shardSpans) != 3 {
-		t.Fatalf("per-shard spans = %d, want 3", len(shardSpans))
-	}
-	touched := false
-	for _, sp := range shardSpans {
-		if _, ok := sp.Attrs["streamsScanned"]; ok {
-			touched = true
-		}
-	}
-	if !touched {
-		t.Error("no shard span recorded a scanned stream")
-	}
-}
-
 // TestSlowQueryLogIncludesSpans: with the slow-query log live, every
 // query is traced and a slow line names its most expensive spans.
 func TestSlowQueryLogIncludesSpans(t *testing.T) {
@@ -460,7 +415,7 @@ func TestStatsGoldenShape(t *testing.T) {
 			"headers", "vectorEntries", "listEntries", "expansionFactor",
 			"indexSizeBytes", "indexBytes", "indexBytesPerTriple", "indexArenaBytes",
 			"deltaAdds", "deltaDels", "compactThreshold", "compactions", "mainTriples"))
-		rejectKeys(t, "memory", got, []string{"shards", "diskBytes", "govern", "walBytes"})
+		rejectKeys(t, "memory", got, []string{"diskBytes", "govern", "walBytes"})
 	})
 
 	t.Run("disk", func(t *testing.T) {
@@ -476,7 +431,7 @@ func TestStatsGoldenShape(t *testing.T) {
 		t.Cleanup(ts.Close)
 		got := statsKeys(t, ts.URL)
 		wantKeys(t, "disk", got, append(base, "diskBytes", "diskBytesPerTriple"))
-		rejectKeys(t, "disk", got, []string{"shards", "deltaAdds", "headers"})
+		rejectKeys(t, "disk", got, []string{"deltaAdds", "headers"})
 	})
 
 	t.Run("overlay", func(t *testing.T) {
@@ -490,14 +445,7 @@ func TestStatsGoldenShape(t *testing.T) {
 		got := statsKeys(t, ts.URL)
 		wantKeys(t, "overlay", got, append(base,
 			"deltaAdds", "deltaDels", "compactThreshold", "compactions", "mainTriples"))
-		rejectKeys(t, "overlay", got, []string{"shards"})
-	})
-
-	t.Run("shards", func(t *testing.T) {
-		ts, _ := newClusterServer(t)
-		got := statsKeys(t, ts.URL)
-		wantKeys(t, "shards", got, append(base, "shards", "perShard"))
-		rejectKeys(t, "shards", got, []string{"deltaAdds", "headers", "diskBytes"})
+		rejectKeys(t, "overlay", got, []string{"diskBytes", "govern"})
 	})
 
 	t.Run("govern", func(t *testing.T) {

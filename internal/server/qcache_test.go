@@ -11,15 +11,13 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
-	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
-	"hexastore/internal/shard"
 )
 
 // cacheServers builds one HTTP server per serving substrate — memory,
-// disk, 3-shard cluster, and a compactable delta overlay — each seeded
+// disk, and a compactable delta overlay — each seeded
 // with the same two triples and running the default cache configuration
 // (both caches on, as hexserver deploys them).
 func cacheServers(t *testing.T) map[string]*httptest.Server {
@@ -52,18 +50,6 @@ func cacheServers(t *testing.T) map[string]*httptest.Server {
 		}
 	}
 	serve("disk", graph.Disk(ds))
-
-	dict := dictionary.New()
-	cl, err := shard.OpenCluster(shard.Config{
-		Shards: 3,
-		Dict:   dict,
-		Load:   core.EncodeTriples(dict, seed, 1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	serve("shard3", cl)
 
 	ov, err := delta.Open(graph.Memory(core.New()), delta.Options{CompactThreshold: -1})
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 	"hexastore/internal/graph"
 	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
-	"hexastore/internal/shard"
+	"hexastore/internal/replica"
 	"hexastore/internal/sparql"
 )
 
@@ -33,7 +33,7 @@ import (
 // guarded here, and mutating requests are serialized against query
 // evaluation (see reqMu) — unless the backend offers consistent
 // snapshots (graph.Snapshotter: the delta overlay, a sealed memory
-// store, a cluster), in which case queries and updates run fully
+// store), in which case queries and updates run fully
 // concurrently: each query pins one immutable version and updates never
 // block readers.
 type Server struct {
@@ -94,7 +94,7 @@ type Server struct {
 	// followers and maxLag feed replica readiness: /readyz fails while
 	// any follower is degraded or has not heard from the leader within
 	// maxLag.
-	followers []*shard.Follower
+	followers []*replica.Follower
 	maxLag    time.Duration
 
 	// Observability (see metrics.go): reg is the per-server metric
@@ -418,7 +418,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"distinctObjects":  sum.DistinctO,
 	}
 	// The query caches report their counters under one block (emitted
-	// for every backend, sharded included): plan-cache occupancy and
+	// for every backend): plan-cache occupancy and
 	// hit/miss/eviction totals, result-cache bytes and totals, and how
 	// often a write invalidated the resident result epoch.
 	cs := s.planner().CacheStats()
@@ -444,18 +444,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// slow-query totals since start.
 	if s.gov != nil {
 		out["govern"] = s.gov.Stats()
-	}
-	// A sharded cluster reports the serving tier's layout: shard count
-	// and one row per shard (triples, predicates routed there, delta
-	// state). The per-store sections below are skipped — there is no
-	// single main store to describe.
-	if cl, ok := s.g.(*shard.Cluster); ok {
-		cs := cl.Stats()
-		out["shards"] = cs.Shards
-		out["perShard"] = cs.PerShard
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
-		return
 	}
 	// A delta overlay reports the live-update subsystem's state: delta
 	// size and chunk count, WAL footprint, compaction count. The index-layout stats

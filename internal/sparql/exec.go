@@ -109,7 +109,7 @@ func EvalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
 // memory limit (see EvalOptions).
 //
 // When the backend offers consistent snapshots (graph.Snapshotter — the
-// delta overlay, the sharded cluster), the whole evaluation is pinned to
+// delta overlay), the whole evaluation is pinned to
 // one snapshot, so a query's many pattern fetches all observe the same
 // store version even while writers commit concurrently. The pin is
 // released when the evaluation returns — including when it returns early
@@ -138,13 +138,6 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = MaxWorkers()
-	}
-	// The trace rides the context so layers reached only through the
-	// Graph interface (the sharded cluster's context wrapper) can attach
-	// their own spans; a value-only context has no Done channel, so this
-	// costs nothing on the cancellation path.
-	if opt.Trace != nil {
-		ctx = obs.NewContext(ctx, opt.Trace)
 	}
 	var pin *obs.Span
 	if opt.Trace != nil {
@@ -197,9 +190,6 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		}
 	}
 
-	// Backends whose single operations run long (the sharded cluster
-	// view) observe ctx inside one Match/AppendSortedList call.
-	g = graph.WithContext(ctx, g)
 	var sum *stats.Summary
 	if pl != nil {
 		sum = pl.sum.Load()

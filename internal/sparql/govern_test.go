@@ -11,12 +11,11 @@ import (
 	"time"
 
 	"hexastore/internal/core"
-	"hexastore/internal/dictionary"
+	"hexastore/internal/delta"
 	"hexastore/internal/disk"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
-	"hexastore/internal/shard"
 )
 
 // governTriples builds a dataset whose self-join on <takes> is
@@ -43,7 +42,8 @@ func governTriples(students, courses, deg int) []rdf.Triple {
 }
 
 // governBackends builds the three serving substrates over the same
-// data: the in-memory store, the disk store, and a 3-shard cluster.
+// data: the in-memory store, the disk store, and a delta overlay whose
+// main store holds half the triples and whose delta holds the rest.
 func governBackends(t *testing.T, data []rdf.Triple) map[string]graph.Graph {
 	t.Helper()
 	backends := make(map[string]graph.Graph)
@@ -65,18 +65,22 @@ func governBackends(t *testing.T, data []rdf.Triple) map[string]graph.Graph {
 	}
 	backends["disk"] = graph.Disk(st)
 
-	dict := dictionary.New()
-	cl, err := shard.OpenCluster(shard.Config{
-		Shards:  3,
-		Dict:    dict,
-		Load:    core.EncodeTriples(dict, data, 4),
-		Workers: 4,
-	})
+	half := len(data) / 2
+	mb := core.NewBuilder(nil)
+	mb.AddAll(core.EncodeTriples(mb.Dictionary(), data[:half], 4))
+	ov, err := delta.New(graph.Memory(mb.BuildParallel(4)), delta.Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
-	backends["shard3"] = cl
+	t.Cleanup(func() { ov.Close() })
+	ops := make([]graph.TripleOp, 0, len(data)-half)
+	for _, tr := range data[half:] {
+		ops = append(ops, graph.TripleOp{T: tr})
+	}
+	if _, _, err := graph.ApplyTriples(ov, ops); err != nil {
+		t.Fatal(err)
+	}
+	backends["overlay"] = ov
 
 	return backends
 }
@@ -108,8 +112,7 @@ func renderRows(t testing.TB, res *Result) []string {
 // TestCancelMidJoin cancels an in-flight quadratic join on every
 // backend and asserts the evaluation (a) fails with context.Canceled,
 // (b) returns within a bounded latency of the cancel, and (c) leaks no
-// goroutines (the parallel join workers and cluster gather goroutines
-// drain).
+// goroutines (the parallel join workers drain).
 func TestCancelMidJoin(t *testing.T) {
 	data := governTriples(800, 40, 20)
 	backends := governBackends(t, data)

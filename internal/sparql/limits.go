@@ -39,10 +39,9 @@ type EvalOptions struct {
 	NoResultCache bool
 
 	// Trace, when non-nil, collects a per-query execution span tree:
-	// planning (pattern order, cardinality estimates), every batch step
-	// (rows in/out, candidate sizes, merge-vs-probe, pieces), and —
-	// through the context — shard scatter-gather. nil disables tracing
-	// entirely; the engine's hot loops never touch it.
+	// planning (pattern order, cardinality estimates) and every batch
+	// step (rows in/out, candidate sizes, merge-vs-probe, pieces). nil
+	// disables tracing entirely; the engine's hot loops never touch it.
 	Trace *obs.Trace
 }
 

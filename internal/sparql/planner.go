@@ -72,7 +72,7 @@ func (pl *Planner) SetPlanCacheSize(n int) {
 // SetResultCacheBytes enables the snapshot-epoch result cache with a
 // total byte cap of n; n <= 0 disables it. The cache only activates for
 // backends that report content epochs (graph.Epocher): the delta
-// overlay, the sharded cluster, and the memory/disk stores. Resizing
+// overlay and the memory/disk stores. Resizing
 // drops current entries.
 func (pl *Planner) SetResultCacheBytes(n int64) {
 	pl.results.Store(newResultCache(n))

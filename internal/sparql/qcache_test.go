@@ -180,7 +180,7 @@ var cacheTestQueries = []string{
 }
 
 // TestCachedVsUncachedDifferential: on every backend (memory, disk,
-// 3-shard cluster) and worker count, the second (cached) evaluation of
+// overlay) and worker count, the second (cached) evaluation of
 // each query is bit-identical to the first, and both match an
 // evaluation with caches disabled.
 func TestCachedVsUncachedDifferential(t *testing.T) {

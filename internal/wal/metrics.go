@@ -3,10 +3,8 @@ package wal
 import "hexastore/internal/obs"
 
 // Package-level metrics on the default registry: every Log in the
-// process feeds the same families, which matches how the log is
-// deployed (one WAL per server, or one per shard all belonging to the
-// same cluster). Servers expose them by merging obs.Default into their
-// /metrics output.
+// process feeds the same families (a server runs one WAL). Servers
+// expose them by merging obs.Default into their /metrics output.
 var (
 	walAppendedBytes = obs.Default.Counter(
 		"hex_wal_appended_bytes_total",

@@ -224,7 +224,7 @@ func readRecord(br *bufio.Reader) (Record, int64, error) {
 	rest := payload[1:]
 	for i := 0; i < 3; i++ {
 		klen, kn := binary.Uvarint(rest)
-		if kn <= 0 || klen > uint64(len(rest)-kn) {
+		if kn <= 0 || (kn > 1 && rest[kn-1] == 0) || klen > uint64(len(rest)-kn) {
 			return rec, 0, fmt.Errorf("wal: malformed term key")
 		}
 		key := string(rest[kn : kn+int(klen)])
@@ -245,6 +245,10 @@ func readRecord(br *bufio.Reader) (Record, int64, error) {
 }
 
 // readUvarint reads a uvarint and reports how many bytes it consumed.
+// Only the minimal encoding is accepted — the one appendRecord writes —
+// so a decoded frame's length always equals its re-encoded length, which
+// is what keeps a follower's resume offset in step with the leader's
+// file. The same check rejects key lengths in readRecord.
 func readUvarint(br *bufio.Reader) (uint64, int, error) {
 	var v uint64
 	var shift, n int
@@ -254,11 +258,14 @@ func readUvarint(br *bufio.Reader) (uint64, int, error) {
 			return 0, n, err
 		}
 		n++
-		if shift >= 64 {
+		if n == binary.MaxVarintLen64 && b > 1 {
 			return 0, n, fmt.Errorf("wal: uvarint overflow")
 		}
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
+			if b == 0 && n > 1 {
+				return 0, n, fmt.Errorf("wal: non-minimal uvarint")
+			}
 			return v, n, nil
 		}
 		shift += 7
