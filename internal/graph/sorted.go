@@ -75,13 +75,16 @@ func (cs coreSorted) KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor {
 	return cs.st.KeyCursor(headPos, keyPos, head)
 }
 
-// KeySource is an optional refinement of SortedSource: a forward cursor
-// over the sorted values position keyPos (0 = S, 1 = P, 2 = O) takes in
-// the triples whose position headPos is head — which values occur with
-// the head at all. It is what lets the batch engine semijoin a sorted
-// column against a constant with one merge pass instead of a lookup per
-// row; the store picks the ordering that holds those values as keys.
-// Only the sealed memory store offers it, through the SortedSource
+// KeySource is an optional refinement of SortedSource: a cursor over the
+// sorted values position keyPos (0 = S, 1 = P, 2 = O) takes in the
+// triples whose position headPos is head — the keys of one vector, the
+// store picking the ordering that holds those values as keys — which
+// hands out, for the key it is on, the sorted values of the third
+// position: the terminal list, zero-copy. It is what lets a batch-engine
+// step that reads one list per row walk one vector instead of looking a
+// record up per row, and a one-pattern GROUP BY count read list lengths.
+// Only the sealed memory store offers it (an overlay with nothing pending
+// serves its snapshots from that store), through the SortedSource
 // AsSortedSource returns for it; find it by type assertion on that value.
 type KeySource interface {
 	KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor

@@ -283,57 +283,75 @@ func (p Packed) entry(i int) (key ID, v View) {
 	}
 }
 
-// KeyCursor walks the keys of a packed vector forward: the vector's half
-// of a merge join whose other half is a sorted column. It reads entry
-// headers only and jumps through the skip table over whole groups.
+// KeyCursor walks the entries of a packed vector in key order: the
+// vector's half of a merge join whose other half is a sorted column, and
+// the lookup a join step repeats row after row. It reads entry headers
+// only, jumps through the skip table over whole groups, and hands out the
+// terminal list of the entry it is on.
 type KeyCursor struct {
-	p   Packed
-	i   int // index of the current entry: −1 before the first, nKeys past the last
-	pos int // byte offset of the entry after the current one
-	key ID  // the current entry's key
+	p    Packed
+	i    int // index of the current entry; −1 before the first
+	key  ID  // the current entry's key
+	n    int // the current entry's list length
+	body int // byte offset of the current entry's list
+	pos  int // byte offset of the entry after the current one
 }
 
 // Keys returns a cursor positioned before the first key.
 func (p Packed) Keys() KeyCursor { return KeyCursor{p: p, i: -1} }
 
 // SeekGE moves the cursor to the first key ≥ k at or after its current
-// key and returns it, ok=false once no such key exists. The cursor stays
-// on the key it returns, so seeking it again returns it again; seeks
-// must not go backwards.
+// key and returns it, ok=false when no such key exists (the cursor then
+// stays on the last key). The cursor stays on the key it returns, so
+// seeking it again returns it again; seeks must not go backwards.
 func (c *KeyCursor) SeekGE(k ID) (ID, bool) {
-	p := &c.p
-	if c.i >= p.nKeys {
-		return 0, false
-	}
 	if c.i >= 0 && c.key >= k {
 		return c.key, true
 	}
+	p := &c.p
+	i, key, n, body, pos := c.i, c.key, c.n, c.body, c.pos
 	if p.skip != nil {
 		// A later group that starts at or below k: jump to the last such
 		// one. Its head's delta is relative to the entry before it, which
 		// the jump skips, so the skip table's absolute key stands in.
-		if g := c.i/packedGroup + 1; g*packedGroup < p.nKeys {
+		if g := i/packedGroup + 1; g*packedGroup < p.nKeys {
 			if head, _ := p.group(g); head <= k {
-				g = p.groupFor(k, g)
+				g = p.groupFor(k, g+1)
 				var off int
-				c.key, off = p.group(g)
-				c.i = g * packedGroup
-				_, _, _, c.pos = p.headerAt(off, 0)
-				if c.key == k {
-					return k, true
-				}
+				key, off = p.group(g)
+				i = g * packedGroup
+				_, n, body, pos = p.headerAt(off, 0)
 			}
 		}
 	}
-	for c.i+1 < p.nKeys {
-		key, _, _, next := p.headerAt(c.pos, c.key)
-		c.i, c.key, c.pos = c.i+1, key, next
-		if key >= k {
-			return key, true
-		}
+	// The walk keeps the cursor in locals and stores it once.
+	for last := p.nKeys - 1; i < last && (i < 0 || key < k); i++ {
+		key, n, body, pos = p.headerAt(pos, key)
 	}
-	c.i = p.nKeys
-	return 0, false
+	c.i, c.key, c.n, c.body, c.pos = i, key, n, body, pos
+	if i < 0 || key < k {
+		return 0, false
+	}
+	return key, true
+}
+
+// Seek moves the cursor to the first key ≥ k and reports whether that
+// key is k, whose terminal list View then returns. Seeks may come in any
+// order: from the entry the cursor is on it walks forward as SeekGE
+// does, and a key behind that entry restarts it from the top, where the
+// skip table's search takes over — so no seek costs more than a Find.
+func (c *KeyCursor) Seek(k ID) bool {
+	if c.i >= 0 && k < c.key {
+		c.i, c.key, c.pos = -1, 0, 0 // back to the top
+	}
+	key, ok := c.SeekGE(k)
+	return ok && key == k
+}
+
+// View returns the terminal list of the entry the cursor is on, as a
+// zero-copy view; the cursor must be on an entry (a seek returned ok).
+func (c *KeyCursor) View() View {
+	return MakeCompressed(c.n, c.p.data[c.body:c.pos]).View()
 }
 
 // AppendKeys appends every key in ascending order to dst.

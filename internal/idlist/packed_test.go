@@ -11,11 +11,11 @@ import (
 // checkPacked encodes keys[i] → lists[i] as a packed vector and holds
 // every accessor to the input: Len, Total, Range, AppendKeys, the key
 // cursor's ascending seeks, entry, Find on every key and on the absent
-// keys beside them. A copy rebuilt from
-// the vector's own views — compressed ones taken over as bytes, every
-// third one re-encoded from a raw slice — must be the same bytes, entry
-// for entry.
-func checkPacked(t *testing.T, keys []ID, lists [][]ID) {
+// keys beside them, and a key cursor's Seeks in the order seeks spells
+// (checkSeeks). A copy rebuilt from the vector's own views — compressed
+// ones taken over as bytes, every third one re-encoded from a raw slice —
+// must be the same bytes, entry for entry.
+func checkPacked(t *testing.T, keys []ID, lists [][]ID, seeks []byte) {
 	t.Helper()
 	var b PackedBuilder
 	total := 0
@@ -104,7 +104,55 @@ func checkPacked(t *testing.T, keys []ID, lists [][]ID) {
 			}
 		}
 	}
+	checkSeeks(t, p, keys, lists, seeks)
 }
+
+// checkSeeks drives one key cursor through a Seek per byte of ops —
+// forward, backward, repeated, absent and past the last key, as the byte
+// picks — and holds each result, and View after each hit, to the input
+// lists and to Find.
+func checkSeeks(t *testing.T, p Packed, keys []ID, lists [][]ID, ops []byte) {
+	t.Helper()
+	cur := p.Keys()
+	target := keys[0]
+	for step, b := range ops {
+		k := keys[int(b>>2)%len(keys)]
+		switch b & 3 {
+		case 0: // a key of the vector
+			target = k
+		case 1: // beside one: absent unless its neighbour is a key
+			if b&4 != 0 {
+				target = k + 1
+			} else {
+				target = k - 1
+			}
+		case 2: // past the last key, if there is room
+			if last := keys[len(keys)-1]; last+ID(b) > last {
+				target = last + ID(b)
+			}
+		case 3: // the previous target again
+		}
+		j, want := slices.BinarySearch(keys, target)
+		ok := cur.Seek(target)
+		fv, fok := p.Find(target)
+		if ok != want || fok != want {
+			t.Fatalf("seek %d: Seek(%d) = %v, Find found %v; want %v", step, target, ok, fok, want)
+		}
+		if ok && (!slices.Equal(cur.View().AppendTo(nil), lists[j]) || !slices.Equal(fv.AppendTo(nil), lists[j])) {
+			t.Fatalf("seek %d: View after Seek(%d) = %v, Find = %v; want %v", step, target, cur.View().AppendTo(nil), fv.AppendTo(nil), lists[j])
+		}
+	}
+}
+
+// seekOps is the Seek order of the table-driven vectors: every byte once,
+// so every kind of seek meets every key position a byte can name.
+var seekOps = func() []byte {
+	ops := make([]byte, 256)
+	for i := range ops {
+		ops[i] = byte(i * 97)
+	}
+	return ops
+}()
 
 // packedLists returns a list per key: a singleton where one(i), else
 // n ids; ids start high enough for multi-byte varints where wide.
@@ -158,7 +206,7 @@ func TestPackedSingletonEntries(t *testing.T) {
 			for name, one := range patterns {
 				for _, long := range []int{2, BlockSize + 3} {
 					t.Run(fmt.Sprintf("%d keys/wide=%v/%s/%d ids", n, wide, name, long), func(t *testing.T) {
-						checkPacked(t, keys, packedLists(keys, func(i int) bool { return one(i, n) }, long, wide))
+						checkPacked(t, keys, packedLists(keys, func(i int) bool { return one(i, n) }, long, wide), seekOps)
 					})
 				}
 			}
@@ -200,16 +248,18 @@ func TestPackedKeyDeltaLimit(t *testing.T) {
 			}
 		}()
 	}
-	checkPacked(t, []ID{1<<63 - 1, 1<<64 - 2}, [][]ID{{3}, {4, 5}})
+	checkPacked(t, []ID{1<<63 - 1, 1<<64 - 2}, [][]ID{{3}, {4, 5}}, seekOps)
 }
 
 // FuzzPackedVector turns bytes into a key set and list lengths — per
 // entry a uvarint key gap (up to 2^62) and a length byte, below 160 a
 // one-id list — and holds every accessor of the encoded vector to them,
 // the key cursor's SeekGE sequences included (on vectors of up to and of
-// more than one skip-table group).
+// more than one skip-table group). The same bytes, read again, are the
+// order of a key cursor's Seeks (checkSeeks).
 func FuzzPackedVector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		seeks := data
 		var keys []ID
 		var lists [][]ID
 		var prev ID
@@ -234,6 +284,41 @@ func FuzzPackedVector(f *testing.F) {
 			}
 			keys, lists, prev = append(keys, key), append(lists, list), key
 		}
-		checkPacked(t, keys, lists)
+		checkPacked(t, keys, lists, seeks)
 	})
+}
+
+// BenchmarkPackedFind looks up keys in random order — half of them
+// present — in a vector within one skip-table group and in one of many
+// groups.
+func BenchmarkPackedFind(b *testing.B) {
+	for _, nKeys := range []int{12, 4096} {
+		b.Run(fmt.Sprintf("keys=%d", nKeys), func(b *testing.B) {
+			keys := make([]ID, nKeys)
+			for i := range keys {
+				keys[i] = ID(2*i + 10)
+			}
+			p := DecodePacked(func() []byte {
+				var pb PackedBuilder
+				for i, k := range packedLists(keys, func(i int) bool { return i%3 != 0 }, 4, false) {
+					pb.Append(keys[i], k)
+				}
+				return pb.Finish(nil)
+			}())
+			probes := make([]ID, 1024)
+			for i := range probes {
+				probes[i] = ID(10 + (i*7919)%(2*nKeys))
+			}
+			b.ResetTimer()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if _, ok := p.Find(probes[i%len(probes)]); ok {
+					hits++
+				}
+			}
+			if hits == 0 {
+				b.Fatal("no probe hit")
+			}
+		})
+	}
 }

@@ -21,8 +21,8 @@ package sparql
 //     The step binds nothing and keeps the rows with at least one match:
 //     over a sorted column, one forward pass of the column over the keys
 //     of the vector the constant heads (semi-merge, graph.KeySource);
-//     elsewhere one zero-copy list view per row, reused for a repeated
-//     value (semi-probe).
+//     elsewhere one question per distinct column value, answered by the
+//     step's key cursor (below) or a zero-copy list view (semi-probe).
 //   - expansion: the pattern binds new variables. Candidate values come
 //     from the backend's sorted lists (graph.SortedSource) and are
 //     appended to the output columns with bulk slice copies — a batched
@@ -34,6 +34,17 @@ package sparql
 //     one at least a column — the expansion intersects each row's
 //     candidates with that step's list for the row and the later step is
 //     folded away: the triangle's per-row probes become one merge.
+//
+// A per-row list of one column, one constant and one free position — an
+// expansion's candidates, a folded step's list, a semijoin's match — is
+// a list of the vector the constant heads, keyed by the column's
+// position. On a backend with key cursors (graph.KeySource: the sealed
+// memory store, and an overlay with nothing pending) each step opens one
+// cursor over that vector per executor and seeks it to each row's value:
+// the step walks one vector in place instead of looking a record up per
+// row, and a value behind the cursor restarts it from the vector's skip
+// table, which costs what the lookup did. Other backends look each list
+// up (graph.ViewSource, graph.SortedSource).
 //
 // Backends without sorted-list access (the flat baseline table) collect
 // candidates through Match into reusable scratch buffers; the table
@@ -64,7 +75,9 @@ package sparql
 //
 // Rows stay dictionary-encoded IDs into the result (late
 // materialization): DISTINCT and GROUP BY number id tuples (idtable.go),
-// and a term is decoded only when the result is read.
+// and a term is decoded only when the result is read. A one-pattern
+// GROUP BY count on a backend with key cursors enumerates no row: its
+// counts are list lengths (countKeys, exec.go).
 
 import (
 	"errors"
@@ -139,6 +152,9 @@ type stepSpec struct {
 	nFree    int      // number of posFree positions (duplicates counted)
 }
 
+// col returns the table column of a pattern with one bound column.
+func (sp *stepSpec) col() int { return max(sp.colAt[0], sp.colAt[1], sp.colAt[2]) }
+
 // stepPlan is one join step of a branch: its pattern classified once
 // against the schema the steps before it leave, the FILTERs staged in
 // front of it, and the part of its work that is the same for every piece.
@@ -152,10 +168,15 @@ type stepPlan struct {
 
 	// A semijoin step (semi) — one column, one constant and one free
 	// position, the free one existential — binds nothing: it keeps the
-	// rows with a match. With cursor set — the column is sorted and the
-	// backend has key cursors — it merges the column against the keys of
-	// the constant's vector instead of fetching per row.
-	semi, cursor bool
+	// rows with a match. merge names its EXPLAIN kind: the column is
+	// sorted and the backend has key cursors, so the step's seeks only
+	// ever walk forward.
+	semi, merge bool
+
+	// walk: the step reads its per-row lists from a key cursor (keyWalk)
+	// — its own fetch, its folded step's or both — so EXPLAIN shows
+	// access=cursor.
+	walk bool
 
 	// isect is the fetch pattern, for the rows of this expansion, of the
 	// later step folded into it — its one position on the new variable
@@ -227,7 +248,7 @@ type batchExec struct {
 	src    graph.Graph
 	sorted graph.SortedSource // nil → Match-collect fallback
 	views  graph.ViewSource   // nil → no zero-copy candidate views
-	keys   graph.KeySource    // nil → no key cursors: semijoins probe
+	keys   graph.KeySource    // nil → no key cursors: per-row lists are looked up
 
 	// workers is the intra-query parallelism budget for this evaluation
 	// (see parallel.go); only the driver has one, and 1 keeps every piece
@@ -270,14 +291,53 @@ type batchExec struct {
 // they were fetched for (have: a and b still hold its candidates, so a
 // row with the same key reuses them); lst, the per-row list an
 // intersection or a semi-probe reads when the backend has no zero-copy
-// view; and what the meter carries for the buffers.
+// view; the key cursors the step's own per-row lists and its folded
+// step's come from (walk, fold); and what the meter carries for the
+// buffers.
 type level struct {
-	out     batchTable
-	a, b, c []core.ID
-	lst     []core.ID
-	key     [3]core.ID
-	have    bool
-	held    int64
+	out        batchTable
+	a, b, c    []core.ID
+	lst        []core.ID
+	key        [3]core.ID
+	have       bool
+	walk, fold keyWalk
+	held       int64
+}
+
+// keyWalk is the key cursor of one per-row fetch — one column, one
+// constant and one free position — on one executor: over the vector the
+// constant heads, keyed by the column's position, whose entries' lists
+// hold the free position's values. The first row opens it; every later
+// row seeks it to the row's value, so a step walks one vector instead of
+// looking a list up per row, and a row whose value is behind the
+// cursor's costs no more than that lookup.
+type keyWalk struct {
+	cur  idlist.KeyCursor
+	open bool
+}
+
+// walks reports whether sp's per-row list comes from a key cursor: the
+// backend has them and sp is one column, one constant and one free
+// position.
+func (bx *batchExec) walks(sp *stepSpec) bool {
+	return bx.keys != nil && sp.nCols == 1 && sp.nFree == 1
+}
+
+// cursor returns the walk's cursor, opening it for sp on first use.
+func (w *keyWalk) cursor(keys graph.KeySource, sp *stepSpec) *idlist.KeyCursor {
+	if !w.open {
+		head := slices.Index(sp.kind[:], posConst)
+		w.cur, w.open = keys.KeyCursor(head, slices.Index(sp.kind[:], posCol), sp.ids[head]), true
+	}
+	return &w.cur
+}
+
+// seek returns the list of sp's free position for column value v.
+func (w *keyWalk) seek(keys graph.KeySource, sp *stepSpec, v core.ID) idlist.View {
+	if c := w.cursor(keys, sp); c.Seek(v) {
+		return c.View()
+	}
+	return idlist.View{}
 }
 
 // scratch is what keeps an executor's steady state allocation-free: free
@@ -359,7 +419,7 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 		}
 		if isSemi(&st.stepSpec, bx.exist) {
 			st.semi, st.newNames = true, nil
-			st.cursor = bx.keys != nil && sorted[max(st.colAt[0], st.colAt[1], st.colAt[2])]
+			st.merge = bx.keys != nil && sorted[st.col()]
 		}
 		// A single sorted fetch expanding the unit table seeds a genuinely
 		// sorted first column (SortedList values, or the first position of
@@ -382,7 +442,9 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 		br.fold(k)
 	}
 	for k := range br.steps {
-		br.steps[k].last = k == len(br.steps)-1
+		st := &br.steps[k]
+		st.last = k == len(br.steps)-1
+		st.walk = bx.walks(&st.stepSpec) && (st.semi || len(st.newNames) > 0) || st.isect != nil && bx.walks(st.isect)
 	}
 	br.capped = br.emitsAll && ev.target > 0 && len(br.tail) == 0
 	br.colSlot = make([]int, len(vars))
@@ -462,6 +524,12 @@ func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cf
 	ev := bx.ev
 	br := bx.planBranch(pats, order, stepFilters, optionals, lateFilters)
 	defer bx.endBranch(br)
+	if ev.aggMode {
+		if ev.countsFromKeys(br) {
+			return ev.countKeys(br)
+		}
+		ev.keyDistinct(br)
+	}
 	clear(ev.cur) // drop ids left over from a previous union branch
 
 	if br.span != nil {
@@ -600,6 +668,9 @@ func (st *stepPlan) openSpan(parent *obs.Span) *obs.Span {
 		if st.semi {
 			st.span.Set("kind", st.semiKind())
 		}
+		if st.walk {
+			st.span.Set("access", "cursor")
+		}
 		if st.foldPat != nil {
 			st.span.Set("intersect", st.foldPat)
 			sp := parent.ChildOf("step", st.foldPat)
@@ -613,7 +684,7 @@ func (st *stepPlan) openSpan(parent *obs.Span) *obs.Span {
 }
 
 func (st *stepPlan) semiKind() string {
-	if st.cursor {
+	if st.merge {
 		return "semi-merge"
 	}
 	return "semi-probe"
@@ -737,7 +808,7 @@ func (bx *batchExec) filterStep(sp *stepPlan, tbl *batchTable, limit int) error 
 		if err := bx.fetchShared(sp, -1); err != nil {
 			return err
 		}
-		c := max(sp.colAt[0], sp.colAt[1], sp.colAt[2])
+		c := sp.col()
 		keep := bx.keep[:0]
 		if tbl.sorted[c] {
 			sp.span.Set("kind", "merge")
@@ -772,17 +843,20 @@ func (bx *batchExec) filterStep(sp *stepPlan, tbl *batchTable, limit int) error 
 // whose substituted pattern — the existential position free — has at
 // least one match. A sorted column and a backend with key cursors take
 // one forward pass of the column over the keys of the constant's vector,
-// galloping the column past keys it lacks (semi-merge); otherwise each
-// row fetches the pattern's list, as a zero-copy view where the backend
-// has one, and a row repeating the previous row's value reuses its
-// answer (semi-probe). A non-negative limit keeps at most that many.
+// galloping the column past keys it lacks (semi-merge). Otherwise each
+// distinct column value asks once, a row repeating the previous row's
+// value reusing the answer: the step's key cursor seeks to it where the
+// backend has key cursors, and elsewhere the row fetches the pattern's
+// list, as a zero-copy view where the backend has one (semi-probe). A
+// non-negative limit keeps at most that many.
 func (bx *batchExec) semiFilter(br *branchRun, k int, tbl *batchTable, limit int) error {
 	sp := &br.steps[k]
-	col := tbl.cols[max(sp.colAt[0], sp.colAt[1], sp.colAt[2])]
+	col := tbl.cols[sp.col()]
 	keep := bx.keep[:0]
-	if sp.cursor {
-		head, key := slices.Index(sp.kind[:], posConst), slices.Index(sp.kind[:], posCol)
-		cur := bx.keys.KeyCursor(head, key, sp.ids[head])
+	lv := bx.levelAt(br, k)
+	if sp.merge {
+		var w keyWalk // the piece's own: pieces of a column need not come in order
+		cur := w.cursor(bx.keys, &sp.stepSpec)
 		for i := 0; i < len(col) && (limit < 0 || len(keep) < limit); {
 			key, ok := cur.SeekGE(col[i])
 			switch {
@@ -796,7 +870,7 @@ func (bx *batchExec) semiFilter(br *branchRun, k int, tbl *batchTable, limit int
 			}
 		}
 	} else {
-		lv := bx.levelAt(br, k)
+		walk := bx.walks(&sp.stepSpec)
 		found := false
 		for r, v := range col {
 			if !bx.tickOK() {
@@ -806,12 +880,16 @@ func (bx *batchExec) semiFilter(br *branchRun, k int, tbl *batchTable, limit int
 				break
 			}
 			if r == 0 || v != col[r-1] {
-				s, p, o := subst(&sp.stepSpec, tbl, 0, r), subst(&sp.stepSpec, tbl, 1, r), subst(&sp.stepSpec, tbl, 2, r)
-				list, err := bx.listView(lv, &sp.stepSpec, s, p, o)
-				if err != nil {
-					return err
+				if walk {
+					found = lv.walk.cursor(bx.keys, &sp.stepSpec).Seek(v)
+				} else {
+					s, p, o := subst(&sp.stepSpec, tbl, 0, r), subst(&sp.stepSpec, tbl, 1, r), subst(&sp.stepSpec, tbl, 2, r)
+					list, err := bx.listView(lv, &sp.stepSpec, s, p, o)
+					if err != nil {
+						return err
+					}
+					found = list.Len() > 0
 				}
-				found = list.Len() > 0
 			}
 			if found {
 				keep = append(keep, r)
@@ -1095,9 +1173,12 @@ func (bx *batchExec) candidates(lv *level, sp *stepPlan, in *batchTable, r, limi
 		if lv.a == nil {
 			lv.a = bx.getCol()
 		}
-		if sp.nFree == 1 {
+		switch {
+		case bx.walks(&sp.stepSpec):
+			lv.a = lv.walk.seek(bx.keys, &sp.stepSpec, in.cols[sp.col()][r]).AppendTo(lv.a[:0])
+		case sp.nFree == 1:
 			lv.a, err = bx.fetchOne(&sp.stepSpec, key[0], key[1], key[2], lv.a[:0])
-		} else {
+		default:
 			if lv.b == nil {
 				lv.b = bx.getCol()
 			}
@@ -1126,11 +1207,17 @@ func (bx *batchExec) candidates(lv *level, sp *stepPlan, in *batchTable, r, limi
 // intersect narrows the level's candidates to the values of the folded
 // step's free position for row r, into the level's c buffer: a merge
 // over sorted candidates, a membership test for a backend that collects
-// them through Match, in whatever order it yields them.
+// them through Match, in whatever order it yields them. The folded
+// step's list comes from its key cursor where it has one.
 func (bx *batchExec) intersect(lv *level, j *stepSpec, in *batchTable, r int) ([]core.ID, error) {
-	list, err := bx.listView(lv, j, subst(j, in, 0, r), subst(j, in, 1, r), subst(j, in, 2, r))
-	if err != nil {
-		return nil, err
+	var list idlist.View
+	if bx.walks(j) {
+		list = lv.fold.seek(bx.keys, j, in.cols[j.col()][r])
+	} else {
+		var err error
+		if list, err = bx.listView(lv, j, subst(j, in, 0, r), subst(j, in, 1, r), subst(j, in, 2, r)); err != nil {
+			return nil, err
+		}
 	}
 	if lv.c == nil {
 		lv.c = bx.getCol()

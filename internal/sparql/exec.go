@@ -950,13 +950,9 @@ func (ev *evaluator) fold() error {
 	}
 	ev.tuple = key
 	na := len(ev.aggSlots)
-	before := ev.groups.size()
-	g, added := ev.groups.insert(key)
-	if added {
-		ev.groupCounts = append(ev.groupCounts, make([]int, na)...)
-		if err := ev.retain(ev.groups.size() - before + int64(na)*8 + ev.rowBytes); err != nil {
-			return err
-		}
+	g, err := ev.bucket(key)
+	if err != nil {
+		return err
 	}
 	for i, s := range ev.aggSlots {
 		switch {
@@ -979,6 +975,121 @@ func (ev *evaluator) fold() error {
 		}
 	}
 	return nil
+}
+
+// bucket returns the number of the GROUP BY bucket of key, making it —
+// and charging what it holds — when key is new.
+func (ev *evaluator) bucket(key []core.ID) (int, error) {
+	before := ev.groups.size()
+	g, added := ev.groups.insert(key)
+	if added {
+		ev.groupCounts = append(ev.groupCounts, make([]int, len(ev.aggSlots))...)
+		if err := ev.retain(ev.groups.size() - before + int64(len(ev.aggSlots))*8 + ev.rowBytes); err != nil {
+			return g, err
+		}
+	}
+	return g, nil
+}
+
+// countsFromKeys reports whether branch br is a GROUP BY count that list
+// lengths answer: one pattern of one constant and two distinct
+// variables, grouped on one of them, in a query with no UNION, OPTIONAL
+// or FILTER whose aggregates are all COUNT(*), COUNT(?x) or
+// COUNT(DISTINCT ?x) of the other variable, or COUNT(?g) of the key —
+// on a backend with key cursors.
+func (ev *evaluator) countsFromKeys(br *branchRun) bool {
+	q := ev.q
+	if ev.batch.keys == nil || len(q.Unions)+len(q.Optionals)+len(q.Filters) > 0 || len(br.steps) != 1 || len(q.GroupBy) != 1 {
+		return false
+	}
+	st := &br.steps[0]
+	if st.nCols != 0 || st.nFree != 2 || len(st.newNames) != 2 {
+		return false
+	}
+	g := slices.Index(st.newNames, q.GroupBy[0])
+	if g < 0 {
+		return false
+	}
+	for _, a := range q.Aggregates {
+		if a.Var != "" && a.Var != st.newNames[1-g] && (a.Var != q.GroupBy[0] || a.Distinct) {
+			return false
+		}
+	}
+	return true
+}
+
+// countKeys answers a branch countsFromKeys accepts without enumerating
+// a row, as the paper's BQ1 plan does: a key cursor walks the group
+// variable's values in the vector the constant heads, and each entry's
+// list length is every count of its group — a store holds each triple
+// once, so the list's values are the group's rows and are distinct. The
+// groups are made as fold makes them, so materializeGroups turns them
+// into the same rows.
+func (ev *evaluator) countKeys(br *branchRun) error {
+	st := &br.steps[0]
+	head := slices.Index(st.kind[:], posConst)
+	var keyPos int
+	for j := range st.kind {
+		if st.kind[j] == posFree && st.newNames[st.slot[j]] == ev.q.GroupBy[0] {
+			keyPos = j
+		}
+	}
+	cur := ev.batch.keys.KeyCursor(head, keyPos, st.ids[head])
+	na := len(ev.aggSlots)
+	var keys, rows int64
+	for k, ok := cur.SeekGE(0); ok; k, ok = cur.SeekGE(k + 1) {
+		if !ev.tickOK() {
+			return ev.ctxErr
+		}
+		n := cur.View().Len()
+		ev.tuple = append(ev.tuple[:0], k)
+		g, err := ev.bucket(ev.tuple)
+		if err != nil {
+			return err
+		}
+		for i := range na {
+			ev.groupCounts[g*na+i] = n
+		}
+		keys++
+		rows += int64(n)
+	}
+	if br.span != nil {
+		sp := st.openSpan(br.span)
+		sp.Set("kind", "count-keys")
+		sp.SetInt("keys", keys)
+		sp.SetInt("rowsOut", rows)
+	}
+	return ev.flushRetained()
+}
+
+// keyDistinct drops the pair table of every COUNT(DISTINCT ?x) whose
+// pairs branch br already makes unique. The joined rows are distinct on
+// the columns of the branch's table — the variables its steps bind; a
+// semijoin's existential is not one. So in a query of one branch and no
+// OPTIONAL whose GROUP BY keys and ?x cover every column, each (group,
+// ?x) pair arrives at most once, and the aggregate counts rows. It reads
+// the planned schema, not the pattern text: a variable that occurs once
+// is still a column where the seed binds it.
+func (ev *evaluator) keyDistinct(br *branchRun) {
+	q := ev.q
+	for i := range q.Aggregates {
+		if ev.seen[i] == nil {
+			continue
+		}
+		keyed := len(q.Unions) == 0 && len(q.Optionals) == 0
+		for _, s := range br.colSlot {
+			keyed = keyed && (s == ev.aggSlots[i] || slices.Contains(ev.groupSlots, s))
+		}
+		how := "table"
+		if keyed {
+			ev.seen[i], how = nil, "keyed"
+		}
+		if br.span != nil {
+			sp := br.span.ChildOf("aggregate", &q.Aggregates[i])
+			sp.Set("distinct", how)
+			sp.Finish()
+		}
+	}
 }
 
 // materializeGroups turns the GROUP BY buckets into result rows, in

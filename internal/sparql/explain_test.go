@@ -10,6 +10,7 @@ import (
 	"hexastore/internal/core"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
+	"hexastore/internal/lubm"
 	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
 )
@@ -316,4 +317,110 @@ func TestExplainAnalyzeChunks(t *testing.T) {
 			t.Errorf("emit termsDecoded = %d, want 0", got)
 		}
 	}
+}
+
+// scanShapes are the analytic shapes of the end-to-end scan workload:
+// two joins, a triangle, a semijoin under DISTINCT, a one-pattern GROUP
+// BY count, a COUNT(DISTINCT) over a semijoin, a sorted window and a
+// three-way join with a FILTER.
+var scanShapes = []string{
+	`SELECT ?student ?course WHERE { ?student <lubm:advisor> ?prof . ?prof <lubm:teacherOf> ?course }`,
+	`SELECT ?student ?course WHERE { ?student <lubm:advisor> ?prof . ?prof <lubm:teacherOf> ?course . ?student <lubm:takesCourse> ?course }`,
+	`SELECT DISTINCT ?prof WHERE { ?student <lubm:advisor> ?prof . ?student <lubm:takesCourse> ?course }`,
+	`SELECT ?prof (COUNT(?student) AS ?n) WHERE { ?student <lubm:advisor> ?prof } GROUP BY ?prof`,
+	`SELECT ?prof (COUNT(DISTINCT ?student) AS ?n) WHERE { ?student <lubm:advisor> ?prof . ?student <lubm:takesCourse> ?course } GROUP BY ?prof`,
+	`SELECT ?student ?prof WHERE { ?student <lubm:advisor> ?prof } ORDER BY ?student LIMIT 100`,
+	`SELECT ?student ?course WHERE { ?student <lubm:teachingAssistantOf> ?course . ?student <lubm:advisor> ?prof . ?prof <lubm:teacherOf> ?course2 . FILTER (?course != ?course2) }`,
+}
+
+// TestExplainShowsIndexPaths runs the scan shapes under EXPLAIN ANALYZE
+// and checks each names the index path it took: the joins' per-row lists
+// come from key cursors (access=cursor), the GROUP BY count reads list
+// lengths (kind=count-keys, with the keys it walked and the rows they
+// stand for) and the COUNT(DISTINCT) skips its pair table
+// (distinct=keyed). The disk store has no key cursors, so only the last
+// shows there.
+func TestExplainShowsIndexPaths(t *testing.T) {
+	ts := lubm.Config{Universities: 1, Seed: 3, DeptsPerUniv: 2, UndergradPerDept: 60, GradPerDept: 20, CoursesPerDept: 12}.GenerateAll()
+	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	advisees := map[rdf.Term]int{}
+	for _, tr := range ts {
+		if _, err := ds.AddTriple(tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Predicate == lubm.PropAdvisor {
+			advisees[tr.Object]++
+		}
+	}
+	for _, backend := range []struct {
+		name string
+		g    graph.Graph
+		keys bool
+	}{{"memory", buildMemory(ts), true}, {"disk", graph.Disk(ds), false}} {
+		explain := func(shape int) *obs.Trace {
+			t.Helper()
+			q, err := Parse("EXPLAIN ANALYZE " + scanShapes[shape])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTrace("query")
+			if _, err := EvalOpts(context.Background(), backend.g, q, EvalOptions{Trace: tr, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish()
+			return tr
+		}
+		for _, shape := range []int{0, 1, 6} {
+			tr := explain(shape)
+			walked := 0
+			for _, sp := range findSpans(tr, "step[") {
+				if a, _ := sp.Attr("access"); a == "cursor" {
+					walked++
+				}
+			}
+			if (walked > 0) != backend.keys {
+				t.Errorf("shape %d on %s: %d steps walk a key cursor\n%s", shape, backend.name, walked, tr)
+			}
+		}
+
+		tr := explain(3)
+		var counts *obs.Span
+		for _, sp := range findSpans(tr, "step[") {
+			if k, _ := sp.Attr("kind"); k == "count-keys" {
+				counts = sp
+			}
+		}
+		switch {
+		case (counts != nil) != backend.keys:
+			t.Errorf("GROUP BY count on %s: count-keys %v\n%s", backend.name, counts != nil, tr)
+		case counts != nil:
+			if got := attrInt(t, counts, "keys"); got != int64(len(advisees)) {
+				t.Errorf("count-keys keys = %d, want %d advisors", got, len(advisees))
+			}
+			if got, want := attrInt(t, counts, "rowsOut"), countAll(advisees); got != want {
+				t.Errorf("count-keys rowsOut = %d, want %d advisor triples", got, want)
+			}
+		}
+
+		tr = explain(4)
+		aggs := findSpans(tr, "aggregate[")
+		if len(aggs) != 1 {
+			t.Fatalf("COUNT(DISTINCT) on %s: %d aggregate spans, want 1\n%s", backend.name, len(aggs), tr)
+		}
+		if d, _ := aggs[0].Attr("distinct"); d != "keyed" {
+			t.Errorf("COUNT(DISTINCT) on %s: distinct=%v, want keyed\n%s", backend.name, d, tr)
+		}
+	}
+}
+
+func countAll(m map[rdf.Term]int) int64 {
+	n := 0
+	for _, c := range m {
+		n += c
+	}
+	return int64(n)
 }

@@ -246,7 +246,7 @@ func (ns *naiveStore) match(pats []Pattern, sol map[string]rdf.Term, emit func(m
 	}
 }
 
-// answer evaluates q — required patterns, FILTER (= and !=), one
+// answer evaluates q — required patterns, UNION, FILTER (= and !=), one
 // OPTIONAL group at most, projection, DISTINCT, ASK and COUNT aggregates
 // with GROUP BY — by nested loops, and renders it as renderResult does,
 // sorted. ORDER BY, OFFSET and LIMIT are ignored (see ordered).
@@ -262,11 +262,19 @@ func (ns *naiveStore) answer(q *Query) []string {
 	return sortedCopy(out)
 }
 
-// solutions returns q's solutions: the required patterns matched, the
-// FILTERs applied and the one OPTIONAL group joined.
+// solutions returns q's solutions: per union branch, the required
+// patterns matched, the FILTERs applied and the one OPTIONAL group joined.
 func (ns *naiveStore) solutions(q *Query) []map[string]rdf.Term {
 	var sols []map[string]rdf.Term
-	ns.match(q.Patterns, map[string]rdf.Term{}, func(sol map[string]rdf.Term) {
+	for _, branch := range expandUnions(q) {
+		ns.branchSolutions(q, branch, func(sol map[string]rdf.Term) { sols = append(sols, sol) })
+	}
+	return sols
+}
+
+// branchSolutions calls emit with every solution of one union branch.
+func (ns *naiveStore) branchSolutions(q *Query, branch []Pattern, emit func(map[string]rdf.Term)) {
+	ns.match(branch, map[string]rdf.Term{}, func(sol map[string]rdf.Term) {
 		for _, f := range q.Filters {
 			l, r := f.Left.RDF, f.Right.RDF
 			if f.Left.Kind == Var {
@@ -280,19 +288,18 @@ func (ns *naiveStore) solutions(q *Query) []map[string]rdf.Term {
 			}
 		}
 		if len(q.Optionals) == 0 {
-			sols = append(sols, sol)
+			emit(sol)
 			return
 		}
 		extended := false
 		ns.match(q.Optionals[0], sol, func(ext map[string]rdf.Term) {
-			sols = append(sols, ext)
+			emit(ext)
 			extended = true
 		})
 		if !extended {
-			sols = append(sols, sol)
+			emit(sol)
 		}
 	})
-	return sols
 }
 
 // renderNaive renders one row as renderResult does.

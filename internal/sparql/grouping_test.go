@@ -2,12 +2,20 @@ package sparql
 
 import (
 	"cmp"
+	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"hexastore/internal/barton"
+	"hexastore/internal/core"
+	"hexastore/internal/delta"
+	"hexastore/internal/graph"
+	"hexastore/internal/obs"
+	"hexastore/internal/queries"
 	"hexastore/internal/rdf"
 )
 
@@ -17,7 +25,9 @@ import (
 const groupingHead, groupingTails = 10_000, 101
 
 // groupingTriples gives every subject a group (grp) and a value out of
-// 37 (val); every fifth subject has an optional value out of 4 (opt).
+// 37 (val); every fifth subject has an optional value out of 4 (opt), and
+// every seventh one to three tags (tag), so a join on tags repeats a
+// subject.
 func groupingTriples() []rdf.Triple {
 	var ts []rdf.Triple
 	for i := 0; i < groupingHead+groupingTails; i++ {
@@ -30,18 +40,26 @@ func groupingTriples() []rdf.Triple {
 		if i%5 == 0 {
 			ts = append(ts, rdf.T(s, cx("opt"), cx(fmt.Sprintf("o%d", i%4))))
 		}
+		for j := 0; i%7 == 0 && j <= i%3; j++ {
+			ts = append(ts, rdf.T(s, cx("tag"), cx(fmt.Sprintf("t%d", j))))
+		}
 	}
 	return ts
 }
 
-// groupingCases are the DISTINCT and GROUP BY shapes the id tables serve.
-// ordered cases have a total ORDER BY, so their rows are compared in
-// order; a LIMIT without ORDER BY keeps whichever rows come first, so
-// such a case (window) is checked as distinct rows of the full answer.
+// groupingCases are the DISTINCT and GROUP BY shapes the id tables serve,
+// and the counts that skip them. ordered cases have a total ORDER BY, so
+// their rows are compared in order; a LIMIT without ORDER BY keeps
+// whichever rows come first, so such a case (window) is checked as
+// distinct rows of the full answer. path is what EXPLAIN ANALYZE must
+// show (checkGroupingPath): countKeys (kind=count-keys where the store has
+// key cursors), keyed or table (each COUNT(DISTINCT)'s distinct=), or
+// none of them for "none"; "" is not checked.
 var groupingCases = []struct {
 	name, src string
 	ordered   bool
 	window    bool
+	path      string
 }{
 	{name: "key1", src: `SELECT ?g (COUNT(?s) AS ?n) (COUNT(DISTINCT ?v) AS ?d) WHERE { ?s <http://c/grp> ?g . ?s <http://c/val> ?v } GROUP BY ?g`},
 	{name: "key2", src: `SELECT ?v ?g (COUNT(*) AS ?n) WHERE { ?s <http://c/grp> ?g . ?s <http://c/val> ?v } GROUP BY ?g ?v`},
@@ -58,17 +76,64 @@ var groupingCases = []struct {
 	{name: "distinct-order-window", ordered: true, src: `SELECT DISTINCT ?v WHERE { ?s <http://c/grp> ?g . ?s <http://c/val> ?v } ORDER BY DESC(?v) LIMIT 4 OFFSET 2`},
 	{name: "distinct-window", window: true, src: `SELECT DISTINCT ?v ?g WHERE { ?s <http://c/grp> ?g . ?s <http://c/val> ?v } LIMIT 9 OFFSET 20`},
 	{name: "distinct-window-short", window: true, src: `SELECT DISTINCT ?g WHERE { ?s <http://c/grp> ?g } LIMIT 500 OFFSET 40`},
+
+	// Counts from list lengths: the group variable at each free position
+	// under a constant at each position, every COUNT form, a window over
+	// the counts, a constant with no triples there and one the dictionary
+	// lacks.
+	{name: "keys-pos", path: countKeys, src: `SELECT ?g (COUNT(*) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g`},
+	{name: "keys-pso", path: countKeys, src: `SELECT ?s (COUNT(?t) AS ?n) (COUNT(DISTINCT ?t) AS ?d) (COUNT(?s) AS ?m) WHERE { ?s <http://c/tag> ?t } GROUP BY ?s`},
+	{name: "keys-spo", path: countKeys, src: `SELECT ?p (COUNT(?o) AS ?n) WHERE { <http://c/s00000> ?p ?o } GROUP BY ?p`},
+	{name: "keys-sop", path: countKeys, src: `SELECT ?o (COUNT(DISTINCT ?p) AS ?n) (COUNT(*) AS ?m) WHERE { <http://c/s00000> ?p ?o } GROUP BY ?o`},
+	{name: "keys-osp", path: countKeys, src: `SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p <http://c/gH> } GROUP BY ?s`},
+	{name: "keys-ops", path: countKeys, src: `SELECT ?p (COUNT(?s) AS ?n) (COUNT(?p) AS ?m) WHERE { ?s ?p <http://c/t0> } GROUP BY ?p`},
+	{name: "keys-unprojected", path: countKeys, src: `SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://c/val> ?v } GROUP BY ?v`},
+	{name: "keys-order-limit", ordered: true, path: countKeys, src: `SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g ORDER BY DESC(?n) ?g LIMIT 5`},
+	{name: "keys-order-window", ordered: true, path: countKeys, src: `SELECT ?s (COUNT(?t) AS ?n) WHERE { ?s <http://c/tag> ?t } GROUP BY ?s ORDER BY ?n DESC(?s) LIMIT 7 OFFSET 2`},
+	{name: "keys-empty", path: countKeys, src: `SELECT ?p (COUNT(*) AS ?n) WHERE { <http://c/gH> ?p ?o } GROUP BY ?p`},
+	{name: "keys-unknown", path: "none", src: `SELECT ?g (COUNT(*) AS ?n) WHERE { ?s <http://c/none> ?g } GROUP BY ?g`},
+	{name: "keys-not-filter", path: "none", src: `SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <http://c/grp> ?g . FILTER (?g != <http://c/gH>) } GROUP BY ?g`},
+	{name: "keys-not-distinct-key", path: "table", src: `SELECT ?g (COUNT(DISTINCT ?g) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g`},
+
+	// COUNT(DISTINCT) pairs the join already makes unique, and the
+	// queries that must keep the pair table: a variable the seed binds
+	// that occurs once, UNION, OPTIONAL, a column outside the group keys
+	// and the counted variable, and a count that is not DISTINCT. All but
+	// one seed from the subjects with opt o1, so the flat table's scans
+	// stay short.
+	{name: "keyed-semijoin", path: "keyed", src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g . ?s <http://c/tag> ?t } GROUP BY ?g`},
+	{name: "keyed-two-keys", path: "keyed", src: `SELECT ?v ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g . ?s <http://c/val> ?v } GROUP BY ?g ?v`},
+	{name: "table-seed-bound", path: "table", src: `SELECT (COUNT(DISTINCT ?g) AS ?n) WHERE { ?s <http://c/grp> ?g }`},
+	{name: "table-union", path: "table", src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g . { ?s <http://c/tag> <http://c/t0> } UNION { ?s <http://c/tag> <http://c/t1> } } GROUP BY ?g`},
+	{name: "table-optional", path: "table", src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g OPTIONAL { ?s <http://c/tag> ?t } } GROUP BY ?g`},
+	{name: "table-column", path: "table", src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g . ?s <http://c/tag> ?t . FILTER (?t != <http://c/t2>) } GROUP BY ?g`},
+	{name: "table-mixed", path: "table", src: `SELECT ?g (COUNT(?s) AS ?n) (COUNT(DISTINCT ?s) AS ?d) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g . ?s <http://c/tag> ?t } GROUP BY ?g`},
 }
+
+// countKeys is the path of a case whose counts a store with key cursors
+// reads from list lengths.
+const countKeys = "count-keys"
 
 // TestGroupingDifferential runs DISTINCT and GROUP BY over skewed groups
 // — one head 10⁴ times the median — with keys of one, two and three
-// variables, unbound OPTIONAL keys, ORDER BY on an aggregate alias and
-// DISTINCT under LIMIT/OFFSET, on the memory store, the disk store and an
-// overlay with half the data pending, at 1 and 4 workers and pieces of 4
-// and 1024 rows. Every answer must be the naive nested-loop oracle's.
+// variables, unbound OPTIONAL keys, ORDER BY on an aggregate alias,
+// DISTINCT under LIMIT/OFFSET, counts read from list lengths and
+// COUNT(DISTINCT) with and without its pair table, on the memory store,
+// an overlay with nothing pending, one with half the data pending, the
+// disk store and the flat baseline table, at 1 and 4 workers and pieces
+// of 4 and 1024 rows. Every answer must be the naive nested-loop
+// oracle's, and EXPLAIN ANALYZE must show the case's path. The paper's
+// BQ1, written as SPARQL, must count what its hand plan counts.
 func TestGroupingDifferential(t *testing.T) {
 	ts := groupingTriples()
-	backends, _ := chunkBackends(t, ts)
+	backends, baseline := chunkBackends(t, ts)
+	backends["triplestore"] = baseline
+	clean, err := delta.Open(buildMemory(ts), delta.Options{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { clean.Close() })
+	backends["overlay-clean"] = clean
 	oracle := newNaiveStore(ts)
 	for _, gc := range groupingCases {
 		q, err := Parse(gc.src)
@@ -83,9 +148,17 @@ func TestGroupingDifferential(t *testing.T) {
 			want = oracle.answer(q)
 		}
 		for name, g := range backends {
-			for _, chunk := range []int{4, 1024} {
+			chunks, lanes := []int{4, 1024}, []int{1, 4}
+			if name == "triplestore" {
+				// A linear scan per lookup: the cases with a path, once.
+				if gc.path == "" {
+					continue
+				}
+				chunks, lanes = []int{1024}, []int{1}
+			}
+			for _, chunk := range chunks {
 				setChunkRows(t, chunk)
-				for _, workers := range []int{1, 4} {
+				for _, workers := range lanes {
 					res, err := EvalWorkers(g, q, workers)
 					if err != nil {
 						t.Fatalf("%s on %s: %v", gc.name, name, err)
@@ -114,8 +187,104 @@ func TestGroupingDifferential(t *testing.T) {
 					}
 				}
 			}
+			if gc.path != "" {
+				checkGroupingPath(t, g, gc.src, gc.path, name)
+			}
 		}
 	}
+	t.Run("BQ1", testBQ1)
+}
+
+// checkGroupingPath runs src under EXPLAIN ANALYZE on g and checks it
+// took path (see groupingCases): count-keys only on the stores with key
+// cursors — the sealed memory store and an overlay with nothing pending.
+func checkGroupingPath(t *testing.T, g Source, src, path, backend string) {
+	t.Helper()
+	q, err := Parse("EXPLAIN ANALYZE " + src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("query")
+	if _, err := EvalOpts(context.Background(), g, q, EvalOptions{Trace: tr, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	counted := false
+	for _, sp := range findSpans(tr, "step[") {
+		if k, _ := sp.Attr("kind"); k == countKeys {
+			counted = true
+		}
+	}
+	var distinct []string
+	for _, sp := range findSpans(tr, "aggregate[") {
+		d, _ := sp.Attr("distinct")
+		distinct = append(distinct, d.(string))
+	}
+	var ok bool
+	switch path {
+	case countKeys:
+		ok = counted == (backend == "memory" || backend == "overlay-clean")
+	case "keyed", "table":
+		ok = !counted && len(distinct) > 0 && !slices.ContainsFunc(distinct, func(d string) bool { return d != path })
+	default:
+		ok = !counted && !slices.Contains(distinct, "keyed")
+	}
+	if !ok {
+		t.Errorf("%s on %s: count-keys %v, distinct %v; want path %q\n%s", src, backend, counted, distinct, path, tr)
+	}
+}
+
+// testBQ1 runs the paper's BQ1 — the number of resources of each type —
+// as SPARQL through a Planner on a small Barton set, and holds it to the
+// hand plan's walk of the pos vector of Type.
+func testBQ1(t *testing.T) {
+	s := queries.Load(barton.Config{Records: 3000, Seed: 7}.GenerateAll())
+	want := queries.BQ1Hexa(s.Hexa, queries.ResolveBarton(s.Dict))
+	res, err := NewPlanner(graph.Memory(s.Hexa)).Exec(bq1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[core.ID]int{}
+	for i := 0; i < res.Len(); i++ {
+		id, ok := s.Dict.Lookup(res.At(i, 0))
+		n, err := strconv.Atoi(res.At(i, 1).Value)
+		if !ok || err != nil {
+			t.Fatalf("row %d: %v %v", i, res.At(i, 0), res.At(i, 1))
+		}
+		got[id] = n
+	}
+	if len(want) == 0 || !maps.Equal(got, want) {
+		t.Fatalf("BQ1 counts %v, the hand plan's %v", got, want)
+	}
+	checkGroupingPath(t, graph.Memory(s.Hexa), bq1, countKeys, "memory")
+}
+
+// bq1 is the paper's BQ1 as SPARQL.
+var bq1 = fmt.Sprintf(`SELECT ?type (COUNT(?s) AS ?n) WHERE { ?s <%s> ?type } GROUP BY ?type`, barton.PropType.Value)
+
+// BenchmarkBQ1 times BQ1 on the Barton set the paper's figures use
+// (120,000 records): through a Planner, result cache bypassed, on one
+// worker, and as the hand plan's walk.
+func BenchmarkBQ1(b *testing.B) {
+	s := queries.Load(barton.DefaultConfig().GenerateAll())
+	ids := queries.ResolveBarton(s.Dict)
+	pl := NewPlanner(graph.Memory(s.Hexa))
+	q, err := Parse(bq1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("engine", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pl.EvalOpts(context.Background(), q, EvalOptions{Workers: 1, NoResultCache: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hand", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			queries.BQ1Hexa(s.Hexa, ids)
+		}
+	})
 }
 
 // ordered evaluates q with its ORDER BY, OFFSET and LIMIT: unbound
