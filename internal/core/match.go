@@ -1,9 +1,6 @@
 package core
 
-import (
-	"hexastore/internal/idlist"
-	"hexastore/internal/rdf"
-)
+import "hexastore/internal/rdf"
 
 // Match streams every triple matching the pattern ⟨s,p,o⟩, where None in
 // any position is a wildcard, to fn in the natural order of the chosen
@@ -38,34 +35,20 @@ func (st *Store) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 		st.terminalView(s, p, o).Range(func(subj ID) bool { return fn(subj, p, o) })
 
 	case s != None:
-		st.walkHead(SPO, s, func(prop, obj ID) bool { return fn(s, prop, obj) })
+		st.vec(SPO, s).RangePairs(func(prop, obj ID) bool { return fn(s, prop, obj) })
 
 	case p != None:
-		st.walkHead(PSO, p, func(subj, obj ID) bool { return fn(subj, p, obj) })
+		st.vec(PSO, p).RangePairs(func(subj, obj ID) bool { return fn(subj, p, obj) })
 
 	case o != None:
-		st.walkHead(OSP, o, func(subj, prop ID) bool { return fn(subj, prop, o) })
+		st.vec(OSP, o).RangePairs(func(subj, prop ID) bool { return fn(subj, prop, o) })
 
 	default:
 		// The directory ascends, so the scan is in (s, p, o) order.
 		st.arena(SPO).rangeHeads(func(subj ID) bool {
-			return st.walkHead(SPO, subj, func(prop, obj ID) bool { return fn(subj, prop, obj) })
+			return st.vec(SPO, subj).RangePairs(func(prop, obj ID) bool { return fn(subj, prop, obj) })
 		})
 	}
-}
-
-// walkHead iterates every (key, list-member) pair of head's vector in ix
-// and reports whether it got to the end (fn never returned false).
-func (st *Store) walkHead(ix Index, head ID, fn func(key, member ID) bool) bool {
-	stop := false
-	st.vec(ix, head).Range(func(key ID, view idlist.View) bool {
-		view.Range(func(member ID) bool {
-			stop = !fn(key, member)
-			return !stop
-		})
-		return !stop
-	})
-	return !stop
 }
 
 // Count returns the number of triples matching the pattern, read off the

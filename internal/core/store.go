@@ -251,11 +251,11 @@ var keyedBy = [3][3]Index{
 func (st *Store) SortedPairs(s, p, o ID, fn func(a, b ID) bool) {
 	switch {
 	case s != None && p == None && o == None:
-		st.walkHead(SPO, s, fn)
+		st.vec(SPO, s).RangePairs(fn)
 	case s == None && p != None && o == None:
-		st.walkHead(PSO, p, fn)
+		st.vec(PSO, p).RangePairs(fn)
 	case s == None && p == None && o != None:
-		st.walkHead(OSP, o, fn)
+		st.vec(OSP, o).RangePairs(fn)
 	default:
 		panic("core: SortedPairs needs exactly one bound position")
 	}

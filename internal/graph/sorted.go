@@ -82,10 +82,11 @@ func (cs coreSorted) KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor {
 // hands out, for the key it is on, the sorted values of the third
 // position: the terminal list, zero-copy. It is what lets a batch-engine
 // step that reads one list per row walk one vector instead of looking a
-// record up per row, and a one-pattern GROUP BY count read list lengths.
-// Only the sealed memory store offers it (an overlay with nothing pending
-// serves its snapshots from that store), through the SortedSource
-// AsSortedSource returns for it; find it by type assertion on that value.
+// record up per row, and a GROUP BY or DISTINCT on one variable walk a
+// vector a group at a time. Only the sealed memory store offers it (an
+// overlay with nothing pending serves its snapshots from that store),
+// through the SortedSource AsSortedSource returns for it; find it by type
+// assertion on that value.
 type KeySource interface {
 	KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor
 }

@@ -262,6 +262,42 @@ func (p Packed) Range(fn func(key ID, v View) bool) {
 	}
 }
 
+// RangePairs streams every (key, list value) pair in ascending order
+// until fn returns false, and reports whether it got to the end. It reads
+// each entry header in place and builds no view: a one-id entry hands its
+// value straight to fn, and a longer list's values go to fn as they are
+// decoded — which measured faster than decoding a block into a buffer
+// first, whose zeroing a small vector pays on every walk.
+func (p Packed) RangePairs(fn func(key, v ID) bool) bool {
+	pos, key := 0, ID(0)
+	for i := 0; i < p.nKeys; i++ {
+		h, at := uvarintAt(p.data, pos)
+		key += ID(h >> 1)
+		if h&1 != 0 {
+			v, next := uvarintAt(p.data, at)
+			if !fn(key, ID(v)) {
+				return false
+			}
+			pos = next
+			continue
+		}
+		n, at := uvarintAt(p.data, at)
+		bl, at := uvarintAt(p.data, at)
+		pos = at + int(bl)
+		data := MakeCompressed(int(n), p.data[at:pos]).data
+		v := ID(0)
+		for off := 0; off < len(data); {
+			var d uint64
+			d, off = uvarintAt(data, off)
+			v += ID(d)
+			if !fn(key, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // entry returns the i-th entry (0-based) by walking forward from the
 // nearest skip-table group — O(packedGroup) header decodes.
 func (p Packed) entry(i int) (key ID, v View) {
@@ -347,6 +383,47 @@ func (c *KeyCursor) Seek(k ID) bool {
 	key, ok := c.SeekGE(k)
 	return ok && key == k
 }
+
+// Next moves the cursor to the entry after the one it is on — the first,
+// before any — and returns its key; ok=false when the cursor is on the
+// last entry, where it then stays.
+func (c *KeyCursor) Next() (ID, bool) {
+	if c.i >= c.p.nKeys-1 {
+		return 0, false
+	}
+	c.key, c.n, c.body, c.pos = c.p.headerAt(c.pos, c.key)
+	c.i++
+	return c.key, true
+}
+
+// MarkKeys moves the cursor over the next n entries at most and sets bit
+// k of bits (bit k%64 of word k/64) for the key k of each; a key at or
+// past the bitset's end is passed over unmarked. It returns how many
+// entries it moved over — fewer than n only at the last entry, 0 once the
+// cursor is on it. It reads entry headers only, so a bitset of a whole
+// vector's keys is built in steps the caller can check cancellation
+// between.
+func (c *KeyCursor) MarkKeys(bits []uint64, n int) int {
+	p := &c.p
+	i, key, ln, body, pos := c.i, c.key, c.n, c.body, c.pos
+	end := min(p.nKeys-1, i+n)
+	moved := end - i
+	for ; i < end; i++ {
+		key, ln, body, pos = p.headerAt(pos, key)
+		if w := key >> 6; w < ID(len(bits)) {
+			bits[w] |= 1 << (key & 63)
+		}
+	}
+	c.i, c.key, c.n, c.body, c.pos = i, key, ln, body, pos
+	return moved
+}
+
+// Len returns the number of keys of the cursor's vector.
+func (c *KeyCursor) Len() int { return c.p.nKeys }
+
+// Total returns the sum of the terminal-list lengths of the cursor's
+// vector.
+func (c *KeyCursor) Total() int { return c.p.total }
 
 // View returns the terminal list of the entry the cursor is on, as a
 // zero-copy view; the cursor must be on an entry (a seek returned ok).

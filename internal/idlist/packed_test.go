@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -105,6 +106,86 @@ func checkPacked(t *testing.T, keys []ID, lists [][]ID, seeks []byte) {
 		}
 	}
 	checkSeeks(t, p, keys, lists, seeks)
+	checkKernels(t, p, keys, lists, seeks)
+}
+
+// checkKernels holds the whole-vector kernels to the input lists:
+// RangePairs run to the end and stopped at pair counts ops picks, a
+// cursor's Next over every entry, and MarkKeys in steps of the sizes ops
+// spells into a bitset that holds the keys below 2^16.
+func checkKernels(t *testing.T, p Packed, keys []ID, lists [][]ID, ops []byte) {
+	t.Helper()
+	var pairs [][2]ID
+	for i, k := range keys {
+		for _, v := range lists[i] {
+			pairs = append(pairs, [2]ID{k, v})
+		}
+	}
+	stops := []int{len(pairs) + 1} // never: the walk gets to the end
+	for _, b := range ops[:min(len(ops), 8)] {
+		stops = append(stops, 1+int(b)%len(pairs))
+	}
+	for _, stop := range stops {
+		var got [][2]ID
+		end := p.RangePairs(func(k, v ID) bool {
+			got = append(got, [2]ID{k, v})
+			return len(got) < stop
+		})
+		want := pairs[:min(stop, len(pairs))]
+		if !slices.Equal(got, want) || end != (stop > len(pairs)) {
+			t.Fatalf("RangePairs stopped at pair %d: %d pairs, end %v; want %d", stop, len(got), end, len(want))
+		}
+	}
+
+	cur := p.Keys()
+	for i := 0; ; i++ {
+		k, ok := cur.Next()
+		if !ok {
+			if i != len(keys) {
+				t.Fatalf("Next ended after %d entries, want %d", i, len(keys))
+			}
+			break
+		}
+		if k != keys[i] || !slices.Equal(cur.View().AppendTo(nil), lists[i]) {
+			t.Fatalf("Next entry %d = %d → %v, want %d → %v", i, k, cur.View().AppendTo(nil), keys[i], lists[i])
+		}
+	}
+
+	set := make([]uint64, min(keys[len(keys)-1]>>6+1, 1<<10))
+	cur = p.Keys()
+	marked := 0
+	for i := 0; ; i++ {
+		n := 1 + i%7
+		if len(ops) > 0 {
+			n = 1 + int(ops[i%len(ops)])%(2*packedGroup+3)
+		}
+		m := cur.MarkKeys(set, n)
+		if m > n || m < n && marked+m != len(keys) {
+			t.Fatalf("MarkKeys(%d) after %d of %d keys moved over %d", n, marked, len(keys), m)
+		}
+		if marked += m; m == 0 {
+			break
+		}
+	}
+	if last, _ := cur.SeekGE(0); marked != len(keys) || last != keys[len(keys)-1] {
+		t.Fatalf("MarkKeys marked %d keys and left the cursor on %d, want %d and the last key %d", marked, last, len(keys), keys[len(keys)-1])
+	}
+	ones := 0
+	for _, w := range set {
+		ones += bits.OnesCount64(w)
+	}
+	for _, k := range keys {
+		if k>>6 >= ID(len(set)) {
+			break
+		}
+		if set[k>>6]&(1<<(k&63)) == 0 {
+			t.Fatalf("MarkKeys left key %d unmarked", k)
+		}
+		ones--
+	}
+	if ones != 0 {
+		t.Fatalf("MarkKeys marked %d ids that are not keys", ones)
+	}
 }
 
 // checkSeeks drives one key cursor through a Seek per byte of ops —
@@ -320,5 +401,55 @@ func BenchmarkPackedFind(b *testing.B) {
 				b.Fatal("no probe hit")
 			}
 		})
+	}
+}
+
+// BenchmarkPackedKernels times the whole-vector kernels on a vector
+// shaped like a semijoin's takesCourse vector: 65,536 keys three ids
+// apart, each with a list of three. MarkKeys reports ns per key marked;
+// RangePairs and the Range + View.Range walk it replaces, ns per pair.
+func BenchmarkPackedKernels(b *testing.B) {
+	keys := make([]ID, 1<<16)
+	for i := range keys {
+		keys[i] = ID(3*i + 1)
+	}
+	var pb PackedBuilder
+	for i, l := range packedLists(keys, func(int) bool { return false }, 3, false) {
+		pb.Append(keys[i], l)
+	}
+	p := DecodePacked(pb.Finish(nil))
+	b.Run("MarkKeys", func(b *testing.B) {
+		set := make([]uint64, (3<<16)/64+1)
+		for i := 0; i < b.N; i++ {
+			cur := p.Keys()
+			for cur.MarkKeys(set, 1024) > 0 {
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+	})
+	var sum ID
+	b.Run("RangePairs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.RangePairs(func(k, v ID) bool {
+				sum += k ^ v
+				return true
+			})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p.Total()), "ns/pair")
+	})
+	b.Run("RangeViews", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.Range(func(k ID, v View) bool {
+				v.Range(func(x ID) bool {
+					sum += k ^ x
+					return true
+				})
+				return true
+			})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p.Total()), "ns/pair")
+	})
+	if sum == 1 {
+		b.Log(sum)
 	}
 }

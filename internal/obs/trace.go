@@ -283,9 +283,11 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 //
 // A join step's kind is one of merge, probe-list, probe, const-probe,
 // semi-merge, semi-probe and expand; a step folded into an expansion
-// that intersects with it reads kind=folded into=step k; a GROUP BY
-// count read from list lengths is one step of kind=count-keys with the
-// keys it walked. access=cursor marks a step whose per-row lists come
+// that intersects with it reads kind=folded into=step k; a GROUP BY or
+// DISTINCT answered a group at a time is one step of kind=group-keys with
+// the keys it walked and the rows they stand for, and under it one
+// kind=semi-bitset step per semijoin it tests against a bitset, with the
+// keys of that bitset. access=cursor marks a step whose per-row lists come
 // from a key cursor, and an aggregate[…] span's distinct=keyed a
 // COUNT(DISTINCT) that counts rows without its pair table.
 func (s *Span) WriteTree(w io.Writer) error {

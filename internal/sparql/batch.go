@@ -75,9 +75,14 @@ package sparql
 //
 // Rows stay dictionary-encoded IDs into the result (late
 // materialization): DISTINCT and GROUP BY number id tuples (idtable.go),
-// and a term is decoded only when the result is read. A one-pattern
-// GROUP BY count on a backend with key cursors enumerates no row: its
-// counts are list lengths (countKeys, exec.go).
+// and a term is decoded only when the result is read. A GROUP BY count or
+// a DISTINCT keyed on one variable ?g whose one pattern that is not a
+// semijoin has a constant, ?g and one other variable bypasses the
+// pipeline on a backend with key cursors (walkGroups, exec.go): a key
+// cursor walks the vector the constant heads a group — one entry — at a
+// time, each semijoin is a bitset of its vector's keys, and a count is
+// how many of a list's values the bitsets keep, with no semijoin on them
+// its length.
 
 import (
 	"errors"
@@ -344,7 +349,8 @@ func (w *keyWalk) seek(keys graph.KeySource, sp *stepSpec, v core.ID) idlist.Vie
 // holds the column buffers no piece uses — every column of every piece
 // comes from it and goes back to it — beside the row-index buffer of the
 // filter kernels, the levels (levels[k] is step k's output piece and
-// candidate buffers) and the column header of the seed piece in flight.
+// candidate buffers), the column header of the seed piece in flight and
+// the bitsets of a group walk.
 // An evaluation takes its executors' scratch from scratchPool and
 // returns it when it ends, so a query also starts with the buffers an
 // earlier one grew.
@@ -353,6 +359,7 @@ type scratch struct {
 	keep     []int
 	levels   []level
 	seedCols [][]core.ID
+	bits     []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -524,10 +531,10 @@ func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cf
 	ev := bx.ev
 	br := bx.planBranch(pats, order, stepFilters, optionals, lateFilters)
 	defer bx.endBranch(br)
+	if gw, ok := ev.planGroupWalk(pats); ok {
+		return ev.walkGroups(br, pats, order, gw)
+	}
 	if ev.aggMode {
-		if ev.countsFromKeys(br) {
-			return ev.countKeys(br)
-		}
 		ev.keyDistinct(br)
 	}
 	clear(ev.cur) // drop ids left over from a previous union branch

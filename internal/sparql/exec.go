@@ -13,6 +13,7 @@ import (
 	"hexastore/internal/dictionary"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
+	"hexastore/internal/idlist"
 	"hexastore/internal/obs"
 	"hexastore/internal/query"
 	"hexastore/internal/rdf"
@@ -991,57 +992,219 @@ func (ev *evaluator) bucket(key []core.ID) (int, error) {
 	return g, nil
 }
 
-// countsFromKeys reports whether branch br is a GROUP BY count that list
-// lengths answer: one pattern of one constant and two distinct
-// variables, grouped on one of them, in a query with no UNION, OPTIONAL
-// or FILTER whose aggregates are all COUNT(*), COUNT(?x) or
-// COUNT(DISTINCT ?x) of the other variable, or COUNT(?g) of the key —
-// on a backend with key cursors.
-func (ev *evaluator) countsFromKeys(br *branchRun) bool {
-	q := ev.q
-	if ev.batch.keys == nil || len(q.Unions)+len(q.Optionals)+len(q.Filters) > 0 || len(br.steps) != 1 || len(q.GroupBy) != 1 {
-		return false
+// groupWalk is a branch the group walk answers (walkGroups), as
+// planGroupWalk found it: the seed pattern pats[seed] — one constant, the
+// group variable ?g and one other variable ?x — with the cursor over the
+// vector its constant heads, keyed by ?g, whose lists hold ?x; and the
+// branch's other patterns, every one a semijoin on ?x or on ?g.
+type groupWalk struct {
+	seed  int
+	cur   idlist.KeyCursor
+	semis []groupSemi
+}
+
+// groupSemi is one semijoin of a group walk: pattern pats[pat], a cursor
+// over the keys of the vector its constant heads — the values of ?x, or
+// of ?g where onKey, that have a match — and the bitset of those keys.
+type groupSemi struct {
+	pat   int
+	onKey bool
+	cur   idlist.KeyCursor
+	bits  idBits
+}
+
+// semiKeysPerRow bounds the semijoin vectors a group walk takes: at most
+// this many keys per value of the seed vector (its total list length).
+// On a 2-core x86-64 host, marking a key costs 15–17 ns
+// (BenchmarkPackedKernels) and walking a seed value about 25 ns, against
+// 160–190 ns for a seed row through the join pipeline in process and
+// about 250 ns of a server's CPU, collection included (LUBM-30, the
+// DISTINCT and COUNT(DISTINCT) shapes over advisor ⋈ takesCourse). The
+// walk stops paying at some 10 keys a row in process and 15 in the
+// server; the bound sits at the server's crossover, and keeps a rare
+// seed from building a bitset over every subject.
+const semiKeysPerRow = 16
+
+// planGroupWalk reports whether the group walk answers the branch pats,
+// and opens its cursors if so. It reads the branch's patterns and its
+// existentials, not the plan's order: the query has no UNION, OPTIONAL or
+// FILTER; it groups on one variable ?g only, with the counts
+// rowCounts accepts, or is a DISTINCT projecting ?g alone and sorting
+// on nothing else; one pattern, the seed, has one constant, ?g and
+// another variable ?x, and every other pattern has one constant, one
+// existential and ?x or ?g — the first pattern that makes the others so
+// is the seed; the backend has key cursors; and no semijoin's vector has
+// more than semiKeysPerRow keys per seed value.
+func (ev *evaluator) planGroupWalk(pats []idPattern) (*groupWalk, bool) {
+	q, keys := ev.q, ev.batch.keys
+	if keys == nil || len(q.Unions)+len(q.Optionals)+len(q.Filters) > 0 {
+		return nil, false
 	}
-	st := &br.steps[0]
-	if st.nCols != 0 || st.nFree != 2 || len(st.newNames) != 2 {
-		return false
+	var g string
+	switch {
+	case ev.aggMode && len(q.GroupBy) == 1:
+		g = q.GroupBy[0]
+	case !ev.aggMode && q.Distinct && !q.Ask && len(ev.vars) == 1:
+		g = ev.vars[0]
+		for _, k := range q.OrderBy {
+			if k.Var != g {
+				return nil, false
+			}
+		}
+	default:
+		return nil, false
 	}
-	g := slices.Index(st.newNames, q.GroupBy[0])
-	if g < 0 {
-		return false
+seeds:
+	for si := range pats {
+		head, a, b, ok := pairShape(&pats[si])
+		if ok && pats[si].term(b).Name == g {
+			a, b = b, a
+		}
+		if !ok || pats[si].term(a).Name != g {
+			continue
+		}
+		x := pats[si].term(b).Name
+		if ev.aggMode && !rowCounts(q.Aggregates, g, x) {
+			continue
+		}
+		gw := &groupWalk{seed: si}
+		for i := range pats {
+			if i == si {
+				continue
+			}
+			h, e, on, ok := pairShape(&pats[i])
+			if ok && !ev.batch.exist[pats[i].term(e).Name] {
+				e, on = on, e
+			}
+			name := pats[i].term(on).Name
+			if !ok || !ev.batch.exist[pats[i].term(e).Name] || (name != x && name != g) {
+				continue seeds
+			}
+			gw.semis = append(gw.semis, groupSemi{pat: i, onKey: name == g, cur: keys.KeyCursor(h, on, pats[i].ids[h])})
+		}
+		gw.cur = keys.KeyCursor(head, a, pats[si].ids[head])
+		for i := range gw.semis {
+			if gw.semis[i].cur.Len() > semiKeysPerRow*gw.cur.Total() {
+				return nil, false
+			}
+		}
+		return gw, true
 	}
-	for _, a := range q.Aggregates {
-		if a.Var != "" && a.Var != st.newNames[1-g] && (a.Var != q.GroupBy[0] || a.Distinct) {
+	return nil, false
+}
+
+// pairShape returns the position of p's one constant and of its two
+// variables, ok=false unless p has one constant and two distinct
+// variables.
+func pairShape(p *idPattern) (head, a, b int, ok bool) {
+	head, a = -1, -1
+	for j := 0; j < 3; j++ {
+		switch {
+		case p.term(j).Kind == Const:
+			if head >= 0 {
+				return 0, 0, 0, false
+			}
+			head = j
+		case a < 0:
+			a = j
+		default:
+			b = j
+		}
+	}
+	return head, a, b, head >= 0 && p.term(a).Name != p.term(b).Name
+}
+
+// rowCounts reports whether every aggregate is one a group's number of
+// rows answers, grouped on g over rows of distinct (g, x) pairs:
+// COUNT(*), COUNT(?x) or COUNT(DISTINCT ?x), or COUNT(?g).
+func rowCounts(aggs []Aggregate, g, x string) bool {
+	for _, a := range aggs {
+		if a.Var != "" && a.Var != x && (a.Var != g || a.Distinct) {
 			return false
 		}
 	}
 	return true
 }
 
-// countKeys answers a branch countsFromKeys accepts without enumerating
-// a row, as the paper's BQ1 plan does: a key cursor walks the group
-// variable's values in the vector the constant heads, and each entry's
-// list length is every count of its group — a store holds each triple
-// once, so the list's values are the group's rows and are distinct. The
+// walkGroups answers branch br by the group walk, a group at a time as
+// the paper's BQ1–BQ4 plans do: the seed's key cursor walks the vector
+// its constant heads, each entry one group ?g whose list holds its ?x
+// values — distinct, since a store holds each triple once. A semijoin is
+// a bitset of its vector's keys, one bit per dictionary id, built by one
+// pass of header reads: a semijoin on ?g drops a group whose key it
+// lacks, one on ?x each list value it lacks. A group keeps the values
+// every semijoin has; a count is how many it keeps, so without a
+// semijoin on ?x its list length, and a DISTINCT stops at the first. The
 // groups are made as fold makes them, so materializeGroups turns them
-// into the same rows.
-func (ev *evaluator) countKeys(br *branchRun) error {
-	st := &br.steps[0]
-	head := slices.Index(st.kind[:], posConst)
-	var keyPos int
-	for j := range st.kind {
-		if st.kind[j] == posFree && st.newNames[st.slot[j]] == ev.q.GroupBy[0] {
-			keyPos = j
+// into the same rows; DISTINCT rows go through emit — in key order, each
+// once, so with no id table — and LIMIT, OFFSET and ORDER BY apply as on
+// any row.
+func (ev *evaluator) walkGroups(br *branchRun, pats []idPattern, order []int, gw *groupWalk) error {
+	bx := &ev.batch
+	var sp *obs.Span
+	if br.span != nil {
+		est := func(pi int) int64 { return int64(bx.stepEsts[slices.Index(order, pi)]) }
+		sp = br.span.ChildOf("step", &pats[gw.seed].pat)
+		sp.SetInt("estRows", est(gw.seed))
+		sp.Set("kind", "group-keys")
+		defer sp.Finish()
+		for i := range gw.semis {
+			s := &gw.semis[i]
+			c := sp.ChildOf("step", &pats[s.pat].pat)
+			c.SetInt("estRows", est(s.pat))
+			c.Set("kind", "semi-bitset")
+			c.SetInt("keys", int64(s.cur.Len()))
+			defer c.Finish()
 		}
 	}
-	cur := ev.batch.keys.KeyCursor(head, keyPos, st.ids[head])
+	// Dictionary ids run from 1 to Len; the bitsets are held until the
+	// branch ends.
+	words := (ev.dict.Len() + 64) / 64
+	n := words * len(gw.semis)
+	if err := bx.hold(int64(n) * 8); err != nil {
+		return err
+	}
+	bx.bits = slices.Grow(bx.bits[:0], n)[:n]
+	clear(bx.bits)
+	onX := false
+	for i := range gw.semis {
+		s := &gw.semis[i]
+		s.bits = bx.bits[i*words : (i+1)*words]
+		for s.cur.MarkKeys(s.bits, chunkRows) > 0 {
+			if err := ev.ctxCheck(); err != nil {
+				return err
+			}
+		}
+		onX = onX || !s.onKey
+	}
+
+	ev.distinct = nil // each key comes once
 	na := len(ev.aggSlots)
+	cur := &gw.cur
 	var keys, rows int64
-	for k, ok := cur.SeekGE(0); ok; k, ok = cur.SeekGE(k + 1) {
+	for k, ok := cur.Next(); ok && !ev.done; k, ok = cur.Next() {
 		if !ev.tickOK() {
 			return ev.ctxErr
 		}
+		keys++
+		if !gw.keeps(k) {
+			continue
+		}
 		n := cur.View().Len()
+		if onX {
+			n = gw.kept(cur.View(), !ev.aggMode)
+		}
+		if n == 0 {
+			continue
+		}
+		if !ev.aggMode {
+			ev.cur[ev.projSlots[0]] = k
+			if err := ev.emit(nil); err != nil {
+				return err
+			}
+			rows++
+			continue
+		}
 		ev.tuple = append(ev.tuple[:0], k)
 		g, err := ev.bucket(ev.tuple)
 		if err != nil {
@@ -1050,16 +1213,47 @@ func (ev *evaluator) countKeys(br *branchRun) error {
 		for i := range na {
 			ev.groupCounts[g*na+i] = n
 		}
-		keys++
 		rows += int64(n)
 	}
-	if br.span != nil {
-		sp := st.openSpan(br.span)
-		sp.Set("kind", "count-keys")
+	if sp != nil {
 		sp.SetInt("keys", keys)
 		sp.SetInt("rowsOut", rows)
 	}
 	return ev.flushRetained()
+}
+
+// keeps reports whether every semijoin on ?g has key k.
+func (gw *groupWalk) keeps(k core.ID) bool {
+	for i := range gw.semis {
+		if s := &gw.semis[i]; s.onKey && !s.bits.has(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// kept returns how many values of list v every semijoin on ?x has,
+// stopping at the first if first.
+func (gw *groupWalk) kept(v idlist.View, first bool) int {
+	n := 0
+	v.Range(func(x core.ID) bool {
+		for i := range gw.semis {
+			if s := &gw.semis[i]; !s.onKey && !s.bits.has(x) {
+				return true
+			}
+		}
+		n++
+		return !first
+	})
+	return n
+}
+
+// idBits is a set of ids, bit id%64 of word id/64.
+type idBits []uint64
+
+func (b idBits) has(id core.ID) bool {
+	w := id >> 6
+	return w < core.ID(len(b)) && b[w]&(1<<(id&63)) != 0
 }
 
 // keyDistinct drops the pair table of every COUNT(DISTINCT ?x) whose

@@ -335,11 +335,13 @@ var scanShapes = []string{
 
 // TestExplainShowsIndexPaths runs the scan shapes under EXPLAIN ANALYZE
 // and checks each names the index path it took: the joins' per-row lists
-// come from key cursors (access=cursor), the GROUP BY count reads list
-// lengths (kind=count-keys, with the keys it walked and the rows they
-// stand for) and the COUNT(DISTINCT) skips its pair table
-// (distinct=keyed). The disk store has no key cursors, so only the last
-// shows there.
+// come from key cursors (access=cursor); the GROUP BY count, the DISTINCT
+// and the COUNT(DISTINCT) walk the advisor vector a group at a time
+// (kind=group-keys, with the keys it walked and, for the count, the rows
+// they stand for), the last two testing takesCourse's semijoin against a
+// bitset of its keys (kind=semi-bitset). The disk store has no key
+// cursors: it runs the COUNT(DISTINCT) as a join that skips its pair
+// table (distinct=keyed).
 func TestExplainShowsIndexPaths(t *testing.T) {
 	ts := lubm.Config{Universities: 1, Seed: 3, DeptsPerUniv: 2, UndergradPerDept: 60, GradPerDept: 20, CoursesPerDept: 12}.GenerateAll()
 	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
@@ -348,12 +350,16 @@ func TestExplainShowsIndexPaths(t *testing.T) {
 	}
 	defer ds.Close()
 	advisees := map[rdf.Term]int{}
+	students := map[rdf.Term]bool{}
 	for _, tr := range ts {
 		if _, err := ds.AddTriple(tr); err != nil {
 			t.Fatal(err)
 		}
-		if tr.Predicate == lubm.PropAdvisor {
+		switch tr.Predicate {
+		case lubm.PropAdvisor:
 			advisees[tr.Object]++
+		case lubm.PropTakesCourse:
+			students[tr.Subject] = true
 		}
 	}
 	for _, backend := range []struct {
@@ -374,6 +380,15 @@ func TestExplainShowsIndexPaths(t *testing.T) {
 			tr.Finish()
 			return tr
 		}
+		kinds := func(tr *obs.Trace, kind string) []*obs.Span {
+			var out []*obs.Span
+			for _, sp := range findSpans(tr, "step[") {
+				if k, _ := sp.Attr("kind"); k == kind {
+					out = append(out, sp)
+				}
+			}
+			return out
+		}
 		for _, shape := range []int{0, 1, 6} {
 			tr := explain(shape)
 			walked := 0
@@ -382,31 +397,44 @@ func TestExplainShowsIndexPaths(t *testing.T) {
 					walked++
 				}
 			}
-			if (walked > 0) != backend.keys {
+			if (walked > 0) != backend.keys || len(kinds(tr, "group-keys")) > 0 {
 				t.Errorf("shape %d on %s: %d steps walk a key cursor\n%s", shape, backend.name, walked, tr)
 			}
 		}
 
-		tr := explain(3)
-		var counts *obs.Span
-		for _, sp := range findSpans(tr, "step[") {
-			if k, _ := sp.Attr("kind"); k == "count-keys" {
-				counts = sp
+		for _, shape := range []int{2, 3, 4, 5} {
+			tr := explain(shape)
+			groups, bitsets := kinds(tr, "group-keys"), kinds(tr, "semi-bitset")
+			wantGroups, wantBitsets := 0, 0
+			if backend.keys && shape != 5 {
+				wantGroups = 1
+				if shape != 3 {
+					wantBitsets = 1
+				}
 			}
-		}
-		switch {
-		case (counts != nil) != backend.keys:
-			t.Errorf("GROUP BY count on %s: count-keys %v\n%s", backend.name, counts != nil, tr)
-		case counts != nil:
-			if got := attrInt(t, counts, "keys"); got != int64(len(advisees)) {
-				t.Errorf("count-keys keys = %d, want %d advisors", got, len(advisees))
+			if len(groups) != wantGroups || len(bitsets) != wantBitsets {
+				t.Errorf("shape %d on %s: %d group-keys and %d semi-bitset steps, want %d and %d\n%s", shape, backend.name, len(groups), len(bitsets), wantGroups, wantBitsets, tr)
+				continue
 			}
-			if got, want := attrInt(t, counts, "rowsOut"), countAll(advisees); got != want {
-				t.Errorf("count-keys rowsOut = %d, want %d advisor triples", got, want)
+			if wantGroups == 0 {
+				continue
+			}
+			if got := attrInt(t, groups[0], "keys"); got != int64(len(advisees)) {
+				t.Errorf("shape %d: group-keys keys = %d, want %d advisors", shape, got, len(advisees))
+			}
+			if shape == 3 {
+				if got, want := attrInt(t, groups[0], "rowsOut"), countAll(advisees); got != want {
+					t.Errorf("group-keys rowsOut = %d, want %d advisor triples", got, want)
+				}
+			} else if got := attrInt(t, bitsets[0], "keys"); got != int64(len(students)) {
+				t.Errorf("shape %d: semi-bitset keys = %d, want %d students", shape, got, len(students))
 			}
 		}
 
-		tr = explain(4)
+		if backend.keys {
+			continue
+		}
+		tr := explain(4)
 		aggs := findSpans(tr, "aggregate[")
 		if len(aggs) != 1 {
 			t.Fatalf("COUNT(DISTINCT) on %s: %d aggregate spans, want 1\n%s", backend.name, len(aggs), tr)

@@ -16,7 +16,8 @@ import (
 
 // formCase is a query template of TestJoinFormsDifferential and the step
 // form EXPLAIN ANALYZE must show for it on the sealed memory store:
-// "semi-merge", "semi-probe", "semi" (either), "folded" (an expansion
+// "semi-merge", "semi-probe", "semi" (any semijoin form, the group
+// walk's semi-bitset among them), "folded" (an expansion
 // intersects and a later step is folded into it) or "" (none of these
 // applies). Backends without key cursors run a semi-merge as a
 // semi-probe.
@@ -174,11 +175,11 @@ func checkForm(t *testing.T, g Source, src string, fc formCase, backend string) 
 	var ok bool
 	switch want {
 	case "semi":
-		ok = has("semi-merge") || has("semi-probe")
+		ok = has("semi-merge") || has("semi-probe") || has("semi-bitset")
 	case "folded":
 		ok = has("folded") && intersects
 	case "":
-		ok = !has("semi-merge") && !has("semi-probe") && !has("folded") && !intersects
+		ok = !has("semi-merge") && !has("semi-probe") && !has("semi-bitset") && !has("folded") && !intersects
 	default:
 		ok = has(want)
 	}

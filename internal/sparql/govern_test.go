@@ -15,6 +15,7 @@ import (
 	"hexastore/internal/disk"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
+	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
 )
 
@@ -406,4 +407,92 @@ func TestBudgetCountDistinctFewValues(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBudgetGroupWalkBitset: the group walk charges the meter for its
+// semijoin's bitset — one bit per dictionary id — before it walks, so a
+// budget below the bitset's bytes stops the query with the budget error
+// and one above them answers it.
+func TestBudgetGroupWalkBitset(t *testing.T) {
+	g, q := groupWalkFixture(t)
+	bits := int64((g.Dictionary().Len() + 64) / 64 * 8)
+	if _, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, MemBudget: bits - 1}); !errors.Is(err, govern.ErrBudgetExceeded) {
+		t.Fatalf("budget %d below the bitset's %d bytes: err = %v, want govern.ErrBudgetExceeded", bits-1, bits, err)
+	}
+	tr := obs.NewTrace("query")
+	res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, MemBudget: bits + 4<<10, Trace: tr})
+	if err != nil {
+		t.Fatalf("budget %d: %v", bits+4<<10, err)
+	}
+	tr.Finish()
+	if res.Len() != 40 || len(findSpans(tr, "step[")) != 2 {
+		t.Fatalf("%d rows, want 40 from a group walk with one semijoin\n%s", res.Len(), tr)
+	}
+}
+
+// TestCancelGroupWalkBitset cancels the group walk at each of its
+// cancellation checks in turn — the context reports itself canceled from
+// its n-th Err call on — and holds every run that stops to ctx.Err(),
+// and the one that does not to the answer. The bitset build checks once
+// per chunkRows keys, so there are more checks than keys per piece.
+func TestCancelGroupWalkBitset(t *testing.T) {
+	setChunkRows(t, 4)
+	g, q := groupWalkFixture(t)
+	want, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	email, _ := g.Dictionary().Lookup(rdf.NewIRI("http://ex/email"))
+	emails, err := g.Count(core.None, email, core.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := int64(0); ; n++ {
+		ctx := &countdownCtx{Context: context.Background(), done: make(chan struct{}), left: n}
+		res, err := EvalOpts(ctx, g, q, EvalOptions{Workers: 1})
+		if err == nil {
+			if got, exp := renderRows(t, res), renderRows(t, want); !slices.Equal(got, exp) {
+				t.Fatalf("after %d checks: rows %v, want %v", n, got, exp)
+			}
+			if n <= int64(emails/chunkRows) {
+				t.Fatalf("the walk checked cancellation %d times, want more than one per %d of %d keys", n, chunkRows, emails)
+			}
+			return
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled at check %d: err = %v, want context.Canceled", n, err)
+		}
+	}
+}
+
+// groupWalkFixture is a memory store of 2,000 students taking 3 of 40
+// courses, a third of them with an email, and a DISTINCT over the
+// courses of students with an email: a group walk with one semijoin.
+func groupWalkFixture(t *testing.T) (graph.Graph, *Query) {
+	t.Helper()
+	data := governTriples(2000, 40, 3)
+	b := core.NewBuilder(nil)
+	b.AddAll(core.EncodeTriples(b.Dictionary(), data, 4))
+	q, err := Parse(`SELECT DISTINCT ?c WHERE { ?s <http://ex/takes> ?c . ?s <http://ex/email> ?e }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graph.Memory(b.BuildParallel(4)), q
+}
+
+// countdownCtx is a context that is never done but reports itself
+// canceled from Err call left+1 on.
+type countdownCtx struct {
+	context.Context
+	done chan struct{}
+	left int64
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
 }

@@ -27,7 +27,12 @@ const groupingHead, groupingTails = 10_000, 101
 // groupingTriples gives every subject a group (grp) and a value out of
 // 37 (val); every fifth subject has an optional value out of 4 (opt), and
 // every seventh one to three tags (tag), so a join on tags repeats a
-// subject.
+// subject. The group walk's cases read a smaller population: every
+// twentieth subject is in one of six clubs (club), every seventh of
+// those but club c5's pays a fee (fee), the even clubs and gH have a kind
+// (kind) and three predicates a label (label) — so a semijoin on a
+// club's members drops some of them and club c5 whole, and one on the
+// club drops the odd ones.
 func groupingTriples() []rdf.Triple {
 	var ts []rdf.Triple
 	for i := 0; i < groupingHead+groupingTails; i++ {
@@ -43,6 +48,18 @@ func groupingTriples() []rdf.Triple {
 		for j := 0; i%7 == 0 && j <= i%3; j++ {
 			ts = append(ts, rdf.T(s, cx("tag"), cx(fmt.Sprintf("t%d", j))))
 		}
+		if c := i / 20 % 6; i%20 == 0 {
+			ts = append(ts, rdf.T(s, cx("club"), cx(fmt.Sprintf("c%d", c))))
+			if i/20%7 == 0 && c != 5 {
+				ts = append(ts, rdf.T(s, cx("fee"), rdf.NewLiteral("f")))
+			}
+		}
+	}
+	for _, c := range []string{"c0", "c2", "c4", "gH"} {
+		ts = append(ts, rdf.T(cx(c), cx("kind"), rdf.NewLiteral("k")))
+	}
+	for _, p := range []string{"grp", "club", "fee"} {
+		ts = append(ts, rdf.T(cx(p), cx("label"), rdf.NewLiteral(p)))
 	}
 	return ts
 }
@@ -52,9 +69,10 @@ func groupingTriples() []rdf.Triple {
 // their rows are compared in order; a LIMIT without ORDER BY keeps
 // whichever rows come first, so such a case (window) is checked as
 // distinct rows of the full answer. path is what EXPLAIN ANALYZE must
-// show (checkGroupingPath): countKeys (kind=count-keys where the store has
-// key cursors), keyed or table (each COUNT(DISTINCT)'s distinct=), or
-// none of them for "none"; "" is not checked.
+// show (checkGroupingPath): groupKeys (kind=group-keys where the store
+// has key cursors, with a semi-bitset span per pattern besides the
+// seed), keyed or table (each COUNT(DISTINCT)'s distinct=), or none of
+// them for "none"; "" is not checked.
 var groupingCases = []struct {
 	name, src string
 	ordered   bool
@@ -81,16 +99,16 @@ var groupingCases = []struct {
 	// under a constant at each position, every COUNT form, a window over
 	// the counts, a constant with no triples there and one the dictionary
 	// lacks.
-	{name: "keys-pos", path: countKeys, src: `SELECT ?g (COUNT(*) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g`},
-	{name: "keys-pso", path: countKeys, src: `SELECT ?s (COUNT(?t) AS ?n) (COUNT(DISTINCT ?t) AS ?d) (COUNT(?s) AS ?m) WHERE { ?s <http://c/tag> ?t } GROUP BY ?s`},
-	{name: "keys-spo", path: countKeys, src: `SELECT ?p (COUNT(?o) AS ?n) WHERE { <http://c/s00000> ?p ?o } GROUP BY ?p`},
-	{name: "keys-sop", path: countKeys, src: `SELECT ?o (COUNT(DISTINCT ?p) AS ?n) (COUNT(*) AS ?m) WHERE { <http://c/s00000> ?p ?o } GROUP BY ?o`},
-	{name: "keys-osp", path: countKeys, src: `SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p <http://c/gH> } GROUP BY ?s`},
-	{name: "keys-ops", path: countKeys, src: `SELECT ?p (COUNT(?s) AS ?n) (COUNT(?p) AS ?m) WHERE { ?s ?p <http://c/t0> } GROUP BY ?p`},
-	{name: "keys-unprojected", path: countKeys, src: `SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://c/val> ?v } GROUP BY ?v`},
-	{name: "keys-order-limit", ordered: true, path: countKeys, src: `SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g ORDER BY DESC(?n) ?g LIMIT 5`},
-	{name: "keys-order-window", ordered: true, path: countKeys, src: `SELECT ?s (COUNT(?t) AS ?n) WHERE { ?s <http://c/tag> ?t } GROUP BY ?s ORDER BY ?n DESC(?s) LIMIT 7 OFFSET 2`},
-	{name: "keys-empty", path: countKeys, src: `SELECT ?p (COUNT(*) AS ?n) WHERE { <http://c/gH> ?p ?o } GROUP BY ?p`},
+	{name: "keys-pos", path: groupKeys, src: `SELECT ?g (COUNT(*) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g`},
+	{name: "keys-pso", path: groupKeys, src: `SELECT ?s (COUNT(?t) AS ?n) (COUNT(DISTINCT ?t) AS ?d) (COUNT(?s) AS ?m) WHERE { ?s <http://c/tag> ?t } GROUP BY ?s`},
+	{name: "keys-spo", path: groupKeys, src: `SELECT ?p (COUNT(?o) AS ?n) WHERE { <http://c/s00000> ?p ?o } GROUP BY ?p`},
+	{name: "keys-sop", path: groupKeys, src: `SELECT ?o (COUNT(DISTINCT ?p) AS ?n) (COUNT(*) AS ?m) WHERE { <http://c/s00000> ?p ?o } GROUP BY ?o`},
+	{name: "keys-osp", path: groupKeys, src: `SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p <http://c/gH> } GROUP BY ?s`},
+	{name: "keys-ops", path: groupKeys, src: `SELECT ?p (COUNT(?s) AS ?n) (COUNT(?p) AS ?m) WHERE { ?s ?p <http://c/t0> } GROUP BY ?p`},
+	{name: "keys-unprojected", path: groupKeys, src: `SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://c/val> ?v } GROUP BY ?v`},
+	{name: "keys-order-limit", ordered: true, path: groupKeys, src: `SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g ORDER BY DESC(?n) ?g LIMIT 5`},
+	{name: "keys-order-window", ordered: true, path: groupKeys, src: `SELECT ?s (COUNT(?t) AS ?n) WHERE { ?s <http://c/tag> ?t } GROUP BY ?s ORDER BY ?n DESC(?s) LIMIT 7 OFFSET 2`},
+	{name: "keys-empty", path: groupKeys, src: `SELECT ?p (COUNT(*) AS ?n) WHERE { <http://c/gH> ?p ?o } GROUP BY ?p`},
 	{name: "keys-unknown", path: "none", src: `SELECT ?g (COUNT(*) AS ?n) WHERE { ?s <http://c/none> ?g } GROUP BY ?g`},
 	{name: "keys-not-filter", path: "none", src: `SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <http://c/grp> ?g . FILTER (?g != <http://c/gH>) } GROUP BY ?g`},
 	{name: "keys-not-distinct-key", path: "table", src: `SELECT ?g (COUNT(DISTINCT ?g) AS ?n) WHERE { ?s <http://c/grp> ?g } GROUP BY ?g`},
@@ -108,16 +126,48 @@ var groupingCases = []struct {
 	{name: "table-optional", path: "table", src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g OPTIONAL { ?s <http://c/tag> ?t } } GROUP BY ?g`},
 	{name: "table-column", path: "table", src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g . ?s <http://c/tag> ?t . FILTER (?t != <http://c/t2>) } GROUP BY ?g`},
 	{name: "table-mixed", path: "table", src: `SELECT ?g (COUNT(?s) AS ?n) (COUNT(DISTINCT ?s) AS ?d) WHERE { ?s <http://c/opt> <http://c/o1> . ?s <http://c/grp> ?g . ?s <http://c/tag> ?t } GROUP BY ?g`},
+
+	// The group walk: DISTINCT ?g with no, one and two semijoins, on ?x
+	// and on ?g, dropping some values and whole groups; COUNT(DISTINCT ?x)
+	// under semijoins; the group variable at each free position under a
+	// constant at each position; LIMIT, OFFSET and ORDER BY on DISTINCT.
+	{name: "walk-distinct", path: groupKeys, src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c }`},
+	{name: "walk-distinct-semi-x", path: groupKeys, src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f }`},
+	{name: "walk-distinct-semi-g", path: groupKeys, src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?c <http://c/kind> ?k }`},
+	{name: "walk-distinct-semi-xg", path: groupKeys, src: `SELECT DISTINCT ?c WHERE { ?c <http://c/kind> ?k . ?s <http://c/club> ?c . ?s <http://c/fee> ?f }`},
+	{name: "walk-distinct-semi-xx", path: groupKeys, src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f . ?s <http://c/tag> ?t }`},
+	{name: "walk-count-semi-x", path: groupKeys, src: `SELECT ?c (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/club> ?c . ?s <http://c/tag> ?t } GROUP BY ?c`},
+	{name: "walk-count-semi-xg", path: groupKeys, src: `SELECT ?c (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f . ?c <http://c/kind> ?k } GROUP BY ?c`},
+	{name: "walk-pso", path: groupKeys, src: `SELECT DISTINCT ?s WHERE { ?s <http://c/club> ?c . ?c <http://c/kind> ?k . ?s <http://c/tag> ?t }`},
+	{name: "walk-spo", path: groupKeys, src: `SELECT DISTINCT ?p WHERE { <http://c/s00000> ?p ?o . ?o <http://c/kind> ?k }`},
+	{name: "walk-sop", path: groupKeys, src: `SELECT ?o (COUNT(DISTINCT ?p) AS ?n) WHERE { <http://c/s00000> ?p ?o . ?p <http://c/label> ?z } GROUP BY ?o`},
+	{name: "walk-ops", path: groupKeys, src: `SELECT ?p (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s ?p <http://c/c0> . ?s <http://c/fee> ?f } GROUP BY ?p`},
+	{name: "walk-osp", path: groupKeys, src: `SELECT DISTINCT ?s WHERE { ?s ?p <http://c/c1> . ?s <http://c/fee> ?f }`},
+	{name: "walk-order", ordered: true, path: groupKeys, src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/tag> ?t } ORDER BY DESC(?c)`},
+	{name: "walk-order-window", ordered: true, path: groupKeys, src: `SELECT DISTINCT ?s WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f } ORDER BY DESC(?s) LIMIT 5 OFFSET 2`},
+	{name: "walk-window", window: true, path: groupKeys, src: `SELECT DISTINCT ?s WHERE { ?s <http://c/club> ?c . ?s <http://c/tag> ?t } LIMIT 7 OFFSET 3`},
+
+	// What the group walk must leave to the row pipeline: a count of
+	// rows over two patterns (a bag), a semijoin vector past the size
+	// rule, FILTER, OPTIONAL, UNION and a DISTINCT of two variables.
+	{name: "walk-not-bag", path: "none", src: `SELECT ?c (COUNT(*) AS ?n) WHERE { ?s <http://c/club> ?c . ?s <http://c/tag> ?t } GROUP BY ?c`},
+	{name: "walk-not-size", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/val> ?v }`},
+	{name: "walk-not-size-count", path: "keyed", src: `SELECT ?c (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/club> ?c . ?s <http://c/val> ?v } GROUP BY ?c`},
+	{name: "walk-not-filter", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f . FILTER (?c != <http://c/c0>) }`},
+	{name: "walk-not-optional", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c OPTIONAL { ?s <http://c/fee> ?f } }`},
+	{name: "walk-not-union", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . { ?s <http://c/fee> ?f } UNION { ?s <http://c/tag> ?t } }`},
+	{name: "walk-not-two-vars", path: "none", src: `SELECT DISTINCT ?s ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f }`},
 }
 
-// countKeys is the path of a case whose counts a store with key cursors
-// reads from list lengths.
-const countKeys = "count-keys"
+// groupKeys is the path of a case a store with key cursors answers by
+// the group walk.
+const groupKeys = "group-keys"
 
 // TestGroupingDifferential runs DISTINCT and GROUP BY over skewed groups
 // — one head 10⁴ times the median — with keys of one, two and three
 // variables, unbound OPTIONAL keys, ORDER BY on an aggregate alias,
-// DISTINCT under LIMIT/OFFSET, counts read from list lengths and
+// DISTINCT under LIMIT/OFFSET, counts and DISTINCT answered a group at a
+// time with and without semijoins, the shapes that must not be, and
 // COUNT(DISTINCT) with and without its pair table, on the memory store,
 // an overlay with nothing pending, one with half the data pending, the
 // disk store and the flat baseline table, at 1 and 4 workers and pieces
@@ -196,8 +246,9 @@ func TestGroupingDifferential(t *testing.T) {
 }
 
 // checkGroupingPath runs src under EXPLAIN ANALYZE on g and checks it
-// took path (see groupingCases): count-keys only on the stores with key
-// cursors — the sealed memory store and an overlay with nothing pending.
+// took path (see groupingCases): the group walk only on the stores with
+// key cursors — the sealed memory store and an overlay with nothing
+// pending — with one semi-bitset span per pattern besides its seed.
 func checkGroupingPath(t *testing.T, g Source, src, path, backend string) {
 	t.Helper()
 	q, err := Parse("EXPLAIN ANALYZE " + src)
@@ -209,11 +260,17 @@ func checkGroupingPath(t *testing.T, g Source, src, path, backend string) {
 		t.Fatal(err)
 	}
 	tr.Finish()
-	counted := false
+	counted, bitsets := false, 0
 	for _, sp := range findSpans(tr, "step[") {
-		if k, _ := sp.Attr("kind"); k == countKeys {
+		switch k, _ := sp.Attr("kind"); k {
+		case groupKeys:
 			counted = true
+		case "semi-bitset":
+			bitsets++
 		}
+	}
+	if counted && bitsets != len(q.Patterns)-1 {
+		t.Errorf("%s on %s: %d semi-bitset spans for %d patterns\n%s", src, backend, bitsets, len(q.Patterns), tr)
 	}
 	var distinct []string
 	for _, sp := range findSpans(tr, "aggregate[") {
@@ -222,7 +279,7 @@ func checkGroupingPath(t *testing.T, g Source, src, path, backend string) {
 	}
 	var ok bool
 	switch path {
-	case countKeys:
+	case groupKeys:
 		ok = counted == (backend == "memory" || backend == "overlay-clean")
 	case "keyed", "table":
 		ok = !counted && len(distinct) > 0 && !slices.ContainsFunc(distinct, func(d string) bool { return d != path })
@@ -230,7 +287,7 @@ func checkGroupingPath(t *testing.T, g Source, src, path, backend string) {
 		ok = !counted && !slices.Contains(distinct, "keyed")
 	}
 	if !ok {
-		t.Errorf("%s on %s: count-keys %v, distinct %v; want path %q\n%s", src, backend, counted, distinct, path, tr)
+		t.Errorf("%s on %s: group-keys %v, distinct %v; want path %q\n%s", src, backend, counted, distinct, path, tr)
 	}
 }
 
@@ -256,7 +313,7 @@ func testBQ1(t *testing.T) {
 	if len(want) == 0 || !maps.Equal(got, want) {
 		t.Fatalf("BQ1 counts %v, the hand plan's %v", got, want)
 	}
-	checkGroupingPath(t, graph.Memory(s.Hexa), bq1, countKeys, "memory")
+	checkGroupingPath(t, graph.Memory(s.Hexa), bq1, groupKeys, "memory")
 }
 
 // bq1 is the paper's BQ1 as SPARQL.
