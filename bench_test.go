@@ -471,7 +471,7 @@ func BenchmarkSPARQLJoinWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.EvalWorkers(g, q, workers); err != nil {
+				if _, err := sparql.EvalOpts(context.Background(), g, q, sparql.EvalOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -518,7 +518,7 @@ func BenchmarkSPARQLJoin(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sparql.Eval(graph.Memory(s.Hexa), q); err != nil {
+		if _, err := sparql.EvalOpts(context.Background(), graph.Memory(s.Hexa), q, sparql.EvalOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -662,7 +662,7 @@ func BenchmarkSPARQLJoinCompression(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.Eval(graph.Disk(ds), q); err != nil {
+				if _, err := sparql.EvalOpts(context.Background(), graph.Disk(ds), q, sparql.EvalOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -719,7 +719,7 @@ func BenchmarkSPARQLJoinBackends(b *testing.B) {
 			b.Run(bq.ID+"/"+be.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := sparql.Eval(be.g, q); err != nil {
+					if _, err := sparql.EvalOpts(context.Background(), be.g, q, sparql.EvalOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -911,10 +911,11 @@ func BenchmarkWrite01(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer ov.Close()
+			pl := sparql.NewPlanner(ov)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				err := bench.MixedWorkload(func() error {
-					_, err := sparql.Eval(ov, q)
+					_, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 					return err
 				}, func(ops []graph.TripleOp) error {
 					_, _, err := ov.ApplyTriples(ops)

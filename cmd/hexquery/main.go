@@ -14,11 +14,14 @@
 // join workers (default GOMAXPROCS), matching hexload/hexserver/hexbench.
 // -timeout puts a deadline on the query and -mem-budget limits its
 // engine memory: crossing it fails the query instead of OOMing.
-// -explain prints the query plan
-// (pattern order and cardinality estimates) without executing;
-// -explain-analyze executes and prints the full span tree with
-// estimated vs actual rows per step — equivalent to prefixing the query
-// with EXPLAIN or EXPLAIN ANALYZE.
+// A query on an in-memory store runs through a sparql.Planner, as
+// hexserver runs it, so -explain prints the cost-based plan hexserver
+// would run (pattern order, cardinality estimates, access-path hints)
+// without executing. A -disk query plans without statistics: a disk
+// store's summary takes a full scan that neither -timeout nor
+// -mem-budget would bound. -explain-analyze executes and prints the
+// full span tree with estimated vs actual rows per step — equivalent to
+// prefixing the query with EXPLAIN or EXPLAIN ANALYZE.
 package main
 
 import (
@@ -51,7 +54,7 @@ func main() {
 		memBudget = flag.String("mem-budget", "",
 			"per-query memory limit (e.g. 64M, 1G): a query whose join pieces, fetched lists and result rows would cross it fails instead of OOMing — at the value itself, where earlier releases wrote temp files and failed at 4x it (empty = unlimited)")
 		explain = flag.Bool("explain", false,
-			"print the query plan (planner choice, pattern order, cardinality estimates) without executing")
+			"print the query plan (statistics used, pattern order, cardinality estimates) without executing")
 		explainAnalyze = flag.Bool("explain-analyze", false,
 			"execute the query with tracing and print the span tree (estimated vs actual rows per step)")
 	)
@@ -118,6 +121,13 @@ func main() {
 		g = hexastore.AsGraph(st)
 	}
 	triples = g.Len()
+	eval := func(ctx context.Context, q *sparql.Query, opt sparql.EvalOptions) (*sparql.Result, error) {
+		return sparql.EvalOpts(ctx, g, q, opt)
+	}
+	if diskSt == nil {
+		// A memory store's summary is read off its index heads.
+		eval = sparql.NewPlanner(g).EvalOpts
+	}
 
 	start := time.Now()
 	ctx := context.Background()
@@ -146,7 +156,7 @@ func main() {
 	if q.Explain != sparql.ExplainNone {
 		opt.Trace = obs.NewTrace("query")
 	}
-	res, err := sparql.EvalOpts(ctx, g, q, opt)
+	res, err := eval(ctx, q, opt)
 	opt.Trace.Finish()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)

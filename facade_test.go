@@ -47,12 +47,23 @@ func TestParseTurtleFacade(t *testing.T) {
 	}
 }
 
+// TestPlannerFacade runs a join through DB.Query, which orders it with
+// the handle's statistics-driven planner.
 func TestPlannerFacade(t *testing.T) {
-	b := hexastore.NewBuilder(nil)
-	b.AddTriple(hexastore.T(hexastore.IRI("a"), hexastore.IRI("p"), hexastore.IRI("b")))
-	b.AddTriple(hexastore.T(hexastore.IRI("b"), hexastore.IRI("p"), hexastore.IRI("c")))
-	pl := hexastore.NewPlanner(b.Build())
-	res, err := pl.Exec(`SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }`)
+	db, err := hexastore.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, tr := range []hexastore.Triple{
+		hexastore.T(hexastore.IRI("a"), hexastore.IRI("p"), hexastore.IRI("b")),
+		hexastore.T(hexastore.IRI("b"), hexastore.IRI("p"), hexastore.IRI("c")),
+	} {
+		if _, err := db.AddTriple(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.Query(`SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }`)
 	if err != nil {
 		t.Fatal(err)
 	}

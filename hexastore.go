@@ -31,7 +31,7 @@
 //	db.Update(`INSERT DATA { <alice> <knows> <carol> }`)
 //
 // A Store built with NewBuilder, LoadNTriples or Restore is sealed: it
-// answers queries (Query, NewPlanner, AsGraph) but takes no writes. Open
+// answers queries (Query, AsGraph) but takes no writes. Open
 // returns the writable in-memory handle: a delta overlay over a sealed
 // store. See the examples directory for complete programs, and
 // DESIGN.md / EXPERIMENTS.md for the paper reproduction.
@@ -82,7 +82,8 @@ type (
 	// Graph is the backend-neutral store interface all query layers
 	// accept; see package internal/graph.
 	Graph = graph.Graph
-	// Engine evaluates patterns, joins and path expressions over a Graph.
+	// Engine evaluates patterns, joins and path expressions over the
+	// index vectors of a sealed in-memory Store.
 	Engine = query.Engine
 	// Pattern is a triple pattern with None as the wildcard.
 	Pattern = query.Pattern
@@ -593,9 +594,6 @@ func AsGraph(st *Store) Graph { return graph.Memory(st) }
 // NewEngine returns a query engine over the in-memory store st.
 func NewEngine(st *Store) *Engine { return query.NewEngine(st) }
 
-// NewGraphEngine returns a query engine over any Graph backend.
-func NewGraphEngine(g Graph) *Engine { return query.NewGraphEngine(g) }
-
 // IRI returns an IRI term.
 func IRI(iri string) Term { return rdf.NewIRI(iri) }
 
@@ -654,28 +652,20 @@ func WriteNTriples(g Graph, w io.Writer) error {
 // Query parses and evaluates a SPARQL-subset SELECT query against the
 // in-memory store st. See package sparql for the supported grammar
 // (PREFIX, FILTER, OPTIONAL, UNION, ORDER BY, LIMIT, OFFSET). For other
-// backends use QueryGraph or a DB handle from Open.
+// backends use QueryGraph or a DB handle from Open. It plans without
+// statistics: patterns run connected first, then most bound first, then
+// in text order, so two patterns that bind the same number of positions
+// run in the order written whatever their sizes. A DB handle's Query
+// orders joins by dataset statistics.
 func Query(st *Store, src string) (*Result, error) { return sparql.Exec(graph.Memory(st), src) }
 
 // QueryGraph parses and evaluates a SPARQL-subset SELECT/ASK query
-// against any Graph backend.
+// against any Graph backend. Like Query, it plans without statistics.
 func QueryGraph(g Graph, src string) (*Result, error) { return sparql.Exec(g, src) }
 
 // Update parses and applies a SPARQL UPDATE request (INSERT DATA /
 // DELETE DATA) against any Graph backend.
 func Update(g Graph, src string) (*UpdateResult, error) { return sparql.ExecUpdate(g, src) }
-
-// Planner evaluates queries with cost-based pattern ordering driven by
-// dataset statistics. Build one per store and reuse it across queries.
-type Planner = sparql.Planner
-
-// NewPlanner builds dataset statistics for the in-memory store st and
-// returns a cost-based query planner.
-func NewPlanner(st *Store) *Planner { return sparql.NewPlanner(graph.Memory(st)) }
-
-// NewGraphPlanner builds dataset statistics for any Graph backend and
-// returns a cost-based query planner.
-func NewGraphPlanner(g Graph) *Planner { return sparql.NewPlanner(g) }
 
 // LoadTurtle bulk-loads a Turtle stream into a new Store. The supported
 // Turtle subset covers @prefix/@base, prefixed names, 'a', predicate and

@@ -61,7 +61,7 @@ func governCheapQueries(data []rdf.Triple) ([]*sparql.Query, error) {
 // background goroutines loop the hog query, governed or not. The hog
 // context is canceled when sampling ends, so the point's cost is
 // bounded in both modes.
-func governPoint(g graph.Graph, cheap []*sparql.Query, hog *sparql.Query, governed bool) (p50, p99 float64, err error) {
+func governPoint(pl *sparql.Planner, cheap []*sparql.Query, hog *sparql.Query, governed bool) (p50, p99 float64, err error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < governHogs; i++ {
@@ -76,7 +76,7 @@ func governPoint(g graph.Graph, cheap []*sparql.Query, hog *sparql.Query, govern
 					opt.MemBudget = governHogBudget
 					hctx, hcancel = context.WithTimeout(ctx, governHogTimeout)
 				}
-				_, _ = sparql.EvalOpts(hctx, g, hog, opt) //nolint:errcheck // hog outcomes are the governor's business
+				_, _ = pl.EvalOpts(hctx, hog, opt) //nolint:errcheck // hog outcomes are the governor's business
 				hcancel()
 			}
 		}()
@@ -86,7 +86,7 @@ func governPoint(g graph.Graph, cheap []*sparql.Query, hog *sparql.Query, govern
 	for s := 0; s < governSamples; s++ {
 		for _, q := range cheap {
 			start := time.Now()
-			if _, qerr := sparql.EvalWorkers(g, q, 1); qerr != nil {
+			if _, qerr := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: 1}); qerr != nil {
 				err = qerr
 			}
 			lat = append(lat, time.Since(start).Seconds())
@@ -131,9 +131,9 @@ func RunGovern(cfg Config, progress func(string)) ([]*Figure, error) {
 		}
 		b := core.NewBuilder(nil)
 		b.AddAll(core.EncodeTriples(b.Dictionary(), data[:n], cfg.Workers))
-		g := graph.Memory(b.BuildParallel(cfg.Workers))
+		pl := sparql.NewPlanner(graph.Memory(b.BuildParallel(cfg.Workers)))
 		for mi, governed := range []bool{false, true} {
-			p50, p99, err := governPoint(g, cheap, hog, governed)
+			p50, p99, err := governPoint(pl, cheap, hog, governed)
 			if err != nil {
 				return nil, fmt.Errorf("bench: govern01 governed=%v: %w", governed, err)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -117,13 +118,17 @@ func RunSPARQL(cfg Config, progress func(string)) ([]*Figure, error) {
 			{"Hexastore", graph.Memory(s.Hexa)},
 			{"Baseline", graph.Baseline(base)},
 		}
+		planners := make([]*sparql.Planner, len(backends))
+		for bi, b := range backends {
+			planners[bi] = sparql.NewPlanner(b.g)
+		}
 		for qi := range SPARQLQueries {
 			q := parsed[qi]
-			for _, b := range backends {
-				g := b.g
+			for bi, b := range backends {
+				pl := planners[bi]
 				var evalErr error
 				p := measureBest(cfg.Repeats, func() {
-					if _, err := sparql.EvalWorkers(g, q, cfg.Workers); err != nil && evalErr == nil {
+					if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: cfg.Workers}); err != nil && evalErr == nil {
 						evalErr = err
 					}
 				})

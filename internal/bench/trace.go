@@ -37,16 +37,16 @@ const traceQuery = `SELECT ?x ?c WHERE {
 // an overhead comparison without per-rep variance tracking.
 const traceReps = 5
 
-// tracePoint times traceReps evaluations, with or without a trace
-// attached, and returns mean seconds per evaluation.
-func tracePoint(g graph.Graph, q *sparql.Query, traced bool) (float64, error) {
+// tracePoint times traceReps evaluations through pl, with or without a
+// trace attached, and returns mean seconds per evaluation.
+func tracePoint(pl *sparql.Planner, q *sparql.Query, traced bool) (float64, error) {
 	start := time.Now()
 	for i := 0; i < traceReps; i++ {
 		opt := sparql.EvalOptions{}
 		if traced {
 			opt.Trace = obs.NewTrace("query")
 		}
-		if _, err := sparql.EvalOpts(context.Background(), g, q, opt); err != nil {
+		if _, err := pl.EvalOpts(context.Background(), q, opt); err != nil {
 			return 0, err
 		}
 		if traced {
@@ -80,9 +80,9 @@ func RunTrace(cfg Config, progress func(string)) ([]*Figure, error) {
 		}
 		b := core.NewBuilder(nil)
 		b.AddAll(core.EncodeTriples(b.Dictionary(), data[:n], cfg.Workers))
-		g := graph.Memory(b.BuildParallel(cfg.Workers))
+		pl := sparql.NewPlanner(graph.Memory(b.BuildParallel(cfg.Workers)))
 		for mi, traced := range []bool{false, true} {
-			sec, err := tracePoint(g, q, traced)
+			sec, err := tracePoint(pl, q, traced)
 			if err != nil {
 				return nil, fmt.Errorf("bench: trace_overhead traced=%v: %w", traced, err)
 			}

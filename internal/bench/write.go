@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,11 +26,12 @@ const writeMixQuery = `SELECT ?student ?course WHERE {
 	?student <lubm:advisor> ?prof .
 	?prof <lubm:teacherOf> ?course }`
 
-// runMixed runs the mixed workload over ov: snapshot-pinned queries, one
-// overlay batch per update, no request lock in either direction.
-func runMixed(ov *delta.Overlay, q *sparql.Query, tag string) error {
+// runMixed runs the mixed workload over ov: snapshot-pinned queries
+// through ov's Planner pl, one overlay batch per update, no request lock
+// in either direction.
+func runMixed(ov *delta.Overlay, pl *sparql.Planner, q *sparql.Query, tag string) error {
 	query := func() error {
-		_, err := sparql.Eval(ov, q)
+		_, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 		return err
 	}
 	update := func(ops []graph.TripleOp) error {
@@ -158,12 +160,13 @@ func RunWrite(cfg Config, progress func(string)) ([]*Figure, error) {
 			if oerr != nil {
 				return nil, oerr
 			}
+			pl := sparql.NewPlanner(ov)
 
 			var runErr error
 			tag := 0
 			p := measureBest(cfg.Repeats, func() {
 				tag++
-				if err := runMixed(ov, q, fmt.Sprintf("%d-%d", run, tag)); err != nil && runErr == nil {
+				if err := runMixed(ov, pl, q, fmt.Sprintf("%d-%d", run, tag)); err != nil && runErr == nil {
 					runErr = err
 				}
 			})

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -245,12 +246,16 @@ func TestDifferentialOptional(t *testing.T) {
 // default evaluator on every backend.
 func TestDifferentialPlanner(t *testing.T) {
 	src := `PREFIX ex: <http://ex/> SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z . ?x ex:age ?a }`
+	q, err := sparql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gs := backends(t, sampleTriples())
 	want := ""
 	for _, name := range []string{"baseline", "memory", "disk"} {
-		res, err := sparql.NewPlanner(gs[name]).Exec(src)
+		res, err := sparql.NewPlanner(gs[name]).EvalOpts(context.Background(), q, sparql.EvalOptions{})
 		if err != nil {
-			t.Fatalf("%s: planner Exec: %v", name, err)
+			t.Fatalf("%s: planner EvalOpts: %v", name, err)
 		}
 		got := canon(res)
 		if want == "" {
@@ -395,12 +400,12 @@ func TestDifferentialWorkers(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
 		for _, name := range []string{"baseline", "memory", "disk"} {
-			want, err := sparql.EvalWorkers(gs[name], q, 1)
+			want, err := sparql.EvalOpts(context.Background(), gs[name], q, sparql.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s workers=1: %v", name, err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := sparql.EvalWorkers(gs[name], q, workers)
+				got, err := sparql.EvalOpts(context.Background(), gs[name], q, sparql.EvalOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}

@@ -599,7 +599,7 @@ var diffQueries = []string{
 // queryCanon runs q and renders the result in a canonical order-free
 // form so two stores can be compared textually.
 func queryCanon(g graph.Graph, q string) (string, error) {
-	res, err := sparql.NewPlanner(g).Exec(q)
+	res, err := sparql.Exec(g, q)
 	if err != nil {
 		return "", err
 	}

@@ -14,10 +14,7 @@ import (
 // n−1 joins is a linear merge-join (the pos object vector of p1 against
 // the pso subject vector of p2), and the remaining n−2 are sort-merge
 // joins (one sorting operation each), instead of unsorted joins
-// throughout. The merge-join algorithms below run when the engine is
-// backed by the in-memory core.Store; other backends evaluate the same
-// semantics by pattern matching (a backend error truncates the
-// traversal).
+// throughout.
 
 // PathEndpoints evaluates the path and returns the distinct reachable
 // end nodes starting from every subject of p1 (i.e. the projection of
@@ -27,9 +24,6 @@ func (e *Engine) PathEndpoints(props []ID) *idlist.List {
 		return &idlist.List{}
 	}
 	st := e.store
-	if st == nil {
-		return e.pathEndpointsGeneric(props)
-	}
 
 	// Frontier: all distinct objects of p1, straight off the pos index
 	// (its object vector is exactly the sorted distinct objects).
@@ -61,36 +55,6 @@ func (e *Engine) PathEndpoints(props []ID) *idlist.List {
 	return frontier
 }
 
-// pathEndpointsGeneric is PathEndpoints over the Graph interface: the
-// frontier starts as the distinct objects of p1 and each further hop is
-// one Match per frontier node.
-func (e *Engine) pathEndpointsGeneric(props []ID) *idlist.List {
-	var b idlist.Builder
-	e.g.Match(None, props[0], None, func(_, _, o ID) bool {
-		b.Add(o)
-		return true
-	})
-	frontier := b.Finish()
-	for hop := 1; hop < len(props) && frontier.Len() > 0; hop++ {
-		frontier = e.expandHop(frontier, props[hop])
-	}
-	return frontier
-}
-
-// expandHop returns the distinct objects reachable from any node of the
-// frontier via property p.
-func (e *Engine) expandHop(frontier *idlist.List, p ID) *idlist.List {
-	var next idlist.Builder
-	frontier.Range(func(node ID) bool {
-		e.g.Match(node, p, None, func(_, _, o ID) bool {
-			next.Add(o)
-			return true
-		})
-		return true
-	})
-	return next.Finish()
-}
-
 // PathPairs evaluates the path and reports every (start, end) pair to
 // fn. The fan-out is materialized per start node; fn may be invoked with
 // duplicate pairs removed. Iteration stops early if fn returns false.
@@ -99,10 +63,6 @@ func (e *Engine) PathPairs(props []ID, fn func(start, end ID) bool) {
 		return
 	}
 	st := e.store
-	if st == nil {
-		e.pathPairsGeneric(props, fn)
-		return
-	}
 	starts := st.Head(core.PSO, props[0])
 	stop := false
 	starts.Range(func(start ID, firstObjs *idlist.List) bool {
@@ -132,38 +92,6 @@ func (e *Engine) PathPairs(props []ID, fn func(start, end ID) bool) {
 	})
 }
 
-// pathPairsGeneric is PathPairs over the Graph interface: one scan of
-// p1 collects each start's first-hop frontier, then one traversal per
-// start expands the remaining hops.
-func (e *Engine) pathPairsGeneric(props []ID, fn func(start, end ID) bool) {
-	var starts idlist.Builder
-	firstObjs := make(map[ID]*idlist.Builder)
-	e.g.Match(None, props[0], None, func(s, _, o ID) bool {
-		starts.Add(s)
-		b := firstObjs[s]
-		if b == nil {
-			b = &idlist.Builder{}
-			firstObjs[s] = b
-		}
-		b.Add(o)
-		return true
-	})
-	stop := false
-	starts.Finish().Range(func(start ID) bool {
-		reach := firstObjs[start].Finish()
-		for hop := 1; hop < len(props) && reach.Len() > 0; hop++ {
-			reach = e.expandHop(reach, props[hop])
-		}
-		reach.Range(func(end ID) bool {
-			if !fn(start, end) {
-				stop = true
-			}
-			return !stop
-		})
-		return !stop
-	})
-}
-
 // Reachable returns the nodes reachable from start by following any
 // property for up to maxHops steps — a bounded transitive closure. The
 // paper (§4.3) notes full transitive closure resists scalable solutions;
@@ -174,24 +102,15 @@ func (e *Engine) Reachable(start ID, maxHops int) *idlist.List {
 	for hop := 0; hop < maxHops && len(frontier) > 0; hop++ {
 		var next []ID
 		for _, node := range frontier {
-			if e.store != nil {
-				e.store.Head(core.SPO, node).Range(func(_ ID, objs *idlist.List) bool {
-					objs.Range(func(o ID) bool {
-						if visited.Insert(o) {
-							next = append(next, o)
-						}
-						return true
-					})
-					return true
-				})
-			} else {
-				e.g.Match(node, None, None, func(_, _, o ID) bool {
+			e.store.Head(core.SPO, node).Range(func(_ ID, objs *idlist.List) bool {
+				objs.Range(func(o ID) bool {
 					if visited.Insert(o) {
 						next = append(next, o)
 					}
 					return true
 				})
-			}
+				return true
+			})
 		}
 		frontier = next
 	}

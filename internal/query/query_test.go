@@ -42,7 +42,7 @@ func TestPatternBound(t *testing.T) {
 	}
 }
 
-func TestSelectivityExactForTwoBound(t *testing.T) {
+func TestCountExact(t *testing.T) {
 	e := NewEngine(buildGraph())
 	cases := []struct {
 		pat  Pattern
@@ -59,26 +59,26 @@ func TestSelectivityExactForTwoBound(t *testing.T) {
 		{Pattern{}, 6},
 	}
 	for _, tc := range cases {
-		if got := e.Selectivity(tc.pat); got != tc.want {
-			t.Errorf("Selectivity(%+v) = %d, want %d", tc.pat, got, tc.want)
+		if got, err := e.Count(tc.pat); err != nil || got != tc.want {
+			t.Errorf("Count(%+v) = %d, %v, want %d", tc.pat, got, err, tc.want)
 		}
 	}
 }
 
-func TestSelectivityMatchesCount(t *testing.T) {
+func TestCountMatchesMatch(t *testing.T) {
 	e := NewEngine(buildGraph())
-	// For every pattern over this small id space, the estimate must be
-	// exact (our estimator sums real list lengths).
+	// For every pattern over this small id space, the index-read count
+	// must equal the number of triples Match streams.
 	for s := ID(0); s <= 3; s++ {
 		for p := ID(0); p <= 12; p++ {
 			for o := ID(0); o <= 102; o++ {
 				pat := Pattern{S: s, P: p, O: o}
-				want, err := e.Count(pat)
-				if err != nil {
-					t.Fatalf("Count(%+v): %v", pat, err)
+				want := 0
+				if err := e.Match(pat, func(_, _, _ ID) bool { want++; return true }); err != nil {
+					t.Fatalf("Match(%+v): %v", pat, err)
 				}
-				if got := e.Selectivity(pat); got != want {
-					t.Fatalf("Selectivity(%+v) = %d, Count = %d", pat, got, want)
+				if got, err := e.Count(pat); err != nil || got != want {
+					t.Fatalf("Count(%+v) = %d, %v; Match yields %d", pat, got, err, want)
 				}
 			}
 		}

@@ -1,9 +1,10 @@
 // Package sparql implements a small SPARQL subset — SELECT queries over
 // basic graph patterns — on top of the Hexastore. It demonstrates the
 // paper's claim of "quick and scalable general-purpose query processing":
-// the planner greedily orders triple patterns by selectivity and the
-// executor binds them with index lookups, never scanning tables that are
-// irrelevant to the query (§4.2, "Reduced I/O cost").
+// one cost-based planner orders triple patterns by estimated join size
+// (Planner) and the executor binds them with index lookups, never
+// scanning tables that are irrelevant to the query (§4.2, "Reduced I/O
+// cost").
 //
 // Supported grammar:
 //

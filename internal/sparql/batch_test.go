@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -202,7 +203,7 @@ func TestBatchRandomDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pres, err := NewPlanner(mem).Eval(q)
+			pres, err := NewPlanner(mem).EvalOpts(context.Background(), q, EvalOptions{})
 			if err != nil {
 				t.Fatalf("planner: %v", err)
 			}
@@ -240,7 +241,7 @@ func testLimitIDsExamined(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		cg := &countGraph{Graph: mem, sorted: ss}
-		res, err := EvalWorkers(cg, q, workers)
+		res, err := evalWorkers(cg, q, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

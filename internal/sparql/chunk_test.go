@@ -133,7 +133,7 @@ func TestChunkBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
-				res, err := EvalWorkers(oracle, q, 1)
+				res, err := evalWorkers(oracle, q, 1)
 				if err != nil {
 					t.Fatalf("%s oracle: %v", sh.name, err)
 				}
@@ -150,7 +150,7 @@ func TestChunkBoundaries(t *testing.T) {
 					}
 					var first []string
 					for _, workers := range []int{1, 2, 4} {
-						res, err := EvalWorkers(g, q, workers)
+						res, err := evalWorkers(g, q, workers)
 						if err != nil {
 							t.Fatalf("%s %s workers=%d: %v", name, sh.name, workers, err)
 						}
@@ -210,7 +210,7 @@ func TestChunkSkewedFanOut(t *testing.T) {
 	}
 	setChunkRows(t, chunk)
 	for _, workers := range []int{1, 4} {
-		res, err := EvalWorkers(g, q, workers)
+		res, err := evalWorkers(g, q, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"hexastore/internal/graph"
 	"hexastore/internal/idlist"
 	"hexastore/internal/obs"
-	"hexastore/internal/query"
 	"hexastore/internal/rdf"
 	"hexastore/internal/stats"
 )
@@ -47,11 +46,6 @@ func (p *idPattern) term(j int) Term {
 	}
 }
 
-// Source is the store behaviour the evaluator needs. It is an alias of
-// graph.Graph, kept for compatibility with earlier releases where the
-// evaluator defined its own source interface.
-type Source = graph.Graph
-
 // Exec parses and evaluates src against any Graph backend — the
 // in-memory Hexastore (graph.Memory), the disk-based Hexastore, or the
 // baseline triples table (graph.Baseline).
@@ -70,44 +64,21 @@ func ExecContext(ctx context.Context, g graph.Graph, src string) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	return EvalContext(ctx, g, q)
-}
-
-// Eval evaluates a parsed query against any Graph backend.
-//
-// Planning: each UNION clause multiplies the query into branches (the
-// standard BGP rewriting); within a branch, required patterns are
-// ordered greedily — at every step the pattern with the most positions
-// bound is chosen, breaking ties by the engine's selectivity estimate
-// when the backend is the in-memory Hexastore (whose indexes answer
-// selectivity without scanning). Execution is a depth-first bind join:
-// each step substitutes the current bindings into its pattern and
-// probes the backend, which has the right index for every binding
-// combination that can arise (§4.2 of the paper). FILTERs run at the
-// earliest step where their variables are bound; OPTIONAL groups extend
-// solutions after the required patterns.
-func Eval(g graph.Graph, q *Query) (*Result, error) {
-	return EvalOpts(context.Background(), g, q, EvalOptions{})
-}
-
-// EvalContext is Eval observing ctx (see ExecContext for the
-// cancellation granularity).
-func EvalContext(ctx context.Context, g graph.Graph, q *Query) (*Result, error) {
 	return EvalOpts(ctx, g, q, EvalOptions{})
-}
-
-// EvalWorkers is Eval with an explicit intra-query worker budget,
-// overriding the package-wide SetMaxWorkers default for this evaluation
-// (workers <= 1 keeps execution single-threaded; see parallel.go for
-// how seed pieces spread over workers and why results are identical for
-// every budget).
-func EvalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
-	return EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers})
 }
 
 // EvalOpts is the fully governed evaluation entry point: ctx carries
 // cancellation and deadlines, opt carries the worker budget and the
 // memory limit (see EvalOptions).
+//
+// Planning: each UNION clause multiplies the query into branches (the
+// standard BGP rewriting); within a branch, required patterns are
+// ordered by the Planner's cost model over no statistics — connected
+// patterns first, then the one with the most positions bound, then text
+// order (see planOrderJoin). A Planner orders the same way with its
+// summary's estimates, and adds the plan and result caches. FILTERs run
+// at the earliest step where their variables are bound; OPTIONAL groups
+// extend solutions after the required patterns.
 //
 // When the backend offers consistent snapshots (graph.Snapshotter — the
 // delta overlay), the whole evaluation is pinned to
@@ -203,7 +174,6 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		plans:   plans,
 		shape:   shape,
 		sum:     sum,
-		eng:     engineFor(g),
 		workers: workers,
 		tr:      opt.Trace,
 		mem:     meterFor(&opt),
@@ -225,26 +195,14 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	return res, err
 }
 
-// engineFor returns an index-aware engine when g answers selectivity
-// without scanning — the in-memory Hexastore (vector-level estimates)
-// or any SortedSource backend such as the disk store (sorted-list
-// lengths). Generic backends price patterns with scans, which is too
-// expensive for per-step selectivity tie-breaking, so they get nil.
-func engineFor(g graph.Graph) *query.Engine {
-	if eng := query.NewGraphEngine(g); eng.Store() != nil || eng.Sorted() != nil {
-		return eng
-	}
-	return nil
-}
-
 type evaluator struct {
 	src  graph.Graph
-	eng  *query.Engine // nil for non-memory backends; enables selectivity tie-breaks
 	dict *dictionary.Dictionary
 	q    *Query
 
-	// sum, when non-nil, switches pattern ordering to the cost-based
-	// planner (see Planner).
+	// sum is the owning Planner's statistics summary; nil for the
+	// package-level entry points, which plan over noStats and report
+	// neither estimates nor access-path hints.
 	sum *stats.Summary
 
 	// pl is the owning Planner (nil for package-level entry points);
@@ -626,8 +584,8 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	}
 	// Plan: a memoized join order for this shape and branch when the plan
 	// cache holds one built under the current statistics epoch, otherwise
-	// cost-based join ordering (with statistics) or the greedy
-	// most-bound-first heuristic (without).
+	// cost-based join ordering, over no statistics for the package-level
+	// entry points (whose hints are dropped: they would rest on no data).
 	branch := ev.branchIdx
 	ev.branchIdx++
 	var order []int
@@ -646,9 +604,9 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	}
 	if order == nil {
 		if ev.sum != nil {
-			order, hints = planOrderJoin(ev.sum, pats, nil)
+			order, hints = planOrderJoin(ev.sum, pats)
 		} else {
-			order = planOrder(ev.eng, pats, nil)
+			order, _ = planOrderJoin(noStats, pats)
 		}
 		if planCacheAttr == "miss" {
 			ev.plans.put(ev.shape, branch, len(pats), ev.pl.statsEpoch.Load(), order, hints)
@@ -664,11 +622,11 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	if br != nil {
 		ests = ev.estimateSteps(pats, order)
 		plan := br.Child("plan")
-		planner := "greedy"
+		statsAttr := "none"
 		if ev.sum != nil {
-			planner = "cost"
+			statsAttr = "summary"
 		}
-		plan.Set("planner", planner)
+		plan.Set("stats", statsAttr)
 		if planCacheAttr != "" {
 			plan.Set("planCache", planCacheAttr)
 		}
@@ -1495,109 +1453,32 @@ func (ev *evaluator) resolvePos(p *idPattern, j int) (core.ID, int) {
 }
 
 // estimateSteps prices each step of the chosen order for the trace,
-// simulating the evolving join: with statistics, the cost model's
-// estimated intermediate cardinality after each step (directly
-// comparable to the step's rowsOut actual in EXPLAIN ANALYZE); without,
-// the engine's index cardinality (core.Store.PatternCardinality under
-// the hood); -1 when the backend answers neither without a scan. A
+// simulating the evolving join: the cost model's estimated intermediate
+// cardinality after each step (directly comparable to the step's rowsOut
+// actual in EXPLAIN ANALYZE), or -1 throughout without statistics. A
 // semijoin step only keeps or drops rows, so its estimate never exceeds
 // the step before's.
 func (ev *evaluator) estimateSteps(pats []idPattern, order []int) []float64 {
 	ests := make([]float64, len(order))
-	if ev.sum != nil {
-		js := newJoinState(ev.sum, nil)
-		var vars []string
-		for si, pi := range order {
-			before := js.card
-			js.advance(&pats[pi])
-			if len(ev.batch.exist) > 0 {
-				if sp := classify(&pats[pi], vars); isSemi(&sp, ev.batch.exist) {
-					js.card = min(js.card, before)
-				} else {
-					vars = append(vars, sp.newNames...)
-				}
-			}
-			ests[si] = js.card
+	if ev.sum == nil {
+		for si := range ests {
+			ests[si] = -1
 		}
 		return ests
 	}
+	js := newJoinState(ev.sum)
+	var vars []string
 	for si, pi := range order {
-		p := &pats[pi]
-		if ev.eng == nil {
-			ests[si] = -1
-			continue
+		before := js.card
+		js.advance(&pats[pi])
+		if len(ev.batch.exist) > 0 {
+			if sp := classify(&pats[pi], vars); isSemi(&sp, ev.batch.exist) {
+				js.card = min(js.card, before)
+			} else {
+				vars = append(vars, sp.newNames...)
+			}
 		}
-		var qp query.Pattern
-		if p.pat.S.Kind == Const {
-			qp.S = p.ids[0]
-		}
-		if p.pat.P.Kind == Const {
-			qp.P = p.ids[1]
-		}
-		if p.pat.O.Kind == Const {
-			qp.O = p.ids[2]
-		}
-		ests[si] = float64(ev.eng.Selectivity(qp))
+		ests[si] = js.card
 	}
 	return ests
-}
-
-// planOrder returns the pattern evaluation order: greedy most-bound-
-// first with selectivity tie-breaking. preBound names variables already
-// bound before the first step (used when planning optional groups).
-func planOrder(eng *query.Engine, pats []idPattern, preBound map[string]bool) []int {
-	n := len(pats)
-	chosen := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	for v := range preBound {
-		bound[v] = true
-	}
-
-	// Static selectivity with only constants bound, priced once per
-	// pattern — it does not depend on the evolving bound set. A nil
-	// engine (generic Source) prices every pattern equally, so ordering
-	// falls back to the pure most-bound-first heuristic.
-	constSel := make([]int, n)
-	if eng != nil {
-		for i := range pats {
-			var qp query.Pattern
-			if pats[i].pat.S.Kind == Const {
-				qp.S = pats[i].ids[0]
-			}
-			if pats[i].pat.P.Kind == Const {
-				qp.P = pats[i].ids[1]
-			}
-			if pats[i].pat.O.Kind == Const {
-				qp.O = pats[i].ids[2]
-			}
-			constSel[i] = eng.Selectivity(qp)
-		}
-	}
-
-	for len(chosen) < n {
-		best, bestBound, bestSel := -1, -1, 0
-		for i := range pats {
-			if used[i] {
-				continue
-			}
-			nb := 0
-			for j := 0; j < 3; j++ {
-				t := pats[i].term(j)
-				if t.Kind == Const || bound[t.Name] {
-					nb++
-				}
-			}
-			sel := constSel[i]
-			if nb > bestBound || (nb == bestBound && sel < bestSel) {
-				best, bestBound, bestSel = i, nb, sel
-			}
-		}
-		used[best] = true
-		chosen = append(chosen, best)
-		for _, name := range pats[best].pat.Vars() {
-			bound[name] = true
-		}
-	}
-	return chosen
 }

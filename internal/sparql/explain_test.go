@@ -77,8 +77,8 @@ func checkAnalyzeTrace(t *testing.T, tr *obs.Trace, patterns, rows int) {
 		if _, ok := plans[0].Attr("order"); !ok {
 			t.Error("plan span missing order attr")
 		}
-		if _, ok := plans[0].Attr("planner"); !ok {
-			t.Error("plan span missing planner attr")
+		if _, ok := plans[0].Attr("stats"); !ok {
+			t.Error("plan span missing stats attr")
 		}
 	}
 	steps := findSpans(tr, "step[")

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hexastore/internal/graph"
 	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
 )
@@ -121,7 +122,7 @@ func TestJoinFormsDifferential(t *testing.T) {
 				for _, chunk := range []int{4, 1024} {
 					setChunkRows(t, chunk)
 					for _, workers := range []int{1, 4} {
-						res, err := EvalWorkers(g, q, workers)
+						res, err := evalWorkers(g, q, workers)
 						if err != nil {
 							t.Fatalf("seed %d %s on %s: %v", seed, fc.name, name, err)
 						}
@@ -146,7 +147,7 @@ func answered(rows []string) bool {
 
 // checkForm runs src under EXPLAIN ANALYZE on g and checks the step kinds
 // show the case's form.
-func checkForm(t *testing.T, g Source, src string, fc formCase, backend string) {
+func checkForm(t *testing.T, g graph.Graph, src string, fc formCase, backend string) {
 	t.Helper()
 	q, err := Parse("EXPLAIN ANALYZE " + src)
 	if err != nil {

@@ -209,7 +209,7 @@ func TestGroupingDifferential(t *testing.T) {
 			for _, chunk := range chunks {
 				setChunkRows(t, chunk)
 				for _, workers := range lanes {
-					res, err := EvalWorkers(g, q, workers)
+					res, err := evalWorkers(g, q, workers)
 					if err != nil {
 						t.Fatalf("%s on %s: %v", gc.name, name, err)
 					}
@@ -249,7 +249,7 @@ func TestGroupingDifferential(t *testing.T) {
 // took path (see groupingCases): the group walk only on the stores with
 // key cursors — the sealed memory store and an overlay with nothing
 // pending — with one semi-bitset span per pattern besides its seed.
-func checkGroupingPath(t *testing.T, g Source, src, path, backend string) {
+func checkGroupingPath(t *testing.T, g graph.Graph, src, path, backend string) {
 	t.Helper()
 	q, err := Parse("EXPLAIN ANALYZE " + src)
 	if err != nil {
@@ -297,7 +297,7 @@ func checkGroupingPath(t *testing.T, g Source, src, path, backend string) {
 func testBQ1(t *testing.T) {
 	s := queries.Load(barton.Config{Records: 3000, Seed: 7}.GenerateAll())
 	want := queries.BQ1Hexa(s.Hexa, queries.ResolveBarton(s.Dict))
-	res, err := NewPlanner(graph.Memory(s.Hexa)).Exec(bq1)
+	res, err := plannerExec(NewPlanner(graph.Memory(s.Hexa)), bq1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ type piece struct {
 var maxWorkersSetting atomic.Int64
 
 // SetMaxWorkers sets the package-wide intra-query worker budget used by
-// Eval and Planner.Eval (the hexserver/hexbench -workers flag lands
-// here). n <= 0 restores the default, runtime.GOMAXPROCS(0); n == 1
+// every evaluation whose EvalOptions.Workers is 0 (the
+// hexserver/hexbench -workers flag lands here). n <= 0 restores the default, runtime.GOMAXPROCS(0); n == 1
 // disables intra-query parallelism. Safe to call concurrently with
 // running queries; in-flight evaluations keep the budget they started
 // with.

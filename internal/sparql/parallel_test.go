@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"hexastore/internal/graph"
 )
 
 // setChunkRows shrinks the pipeline's chunk so small fixtures span many
@@ -18,7 +20,7 @@ func setChunkRows(t testing.TB, n int) {
 
 // joinFixture builds a memory/baseline pair with enough fan-out that
 // multi-pattern joins produce thousands of intermediate rows.
-func joinFixture() (mem, base Source) {
+func joinFixture() (mem, base graph.Graph) {
 	rng := rand.New(rand.NewSource(21))
 	var triples [][3]string
 	for i := 0; i < 800; i++ {
@@ -63,14 +65,14 @@ func TestWorkersInvariance(t *testing.T) {
 		}
 		for _, g := range []struct {
 			name string
-			src  Source
+			src  graph.Graph
 		}{{"memory", mem}, {"baseline", base}} {
-			want, err := EvalWorkers(g.src, q, 1)
+			want, err := evalWorkers(g.src, q, 1)
 			if err != nil {
 				t.Fatalf("%s workers=1 %q: %v", g.name, src, err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := EvalWorkers(g.src, q, workers)
+				got, err := evalWorkers(g.src, q, workers)
 				if err != nil {
 					t.Fatalf("%s workers=%d %q: %v", g.name, workers, src, err)
 				}
@@ -103,14 +105,14 @@ func TestWorkersInvarianceUnionsAndRepeats(t *testing.T) {
 		}
 		for _, g := range []struct {
 			name string
-			src  Source
+			src  graph.Graph
 		}{{"memory", mem}, {"baseline", base}} {
-			want, err := EvalWorkers(g.src, q, 1)
+			want, err := evalWorkers(g.src, q, 1)
 			if err != nil {
 				t.Fatalf("%s workers=1 %q: %v", g.name, src, err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := EvalWorkers(g.src, q, workers)
+				got, err := evalWorkers(g.src, q, workers)
 				if err != nil {
 					t.Fatalf("%s workers=%d %q: %v", g.name, workers, src, err)
 				}

@@ -16,10 +16,11 @@ const DefaultPlanCacheSize = 256
 // Planner evaluates queries with cost-based basic-graph-pattern ordering
 // driven by a cached statistics summary (Stocker et al. [41] style) and
 // a join-size model over the sextuple indexes' cheap per-pattern
-// cardinalities, instead of the default greedy most-bound-first order.
-// It works over any Graph backend: memory-backed graphs build the
-// summary off the index heads, others with one scan. Build one Planner
-// per graph and reuse it; call Refresh after bulk updates.
+// cardinalities. It is the only planner: a package-level evaluation
+// runs the same ordering over an empty summary (see planOrderJoin). It
+// works over any Graph backend: memory-backed graphs build the summary
+// off the index heads, others with one scan. Build one Planner per graph
+// and reuse it; call Refresh after bulk updates.
 //
 // A Planner also hosts the repeated-query fast path: a query-shape plan
 // cache (on by default, see SetPlanCacheSize) memoizing join orders and
@@ -40,9 +41,9 @@ type Planner struct {
 
 // NewPlanner builds the statistics summary for g and returns a Planner
 // with the plan cache enabled at DefaultPlanCacheSize and the result
-// cache disabled. A backend that fails mid-scan yields an empty summary,
-// degrading planning to the most-bound-first heuristic rather than
-// failing.
+// cache disabled. A backend that fails mid-scan yields an empty summary:
+// every pattern then prices alike, so the order follows connectivity and
+// bound positions (see planOrderJoin) rather than failing.
 func NewPlanner(g graph.Graph) *Planner {
 	pl := &Planner{g: g}
 	pl.plans.Store(newPlanCache(DefaultPlanCacheSize))
@@ -105,35 +106,6 @@ func (pl *Planner) Stats() *stats.Summary { return pl.sum.Load() }
 // Graph returns the backend the planner evaluates against.
 func (pl *Planner) Graph() graph.Graph { return pl.g }
 
-// Exec parses and evaluates src with cost-based planning.
-func (pl *Planner) Exec(src string) (*Result, error) {
-	return pl.ExecContext(context.Background(), src)
-}
-
-// ExecContext is Exec observing ctx (see the package-level ExecContext
-// for the cancellation granularity).
-func (pl *Planner) ExecContext(ctx context.Context, src string) (*Result, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return pl.EvalOpts(ctx, q, EvalOptions{})
-}
-
-// Eval evaluates a parsed query with cost-based planning, using the
-// package-wide intra-query worker budget (SetMaxWorkers). Like
-// EvalWorkers, the evaluation pins one consistent snapshot when the
-// backend offers them (graph.Snapshotter); the cached statistics
-// summary needs no pinning — stale stats only affect pattern order.
-func (pl *Planner) Eval(q *Query) (*Result, error) {
-	return pl.EvalOpts(context.Background(), q, EvalOptions{})
-}
-
-// EvalContext is Eval observing ctx.
-func (pl *Planner) EvalContext(ctx context.Context, q *Query) (*Result, error) {
-	return pl.EvalOpts(ctx, q, EvalOptions{})
-}
-
 // EvalOpts is the governed evaluation entry point with cost-based
 // planning and the plan/result caches: the planner's analogue of the
 // package-level EvalOpts.
@@ -164,13 +136,8 @@ type joinState struct {
 	bound map[string]bool
 }
 
-func newJoinState(sum *stats.Summary, preBound map[string]bool) *joinState {
-	js := &joinState{sum: sum, card: 1, dv: make(map[string]float64), bound: make(map[string]bool)}
-	for v := range preBound {
-		js.bound[v] = true
-		js.dv[v] = 1
-	}
-	return js
+func newJoinState(sum *stats.Summary) *joinState {
+	return &joinState{sum: sum, card: 1, dv: make(map[string]float64), bound: make(map[string]bool)}
 }
 
 // patternConstEstimate prices p with only its constants bound.
@@ -301,18 +268,25 @@ func (js *joinState) filterHint(p *idPattern) stepHint {
 	return hintMerge
 }
 
+// noStats is the summary the package-level entry points plan over:
+// empty, so planOrderJoin orders by connectivity and bound positions.
+var noStats = &stats.Summary{}
+
 // planOrderJoin orders the patterns of one branch by estimated join
 // size: at every step it picks, among the patterns connected to the
 // already-bound variables (to avoid Cartesian products), the one whose
-// join with the current intermediate result is estimated smallest. It
-// returns the order and the per-step access-path hints — the two things
-// the plan cache memoizes per shape.
-func planOrderJoin(sum *stats.Summary, pats []idPattern, preBound map[string]bool) ([]int, []stepHint) {
+// join with the current intermediate result is estimated smallest; equal
+// estimates go to the pattern with more positions bound (constants and
+// bound variables), then to the earlier one in the text. Over an empty
+// summary every estimate is zero, so the order is connected and
+// most-bound-first. It returns the order and the per-step access-path
+// hints — the two things the plan cache memoizes per shape.
+func planOrderJoin(sum *stats.Summary, pats []idPattern) ([]int, []stepHint) {
 	n := len(pats)
 	chosen := make([]int, 0, n)
 	hints := make([]stepHint, 0, n)
 	used := make([]bool, n)
-	js := newJoinState(sum, preBound)
+	js := newJoinState(sum)
 
 	sharesBoundVar := func(p *idPattern) bool {
 		for _, v := range p.pat.Vars() {
@@ -322,28 +296,40 @@ func planOrderJoin(sum *stats.Summary, pats []idPattern, preBound map[string]boo
 		}
 		return false
 	}
+	boundPositions := func(p *idPattern) int {
+		nb := 0
+		for j := 0; j < 3; j++ {
+			if t := p.term(j); t.Kind == Const || js.bound[t.Name] {
+				nb++
+			}
+		}
+		return nb
+	}
 
 	for len(chosen) < n {
 		best := -1
 		bestConnected := false
-		bestCost := 0.0
+		bestCost, bestBound := 0.0, 0
 		for i := range pats {
 			if used[i] {
 				continue
 			}
 			connected := len(js.bound) == 0 || sharesBoundVar(&pats[i])
 			c := js.cost(&pats[i])
+			nb := boundPositions(&pats[i])
 			better := false
 			switch {
 			case best == -1:
 				better = true
 			case connected != bestConnected:
 				better = connected
-			default:
+			case c != bestCost:
 				better = c < bestCost
+			default:
+				better = nb > bestBound
 			}
 			if better {
-				best, bestConnected, bestCost = i, connected, c
+				best, bestConnected, bestCost, bestBound = i, connected, c, nb
 			}
 		}
 		used[best] = true

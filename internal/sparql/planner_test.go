@@ -1,13 +1,17 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
 	"hexastore/internal/graph"
+	"hexastore/internal/lubm"
+	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
 	"hexastore/internal/stats"
 )
@@ -32,6 +36,15 @@ func skewedStore(t testing.TB) graph.Graph {
 	return graph.Memory(st)
 }
 
+// plannerExec parses src and evaluates it through pl.
+func plannerExec(pl *Planner, src string) (*Result, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return pl.EvalOpts(context.Background(), q, EvalOptions{})
+}
+
 func TestPlannerResultsMatchDefaultEval(t *testing.T) {
 	st := skewedStore(t)
 	pl := NewPlanner(st)
@@ -47,9 +60,9 @@ func TestPlannerResultsMatchDefaultEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Exec(%q): %v", src, err)
 		}
-		got, err := pl.Exec(src)
+		got, err := plannerExec(pl, src)
 		if err != nil {
-			t.Fatalf("Planner.Exec(%q): %v", src, err)
+			t.Fatalf("Planner.EvalOpts(%q): %v", src, err)
 		}
 		want.SortRows()
 		got.SortRows()
@@ -84,7 +97,7 @@ func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 	pats[0].ids[1] = commonID
 	pats[1].ids[1] = rareID
 
-	order, _ := planOrderJoin(sum, pats, nil)
+	order, _ := planOrderJoin(sum, pats)
 	if order[0] != 1 {
 		t.Fatalf("planner ordered common predicate first: order = %v", order)
 	}
@@ -113,7 +126,7 @@ func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 	pats[1].ids[1] = rareID
 	pats[2].ids[1] = commonID
 
-	order, _ := planOrderJoin(sum, pats, nil)
+	order, _ := planOrderJoin(sum, pats)
 	if order[0] == 1 {
 		// Both rare patterns are equivalent starts; fine either way.
 		t.Skip("planner started with the disconnected twin; acceptable")
@@ -146,7 +159,7 @@ func TestPlannerRefresh(t *testing.T) {
 func TestPlannerWithModifiersAndOptionals(t *testing.T) {
 	st := skewedStore(t)
 	pl := NewPlanner(st)
-	res, err := pl.Exec(`
+	res, err := plannerExec(pl, `
 		SELECT ?s ?x WHERE {
 			?s <common> ?o .
 			OPTIONAL { ?s <rare> ?x }
@@ -156,5 +169,88 @@ func TestPlannerWithModifiersAndOptionals(t *testing.T) {
 	}
 	if len(res.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(res.Rows))
+	}
+}
+
+// restrictedChain is the university-restricted advisor ⋈ teacherOf
+// shape: two patterns select one university's students, two more join
+// their advisors' courses. Its one pattern with two constants is the
+// selective start, and it is written second.
+const restrictedChain = `SELECT ?student ?course WHERE {
+	?student <lubm:memberOf> ?dept .
+	?dept <lubm:subOrganizationOf> <lubm:University0> .
+	?student <lubm:advisor> ?prof .
+	?prof <lubm:teacherOf> ?course }`
+
+// planOrderOf runs EXPLAIN on q through eval and returns the plan span's
+// pattern order and the trace.
+func planOrderOf(t *testing.T, eval func(*Query, EvalOptions) (*Result, error)) ([]string, *obs.Trace) {
+	t.Helper()
+	q, err := Parse(restrictedChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Explain = ExplainPlan
+	tr := obs.NewTrace("query")
+	if _, err := eval(q, EvalOptions{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	plans := findSpans(tr, "plan")
+	if len(plans) != 1 {
+		t.Fatalf("plan spans = %d, want 1", len(plans))
+	}
+	order, ok := plans[0].Attr("order")
+	if !ok {
+		t.Fatal("plan span missing order attr")
+	}
+	return strings.Split(fmt.Sprint(order), " ; "), tr
+}
+
+// TestNoStatsStartsMostBound checks the statistics-free plan: without a
+// summary, and with an empty one, every estimate ties, so the order is
+// connected and most-bound-first — it starts from the two-constant
+// pattern, not from the first pattern in the text.
+func TestNoStatsStartsMostBound(t *testing.T) {
+	b := core.NewBuilder(nil)
+	lubm.Config{Universities: 2, Seed: 1, DeptsPerUniv: 3, UndergradPerDept: 10, GradPerDept: 5}.Generate(func(tr rdf.Triple) bool {
+		b.AddTriple(tr)
+		return true
+	})
+	g := graph.Memory(b.Build())
+	want := []string{"subOrganizationOf", "memberOf", "advisor", "teacherOf"}
+	check := func(name string, order []string) {
+		t.Helper()
+		if len(order) != len(want) {
+			t.Fatalf("%s: order %q, want %d steps", name, order, len(want))
+		}
+		for i, p := range want {
+			if !strings.Contains(order[i], "<lubm:"+p+">") {
+				t.Errorf("%s: step %d is %q, want the %s pattern (order %q)", name, i+1, order[i], p, order)
+			}
+		}
+	}
+
+	order, tr := planOrderOf(t, func(q *Query, opt EvalOptions) (*Result, error) {
+		return EvalOpts(context.Background(), g, q, opt)
+	})
+	check("EvalOpts", order)
+	if v, _ := findSpans(tr, "plan")[0].Attr("stats"); v != "none" {
+		t.Errorf("EvalOpts plan stats = %v, want none", v)
+	}
+	for _, sp := range findSpans(tr, "step[") {
+		if est := attrInt(t, sp, "estRows"); est != -1 {
+			t.Errorf("EvalOpts %s: estRows = %d, want -1 without statistics", sp.Name(), est)
+		}
+	}
+
+	pl := NewPlanner(g)
+	pl.sum.Store(&stats.Summary{})
+	order, tr = planOrderOf(t, func(q *Query, opt EvalOptions) (*Result, error) {
+		return pl.EvalOpts(context.Background(), q, opt)
+	})
+	check("empty-summary Planner", order)
+	if v, _ := findSpans(tr, "plan")[0].Attr("stats"); v != "summary" {
+		t.Errorf("Planner plan stats = %v, want summary", v)
 	}
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,12 @@ import (
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 )
+
+// evalWorkers evaluates q over g without statistics under an explicit
+// intra-query worker budget.
+func evalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
+	return EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers})
+}
 
 // buildMemory bulk-builds ts into a sealed memory graph.
 func buildMemory(ts []rdf.Triple) graph.Graph {
