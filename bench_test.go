@@ -673,8 +673,9 @@ func BenchmarkSPARQLJoinCompression(b *testing.B) {
 // BenchmarkSPARQLJoinBackends times the evaluator suite of
 // bench.SPARQLQueries — the same workload `hexbench -json` snapshots —
 // across the three Graph backends: the in-memory Hexastore and the disk
-// store take the merge-join engine (both implement graph.SortedSource),
-// the flat baseline takes the batched bind-probe fallback.
+// store feed the merge-join engine their own sorted lists (both implement
+// graph.SortedSource), the flat baseline lists graph.SortedOf sorts from
+// its Match output.
 func BenchmarkSPARQLJoinBackends(b *testing.B) {
 	s, _ := lubmFixture(b)
 

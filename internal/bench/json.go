@@ -84,7 +84,8 @@ var SPARQLQueries = []SPARQLQuery{
 // RunSPARQL times the SPARQL evaluator itself — not the hand-written
 // query plans of the paper figures — on LUBM data, once per backend:
 // the in-memory Hexastore (merge-join engine over shared terminal
-// lists) and the flat baseline table (the batched bind-probe fallback).
+// lists) and the flat baseline table (the same engine over lists
+// graph.SortedOf sorts from its Match output).
 // These series are what this repository's own engine work is judged by.
 func RunSPARQL(cfg Config, progress func(string)) ([]*Figure, error) {
 	cfg = cfg.withDefaults()

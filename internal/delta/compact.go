@@ -123,19 +123,7 @@ func patchMain(snap *state) *core.Store {
 // swapPatchedLocked publishes a patched memory main, replaying the ops
 // that landed while the patch ran offline. Caller holds writeMu.
 func (o *Overlay) swapPatchedLocked(newMain *core.Store) error {
-	mainGraph := graph.Memory(newMain)
-	base := &state{
-		main:     mainGraph,
-		mainCore: newMain,
-		dict:     o.dict,
-		visible:  newMain.Len(),
-	}
-	if ss, ok := graph.AsSortedSource(mainGraph); ok {
-		base.sorted = ss
-	}
-	if vs, ok := graph.AsViewSource(mainGraph); ok {
-		base.viewSrc = vs
-	}
+	base := baseState(graph.Memory(newMain))
 	ns := base
 	if len(o.pending) > 0 {
 		// The pending ops are already WAL-durable; re-derive their delta
@@ -209,16 +197,10 @@ func (o *Overlay) compactDiskLocked() error {
 		o.diskMergeErr = fmt.Errorf("delta: disk merge flush: %w", err)
 		return o.diskMergeErr
 	}
-	ns := &state{
-		main:     st.main,
-		mainCore: st.mainCore,
-		sorted:   st.sorted,
-		viewSrc:  st.viewSrc,
-		dict:     st.dict,
-		undo:     undo,
-		visible:  st.visible,
-		epoch:    st.epoch, // content-identical merge: keep cached results valid
-	}
+	// Same content and epoch, so cached results stay valid; empty delta.
+	ns := new(state)
+	*ns = *st
+	ns.adds, ns.dels, ns.undo = [6]run{}, [6]run{}, undo
 	o.publish(ns)
 	return nil
 }

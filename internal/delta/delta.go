@@ -97,8 +97,8 @@ type idOp struct {
 // with an atomic load and are wait-free with respect to writers.
 // Writes serialize on an internal mutex, append to the WAL, and publish
 // a new immutable state. Overlay implements graph.Graph,
-// graph.SortedSource, graph.Snapshotter, graph.BatchUpdater,
-// graph.Flusher and io.Closer.
+// graph.SortedSource, graph.ViewSource, graph.Snapshotter,
+// graph.Epocher, graph.BatchUpdater, graph.Flusher and io.Closer.
 type Overlay struct {
 	dict *dictionary.Dictionary
 	opts Options
@@ -154,20 +154,11 @@ func New(main graph.Graph, opts Options) (*Overlay, error) {
 func Open(main graph.Graph, opts Options) (*Overlay, error) {
 	o := &Overlay{dict: main.Dictionary(), opts: opts}
 	o.compactDone = sync.NewCond(&o.writeMu)
-	base := &state{main: main, dict: o.dict, visible: main.Len()}
-	if st, ok := graph.Unwrap(main).(*core.Store); ok {
-		base.mainCore = st
-	}
+	base := baseState(main)
 	if ds, ok := graph.Unwrap(main).(*disk.Store); ok {
 		o.diskMain = ds
 		o.undoTail = &treeUndo{}
 		base.undo = o.undoTail
-	}
-	if ss, ok := graph.AsSortedSource(main); ok {
-		base.sorted = ss
-	}
-	if vs, ok := graph.AsViewSource(main); ok {
-		base.viewSrc = vs
 	}
 	o.publish(base)
 
@@ -461,16 +452,10 @@ func applyOps(base *state, ops []idOp) (*state, []idOp, int, int, error) {
 			}
 		}
 	}
-	ns := &state{
-		main:     base.main,
-		mainCore: base.mainCore,
-		sorted:   base.sorted,
-		viewSrc:  base.viewSrc,
-		dict:     base.dict,
-		undo:     base.undo,
-		visible:  base.visible + inserted - deleted,
-		epoch:    base.epoch + 1, // content changed: invalidate cached results
-	}
+	ns := new(state)
+	*ns = *base
+	ns.visible = base.visible + inserted - deleted
+	ns.epoch = base.epoch + 1 // content changed: invalidate cached results
 	for _, ix := range core.AllIndexes {
 		ns.adds[ix] = base.adds[ix].apply(permuteSorted(ix, addIns), permuteSorted(ix, addDel))
 		ns.dels[ix] = base.dels[ix].apply(permuteSorted(ix, delIns), permuteSorted(ix, delDel))

@@ -211,13 +211,15 @@ func permuteSorted(ix core.Index, ts [][3]ID) [][3]ID {
 // for as long as they hold it; every method here is pure with respect to
 // the state itself.
 //
-// state implements graph.Graph and graph.SortedSource; mutations return
-// graph.ErrReadOnly, which is what makes it safe to hand out as the
-// graph.Snapshotter view.
+// state implements graph.Graph, graph.SortedSource and graph.ViewSource;
+// mutations return graph.ErrReadOnly, which is what makes it safe to
+// hand out as the graph.Snapshotter view. Its main's sorted lists come
+// from graph.SortedOf, so a main without sorted storage of its own (the
+// flat baseline) is merged with the delta exactly as an indexed one is.
 type state struct {
 	main     graph.Graph
 	mainCore *core.Store        // non-nil when main is the in-memory Hexastore
-	sorted   graph.SortedSource // nil when main cannot serve sorted streams
+	sorted   graph.SortedSource // graph.SortedOf(main)
 	viewSrc  graph.ViewSource   // nil when main cannot serve zero-copy views
 	dict     *dictionary.Dictionary
 
@@ -246,6 +248,15 @@ type state struct {
 	// view is what the state's readers pin when it has nothing pending
 	// over a memory main (nil otherwise); see Overlay.publish.
 	view *mainView
+}
+
+// baseState returns the state with an empty delta over main: the one an
+// overlay opens with and the one a memory-main compaction publishes.
+func baseState(main graph.Graph) *state {
+	st := &state{main: main, dict: main.Dictionary(), visible: main.Len(), sorted: graph.SortedOf(main)}
+	st.mainCore, _ = graph.Unwrap(main).(*core.Store)
+	st.viewSrc, _ = graph.AsViewSource(main)
+	return st
 }
 
 // mainView is a state with an empty delta over a memory main, served as
@@ -444,52 +455,30 @@ func (st *state) Count(s, p, o ID) (int, error) {
 }
 
 // mainSortedList returns the main store's sorted candidate list for a
-// 2-bound pattern, appending to dst: directly from the main's
-// SortedSource when it has one, otherwise collected through Match and
-// sorted (the baseline-main fallback). Disk-backed states check the
-// undo chain after the (single-lock-acquisition) scan and redo through
-// the compensated image when a merge touched the trees — the hot path
-// stays one streamed scan plus one atomic load.
+// 2-bound pattern, appending to dst. Disk-backed states check the undo
+// chain after the (single-lock-acquisition) scan and redo through the
+// compensated image when a merge touched the trees — the hot path stays
+// one streamed scan plus one atomic load.
 func (st *state) mainSortedList(dst []ID, s, p, o ID) ([]ID, error) {
-	if st.sorted != nil {
-		start := len(dst)
-		out, err := st.sorted.AppendSortedList(dst, s, p, o)
-		if err != nil {
-			return nil, err
-		}
-		if st.undo != nil {
-			if chain := st.undoChain(); len(chain) > 0 {
-				ix, pre, k := shapeIndex(s, p, o)
-				rows, rerr := st.compensatedRows(ix, pre, k, s, p, o)
-				if rerr != nil {
-					return nil, rerr
-				}
-				out = out[:start]
-				for _, row := range rows {
-					out = append(out, row[2])
-				}
-			}
-		}
-		return out, nil
-	}
 	start := len(dst)
-	err := st.main.Match(s, p, o, func(ms, mp, mo ID) bool {
-		switch {
-		case o == None:
-			dst = append(dst, mo)
-		case p == None:
-			dst = append(dst, mp)
-		default:
-			dst = append(dst, ms)
-		}
-		return true
-	})
+	out, err := st.sorted.AppendSortedList(dst, s, p, o)
 	if err != nil {
 		return nil, err
 	}
-	vals := dst[start:]
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return dst, nil
+	if st.undo != nil {
+		if chain := st.undoChain(); len(chain) > 0 {
+			ix, pre, k := shapeIndex(s, p, o)
+			rows, rerr := st.compensatedRows(ix, pre, k, s, p, o)
+			if rerr != nil {
+				return nil, rerr
+			}
+			out = out[:start]
+			for _, row := range rows {
+				out = append(out, row[2])
+			}
+		}
+	}
+	return out, nil
 }
 
 // SortedListView implements graph.ViewSource over the merged
@@ -587,10 +576,9 @@ func (st *state) AppendSortedList(dst []ID, s, p, o ID) ([]ID, error) {
 }
 
 // mainPairs streams the main store's sorted pairs for a 1-bound
-// pattern: directly when the main has a SortedSource, else collected
-// and sorted. Disk-backed states materialize through the compensated
-// image (a pair already emitted to fn cannot be retracted if the scan
-// raced an in-place merge).
+// pattern. Disk-backed states materialize through the compensated image
+// (a pair already emitted to fn cannot be retracted if the scan raced an
+// in-place merge).
 func (st *state) mainPairs(s, p, o ID, fn func(a, b ID) bool) error {
 	if st.undo != nil {
 		ix, pre, k := shapeIndex(s, p, o)
@@ -605,36 +593,7 @@ func (st *state) mainPairs(s, p, o ID, fn func(a, b ID) bool) error {
 		}
 		return nil
 	}
-	if st.sorted != nil {
-		return st.sorted.SortedPairs(s, p, o, fn)
-	}
-	var pairs [][2]ID
-	err := st.main.Match(s, p, o, func(ms, mp, mo ID) bool {
-		switch {
-		case s != None:
-			pairs = append(pairs, [2]ID{mp, mo})
-		case p != None:
-			pairs = append(pairs, [2]ID{ms, mo})
-		default:
-			pairs = append(pairs, [2]ID{ms, mp})
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	for _, pr := range pairs {
-		if !fn(pr[0], pr[1]) {
-			return nil
-		}
-	}
-	return nil
+	return st.sorted.SortedPairs(s, p, o, fn)
 }
 
 // SortedPairs merges the main store's sorted pair stream with the delta

@@ -138,8 +138,9 @@ func TestDifferentialSelectAsk(t *testing.T) {
 // TestDifferentialRepeatedVars exercises patterns where one variable
 // occurs in several positions of a pattern — as a seed pattern, as a
 // join step against an already-bound column, and inside OPTIONAL — and
-// requires identical solutions from the merge-join engine (memory,
-// disk) and the bind-probe fallback (baseline).
+// requires identical solutions from the merge-join engine over every
+// backend: the index-backed stores' own sorted lists (memory, disk) and
+// the lists graph.SortedOf sorts from the baseline's Match output.
 func TestDifferentialRepeatedVars(t *testing.T) {
 	queries := []string{
 		`PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x ex:knows ?x }`,
@@ -172,9 +173,9 @@ func TestDifferentialRepeatedVars(t *testing.T) {
 
 // TestDifferentialDistinctLimit checks DISTINCT+LIMIT on every backend:
 // emission must stop after the requested number of distinct solutions
-// (the batch engine still materializes the join table first — see the
-// trade-off note in internal/sparql/batch.go), and each returned row
-// must belong to the full distinct solution set. (Without ORDER BY the
+// (the join hands its rows to emission in bounded pieces and stops at
+// the first piece after the limit is met — see internal/sparql/batch.go),
+// and each returned row must belong to the full distinct solution set. (Without ORDER BY the
 // particular rows chosen are backend-dependent, so the test checks
 // count and membership, not exact equality.)
 func TestDifferentialDistinctLimit(t *testing.T) {

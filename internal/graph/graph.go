@@ -16,7 +16,9 @@
 // five primitive triple operations. Everything else (SPARQL evaluation,
 // path expressions, serialization, HTTP serving) is built on top of it,
 // which is what makes new backends cheap: implement these seven methods
-// and the whole upper half of the system works unchanged.
+// and the whole upper half of the system works unchanged. The evaluator
+// and the delta overlay read sorted lists through SortedOf, which serves
+// a graph without its own sorted access by sorting its Match output.
 package graph
 
 import (

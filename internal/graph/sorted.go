@@ -1,16 +1,20 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
+
 	"hexastore/internal/core"
 	"hexastore/internal/idlist"
 )
 
-// SortedSource is an optional Graph capability: direct access to the
-// sorted ID lists behind a pattern match, which is what turns the
-// SPARQL evaluator's joins into the paper's linear merge-joins (§4.2).
-// Backends that cannot answer from sorted storage (e.g. the flat
-// triples-table baseline) simply do not implement it, and the evaluator
-// falls back to a batched bind-probe over Match.
+// SortedSource is sorted access to a Graph: the sorted ID lists behind
+// a pattern match, which is what turns the SPARQL evaluator's joins into
+// the paper's linear merge-joins (§4.2). Every Graph has it through
+// SortedOf: an index-backed backend serves it from its sorted storage,
+// and any other graph (the flat triples-table baseline, a test fake with
+// only the seven Graph methods) through an adapter that collects Match
+// output and sorts it.
 //
 // Both built-in index-backed stores provide it: the in-memory Hexastore
 // decodes its packed terminal lists, and the disk store materializes
@@ -25,8 +29,9 @@ import (
 // memory store needs no lock for it; the disk store runs one independent
 // prefix scan per call over its internally locked buffer pool).
 //
-// Use AsSortedSource to obtain it; the concrete Graph value may be a
-// wrapper around the capable store.
+// Use SortedOf to obtain it, or AsSortedSource to ask whether the
+// backend itself has it; the concrete Graph value may be a wrapper
+// around the capable store.
 type SortedSource interface {
 	// AppendSortedList appends the sorted candidate values of the
 	// single None position of a 2-bound pattern to dst and returns the
@@ -41,9 +46,10 @@ type SortedSource interface {
 	SortedPairs(s, p, o ID, fn func(a, b ID) bool) error
 }
 
-// AsSortedSource returns the SortedSource behind g, if any: g itself
-// when it implements the capability (the disk store), or an adapter
-// when g wraps the in-memory Hexastore.
+// AsSortedSource returns the backend's own SortedSource behind g, if
+// any: g itself when it implements the capability (the disk store, the
+// delta overlay), or an adapter when g wraps the in-memory Hexastore.
+// Readers that only need sorted lists use SortedOf.
 func AsSortedSource(g Graph) (SortedSource, bool) {
 	if ss, ok := g.(SortedSource); ok {
 		return ss, true
@@ -52,6 +58,62 @@ func AsSortedSource(g Graph) (SortedSource, bool) {
 		return coreSorted{st}, true
 	}
 	return nil, false
+}
+
+// SortedOf returns sorted access to g: the backend's own SortedSource
+// when it has one (AsSortedSource), and otherwise an adapter that
+// collects each pattern's Match output and sorts it. It is the one place
+// a graph that implements only the seven Graph methods gets sorted
+// lists, so every reader above it has one access path.
+func SortedOf(g Graph) SortedSource {
+	if ss, ok := AsSortedSource(g); ok {
+		return ss
+	}
+	return matchSorted{g}
+}
+
+// matchSorted is the SortedSource of a graph without one: every call
+// collects the pattern's matches and sorts them, so it costs a sort per
+// call where an index-backed store reads a list it keeps sorted. Its
+// output is a function of Match alone, which keeps the flat baseline a
+// trivially correct oracle for the merge-join engine.
+type matchSorted struct{ g Graph }
+
+func (m matchSorted) AppendSortedList(dst []ID, s, p, o ID) ([]ID, error) {
+	free := slices.Index([]ID{s, p, o}, None)
+	start := len(dst)
+	err := m.g.Match(s, p, o, func(ms, mp, mo ID) bool {
+		dst = append(dst, [3]ID{ms, mp, mo}[free])
+		return true
+	})
+	slices.Sort(dst[start:])
+	return dst, err
+}
+
+func (m matchSorted) SortedPairs(s, p, o ID, fn func(a, b ID) bool) error {
+	free := make([]int, 0, 2)
+	for j, v := range [3]ID{s, p, o} {
+		if v == None {
+			free = append(free, j)
+		}
+	}
+	var pairs [][2]ID
+	if err := m.g.Match(s, p, o, func(ms, mp, mo ID) bool {
+		t := [3]ID{ms, mp, mo}
+		pairs = append(pairs, [2]ID{t[free[0]], t[free[1]]})
+		return true
+	}); err != nil {
+		return err
+	}
+	slices.SortFunc(pairs, func(x, y [2]ID) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	for _, pr := range pairs {
+		if !fn(pr[0], pr[1]) {
+			break
+		}
+	}
+	return nil
 }
 
 // coreSorted adapts the in-memory Hexastore's sorted accessors to the
@@ -85,7 +147,7 @@ func (cs coreSorted) KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor {
 // record up per row, and a GROUP BY or DISTINCT on one variable walk a
 // vector a group at a time. Only the sealed memory store offers it (an
 // overlay with nothing pending serves its snapshots from that store),
-// through the SortedSource AsSortedSource returns for it; find it by type
+// through the SortedSource AsSortedSource (and so SortedOf) returns for it; find it by type
 // assertion on that value.
 type KeySource interface {
 	KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor

@@ -1,14 +1,49 @@
 package graph_test
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
 	"hexastore/internal/graph"
 )
 
+// sevenMethods exposes only the seven Graph methods of the graph it
+// wraps, hiding every capability: what a new backend starts as.
+type sevenMethods struct{ graph.Graph }
+
+// reversedMatch streams its graph's matches in reverse, so a sorted
+// list the adapter returns cannot owe its order to the Match order.
+type reversedMatch struct{ graph.Graph }
+
+func (r reversedMatch) Match(s, p, o graph.ID, fn func(s, p, o graph.ID) bool) error {
+	var ts [][3]graph.ID
+	if err := r.Graph.Match(s, p, o, func(s, p, o graph.ID) bool {
+		ts = append(ts, [3]graph.ID{s, p, o})
+		return true
+	}); err != nil {
+		return err
+	}
+	for i := len(ts) - 1; i >= 0; i-- {
+		if !fn(ts[i][0], ts[i][1], ts[i][2]) {
+			break
+		}
+	}
+	return nil
+}
+
+// failingMatch is a graph whose Match always fails.
+type failingMatch struct{ graph.Graph }
+
+var errMatch = errors.New("match failed")
+
+func (failingMatch) Match(s, p, o graph.ID, fn func(s, p, o graph.ID) bool) error {
+	return errMatch
+}
+
 // TestSortedSourceContract checks, for every backend that advertises
-// the capability, that AppendSortedList/SortedPairs return exactly the
+// the capability and for the adapter graph.SortedOf gives the graphs
+// that do not, that AppendSortedList/SortedPairs return exactly the
 // Match results in sorted order — the invariant the merge-join engine
 // is built on.
 func TestSortedSourceContract(t *testing.T) {
@@ -16,12 +51,22 @@ func TestSortedSourceContract(t *testing.T) {
 	if _, ok := graph.AsSortedSource(gs["baseline"]); ok {
 		t.Fatal("baseline must not advertise SortedSource")
 	}
-	for _, name := range []string{"memory", "disk"} {
-		g := gs[name]
-		ss, ok := graph.AsSortedSource(g)
-		if !ok {
-			t.Fatalf("%s: expected SortedSource", name)
+	for _, in := range []struct {
+		name string
+		g    graph.Graph
+		own  bool // the backend's own SortedSource, not the adapter
+	}{
+		{"memory", gs["memory"], true},
+		{"disk", gs["disk"], true},
+		{"SortedOf(baseline)", gs["baseline"], false},
+		{"SortedOf(bare memory)", sevenMethods{gs["memory"]}, false},
+		{"SortedOf(reversed baseline)", reversedMatch{gs["baseline"]}, false},
+	} {
+		name, g := in.name, in.g
+		if _, ok := graph.AsSortedSource(g); ok != in.own {
+			t.Fatalf("%s: AsSortedSource ok = %v, want %v", name, ok, in.own)
 		}
+		ss := graph.SortedOf(g)
 		dict := g.Dictionary()
 		knows, _ := dict.Lookup(ex("knows"))
 		alice, _ := dict.Lookup(ex("alice"))
@@ -109,5 +154,14 @@ func TestSortedSourceContract(t *testing.T) {
 		if seen != 1 {
 			t.Fatalf("%s: SortedPairs kept iterating after stop: %d calls", name, seen)
 		}
+	}
+
+	// The adapter surfaces a Match error from both methods.
+	failing := graph.SortedOf(failingMatch{gs["baseline"]})
+	if _, err := failing.AppendSortedList(nil, 1, 2, graph.None); !errors.Is(err, errMatch) {
+		t.Fatalf("AppendSortedList over a failing Match: err = %v, want %v", err, errMatch)
+	}
+	if err := failing.SortedPairs(1, graph.None, graph.None, func(a, b graph.ID) bool { return true }); !errors.Is(err, errMatch) {
+		t.Fatalf("SortedPairs over a failing Match: err = %v, want %v", err, errMatch)
 	}
 }

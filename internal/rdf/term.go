@@ -121,14 +121,18 @@ func KindOfKey(key string) (kind TermKind, ok bool) {
 	return 0, false
 }
 
+// escapeLiteral escapes the bytes a quoted literal cannot hold raw. It
+// works byte by byte: every escaped character is ASCII, which no byte of
+// a multi-byte UTF-8 sequence is, and every other byte — an invalid
+// UTF-8 byte too — is written back as it was read.
 func escapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s
 	}
 	var b strings.Builder
 	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -140,7 +144,7 @@ func escapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

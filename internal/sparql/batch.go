@@ -46,11 +46,12 @@ package sparql
 // table, which costs what the lookup did. Other backends look each list
 // up (graph.ViewSource, graph.SortedSource).
 //
-// Backends without sorted-list access (the flat baseline table) collect
-// candidates through Match into reusable scratch buffers; the table
-// machinery is identical, only the fetch differs. Every form is decided
-// from the query's structure when the branch is planned, so the join
-// order, the plan cache and the rows are the same with or without them.
+// Every candidate list comes from graph.SortedOf, so a backend without
+// sorted storage of its own (the flat baseline table) runs the same
+// steps over lists its adapter sorts from Match output. Every form is
+// decided from the query's structure when the branch is planned, so the
+// join order, the plan cache and the rows are the same with or without
+// key cursors and views.
 //
 // The join is bounded by construction: every step hands its output to
 // the next in pieces of at most chunkRows rows, depth first. A branch
@@ -251,7 +252,7 @@ type branchRun struct {
 type batchExec struct {
 	ev     *evaluator
 	src    graph.Graph
-	sorted graph.SortedSource // nil → Match-collect fallback
+	sorted graph.SortedSource // graph.SortedOf(src)
 	views  graph.ViewSource   // nil → no zero-copy candidate views
 	keys   graph.KeySource    // nil → no key cursors: per-row lists are looked up
 
@@ -434,7 +435,7 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 		seeds := len(vars) == 0 && len(st.newNames) > 0
 		for i, name := range st.newNames {
 			vars = append(vars, name)
-			sorted = append(sorted, seeds && i == 0 && bx.sorted != nil && st.nFree <= 2)
+			sorted = append(sorted, seeds && i == 0 && st.nFree <= 2)
 		}
 		st.vars, st.sorted = vars, sorted
 		if seeds {
@@ -769,7 +770,7 @@ func (bx *batchExec) fetchOnce(sp *stepPlan, limit int) error {
 		s, p, o := sp.ids[0], sp.ids[1], sp.ids[2]
 		switch sp.nFree {
 		case 1:
-			sp.lists[0], err = bx.fetchOne(&sp.stepSpec, s, p, o, bx.getCol())
+			sp.lists[0], err = bx.sorted.AppendSortedList(bx.getCol(), s, p, o)
 		case 2:
 			sp.lists[0], sp.lists[1], err = bx.fetchPair(&sp.stepSpec, s, p, o, limit, bx.getCol(), bx.getCol())
 		default:
@@ -891,7 +892,7 @@ func (bx *batchExec) semiFilter(br *branchRun, k int, tbl *batchTable, limit int
 					found = lv.walk.cursor(bx.keys, &sp.stepSpec).Seek(v)
 				} else {
 					s, p, o := subst(&sp.stepSpec, tbl, 0, r), subst(&sp.stepSpec, tbl, 1, r), subst(&sp.stepSpec, tbl, 2, r)
-					list, err := bx.listView(lv, &sp.stepSpec, s, p, o)
+					list, err := bx.listView(lv, s, p, o)
 					if err != nil {
 						return err
 					}
@@ -909,11 +910,10 @@ func (bx *batchExec) semiFilter(br *branchRun, k int, tbl *batchTable, limit int
 }
 
 // listView returns the sorted values of the one free position of the
-// 2-bound pattern ⟨s,p,o⟩ of sp: a zero-copy view from a ViewSource
-// backend, else a view of the level's list buffer — appended by a
-// SortedSource, or collected through Match and sorted. The buffer is
-// accounted as it grows.
-func (bx *batchExec) listView(lv *level, sp *stepSpec, s, p, o core.ID) (idlist.View, error) {
+// 2-bound pattern ⟨s,p,o⟩: a zero-copy view from a ViewSource backend,
+// else a view of the level's list buffer, appended by the SortedSource.
+// The buffer is accounted as it grows.
+func (bx *batchExec) listView(lv *level, s, p, o core.ID) (idlist.View, error) {
 	if bx.views != nil {
 		if v, ok, err := bx.views.SortedListView(s, p, o); ok || err != nil {
 			return v, err
@@ -923,15 +923,7 @@ func (bx *batchExec) listView(lv *level, sp *stepSpec, s, p, o core.ID) (idlist.
 		lv.lst = bx.getCol()
 	}
 	var err error
-	if bx.sorted != nil {
-		lv.lst, err = bx.sorted.AppendSortedList(lv.lst[:0], s, p, o)
-	} else {
-		lv.lst, err = bx.matchInto(lv.lst[:0], slices.Index(sp.kind[:], posFree), s, p, o)
-		if err == nil {
-			err = bx.ctxErr
-		}
-		slices.Sort(lv.lst)
-	}
+	lv.lst, err = bx.sorted.AppendSortedList(lv.lst[:0], s, p, o)
 	if err == nil {
 		err = bx.account(lv)
 	}
@@ -979,9 +971,8 @@ func (bx *batchExec) probeFilter(sp *stepPlan, tbl *batchTable, limit int) error
 // candidateView returns the sorted candidate values of the single free
 // position of the 2-bound fetch pattern in sp as a read-only view:
 // zero-copy from a ViewSource backend (compressed memory store, delta
-// overlay over one), else a view over a list the step keeps — appended
-// by a SortedSource, or collected through Match and sorted for backends
-// without sorted-list access.
+// overlay over one), else a view over a list the step keeps, appended by
+// the SortedSource.
 func (bx *batchExec) candidateView(sp *stepPlan) (idlist.View, error) {
 	if bx.views != nil {
 		v, ok, err := bx.views.SortedListView(sp.ids[0], sp.ids[1], sp.ids[2])
@@ -992,33 +983,9 @@ func (bx *batchExec) candidateView(sp *stepPlan) (idlist.View, error) {
 			return v, nil
 		}
 	}
-	var ids []core.ID
-	var err error
-	if bx.sorted != nil {
-		ids, err = bx.sorted.AppendSortedList(bx.getCol(), sp.ids[0], sp.ids[1], sp.ids[2])
-	} else {
-		// The fetch pattern leaves None exactly at the join-column
-		// position; that is the position whose values are collected.
-		free := slices.IndexFunc(sp.colAt[:], func(c int) bool { return c >= 0 })
-		ids, err = bx.matchInto(bx.getCol(), free, sp.ids[0], sp.ids[1], sp.ids[2])
-		if err == nil {
-			err = bx.ctxErr
-		}
-		slices.Sort(ids)
-	}
+	ids, err := bx.sorted.AppendSortedList(bx.getCol(), sp.ids[0], sp.ids[1], sp.ids[2])
 	sp.lists[0] = ids
 	return idlist.ViewOf(ids), err
-}
-
-func pick(j int, s, p, o core.ID) core.ID {
-	switch j {
-	case 0:
-		return s
-	case 1:
-		return p
-	default:
-		return o
-	}
 }
 
 // appendRun appends k copies of v to dst.
@@ -1184,7 +1151,7 @@ func (bx *batchExec) candidates(lv *level, sp *stepPlan, in *batchTable, r, limi
 		case bx.walks(&sp.stepSpec):
 			lv.a = lv.walk.seek(bx.keys, &sp.stepSpec, in.cols[sp.col()][r]).AppendTo(lv.a[:0])
 		case sp.nFree == 1:
-			lv.a, err = bx.fetchOne(&sp.stepSpec, key[0], key[1], key[2], lv.a[:0])
+			lv.a, err = bx.sorted.AppendSortedList(lv.a[:0], key[0], key[1], key[2])
 		default:
 			if lv.b == nil {
 				lv.b = bx.getCol()
@@ -1212,17 +1179,16 @@ func (bx *batchExec) candidates(lv *level, sp *stepPlan, in *batchTable, r, limi
 }
 
 // intersect narrows the level's candidates to the values of the folded
-// step's free position for row r, into the level's c buffer: a merge
-// over sorted candidates, a membership test for a backend that collects
-// them through Match, in whatever order it yields them. The folded
-// step's list comes from its key cursor where it has one.
+// step's free position for row r, into the level's c buffer: a merge of
+// the two sorted lists. The folded step's list comes from its key cursor
+// where it has one.
 func (bx *batchExec) intersect(lv *level, j *stepSpec, in *batchTable, r int) ([]core.ID, error) {
 	var list idlist.View
 	if bx.walks(j) {
 		list = lv.fold.seek(bx.keys, j, in.cols[j.col()][r])
 	} else {
 		var err error
-		if list, err = bx.listView(lv, j, subst(j, in, 0, r), subst(j, in, 1, r), subst(j, in, 2, r)); err != nil {
+		if list, err = bx.listView(lv, subst(j, in, 0, r), subst(j, in, 1, r), subst(j, in, 2, r)); err != nil {
 			return nil, err
 		}
 	}
@@ -1230,47 +1196,9 @@ func (bx *batchExec) intersect(lv *level, j *stepSpec, in *batchTable, r int) ([
 		lv.c = bx.getCol()
 	}
 	c := lv.c[:0]
-	if bx.sorted != nil {
-		idlist.MergeFilterView(lv.a, list, func(i int) { c = append(c, lv.a[i]) })
-	} else {
-		for _, v := range lv.a {
-			if list.Contains(v) {
-				c = append(c, v)
-			}
-		}
-	}
+	idlist.MergeFilterView(lv.a, list, func(i int) { c = append(c, lv.a[i]) })
 	lv.c = c
 	return c, nil
-}
-
-// fetchOne appends the candidate values of the single free position for
-// row r of in into dst and returns the extended slice — one sorted-list
-// copy with a SortedSource, a Match collection otherwise. Both backends'
-// sorted accessors and Match are safe for concurrent readers, and
-// everything else it touches is the executor's.
-func (bx *batchExec) fetchOne(sp *stepSpec, s, p, o core.ID, dst []core.ID) ([]core.ID, error) {
-	if bx.sorted != nil {
-		return bx.sorted.AppendSortedList(dst, s, p, o)
-	}
-	free := slices.Index(sp.kind[:], posFree)
-	return bx.matchInto(dst, free, s, p, o)
-}
-
-// matchInto is the fallback for backends without sorted-list access:
-// position free of every match of ⟨s,p,o⟩ is appended to dst. It is a
-// function of its own so that the callback's capture of dst costs the
-// sorted path nothing (a captured, reassigned variable lives on the
-// heap from function entry — one allocation per row of the join). A
-// cancellation stops the stream; the caller surfaces bx.ctxErr.
-func (bx *batchExec) matchInto(dst []core.ID, free int, s, p, o core.ID) ([]core.ID, error) {
-	err := bx.src.Match(s, p, o, func(ms, mp, mo core.ID) bool {
-		if !bx.tickOK() {
-			return false
-		}
-		dst = append(dst, pick(free, ms, mp, mo))
-		return true
-	})
-	return dst, err
 }
 
 // fetchPair collects the value pairs of the two free positions for row r
@@ -1279,17 +1207,7 @@ func (bx *batchExec) matchInto(dst []core.ID, free int, s, p, o core.ID) ([]core
 // slot (?x <p> ?x keeps only equal pairs, in a alone). A non-negative
 // limit stops collection once that many pairs are kept.
 func (bx *batchExec) fetchPair(sp *stepSpec, s, p, o core.ID, limit int, a, b []core.ID) ([]core.ID, []core.ID, error) {
-	ja, jb := -1, -1
-	for j := 0; j < 3; j++ {
-		if sp.kind[j] == posFree {
-			if ja < 0 {
-				ja = j
-			} else {
-				jb = j
-			}
-		}
-	}
-	same := sp.slot[ja] == sp.slot[jb]
+	same := len(sp.newNames) == 1 // both free positions hold one variable
 	add := func(x, y core.ID) bool {
 		if !bx.tickOK() {
 			return false
@@ -1304,14 +1222,7 @@ func (bx *batchExec) fetchPair(sp *stepSpec, s, p, o core.ID, limit int, a, b []
 		}
 		return limit < 0 || len(a) < limit
 	}
-	var err error
-	if bx.sorted != nil {
-		err = bx.sorted.SortedPairs(s, p, o, add)
-	} else {
-		err = bx.src.Match(s, p, o, func(ms, mp, mo core.ID) bool {
-			return add(pick(ja, ms, mp, mo), pick(jb, ms, mp, mo))
-		})
-	}
+	err := bx.sorted.SortedPairs(s, p, o, add)
 	return a, b, err
 }
 

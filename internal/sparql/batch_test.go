@@ -15,8 +15,9 @@ import (
 
 // loadPair loads the same triples into a Hexastore and the flat
 // baseline table over one shared dictionary, so the merge-join engine
-// (memory implements SortedSource) can be checked against the
-// bind-probe fallback (baseline does not).
+// over the store's own sorted lists (memory implements SortedSource) can
+// be checked against the same engine over lists graph.SortedOf sorts
+// from Match output (baseline does not).
 func loadPair(triples [][3]string) (mem, base graph.Graph) {
 	stb := core.NewBuilder(nil)
 	ts := triplestore.New(stb.Dictionary())

@@ -311,10 +311,8 @@ func (ev *evaluator) run() (*Result, error) {
 	ev.batch.ev = ev
 	ev.batch.src = ev.src
 	ev.batch.workers = max(ev.workers, 1)
-	if ss, ok := graph.AsSortedSource(ev.src); ok {
-		ev.batch.sorted = ss
-		ev.batch.keys, _ = ss.(graph.KeySource)
-	}
+	ev.batch.sorted = graph.SortedOf(ev.src)
+	ev.batch.keys, _ = ev.batch.sorted.(graph.KeySource)
 	if vs, ok := graph.AsViewSource(ev.src); ok {
 		ev.batch.views = vs
 	}

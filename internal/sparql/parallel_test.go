@@ -36,8 +36,9 @@ func joinFixture() (mem, base graph.Graph) {
 }
 
 // TestWorkersInvariance runs join-heavy queries at worker counts 1, 2
-// and 8 over both the merge-join engine (memory) and the bind-probe
-// fallback (baseline) and requires bit-identical results — same rows in
+// and 8 over the merge-join engine fed by the store's own sorted lists
+// (memory) and by lists graph.SortedOf sorts from Match output
+// (baseline) and requires bit-identical results — same rows in
 // the same order — because chunks are emitted in seed order whichever
 // lane ran them. Exercises expansion steps (new variables), multi-column
 // probe steps (?x knows ?y . ?y knows ?x), OPTIONAL, DISTINCT, GROUP BY,
