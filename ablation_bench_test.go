@@ -178,7 +178,7 @@ func BenchmarkKowariStoreVsHexastore(b *testing.B) {
 
 	b.Run("HexastorePSOKeys", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = s.Hexa.Head(core.PSO, p).Keys()
+			_ = psoSubjects(s.Hexa, p)
 		}
 	})
 	b.Run("KowariSortFromPOS", func(b *testing.B) {

@@ -293,19 +293,30 @@ func BenchmarkAblationCyclicVsSextuple(b *testing.B) {
 	p := ids.DegreeProps[0]
 	b.Run("SextuplePSO", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = s.Hexa.Head(core.PSO, p).Keys()
+			_ = psoSubjects(s.Hexa, p)
 		}
 	})
 	b.Run("CyclicViaPOS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var lists []*idlist.List
-			s.Hexa.Head(core.POS, p).Range(func(_ core.ID, subjs *idlist.List) bool {
-				lists = append(lists, subjs)
+			s.Hexa.Head(core.POS, p).Range(func(_ core.ID, subjs idlist.View) bool {
+				lists = append(lists, idlist.FromSorted(subjs.AppendTo(nil)))
 				return true
 			})
 			_ = idlist.UnionAll(lists)
 		}
 	})
+}
+
+// psoSubjects returns the sorted subjects of property p: the keys of its
+// pso vector, read by walking their cursor to the end.
+func psoSubjects(st *core.Store, p core.ID) []core.ID {
+	c := st.Head(core.PSO, p).Keys()
+	out := make([]core.ID, 0, c.Len())
+	for k, ok := c.Next(); ok; k, ok = c.Next() {
+		out = append(out, k)
+	}
+	return out
 }
 
 // BenchmarkAblationPathExpression: §4.3 — with pso and pos the first

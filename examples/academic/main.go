@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("Everyone related to Course10 (any property):")
 	n := 0
 	st.Head(hexastore.OPS, course10).Range(
-		func(p hexastore.ID, subjects *hexastore.List) bool {
+		func(p hexastore.ID, subjects hexastore.View) bool {
 			prop := st.Dictionary().MustDecode(p)
 			fmt.Printf("  via %-28s %d people\n", prop, subjects.Len())
 			n += subjects.Len()

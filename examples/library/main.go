@@ -38,7 +38,7 @@ func main() {
 	}
 	var counts []kv
 	st.Head(hexastore.POS, typeID).Range(
-		func(o hexastore.ID, subjs *hexastore.List) bool {
+		func(o hexastore.ID, subjs hexastore.View) bool {
 			counts = append(counts, kv{dict.MustDecode(o).Value, subjs.Len()})
 			return true
 		})
@@ -54,7 +54,7 @@ func main() {
 	freq := map[hexastore.ID]int{}
 	textSubjects.Range(func(s hexastore.ID) bool {
 		st.Head(hexastore.SPO, s).Range(
-			func(p hexastore.ID, objs *hexastore.List) bool {
+			func(p hexastore.ID, objs hexastore.View) bool {
 				freq[p] += objs.Len()
 				return true
 			})
@@ -81,8 +81,8 @@ func main() {
 		if enc.Len() > 0 && typ.Len() > 0 {
 			fmt.Printf("  %s: encoding=%s type=%s\n",
 				dict.MustDecode(s).Value,
-				dict.MustDecode(enc.At(0)).Value,
-				dict.MustDecode(typ.At(0)).Value)
+				dict.MustDecode(enc.AppendTo(nil)[0]).Value,
+				dict.MustDecode(typ.AppendTo(nil)[0]).Value)
 			shown++
 		}
 		return shown < 3

@@ -67,9 +67,13 @@ type (
 	Stats = core.Stats
 	// Index names one of the six orderings (SPO … OPS).
 	Index = core.Index
-	// Vec is a sorted key vector with terminal lists, one level of an index.
-	Vec = core.Vec
-	// List is a sorted id list, the merge-join substrate.
+	// Vec is one vector of an index as Store.Head returns it: sorted keys,
+	// each with its terminal list, read in place from the packed store.
+	Vec = idlist.Packed
+	// View is a read-only sorted id list: a Vec entry's terminal list, or
+	// what Store.Objects, Subjects and Properties return.
+	View = idlist.View
+	// List is a raw sorted id list, as the Engine's joins return it.
 	List = idlist.List
 	// ID is a dictionary-encoded resource identifier.
 	ID = dictionary.ID

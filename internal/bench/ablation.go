@@ -132,7 +132,12 @@ func RunAblations(cfg Config, ids []string, progress func(string)) ([]*Figure, e
 			ks := kb.Build()
 			p := lubmIDs.TeacherOf
 			addPoint("kowari", "HexaPSO", triples, timeBest(cfg.Repeats, func() {
-				_ = s.Hexa.Head(core.PSO, p).Keys()
+				// The sorted subjects: the pso vector's keys, walked to the end.
+				c := s.Hexa.Head(core.PSO, p).Keys()
+				subjs := make([]core.ID, 0, c.Len())
+				for k, ok := c.Next(); ok; k, ok = c.Next() {
+					subjs = append(subjs, k)
+				}
 			}))
 			addPoint("kowari", "KowariPOS", triples, timeBest(cfg.Repeats, func() {
 				_ = ks.SubjectsForProperty(p)

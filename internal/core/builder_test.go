@@ -107,13 +107,13 @@ func TestBuilderSharesTerminalLists(t *testing.T) {
 		free       int
 	}{{SPO, PSO, 0, 1, 2}, {SOP, OSP, 0, 2, 1}, {POS, OPS, 1, 2, 0}} {
 		for _, head := range st.HeadIDs(pair.a) {
-			st.Head(pair.a, head).Range(func(key ID, la *idlist.List) bool {
+			st.Head(pair.a, head).Range(func(key ID, la idlist.View) bool {
 				pat := [3]ID{None, None, None}
 				pat[pair.pos], pat[pair.other] = head, key
 				lb, _ := st.Head(pair.b, key).Find(head)
 				want := oracle(pat, pair.free)
-				if !slices.Equal(la.IDs(), want) || !slices.Equal(lb.IDs(), want) {
-					t.Fatalf("%s/%s list of %v: %v and %v, oracle %v", pair.a, pair.b, pat, la.IDs(), lb.IDs(), want)
+				if got, gotB := la.AppendTo(nil), lb.AppendTo(nil); !slices.Equal(got, want) || !slices.Equal(gotB, want) {
+					t.Fatalf("%s/%s list of %v: %v and %v, oracle %v", pair.a, pair.b, pat, got, gotB, want)
 				}
 				return true
 			})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -82,16 +83,22 @@ func Restore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: term count: %w", err)
 	}
+	// A term's length is untrusted: the key grows only as its bytes
+	// arrive, so a corrupt length ends in an error, not a huge allocation.
+	var key bytes.Buffer
 	for i := uint64(0); i < nTerms; i++ {
 		klen, err := binary.ReadUvarint(br)
+		if err == nil && int64(klen) < 0 {
+			err = fmt.Errorf("length %d out of range", klen)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: restore: term %d length: %w", i, err)
 		}
-		key := make([]byte, klen)
-		if _, err := io.ReadFull(br, key); err != nil {
+		key.Reset()
+		if _, err := io.CopyN(&key, br, int64(klen)); err != nil {
 			return nil, fmt.Errorf("core: restore: term %d: %w", i, err)
 		}
-		term, err := rdf.TermFromKey(string(key))
+		term, err := rdf.TermFromKey(key.String())
 		if err != nil {
 			return nil, fmt.Errorf("core: restore: term %d: %w", i, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -97,6 +98,55 @@ func TestRestoreRejectsTruncated(t *testing.T) {
 			t.Errorf("Restore of %d/%d bytes succeeded, want error", cut, len(full))
 		}
 	}
+}
+
+// TestRestoreRejectsHugeTermLength: a term length no input could back —
+// past the bytes left, past what memory holds, past int64 — is an error,
+// not an allocation of that size or a panic.
+func TestRestoreRejectsHugeTermLength(t *testing.T) {
+	for _, klen := range []uint64{1 << 33, 1 << 62, 1<<64 - 1} {
+		in := binary.AppendUvarint(append([]byte(snapshotMagic), 1), klen)
+		if _, err := Restore(bytes.NewReader(in)); err == nil {
+			t.Errorf("Restore of a term of length %d in %d bytes succeeded, want error", klen, len(in))
+		}
+	}
+}
+
+// FuzzRestore feeds Restore arbitrary bytes from the committed corpus and
+// the seeds below: it must never panic, and a store it restores must
+// snapshot to bytes that restore to the same snapshot again.
+func FuzzRestore(f *testing.F) {
+	one := NewBuilder(nil)
+	one.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("b"), rdf.NewLiteral("c")))
+	one.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("b"), rdf.NewIRI("d")))
+	for _, st := range []*Store{New(), one.Build()} {
+		var buf bytes.Buffer
+		if err := st.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(binary.AppendUvarint(append([]byte(snapshotMagic), 1), 1<<62))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Restore(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var snap, again bytes.Buffer
+		if err := st.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Restore(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatalf("a snapshot of a restored store does not restore: %v", err)
+		}
+		if err := back.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap.Bytes(), again.Bytes()) || back.Len() != st.Len() {
+			t.Fatalf("Snapshot → Restore → Snapshot changed the bytes or the %d triples", st.Len())
+		}
+	})
 }
 
 func TestSnapshotIsDeterministic(t *testing.T) {

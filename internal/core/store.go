@@ -68,9 +68,6 @@ func (ix Index) String() string {
 // AllIndexes lists the six orderings in declaration order.
 var AllIndexes = [6]Index{SPO, SOP, PSO, POS, OSP, OPS}
 
-// Vec is a sorted association vector of an index; see idlist.Vec.
-type Vec = idlist.Vec
-
 // Store is a sealed Hexastore: safe for concurrent readers without
 // locking, and never mutated. The zero value is not usable; call New or
 // build one with a Builder.
@@ -140,18 +137,13 @@ func (st *Store) Has(s, p, o ID) bool {
 	return ok && v.Contains(o)
 }
 
-// Head returns the vector for head in ordering ix, or nil if head does
-// not occur in that position. For example, Head(SPO, s) is the sorted
+// Head returns the vector for head in ordering ix, empty if head does not
+// occur in that position. For example, Head(SPO, s) is the sorted
 // property vector of subject s, and each vector entry's list holds the
-// objects of ⟨s, p, ·⟩. The returned Vec is a freshly materialized
-// wrapper around the immutable packed bytes (its accessors stay
-// zero-copy).
-func (st *Store) Head(ix Index, head ID) *Vec {
-	if pk := st.vec(ix, head); pk.Len() > 0 {
-		return idlist.FromPacked(pk)
-	}
-	return nil
-}
+// objects of ⟨s, p, ·⟩. The vector is read in place from the immutable
+// arena bytes: its KeyCursor steps and seeks the keys, and Find and the
+// cursor hand out each entry's list as a zero-copy View.
+func (st *Store) Head(ix Index, head ID) idlist.Packed { return st.vec(ix, head) }
 
 // Heads returns the number of distinct head resources in ordering ix
 // (e.g. Heads(PSO) is the number of distinct properties).
@@ -168,22 +160,20 @@ func (st *Store) HeadIDs(ix Index) []ID {
 }
 
 // find returns the terminal list under key in head's vector of ix as a
-// zero-copy List, nil when there is none.
-func (st *Store) find(ix Index, head, key ID) *idlist.List {
-	if v, ok := st.vec(ix, head).Find(key); ok {
-		return idlist.ListOf(v)
-	}
-	return nil
+// zero-copy View of the arena bytes, empty when there is none.
+func (st *Store) find(ix Index, head, key ID) idlist.View {
+	v, _ := st.vec(ix, head).Find(key)
+	return v
 }
 
-// Objects returns the sorted object list of ⟨s, p, ·⟩, or nil.
-func (st *Store) Objects(s, p ID) *idlist.List { return st.find(SPO, s, p) }
+// Objects returns the sorted object list of ⟨s, p, ·⟩, empty if none.
+func (st *Store) Objects(s, p ID) idlist.View { return st.find(SPO, s, p) }
 
-// Subjects returns the sorted subject list of ⟨·, p, o⟩, or nil.
-func (st *Store) Subjects(p, o ID) *idlist.List { return st.find(POS, p, o) }
+// Subjects returns the sorted subject list of ⟨·, p, o⟩, empty if none.
+func (st *Store) Subjects(p, o ID) idlist.View { return st.find(POS, p, o) }
 
-// Properties returns the sorted property list of ⟨s, ·, o⟩, or nil.
-func (st *Store) Properties(s, o ID) *idlist.List { return st.find(SOP, s, o) }
+// Properties returns the sorted property list of ⟨s, ·, o⟩, empty if none.
+func (st *Store) Properties(s, o ID) idlist.View { return st.find(SOP, s, o) }
 
 // PatternCardinality returns the exact number of triples matching
 // ⟨s,p,o⟩ (None = wildcard) without scanning triples: terminal-list

@@ -98,14 +98,10 @@ func allSixViews(st *Store) [6]map[[3]ID]bool {
 	extract := func(ix Index, assemble func(head, key, member ID) [3]ID) map[[3]ID]bool {
 		set := make(map[[3]ID]bool)
 		for _, head := range st.HeadIDs(ix) {
-			vec := st.Head(ix, head)
-			for i := 0; i < vec.Len(); i++ {
-				key := vec.Key(i)
-				list := vec.List(i)
-				for j := 0; j < list.Len(); j++ {
-					set[assemble(head, key, list.At(j))] = true
-				}
-			}
+			st.Head(ix, head).RangePairs(func(key, member ID) bool {
+				set[assemble(head, key, member)] = true
+				return true
+			})
 		}
 		return set
 	}
@@ -178,8 +174,8 @@ func TestSharedTerminalLists(t *testing.T) {
 	} {
 		la, _ := st.Head(pair.a, pair.headA).Find(pair.keyA)
 		lb, _ := st.Head(pair.b, pair.keyA).Find(pair.headA)
-		if !reflect.DeepEqual(la.IDs(), pair.want) || !reflect.DeepEqual(lb.IDs(), pair.want) {
-			t.Errorf("%s and %s lists of (%d, %d) are %v and %v, want %v", pair.a, pair.b, pair.headA, pair.keyA, la.IDs(), lb.IDs(), pair.want)
+		if got, gotB := la.AppendTo(nil), lb.AppendTo(nil); !reflect.DeepEqual(got, pair.want) || !reflect.DeepEqual(gotB, pair.want) {
+			t.Errorf("%s and %s lists of (%d, %d) are %v and %v, want %v", pair.a, pair.b, pair.headA, pair.keyA, got, gotB, pair.want)
 		}
 	}
 }
@@ -231,17 +227,17 @@ func TestSpaceBelowWorstCaseWithSharing(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	st := buildStore([3]ID{1, 2, 3}, [3]ID{1, 2, 5}, [3]ID{4, 2, 3}, [3]ID{1, 7, 3})
 
-	if got := st.Objects(1, 2).IDs(); !reflect.DeepEqual(got, []ID{3, 5}) {
+	if got := st.Objects(1, 2).AppendTo(nil); !reflect.DeepEqual(got, []ID{3, 5}) {
 		t.Errorf("Objects(1,2) = %v, want [3 5]", got)
 	}
-	if got := st.Subjects(2, 3).IDs(); !reflect.DeepEqual(got, []ID{1, 4}) {
+	if got := st.Subjects(2, 3).AppendTo(nil); !reflect.DeepEqual(got, []ID{1, 4}) {
 		t.Errorf("Subjects(2,3) = %v, want [1 4]", got)
 	}
-	if got := st.Properties(1, 3).IDs(); !reflect.DeepEqual(got, []ID{2, 7}) {
+	if got := st.Properties(1, 3).AppendTo(nil); !reflect.DeepEqual(got, []ID{2, 7}) {
 		t.Errorf("Properties(1,3) = %v, want [2 7]", got)
 	}
-	if st.Objects(9, 9) != nil {
-		t.Error("Objects on absent pair != nil")
+	if st.Objects(9, 9).Len() != 0 || st.Objects(None, 2).Len() != 0 {
+		t.Error("Objects on an absent pair is not empty")
 	}
 }
 
@@ -254,15 +250,16 @@ func TestHeadVectorsSorted(t *testing.T) {
 	st := b.Build()
 	for _, ix := range AllIndexes {
 		for _, head := range st.HeadIDs(ix) {
-			vec := st.Head(ix, head)
-			keys := vec.Keys()
-			if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-				t.Fatalf("index %v head %d has unsorted keys %v", ix, head, keys)
-			}
-			for i := 0; i < vec.Len(); i++ {
-				ids := vec.List(i).IDs()
+			cur := st.Head(ix, head).Keys()
+			prev := None
+			for key, ok := cur.Next(); ok; key, ok = cur.Next() {
+				if key <= prev {
+					t.Fatalf("index %v head %d has key %d after %d", ix, head, key, prev)
+				}
+				prev = key
+				ids := cur.View().AppendTo(nil)
 				if !sort.SliceIsSorted(ids, func(a, b int) bool { return ids[a] < ids[b] }) {
-					t.Fatalf("index %v head %d key %d has unsorted list %v", ix, head, vec.Key(i), ids)
+					t.Fatalf("index %v head %d key %d has unsorted list %v", ix, head, key, ids)
 				}
 			}
 		}

@@ -25,13 +25,15 @@ package idlist
 // access pattern of merges; point probes pay O(#blocks) varint header
 // decodes, cheap against the decode of the one block they then search.
 //
-// A Compressed is immutable once built. Mutation paths in the stores
-// replace compressed lists with freshly decoded raw ones
-// (decompress-on-write), so readers holding a Compressed — or a
+// A Compressed is immutable once built. A store that changes writes new
+// bytes and never edits old ones, so readers holding a Compressed — or a
 // zero-copy View into a packed vector blob — always see a consistent
 // image.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // BlockSize is the number of IDs per compression block.
 const BlockSize = 128
@@ -99,16 +101,36 @@ func MakeCompressed(n int, payload []byte) Compressed {
 	if n <= BlockSize {
 		return Compressed{n: n, data: payload}
 	}
-	// Split off the skip section by walking its nBlocks varint pairs.
-	nBlocks := (n + BlockSize - 1) / BlockSize
-	pos := 0
-	for b := 0; b < nBlocks; b++ {
-		_, k := binary.Uvarint(payload[pos:])
-		pos += k
-		_, k2 := binary.Uvarint(payload[pos:])
-		pos += k2
-	}
+	pos := skipLen(payload, 2*((n+BlockSize-1)/BlockSize))
 	return Compressed{n: n, skip: payload[:pos], data: payload[pos:]}
+}
+
+// skipLen returns the byte length of the skip section that starts
+// payload: its uvarints (two per block) end where the uvarints-th byte
+// with a clear high bit does. It counts those bytes eight at a time
+// without decoding a value, so a view of a long list costs a few word
+// reads, not a varint decode per block.
+func skipLen(payload []byte, uvarints int) int {
+	pos := 0
+	for ; pos+8 <= len(payload); pos += 8 {
+		ends := ^binary.LittleEndian.Uint64(payload[pos:]) & 0x8080808080808080
+		if c := bits.OnesCount64(ends); c < uvarints {
+			uvarints -= c
+			continue
+		}
+		for ; uvarints > 1; uvarints-- {
+			ends &= ends - 1 // drop the ends before the last one
+		}
+		return pos + bits.TrailingZeros64(ends)/8 + 1
+	}
+	for ; pos < len(payload); pos++ {
+		if payload[pos] < 0x80 {
+			if uvarints--; uvarints == 0 {
+				return pos + 1
+			}
+		}
+	}
+	return pos
 }
 
 // Len returns the number of IDs.
@@ -163,7 +185,10 @@ func (c Compressed) decodeRange(start, end int, base ID, dst []ID) []ID {
 	dst = dst[:0]
 	v := base
 	for pos := start; pos < end; {
-		d, k := binary.Uvarint(c.data[pos:])
+		d, k := uint64(c.data[pos]), 1
+		if d >= 0x80 {
+			d, k = binary.Uvarint(c.data[pos:])
+		}
 		pos += k
 		v += ID(d)
 		dst = append(dst, v)
@@ -197,29 +222,15 @@ func (c Compressed) Contains(id ID) bool {
 	}
 }
 
-// At returns the i-th smallest value, decoding one block.
-func (c Compressed) At(i int) ID {
-	var scratch [BlockSize]ID
-	target := i / BlockSize
-	bc := blockCursor{c: c}
-	for {
-		start, end, base, _, ok := bc.next()
-		if !ok {
-			panic("idlist: Compressed.At out of range")
-		}
-		if bc.idx-1 == target {
-			vals := c.decodeRange(start, end, base, scratch[:0])
-			return vals[i%BlockSize]
-		}
-	}
-}
-
 // AppendTo appends every value in ascending order to dst and returns
 // the extended slice — the decompression primitive.
 func (c Compressed) AppendTo(dst []ID) []ID {
 	v := ID(0)
 	for pos := 0; pos < len(c.data); {
-		d, k := binary.Uvarint(c.data[pos:])
+		d, k := uint64(c.data[pos]), 1
+		if d >= 0x80 {
+			d, k = binary.Uvarint(c.data[pos:])
+		}
 		pos += k
 		v += ID(d)
 		dst = append(dst, v)
@@ -231,7 +242,10 @@ func (c Compressed) AppendTo(dst []ID) []ID {
 func (c Compressed) Range(fn func(ID) bool) {
 	v := ID(0)
 	for pos := 0; pos < len(c.data); {
-		d, k := binary.Uvarint(c.data[pos:])
+		d, k := uint64(c.data[pos]), 1
+		if d >= 0x80 {
+			d, k = binary.Uvarint(c.data[pos:])
+		}
 		pos += k
 		v += ID(d)
 		if !fn(v) {
@@ -330,10 +344,6 @@ func (v View) Len() int {
 	}
 	return v.c.n
 }
-
-// Raw returns the underlying slice and true when the view is a raw
-// slice, letting callers keep slice fast paths.
-func (v View) Raw() ([]ID, bool) { return v.raw, v.isRaw }
 
 // Contains reports whether id is in the list.
 func (v View) Contains(id ID) bool {

@@ -1,6 +1,7 @@
 package idlist
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -32,11 +33,6 @@ func TestCompressRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, ids) {
 			t.Fatalf("n=%d: round trip mismatch", n)
-		}
-		for i, want := range ids {
-			if got := c.At(i); got != want {
-				t.Fatalf("n=%d: At(%d) = %d, want %d", n, i, got, want)
-			}
 		}
 	}
 }
@@ -232,77 +228,25 @@ func TestPackedRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
 
-		// entry(i) agrees with Range order.
-		for i, k := range keys {
-			gk, gv := p.entry(i)
-			if gk != k {
-				t.Fatalf("trial %d: entry(%d) key = %d, want %d", trial, i, gk, k)
+// TestSkipLenMatchesWalk: skipLen ends the skip section where a walk of
+// its uvarints, two per block, ends, whether they take one byte or many.
+func TestSkipLenMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, maxGap := range []int64{1, 3, 1000, 1 << 40} {
+		for _, n := range []int{BlockSize + 1, 2 * BlockSize, 5000, 20000} {
+			payload := AppendCompressed(nil, randSorted(rng, n, maxGap))
+			want := 0
+			for i := 0; i < 2*((n+BlockSize-1)/BlockSize); i++ {
+				_, k := binary.Uvarint(payload[want:])
+				want += k
 			}
-			if got := gv.AppendTo(nil); !reflect.DeepEqual(got, lists[i]) {
-				t.Fatalf("trial %d: entry(%d) list mismatch", trial, i)
+			if got := skipLen(payload, 2*((n+BlockSize-1)/BlockSize)); got != want {
+				t.Fatalf("n=%d gaps<%d: skipLen = %d, the walk ends at %d", n, maxGap, got, want)
 			}
 		}
-	}
-}
-
-func TestVecPackedAccessors(t *testing.T) {
-	var b PackedBuilder
-	b.Append(2, []ID{10, 20})
-	b.Append(5, []ID{7})
-	b.Append(9, []ID{1, 2, 3})
-	v := FromPacked(finishPacked(t, &b))
-
-	if v.Len() != 3 {
-		t.Fatalf("Len = %d", v.Len())
-	}
-	if got := v.Keys(); !reflect.DeepEqual(got, []ID{2, 5, 9}) {
-		t.Fatalf("Keys = %v", got)
-	}
-	if v.Key(1) != 5 {
-		t.Fatalf("Key(1) = %d", v.Key(1))
-	}
-	l, ok := v.Find(5)
-	if !ok || !reflect.DeepEqual(l.IDs(), []ID{7}) {
-		t.Fatalf("Find(5) = %v, %v", l, ok)
-	}
-	if _, ok := v.Find(4); ok {
-		t.Fatal("Find(4) should miss")
-	}
-	if got := v.List(2).IDs(); !reflect.DeepEqual(got, []ID{1, 2, 3}) {
-		t.Fatalf("List(2) = %v", got)
-	}
-
-	// Mutation unpacks, preserving content.
-	v.Insert(7, FromSorted([]ID{42}))
-	if v.pk != nil {
-		t.Fatal("Insert did not unpack")
-	}
-	if got := v.Keys(); !reflect.DeepEqual(got, []ID{2, 5, 7, 9}) {
-		t.Fatalf("Keys after Insert = %v", got)
-	}
-	l, _ = v.Find(9)
-	if !reflect.DeepEqual(l.IDs(), []ID{1, 2, 3}) {
-		t.Fatalf("Find(9) after unpack = %v", l.IDs())
-	}
-}
-
-func TestCompressedListMutation(t *testing.T) {
-	l := FromCompressed(Compress([]ID{3, 8, 12}))
-	if !l.Compressed() {
-		t.Fatal("list should start compressed")
-	}
-	if !l.Contains(8) || l.Contains(9) {
-		t.Fatal("Contains on compressed list wrong")
-	}
-	if !l.Insert(9) {
-		t.Fatal("Insert(9) reported unchanged")
-	}
-	if l.Compressed() {
-		t.Fatal("Insert did not decompress")
-	}
-	if got := l.IDs(); !reflect.DeepEqual(got, []ID{3, 8, 9, 12}) {
-		t.Fatalf("IDs after Insert = %v", got)
 	}
 }
 

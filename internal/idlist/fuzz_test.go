@@ -47,11 +47,6 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		if !slices.Equal(got, ids) {
 			t.Fatalf("round trip mismatch: %d vs %d values", len(got), len(ids))
 		}
-		for i, want := range ids {
-			if g := c.At(i); g != want {
-				t.Fatalf("At(%d) = %d, want %d", i, g, want)
-			}
-		}
 		// Membership probes: every present id, plus its neighbors.
 		for _, id := range ids {
 			if !c.Contains(id) {

@@ -1,11 +1,19 @@
 // Package idlist implements sorted lists of dictionary IDs and the list
-// algebra that Hexastore query processing is built on: binary search,
-// sorted insertion/removal, linear merge-joins (intersection), unions,
-// and differences.
+// algebra that Hexastore query processing is built on.
 //
 // The paper's central performance argument (§4.2) is that every vector and
 // terminal list in a Hexastore is sorted, so all first-step pairwise joins
-// are linear merge-joins. This package is that substrate.
+// are linear merge-joins. This package is that substrate, in two forms
+// that do not mix:
+//
+//   - List and Vec are raw, mutable sorted slices. The COVP baselines and
+//     the builders hold them, and Intersect, Union and MergeJoin merge them
+//     slice against slice.
+//   - Packed, Compressed and View are the immutable delta+varint bytes a
+//     sealed store is made of, read in place. A Packed vector's KeyCursor
+//     steps and seeks its keys, MergeKeys joins two of them, and a View is
+//     a terminal list that Contains, Range and MergeFilterView probe or
+//     merge without decoding it whole.
 package idlist
 
 import (
@@ -17,59 +25,16 @@ import (
 // ID re-exports the dictionary identifier type for brevity.
 type ID = dictionary.ID
 
-// List is a sorted set of IDs (ascending, no duplicates). The zero value
-// is an empty list ready to use. Lists are NOT safe for concurrent
-// mutation; stores provide their own synchronization.
-//
-// A List is physically either a raw slice or a block-compressed payload
-// (see Compressed). Every read accessor works on either form; mutation
-// decompresses first (decompress-on-write), leaving the immutable
-// compressed payload untouched for any reader still holding a view of
-// it.
+// List is a sorted set of IDs (ascending, no duplicates) held in one
+// raw slice: the mutable form the COVP baseline and the builders use. The
+// zero value is an empty list ready to use. Lists are NOT safe for
+// concurrent mutation; stores provide their own synchronization.
 type List struct {
-	ids  []ID
-	comp *Compressed
+	ids []ID
 }
 
-// fromView materializes a View as a List without copying data: raw
-// views alias their slice, compressed views share the compressed
-// payload.
-func fromView(v View) *List {
-	if ids, ok := v.Raw(); ok {
-		return &List{ids: ids}
-	}
-	c := v.c
-	return &List{comp: &c}
-}
-
-// FromCompressed wraps an immutable compressed list.
-func FromCompressed(c Compressed) *List { return &List{comp: &c} }
-
-// ListOf materializes a View as a List without copying data: raw views
-// alias their slice, compressed views share the compressed payload.
-func ListOf(v View) *List { return fromView(v) }
-
-// View returns a read-only view of the list (zero copy in both forms).
-func (l *List) View() View {
-	if l == nil {
-		return View{isRaw: true}
-	}
-	if l.comp != nil {
-		return l.comp.View()
-	}
-	return ViewOf(l.ids)
-}
-
-// Compressed reports whether the list is in compressed form.
-func (l *List) Compressed() bool { return l != nil && l.comp != nil }
-
-// decompress converts a compressed list to raw form in place.
-func (l *List) decompress() {
-	if l.comp != nil {
-		l.ids = l.comp.AppendTo(make([]ID, 0, l.comp.Len()))
-		l.comp = nil
-	}
-}
+// View returns a read-only view of the list (zero copy).
+func (l *List) View() View { return ViewOf(l.IDs()) }
 
 // FromSorted wraps an already-sorted, duplicate-free slice. The slice is
 // owned by the List afterwards. It panics if the input is not strictly
@@ -112,30 +77,14 @@ func (l *List) Len() int {
 	if l == nil {
 		return 0
 	}
-	if l.comp != nil {
-		return l.comp.Len()
-	}
 	return len(l.ids)
 }
 
-// At returns the i-th smallest ID.
-func (l *List) At(i int) ID {
-	if l.comp != nil {
-		return l.comp.At(i)
-	}
-	return l.ids[i]
-}
-
-// IDs exposes the sorted slice form. For a raw list the result aliases
-// internal storage and callers must not mutate it; a compressed list is
-// decoded into a fresh slice on every call — prefer View or AppendTo on
-// paths that may see compressed lists.
+// IDs exposes the sorted slice. It aliases internal storage; callers
+// must not mutate it.
 func (l *List) IDs() []ID {
 	if l == nil {
 		return nil
-	}
-	if l.comp != nil {
-		return l.comp.AppendTo(make([]ID, 0, l.comp.Len()))
 	}
 	return l.ids
 }
@@ -145,13 +94,10 @@ func (l *List) AppendTo(dst []ID) []ID {
 	if l == nil {
 		return dst
 	}
-	if l.comp != nil {
-		return l.comp.AppendTo(dst)
-	}
 	return append(dst, l.ids...)
 }
 
-// Copy returns a deep copy of the list (in raw form).
+// Copy returns a deep copy of the list.
 func (l *List) Copy() *List {
 	return &List{ids: l.AppendTo(make([]ID, 0, l.Len()))}
 }
@@ -176,18 +122,13 @@ func (l *List) Contains(id ID) bool {
 	if l == nil {
 		return false
 	}
-	if l.comp != nil {
-		return l.comp.Contains(id)
-	}
 	i := l.search(id)
 	return i < len(l.ids) && l.ids[i] == id
 }
 
 // Insert adds id, keeping the list sorted. It reports whether the list
-// changed (false if id was already present). Compressed lists are
-// decoded to raw form first (decompress-on-write).
+// changed (false if id was already present).
 func (l *List) Insert(id ID) bool {
-	l.decompress()
 	i := l.search(id)
 	if i < len(l.ids) && l.ids[i] == id {
 		return false
@@ -198,10 +139,8 @@ func (l *List) Insert(id ID) bool {
 	return true
 }
 
-// Remove deletes id. It reports whether the list changed. Compressed
-// lists are decoded to raw form first (decompress-on-write).
+// Remove deletes id. It reports whether the list changed.
 func (l *List) Remove(id ID) bool {
-	l.decompress()
 	i := l.search(id)
 	if i >= len(l.ids) || l.ids[i] != id {
 		return false
@@ -214,10 +153,6 @@ func (l *List) Remove(id ID) bool {
 // Range calls fn for every ID in ascending order until fn returns false.
 func (l *List) Range(fn func(ID) bool) {
 	if l == nil {
-		return
-	}
-	if l.comp != nil {
-		l.comp.Range(fn)
 		return
 	}
 	for _, id := range l.ids {
@@ -392,37 +327,6 @@ func UnionAll(lists []*List) *List {
 		work = next
 	}
 	return work[0]
-}
-
-// Difference returns the sorted IDs present in a but not in b.
-func Difference(a, b *List) *List {
-	la, lb := a.IDs(), b.IDs()
-	out := make([]ID, 0, len(la))
-	i, j := 0, 0
-	for i < len(la) {
-		switch {
-		case j >= len(lb) || la[i] < lb[j]:
-			out = append(out, la[i])
-			i++
-		case la[i] > lb[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return &List{ids: out}
-}
-
-// SortMergeJoin joins an UNSORTED slice against a sorted list by sorting
-// a copy of the slice first — the paper's "sort-merge join" used for the
-// second and later joins of a path expression (§4.3). fn is called once
-// per match in ascending order.
-func SortMergeJoin(unsorted []ID, sorted *List, fn func(ID)) {
-	cp := make([]ID, len(unsorted))
-	copy(cp, unsorted)
-	slices.Sort(cp)
-	MergeJoin(&List{ids: dedupeSorted(cp)}, sorted, fn)
 }
 
 // HashJoin is the non-merge alternative used only by the ablation

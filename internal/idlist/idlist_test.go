@@ -182,13 +182,6 @@ func TestUnionAll(t *testing.T) {
 	}
 }
 
-func TestDifference(t *testing.T) {
-	got := Difference(FromUnsorted(ids(1, 2, 3, 4)), FromUnsorted(ids(2, 4, 5))).IDs()
-	if !reflect.DeepEqual(got, ids(1, 3)) {
-		t.Errorf("Difference = %v", got)
-	}
-}
-
 func TestMergeJoinMatchesIntersect(t *testing.T) {
 	a := FromUnsorted(ids(1, 2, 5, 8, 9))
 	b := FromUnsorted(ids(2, 3, 5, 9, 10))
@@ -196,15 +189,6 @@ func TestMergeJoinMatchesIntersect(t *testing.T) {
 	MergeJoin(a, b, func(id ID) { got = append(got, id) })
 	if !reflect.DeepEqual(got, Intersect(a, b).IDs()) {
 		t.Errorf("MergeJoin = %v, Intersect = %v", got, Intersect(a, b).IDs())
-	}
-}
-
-func TestSortMergeJoin(t *testing.T) {
-	sorted := FromUnsorted(ids(2, 4, 6, 8))
-	var got []ID
-	SortMergeJoin(ids(8, 3, 2, 8, 6), sorted, func(id ID) { got = append(got, id) })
-	if !reflect.DeepEqual(got, ids(2, 6, 8)) {
-		t.Errorf("SortMergeJoin = %v, want [2 6 8]", got)
 	}
 }
 
@@ -254,7 +238,7 @@ func randomList(rng *rand.Rand, maxLen int) *List {
 	return b.Finish()
 }
 
-// Property: Intersect/Union/Difference agree with naive map-based set
+// Property: Intersect/Union agree with naive map-based set
 // algebra on random inputs.
 func TestSetAlgebraProperty(t *testing.T) {
 	f := func(rawA, rawB []uint16) bool {
@@ -265,11 +249,9 @@ func TestSetAlgebraProperty(t *testing.T) {
 
 		wantI := setOp(setA, setB, func(inA, inB bool) bool { return inA && inB })
 		wantU := setOp(setA, setB, func(inA, inB bool) bool { return inA || inB })
-		wantD := setOp(setA, setB, func(inA, inB bool) bool { return inA && !inB })
 
 		return equalIDs(Intersect(a, b).IDs(), wantI) &&
-			equalIDs(Union(a, b).IDs(), wantU) &&
-			equalIDs(Difference(a, b).IDs(), wantD)
+			equalIDs(Union(a, b).IDs(), wantU)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -298,27 +298,6 @@ func (p Packed) RangePairs(fn func(key, v ID) bool) bool {
 	return true
 }
 
-// entry returns the i-th entry (0-based) by walking forward from the
-// nearest skip-table group — O(packedGroup) header decodes.
-func (p Packed) entry(i int) (key ID, v View) {
-	first, pos, prev := 0, 0, ID(0)
-	if p.skip != nil {
-		first = i / packedGroup * packedGroup
-		prev, pos = p.group(i / packedGroup)
-	}
-	for j := first; ; j++ {
-		k, n, bodyStart, next := p.headerAt(pos, prev)
-		if j == first && p.skip != nil {
-			k = prev
-		}
-		if j == i {
-			return k, MakeCompressed(n, p.data[bodyStart:next]).View()
-		}
-		prev = k
-		pos = next
-	}
-}
-
 // KeyCursor walks the entries of a packed vector in key order: the
 // vector's half of a merge join whose other half is a sorted column, and
 // the lookup a join step repeats row after row. It reads entry headers
@@ -431,11 +410,24 @@ func (c *KeyCursor) View() View {
 	return MakeCompressed(c.n, c.p.data[c.body:c.pos]).View()
 }
 
-// AppendKeys appends every key in ascending order to dst.
-func (p Packed) AppendKeys(dst []ID) []ID {
-	p.Range(func(k ID, _ View) bool {
-		dst = append(dst, k)
-		return true
-	})
-	return dst
+// MergeKeys merge-joins the keys of two packed vectors, whose cursors
+// start before their first keys, calling fn once per key both hold, in
+// ascending order, with both cursors on it: fn may read either entry's
+// View but must not move them. A cursor steps with Next after a match and
+// skips forward with SeekGE, through the skip table, to the other's key
+// after a miss: the paper's §4.2 merge of two sorted vectors, in place.
+func MergeKeys(a, b *KeyCursor, fn func(ID)) {
+	ka, ok := a.Next()
+	for ok {
+		var kb ID
+		if kb, ok = b.SeekGE(ka); !ok {
+			return
+		}
+		if kb == ka {
+			fn(ka)
+			ka, ok = a.Next()
+		} else {
+			ka, ok = a.SeekGE(kb)
+		}
+	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // checkPacked encodes keys[i] → lists[i] as a packed vector and holds
-// every accessor to the input: Len, Total, Range, AppendKeys, the key
-// cursor's ascending seeks, entry, Find on every key and on the absent
-// keys beside them, and a key cursor's Seeks in the order seeks spells
-// (checkSeeks). A copy rebuilt from the vector's own views — compressed
+// every accessor to the input: Len, Total, Range, the key cursor's
+// ascending seeks, Find on every key and on the absent keys beside them,
+// a key cursor's Seeks in the order seeks spells (checkSeeks) and
+// MergeKeys (checkMergeKeys). A copy rebuilt from the vector's own views — compressed
 // ones taken over as bytes, every third one re-encoded from a raw slice —
 // must be the same bytes, entry for entry.
 func checkPacked(t *testing.T, keys []ID, lists [][]ID, seeks []byte) {
@@ -54,9 +54,6 @@ func checkPacked(t *testing.T, keys []ID, lists [][]ID, seeks []byte) {
 	if cp := b.Finish(nil); !bytes.Equal(cp, enc) {
 		t.Fatalf("the copy assembled from views is %x, the vector %x", cp, enc)
 	}
-	if got := p.AppendKeys(nil); !slices.Equal(got, keys) {
-		t.Fatalf("AppendKeys = %v, want %v", got, keys)
-	}
 
 	// Ascending SeekGE sequences: every key with its neighbours (group
 	// heads, the gaps between groups), past the last key, every key
@@ -93,9 +90,6 @@ func checkPacked(t *testing.T, keys []ID, lists [][]ID, seeks []byte) {
 		present[k] = true
 	}
 	for i, k := range keys {
-		if gk, gv := p.entry(i); gk != k || !slices.Equal(gv.AppendTo(nil), lists[i]) {
-			t.Fatalf("entry(%d) = %d → %v, want %d → %v", i, gk, gv.AppendTo(nil), k, lists[i])
-		}
 		if v, ok := p.Find(k); !ok || !slices.Equal(v.AppendTo(nil), lists[i]) {
 			t.Fatalf("Find(%d) = %v, %v; want %v", k, v.AppendTo(nil), ok, lists[i])
 		}
@@ -107,6 +101,57 @@ func checkPacked(t *testing.T, keys []ID, lists [][]ID, seeks []byte) {
 	}
 	checkSeeks(t, p, keys, lists, seeks)
 	checkKernels(t, p, keys, lists, seeks)
+	checkMergeKeys(t, p, keys, seeks)
+}
+
+// checkMergeKeys merges the vector's keys, both ways round, with its own
+// and with those of a vector holding the keys ops picks and the absent
+// keys beside them, and holds the keys met, and both cursors' views at
+// each, to the keys the two share.
+func checkMergeKeys(t *testing.T, p Packed, keys []ID, ops []byte) {
+	t.Helper()
+	var qb PackedBuilder
+	var shared []ID
+	prev := ID(0)
+	fits := func(k ID) bool { return k-prev < 1<<63 } // PackedBuilder's key-delta limit
+	for i, k := range keys {
+		if i < len(ops) && ops[i]&1 == 0 && (i+1 == len(keys) || fits(keys[i+1])) {
+			continue
+		}
+		if k > 0 && (i == 0 || keys[i-1] < k-1) && fits(k-1) {
+			qb.Append(k-1, []ID{k})
+		}
+		qb.Append(k, []ID{k})
+		shared, prev = append(shared, k), k
+	}
+	var q Packed // the empty vector has no encoding
+	if enc := qb.Finish(nil); len(enc) > 0 {
+		q = DecodePacked(enc)
+	}
+	for _, tc := range []struct {
+		q    Packed
+		want []ID
+	}{{p, keys}, {q, shared}} {
+		for _, swap := range []bool{false, true} {
+			x, y := p, tc.q
+			if swap {
+				x, y = y, x
+			}
+			a, b := x.Keys(), y.Keys()
+			var got []ID
+			MergeKeys(&a, &b, func(k ID) {
+				va, _ := x.Find(k)
+				vb, _ := y.Find(k)
+				if !slices.Equal(a.View().AppendTo(nil), va.AppendTo(nil)) || !slices.Equal(b.View().AppendTo(nil), vb.AppendTo(nil)) {
+					t.Fatalf("MergeKeys at %d: the cursors' views are not their entries'", k)
+				}
+				got = append(got, k)
+			})
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("MergeKeys (swap=%v) met %v, want %v", swap, got, tc.want)
+			}
+		}
+	}
 }
 
 // checkKernels holds the whole-vector kernels to the input lists:
@@ -437,7 +482,7 @@ func BenchmarkPackedKernels(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p.Total()), "ns/pair")
 	})
-	b.Run("RangeViews", func(b *testing.B) {
+	b.Run("RangeView", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Range(func(k ID, v View) bool {
 				v.Range(func(x ID) bool {

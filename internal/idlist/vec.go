@@ -1,35 +1,16 @@
 package idlist
 
 // Vec is a sorted association vector: keys in ascending order, each
-// paired with a pointer to a terminal List. It is the building block of
-// every index in this repository (Figure 2 of the Hexastore paper: a
-// head resource's vector of second-position keys, each carrying the list
-// of third-position resources).
+// paired with a pointer to a terminal List (Figure 2 of the Hexastore
+// paper: a head resource's vector of second-position keys, each carrying
+// the list of third-position resources). It is the raw, mutable form the
+// COVP baselines index with; a sealed Hexastore's vectors are Packed.
 //
 // The zero value is an empty vector ready to use. Vec is not safe for
 // concurrent mutation.
-//
-// A Vec has two physical renderings: the raw form (sorted key slice
-// plus a parallel slice of terminal-list pointers, mutable in place)
-// and the packed form (one immutable delta+varint blob holding keys and
-// lists together; see Packed). Bulk builders produce packed vectors
-// when compression is on; every read accessor works on either form, and
-// mutation paths unpack first (see Unpack).
 type Vec struct {
 	keys  []ID
 	lists []*List
-	pk    *Packed
-}
-
-// FromPacked wraps a packed vector; the Vec and its copy of the decoded
-// header are one allocation.
-func FromPacked(p Packed) *Vec {
-	w := &struct {
-		Vec
-		p Packed
-	}{p: p}
-	w.pk = &w.p
-	return &w.Vec
 }
 
 // Len returns the number of keys in the vector.
@@ -37,60 +18,32 @@ func (v *Vec) Len() int {
 	if v == nil {
 		return 0
 	}
-	if v.pk != nil {
-		return v.pk.Len()
-	}
 	return len(v.keys)
 }
 
 // Key returns the i-th smallest key.
-func (v *Vec) Key(i int) ID {
-	if v.pk != nil {
-		k, _ := v.pk.entry(i)
-		return k
-	}
-	return v.keys[i]
-}
+func (v *Vec) Key(i int) ID { return v.keys[i] }
 
 // List returns the terminal list associated with the i-th key. The list
 // may be shared storage; callers must not mutate it.
-func (v *Vec) List(i int) *List {
-	if v.pk != nil {
-		_, view := v.pk.entry(i)
-		return fromView(view)
-	}
-	return v.lists[i]
-}
+func (v *Vec) List(i int) *List { return v.lists[i] }
 
-// Keys exposes the sorted key slice. Callers must not mutate it. For a
-// packed vector the keys are materialized into a fresh slice.
+// Keys exposes the sorted key slice. Callers must not mutate it.
 func (v *Vec) Keys() []ID {
 	if v == nil {
 		return nil
-	}
-	if v.pk != nil {
-		return v.pk.AppendKeys(make([]ID, 0, v.pk.Len()))
 	}
 	return v.keys
 }
 
 // KeyList wraps the sorted keys as a List so they can participate in
-// merge-joins directly (e.g. merge-joining two subject vectors in osp
-// indexing, paper §4.2). The result aliases the vector's keys in raw
-// form and is a fresh copy for packed vectors.
+// merge-joins directly. The result aliases the vector's keys.
 func (v *Vec) KeyList() *List { return &List{ids: v.Keys()} }
 
 // Find returns the terminal list for key, or (nil, false).
 func (v *Vec) Find(key ID) (*List, bool) {
 	if v == nil {
 		return nil, false
-	}
-	if v.pk != nil {
-		view, ok := v.pk.Find(key)
-		if !ok {
-			return nil, false
-		}
-		return fromView(view), true
 	}
 	i := v.search(key)
 	if i < len(v.keys) && v.keys[i] == key {
@@ -99,33 +52,10 @@ func (v *Vec) Find(key ID) (*List, bool) {
 	return nil, false
 }
 
-// FindView returns the terminal-list view for key without materializing
-// a List — zero-copy on packed vectors.
-func (v *Vec) FindView(key ID) (View, bool) {
-	if v == nil {
-		return View{}, false
-	}
-	if v.pk != nil {
-		return v.pk.Find(key)
-	}
-	i := v.search(key)
-	if i < len(v.keys) && v.keys[i] == key {
-		return ViewOf(v.lists[i].IDs()), true
-	}
-	return View{}, false
-}
-
 // Range calls fn for each (key, list) pair in ascending key order until
-// fn returns false. Over a packed vector every callback receives a
-// freshly materialized (compressed-backed, zero-copy) List.
+// fn returns false.
 func (v *Vec) Range(fn func(key ID, list *List) bool) {
 	if v == nil {
-		return
-	}
-	if v.pk != nil {
-		v.pk.Range(func(k ID, view View) bool {
-			return fn(k, fromView(view))
-		})
 		return
 	}
 	for i, k := range v.keys {
@@ -133,43 +63,6 @@ func (v *Vec) Range(fn func(key ID, list *List) bool) {
 			return
 		}
 	}
-}
-
-// RangeViews calls fn for each (key, list view) pair in ascending key
-// order until fn returns false — the allocation-free walk the store's
-// streaming paths use.
-func (v *Vec) RangeViews(fn func(key ID, view View) bool) {
-	if v == nil {
-		return
-	}
-	if v.pk != nil {
-		v.pk.Range(fn)
-		return
-	}
-	for i, k := range v.keys {
-		if !fn(k, ViewOf(v.lists[i].IDs())) {
-			return
-		}
-	}
-}
-
-// Unpack converts a packed vector to raw form in place, materializing
-// private terminal lists (decompress-on-write). Raw vectors are
-// unchanged. The packed blob itself is never mutated, so views handed
-// out earlier stay consistent.
-func (v *Vec) Unpack() {
-	if v == nil || v.pk == nil {
-		return
-	}
-	pk := v.pk
-	v.keys = make([]ID, 0, pk.Len())
-	v.lists = make([]*List, 0, pk.Len())
-	pk.Range(func(k ID, view View) bool {
-		v.keys = append(v.keys, k)
-		v.lists = append(v.lists, FromSorted(view.AppendTo(nil)))
-		return true
-	})
-	v.pk = nil
 }
 
 func (v *Vec) search(key ID) int {
@@ -186,9 +79,7 @@ func (v *Vec) search(key ID) int {
 }
 
 // Insert adds (key, list) keeping keys sorted; no-op if key is present.
-// Packed vectors are unpacked first (decompress-on-write).
 func (v *Vec) Insert(key ID, list *List) {
-	v.Unpack()
 	i := v.search(key)
 	if i < len(v.keys) && v.keys[i] == key {
 		return
@@ -201,10 +92,8 @@ func (v *Vec) Insert(key ID, list *List) {
 	v.lists[i] = list
 }
 
-// Remove deletes key; no-op if absent. Packed vectors are unpacked
-// first (decompress-on-write).
+// Remove deletes key; no-op if absent.
 func (v *Vec) Remove(key ID) {
-	v.Unpack()
 	i := v.search(key)
 	if i >= len(v.keys) || v.keys[i] != key {
 		return

@@ -58,7 +58,7 @@ func TestVecRangeOrderAndEarlyStop(t *testing.T) {
 	var keys []ID
 	v.Range(func(k ID, l *List) bool {
 		keys = append(keys, k)
-		if l.At(0) != k*10 {
+		if l.IDs()[0] != k*10 {
 			t.Errorf("key %d paired with list %v", k, l.IDs())
 		}
 		return true

@@ -48,12 +48,6 @@ func TestRandomDifferential(t *testing.T) {
 				t.Fatalf("Contains(%d) wrong", probe)
 			}
 		}
-		for k := 0; k < 20 && n > 0; k++ {
-			i := r.Intn(n)
-			if c.At(i) != ids[i] {
-				t.Fatalf("At(%d) wrong", i)
-			}
-		}
 		// SeekGE monotone
 		it := c.Iter()
 		var seeks []ID
@@ -155,11 +149,11 @@ func TestPackedDifferential(t *testing.T) {
 				t.Fatalf("Find(%d)=%v want %v", k, ok, want)
 			}
 		}
-		// entry(i)
+		// A key cursor's Next walk
+		cur := p.Keys()
 		for i := 0; i < nk; i++ {
-			k, _ := p.entry(i)
-			if k != keys[i] {
-				t.Fatalf("entry(%d) key %d want %d", i, k, keys[i])
+			if k, ok := cur.Next(); !ok || k != keys[i] {
+				t.Fatalf("Next %d = %d,%v want %d", i, k, ok, keys[i])
 			}
 		}
 	}

@@ -132,7 +132,7 @@ func TestAdvisorEdgesPointAtProfessors(t *testing.T) {
 		if types.Len() != 1 {
 			t.Fatalf("advisor target %d has %d types", prof, types.Len())
 		}
-		class := dict.MustDecode(types.At(0))
+		class := dict.MustDecode(types.AppendTo(nil)[0])
 		if !profClasses[class.Value] {
 			t.Fatalf("advisor target %d has class %v", prof, class)
 		}

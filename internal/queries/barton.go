@@ -20,6 +20,19 @@ func countIntersect(a, b *idlist.List) int {
 	return n
 }
 
+// seekEach walks the sorted list l against the vector c steps over —
+// a list against a vector, one forward seek of c per list id — and calls
+// fn for every id c holds, with c on it.
+func seekEach(l idlist.View, c *idlist.KeyCursor, fn func(ID)) {
+	l.Range(func(id ID) bool {
+		k, ok := c.SeekGE(id)
+		if ok && k == id {
+			fn(id)
+		}
+		return ok
+	})
+}
+
 // sortedProps returns props if non-nil (the restricted "28" variants),
 // otherwise all distinct properties of the store, sorted for determinism.
 func sortedProps(all []ID, props []ID) []ID {
@@ -40,7 +53,7 @@ func sortedProps(all []ID, props []ID) []ID {
 // of Type, reading each object's subject-list length.
 func BQ1Hexa(st *core.Store, ids BartonIDs) map[ID]int {
 	out := make(map[ID]int)
-	st.Head(core.POS, ids.Type).Range(func(o ID, subjs *idlist.List) bool {
+	st.Head(core.POS, ids.Type).Range(func(o ID, subjs idlist.View) bool {
 		out[o] = subjs.Len()
 		return true
 	})
@@ -77,7 +90,7 @@ func BQ1COVP(st *vp.Store, ids BartonIDs) map[ID]int {
 
 // textSubjectsHexa selects the sorted subjects of ⟨·, Type, Text⟩ via
 // the pos terminal list.
-func textSubjectsHexa(st *core.Store, ids BartonIDs) *idlist.List {
+func textSubjectsHexa(st *core.Store, ids BartonIDs) idlist.View {
 	return st.Subjects(ids.Type, ids.Text)
 }
 
@@ -88,7 +101,7 @@ func BQ2Hexa(st *core.Store, ids BartonIDs, props []ID) map[ID]int {
 	return propertyFrequenciesHexa(st, t, props)
 }
 
-func propertyFrequenciesHexa(st *core.Store, t *idlist.List, props []ID) map[ID]int {
+func propertyFrequenciesHexa(st *core.Store, t idlist.View, props []ID) map[ID]int {
 	var allowed map[ID]bool
 	if props != nil {
 		allowed = make(map[ID]bool, len(props))
@@ -98,7 +111,7 @@ func propertyFrequenciesHexa(st *core.Store, t *idlist.List, props []ID) map[ID]
 	}
 	out := make(map[ID]int)
 	t.Range(func(s ID) bool {
-		st.Head(core.SPO, s).Range(func(p ID, objs *idlist.List) bool {
+		st.Head(core.SPO, s).Range(func(p ID, objs idlist.View) bool {
 			if allowed == nil || allowed[p] {
 				out[p] += objs.Len()
 			}
@@ -159,12 +172,17 @@ func BQ3COVP(st *vp.Store, ids BartonIDs, props []ID) map[Pair]int {
 // French.
 
 // BQ4Hexa merge-joins the two pos subject lists, then proceeds as BQ3.
+// The smaller list is decoded and merged against the larger in place,
+// which skips the larger's blocks below each id.
 func BQ4Hexa(st *core.Store, ids BartonIDs, props []ID) map[Pair]int {
-	t := idlist.Intersect(
-		st.Subjects(ids.Type, ids.Text),
-		st.Subjects(ids.Language, ids.French),
-	)
-	return bq3FinalHexa(st, t, props)
+	a, b := st.Subjects(ids.Type, ids.Text), st.Subjects(ids.Language, ids.French)
+	if a.Len() > b.Len() {
+		a, b = b, a
+	}
+	t := a.AppendTo(nil)
+	both := t[:0]
+	idlist.MergeFilterView(t, b, func(i int) { both = append(both, t[i]) })
+	return bq3FinalHexa(st, idlist.ViewOf(both), props)
 }
 
 // bq3FinalHexa aggregates (property, object) counts over the selection
@@ -179,7 +197,7 @@ func BQ4Hexa(st *core.Store, ids BartonIDs, props []ID) map[Pair]int {
 // differential tests enforce agreement with both COVP plans); the pos
 // variant was measured at roughly 2× the cost since it re-probes a
 // terminal list per candidate pair.
-func bq3FinalHexa(st *core.Store, t *idlist.List, props []ID) map[Pair]int {
+func bq3FinalHexa(st *core.Store, t idlist.View, props []ID) map[Pair]int {
 	var allowed map[ID]bool
 	if props != nil {
 		allowed = make(map[ID]bool, len(props))
@@ -189,14 +207,10 @@ func bq3FinalHexa(st *core.Store, t *idlist.List, props []ID) map[Pair]int {
 	}
 	counts := make(map[Pair]int)
 	t.Range(func(s ID) bool {
-		st.Head(core.SPO, s).Range(func(p ID, objs *idlist.List) bool {
-			if allowed != nil && !allowed[p] {
-				return true
-			}
-			objs.Range(func(o ID) bool {
+		st.Head(core.SPO, s).RangePairs(func(p, o ID) bool {
+			if allowed == nil || allowed[p] {
 				counts[Pair{p, o}]++
-				return true
-			})
+			}
 			return true
 		})
 		return true
@@ -278,20 +292,20 @@ func bq3FinalCOVP(st *vp.Store, t *idlist.List, props []ID) map[Pair]int {
 // BQ5Hexa: s from the pos terminal list; then merge-join the sorted
 // object vector of Records (pos) with the sorted subject vector of Type
 // (pso) to build the small table T of non-text inferred types, and
-// sort-merge s against the recording subjects.
+// probe s with the recording subjects of each object in T. s is decoded
+// once, so each probe is a binary search.
 func BQ5Hexa(st *core.Store, ids BartonIDs) map[Pair]bool {
-	s := st.Subjects(ids.Origin, ids.DLC)
+	s := st.Subjects(ids.Origin, ids.DLC).AppendTo(nil)
 	out := make(map[Pair]bool)
-	recordsVec := st.Head(core.POS, ids.Records) // object → recording subjects
-	typeVec := st.Head(core.PSO, ids.Type)       // subject → its types
-	if recordsVec.Len() == 0 || typeVec.Len() == 0 || s.Len() == 0 {
+	if len(s) == 0 {
 		return out
 	}
-	idlist.MergeJoin(recordsVec.KeyList(), typeVec.KeyList(), func(obj ID) {
-		types, _ := typeVec.Find(obj)
-		recorders, _ := recordsVec.Find(obj)
-		var nonText []ID
-		types.Range(func(typ ID) bool {
+	records := st.Head(core.POS, ids.Records).Keys() // object → recording subjects
+	types := st.Head(core.PSO, ids.Type).Keys()      // subject → its types
+	var nonText []ID
+	idlist.MergeKeys(&records, &types, func(ID) {
+		nonText = nonText[:0]
+		types.View().Range(func(typ ID) bool {
 			if typ != ids.Text {
 				nonText = append(nonText, typ)
 			}
@@ -300,10 +314,13 @@ func BQ5Hexa(st *core.Store, ids BartonIDs) map[Pair]bool {
 		if len(nonText) == 0 {
 			return
 		}
-		idlist.MergeJoinAdaptive(recorders, s, func(subj ID) {
-			for _, typ := range nonText {
-				out[Pair{subj, typ}] = true
+		records.View().Range(func(subj ID) bool {
+			if idlist.ContainsSorted(s, subj) {
+				for _, typ := range nonText {
+					out[Pair{subj, typ}] = true
+				}
 			}
+			return true
 		})
 	})
 	return out
@@ -398,27 +415,32 @@ func BQ5COVP(st *vp.Store, ids BartonIDs) map[Pair]bool {
 
 // BQ6Hexa merges the BQ2 and BQ5-style result sets on the Hexastore.
 func BQ6Hexa(st *core.Store, ids BartonIDs, props []ID) map[ID]int {
-	known := textSubjectsHexa(st, ids)
+	known := idlist.FromSorted(textSubjectsHexa(st, ids).AppendTo(nil))
 	inferred := inferredTextSubjectsHexa(st, ids)
 	t := idlist.Union(known, inferred)
-	return propertyFrequenciesHexa(st, t, props)
+	return propertyFrequenciesHexa(st, t.View(), props)
 }
 
+// inferredTextSubjectsHexa walks the Text subjects — the objects whose
+// type is Text — against the object vector of Records, one seek per
+// subject, and keeps each recorder with Origin: DLC (decoded once, as
+// in BQ5).
 func inferredTextSubjectsHexa(st *core.Store, ids BartonIDs) *idlist.List {
-	s := st.Subjects(ids.Origin, ids.DLC)
-	recordsVec := st.Head(core.POS, ids.Records)
+	s := st.Subjects(ids.Origin, ids.DLC).AppendTo(nil)
 	var b idlist.Builder
-	if s.Len() == 0 || recordsVec.Len() == 0 {
-		return (&b).Finish()
+	if len(s) == 0 {
+		return b.Finish()
 	}
-	textSubjects := st.Subjects(ids.Type, ids.Text) // objects whose type is Text
-	idlist.MergeJoin(recordsVec.KeyList(), textSubjects, func(obj ID) {
-		recorders, _ := recordsVec.Find(obj)
-		idlist.MergeJoinAdaptive(recorders, s, func(subj ID) {
-			b.Add(subj)
+	records := st.Head(core.POS, ids.Records).Keys()
+	seekEach(textSubjectsHexa(st, ids), &records, func(ID) {
+		records.View().Range(func(subj ID) bool {
+			if idlist.ContainsSorted(s, subj) {
+				b.Add(subj)
+			}
+			return true
 		})
 	})
-	return (&b).Finish()
+	return b.Finish()
 }
 
 // BQ6COVP merges the BQ2 and BQ5-style result sets on a COVP store.
@@ -470,19 +492,15 @@ func inferredTextSubjectsCOVP(st *vp.Store, ids BartonIDs) *idlist.List {
 // the set of (subject, property, value) triples with property ∈
 // {Encoding, Type}.
 
-// BQ7Hexa: s straight from the pos terminal list, then merge-joined with
-// the subject vectors of Encoding and Type.
+// BQ7Hexa: s straight from the pos terminal list, then walked against
+// the subject vectors of Encoding and Type, one seek per subject.
 func BQ7Hexa(st *core.Store, ids BartonIDs) map[[3]ID]bool {
 	s := st.Subjects(ids.Point, ids.End)
 	out := make(map[[3]ID]bool)
 	for _, p := range []ID{ids.Encoding, ids.Type} {
-		vec := st.Head(core.PSO, p)
-		if vec.Len() == 0 {
-			continue
-		}
-		idlist.MergeJoin(s, vec.KeyList(), func(subj ID) {
-			objs, _ := vec.Find(subj)
-			objs.Range(func(o ID) bool {
+		vec := st.Head(core.PSO, p).Keys()
+		seekEach(s, &vec, func(subj ID) {
+			vec.View().Range(func(o ID) bool {
 				out[[3]ID{subj, p, o}] = true
 				return true
 			})

@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"slices"
+
 	"hexastore/internal/core"
 	"hexastore/internal/idlist"
 	"hexastore/internal/vp"
@@ -16,11 +18,8 @@ import (
 // object's osp/ops vectors retrieves the result straightforwardly.
 func RelatedHexa(st *core.Store, obj ID) map[Pair]bool {
 	out := make(map[Pair]bool)
-	st.Head(core.OPS, obj).Range(func(p ID, subjs *idlist.List) bool {
-		subjs.Range(func(s ID) bool {
-			out[Pair{p, s}] = true
-			return true
-		})
+	st.Head(core.OPS, obj).RangePairs(func(p, s ID) bool {
+		out[Pair{p, s}] = true
 		return true
 	})
 	return out
@@ -50,18 +49,12 @@ func RelatedCOVP(st *vp.Store, obj ID) map[Pair]bool {
 // ops (resource as object).
 func LQ3Hexa(st *core.Store, res ID) map[[3]ID]bool {
 	out := make(map[[3]ID]bool)
-	st.Head(core.SPO, res).Range(func(p ID, objs *idlist.List) bool {
-		objs.Range(func(o ID) bool {
-			out[[3]ID{res, p, o}] = true
-			return true
-		})
+	st.Head(core.SPO, res).RangePairs(func(p, o ID) bool {
+		out[[3]ID{res, p, o}] = true
 		return true
 	})
-	st.Head(core.OPS, res).Range(func(p ID, subjs *idlist.List) bool {
-		subjs.Range(func(s ID) bool {
-			out[[3]ID{s, p, res}] = true
-			return true
-		})
+	st.Head(core.OPS, res).RangePairs(func(p, s ID) bool {
+		out[[3]ID{s, p, res}] = true
 		return true
 	})
 	return out
@@ -119,24 +112,33 @@ func LQ4COVP(st *vp.Store, ids LUBMIDs) map[ID]map[Pair]bool {
 // is related to, grouped by university: university → set of subjects.
 
 // LQ5Hexa: step 1 reads the professor's object vector straight from sop
-// indexing; step 2 refines it to universities by merge-joining with the
-// pos subject list of Type: University; step 3 is a pos lookup per
+// indexing; step 2 refines it to universities by walking the pos subject
+// list of Type: University against it; step 3 is a pos lookup per
 // (degree property, university).
 func LQ5Hexa(st *core.Store, ids LUBMIDs) map[ID]*idlist.List {
-	related := st.Head(core.SOP, ids.AssocProf10).KeyList()
-	universities := idlist.Intersect(related, st.Subjects(ids.Type, ids.ClassUniversity))
+	related := st.Head(core.SOP, ids.AssocProf10).Keys()
 	out := make(map[ID]*idlist.List)
-	universities.Range(func(u ID) bool {
-		var lists []*idlist.List
+	var views []idlist.View
+	var buf []ID // the lists of one university, decoded back to back
+	var lists []*idlist.List
+	seekEach(st.Subjects(ids.Type, ids.ClassUniversity), &related, func(u ID) {
+		views, lists = views[:0], lists[:0]
+		n := 0
 		for _, dp := range ids.DegreeProps {
 			if l := st.Subjects(dp, u); l.Len() > 0 {
-				lists = append(lists, l)
+				views, n = append(views, l), n+l.Len()
 			}
 		}
+		buf = slices.Grow(buf[:0], n)
+		for _, l := range views {
+			start := len(buf)
+			buf = l.AppendTo(buf)
+			lists = append(lists, idlist.FromSorted(buf[start:len(buf):len(buf)]))
+		}
+		// UnionAll returns new storage, so buf is free for the next.
 		if merged := idlist.UnionAll(lists); merged.Len() > 0 {
 			out[u] = merged
 		}
-		return true
 	})
 	return out
 }

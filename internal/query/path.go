@@ -14,7 +14,9 @@ import (
 // n−1 joins is a linear merge-join (the pos object vector of p1 against
 // the pso subject vector of p2), and the remaining n−2 are sort-merge
 // joins (one sorting operation each), instead of unsorted joins
-// throughout.
+// throughout. Here the first join is MergeKeys over the two vectors'
+// key cursors; each later hop sorts the objects it reached (a Builder)
+// and walks them against the next pso vector, one forward seek per node.
 
 // PathEndpoints evaluates the path and returns the distinct reachable
 // end nodes starting from every subject of p1 (i.e. the projection of
@@ -25,34 +27,48 @@ func (e *Engine) PathEndpoints(props []ID) *idlist.List {
 	}
 	st := e.store
 
-	// Frontier: all distinct objects of p1, straight off the pos index
-	// (its object vector is exactly the sorted distinct objects).
-	frontier := st.Head(core.POS, props[0]).KeyList()
+	// The distinct objects of p1 are the keys of its pos object vector.
+	objs := st.Head(core.POS, props[0]).Keys()
 	if len(props) == 1 {
-		return frontier.Copy()
+		var ends []ID
+		for o, ok := objs.Next(); ok; o, ok = objs.Next() {
+			ends = append(ends, o)
+		}
+		return idlist.FromSorted(ends)
 	}
 
-	for hop := 1; hop < len(props); hop++ {
-		p := props[hop]
-		subjVec := st.Head(core.PSO, p)
-		if subjVec.Len() == 0 || frontier.Len() == 0 {
-			return &idlist.List{}
-		}
-		// First join is a pure merge-join (frontier came sorted from
-		// pos); later hops re-sort the accumulated objects — the
-		// sort-merge joins of §4.3. Both reduce to MergeJoin here since
-		// the frontier is maintained sorted via the builder.
-		var next idlist.Builder
-		idlist.MergeJoin(frontier, subjVec.KeyList(), func(node ID) {
-			objs, _ := subjVec.Find(node)
-			objs.Range(func(o ID) bool {
-				next.Add(o)
-				return true
-			})
-		})
-		frontier = next.Finish()
+	var next idlist.Builder
+	subjs := st.Head(core.PSO, props[1]).Keys()
+	idlist.MergeKeys(&objs, &subjs, func(ID) { addAll(&next, subjs.View()) })
+	frontier := next.Finish()
+	for _, p := range props[2:] {
+		frontier = hop(st, frontier.View(), p)
 	}
 	return frontier
+}
+
+// hop returns the sorted distinct objects of p whose subjects are in the
+// sorted list nodes: nodes walked against p's pso subject vector, one
+// forward seek per node.
+func hop(st *core.Store, nodes idlist.View, p ID) *idlist.List {
+	var next idlist.Builder
+	subjs := st.Head(core.PSO, p).Keys()
+	nodes.Range(func(node ID) bool {
+		k, ok := subjs.SeekGE(node)
+		if ok && k == node {
+			addAll(&next, subjs.View())
+		}
+		return ok
+	})
+	return next.Finish()
+}
+
+// addAll adds every id of v to b.
+func addAll(b *idlist.Builder, v idlist.View) {
+	v.Range(func(id ID) bool {
+		b.Add(id)
+		return true
+	})
 }
 
 // PathPairs evaluates the path and reports every (start, end) pair to
@@ -63,29 +79,16 @@ func (e *Engine) PathPairs(props []ID, fn func(start, end ID) bool) {
 		return
 	}
 	st := e.store
-	starts := st.Head(core.PSO, props[0])
 	stop := false
-	starts.Range(func(start ID, firstObjs *idlist.List) bool {
-		reach := firstObjs
-		for hop := 1; hop < len(props) && reach.Len() > 0; hop++ {
-			subjVec := st.Head(core.PSO, props[hop])
-			var next idlist.Builder
-			idlist.MergeJoin(reach, subjVec.KeyList(), func(node ID) {
-				objs, _ := subjVec.Find(node)
-				objs.Range(func(o ID) bool {
-					next.Add(o)
-					return true
-				})
-			})
-			reach = next.Finish()
-		}
-		if len(props) == 1 {
-			reach = firstObjs
+	st.Head(core.PSO, props[0]).Range(func(start ID, reach idlist.View) bool {
+		for _, p := range props[1:] {
+			if reach.Len() == 0 {
+				break
+			}
+			reach = hop(st, reach, p).View()
 		}
 		reach.Range(func(end ID) bool {
-			if !fn(start, end) {
-				stop = true
-			}
+			stop = !fn(start, end)
 			return !stop
 		})
 		return !stop
@@ -99,16 +102,13 @@ func (e *Engine) PathPairs(props []ID, fn func(start, end ID) bool) {
 func (e *Engine) Reachable(start ID, maxHops int) *idlist.List {
 	visited := &idlist.List{}
 	frontier := []ID{start}
-	for hop := 0; hop < maxHops && len(frontier) > 0; hop++ {
+	for i := 0; i < maxHops && len(frontier) > 0; i++ {
 		var next []ID
 		for _, node := range frontier {
-			e.store.Head(core.SPO, node).Range(func(_ ID, objs *idlist.List) bool {
-				objs.Range(func(o ID) bool {
-					if visited.Insert(o) {
-						next = append(next, o)
-					}
-					return true
-				})
+			e.store.Head(core.SPO, node).RangePairs(func(_, o ID) bool {
+				if visited.Insert(o) {
+					next = append(next, o)
+				}
 				return true
 			})
 		}

@@ -66,12 +66,11 @@ func (e *Engine) Count(pat Pattern) (int, error) {
 // merge-joining the two subject vectors in osp indexing, where
 // property-oriented schemes must union over every property table.
 func (e *Engine) SubjectsRelatedToBothObjects(o1, o2 ID) *idlist.List {
-	v1 := e.store.Head(core.OSP, o1)
-	v2 := e.store.Head(core.OSP, o2)
-	if v1.Len() == 0 || v2.Len() == 0 {
-		return &idlist.List{}
-	}
-	return idlist.Intersect(v1.KeyList(), v2.KeyList())
+	v1 := e.store.Head(core.OSP, o1).Keys()
+	v2 := e.store.Head(core.OSP, o2).Keys()
+	var out []ID
+	idlist.MergeKeys(&v1, &v2, func(s ID) { out = append(out, s) })
+	return idlist.FromSorted(out)
 }
 
 // RelatedResources returns every (property, subject) pair pointing at
@@ -79,14 +78,5 @@ func (e *Engine) SubjectsRelatedToBothObjects(o1, o2 ID) *idlist.List {
 // object", the functionality §3 argues no prior scheme provides
 // directly. The ops index supplies it as a single vector walk.
 func (e *Engine) RelatedResources(o ID, fn func(p, s ID) bool) {
-	stop := false
-	e.store.Head(core.OPS, o).Range(func(p ID, subjs *idlist.List) bool {
-		subjs.Range(func(s ID) bool {
-			if !fn(p, s) {
-				stop = true
-			}
-			return !stop
-		})
-		return !stop
-	})
+	e.store.Head(core.OPS, o).RangePairs(fn)
 }
