@@ -64,10 +64,10 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
+	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
 	"hexastore/internal/govern"
 	"hexastore/internal/graph"
-	"hexastore/internal/rdf"
 	"hexastore/internal/replica"
 	"hexastore/internal/server"
 	"hexastore/internal/sparql"
@@ -80,7 +80,7 @@ func main() {
 	turtle := flag.String("turtle", "", "Turtle file to load at startup")
 	cache := flag.Int("cache", 4096, "disk buffer pool capacity in pages")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"goroutines for the startup bulk load and per-query join parallelism; 1 = sequential")
+		"goroutines for the startup bulk load (parse, encode, index build) and per-query join parallelism; 1 = sequential. The loaded store, dictionary ids included, is the same for every value")
 	live := flag.Bool("live", false,
 		"serve -disk through the MVCC delta overlay: queries pin snapshots and never block on updates (the memory store always is)")
 	walPath := flag.String("wal", "",
@@ -128,19 +128,12 @@ func main() {
 		log.Fatalf("hexserver: -result-cache-bytes: %v", err)
 	}
 
-	var triples []rdf.Triple
-	for _, f := range []struct {
-		path   string
-		turtle bool
-	}{{*load, false}, {*turtle, true}} {
-		if f.path == "" {
-			continue
-		}
-		ts, err := readFile(f.path, f.turtle)
-		if err != nil {
-			log.Fatalf("hexserver: %v", err)
-		}
-		triples = append(triples, ts...)
+	var files []startupFile
+	if *load != "" {
+		files = append(files, startupFile{path: *load})
+	}
+	if *turtle != "" {
+		files = append(files, startupFile{path: *turtle, turtle: true})
 	}
 
 	var (
@@ -150,7 +143,7 @@ func main() {
 	)
 	switch {
 	case *follow != "":
-		if *diskDir != "" || len(triples) > 0 || *walPath != "" || *ship != "" {
+		if *diskDir != "" || len(files) > 0 || *walPath != "" || *ship != "" {
 			log.Fatalf("hexserver: -follow replicas build their state from the leader's WAL alone (no -disk/-load/-turtle/-wal/-ship)")
 		}
 		ov, f, err := openReplica(*follow, *compactThreshold)
@@ -160,7 +153,7 @@ func main() {
 		g, closer, follower = ov, ov.Close, f
 	default:
 		var err error
-		g, closer, err = openStore(*diskDir, *cache, *walPath, triples, *workers)
+		g, closer, err = openStore(*diskDir, *cache, *walPath, files, *workers)
 		if err != nil {
 			log.Fatalf("hexserver: %v", err)
 		}
@@ -312,32 +305,48 @@ func snapshotPath(diskDir, walPath string) string {
 	return walPath + ".snapshot"
 }
 
-// readFile parses one startup data file.
-func readFile(path string, asTurtle bool) ([]rdf.Triple, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// startupFile is a data file to bulk-load at startup: -load's N-Triples
+// or -turtle's Turtle.
+type startupFile struct {
+	path   string
+	turtle bool
+}
+
+// encodeFiles parses the startup files and dictionary-encodes their
+// triples into dict, in flag order, through the bulk loader's encoder.
+func encodeFiles(dict *dictionary.Dictionary, files []startupFile, workers int) ([][3]core.ID, error) {
+	var ids [][3]core.ID
+	for _, file := range files {
+		f, err := os.Open(file.path)
+		if err != nil {
+			return nil, err
+		}
+		encode := core.EncodeNTriples
+		if file.turtle {
+			encode = core.EncodeTurtle
+		}
+		ts, err := encode(dict, f, workers)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("load %s: %w", file.path, err)
+		}
+		if len(ids) == 0 {
+			ids = ts
+		} else {
+			ids = append(ids, ts...)
+		}
 	}
-	defer f.Close()
-	var triples []rdf.Triple
-	if asTurtle {
-		triples, err = rdf.NewTurtleReader(f).ReadAll()
-	} else {
-		triples, err = rdf.NewReader(f).ReadAll()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("load %s: %w", path, err)
-	}
-	return triples, nil
+	return ids, nil
 }
 
 // openStore builds the base graph: the disk store (opened or created,
-// bulk-loading startup triples into a fresh one) or the sealed in-memory
-// store (restored from a WAL checkpoint snapshot when one exists, else
-// bulk-built from the startup triples), which main wraps in an overlay.
-func openStore(diskDir string, cache int, walPath string, triples []rdf.Triple, workers int) (graph.Graph, func() error, error) {
+// bulk-loading the startup files into a fresh one) or the sealed
+// in-memory store (restored from a WAL checkpoint snapshot when one
+// exists, else bulk-built from the startup files), which main wraps in
+// an overlay.
+func openStore(diskDir string, cache int, walPath string, files []startupFile, workers int) (graph.Graph, func() error, error) {
 	if diskDir != "" {
-		g, err := openDisk(diskDir, cache, triples, workers)
+		g, err := openDisk(diskDir, cache, files, workers)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -351,7 +360,7 @@ func openStore(diskDir string, cache int, walPath string, triples []rdf.Triple, 
 			return nil, nil, err
 		}
 		if ok {
-			if len(triples) > 0 {
+			if len(files) > 0 {
 				return nil, nil, fmt.Errorf("snapshot %s already holds %d triples; refusing -load/-turtle", snap, st.Len())
 			}
 			log.Printf("hexserver: restored %d triples from %s", st.Len(), snap)
@@ -359,18 +368,22 @@ func openStore(diskDir string, cache int, walPath string, triples []rdf.Triple, 
 		}
 	}
 
-	// Sort-once bulk construction: encoding and the index build spread
-	// across -workers cores, and the consuming build avoids a second copy
-	// of the triple set.
+	// Sort-once bulk construction: parsing, encoding and the index build
+	// spread across -workers cores, and the consuming build avoids a
+	// second copy of the triple set.
 	b := core.NewBuilder(nil)
-	b.AddAll(core.EncodeTriples(b.Dictionary(), triples, workers))
+	ids, err := encodeFiles(b.Dictionary(), files, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	b.AddAll(ids)
 	return graph.Memory(b.BuildParallel(workers)), nil, nil
 }
 
 // openDisk opens (or creates) the disk store and bulk-loads the startup
-// triples. A fresh store takes the sorted BulkLoad path; an existing
+// files. A fresh store takes the sorted BulkLoad path; an existing
 // store refuses startup files rather than silently double-loading.
-func openDisk(dir string, cache int, triples []rdf.Triple, workers int) (graph.Graph, error) {
+func openDisk(dir string, cache int, files []startupFile, workers int) (graph.Graph, error) {
 	opts := disk.Options{CacheSize: cache}
 	var (
 		st  *disk.Store
@@ -384,12 +397,16 @@ func openDisk(dir string, cache int, triples []rdf.Triple, workers int) (graph.G
 	if err != nil {
 		return nil, err
 	}
-	if len(triples) > 0 {
+	if len(files) > 0 {
 		if n := st.Len(); n > 0 {
 			st.Close()
 			return nil, fmt.Errorf("disk store %s already holds %d triples; refusing -load/-turtle", dir, n)
 		}
-		ids := core.EncodeTriples(st.Dictionary(), triples, workers)
+		ids, err := encodeFiles(st.Dictionary(), files, workers)
+		if err != nil {
+			st.Close()
+			return nil, err
+		}
 		if err := st.BulkLoadParallel(ids, workers); err != nil {
 			st.Close()
 			return nil, err

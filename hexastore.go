@@ -613,22 +613,21 @@ func T(s, p, o Term) Triple { return rdf.T(s, p, o) }
 // ParseTriple parses one N-Triples line.
 func ParseTriple(line string) (Triple, error) { return rdf.ParseTriple(line) }
 
-// LoadNTriples bulk-loads an N-Triples stream into a new Store,
-// sequentially — dictionary ids are assigned in stream order. Use
-// LoadNTriplesParallel to spread parsing, encoding and index
-// construction across cores.
+// LoadNTriples bulk-loads an N-Triples stream into a new Store on one
+// goroutine. Use LoadNTriplesParallel to spread parsing, encoding and
+// index construction across cores; the Store is the same either way.
 func LoadNTriples(r io.Reader) (*Store, error) {
 	return LoadNTriplesParallel(r, 1)
 }
 
 // LoadNTriplesParallel bulk-loads an N-Triples stream into a new Store
-// using up to workers goroutines end to end: chunked line parsing and
-// dictionary encoding over a bounded channel (see core.Builder's
-// AddNTriples), then the parallel sort-once index build (BuildParallel).
-// workers <= 0 means runtime.GOMAXPROCS(0). The loaded graph is
-// identical for every worker count; only the dictionary's id assignment
-// order depends on it (ids stay dense either way). workers == 1 is
-// exactly LoadNTriples.
+// using up to workers goroutines end to end: the stream is parsed and
+// dictionary-encoded in blocks of lines (see core.EncodeNTriples), then
+// indexed by the parallel sort-once build (core.Builder.BuildParallel).
+// workers <= 0 means runtime.GOMAXPROCS(0). Dictionary ids are given in
+// one canonical order — predicates, then IRIs and blank nodes, then
+// literals, each in order of first occurrence — so the Store, ids
+// included, is the same for every worker count.
 func LoadNTriplesParallel(r io.Reader, workers int) (*Store, error) {
 	b := core.NewBuilder(nil)
 	if _, err := b.AddNTriples(r, workers); err != nil {
@@ -681,10 +680,12 @@ func LoadTurtle(r io.Reader) (*Store, error) {
 // LoadTurtleParallel bulk-loads a Turtle stream with up to workers
 // goroutines (workers <= 0 means runtime.GOMAXPROCS(0)). Turtle is
 // stateful (@prefix, predicate/object lists), so parsing stays on one
-// goroutine; dictionary encoding and the index build parallelize.
+// goroutine; the encoding and the index build parallelize, and ids are
+// given in the canonical order LoadNTriplesParallel describes, the same
+// for every worker count.
 func LoadTurtleParallel(r io.Reader, workers int) (*Store, error) {
 	b := core.NewBuilder(nil)
-	if _, err := b.AddTriples(rdf.NewTurtleReader(r), workers); err != nil {
+	if _, err := b.AddTurtle(r, workers); err != nil {
 		return nil, err
 	}
 	return b.BuildParallel(workers), nil

@@ -11,8 +11,8 @@ import (
 )
 
 // Builder bulk-loads a Hexastore: it collects all triples, sorts them
-// three times, and writes every vector and terminal list in its final
-// sorted order.
+// into the six orderings, and writes every vector and terminal list in
+// its final sorted order.
 type Builder struct {
 	dict    *dictionary.Dictionary
 	triples [][3]ID
@@ -85,115 +85,95 @@ func (b *Builder) Build() *Store {
 
 // BuildParallel constructs the store using up to workers goroutines
 // (workers <= 0 means runtime.GOMAXPROCS(0); 1 runs the sequential
-// passes). It consumes the recorded triples — the builder's buffer is
-// released rather than copied, so peak memory during million-triple loads
-// is one triple set, not two — and the builder must not be reused for
-// another Build afterwards (Add starts a fresh load).
+// passes). It consumes the recorded triples — the sort works in the
+// builder's buffer rather than a copy of it — and the builder must not be
+// reused for another Build afterwards (Add starts a fresh load).
 //
 // The resulting store is identical to Build's output for every worker
-// count: each index pass consumes the fully sorted triple set in its own
-// order, so neither goroutine scheduling nor the parallel sort's chunking
-// can change what is built.
+// count: each ordering is a total order over the deduped triples, so
+// goroutine scheduling cannot change what is built.
 func (b *Builder) BuildParallel(workers int) *Store {
 	ts := b.triples
 	b.triples = nil
 	return buildFrom(b.dict, ts, workers)
 }
 
-// buildFrom sorts, dedupes and packs ts, which it owns, into a new store.
-// With workers > 1 the (s,o,p) and (p,o,s) passes get their own sorted
-// copies and all three passes run concurrently, each writing only its own
-// two runs. The built content is identical for every worker count: each
-// pass consumes the fully sorted triple set in its own order, so neither
-// goroutine scheduling nor the parallel sort's chunking can change what
-// is built.
+// buildFrom sorts, dedupes and packs ts, which it owns, into a new store,
+// using up to workers goroutines. Dictionary ids are dense, so every
+// ordering is sorted by stable counting passes over one column: (s,p,o)
+// by three least-significant-digit passes — o, then p, then s — and each
+// other ordering by one pass over an ordering that already sorts its
+// last two columns. The six orderings are total orders over the deduped
+// triples, so what is built is the same for every worker count.
 func buildFrom(dict *dictionary.Dictionary, ts [][3]ID, workers int) *Store {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Dedupe on (s,p,o).
-	sortTriples(ts, 0, 1, 2, workers)
-	ts = dedupeTriples(ts)
-	st := NewShared(dict)
-	st.size = len(ts)
-
-	// Each pass packs one ordering pair's runs; the orderings meet in
-	// their head position's arena at the end.
-	var runs [6]packedRun
-
-	if workers <= 1 {
-		// Pass 1 — sorted by (s,p,o): the spo and pso vectors.
-		runs[SPO], runs[PSO] = packPass(ts, 0, 1, 2)
-
-		// Pass 2 — sorted by (s,o,p): sop and osp.
-		sortTriples(ts, 0, 2, 1, 1)
-		runs[SOP], runs[OSP] = packPass(ts, 0, 2, 1)
-
-		// Pass 3 — sorted by (p,o,s): pos and ops.
-		sortTriples(ts, 1, 2, 0, 1)
-		runs[POS], runs[OPS] = packPass(ts, 1, 2, 0)
-	} else {
-		// Parallel passes: pass 1 reuses the (s,p,o)-sorted ts as is and
-		// runs on the calling goroutine (which would otherwise idle in
-		// Wait); passes 2 and 3 sort private copies. The spawned lanes stay
-		// within the budget: with workers == 2 a single lane handles both
-		// re-sorts sequentially, otherwise two lanes split the remaining
-		// workers-1 budget between their sorts — so at most `workers`
-		// goroutines are CPU-bound at any moment.
-		ts2 := slices.Clone(ts)
-		ts3 := slices.Clone(ts)
-		pass2 := func(sortWorkers int) {
-			sortTriples(ts2, 0, 2, 1, sortWorkers)
-			runs[SOP], runs[OSP] = packPass(ts2, 0, 2, 1)
-		}
-		pass3 := func(sortWorkers int) {
-			sortTriples(ts3, 1, 2, 0, sortWorkers)
-			runs[POS], runs[OPS] = packPass(ts3, 1, 2, 0)
-		}
-		var wg sync.WaitGroup
-		if workers == 2 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pass2(1)
-				pass3(1)
-			}()
-		} else {
-			s2 := (workers - 1) / 2
-			s3 := workers - 1 - s2
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				pass2(s2)
-			}()
-			go func() {
-				defer wg.Done()
-				pass3(s3)
-			}()
-		}
-		runs[SPO], runs[PSO] = packPass(ts, 0, 1, 2)
-		wg.Wait()
+	var top ID
+	for _, t := range ts {
+		top = max(top, t[0], t[1], t[2])
 	}
+	spo := make([][3]ID, len(ts))
+	countingSort(spo, ts, 2, top)
+	countingSort(ts, spo, 1, top)
+	countingSort(spo, ts, 0, top)
+	spo = dedupeTriples(spo)
+	st := NewShared(dict)
+	st.size = len(spo)
+
+	// Each task packs one ordering's runs; the orderings meet in their
+	// head position's arena at the end.
+	var runs [6]packedRun
+	l := newLanes(workers)
+	l.do(func() { runs[SPO] = packOrdering(spo, 0, 1, 2) })
+	l.do(func() { runs[PSO] = packOrdering(sortedByColumn(spo, 1, top), 1, 0, 2) })
+	l.do(func() {
+		osp := sortedByColumn(spo, 2, top)
+		l.do(func() { runs[SOP] = packOrdering(sortedByColumn(osp, 0, top), 0, 2, 1) })
+		l.do(func() {
+			pos := sortedByColumn(osp, 1, top)
+			l.do(func() { runs[OPS] = packOrdering(sortedByColumn(pos, 2, top), 2, 1, 0) })
+			runs[POS] = packOrdering(pos, 1, 2, 0)
+		})
+		runs[OSP] = packOrdering(osp, 2, 0, 1)
+	})
+	l.wait()
 	for i := range st.arenas {
 		st.arenas[i] = records(runs[2*i], runs[2*i+1])
 	}
 	return st
 }
 
-// packPass consumes triples sorted by positions (a, b, c) and renders
-// both the forward index (head a, key b) and the mirror index (head b,
-// key a) as runs of packed delta+varint vectors — keys and terminal lists
-// in one run of bytes per head, no per-head allocations. Unlike the
-// paper's layout the two orderings do not share list storage (a packed
-// vector has no pointers to share), which the compression win pays for
-// several times over; see Store.IndexBytes.
-//
-// The pass is a-major, so the forward run fills head by head from ts; a
-// stable counting sort on column b gives (b, a, c) order for the mirror.
-func packPass(ts [][3]ID, a, b, c int) (fwd, mirror packedRun) {
-	return packOrdering(ts, a, b, c), packOrdering(sortedByColumn(ts, b), b, a, c)
+// lanes runs tasks on up to n goroutines at once, or inline with n == 1.
+// A task may start more tasks; none waits for another, so the bound
+// cannot deadlock.
+type lanes struct {
+	wg  sync.WaitGroup
+	sem chan struct{}
 }
+
+func newLanes(n int) *lanes {
+	if n <= 1 {
+		return &lanes{}
+	}
+	return &lanes{sem: make(chan struct{}, n)}
+}
+
+func (l *lanes) do(task func()) {
+	if l.sem == nil {
+		task()
+		return
+	}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		l.sem <- struct{}{}
+		defer func() { <-l.sem }()
+		task()
+	}()
+}
+
+func (l *lanes) wait() { l.wg.Wait() }
 
 // packedRun is one ordering's packed vectors back to back, heads
 // ascending: what a pass builds before records pairs it with the other
@@ -247,44 +227,29 @@ func records(first, second packedRun) arena {
 	return ar
 }
 
-// sortedByColumn returns a copy of ts stably sorted by column col alone:
-// a counting sort over the id range, dictionary ids being dense.
-func sortedByColumn(ts [][3]ID, col int) [][3]ID {
+// sortedByColumn returns a copy of ts stably sorted by column col alone.
+// top bounds the ids in that column.
+func sortedByColumn(ts [][3]ID, col int, top ID) [][3]ID {
 	out := make([][3]ID, len(ts))
-	var top ID
-	for _, t := range ts {
-		top = max(top, t[col])
-	}
+	countingSort(out, ts, col, top)
+	return out
+}
+
+// countingSort writes src into dst, which has its length, stably sorted
+// by column col: a counting sort over the id range 0..top, dictionary ids
+// being dense.
+func countingSort(dst, src [][3]ID, col int, top ID) {
 	next := make([]uint32, top+2) // next[id+1] counts id, then next[id] is its write cursor
-	for _, t := range ts {
+	for _, t := range src {
 		next[t[col]+1]++
 	}
 	for id := 1; id < len(next); id++ {
 		next[id] += next[id-1]
 	}
-	for _, t := range ts {
-		out[next[t[col]]] = t
+	for _, t := range src {
+		dst[next[t[col]]] = t
 		next[t[col]]++
 	}
-	return out
-}
-
-// sortTriples sorts ts by positions (a, b, c) using up to workers
-// goroutines. The comparator is a total order over the triple values, so
-// the sorted output — and everything built from it — is independent of
-// the worker count.
-func sortTriples(ts [][3]ID, a, b, c, workers int) {
-	idlist.ParallelSortFunc(ts, workers, func(x, y [3]ID) int {
-		for _, j := range [3]int{a, b, c} {
-			if x[j] != y[j] {
-				if x[j] < y[j] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	})
 }
 
 func dedupeTriples(ts [][3]ID) [][3]ID {

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -67,62 +65,10 @@ func TestBuildParallelIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// decodeSorted flattens a store to its decoded N-Triples lines, sorted —
-// an id-assignment-independent fingerprint for comparing stores whose
-// dictionaries were populated in different orders.
-func decodeSorted(t *testing.T, st *Store) []string {
-	t.Helper()
-	var lines []string
-	var derr error
-	st.Match(None, None, None, func(s, p, o ID) bool {
-		tr, err := st.Dictionary().DecodeTriple(s, p, o)
-		if err != nil {
-			derr = err
-			return false
-		}
-		lines = append(lines, tr.String())
-		return true
-	})
-	if derr != nil {
-		t.Fatalf("decode: %v", derr)
-	}
-	slices.Sort(lines)
-	return lines
-}
-
-func TestAddNTriplesParallelEquivalent(t *testing.T) {
-	var doc strings.Builder
-	doc.WriteString("# header comment\n\n")
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		fmt.Fprintf(&doc, "<s%d> <p%d> \"o %d\" .\n", rng.Intn(500), rng.Intn(20), rng.Intn(800))
-		if i%97 == 0 {
-			doc.WriteString("\n# interleaved comment\n")
-		}
-	}
-
-	var want []string
-	wantAdded := 0
-	for _, workers := range []int{1, 2, 8} {
-		b := NewBuilder(nil)
-		added, err := b.AddNTriples(strings.NewReader(doc.String()), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: AddNTriples: %v", workers, err)
-		}
-		got := decodeSorted(t, b.BuildParallel(workers))
-		if workers == 1 {
-			want, wantAdded = got, added
-			continue
-		}
-		if added != wantAdded {
-			t.Errorf("workers=%d: added %d triples, sequential added %d", workers, added, wantAdded)
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("workers=%d: loaded triple set differs from sequential", workers)
-		}
-	}
-}
-
+// TestAddNTriplesReportsEarliestParseError checks that a load with two
+// malformed lines reports the first, at the line rdf.Reader gives, for
+// every worker count and block size, and leaves the builder and the
+// dictionary as they were.
 func TestAddNTriplesReportsEarliestParseError(t *testing.T) {
 	var doc strings.Builder
 	for i := 1; i <= 4000; i++ {
@@ -132,77 +78,25 @@ func TestAddNTriplesReportsEarliestParseError(t *testing.T) {
 		}
 		fmt.Fprintf(&doc, "<s%d> <p> <o%d> .\n", i, i)
 	}
+	doc.WriteString("<s> <p> \"unterminated .\n")
 	for _, workers := range []int{1, 4} {
-		b := NewBuilder(nil)
-		_, err := b.AddNTriples(strings.NewReader(doc.String()), workers)
-		var pe *rdf.ParseError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *rdf.ParseError", workers, err)
-		}
-		if pe.Line != 2777 {
-			t.Errorf("workers=%d: error line = %d, want 2777", workers, pe.Line)
-		}
-	}
-}
-
-// stubReader feeds a fixed triple slice through the TripleReader shape,
-// standing in for the stateful Turtle reader.
-type stubReader struct {
-	ts []rdf.Triple
-	i  int
-	// failAt, when >= 0, errors after that many reads.
-	failAt int
-}
-
-func (r *stubReader) Read() (rdf.Triple, error) {
-	if r.failAt >= 0 && r.i == r.failAt {
-		return rdf.Triple{}, errors.New("stub read failure")
-	}
-	if r.i >= len(r.ts) {
-		return rdf.Triple{}, io.EOF
-	}
-	t := r.ts[r.i]
-	r.i++
-	return t, nil
-}
-
-func TestAddTriplesParallelEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ts := make([]rdf.Triple, 0, 6000)
-	for i := 0; i < 6000; i++ {
-		ts = append(ts, rdf.T(
-			rdf.NewIRI(fmt.Sprintf("s%d", rng.Intn(400))),
-			rdf.NewIRI(fmt.Sprintf("p%d", rng.Intn(16))),
-			rdf.NewLiteral(fmt.Sprintf("o%d", rng.Intn(700)))))
-	}
-	ts[17] = rdf.Triple{} // invalid: skipped by every path
-
-	var want []string
-	wantAdded := 0
-	for _, workers := range []int{1, 3, 8} {
-		b := NewBuilder(nil)
-		added, err := b.AddTriples(&stubReader{ts: ts, failAt: -1}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: AddTriples: %v", workers, err)
-		}
-		got := decodeSorted(t, b.BuildParallel(workers))
-		if workers == 1 {
-			want, wantAdded = got, added
-			continue
-		}
-		if added != wantAdded {
-			t.Errorf("workers=%d: added %d, want %d", workers, added, wantAdded)
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("workers=%d: triple set differs from sequential", workers)
+		for _, block := range []int{1, 100, loadBlock} {
+			dict := dictionary.New()
+			ids, err := encodeNTriples(dict, strings.NewReader(doc.String()), workers, block)
+			var pe *rdf.ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("workers=%d block=%d: err = %v, want *rdf.ParseError", workers, block, err)
+			}
+			if pe.Line != 2777 || pe.Text != "<s> <p> ." {
+				t.Errorf("workers=%d block=%d: error at line %d (%q), want 2777", workers, block, pe.Line, pe.Text)
+			}
+			if ids != nil || dict.Len() != 0 {
+				t.Errorf("workers=%d block=%d: a failed load returned %d triples and left %d terms", workers, block, len(ids), dict.Len())
+			}
 		}
 	}
-
-	// A mid-stream read error surfaces from every worker count.
-	for _, workers := range []int{1, 4} {
-		b := NewBuilder(nil)
-		if _, err := b.AddTriples(&stubReader{ts: ts, failAt: 100}, workers); err == nil {
-			t.Errorf("workers=%d: AddTriples swallowed the read error", workers)
-		}
+	b := NewBuilder(nil)
+	if n, err := b.AddNTriples(strings.NewReader(doc.String()), 2); err == nil || n != 0 || b.Len() != 0 {
+		t.Errorf("AddNTriples of a malformed stream = %d, %v; builder holds %d", n, err, b.Len())
 	}
 }

@@ -7,6 +7,7 @@ package dictionary
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"hexastore/internal/rdf"
@@ -42,8 +43,11 @@ type shard struct {
 // table only grows).
 //
 // ID assignment order is first-come-first-served: a single-threaded caller
-// sees exactly the historical dense 1,2,3,… assignment in encounter order;
-// concurrent callers see a dense but interleaving-dependent assignment.
+// sees the dense 1,2,3,… assignment in encounter order; concurrent callers
+// see a dense but interleaving-dependent assignment. The bulk loaders of
+// package core encode from one goroutine in a canonical order (see
+// core.EncodeNTriples), so a load gives the same ids whatever its worker
+// count.
 type Dictionary struct {
 	shards [numShards]shard
 
@@ -72,24 +76,21 @@ func New() *Dictionary {
 	return d
 }
 
-// shardOf returns the stripe for key (FNV-1a over the key bytes).
+// shardSeed seeds the stripe hash; any fixed seed spreads keys evenly.
+var shardSeed = maphash.MakeSeed()
+
+// shardOf returns the stripe for key.
 func (d *Dictionary) shardOf(key string) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &d.shards[h&(numShards-1)]
+	return &d.shards[maphash.String(shardSeed, key)&(numShards-1)]
 }
 
 // Encode returns the ID for term, assigning a fresh one if the term has
 // not been seen before.
-func (d *Dictionary) Encode(term rdf.Term) ID {
-	key := term.Key()
+func (d *Dictionary) Encode(term rdf.Term) ID { return d.EncodeKey(term.Key()) }
+
+// EncodeKey is Encode for a term given in key form (rdf.Term.Key), as
+// the bulk loader has it; the dictionary keeps the key string itself.
+func (d *Dictionary) EncodeKey(key string) ID {
 	sh := d.shardOf(key)
 	sh.mu.RLock()
 	id, ok := sh.forward[key]

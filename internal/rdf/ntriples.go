@@ -2,9 +2,9 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // ParseError describes a syntax error at a specific line of an N-Triples
@@ -29,6 +29,7 @@ func (e *ParseError) Unwrap() error { return e.Err }
 type Reader struct {
 	scanner *bufio.Scanner
 	line    int
+	keys    []byte
 }
 
 // NewReader returns a Reader consuming r.
@@ -43,15 +44,14 @@ func NewReader(r io.Reader) *Reader {
 func (r *Reader) Read() (Triple, error) {
 	for r.scanner.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		t, err := parseLine(line)
+		keys, end, ok, err := AppendStatement(r.keys[:0], r.scanner.Bytes())
+		r.keys = keys
 		if err != nil {
-			return Triple{}, &ParseError{Line: r.line, Text: line, Err: err}
+			return Triple{}, &ParseError{Line: r.line, Text: string(bytes.TrimSpace(r.scanner.Bytes())), Err: err}
 		}
-		return t, nil
+		if ok {
+			return tripleOfKeys(string(keys), end), nil
+		}
 	}
 	if err := r.scanner.Err(); err != nil {
 		return Triple{}, err
@@ -77,98 +77,139 @@ func (r *Reader) ReadAll() ([]Triple, error) {
 // ParseTriple parses a single N-Triples line (with or without the
 // trailing dot).
 func ParseTriple(line string) (Triple, error) {
-	return parseLine(strings.TrimSpace(line))
+	keys, end, err := appendTriple(nil, bytes.TrimSpace([]byte(line)))
+	if err != nil {
+		return Triple{}, err
+	}
+	return tripleOfKeys(string(keys), end), nil
 }
 
-func parseLine(line string) (Triple, error) {
-	line = strings.TrimSuffix(strings.TrimSpace(line), ".")
-	line = strings.TrimSpace(line)
-
-	s, rest, err := parseTerm(line)
-	if err != nil {
-		return Triple{}, fmt.Errorf("subject: %w", err)
+// AppendStatement parses one line of an N-Triples stream and appends the
+// keys (Term.Key) of its subject, predicate and object to dst, back to
+// back: the subject's key starts at len(dst), and end[i] is where term
+// i's key ends in the returned slice. A blank or comment line appends
+// nothing and reports ok false. Reader and the parallel bulk loader both
+// parse through it, so they accept the same grammar.
+func AppendStatement(dst, line []byte) (out []byte, end [3]int, ok bool, err error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return dst, end, false, nil
 	}
-	p, rest, err := parseTerm(rest)
-	if err != nil {
-		return Triple{}, fmt.Errorf("predicate: %w", err)
-	}
-	o, rest, err := parseTerm(rest)
-	if err != nil {
-		return Triple{}, fmt.Errorf("object: %w", err)
-	}
-	if strings.TrimSpace(rest) != "" {
-		return Triple{}, fmt.Errorf("trailing content %q", strings.TrimSpace(rest))
-	}
-	t := Triple{Subject: s, Predicate: p, Object: o}
-	if !t.Valid() {
-		return Triple{}, fmt.Errorf("positionally invalid triple %s", t)
-	}
-	return t, nil
+	out, end, err = appendTriple(dst, line)
+	return out, end, err == nil, err
 }
 
-// parseTerm consumes one term from the front of s and returns it along
-// with the unconsumed remainder.
-func parseTerm(s string) (Term, string, error) {
-	s = strings.TrimLeft(s, " \t")
-	if s == "" {
-		return Term{}, "", fmt.Errorf("unexpected end of line")
+// tripleOfKeys builds the triple whose term keys lie back to back in
+// keys, term i's ending at end[i]; the terms share keys' storage.
+func tripleOfKeys(keys string, end [3]int) Triple {
+	base := end[2] - len(keys)
+	var terms [3]Term
+	start := 0
+	for i := range terms {
+		key := keys[start : end[i]-base]
+		kind, _ := KindOfKey(key)
+		terms[i] = Term{Kind: kind, Value: key[1:]}
+		start = end[i] - base
+	}
+	return Triple{Subject: terms[0], Predicate: terms[1], Object: terms[2]}
+}
+
+// appendTriple parses a trimmed N-Triples statement, appending its three
+// term keys to dst.
+func appendTriple(dst, line []byte) ([]byte, [3]int, error) {
+	var end [3]int
+	line = bytes.TrimSpace(bytes.TrimSuffix(line, []byte(".")))
+	start := len(dst)
+	rest := line
+	var err error
+	for i, pos := range [3]string{"subject", "predicate", "object"} {
+		if dst, rest, err = appendTerm(dst, rest); err != nil {
+			return dst, end, fmt.Errorf("%s: %w", pos, err)
+		}
+		end[i] = len(dst)
+	}
+	if rest = bytes.TrimSpace(rest); len(rest) != 0 {
+		return dst, end, fmt.Errorf("trailing content %q", rest)
+	}
+	s, p, o := dst[start:end[0]], dst[end[0]:end[1]], dst[end[1]:end[2]]
+	// The positional rules of Triple.Valid, read off the keys: "<" is the
+	// key of the empty IRI, the zero Term.
+	if string(s) == "<" || s[0] == '"' || string(p) == "<" || p[0] != '<' || string(o) == "<" {
+		t := tripleOfKeys(string(dst[start:end[2]]), [3]int{end[0] - start, end[1] - start, end[2] - start})
+		return dst, end, fmt.Errorf("positionally invalid triple %s", t)
+	}
+	return dst, end, nil
+}
+
+// appendTerm consumes one term from the front of s, appends its key to
+// dst and returns the unconsumed remainder.
+func appendTerm(dst, s []byte) ([]byte, []byte, error) {
+	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return dst, nil, fmt.Errorf("unexpected end of line")
 	}
 	switch s[0] {
 	case '<':
-		end := strings.IndexByte(s, '>')
+		end := bytes.IndexByte(s, '>')
 		if end < 0 {
-			return Term{}, "", fmt.Errorf("unterminated IRI")
+			return dst, nil, fmt.Errorf("unterminated IRI")
 		}
-		return NewIRI(s[1:end]), s[end+1:], nil
+		return append(append(dst, '<'), s[1:end]...), s[end+1:], nil
 	case '_':
 		if len(s) < 2 || s[1] != ':' {
-			return Term{}, "", fmt.Errorf("malformed blank node")
+			return dst, nil, fmt.Errorf("malformed blank node")
 		}
-		end := strings.IndexAny(s, " \t")
-		if end < 0 {
-			end = len(s)
-		}
+		end := blankEnd(s)
 		label := s[2:end]
-		if label == "" {
-			return Term{}, "", fmt.Errorf("empty blank node label")
+		if len(label) == 0 {
+			return dst, nil, fmt.Errorf("empty blank node label")
 		}
-		return NewBlank(label), s[end:], nil
+		return append(append(dst, '_'), label...), s[end:], nil
 	case '"':
 		end := closingQuote(s)
 		if end < 0 {
-			return Term{}, "", fmt.Errorf("unterminated literal")
+			return dst, nil, fmt.Errorf("unterminated literal")
 		}
-		value, err := unescapeLiteral(s[1:end])
+		dst, err := appendUnescaped(append(dst, '"'), s[1:end])
 		if err != nil {
-			return Term{}, "", err
+			return dst, nil, err
 		}
 		rest := s[end+1:]
 		// Fold a datatype or language suffix into the literal value so
 		// round-trips preserve information without a full datatype model.
-		if strings.HasPrefix(rest, "^^<") {
-			dtEnd := strings.IndexByte(rest, '>')
+		if bytes.HasPrefix(rest, []byte("^^<")) {
+			dtEnd := bytes.IndexByte(rest, '>')
 			if dtEnd < 0 {
-				return Term{}, "", fmt.Errorf("unterminated datatype IRI")
+				return dst, nil, fmt.Errorf("unterminated datatype IRI")
 			}
-			value += rest[:dtEnd+1]
+			dst = append(dst, rest[:dtEnd+1]...)
 			rest = rest[dtEnd+1:]
-		} else if strings.HasPrefix(rest, "@") {
-			tagEnd := strings.IndexAny(rest, " \t")
-			if tagEnd < 0 {
-				tagEnd = len(rest)
-			}
-			value += rest[:tagEnd]
+		} else if len(rest) > 0 && rest[0] == '@' {
+			tagEnd := blankEnd(rest)
+			dst = append(dst, rest[:tagEnd]...)
 			rest = rest[tagEnd:]
 		}
-		return NewLiteral(value), rest, nil
+		return dst, rest, nil
 	default:
-		return Term{}, "", fmt.Errorf("unexpected character %q", s[0])
+		return dst, nil, fmt.Errorf("unexpected character %q", s[0])
 	}
+}
+
+// blankEnd returns the index of the first space or tab in s, or len(s).
+func blankEnd(s []byte) int {
+	for i, c := range s {
+		if c == ' ' || c == '\t' {
+			return i
+		}
+	}
+	return len(s)
 }
 
 // closingQuote returns the index of the unescaped closing quote of a
 // literal beginning at s[0] == '"', or -1.
-func closingQuote(s string) int {
+func closingQuote(s []byte) int {
 	for i := 1; i < len(s); i++ {
 		switch s[i] {
 		case '\\':

@@ -9,6 +9,7 @@
 package rdf
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -91,6 +92,19 @@ func (t Term) Key() string {
 	}
 }
 
+// AppendKey appends the term's key (Key) to dst.
+func (t Term) AppendKey(dst []byte) []byte {
+	switch t.Kind {
+	case Literal:
+		dst = append(dst, '"')
+	case Blank:
+		dst = append(dst, '_')
+	default:
+		dst = append(dst, '<')
+	}
+	return append(dst, t.Value...)
+}
+
 // TermFromKey reverses Term.Key.
 func TermFromKey(key string) (Term, error) {
 	kind, ok := KindOfKey(key)
@@ -150,36 +164,36 @@ func escapeLiteral(s string) string {
 	return b.String()
 }
 
-func unescapeLiteral(s string) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
+// appendUnescaped appends the value of a quoted literal's body s, its
+// escapes resolved, to dst.
+func appendUnescaped(dst, s []byte) ([]byte, error) {
+	if bytes.IndexByte(s, '\\') < 0 {
+		return append(dst, s...), nil
 	}
-	var b strings.Builder
-	b.Grow(len(s))
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c != '\\' {
-			b.WriteByte(c)
+			dst = append(dst, c)
 			continue
 		}
 		i++
 		if i >= len(s) {
-			return "", fmt.Errorf("rdf: trailing backslash in literal %q", s)
+			return dst, fmt.Errorf("rdf: trailing backslash in literal %q", s)
 		}
 		switch s[i] {
 		case '"':
-			b.WriteByte('"')
+			dst = append(dst, '"')
 		case '\\':
-			b.WriteByte('\\')
+			dst = append(dst, '\\')
 		case 'n':
-			b.WriteByte('\n')
+			dst = append(dst, '\n')
 		case 'r':
-			b.WriteByte('\r')
+			dst = append(dst, '\r')
 		case 't':
-			b.WriteByte('\t')
+			dst = append(dst, '\t')
 		default:
-			return "", fmt.Errorf("rdf: unknown escape \\%c in literal %q", s[i], s)
+			return dst, fmt.Errorf("rdf: unknown escape \\%c in literal %q", s[i], s)
 		}
 	}
-	return b.String(), nil
+	return dst, nil
 }

@@ -260,8 +260,9 @@ func (q *Query) AllVars() []string {
 	return out
 }
 
-// OptionalVars returns the set of variables that occur only in optional
-// groups; these may legitimately be unbound in a solution.
+// OptionalVars returns the set of variables a solution may leave
+// unbound: those no required pattern binds that occur in an optional
+// group, or in some but not every branch of a UNION.
 func (q *Query) OptionalVars() map[string]bool {
 	required := map[string]bool{}
 	for _, p := range q.Patterns {
@@ -269,24 +270,44 @@ func (q *Query) OptionalVars() map[string]bool {
 			required[name] = true
 		}
 	}
+	// A variable every branch of a union binds is bound in each of its
+	// solutions.
 	for _, u := range q.Unions {
+		branches := map[string]int{}
 		for _, alt := range u {
+			inAlt := map[string]bool{}
 			for _, p := range alt {
 				for _, name := range p.Vars() {
-					required[name] = true
+					if !inAlt[name] {
+						inAlt[name] = true
+						branches[name]++
+					}
 				}
+			}
+		}
+		for name, n := range branches {
+			if n == len(u) {
+				required[name] = true
 			}
 		}
 	}
 	opt := map[string]bool{}
-	for _, group := range q.Optionals {
-		for _, p := range group {
+	mark := func(pats []Pattern) {
+		for _, p := range pats {
 			for _, name := range p.Vars() {
 				if !required[name] {
 					opt[name] = true
 				}
 			}
 		}
+	}
+	for _, u := range q.Unions {
+		for _, alt := range u {
+			mark(alt)
+		}
+	}
+	for _, group := range q.Optionals {
+		mark(group)
 	}
 	return opt
 }

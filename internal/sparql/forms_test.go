@@ -359,3 +359,46 @@ func (ns *naiveStore) rows(q *Query) (vars []string, rows []map[string]rdf.Term)
 	}
 	return q.Vars, rows
 }
+
+// unboundUnionCases are UNIONs whose branches bind different variables,
+// so a solution of one branch leaves the other's variable unbound; the
+// query projects, orders by or DISTINCTs that variable.
+var unboundUnionCases = []string{
+	`SELECT ?a ?b ?c WHERE { { ?a <P1> ?b } UNION { ?a <P2> ?c } }`,
+	`SELECT ?a ?c WHERE { { ?a <P1> ?b } UNION { ?a <P2> ?c } } ORDER BY ?c`,
+	`SELECT DISTINCT ?c WHERE { { ?a <P1> ?b } UNION { ?a <P2> ?c } }`,
+	`SELECT DISTINCT ?b ?c WHERE { ?a <P3> <K> . { ?a <P1> ?b } UNION { ?a <P2> ?c } } ORDER BY ?b ?c`,
+	`SELECT ?a ?c ?z WHERE { { ?a <P1> ?b } UNION { ?a <P2> ?c } . OPTIONAL { ?a <P3> ?z } }`,
+}
+
+// TestUnionUnboundDifferential holds the engine to the naive oracle on
+// UNIONs that leave a projected variable unbound, on every backend at 1
+// and 4 workers.
+func TestUnionUnboundDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ts := formsData(rng)
+		backends, baseline := chunkBackends(t, ts)
+		backends["baseline"] = baseline
+		oracle := newNaiveStore(ts)
+		for _, tmpl := range unboundUnionCases {
+			src := instantiate(tmpl, rng, ts)
+			q, err := Parse(src)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			want := oracle.answer(q)
+			for name, g := range backends {
+				for _, workers := range []int{1, 4} {
+					res, err := evalWorkers(g, q, workers)
+					if err != nil {
+						t.Fatalf("seed %d on %s: %s: %v", seed, name, src, err)
+					}
+					if got := sortedCopy(renderResult(t, res)); !slices.Equal(got, want) {
+						t.Fatalf("seed %d on %s (%d workers): %s\n got %v\nwant %v", seed, name, workers, src, got, want)
+					}
+				}
+			}
+		}
+	}
+}
