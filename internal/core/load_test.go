@@ -106,7 +106,12 @@ func canonicalKeys(ts []rdf.Triple, known map[string]bool) []string {
 
 func dictKeys(d *dictionary.Dictionary) []string {
 	s := d.Snapshot()
-	return slices.Clone(s.Keys())
+	terms := s.View()
+	keys := make([]string, terms.Len())
+	for i := range keys {
+		keys[i] = terms.Term(core.ID(i + 1)).Key()
+	}
+	return keys
 }
 
 // build bulk-builds ids into a store over dict.

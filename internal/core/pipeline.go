@@ -7,12 +7,14 @@ package core
 // Phase one is parallel. The input is cut into blocks — of whole lines
 // for N-Triples, of parsed triples otherwise — and up to workers
 // goroutines take one block each: every block interns its terms in a
-// table of its own and emits its triples in block-local ids. No lock is
-// taken, no rdf.Triple is built for N-Triples, and only a term new to
-// its block is copied out of the input.
+// dictionary.Table of its own and emits its triples in block-local ids.
+// No lock is taken, no rdf.Triple is built for N-Triples, and only a term
+// new to its block is copied out of the input — into the table's
+// segments, not into a string of its own.
 //
 // Phase two gives ids. One sequential pass over the blocks, in input
-// order, gives each term new to the dictionary the next id: first the
+// order, hands each block's terms to the dictionary in bulk
+// (Dictionary.EncodeTable), which gives each new term the next id: first the
 // predicates, then IRIs and blank nodes, then literals, each class in
 // order of first occurrence (a predicate's first occurrence as a
 // predicate). A term already in the dictionary keeps its id. A parallel
@@ -154,10 +156,10 @@ func (b *Builder) addEncoded(ts [][3]ID) {
 
 // termBlock is what phase one makes of one block.
 type termBlock struct {
-	keys    []string    // local id → term key (rdf.Term.Key), in order of first occurrence
-	preds   []uint32    // the local ids seen as predicates, in order of first such occurrence
-	triples [][3]uint32 // the block's statements in local ids
-	ids     []ID        // local id → dictionary id, filled in by phase two
+	terms   dictionary.Table // the block's terms, local ids in order of first occurrence
+	preds   []uint32         // the local ids seen as predicates, in order of first such occurrence
+	triples [][3]uint32      // the block's statements in local ids
+	ids     []ID             // local id → dictionary id, filled in by phase two
 
 	lines int             // input lines in the block
 	err   *rdf.ParseError // its first parse error, the line counted from the block's start
@@ -165,19 +167,16 @@ type termBlock struct {
 
 // interner fills termBlocks; each worker keeps one across blocks.
 type interner struct {
-	local  map[string]uint32 // the current block's key → local id
-	isPred []bool            // local id → seen as a predicate
-	buf    []byte            // the keys of the statement being parsed
+	isPred []bool // local id → seen as a predicate
+	buf    []byte // the keys of the statement being parsed
 }
 
-// intern returns key's local id in b, adding it on first sight.
+// intern returns the local id in b of key, a term in key form
+// (rdf.Term.Key), adding it on first sight.
 func (in *interner) intern(b *termBlock, key []byte, pred bool) uint32 {
-	id, ok := in.local[string(key)]
-	if !ok {
-		id = uint32(len(b.keys))
-		k := string(key)
-		in.local[k] = id
-		b.keys = append(b.keys, k)
+	kind, _ := rdf.KindOfKey(string(key[:1]))
+	id, added := b.terms.Intern(kind, key[1:])
+	if added {
 		in.isPred = append(in.isPred, false)
 	}
 	if pred && !in.isPred[id] {
@@ -254,7 +253,7 @@ func newEncoder(workers int) *encoder {
 		enc.wg.Add(1)
 		go func() {
 			defer enc.wg.Done()
-			in := &interner{local: map[string]uint32{}}
+			in := new(interner)
 			for job := range enc.jobs {
 				job(in)
 			}
@@ -268,7 +267,6 @@ func (enc *encoder) submit(fill func(*interner, *termBlock)) {
 	b := new(termBlock)
 	enc.blocks = append(enc.blocks, b)
 	enc.jobs <- func(in *interner) {
-		clear(in.local)
 		in.isPred = in.isPred[:0]
 		fill(in, b)
 		if b.err != nil {
@@ -288,18 +286,19 @@ func (enc *encoder) wait() []*termBlock {
 // in the canonical order, and returns the blocks' triples in them.
 func (enc *encoder) assign(dict *dictionary.Dictionary, blocks []*termBlock) [][3]ID {
 	for _, b := range blocks {
-		b.ids = make([]ID, len(b.keys))
-		for _, l := range b.preds {
-			b.ids[l] = dict.EncodeKey(b.keys[l])
-		}
+		b.ids = make([]ID, b.terms.Len())
+		dict.EncodeTable(&b.terms, b.preds, b.ids)
 	}
+	var todo []uint32
 	for _, literals := range [2]bool{false, true} {
 		for _, b := range blocks {
-			for l, key := range b.keys {
-				if b.ids[l] == None && (key[0] == '"') == literals {
-					b.ids[l] = dict.EncodeKey(key)
+			todo = todo[:0]
+			for l, id := range b.ids {
+				if id == None && (b.terms.Kind(uint32(l)) == rdf.Literal) == literals {
+					todo = append(todo, uint32(l))
 				}
 			}
+			dict.EncodeTable(&b.terms, todo, b.ids)
 		}
 	}
 

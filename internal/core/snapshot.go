@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"hexastore/internal/dictionary"
 	"hexastore/internal/rdf"
 )
 
@@ -27,16 +28,14 @@ func (st *Store) Snapshot(w io.Writer) error {
 	}
 
 	// Dictionary section: count, then (len, bytes) per term key in id order.
-	nTerms := st.dict.Len()
-	writeUvarint(bw, uint64(nTerms))
-	for id := ID(1); id <= ID(nTerms); id++ {
-		term, err := st.dict.Decode(id)
-		if err != nil {
-			return fmt.Errorf("core: snapshot: %w", err)
-		}
-		key := term.Key()
+	snap := st.dict.Snapshot()
+	terms := snap.View()
+	writeUvarint(bw, uint64(terms.Len()))
+	var key []byte
+	for id := ID(1); id <= ID(terms.Len()); id++ {
+		key = terms.Term(id).AppendKey(key[:0])
 		writeUvarint(bw, uint64(len(key)))
-		if _, err := bw.WriteString(key); err != nil {
+		if _, err := bw.Write(key); err != nil {
 			return err
 		}
 	}
@@ -76,9 +75,6 @@ func Restore(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("core: restore: bad magic %q", magic)
 	}
 
-	b := NewBuilder(nil)
-	dict := b.dict
-
 	nTerms, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: term count: %w", err)
@@ -86,6 +82,7 @@ func Restore(r io.Reader) (*Store, error) {
 	// A term's length is untrusted: the key grows only as its bytes
 	// arrive, so a corrupt length ends in an error, not a huge allocation.
 	var key bytes.Buffer
+	var table dictionary.Table
 	for i := uint64(0); i < nTerms; i++ {
 		klen, err := binary.ReadUvarint(br)
 		if err == nil && int64(klen) < 0 {
@@ -98,14 +95,18 @@ func Restore(r io.Reader) (*Store, error) {
 		if _, err := io.CopyN(&key, br, int64(klen)); err != nil {
 			return nil, fmt.Errorf("core: restore: term %d: %w", i, err)
 		}
-		term, err := rdf.TermFromKey(key.String())
-		if err != nil {
-			return nil, fmt.Errorf("core: restore: term %d: %w", i, err)
+		kind, ok := rdf.KindOfKey(string(key.Bytes()[:min(klen, 1)]))
+		if !ok {
+			return nil, fmt.Errorf("core: restore: term %d: malformed term key %q", i, key.Bytes())
 		}
-		if got := dict.Encode(term); got != ID(i+1) {
-			return nil, fmt.Errorf("core: restore: term %d encoded as %d (duplicate in snapshot)", i+1, got)
+		if _, added := table.Intern(kind, key.Bytes()[1:]); !added {
+			return nil, fmt.Errorf("core: restore: term %d is a duplicate in the snapshot", i+1)
 		}
 	}
+	b := NewBuilder(nil)
+	dict := b.dict
+	// The dictionary is new, so term i gets id i+1.
+	dict.EncodeTable(&table, table.All(), make([]ID, table.Len()))
 
 	nTriples, err := binary.ReadUvarint(br)
 	if err != nil {

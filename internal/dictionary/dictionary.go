@@ -3,11 +3,17 @@
 // identifiers, and the stores operate on identifiers only. A single
 // Dictionary instance is shared by all six indices of a Hexastore and by
 // the baseline stores so that cross-store comparisons use identical keys.
+//
+// The term table is pointer-free: values lie in append-only byte
+// segments that are never moved or rewritten, an id-indexed column
+// locates each and carries its kind and JSON-plain bit, and the term → id
+// direction is open-addressed tables of ids compared against the
+// segment bytes.
 package dictionary
 
 import (
 	"fmt"
-	"hash/maphash"
+	"slices"
 	"sync"
 
 	"hexastore/internal/rdf"
@@ -21,26 +27,32 @@ type ID uint64
 // the unbound marker.
 const None ID = 0
 
-// numShards stripes the forward (term → id) map. Must be a power of two.
-// 32 stripes keep the per-shard maps warm while making lock collisions
-// between concurrent encoders rare even at high worker counts.
+// numShards stripes the forward (term → id) index. Must be a power of
+// two. 32 stripes make lock collisions between concurrent encoders rare
+// even at high worker counts.
 const numShards = 32
 
-// shard is one stripe of the forward map with its own lock, so concurrent
-// Encode calls on distinct terms proceed without serializing on a single
-// dictionary-wide mutex.
+// shard is one stripe of the forward index with its own lock, so
+// concurrent Encode calls on distinct terms proceed without serializing
+// on a single dictionary-wide mutex.
 type shard struct {
-	mu      sync.RWMutex
-	forward map[string]ID
+	mu    sync.RWMutex
+	index index
 }
 
 // Dictionary is a bidirectional, append-only mapping between RDF terms and
 // IDs. It is safe for concurrent use and Encode scales across cores: the
-// forward map is hash-sharded into independently locked stripes, and only
-// the id allocation (an append to the shared reverse view) is serialized.
-// Terms are never removed: stores that delete triples may leave orphaned
-// dictionary entries, which matches the paper's architecture (the mapping
-// table only grows).
+// forward index is hash-sharded into independently locked stripes, and
+// only the id allocation (an append to the shared term table) is
+// serialized. Terms are never removed: stores that delete triples may
+// leave orphaned dictionary entries, which matches the paper's
+// architecture (the mapping table only grows).
+//
+// The table holds no Go pointer per term. Values lie back to back in
+// append-only byte segments; an id-indexed column gives each term's
+// place in them and a meta byte, its kind and whether its value needs
+// JSON escaping (Meta); each stripe is an open-addressed table of ids.
+// Decoding aliases the segment bytes, so it allocates nothing.
 //
 // ID assignment order is first-come-first-served: a single-threaded caller
 // sees the dense 1,2,3,… assignment in encounter order; concurrent callers
@@ -51,64 +63,101 @@ type shard struct {
 type Dictionary struct {
 	shards [numShards]shard
 
-	// revMu guards reverse, the merged id → term-key view all shards
-	// allocate from; reverse[id-1] = term key. Lock order: a shard mutex
-	// may be held when taking revMu, never the other way around.
-	//
-	// reverse is append-only: Encode is its only writer and it only ever
-	// appends, so an element, once written, is never written again — an
-	// append either fills spare capacity past every header taken earlier
-	// or moves to a new array and leaves the old one as it was. A slice
-	// header copied under revMu is therefore an immutable prefix that
-	// can be read without the lock for as long as it is kept, which is
-	// what Snapshot relies on. Anything that would rewrite or truncate
-	// reverse has to retire the snapshots first.
-	revMu   sync.RWMutex
-	reverse []string
+	// revMu guards terms, the id → term table all stripes allocate from
+	// and compare against. Lock order: stripe mutexes — several only in
+	// ascending order — may be held when taking revMu, never the other
+	// way around. terms is append-only (see terms), so a View copied
+	// under revMu can be read without the lock for as long as it is
+	// kept, which is what Snapshot relies on.
+	revMu sync.RWMutex
+	terms terms
 }
 
 // New returns an empty Dictionary.
-func New() *Dictionary {
-	d := &Dictionary{}
-	for i := range d.shards {
-		d.shards[i].forward = make(map[string]ID)
-	}
-	return d
-}
+func New() *Dictionary { return &Dictionary{} }
 
-// shardSeed seeds the stripe hash; any fixed seed spreads keys evenly.
-var shardSeed = maphash.MakeSeed()
-
-// shardOf returns the stripe for key.
-func (d *Dictionary) shardOf(key string) *shard {
-	return &d.shards[maphash.String(shardSeed, key)&(numShards-1)]
-}
+// shardOf returns the stripe for a term's hash.
+func (d *Dictionary) shardOf(h uint64) *shard { return &d.shards[h&(numShards-1)] }
 
 // Encode returns the ID for term, assigning a fresh one if the term has
 // not been seen before.
-func (d *Dictionary) Encode(term rdf.Term) ID { return d.EncodeKey(term.Key()) }
-
-// EncodeKey is Encode for a term given in key form (rdf.Term.Key), as
-// the bulk loader has it; the dictionary keeps the key string itself.
-func (d *Dictionary) EncodeKey(key string) ID {
-	sh := d.shardOf(key)
+func (d *Dictionary) Encode(term rdf.Term) ID {
+	kind := normKind(term.Kind)
+	h := hashTerm(kind, term.Value)
+	sh := d.shardOf(h)
 	sh.mu.RLock()
-	id, ok := sh.forward[key]
+	d.revMu.RLock()
+	id := sh.index.lookup(h, &d.terms, kind, term.Value)
+	d.revMu.RUnlock()
 	sh.mu.RUnlock()
-	if ok {
+	if id != None {
 		return id
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if id, ok = sh.forward[key]; ok {
-		return id
+	d.revMu.Lock()
+	defer d.revMu.Unlock()
+	if id = sh.index.lookup(h, &d.terms, kind, term.Value); id == None {
+		id = d.terms.add(term.Value, MetaOf(kind, term.Value))
+		sh.index.insert(h, id)
+	}
+	return id
+}
+
+// EncodeKey is Encode for a term given in key form (rdf.Term.Key). It
+// panics on a malformed key.
+func (d *Dictionary) EncodeKey(key string) ID {
+	term, err := rdf.TermFromKey(key)
+	if err != nil {
+		panic(err)
+	}
+	return d.Encode(term)
+}
+
+// EncodeTable gives the terms of t numbered in locals their ids in d,
+// in the order listed, and stores each in ids[local]: a term d holds
+// keeps its id, and each new one gets the next. It is the bulk loaders'
+// Encode: it takes each stripe it needs and the id allocation once,
+// sizes the tables once for the terms that are new, and copies the
+// terms' bytes and hashes, so a term costs no lock round and no string.
+func (d *Dictionary) EncodeTable(t *Table, locals []uint32, ids []ID) {
+	var touched [numShards]bool
+	for _, l := range locals {
+		touched[t.hashes[l]&(numShards-1)] = true
+	}
+	for i := range d.shards {
+		if touched[i] {
+			d.shards[i].mu.Lock()
+			defer d.shards[i].mu.Unlock()
+		}
 	}
 	d.revMu.Lock()
-	d.reverse = append(d.reverse, key)
-	id = ID(len(d.reverse))
-	d.revMu.Unlock()
-	sh.forward[key] = id
-	return id
+	defer d.revMu.Unlock()
+	src := t.terms.view()
+	var fresh [numShards]int
+	n := 0
+	for _, l := range locals {
+		h := t.hashes[l]
+		v, m := src.At(ID(l) + 1)
+		if ids[l] = d.shardOf(h).index.lookup(h, &d.terms, m.Kind(), v); ids[l] == None {
+			fresh[h&(numShards-1)]++
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	for i, k := range fresh {
+		d.shards[i].index.reserve(d.shards[i].index.n + k)
+	}
+	d.terms.ents = slices.Grow(d.terms.ents, n)
+	for _, l := range locals {
+		if ids[l] == None {
+			h := t.hashes[l]
+			ids[l] = d.terms.add(src.At(ID(l) + 1))
+			d.shardOf(h).index.insert(h, ids[l])
+		}
+	}
 }
 
 // EncodeTriple encodes all three terms of a triple.
@@ -119,71 +168,70 @@ func (d *Dictionary) EncodeTriple(t rdf.Triple) (s, p, o ID) {
 // Lookup returns the ID for term without assigning one. The second result
 // reports whether the term is present.
 func (d *Dictionary) Lookup(term rdf.Term) (ID, bool) {
-	key := term.Key()
-	sh := d.shardOf(key)
+	kind := normKind(term.Kind)
+	h := hashTerm(kind, term.Value)
+	sh := d.shardOf(h)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	id, ok := sh.forward[key]
-	return id, ok
+	d.revMu.RLock()
+	id := sh.index.lookup(h, &d.terms, kind, term.Value)
+	d.revMu.RUnlock()
+	sh.mu.RUnlock()
+	return id, id != None
 }
 
-// Decode returns the term for id.
-func (d *Dictionary) Decode(id ID) (rdf.Term, error) {
+// view returns the term table as it stands.
+func (d *Dictionary) view() View {
 	d.revMu.RLock()
 	defer d.revMu.RUnlock()
-	if id == None || int(id) > len(d.reverse) {
-		return rdf.Term{}, fmt.Errorf("dictionary: unknown id %d", id)
+	return d.terms.view()
+}
+
+// Decode returns the term for id. Its value aliases the dictionary's
+// bytes (see View).
+func (d *Dictionary) Decode(id ID) (rdf.Term, error) {
+	if v := d.view(); v.covers(id) {
+		return v.Term(id), nil
 	}
-	return rdf.TermFromKey(d.reverse[id-1])
+	return rdf.Term{}, fmt.Errorf("dictionary: unknown id %d", id)
 }
 
 // Snapshot is a decoder over the terms the dictionary held when the
-// snapshot was last refreshed: it reads a private header of
-// the append-only key table, so Decode takes no lock. A query takes one
+// snapshot was last refreshed: it reads a private View of the
+// append-only term table, so Decode takes no lock. A query takes one
 // and decodes every cell of its answer through it, where Dictionary.Decode
 // would take and drop the read lock once per cell. A Snapshot is not safe
 // for concurrent use; any number of them may be in use while other
 // goroutines Encode.
 type Snapshot struct {
-	d    *Dictionary
-	keys []string
+	d *Dictionary
+	v View
 }
 
-// Snapshot returns a decoder over the dictionary's terms. The key table
+// Snapshot returns a decoder over the dictionary's terms. The term table
 // is read on the first Decode, so a snapshot nothing decodes through
 // costs nothing.
 func (d *Dictionary) Snapshot() Snapshot { return Snapshot{d: d} }
 
-func (s *Snapshot) refresh() {
-	s.d.revMu.RLock()
-	s.keys = s.d.reverse
-	s.d.revMu.RUnlock()
-}
-
 // Decode returns the term for id, as Dictionary.Decode does. An id past
 // the snapshot's end — assigned since it was taken — refreshes it once.
 func (s *Snapshot) Decode(id ID) (rdf.Term, error) {
-	// id-1 wraps None around to the largest value, so one compare turns
-	// away both "no term" and an id the snapshot does not cover.
-	if uint64(id-1) >= uint64(len(s.keys)) {
+	if !s.v.covers(id) {
 		if id != None {
-			s.refresh()
+			s.v = s.d.view()
 		}
-		if uint64(id-1) >= uint64(len(s.keys)) {
+		if !s.v.covers(id) {
 			return rdf.Term{}, fmt.Errorf("dictionary: unknown id %d", id)
 		}
 	}
-	return rdf.TermFromKey(s.keys[id-1])
+	return s.v.Term(id), nil
 }
 
-// Keys refreshes the snapshot and returns its key table: keys[id-1] is
-// the key (rdf.Term.Key) of id, for every id assigned so far. The table
-// is an immutable prefix of the dictionary's own (see reverse): it may be
-// kept and read from any number of goroutines, never written, and later
-// Encodes never change what it holds.
-func (s *Snapshot) Keys() []string {
-	s.refresh()
-	return s.keys
+// View refreshes the snapshot and returns its view of every id assigned
+// so far: an immutable prefix of the dictionary's term table that may be
+// kept and read from any number of goroutines.
+func (s *Snapshot) View() View {
+	s.v = s.d.view()
+	return s.v
 }
 
 // MustDecode is Decode for callers that know the id is valid (e.g. ids
@@ -198,40 +246,34 @@ func (d *Dictionary) MustDecode(id ID) rdf.Term {
 
 // DecodeTriple decodes three ids back into a triple.
 func (d *Dictionary) DecodeTriple(s, p, o ID) (rdf.Triple, error) {
-	st, err := d.Decode(s)
-	if err != nil {
-		return rdf.Triple{}, err
+	v := d.view()
+	for _, id := range [3]ID{s, p, o} {
+		if !v.covers(id) {
+			return rdf.Triple{}, fmt.Errorf("dictionary: unknown id %d", id)
+		}
 	}
-	pt, err := d.Decode(p)
-	if err != nil {
-		return rdf.Triple{}, err
-	}
-	ot, err := d.Decode(o)
-	if err != nil {
-		return rdf.Triple{}, err
-	}
-	return rdf.Triple{Subject: st, Predicate: pt, Object: ot}, nil
+	return rdf.Triple{Subject: v.Term(s), Predicate: v.Term(p), Object: v.Term(o)}, nil
 }
 
 // Len returns the number of distinct terms encoded so far.
 func (d *Dictionary) Len() int {
 	d.revMu.RLock()
 	defer d.revMu.RUnlock()
-	return len(d.reverse)
+	return len(d.terms.ents)
 }
 
-// SizeBytes estimates the memory footprint of the dictionary: the string
-// payloads plus per-entry bookkeeping (map bucket + reverse slice entry).
+// SizeBytes returns the bytes the dictionary holds: its segments at
+// their allocated size, the id-indexed column and every stripe's slots.
 // It is used by the memory-usage experiment (paper Figure 15).
 func (d *Dictionary) SizeBytes() int64 {
+	var n int64
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.RLock()
+		n += int64(cap(sh.index.slots)) * 8
+		sh.mu.RUnlock()
+	}
 	d.revMu.RLock()
 	defer d.revMu.RUnlock()
-	var n int64
-	for _, s := range d.reverse {
-		// String payload counted twice (map key shares the backing array
-		// with the reverse entry in our construction, but a conservative
-		// store would not), plus ~48 bytes of map/slice overhead.
-		n += int64(len(s)) + 48
-	}
-	return n
+	return n + d.terms.bytes()
 }

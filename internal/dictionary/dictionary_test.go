@@ -2,6 +2,8 @@ package dictionary
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -263,8 +265,8 @@ func TestSizeBytesGrows(t *testing.T) {
 // TestSnapshotDecodeDuringEncode decodes through snapshots while another
 // goroutine encodes past their end — the shape of a query emitting rows
 // beside a writer. Under -race it holds the append-only invariant the
-// snapshot relies on: an element of the key table, once written, is never
-// written again, so the lock-free reads of the prefix and the appends
+// snapshot relies on: an entry or segment byte of the term table, once
+// written, is never written again, so the lock-free reads of the prefix and the appends
 // behind it touch different memory. An id assigned after the snapshot was
 // taken must decode too, through the one refresh.
 func TestSnapshotDecodeDuringEncode(t *testing.T) {
@@ -314,6 +316,271 @@ func TestSnapshotDecodeDuringEncode(t *testing.T) {
 	for _, id := range []ID{None, next + 1} {
 		if _, err := stale.Decode(id); err == nil {
 			t.Errorf("Decode(%d) succeeded on an id never assigned", id)
+		}
+	}
+}
+
+// TestDictionaryConcurrent races writers that Encode overlapping key sets
+// against readers that Lookup and decode through snapshots taken before,
+// during and after the writes; run it with -race. Ids must come out
+// dense, each key must get one id, and every id must decode to its key.
+func TestDictionaryConcurrent(t *testing.T) {
+	d := New()
+	const writers, keys = 4, 3000
+	key := func(i int) string {
+		switch i % 3 {
+		case 0:
+			return rdf.NewIRI(fmt.Sprintf("http://ex/k%d", i)).Key()
+		case 1:
+			return rdf.NewLiteral(fmt.Sprintf("k\"%d\"\n", i)).Key()
+		}
+		return rdf.NewBlank(fmt.Sprintf("k%d", i)).Key()
+	}
+	before := d.Snapshot()
+	got := make([][]ID, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]ID, keys)
+			// Each writer walks the key space from its own offset, so the
+			// sets overlap fully but meet in different orders.
+			for j := 0; j < keys; j++ {
+				i := (j + w*keys/writers) % keys
+				got[w][i] = d.EncodeKey(key(i))
+			}
+		}(w)
+	}
+	check := func(snap *Snapshot, id ID) {
+		term, err := snap.Decode(id)
+		if err != nil {
+			t.Errorf("Decode(%d): %v", id, err)
+			return
+		}
+		if lid, ok := d.Lookup(term); !ok || lid != id {
+			t.Errorf("Lookup(Decode(%d) = %v) = %d, %v", id, term, lid, ok)
+		}
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			during := d.Snapshot()
+			for j := 0; j < keys; j++ {
+				term, _ := rdf.TermFromKey(key((j*7 + r) % keys))
+				if id, ok := d.Lookup(term); ok {
+					check(&during, id)
+					if got, err := during.Decode(id); err != nil || got != term {
+						t.Errorf("Decode(Lookup(%v)) = %v, %v", term, got, err)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if d.Len() != keys {
+		t.Fatalf("Len = %d, want %d", d.Len(), keys)
+	}
+	after := d.Snapshot()
+	seen := make(map[ID]bool, keys)
+	for i := 0; i < keys; i++ {
+		id := got[0][i]
+		for w := 1; w < writers; w++ {
+			if got[w][i] != id {
+				t.Fatalf("key %d: writer %d got id %d, writer 0 got %d", i, w, got[w][i], id)
+			}
+		}
+		if id == None || int(id) > keys || seen[id] {
+			t.Fatalf("key %d: id %d is not a fresh dense id", i, id)
+		}
+		seen[id] = true
+		for _, snap := range []*Snapshot{&before, &after} {
+			term, err := snap.Decode(id)
+			if err != nil || term.Key() != key(i) {
+				t.Fatalf("Decode(%d) = %v, %v; want %q", id, term, err, key(i))
+			}
+		}
+	}
+}
+
+// TestDictionaryHeapObjects holds the pointer-free layout: 100k distinct
+// terms add fewer than 1,000 live heap objects.
+func TestDictionaryHeapObjects(t *testing.T) {
+	objects := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	d := New()
+	before := objects()
+	for i := 0; i < 100000; i++ {
+		d.Encode(rdf.NewIRI(fmt.Sprintf("http://example.org/term/%d", i)))
+	}
+	after := objects()
+	runtime.KeepAlive(d)
+	if d.Len() != 100000 {
+		t.Fatalf("Len = %d", d.Len())
+	}
+	if grown := int64(after) - int64(before); grown >= 1000 {
+		t.Fatalf("100k terms left %d more live heap objects, want < 1000", grown)
+	} else {
+		t.Logf("100k terms: %d more live heap objects, %d bytes held", grown, d.SizeBytes())
+	}
+}
+
+// TestEncodeTable: the bulk call gives the ids one Encode per term in
+// the same order would, keeps the ids of terms already held, and fills
+// only the listed locals.
+func TestEncodeTable(t *testing.T) {
+	terms := []rdf.Term{
+		rdf.NewIRI("http://ex/a"), rdf.NewLiteral("http://ex/a"), rdf.NewBlank("b"),
+		rdf.NewLiteral(""), rdf.NewLiteral("say \"hi\""), rdf.NewLiteral(strings.Repeat("x", 3*maxSeg)),
+		rdf.NewIRI("http://ex/c"), rdf.NewLiteral("é"),
+	}
+	var tab Table
+	for _, term := range terms {
+		if l, added := tab.Intern(term.Kind, []byte(term.Value)); !added || int(l) != tab.Len()-1 {
+			t.Fatalf("Intern(%v) = %d, %v", term, l, added)
+		}
+	}
+	if l, added := tab.Intern(rdf.Blank, []byte("b")); added || l != 2 {
+		t.Fatalf("Intern of a held term = %d, %v; want 2, false", l, added)
+	}
+	want := New()
+	want.Encode(terms[6])
+	for _, i := range []int{4, 0, 6, 1} {
+		want.Encode(terms[i])
+	}
+	d := New()
+	d.Encode(terms[6])
+	ids := make([]ID, tab.Len())
+	d.EncodeTable(&tab, []uint32{4, 0, 6, 1}, ids)
+	for l, id := range ids {
+		wid, _ := want.Lookup(terms[l])
+		if id != wid {
+			t.Errorf("term %d (%v): id %d, want %d", l, terms[l], id, wid)
+		}
+	}
+	d.EncodeTable(&tab, []uint32{0, 1, 2, 3, 4, 5, 6, 7}, ids)
+	if d.Len() != len(terms) {
+		t.Fatalf("Len = %d, want %d", d.Len(), len(terms))
+	}
+	for l, term := range terms {
+		if got, err := d.Decode(ids[l]); err != nil || got != term {
+			t.Errorf("Decode(%d) = %v, %v; want %v", ids[l], got, err, term)
+		}
+		if id, ok := d.Lookup(term); !ok || id != ids[l] {
+			t.Errorf("Lookup(%v) = %d, %v; want %d", term, id, ok, ids[l])
+		}
+	}
+}
+
+// TestMetaPlain: the plain bit is set exactly when no byte of the value
+// is below 0x20, a quote, a backslash or at least 0x80.
+func TestMetaPlain(t *testing.T) {
+	for _, tc := range []struct {
+		v     string
+		plain bool
+	}{
+		{"", true}, {"plain words", true}, {"http://ex/a?b=<c>&d", true}, {"~\x7f", true},
+		{"tab\t", false}, {`q"`, false}, {`b\`, false}, {"é", false}, {"\x00", false}, {"\x1f", false},
+	} {
+		d := New()
+		id := d.Encode(rdf.NewLiteral(tc.v))
+		snap := d.Snapshot()
+		v, m := snap.View().At(id)
+		if v != tc.v || m.Kind() != rdf.Literal || m.Plain() != tc.plain {
+			t.Errorf("%q: At = %q, kind %v, plain %v; want plain %v", tc.v, v, m.Kind(), m.Plain(), tc.plain)
+		}
+	}
+}
+
+// BenchmarkDictionary times the three ways a server meets the dictionary:
+// the bulk load's encode, a query constant's Lookup and an answer's
+// decode through a snapshot.
+func BenchmarkDictionary(b *testing.B) {
+	const n = 50000
+	terms := make([]rdf.Term, n)
+	for i := range terms {
+		if i%4 == 3 {
+			terms[i] = rdf.NewLiteral(fmt.Sprintf("Name %d of some course", i))
+		} else {
+			terms[i] = rdf.NewIRI(fmt.Sprintf("http://www.Department%d.University0.edu/GraduateStudent%d", i%15, i))
+		}
+	}
+	var tab Table
+	all := make([]uint32, n)
+	for i, term := range terms {
+		all[i], _ = tab.Intern(term.Kind, []byte(term.Value))
+	}
+	b.Run("encode-table", func(b *testing.B) {
+		b.ReportAllocs()
+		ids := make([]ID, n)
+		for i := 0; i < b.N; i++ {
+			New().EncodeTable(&tab, all, ids)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/term")
+	})
+	d := New()
+	ids := make([]ID, n)
+	d.EncodeTable(&tab, all, ids)
+	b.Run("lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := d.Lookup(terms[i%n]); !ok {
+				b.Fatal("term not found")
+			}
+		}
+	})
+	b.Run("snapshot-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		snap := d.Snapshot()
+		for i := 0; i < b.N; i++ {
+			if _, err := snap.Decode(ids[(i*7919)%n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestSegmentEdges decodes values at the layout's edges: empty values
+// around a full segment, a value larger than a segment, and one too long
+// for an entry's length field, which reads its segment whole.
+func TestSegmentEdges(t *testing.T) {
+	d := New()
+	var want []rdf.Term
+	add := func(term rdf.Term) {
+		want = append(want, term)
+		if got := d.MustDecode(d.Encode(term)); got != term {
+			t.Fatalf("term %d decodes to %d bytes of kind %v, want %d of %v", len(want)-1, len(got.Value), got.Kind, len(term.Value), term.Kind)
+		}
+	}
+	add(rdf.NewLiteral(""))
+	for i := 0; i < 4; i++ { // fill the first segment to its last byte
+		add(rdf.NewLiteral(strings.Repeat("x", firstSeg/4-1) + fmt.Sprint(i)))
+	}
+	add(rdf.NewBlank(""))
+	for i := 0; len(d.terms.segs[len(d.terms.segs)-1]) < maxSeg; i++ {
+		add(rdf.NewIRI(fmt.Sprintf("http://ex/%d/%s", i, strings.Repeat("y", 4000))))
+	}
+	// Fill the first full-size segment to its last byte, where an offset
+	// no longer fits the entry.
+	add(rdf.NewLiteral(strings.Repeat("z", maxSeg-d.terms.fill)))
+	add(rdf.NewIRI(""))
+	add(rdf.NewLiteral(strings.Repeat("m", maxSeg+1)))
+	add(rdf.NewLiteral(strings.Repeat("w", wholeSeg+1)))
+	add(rdf.NewBlank("b"))
+	add(rdf.NewIRI("after"))
+	for i, term := range want {
+		id, ok := d.Lookup(term)
+		if !ok || id != ID(i+1) {
+			t.Fatalf("Lookup(term %d) = %d, %v", i, id, ok)
+		}
+		if got := d.MustDecode(id); got != term {
+			t.Fatalf("term %d decodes to %d bytes of kind %v, want %d of %v", i, len(got.Value), got.Kind, len(term.Value), term.Kind)
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -159,22 +160,32 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // loadDictionary replays the append-only term log, re-assigning the same
-// dense ids the terms had when they were persisted; each term is
-// validated against the id the dictionary assigns it, so a sidecar with
-// a duplicate term is refused rather than silently shifting ids.
+// dense ids the terms had when they were persisted. The terms are read
+// into a dictionary.Table and handed to the dictionary in one bulk call;
+// a sidecar with a duplicate term is refused rather than silently
+// shifting ids, and a term length past the end of the file is refused
+// before anything is allocated for it.
 func (st *Store) loadDictionary() error {
 	f, err := iofault.Open(st.fs, st.dictPath)
 	if err != nil {
 		return fmt.Errorf("disk: open dictionary: %w", err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("disk: open dictionary: %w", err)
+	}
 	r := bufio.NewReader(f)
 
 	magic := make([]byte, len(dictMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != dictMagic {
 		return fmt.Errorf("disk: %s: bad dictionary header", st.dictPath)
 	}
-	count := 0
+	// left bounds the bytes still to come: the file's size less what has
+	// been read, counting each length at its shortest encoding.
+	left := uint64(info.Size()) - uint64(len(dictMagic))
+	var table dictionary.Table
+	var buf []byte
 	for {
 		n, err := binary.ReadUvarint(r)
 		if err == io.EOF {
@@ -183,27 +194,39 @@ func (st *Store) loadDictionary() error {
 		if err != nil {
 			return fmt.Errorf("disk: dictionary log: %w", err)
 		}
-		buf := make([]byte, n)
+		if left -= min(left, uint64(uvarintLen(n))); n > left {
+			return fmt.Errorf("disk: %s: term %d has length %d, past the end of the file", st.dictPath, table.Len()+1, n)
+		}
+		left -= n
+		buf = slices.Grow(buf[:0], int(n))[:n]
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("disk: dictionary log truncated: %w", err)
 		}
-		term, err := rdf.TermFromKey(string(buf))
-		if err != nil {
-			return fmt.Errorf("disk: dictionary log: %w", err)
+		kind, ok := rdf.KindOfKey(string(buf[:min(n, 1)]))
+		if !ok {
+			return fmt.Errorf("disk: dictionary log: malformed term key %q", buf)
 		}
-		count++
-		if got := st.dict.Encode(term); got != ID(count) {
-			return fmt.Errorf("disk: %s: sidecar term %d maps to id %d — duplicate term in the sidecar",
-				st.dictPath, count, got)
+		if _, added := table.Intern(kind, buf[1:]); !added {
+			return fmt.Errorf("disk: %s: sidecar term %d is a duplicate term", st.dictPath, table.Len()+1)
 		}
 	}
-	st.persistedTerms = count
+	// The dictionary is empty, so term i gets id i+1.
+	st.dict.EncodeTable(&table, table.All(), make([]ID, table.Len()))
+	st.persistedTerms = table.Len()
 	return nil
+}
+
+// uvarintLen is the length of v's shortest uvarint encoding.
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
 }
 
 // flushDictionary appends any terms encoded since the last flush.
 func (st *Store) flushDictionary() error {
-	n := st.dict.Len()
+	snap := st.dict.Snapshot()
+	terms := snap.View()
+	n := terms.Len()
 	if n == st.persistedTerms {
 		return nil
 	}
@@ -212,20 +235,11 @@ func (st *Store) flushDictionary() error {
 		return fmt.Errorf("disk: append dictionary: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	var lenBuf [binary.MaxVarintLen64]byte
+	var key []byte
 	for id := st.persistedTerms + 1; id <= n; id++ {
-		term, err := st.dict.Decode(ID(id))
-		if err != nil {
-			f.Close()
-			return err
-		}
-		key := term.Key()
-		m := binary.PutUvarint(lenBuf[:], uint64(len(key)))
-		if _, err := w.Write(lenBuf[:m]); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.WriteString(key); err != nil {
+		t := terms.Term(ID(id))
+		key = t.AppendKey(binary.AppendUvarint(key[:0], uint64(1+len(t.Value))))
+		if _, err := w.Write(key); err != nil {
 			f.Close()
 			return err
 		}

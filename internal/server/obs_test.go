@@ -406,7 +406,7 @@ func keysOf(m map[string]any) []string {
 // TestStatsGoldenShape pins the /stats key set per backend mode, so a
 // dashboard built against one mode keeps working after refactors.
 func TestStatsGoldenShape(t *testing.T) {
-	base := []string{"triples", "dictionaryTerms", "distinctSubjects", "distinctPreds", "distinctObjects"}
+	base := []string{"triples", "dictionaryTerms", "dictionaryBytes", "distinctSubjects", "distinctPreds", "distinctObjects"}
 
 	t.Run("memory", func(t *testing.T) {
 		ts, _ := newTestServer(t)

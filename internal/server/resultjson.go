@@ -12,6 +12,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"hexastore/internal/dictionary"
 	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
 	"hexastore/internal/sparql"
@@ -28,40 +29,44 @@ const (
 )
 
 // jsonScratch is what one response is written with, pooled: the output
-// buffer, a block's term keys and kinds, and the per-column
-// `"name":{"type":` prefixes (prefix[ends[c-1]:ends[c]]).
+// buffer, a block's cells, and the per-column binding heads.
 type jsonScratch struct {
-	buf    []byte
-	keys   []string
-	kinds  []uint8
-	prefix []byte
-	ends   []int
+	buf   []byte
+	cells []sparql.Cell
+	heads []byte
+	ends  []int
 }
 
 var jsonScratchPool = sync.Pool{New: func() any {
 	return &jsonScratch{buf: make([]byte, 0, jsonBufBytes)}
 }}
 
-// unboundKind marks an unbound cell among a block's kinds.
-const unboundKind = 0xff
-
 // jsonTypes is the `"type":` value and the `"value":` name that follow a
-// binding's prefix, by term kind.
-var jsonTypes = [...]string{
-	rdf.IRI:     `"uri","value":`,
-	rdf.Literal: `"literal","value":`,
-	rdf.Blank:   `"bnode","value":`,
-}
+// binding's prefix, by term kind; plainTypes adds the value's opening
+// quote, for a plain value written as it is.
+var (
+	jsonTypes = [...]string{
+		rdf.IRI:     `"uri","value":`,
+		rdf.Literal: `"literal","value":`,
+		rdf.Blank:   `"bnode","value":`,
+	}
+	plainTypes = [...]string{
+		rdf.IRI:     `"uri","value":"`,
+		rdf.Literal: `"literal","value":"`,
+		rdf.Blank:   `"bnode","value":"`,
+	}
+)
 
 // writeResultsJSON writes res to w in the SPARQL 1.1 Query Results JSON
 // format ({"head":{},"boolean":…} for ASK queries): binding keys in
 // projection order, unbound variables omitted. The result's ids are
-// decoded here, a block of jsonBlockRows rows at a time, in three passes:
-// gather the block's term keys (Result.AppendKeys), read each key's kind
-// from its first byte, then write the rows — the key-table loads of the
-// first pass and the key loads of the second do not depend on one
-// another, so their cache misses overlap where decoding cell by cell
-// pays each in turn. A non-nil explain trace gains a "serialize" span
+// decoded here, a block of jsonBlockRows rows at a time, in two passes:
+// gather the block's cells (Result.AppendCells), whose term-table loads
+// do not depend on one another, so their cache misses overlap where
+// decoding cell by cell pays each in turn, then write the rows. A cell's
+// kind and plain bit come from the dictionary's meta byte: a plain value
+// is copied between two quotes, and only the others are scanned for
+// escaping (appendJSONString). A non-nil explain trace gains a "serialize" span
 // (rows, termsDecoded, bytes) and is appended, after the rows, as an
 // "explain" member. Encoding stops at the first write error, which is
 // returned.
@@ -71,7 +76,7 @@ func writeResultsJSON(w io.Writer, res *sparql.Result, explain *obs.Trace) error
 	buf := sc.buf[:0]
 	defer func() {
 		sc.buf = buf[:0]
-		clear(sc.keys[:cap(sc.keys)]) // the pooled scratch must not pin a key table
+		clear(sc.cells[:cap(sc.cells)]) // the pooled scratch must not pin a term table
 		jsonScratchPool.Put(sc)
 	}()
 	written, decoded := 0, 0
@@ -90,35 +95,36 @@ func writeResultsJSON(w io.Writer, res *sparql.Result, explain *obs.Trace) error
 			buf = append(buf, "false"...)
 		}
 	} else {
-		// Each column's `"name":{"type":` is the same on every row.
+		// A binding's head — `"name":{"type":"…","value":`, with the
+		// value's opening quote when the value is plain — depends only
+		// on its column and meta byte: head k = c·NumMetas + meta is
+		// heads[ends[k-1]:ends[k]].
 		nc := len(res.Vars)
-		prefix, ends := sc.prefix[:0], sc.ends[:0]
+		heads, ends := sc.heads[:0], sc.ends[:0]
 		buf = append(buf, `{"head":{"vars":[`...)
 		for c, v := range res.Vars {
 			if c > 0 {
 				buf = append(buf, ',')
 			}
 			buf = appendJSONString(buf, v)
-			prefix = append(appendJSONString(prefix, v), `:{"type":`...)
-			ends = append(ends, len(prefix))
+			for m := dictionary.Meta(0); m < dictionary.NumMetas; m++ {
+				if kind := m.Kind(); kind <= rdf.Blank {
+					heads = append(appendJSONString(heads, v), `:{"type":`...)
+					if m.Plain() {
+						heads = append(heads, plainTypes[kind]...)
+					} else {
+						heads = append(heads, jsonTypes[kind]...)
+					}
+				}
+				ends = append(ends, len(heads))
+			}
 		}
-		sc.prefix, sc.ends = prefix, ends
+		sc.heads, sc.ends = heads, ends
 		buf = append(buf, `]},"results":{"bindings":[`...)
 		for lo, n := 0, res.Len(); lo < n; lo += jsonBlockRows {
 			hi := min(lo+jsonBlockRows, n)
-			keys := res.AppendKeys(sc.keys[:0], lo, hi)
-			sc.keys = keys
-			kinds := sc.kinds[:0]
-			for _, k := range keys {
-				kind, ok := rdf.KindOfKey(k)
-				if !ok {
-					kinds = append(kinds, unboundKind)
-					continue
-				}
-				kinds = append(kinds, uint8(kind))
-				decoded++
-			}
-			sc.kinds = kinds
+			cells := res.AppendCells(sc.cells[:0], lo, hi)
+			sc.cells = cells
 			for r := 0; r < hi-lo; r++ {
 				if lo+r > 0 {
 					buf = append(buf, ',')
@@ -126,21 +132,27 @@ func writeResultsJSON(w io.Writer, res *sparql.Result, explain *obs.Trace) error
 				buf = append(buf, '{')
 				first := true
 				for c, i := 0, r*nc; c < nc; c, i = c+1, i+1 {
-					if kinds[i] == unboundKind {
+					cell := &cells[i]
+					if !cell.Bound {
 						continue // unbound OPTIONAL variable
 					}
+					decoded++
 					if !first {
 						buf = append(buf, ',')
 					}
 					first = false
-					from := 0
-					if c > 0 {
-						from = ends[c-1]
+					k, from := c*dictionary.NumMetas+int(cell.Meta), 0
+					if k > 0 {
+						from = ends[k-1]
 					}
-					buf = append(buf, prefix[from:ends[c]]...)
-					buf = append(buf, jsonTypes[kinds[i]]...)
-					buf = appendJSONString(buf, keys[i][1:])
-					buf = append(buf, '}')
+					buf = append(buf, heads[from:ends[k]]...)
+					if cell.Meta.Plain() {
+						buf = append(buf, cell.Value...)
+						buf = append(buf, '"', '}')
+					} else {
+						buf = appendJSONString(buf, cell.Value)
+						buf = append(buf, '}')
+					}
 				}
 				buf = append(buf, '}')
 				if len(buf) >= jsonFlushBytes {

@@ -410,9 +410,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum := s.planner().Stats()
+	dict := s.g.Dictionary()
 	out := map[string]any{
 		"triples":          s.g.Len(),
-		"dictionaryTerms":  s.g.Dictionary().Len(),
+		"dictionaryTerms":  dict.Len(),
+		"dictionaryBytes":  dict.SizeBytes(),
 		"distinctSubjects": sum.DistinctS,
 		"distinctPreds":    sum.DistinctP,
 		"distinctObjects":  sum.DistinctO,

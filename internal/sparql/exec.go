@@ -272,7 +272,7 @@ type evaluator struct {
 	tuple []core.ID
 
 	// terms decodes ids for ORDER BY keys and late FILTERs (order.go);
-	// its snapshot's key table is what the result keeps.
+	// its snapshot's term table is what the result keeps.
 	terms termReader
 
 	// ORDER BY state (order.go). orderKeys holds len(q.OrderBy) keys per
@@ -411,9 +411,9 @@ func (ev *evaluator) run() (*Result, error) {
 		return &Result{IsAsk: true, Answer: ev.res.n > 0}, nil
 	}
 	ev.applyModifiers()
-	// Freeze the key table the result decodes through: every id the
+	// Freeze the term table the result decodes through: every id the
 	// answer holds was assigned by now.
-	ev.res.keys = ev.terms.snap.Keys()
+	ev.res.terms = ev.terms.snap.View()
 	return ev.res, nil
 }
 
@@ -1282,7 +1282,7 @@ func (ev *evaluator) materializeGroups() error {
 				id = computedID | core.ID(len(res.computed))
 				counts[n] = id
 				lit := rdf.NewLiteral(strconv.Itoa(n))
-				res.computed = append(res.computed, lit.Key())
+				res.computed = append(res.computed, lit)
 				if len(orderCol) > 0 {
 					countKeys = append(countKeys, newSortKey(lit))
 				}

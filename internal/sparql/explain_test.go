@@ -280,8 +280,8 @@ func TestExplainAnalyzeChunks(t *testing.T) {
 		if got := termsDecodedTotal.Value() - decoded0; got != 0 {
 			t.Errorf("traced=%v: evaluation moved hex_sparql_terms_decoded_total by %d, want 0", traced, got)
 		}
-		if keys := res.AppendKeys(nil, 0, res.Len()); len(keys) != 10 || slices.Contains(keys, "") {
-			t.Errorf("traced=%v: AppendKeys gathered %q, want 10 keys", traced, keys)
+		if cells := res.AppendCells(nil, 0, res.Len()); len(cells) != 10 || slices.ContainsFunc(cells, func(c Cell) bool { return !c.Bound }) {
+			t.Errorf("traced=%v: AppendCells gathered %v, want 10 bound cells", traced, cells)
 		}
 		if got := termsDecodedTotal.Value() - decoded0; got != 10 {
 			t.Errorf("traced=%v: the gather moved hex_sparql_terms_decoded_total by %d, want 10", traced, got)

@@ -66,10 +66,10 @@ func parseNum(s string) numVal {
 
 // termReader turns ids into terms for one goroutine of an evaluation —
 // the evaluator's own for ORDER BY keys and late FILTERs, one per lane
-// for staged FILTERs — through a snapshot of the dictionary's key table,
-// so a decode is an index and a slice with no lock and no per-query
-// table to fill. The evaluator's snapshot, refreshed once the
-// evaluation ends, is the key table its result keeps. nums
+// for staged FILTERs — through a snapshot of the dictionary's term
+// table, so a decode is an index and a slice with no lock, no
+// allocation and no per-query table to fill. The evaluator's snapshot,
+// refreshed once the evaluation ends, is the term table its result keeps. nums
 // memoizes the numeric parse FILTER and ORDER BY compare on; decoded
 // counts decodes for the trace and /metrics.
 type termReader struct {

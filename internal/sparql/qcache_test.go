@@ -9,6 +9,7 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
+	"hexastore/internal/dictionary"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 )
@@ -113,10 +114,12 @@ func TestPlanCacheLRUAndEpoch(t *testing.T) {
 func TestResultCacheEpochAndBytes(t *testing.T) {
 	mk := func(n int) *Result {
 		r := &Result{Vars: []string{"x"}, n: n}
+		d := dictionary.New()
 		for i := 0; i < n; i++ {
-			r.keys = append(r.keys, rdf.NewLiteral(fmt.Sprint(i)).Key())
-			r.ids = append(r.ids, core.ID(i+1))
+			r.ids = append(r.ids, d.Encode(rdf.NewLiteral(fmt.Sprint(i))))
 		}
+		snap := d.Snapshot()
+		r.terms = snap.View()
 		return r
 	}
 	c := newResultCache(4096)
@@ -154,7 +157,10 @@ func TestResultCacheEpochAndBytes(t *testing.T) {
 
 	// A served result is a private header over the shared cells: sorting
 	// it or filling its Rows view must not disturb the cached body.
-	r := &Result{Vars: []string{"x"}, n: 2, ids: []core.ID{1, 2}, keys: []string{rdf.NewLiteral("b").Key(), rdf.NewLiteral("a").Key()}}
+	d := dictionary.New()
+	r := &Result{Vars: []string{"x"}, n: 2, ids: []core.ID{d.Encode(rdf.NewLiteral("b")), d.Encode(rdf.NewLiteral("a"))}}
+	snap := d.Snapshot()
+	r.terms = snap.View()
 	c.put("sorted", "e2", r, resultFootprint(r))
 	got, _ := c.get("sorted", "e2")
 	got.fillRows()

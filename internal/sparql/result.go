@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"hexastore/internal/core"
+	"hexastore/internal/dictionary"
 	"hexastore/internal/rdf"
 )
 
@@ -18,8 +19,9 @@ type Row map[string]rdf.Term
 // variable left unbound by an OPTIONAL group. A term a query computes (an
 // aggregate's count) is a cell that names an entry of a small side table
 // of computed terms. Ids become terms only when read: At decodes one
-// cell, AppendKeys hands a block of cells' term keys to a serializer.
-// Both decode through the dictionary's key table as it stood when the
+// cell, AppendCells hands a block of cells to a serializer. Both decode
+// through the dictionary's term table (a dictionary.View) as it stood
+// when the
 // evaluation ended — a frozen snapshot that covers every id of the
 // answer, since ids are assigned append-only and never reused — so the
 // result never refreshes it and may be read from any number of
@@ -38,9 +40,9 @@ type Result struct {
 	Answer bool
 
 	ids      []core.ID
-	n        int      // row count; kept apart from ids because a row may have no columns
-	keys     []string // the frozen key table: keys[id-1] is the term key of id
-	computed []string // the term keys of computed cells (computedID)
+	n        int             // row count; kept apart from ids because a row may have no columns
+	terms    dictionary.View // the frozen term table the ids decode through
+	computed []rdf.Term      // the terms of computed cells (computedID)
 }
 
 // computedID marks a cell that holds entry id&^computedID of the
@@ -48,21 +50,15 @@ type Result struct {
 // large.
 const computedID core.ID = 1 << 63
 
-// key returns the term key (rdf.Term.Key) of a bound cell.
-func (r *Result) key(id core.ID) string {
-	if id&computedID != 0 {
-		return r.computed[id&^computedID]
-	}
-	return r.keys[id-1]
-}
-
 // term decodes a cell; the zero Term for an unbound one.
 func (r *Result) term(id core.ID) rdf.Term {
-	if id == core.None {
+	switch {
+	case id == core.None:
 		return rdf.Term{}
+	case id&computedID != 0:
+		return r.computed[id&^computedID]
 	}
-	t, _ := rdf.TermFromKey(r.key(id)) // every key came from Term.Key
-	return t
+	return r.terms.Term(id)
 }
 
 // Len returns the number of solutions.
@@ -77,24 +73,39 @@ func (r *Result) At(row, col int) rdf.Term {
 	return r.term(r.ids[row*len(r.Vars)+col])
 }
 
-// AppendKeys appends the term keys (rdf.Term.Key, whose first byte gives
-// the kind: rdf.KindOfKey) of rows [lo, hi) to dst, row-major, "" for an
-// unbound cell. It is a serializer's gather: one pass over a block's ids,
-// whose key-table loads do not depend on each other, before any byte is
+// Cell is one answer cell as a serializer reads it: the bound term's
+// value, aliasing the dictionary's bytes, and its kind and JSON-plain
+// bit. Bound is false for an unbound cell.
+type Cell struct {
+	Value string
+	Meta  dictionary.Meta
+	Bound bool
+}
+
+// AppendCells appends the cells of rows [lo, hi) to dst, row-major. It
+// is a serializer's gather: one pass over a block's ids, whose
+// term-table loads do not depend on each other, before any byte is
 // written — where decoding cell by cell pays each cache miss in turn.
-func (r *Result) AppendKeys(dst []string, lo, hi int) []string {
+func (r *Result) AppendCells(dst []Cell, lo, hi int) []Cell {
 	nc := len(r.Vars)
 	cells := r.ids[lo*nc : hi*nc]
 	base := len(dst)
 	dst = slices.Grow(dst, len(cells))[:base+len(cells)]
 	decoded := 0
 	for i, id := range cells {
-		k := ""
-		if id != core.None {
-			k = r.key(id)
+		var c Cell
+		switch {
+		case id == core.None:
+		case id&computedID != 0:
+			t := r.computed[id&^computedID]
+			c = Cell{Value: t.Value, Meta: dictionary.MetaOf(t.Kind, t.Value), Bound: true}
+			decoded++
+		default:
+			c.Value, c.Meta = r.terms.At(id)
+			c.Bound = true
 			decoded++
 		}
-		dst[base+i] = k
+		dst[base+i] = c
 	}
 	termsDecodedTotal.Add(int64(decoded))
 	return dst
@@ -156,15 +167,16 @@ const resultEntryOverhead = 256
 
 // resultFootprint is the number of bytes a cached result retains: the id
 // array at its capacity (8 B a cell), the computed terms and the
-// variable names. The key table it decodes through is the dictionary's
+// variable names. The term table it decodes through is the dictionary's
 // and is not counted. It sizes the result cache's byte cap and is what a
 // filling query's memory meter is charged.
 func resultFootprint(r *Result) int64 {
 	size := int64(cap(r.ids)) * int64(unsafe.Sizeof(core.None))
-	for _, names := range [][]string{r.Vars, r.computed} {
-		for _, v := range names {
-			size += int64(unsafe.Sizeof(v)) + int64(len(v))
-		}
+	for _, v := range r.Vars {
+		size += int64(unsafe.Sizeof(v)) + int64(len(v))
+	}
+	for _, t := range r.computed {
+		size += int64(unsafe.Sizeof(t)) + int64(len(t.Value))
 	}
 	return size
 }
