@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one Benchmark per figure; see DESIGN.md §4 for the
-// experiment index) plus the ablation studies of DESIGN.md §5.
+// evaluation (one Benchmark per figure; README "The paper's query
+// figures" maps them to the paper's queries) plus ablations of the
+// design choices the paper argues for.
 //
 // The paper plots response time against growing data prefixes; here each
 // figure's benchmark times the three competing stores on a fixed-size
@@ -23,7 +24,6 @@ import (
 
 	"hexastore"
 	"hexastore/internal/barton"
-	"hexastore/internal/bench"
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
 	"hexastore/internal/disk"
@@ -257,32 +257,8 @@ func BenchmarkFig15Memory(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablations (DESIGN.md §5).
-
-// BenchmarkAblationMergeVsHashJoin: §4.2 claims first-step pairwise
-// joins being merge-joins is a win; compare against a hash join on the
-// same sorted inputs.
-func BenchmarkAblationMergeVsHashJoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	var ba, bb idlist.Builder
-	for i := 0; i < 200_000; i++ {
-		ba.Add(idlist.ID(rng.Intn(1_000_000) + 1))
-		bb.Add(idlist.ID(rng.Intn(1_000_000) + 1))
-	}
-	la, lb := ba.Finish(), bb.Finish()
-	b.Run("MergeJoin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			idlist.MergeJoin(la, lb, func(idlist.ID) { n++ })
-		}
-	})
-	b.Run("HashJoin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			idlist.HashJoin(la, lb, func(idlist.ID) { n++ })
-		}
-	})
-}
+// Ablations: what the sextuple design buys over the alternatives of the
+// paper's §2.2 and §4.
 
 // BenchmarkAblationCyclicVsSextuple: Kowari-style cyclic orderings
 // ({spo, pos, osp}) cannot provide a sorted subject list per property
@@ -681,8 +657,28 @@ func BenchmarkSPARQLJoinCompression(b *testing.B) {
 	}
 }
 
-// BenchmarkSPARQLJoinBackends times the evaluator suite of
-// bench.SPARQLQueries — the same workload `hexbench -json` snapshots —
+// sparqlQueries are the multi-pattern join shapes the evaluator is timed
+// on: chained joins, a cyclic join, DISTINCT and GROUP BY over the LUBM
+// schema.
+var sparqlQueries = []struct{ id, query string }{
+	{"sparql01", `SELECT ?student ?course WHERE {
+		?student <lubm:advisor> ?prof .
+		?prof <lubm:teacherOf> ?course }`},
+	{"sparql02", `SELECT ?student ?course WHERE {
+		?student <lubm:advisor> ?prof .
+		?prof <lubm:teacherOf> ?course .
+		?student <lubm:takesCourse> ?course }`},
+	{"sparql03", `SELECT DISTINCT ?prof WHERE {
+		?student <lubm:advisor> ?prof .
+		?student <lubm:takesCourse> ?course }`},
+	{"sparql04", `SELECT ?prof (COUNT(?student) AS ?n) WHERE {
+		?student <lubm:advisor> ?prof } GROUP BY ?prof`},
+	{"sparql05", `SELECT ?prof (COUNT(DISTINCT ?student) AS ?n) WHERE {
+		?student <lubm:advisor> ?prof .
+		?student <lubm:takesCourse> ?course } GROUP BY ?prof`},
+}
+
+// BenchmarkSPARQLJoinBackends times the evaluator on sparqlQueries
 // across the three Graph backends: the in-memory Hexastore and the disk
 // store feed the merge-join engine their own sorted lists (both implement
 // graph.SortedSource), the flat baseline lists graph.SortedOf sorts from
@@ -722,13 +718,13 @@ func BenchmarkSPARQLJoinBackends(b *testing.B) {
 		{"Disk", graph.Disk(ds)},
 		{"Baseline", graph.Baseline(base)},
 	}
-	for _, bq := range bench.SPARQLQueries {
-		q, err := sparql.Parse(bq.Query)
+	for _, bq := range sparqlQueries {
+		q, err := sparql.Parse(bq.query)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, be := range backends {
-			b.Run(bq.ID+"/"+be.name, func(b *testing.B) {
+			b.Run(bq.id+"/"+be.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := sparql.EvalOpts(context.Background(), be.g, q, sparql.EvalOptions{}); err != nil {
@@ -883,12 +879,79 @@ func BenchmarkBuildPacked(b *testing.B) {
 	b.ReportMetric(st.IndexStats().BytesPerTriple(), "B/triple")
 }
 
-// BenchmarkWrite01 is the Go-benchmark twin of the hexbench write01
-// figure: the bench.MixedWorkload mixed read/write driver (concurrent
-// chain-join SELECTs against a stream of INSERT/DELETE batches) through
-// the MVCC delta overlay, with and without the group-committed WAL. The
-// BENCH_<rev>.json trajectory tracks the same workload via
-// `hexbench -json`.
+// mixedWorkload drives a fixed mixed read/write workload: 2 reader
+// goroutines each run 40 evaluations of the query while 2 writer
+// goroutines each commit 40 update batches (5 inserts followed, one
+// batch later, by their 5 deletes — so the store returns to its initial
+// state and repeats stay comparable). tag namespaces the written
+// triples, keeping every invocation's inserts fresh.
+func mixedWorkload(query func() error, update func([]graph.TripleOp) error, tag string) error {
+	const (
+		readers    = 2
+		writers    = 2
+		queriesPer = 40
+		batchesPer = 40
+		batchSize  = 5
+	)
+	var wg sync.WaitGroup
+	errCh := make(chan error, readers+writers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < queriesPer; i++ {
+				if err := query(); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			batch := func(b int, del bool) []graph.TripleOp {
+				ops := make([]graph.TripleOp, batchSize)
+				for i := range ops {
+					ops[i] = graph.TripleOp{Del: del, T: rdf.T(
+						rdf.NewIRI(fmt.Sprintf("bench:%s/w%d/b%d/s%d", tag, w, b, i)),
+						rdf.NewIRI("lubm:advisor"),
+						rdf.NewIRI(fmt.Sprintf("bench:%s/w%d/prof", tag, w)),
+					)}
+				}
+				return ops
+			}
+			for b := 0; b < batchesPer; b++ {
+				if err := update(batch(b, false)); err != nil {
+					errCh <- err
+					return
+				}
+				if b > 0 {
+					if err := update(batch(b-1, true)); err != nil {
+						errCh <- err
+						return
+					}
+				}
+			}
+			if err := update(batch(batchesPer-1, true)); err != nil {
+				errCh <- err
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BenchmarkWrite01 runs mixedWorkload (concurrent chain-join SELECTs
+// against a stream of INSERT/DELETE batches) through the MVCC delta
+// overlay, with and without the group-committed WAL.
 func BenchmarkWrite01(b *testing.B) {
 	s, _ := lubmFixture(b)
 	var triples [][3]core.ID
@@ -926,7 +989,7 @@ func BenchmarkWrite01(b *testing.B) {
 			pl := sparql.NewPlanner(ov)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				err := bench.MixedWorkload(func() error {
+				err := mixedWorkload(func() error {
 					_, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 					return err
 				}, func(ops []graph.TripleOp) error {

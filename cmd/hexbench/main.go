@@ -6,6 +6,8 @@
 //	hexbench -all                        # every figure, default scale
 //	hexbench -fig fig10                  # one figure
 //	hexbench -fig fig04,fig05 -records 60000 -steps 6 -repeats 3
+//	hexbench -fig space01                # §4.1 space model beside the packed bytes
+//	hexbench -list                       # the figure ids above
 //	hexbench -torture -seed 7 -runs 200  # crash-consistency torture campaign
 //
 // -torture runs no benchmarks: it drives the crash-consistency torture
@@ -16,17 +18,17 @@
 //
 // Output is one aligned table per figure: rows are data-prefix sizes,
 // columns are the competing stores (response time in seconds, memory in
-// MB for fig15a/fig15b). The paper plots these series on log axes; the
-// reproduction target is the shape — who wins and by how many orders of
-// magnitude — not absolute numbers.
+// MB for fig15a/fig15b, bytes per triple for space01). The paper plots
+// these series on log axes; the reproduction target is the shape — who
+// wins and by how many orders of magnitude — not absolute numbers.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 
 	"hexastore/internal/bench"
@@ -45,10 +47,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator seed")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		listFlag = flag.Bool("list", false, "list known figure ids and exit")
-		ablation = flag.String("ablation", "", "comma-separated extension ablations (disk,cracking,kowari) or 'all'")
-		write    = flag.Bool("write", false, "run the write01 mixed read/write figure (locked store vs MVCC overlay vs overlay+WAL)")
-		jsonOut  = flag.Bool("json", false, "also run the bulk-load, mixed read/write and SPARQL-engine suites and write timings+allocs to BENCH_<rev>.json")
-		rev      = flag.String("rev", "", "revision label for the -json snapshot (default: current git short hash, else 'dev')")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0),
 			"parallelism budget for the load pipeline and intra-query joins; 1 = sequential")
 		tortureRun = flag.Bool("torture", false, "run the crash-consistency torture campaign instead of benchmarks")
@@ -87,25 +85,7 @@ func main() {
 	}
 
 	if *listFlag {
-		for _, id := range bench.FigureIDs {
-			fmt.Println(id)
-		}
-		for _, id := range bench.AblationIDs {
-			fmt.Println("ablation-" + id)
-		}
-		for _, id := range bench.LoadFigureIDs {
-			fmt.Println(id)
-		}
-		for _, id := range bench.WriteFigureIDs {
-			fmt.Println(id)
-		}
-		for _, id := range bench.GovernFigureIDs {
-			fmt.Println(id)
-		}
-		for _, id := range bench.TraceFigureIDs {
-			fmt.Println(id)
-		}
-		for _, id := range bench.ServeFigureIDs {
+		for _, id := range slices.Concat(bench.FigureIDs, bench.SpaceFigureIDs) {
 			fmt.Println(id)
 		}
 		return
@@ -114,31 +94,19 @@ func main() {
 	var ids []string
 	if *figFlag != "" {
 		ids = strings.Split(*figFlag, ",")
-	} else if !*all && *ablation == "" && !*jsonOut && !*write {
-		fmt.Fprintln(os.Stderr, "hexbench: pass -all, -fig <ids>, -ablation <ids>, -write, or -json; see -list for ids")
+	} else if !*all {
+		fmt.Fprintln(os.Stderr, "hexbench: pass -all or -fig <ids>; see -list for ids")
 		os.Exit(2)
 	}
 
-	// -list advertises the load and write suites alongside the paper
-	// figures; accept their ids through -fig too instead of bouncing
-	// users to the dedicated flags.
-	runLoad, runWrite, runSpace, runGovern, runTrace, runServe := false, *write, false, false, false, false
+	// space01 is not a paper figure: it has its own runner, reached
+	// through -fig like the rest.
+	runSpace := false
 	figIDs := ids[:0]
 	for _, id := range ids {
-		switch id {
-		case "load01":
-			runLoad = true
-		case "write01":
-			runWrite = true
-		case "space01":
+		if id == "space01" {
 			runSpace = true
-		case "govern01":
-			runGovern = true
-		case "trace_overhead":
-			runTrace = true
-		case "serve01", "serve01lat":
-			runServe = true
-		default:
+		} else {
 			figIDs = append(figIDs, id)
 		}
 	}
@@ -158,9 +126,8 @@ func main() {
 		Seed:             *seed,
 		Workers:          *workers,
 	}
-	// runSuite executes one benchmark suite, prints its tables, and
-	// collects the figures for the -json snapshot; any failure is fatal.
-	var snapshot []*bench.Figure
+	// runSuite executes one benchmark suite and prints its tables; any
+	// failure is fatal.
 	runSuite := func(run func(bench.Config, func(string)) ([]*bench.Figure, error)) {
 		figs, err := run(cfg, progress)
 		if err != nil {
@@ -173,7 +140,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		snapshot = append(snapshot, figs...)
 	}
 
 	if *all || len(ids) > 0 {
@@ -181,74 +147,7 @@ func main() {
 			return bench.Run(cfg, ids, progress)
 		})
 	}
-
-	if *ablation != "" {
-		var abl []string
-		if *ablation != "all" {
-			abl = strings.Split(*ablation, ",")
-		}
-		runSuite(func(cfg bench.Config, progress func(string)) ([]*bench.Figure, error) {
-			return bench.RunAblations(cfg, abl, progress)
-		})
-	}
-
-	if runLoad && !*jsonOut {
-		runSuite(bench.RunLoad)
-	}
-	if runWrite && !*jsonOut {
-		runSuite(bench.RunWrite)
-	}
-	if runSpace && !*jsonOut {
+	if runSpace {
 		runSuite(bench.RunSpace)
 	}
-	if runGovern && !*jsonOut {
-		runSuite(bench.RunGovern)
-	}
-	if runTrace && !*jsonOut {
-		runSuite(bench.RunTrace)
-	}
-	if runServe && !*jsonOut {
-		runSuite(bench.RunServe)
-	}
-
-	if *jsonOut {
-		runSuite(bench.RunLoad)
-		runSuite(bench.RunWrite)
-		runSuite(bench.RunSpace)
-		runSuite(bench.RunGovern)
-		runSuite(bench.RunTrace)
-		runSuite(bench.RunServe)
-		runSuite(bench.RunSPARQL)
-
-		label := *rev
-		if label == "" {
-			label = gitRev()
-		}
-		name := fmt.Sprintf("BENCH_%s.json", label)
-		f, err := os.Create(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hexbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteJSON(f, label, cfg, snapshot); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "hexbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hexbench: %v\n", err)
-			os.Exit(1)
-		}
-		progress("wrote " + name)
-	}
-}
-
-// gitRev returns the current short commit hash, or "dev" outside a git
-// checkout.
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "dev"
-	}
-	return strings.TrimSpace(string(out))
 }

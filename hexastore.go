@@ -33,8 +33,8 @@
 // A Store built with NewBuilder, LoadNTriples or Restore is sealed: it
 // answers queries (Query, AsGraph) but takes no writes. Open
 // returns the writable in-memory handle: a delta overlay over a sealed
-// store. See the examples directory for complete programs, and
-// DESIGN.md / EXPERIMENTS.md for the paper reproduction.
+// store. See the examples directory for complete programs, and the
+// README's "The paper's query figures" for the paper reproduction.
 package hexastore
 
 import (
@@ -441,14 +441,7 @@ func (db *DB) planner() *sparql.Planner {
 		db.pl = pl
 		return pl
 	}
-	built := db.pl.Stats().Triples
-	drift := db.Graph.Len() - built
-	if drift < 0 {
-		drift = -drift
-	}
-	if drift > 0 && drift*10 >= built {
-		db.pl.Refresh()
-	}
+	db.pl.RefreshIfDrifted()
 	return db.pl
 }
 

@@ -16,9 +16,9 @@
 //     with multi-valued attributes — "the vast majority of properties
 //     appear infrequently" (§5.1.1).
 //
-// The substitution is documented in DESIGN.md §3: the queries bind
-// exactly these properties and objects, so preserving the cardinality
-// profile preserves the performance shape.
+// The substitution holds because the queries bind exactly these
+// properties and objects, so preserving the cardinality profile
+// preserves the performance shape.
 package barton
 
 import (

@@ -24,27 +24,24 @@ import (
 )
 
 // Point is one measurement: data-set prefix size versus the metric
-// (seconds for response-time figures, megabytes for Figure 15). Allocs
-// is the heap allocation count of the timed run (0 for memory series),
-// so the JSON trajectory tracks allocation regressions alongside time.
+// (seconds for response-time figures, megabytes for Figure 15).
 type Point struct {
-	Triples int     `json:"triples"`
-	Value   float64 `json:"value"`
-	Allocs  uint64  `json:"allocs,omitempty"`
+	Triples int
+	Value   float64
 }
 
 // Series is a named line of a figure (one per store variant).
 type Series struct {
-	Name   string  `json:"name"`
-	Points []Point `json:"points"`
+	Name   string
+	Points []Point
 }
 
 // Figure is one reproduced figure of the paper.
 type Figure struct {
-	ID     string   `json:"id"`     // e.g. "fig03"
-	Title  string   `json:"title"`  // e.g. "Barton data set, Query 1"
-	YLabel string   `json:"ylabel"` // "seconds" or "MB"
-	Series []Series `json:"series"`
+	ID     string // e.g. "fig03"
+	Title  string // e.g. "Barton data set, Query 1"
+	YLabel string // "seconds" or "MB"
+	Series []Series
 }
 
 // WriteTable prints the figure as an aligned table: one row per prefix
@@ -82,9 +79,7 @@ type Config struct {
 	Repeats          int // timing repeats, best-of (default 3)
 	Seed             int64
 	// Workers is the parallelism budget for the load pipeline and
-	// intra-query joins (default runtime.GOMAXPROCS(0)); it is recorded
-	// in the JSON snapshot alongside GOMAXPROCS so trajectories can be
-	// compared across machines.
+	// intra-query joins (default runtime.GOMAXPROCS(0)).
 	Workers int
 }
 
@@ -236,7 +231,7 @@ func sweepDataset(cfg Config, dataset string, data []rdf.Triple, want map[string
 			}
 		}
 		for _, m := range ms {
-			addPoint(m.figID, m.series, triples, measureBest(cfg.Repeats, m.run))
+			addPoint(m.figID, m.series, triples, Point{Value: timeBest(cfg.Repeats, m.run)})
 		}
 	}
 
@@ -259,28 +254,18 @@ func prefixSizes(n, steps int) []int {
 	return out
 }
 
-// timeBest is measureBest reduced to the duration, for callers that
-// track seconds only (the ablation sweeps).
-func timeBest(repeats int, fn func()) float64 { return measureBest(repeats, fn).Value }
-
-// measureBest runs fn repeats times and returns the fastest wall-clock
-// duration in seconds together with that run's heap allocation count.
-func measureBest(repeats int, fn func()) Point {
-	best := Point{Value: (time.Duration(1<<62 - 1)).Seconds()}
-	var ms runtime.MemStats
+// timeBest runs fn repeats times and returns the fastest wall-clock
+// duration in seconds.
+func timeBest(repeats int, fn func()) float64 {
+	best := time.Duration(1<<62 - 1)
 	for i := 0; i < repeats; i++ {
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
 		start := time.Now()
 		fn()
-		d := time.Since(start)
-		runtime.ReadMemStats(&ms)
-		if secs := d.Seconds(); secs < best.Value {
-			best.Value = secs
-			best.Allocs = ms.Mallocs - before
+		if d := time.Since(start); d < best {
+			best = d
 		}
 	}
-	return best
+	return best.Seconds()
 }
 
 func addMemoryPoints(addPoint func(id, series string, triples int, p Point), id string, s *queries.Stores, triples int) {

@@ -12,6 +12,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"hexastore/internal/pagefile"
@@ -94,7 +95,83 @@ const (
 	MaxInnerKeys = (pagefile.PayloadSize - 8 - 4) / (keySize + 4)
 	childrenOff  = 8
 	innerKeysOff = childrenOff + 4*(MaxInnerKeys+1)
+
+	// maxDepth bounds the internal levels of a descent. Every internal
+	// node has at least two children, so a tree over the at most 2^32
+	// pages of a file has at most 32 internal levels; a longer descent
+	// follows a cycle of damaged child pointers.
+	maxDepth = 32
 )
+
+// CorruptPageError reports a tree page that cannot be read as a node:
+// an unknown tag, a key count past the page's capacity, a compressed
+// leaf's stream or restart table past the page, or a child pointer or
+// leaf chain that loops. The page's checksum held, so the bytes are as
+// they were written; a bug or a damaged file wrote them.
+type CorruptPageError struct {
+	Page   pagefile.PageID
+	Reason string
+}
+
+func (e *CorruptPageError) Error() string {
+	return fmt.Sprintf("btree: page %d: %s (corrupted)", e.Page, e.Reason)
+}
+
+// pageFault returns why page payload d cannot be read as a tree node,
+// or "" when its header fits the page. Every reader indexes a page by
+// its count and stream length, so every page the tree reads passes here
+// first (see get).
+func pageFault(d []byte) string {
+	n := nodeCount(d)
+	switch nodeTag(d) {
+	case tagLeaf:
+		if n > MaxLeafKeys {
+			return fmt.Sprintf("leaf holds %d keys, a page fits %d", n, MaxLeafKeys)
+		}
+	case tagInner:
+		if n > MaxInnerKeys {
+			return fmt.Sprintf("internal node holds %d keys, a page fits %d", n, MaxInnerKeys)
+		}
+	case tagCompLeaf:
+		return compLeafFault(d)
+	default:
+		return fmt.Sprintf("unknown tag %d", nodeTag(d))
+	}
+	return ""
+}
+
+// compLeafFault is pageFault for a compressed leaf of at least
+// compLeafDataOff bytes: its stream and restart table must lie inside
+// the page, and the stream must hold at least three bytes a key, as
+// every key is three uvarints or more (see appendKeyDelta).
+func compLeafFault(d []byte) string {
+	n, streamLen := nodeCount(d), compLeafStreamLen(d)
+	if compLeafDataOff+streamLen+2*numRestarts(n) > len(d) {
+		return fmt.Sprintf("stream of %d bytes and %d restarts overrun the page", streamLen, numRestarts(n))
+	}
+	if 3*n > streamLen {
+		return fmt.Sprintf("%d keys in a stream of %d bytes", n, streamLen)
+	}
+	return ""
+}
+
+// get pins page id, checked by pageFault; the caller releases it.
+func (t *Tree) get(id pagefile.PageID) (*pagefile.Page, error) {
+	p, err := t.pf.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	if why := pageFault(p.Data()); why != "" {
+		t.pf.Release(p)
+		return nil, &CorruptPageError{Page: id, Reason: why}
+	}
+	return p, nil
+}
+
+// tooDeep is the error of a descent past maxDepth internal levels.
+func tooDeep(id pagefile.PageID) error {
+	return &CorruptPageError{Page: id, Reason: fmt.Sprintf("more than %d internal levels: child pointers loop", maxDepth)}
+}
 
 // Tree is a B+-tree stored in a pagefile. It persists its root page id
 // and key count in two root slots of the pagefile, so a Tree survives
@@ -379,10 +456,10 @@ func checkCompLeaf(d []byte) error {
 	if len(d) < compLeafDataOff {
 		return fmt.Errorf("compressed leaf of %d bytes has no header", len(d))
 	}
-	n, streamLen := nodeCount(d), compLeafStreamLen(d)
-	if compLeafDataOff+streamLen+2*numRestarts(n) > len(d) {
-		return fmt.Errorf("stream of %d bytes and %d restarts overrun the page", streamLen, numRestarts(n))
+	if why := compLeafFault(d); why != "" {
+		return errors.New(why)
 	}
+	n, streamLen := nodeCount(d), compLeafStreamLen(d)
 	table := d[compLeafDataOff+streamLen:]
 	it := iterCompLeaf(d)
 	var prev Key
@@ -489,14 +566,18 @@ func decodeNextKey(stream []byte, pos int, prev Key, full bool) (Key, int) {
 // pinned; the caller releases it.
 func (t *Tree) findLeaf(k Key) (*pagefile.Page, error) {
 	id := t.root
-	for {
-		p, err := t.pf.Get(id)
+	for depth := 0; ; depth++ {
+		p, err := t.get(id)
 		if err != nil {
 			return nil, err
 		}
 		d := p.Data()
 		if tag := nodeTag(d); tag == tagLeaf || tag == tagCompLeaf {
 			return p, nil
+		}
+		if depth == maxDepth {
+			t.pf.Release(p)
+			return nil, tooDeep(id)
 		}
 		n := nodeCount(d)
 		i := searchKeys(d, innerKeysOff, n, k)
@@ -555,7 +636,7 @@ func (t *Tree) Insert(k Key) (bool, error) {
 		t.setCount(1)
 		return true, nil
 	}
-	added, splits, err := t.mutate(t.root, k, false)
+	added, splits, err := t.mutate(t.root, k, false, 0)
 	if err != nil {
 		return false, err
 	}
@@ -578,7 +659,7 @@ func (t *Tree) Delete(k Key) (bool, error) {
 	if t.root == pagefile.NilPage {
 		return false, nil
 	}
-	removed, splits, err := t.mutate(t.root, k, true)
+	removed, splits, err := t.mutate(t.root, k, true, 0)
 	if err != nil {
 		return false, err
 	}
@@ -616,11 +697,11 @@ func (t *Tree) growRoot(splits []splitRef) error {
 }
 
 // mutate applies one insert (del=false) or delete (del=true) of k under
-// page id, returning whether the tree changed and the right siblings
-// the page split into (ascending, possibly several for a bursting
-// compressed leaf).
-func (t *Tree) mutate(id pagefile.PageID, k Key, del bool) (changed bool, splits []splitRef, err error) {
-	p, err := t.pf.Get(id)
+// page id, depth internal levels below the root, returning whether the
+// tree changed and the right siblings the page split into (ascending,
+// possibly several for a bursting compressed leaf).
+func (t *Tree) mutate(id pagefile.PageID, k Key, del bool, depth int) (changed bool, splits []splitRef, err error) {
+	p, err := t.get(id)
 	if err != nil {
 		return false, nil, err
 	}
@@ -646,12 +727,15 @@ func (t *Tree) mutate(id pagefile.PageID, k Key, del bool) (changed bool, splits
 		return t.mutateCompLeaf(p, k, del)
 
 	default: // internal node
+		if depth == maxDepth {
+			return false, nil, tooDeep(id)
+		}
 		n := nodeCount(d)
 		ci := searchKeys(d, innerKeysOff, n, k)
 		if ci < n && Compare(keyAt(d, innerKeysOff, ci), k) == 0 {
 			ci++
 		}
-		changed, csplits, err := t.mutate(childAt(d, ci), k, del)
+		changed, csplits, err := t.mutate(childAt(d, ci), k, del, depth+1)
 		if err != nil || len(csplits) == 0 {
 			return changed, nil, err
 		}
@@ -867,12 +951,13 @@ func (t *Tree) Scan(lo, hi Key, fn func(Key) bool) error {
 		return nil
 	}
 	// The leaf the descent reaches stays pinned into the walk along the
-	// leaf chain; exactly one leaf is pinned at a time.
+	// leaf chain; exactly one leaf is pinned at a time. A chain longer
+	// than the file has pages loops.
 	p, err := t.findLeaf(lo)
 	if err != nil {
 		return err
 	}
-	for {
+	for leaves, pages := 1, 0; ; leaves++ {
 		d := p.Data()
 		more := scanLeaf(d, lo, hi, fn)
 		next := leafNext(d)
@@ -880,7 +965,13 @@ func (t *Tree) Scan(lo, hi Key, fn func(Key) bool) error {
 		if !more || next == pagefile.NilPage {
 			return nil
 		}
-		if p, err = t.pf.Get(next); err != nil {
+		if pages == 0 {
+			pages = t.pf.NumPages()
+		}
+		if leaves >= pages {
+			return &CorruptPageError{Page: next, Reason: "the leaf chain loops"}
+		}
+		if p, err = t.get(next); err != nil {
 			return err
 		}
 	}
@@ -1080,18 +1171,20 @@ func (t *Tree) Depth() (int, error) {
 	if t.root == pagefile.NilPage {
 		return 0, nil
 	}
-	depth := 0
 	id := t.root
-	for {
-		p, err := t.pf.Get(id)
+	for depth := 1; ; depth++ {
+		p, err := t.get(id)
 		if err != nil {
 			return 0, err
 		}
-		depth++
 		d := p.Data()
 		if tag := nodeTag(d); tag == tagLeaf || tag == tagCompLeaf {
 			t.pf.Release(p)
 			return depth, nil
+		}
+		if depth > maxDepth {
+			t.pf.Release(p)
+			return 0, tooDeep(id)
 		}
 		id = childAt(d, 0)
 		t.pf.Release(p)
@@ -1114,9 +1207,9 @@ func (t *Tree) CheckInvariants() error {
 		last    Key
 		hasLast bool
 	)
-	var walk func(id pagefile.PageID, lo, hi *Key) error
-	walk = func(id pagefile.PageID, lo, hi *Key) error {
-		p, err := t.pf.Get(id)
+	var walk func(id pagefile.PageID, lo, hi *Key, depth int) error
+	walk = func(id pagefile.PageID, lo, hi *Key, depth int) error {
+		p, err := t.get(id)
 		if err != nil {
 			return err
 		}
@@ -1155,9 +1248,12 @@ func (t *Tree) CheckInvariants() error {
 				}
 			}
 			return nil
-		case tagInner:
+		default: // tagInner: get let no other tag through
 			if n < 1 {
 				return fmt.Errorf("btree: internal node %d has no keys", id)
+			}
+			if depth == maxDepth {
+				return tooDeep(id)
 			}
 			for i := 0; i < n; i++ {
 				k := keyAt(d, innerKeysOff, i)
@@ -1175,16 +1271,14 @@ func (t *Tree) CheckInvariants() error {
 					k := keyAt(d, innerKeysOff, i)
 					chi = &k
 				}
-				if err := walk(childAt(d, i), clo, chi); err != nil {
+				if err := walk(childAt(d, i), clo, chi, depth+1); err != nil {
 					return err
 				}
 			}
 			return nil
-		default:
-			return fmt.Errorf("btree: page %d has unknown tag %d", id, nodeTag(d))
 		}
 	}
-	if err := walk(t.root, nil, nil); err != nil {
+	if err := walk(t.root, nil, nil, 0); err != nil {
 		return err
 	}
 	if seen != t.count {

@@ -329,25 +329,6 @@ func UnionAll(lists []*List) *List {
 	return work[0]
 }
 
-// HashJoin is the non-merge alternative used only by the ablation
-// benchmark (DESIGN.md §5): it builds a hash set over the smaller input.
-func HashJoin(a, b *List, fn func(ID)) {
-	la, lb := a.IDs(), b.IDs()
-	if len(la) > len(lb) {
-		la, lb = lb, la
-	}
-	set := make(map[ID]struct{}, len(la))
-	for _, id := range la {
-		set[id] = struct{}{}
-	}
-	// Iterate the larger side in order so output order matches MergeJoin.
-	for _, id := range lb {
-		if _, ok := set[id]; ok {
-			fn(id)
-		}
-	}
-}
-
 // Builder accumulates IDs in arbitrary order and produces a sorted,
 // deduplicated List. It is used by bulk loaders, which append everything
 // and sort once instead of paying per-insert shifting costs.

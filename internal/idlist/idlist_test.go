@@ -192,20 +192,6 @@ func TestMergeJoinMatchesIntersect(t *testing.T) {
 	}
 }
 
-func TestHashJoinMatchesMergeJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		a := randomList(rng, 50)
-		b := randomList(rng, 80)
-		var mj, hj []ID
-		MergeJoin(a, b, func(id ID) { mj = append(mj, id) })
-		HashJoin(a, b, func(id ID) { hj = append(hj, id) })
-		if !reflect.DeepEqual(mj, hj) {
-			t.Fatalf("trial %d: MergeJoin=%v HashJoin=%v", trial, mj, hj)
-		}
-	}
-}
-
 func TestBuilder(t *testing.T) {
 	var b Builder
 	for _, v := range ids(9, 1, 5, 1, 9, 3) {

@@ -230,27 +230,6 @@ func (s *Server) planner() *sparql.Planner {
 	return s.pl
 }
 
-// refreshPlanner rebuilds statistics after mutations, in place: the
-// planner's Refresh bumps its stats epoch (invalidating memoized plans)
-// but keeps the cache structures and their hit/miss counters, so a
-// stats refresh never looks like a cache restart in /metrics. A store
-// that just took a write costs a full scan to summarize, so the rebuild
-// is skipped until the store has drifted ≥10% from the cached summary:
-// stale statistics only degrade pattern ordering, never result
-// correctness (and the result cache keys on the snapshot epoch, not on
-// statistics, so it invalidates on the write itself either way).
-func (s *Server) refreshPlanner() {
-	built := s.planner().Stats().Triples
-	drift := s.g.Len() - built
-	if drift < 0 {
-		drift = -drift
-	}
-	if built > 0 && drift*10 < built {
-		return
-	}
-	s.planner().Refresh()
-}
-
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -341,7 +320,7 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, updateText s
 			httpError(w, http.StatusInternalServerError, "flush: %v", err)
 			return
 		}
-		s.refreshPlanner()
+		s.planner().RefreshIfDrifted()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
@@ -398,7 +377,7 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, "flush: %v", err)
 			return
 		}
-		s.refreshPlanner()
+		s.planner().RefreshIfDrifted()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]int{"added": added, "total": s.g.Len()})

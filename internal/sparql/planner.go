@@ -64,6 +64,26 @@ func (pl *Planner) Refresh() {
 	pl.statsEpoch.Add(1)
 }
 
+// RefreshIfDrifted runs Refresh when the graph's triple count has
+// drifted from the count the summary was built on by at least a tenth
+// of that count. A summary costs a full scan to build, and stale
+// statistics only degrade join ordering, never correctness, so callers
+// run this after writes instead of Refresh. Any change to an empty
+// summary's graph refreshes it; a graph that did not change is never
+// rescanned. The refresh keeps the caches and their hit/miss counters,
+// and cached results key on the data epoch, so they invalidate on the
+// write itself either way.
+func (pl *Planner) RefreshIfDrifted() {
+	built := pl.Stats().Triples
+	drift := pl.g.Len() - built
+	if drift < 0 {
+		drift = -drift
+	}
+	if drift > 0 && drift*10 >= built {
+		pl.Refresh()
+	}
+}
+
 // SetPlanCacheSize resizes the plan cache to hold n query shapes;
 // n <= 0 disables plan caching. Resizing drops current entries.
 func (pl *Planner) SetPlanCacheSize(n int) {

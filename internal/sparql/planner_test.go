@@ -156,6 +156,57 @@ func TestPlannerRefresh(t *testing.T) {
 	}
 }
 
+// TestPlannerRefreshIfDrifted holds the one refresh rule the server and
+// the facade share: refresh once the store has moved by a tenth of the
+// summary's count, and never for a store that did not move.
+func TestPlannerRefreshIfDrifted(t *testing.T) {
+	triple := func(i int) rdf.Triple {
+		return rdf.T(rdf.NewIRI(fmt.Sprintf("s%d", i)), rdf.NewIRI("p"), rdf.NewIRI("o"))
+	}
+	for _, c := range []struct {
+		name        string
+		built       int  // triples the summary is built on
+		add, remove int  // then written
+		want        bool // whether the summary is rebuilt
+	}{
+		{"unchanged", 100, 0, 0, false},
+		{"9% added", 100, 9, 0, false},
+		{"10% added", 100, 10, 0, true},
+		{"9% removed", 100, 0, 9, false},
+		{"10% removed", 100, 0, 10, true},
+		{"empty, unchanged", 0, 0, 0, false},
+		{"empty, one added", 0, 1, 0, true},
+	} {
+		stb := core.NewBuilder(nil)
+		for i := 0; i < c.built; i++ {
+			stb.AddTriple(triple(i))
+		}
+		ov, err := delta.New(graph.Memory(stb.Build()), delta.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := NewPlanner(ov)
+		for i := 0; i < c.add; i++ {
+			if _, err := graph.AddTriple(ov, triple(c.built+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < c.remove; i++ {
+			if _, err := graph.RemoveTriple(ov, triple(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch := pl.CacheStats().StatsEpoch
+		pl.RefreshIfDrifted()
+		if refreshed := pl.CacheStats().StatsEpoch != epoch; refreshed != c.want {
+			t.Errorf("%s: refreshed = %v, want %v", c.name, refreshed, c.want)
+		}
+		if want := c.built + c.add - c.remove; c.want && pl.Stats().Triples != want {
+			t.Errorf("%s: refreshed summary holds %d triples, want %d", c.name, pl.Stats().Triples, want)
+		}
+	}
+}
+
 func TestPlannerWithModifiersAndOptionals(t *testing.T) {
 	st := skewedStore(t)
 	pl := NewPlanner(st)

@@ -57,6 +57,85 @@ func TestShapeNormalization(t *testing.T) {
 	if se == sa {
 		t.Fatal("LIMIT did not change the shape")
 	}
+
+	key := func(src string) string {
+		s, c, out := shapeOf(mustParse(t, src))
+		return resultKey(s, out, c)
+	}
+	// Each group varies one clause; no two of its queries may share a
+	// result key, or one would be answered with the other's rows.
+	for _, g := range []struct {
+		clause  string
+		queries []string
+	}{
+		{"projection order", []string{
+			`SELECT ?x ?y WHERE { ?x <p> ?y }`,
+			`SELECT ?y ?x WHERE { ?x <p> ?y }`,
+		}},
+		{"DISTINCT", []string{
+			`SELECT ?x WHERE { ?x <p> ?y }`,
+			`SELECT DISTINCT ?x WHERE { ?x <p> ?y }`,
+		}},
+		{"constant kind", []string{
+			`SELECT ?x WHERE { ?x <p> <a> }`,
+			`SELECT ?x WHERE { ?x <p> "a" }`,
+			`SELECT ?x WHERE { ?x <p> _:a }`,
+		}},
+		{"FILTER operator", []string{
+			`SELECT ?x WHERE { ?x <p> ?y FILTER (?y = "5") }`,
+			`SELECT ?x WHERE { ?x <p> ?y FILTER (?y != "5") }`,
+			`SELECT ?x WHERE { ?x <p> ?y FILTER (?y < "5") }`,
+			`SELECT ?x WHERE { ?x <p> ?y FILTER (?y <= "5") }`,
+			`SELECT ?x WHERE { ?x <p> ?y FILTER (?y > "5") }`,
+			`SELECT ?x WHERE { ?x <p> ?y FILTER (?y >= "5") }`,
+		}},
+		{"ORDER BY direction", []string{
+			`SELECT ?x WHERE { ?x <p> ?y } ORDER BY ?y`,
+			`SELECT ?x WHERE { ?x <p> ?y } ORDER BY DESC(?y)`,
+		}},
+		{"LIMIT against OFFSET", []string{
+			`SELECT ?x WHERE { ?x <p> ?y } LIMIT 5`,
+			`SELECT ?x WHERE { ?x <p> ?y } OFFSET 5`,
+			`SELECT ?x WHERE { ?x <p> ?y } LIMIT 5 OFFSET 5`,
+		}},
+		{"aggregate DISTINCT", []string{
+			`SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x <p> ?y } GROUP BY ?x`,
+			`SELECT ?x (COUNT(DISTINCT ?y) AS ?n) WHERE { ?x <p> ?y } GROUP BY ?x`,
+		}},
+		{"pattern placement", []string{
+			`SELECT ?x ?z WHERE { ?x <p> ?y . ?x <q> ?z }`,
+			`SELECT ?x ?z WHERE { ?x <p> ?y OPTIONAL { ?x <q> ?z } }`,
+			`SELECT ?x ?z WHERE { { ?x <p> ?y } UNION { ?x <q> ?z } }`,
+		}},
+	} {
+		seen := map[string]string{}
+		for _, src := range g.queries {
+			k := key(src)
+			if prev, ok := seen[k]; ok {
+				t.Errorf("%s: %q and %q share a result key", g.clause, prev, src)
+			}
+			seen[k] = src
+		}
+	}
+
+	// Renaming a variable the answer does not name, or respacing the
+	// text, must keep the key shared.
+	for _, pair := range [][2]string{
+		{`SELECT ?x WHERE { ?x <p> ?y . ?y <q> ?z }`,
+			`SELECT ?x WHERE { ?x <p> ?b . ?b <q> ?c }`},
+		{`SELECT ?x WHERE { ?x <p> ?y OPTIONAL { ?y <q> ?z } }`,
+			`SELECT ?x WHERE { ?x <p> ?w OPTIONAL { ?w <q> ?v } }`},
+		{`SELECT ?x WHERE { { ?x <p> ?y } UNION { ?x <q> ?y } }`,
+			`SELECT ?x WHERE { { ?x <p> ?m } UNION { ?x <q> ?m } }`},
+		{`SELECT ?x WHERE { ?x <p> ?y FILTER (?y > "5") } ORDER BY DESC(?y)`,
+			`SELECT   ?x   WHERE { ?x <p> ?v FILTER (?v > "5") }   ORDER BY DESC(?v)`},
+		{`SELECT ?x (COUNT(DISTINCT ?y) AS ?n) WHERE { ?x <p> ?y } GROUP BY ?x`,
+			`SELECT ?x (COUNT(DISTINCT ?o) AS ?n) WHERE { ?x <p> ?o } GROUP BY ?x`},
+	} {
+		if key(pair[0]) != key(pair[1]) {
+			t.Errorf("renamed queries differ in result key:\n%s\n%s", pair[0], pair[1])
+		}
+	}
 }
 
 // TestResultKeyOutputNames: the result key must include the actual

@@ -21,7 +21,6 @@ func allStores(t *testing.T) []Store {
 		NewTriplestore(),
 		NewCOVP1(),
 		NewCOVP2(),
-		NewKowari(),
 		diskSt,
 	}
 }
@@ -113,7 +112,7 @@ func TestAllStoresAgreeUnderRandomWorkload(t *testing.T) {
 // with the reference on every shape.
 func TestQuickSeededEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
-		stores := []Store{NewReference(), NewCore(), NewTriplestore(), NewCOVP1(), NewCOVP2(), NewKowari()}
+		stores := []Store{NewReference(), NewCore(), NewTriplestore(), NewCOVP1(), NewCOVP2()}
 		ref := stores[0]
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 500; op++ {
