@@ -658,8 +658,8 @@ func BenchmarkSPARQLJoinCompression(b *testing.B) {
 }
 
 // sparqlQueries are the multi-pattern join shapes the evaluator is timed
-// on: chained joins, a cyclic join, DISTINCT and GROUP BY over the LUBM
-// schema.
+// on: chained joins, a cyclic join, DISTINCT, GROUP BY and an OPTIONAL
+// group over the LUBM schema.
 var sparqlQueries = []struct{ id, query string }{
 	{"sparql01", `SELECT ?student ?course WHERE {
 		?student <lubm:advisor> ?prof .
@@ -676,6 +676,9 @@ var sparqlQueries = []struct{ id, query string }{
 	{"sparql05", `SELECT ?prof (COUNT(DISTINCT ?student) AS ?n) WHERE {
 		?student <lubm:advisor> ?prof .
 		?student <lubm:takesCourse> ?course } GROUP BY ?prof`},
+	{"sparql06", `SELECT ?s ?c ?t WHERE {
+		?s <lubm:takesCourse> ?c .
+		OPTIONAL { ?s <lubm:teachingAssistantOf> ?t } }`},
 }
 
 // BenchmarkSPARQLJoinBackends times the evaluator on sparqlQueries

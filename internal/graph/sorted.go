@@ -146,9 +146,9 @@ func (cs coreSorted) KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor {
 // step that reads one list per row walk one vector instead of looking a
 // record up per row, and a GROUP BY or DISTINCT on one variable walk a
 // vector a group at a time. Only the sealed memory store offers it (an
-// overlay with nothing pending serves its snapshots from that store),
-// through the SortedSource AsSortedSource (and so SortedOf) returns for it; find it by type
-// assertion on that value.
+// overlay with nothing pending serves its snapshots from that store): the
+// SortedSource that AsSortedSource, and so SortedOf, returns for such a
+// backend implements it, so find it by a type assertion on that value.
 type KeySource interface {
 	KeyCursor(headPos, keyPos int, head ID) idlist.KeyCursor
 }

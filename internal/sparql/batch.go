@@ -34,6 +34,14 @@ package sparql
 //     one at least a column — the expansion intersects each row's
 //     candidates with that step's list for the row and the later step is
 //     folded away: the triangle's per-row probes become one merge.
+//   - left-outer: an OPTIONAL group, after the required steps. Its entry
+//     copies the piece, headed by a column of row numbers, and runs the
+//     group's patterns on the copy in text order as steps of the kinds
+//     above; its end marker passes on the rows that reach it and notes
+//     their numbers; then the piece's rows no match reached pass on, the
+//     group's columns None (unbound). A piece leaves a column an earlier
+//     group binds unbound in all its rows or in none, so a step fetches
+//     such a column as free for the pieces that leave it so.
 //
 // A per-row list of one column, one constant and one free position — an
 // expansion's candidates, a folded step's list, a semijoin's match — is
@@ -87,6 +95,7 @@ package sparql
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -189,15 +198,29 @@ type stepPlan struct {
 	// free; nil when none is.
 	isect *stepSpec
 
+	// A left-outer group is the steps between two markers, its entry
+	// (opens) and its end (closes), each with the other's index in mate.
+	opens, closes bool
+	mate          int
+
+	// nullable lists the columns of the pattern an earlier group may
+	// leave unbound; wild[m-1], for the bit mask m of those a piece leaves
+	// so, is the step's form that fetches them as free, and its fill maps
+	// each new variable to the column it fills, -1 for one of its own.
+	nullable []int
+	wild     []stepPlan
+	fill     []int
+
 	// Tracing (span stays nil with tracing off): the step's span opens
 	// when the first piece reaches it and closes when the branch ends,
 	// named after pat, numbered num in the plan's order and carrying est,
-	// the planner's cardinality estimate. foldPat and foldEst are those of
-	// the step folded into this one, whose span is opened beside it.
-	pat     *Pattern
+	// the planner's cardinality estimate (-1 in a group). foldPat and
+	// foldEst are those of the step folded into this one, whose span is
+	// opened beside it.
+	pat     fmt.Stringer
 	num     int
 	est     int64
-	foldPat *Pattern
+	foldPat fmt.Stringer
 	foldEst int64
 	span    *obs.Span
 
@@ -205,24 +228,20 @@ type stepPlan struct {
 	// step (fetchShared) and read-only afterwards: whether a constant
 	// pattern exists, the candidate view of a one-column merge filter, or
 	// the candidate lists of an expansion with no bound column. lists
-	// backs view when the backend has no zero-copy one; held is what the
-	// meter carries for it until the branch ends.
+	// backs view when the backend has no zero-copy one.
 	fetch, open sync.Once
 	err         error
 	exists      bool
 	view        idlist.View
 	lists       [3][]core.ID
-	held        int64
 }
 
 // branchRun is one union branch's join as the pipeline sees it.
 type branchRun struct {
-	steps       []stepPlan
-	tail        []*cfilter // FILTERs staged after the last step
-	optionals   [][]idPattern
-	lateFilters []*cfilter
-	colSlot     []int // solution slot of each column of the joined table
-	slotCol     []int // per solution slot, the column that binds it; -1 for none
+	steps   []stepPlan
+	tail    []*cfilter // FILTERs staged after the last step
+	colSlot []int      // solution slot of each column of the joined table
+	slotCol []int      // per solution slot, the column that binds it; -1 for none
 	// capped: nothing after the join can reject or merge rows, so the
 	// last step needs to produce only as many rows as are still wanted.
 	// emitsAll: every joined row becomes a result row.
@@ -298,8 +317,8 @@ type batchExec struct {
 // row with the same key reuses them); lst, the per-row list an
 // intersection or a semi-probe reads when the backend has no zero-copy
 // view; the key cursors the step's own per-row lists and its folded
-// step's come from (walk, fold); and what the meter carries for the
-// buffers.
+// step's come from (walk, fold); what the meter carries for the
+// buffers; and on a group's entry, the rows a match reached (hit).
 type level struct {
 	out        batchTable
 	a, b, c    []core.ID
@@ -308,18 +327,20 @@ type level struct {
 	have       bool
 	walk, fold keyWalk
 	held       int64
+	hit        []bool
 }
 
 // keyWalk is the key cursor of one per-row fetch — one column, one
 // constant and one free position — on one executor: over the vector the
 // constant heads, keyed by the column's position, whose entries' lists
-// hold the free position's values. The first row opens it; every later
-// row seeks it to the row's value, so a step walks one vector instead of
-// looking a list up per row, and a row whose value is behind the
-// cursor's costs no more than that lookup.
+// hold the free position's values. The first row opens it for its
+// fetch pattern sp (a step's forms for unbound columns take turns on one
+// level); every later row seeks it to the row's value, so a step walks
+// one vector instead of looking a list up per row, and a row whose value
+// is behind the cursor's costs no more than that lookup.
 type keyWalk struct {
-	cur  idlist.KeyCursor
-	open bool
+	cur idlist.KeyCursor
+	sp  *stepSpec
 }
 
 // walks reports whether sp's per-row list comes from a key cursor: the
@@ -329,11 +350,12 @@ func (bx *batchExec) walks(sp *stepSpec) bool {
 	return bx.keys != nil && sp.nCols == 1 && sp.nFree == 1
 }
 
-// cursor returns the walk's cursor, opening it for sp on first use.
+// cursor returns the walk's cursor, opening it for sp unless it is open
+// for sp already.
 func (w *keyWalk) cursor(keys graph.KeySource, sp *stepSpec) *idlist.KeyCursor {
-	if !w.open {
+	if w.sp != sp {
 		head := slices.Index(sp.kind[:], posConst)
-		w.cur, w.open = keys.KeyCursor(head, slices.Index(sp.kind[:], posCol), sp.ids[head]), true
+		w.cur, w.sp = keys.KeyCursor(head, slices.Index(sp.kind[:], posCol), sp.ids[head]), sp
 	}
 	return &w.cur
 }
@@ -403,19 +425,18 @@ func (bx *batchExec) release() int64 {
 	return held
 }
 
-// planBranch classifies the ordered patterns against the schema each
-// step inherits and stages the FILTERs.
-func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*cfilter, optionals [][]idPattern, lateFilters []*cfilter) *branchRun {
+// planBranch classifies the ordered patterns, then the OPTIONAL groups'
+// (planGroups), against the schema each step inherits and stages the
+// FILTERs.
+func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*cfilter) *branchRun {
 	ev := bx.ev
 	br := &branchRun{
-		steps:       make([]stepPlan, len(order)),
-		tail:        stepFilters[len(order)],
-		optionals:   optionals,
-		lateFilters: lateFilters,
-		from:        len(order), // nothing binds: the unit table is the seed
+		steps: make([]stepPlan, len(order)),
+		tail:  stepFilters[len(order)],
+		from:  len(order), // nothing binds: the unit table is the seed
 	}
 	br.span = bx.branchSp
-	br.emitsAll = len(optionals) == 0 && len(lateFilters) == 0 && ev.keepsEveryRow()
+	br.emitsAll = !ev.aggMode && ev.distinct == nil && ev.topK == 0
 	var vars []string
 	var sorted []bool
 	for k, pi := range order {
@@ -449,12 +470,13 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 	for k := 0; k < len(br.steps); k++ {
 		br.fold(k)
 	}
+	vars = br.planGroups(ev.optionals, vars, sorted, stepFilters[len(order)+1])
 	for k := range br.steps {
 		st := &br.steps[k]
 		st.last = k == len(br.steps)-1
 		st.walk = bx.walks(&st.stepSpec) && (st.semi || len(st.newNames) > 0) || st.isect != nil && bx.walks(st.isect)
 	}
-	br.capped = br.emitsAll && ev.target > 0 && len(br.tail) == 0
+	br.capped = br.emitsAll && ev.target > 0 && len(br.tail) == 0 && len(ev.optionals) == 0
 	br.colSlot = make([]int, len(vars))
 	br.slotCol = make([]int, len(ev.slots))
 	for s := range br.slotCol {
@@ -465,6 +487,73 @@ func (bx *batchExec) planBranch(pats []idPattern, order []int, stepFilters [][]*
 		br.slotCol[ev.slots[name]] = c
 	}
 	return br
+}
+
+// planGroups appends the left-outer groups to the branch's steps: an
+// entry, the patterns and an end marker each (a group with a constant
+// the dictionary lacks changes no row and is left out). The FILTERs
+// after the required steps move in front of the first entry, and late
+// ones after the last group. It returns the branch's final schema.
+func (br *branchRun) planGroups(groups [][]idPattern, vars []string, sorted []bool, late []*cfilter) []string {
+	nullable := map[string]bool{}
+	for _, group := range groups {
+		if slices.ContainsFunc(group, func(p idPattern) bool { return !p.resolved }) {
+			continue
+		}
+		in := len(br.steps)
+		br.steps = append(br.steps, make([]stepPlan, len(group)+2)...)
+		entry, end := &br.steps[in], &br.steps[in+len(group)+1]
+		entry.opens, entry.mate, end.closes, end.mate = true, in+len(group)+1, true, in
+		entry.filters, br.tail = br.tail, nil
+		entry.pat, entry.num, entry.est = optGroup(group), in+1, -1
+		// Column 0, named "" (no variable's name), numbers the rows.
+		vars, sorted = append([]string{""}, vars...), append([]bool{false}, sorted...)
+		entry.vars, entry.sorted = vars, sorted
+		for i := range group {
+			st := &br.steps[in+1+i]
+			st.stepSpec = classify(&group[i], vars)
+			for _, c := range st.colAt {
+				if c >= 0 && nullable[vars[c]] && !slices.Contains(st.nullable, c) {
+					st.nullable = append(st.nullable, c)
+				}
+			}
+			st.wild = make([]stepPlan, 1<<len(st.nullable)-1)
+			for m := range st.wild {
+				masked := slices.Clone(vars)
+				for b, c := range st.nullable {
+					if (m+1)>>b&1 != 0 {
+						masked[c] = ""
+					}
+				}
+				w := &st.wild[m]
+				w.stepSpec = classify(&group[i], masked)
+				for _, name := range w.newNames {
+					w.fill = append(w.fill, slices.Index(vars, name))
+				}
+			}
+			vars, sorted = append(vars, st.newNames...), append(sorted, make([]bool, len(st.newNames))...)
+			st.vars, st.sorted = vars, sorted
+			st.pat, st.num, st.est = &group[i].pat, in+2+i, -1
+		}
+		for _, name := range vars[len(entry.vars):] {
+			nullable[name] = true
+		}
+		vars, sorted = vars[1:], sorted[1:]
+		end.vars, end.sorted = vars, sorted
+	}
+	br.tail = append(br.tail, late...)
+	return vars
+}
+
+// optGroup is an OPTIONAL group, which names its entry's span.
+type optGroup []idPattern
+
+func (g optGroup) String() string {
+	s := "OPTIONAL {"
+	for i := range g {
+		s += " " + g[i].pat.String()
+	}
+	return s + " }"
 }
 
 // isSemi reports whether sp — a pattern classified against the schema
@@ -524,13 +613,13 @@ func (br *branchRun) fold(k int) {
 	}
 }
 
-// runBatch joins the ordered patterns: the unit table goes through the
-// steps depth first, each staged filter applied as soon as its variables
-// are bound, and the pieces that leave the last step are emitted
-// (emitPiece).
-func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cfilter, optionals [][]idPattern, lateFilters []*cfilter) error {
+// runBatch joins the ordered patterns and left-joins the OPTIONAL
+// groups: the unit table goes through the steps depth first, each staged
+// filter applied as soon as its variables are bound, and the pieces that
+// leave the last step are emitted (emitPiece).
+func (bx *batchExec) runBatch(pats []idPattern, order []int, stepFilters [][]*cfilter) error {
 	ev := bx.ev
-	br := bx.planBranch(pats, order, stepFilters, optionals, lateFilters)
+	br := bx.planBranch(pats, order, stepFilters)
 	defer bx.endBranch(br)
 	if gw, ok := ev.planGroupWalk(pats); ok {
 		return ev.walkGroups(br, pats, order, gw)
@@ -579,17 +668,16 @@ func (bx *batchExec) endBranch(br *branchRun) {
 				bx.free = append(bx.free, l)
 			}
 		}
-		held += st.held
 		st.span.Finish()
 	}
 	bx.ev.mem.Shrink(held)
 }
 
 // run takes piece in through steps k onward, depth first: filter steps
-// narrow it in place, the first expansion takes it over (expand), and
-// what leaves the last step is emitted — or, on a lane, queued for the
-// driver to emit. On the driver, a seed piece goes to a lane instead
-// when the branch runs on several (parallel.go).
+// narrow it in place, the first expansion or group entry takes it over
+// (expand, leftOuter), and what leaves the last step is emitted — or, on
+// a lane, queued for the driver to emit. On the driver, a seed piece
+// goes to a lane instead when the branch runs on several (parallel.go).
 func (bx *batchExec) run(br *branchRun, k int, in *batchTable) error {
 	for ; ; k++ {
 		if k == br.from && bx.workers > 0 {
@@ -613,13 +701,36 @@ func (bx *batchExec) run(br *branchRun, k int, in *batchTable) error {
 		if in.n == 0 {
 			return nil
 		}
+		if st.closes {
+			// A group's end: mark the rows that reached it, drop their numbers.
+			hit := bx.levelAt(br, st.mate).hit
+			for _, r := range in.cols[0][:in.n] {
+				hit[r] = true
+			}
+			br.steps[st.mate].span.Add("rowsOut", int64(in.n))
+			in = &batchTable{vars: st.vars, sorted: st.sorted, cols: in.cols[1:], n: in.n}
+			continue
+		}
 		if br.span != nil {
 			sp := st.openSpan(br.span)
 			sp.Add("chunks", 1)
 			sp.Add("rowsIn", int64(in.n))
 		}
+		if st.opens {
+			return bx.leftOuter(br, k, in)
+		}
+		// The form of st for the nullable columns the piece leaves unbound.
+		m := 0
+		for b, c := range st.nullable {
+			if in.cols[c][0] == core.None {
+				m |= 1 << b
+			}
+		}
+		if m > 0 {
+			st = &st.wild[m-1]
+		}
 		if len(st.newNames) > 0 {
-			return bx.expand(br, k, in)
+			return bx.expand(br, k, st, in)
 		}
 		var err error
 		if st.semi {
@@ -666,15 +777,21 @@ func (bx *batchExec) capLeft(br *branchRun, st *stepPlan) int {
 }
 
 // openSpan returns the step's span, starting it under parent on the
-// first call with what planning decided: a semijoin's kind, the pattern
-// an expansion intersects with, and — right after it — the span of that
-// folded step, which never runs.
+// first call with what planning decided: a semijoin's or a group entry's
+// kind, the pattern an expansion intersects with, and — right after it —
+// the span of that folded step, which never runs.
 func (st *stepPlan) openSpan(parent *obs.Span) *obs.Span {
 	st.open.Do(func() {
 		st.span = parent.ChildOf("step", st.pat)
 		st.span.SetInt("estRows", st.est)
+		for i := range st.wild {
+			st.wild[i].span = st.span
+		}
 		if st.semi {
 			st.span.Set("kind", st.semiKind())
+		}
+		if st.opens {
+			st.span.Set("kind", "left-outer")
 		}
 		if st.walk {
 			st.span.Set("access", "cursor")
@@ -743,17 +860,13 @@ func subst(sp *stepSpec, tbl *batchTable, j, r int) core.ID {
 
 // fetchShared makes the step's row-independent fetch if no piece has
 // yet: whichever lane reaches the step first pays for it, the others
-// wait and then read. The lists it keeps — the seed's too — are
-// accounted until the branch ends. limit bounds a pair or triple
-// collection (see fetchOnce).
+// wait and then read. The lists it keeps — the seed's too — are held by
+// the executor that fetched them until the branch ends. limit bounds a
+// pair or triple collection (see fetchOnce).
 func (bx *batchExec) fetchShared(sp *stepPlan, limit int) error {
 	sp.fetch.Do(func() {
-		sp.err = bx.fetchOnce(sp, limit)
-		if sp.err == nil {
-			held := int64(len(sp.lists[0])+len(sp.lists[1])+len(sp.lists[2])) * 8
-			if sp.err = bx.ev.mem.Grow(held); sp.err == nil {
-				sp.held = held
-			}
+		if sp.err = bx.fetchOnce(sp, limit); sp.err == nil {
+			sp.err = bx.hold(int64(len(sp.lists[0])+len(sp.lists[1])+len(sp.lists[2])) * 8)
 		}
 	})
 	return sp.err
@@ -996,7 +1109,7 @@ func appendRun(dst []core.ID, v core.ID, k int) []core.ID {
 	return dst
 }
 
-// expand runs expansion step k — a pattern binding one or two new
+// expand runs expansion st at step k — a pattern binding one or two new
 // variables (three only for the all-free pattern) — over piece in. The
 // candidate values of the free positions come from one sorted-list or
 // sorted-pairs access per row, or from the step's shared fetch when the
@@ -1004,9 +1117,9 @@ func appendRun(dst []core.ID, v core.ID, k int) []core.ID {
 // output piece with bulk appends, and each time that piece reaches
 // chunkRows rows the rest of the branch runs on it (flush) before the
 // expansion resumes where it stopped — mid-row if need be, without
-// fetching the row again.
-func (bx *batchExec) expand(br *branchRun, k int, in *batchTable) error {
-	st := &br.steps[k]
+// fetching the row again. A form for unbound columns writes its values
+// for them into those columns (fill).
+func (bx *batchExec) expand(br *branchRun, k int, st *stepPlan, in *batchTable) error {
 	if st.span != nil {
 		st.span.Set("kind", "expand")
 		st.span.Set("newVars", strings.Join(st.newNames, ","))
@@ -1021,7 +1134,7 @@ func (bx *batchExec) expand(br *branchRun, k int, in *batchTable) error {
 	if nOld == 0 {
 		return bx.seed(br, k, limit)
 	}
-	lv, err := bx.level(br, k, nOld+nNew)
+	lv, err := bx.level(br, k, len(br.steps[k].vars))
 	if err != nil {
 		return err
 	}
@@ -1052,8 +1165,13 @@ func (bx *batchExec) expand(br *branchRun, k int, in *batchTable) error {
 			for c := 0; c < nOld; c++ {
 				out.cols[c] = appendRun(out.cols[c], in.cols[c][r], m)
 			}
-			for j := 0; j < nNew; j++ {
-				out.cols[nOld+j] = append(out.cols[nOld+j], news[j][off:off+m]...)
+			for j, c := 0, nOld; j < nNew; j++ {
+				if st.fill != nil && st.fill[j] >= 0 {
+					copy(out.cols[st.fill[j]][out.n:], news[j][off:off+m])
+					continue
+				}
+				out.cols[c] = append(out.cols[c], news[j][off:off+m]...)
+				c++
 			}
 			out.n += m
 			off += m
@@ -1068,6 +1186,52 @@ func (bx *batchExec) expand(br *branchRun, k int, in *batchTable) error {
 		return bx.flush(br, k, out)
 	}
 	return nil
+}
+
+// leftOuter runs group entry k over piece in: the group's steps take a
+// copy of the piece headed by its row numbers, then the rows no match
+// reached pass on from the group's end, its columns None.
+func (bx *batchExec) leftOuter(br *branchRun, k int, in *batchTable) error {
+	st, end := &br.steps[k], &br.steps[br.steps[k].mate]
+	lv, err := bx.level(br, k, 1+len(end.vars))
+	if err != nil {
+		return err
+	}
+	cols := lv.out.cols
+	cols[0] = cols[0][:0]
+	for r := range in.n {
+		cols[0] = append(cols[0], core.ID(r))
+	}
+	for c, col := range in.cols {
+		cols[1+c] = append(cols[1+c][:0], col[:in.n]...)
+	}
+	lv.hit = append(lv.hit[:0], make([]bool, in.n)...)
+	group := batchTable{vars: st.vars, sorted: st.sorted, cols: cols[:1+len(in.cols)], n: in.n}
+	if err := bx.run(br, k+1, &group); err != nil {
+		return err
+	}
+	keep := bx.keep[:0]
+	for r, hit := range lv.hit {
+		if !hit {
+			keep = append(keep, r)
+		}
+	}
+	bx.keep = keep
+	st.span.Add("rowsOut", int64(len(keep)))
+	st.span.Add("padded", int64(len(keep)))
+	if len(keep) == 0 {
+		return nil
+	}
+	pad := batchTable{vars: end.vars, sorted: end.sorted, cols: cols[1:], n: in.n}
+	for c := range pad.cols {
+		if c < len(in.cols) {
+			pad.cols[c] = append(pad.cols[c][:0], in.cols[c][:in.n]...)
+		} else {
+			pad.cols[c] = appendRun(pad.cols[c][:0], core.None, in.n)
+		}
+	}
+	pad.compact(keep)
+	return bx.run(br, st.mate+1, &pad)
 }
 
 // seed is the expansion of the unit table by step k: its shared lists
@@ -1291,10 +1455,7 @@ func (bx *batchExec) filterRows(f *cfilter, tbl *batchTable) error {
 // variable; nil for a constant (and for a variable the table does not
 // bind, which reads as unbound).
 func operandCol(tbl *batchTable, o *operand) []core.ID {
-	if o.slot < 0 {
-		return nil
-	}
-	if c := slices.Index(tbl.vars, o.name); c >= 0 {
+	if c := slices.Index(tbl.vars, o.name); o.name != "" && c >= 0 {
 		return tbl.cols[c]
 	}
 	return nil
@@ -1305,10 +1466,8 @@ func operandCol(tbl *batchTable, o *operand) []core.ID {
 // order it comes (emitsAll, no ORDER BY), is appended column by column:
 // one copy loop per projected column. Otherwise each row's ids are
 // installed in the evaluator's solution slots (every slot no column maps
-// to reads unbound), then the row is emitted — directly, or through the
-// tuple-at-a-time OPTIONAL matcher, which extends the solution in the
-// same slots before emitting. What the rows retain reaches the meter at
-// most a piece's worth at a time (retain).
+// to reads unbound) and the row is emitted. What the rows retain reaches
+// the meter at most a piece's worth at a time (retain).
 func (ev *evaluator) emitPiece(br *branchRun, tbl *batchTable) error {
 	if br.span != nil {
 		if br.emitSp == nil {
@@ -1327,7 +1486,7 @@ func (ev *evaluator) emitPiece(br *branchRun, tbl *batchTable) error {
 		for c, s := range br.colSlot {
 			ev.cur[s] = tbl.cols[c][r]
 		}
-		if err := ev.runOptionals(br.optionals, 0, br.lateFilters); err != nil {
+		if err := ev.emit(); err != nil {
 			return err
 		}
 	}
@@ -1359,10 +1518,7 @@ func (ev *evaluator) appendPiece(br *branchRun, tbl *batchTable) error {
 	for i, s := range ev.projSlots {
 		dst := res.ids[base+i:]
 		c := br.slotCol[s]
-		if c < 0 {
-			if !ev.projOpt[i] && n > 0 {
-				return errUnbound(ev.vars[i])
-			}
+		if c < 0 { // unbound in every row: an OPTIONAL or UNION variable
 			for r := 0; r < n; r++ {
 				dst[r*nc] = core.None
 			}

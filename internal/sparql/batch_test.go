@@ -10,6 +10,7 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/graph"
+	"hexastore/internal/rdf"
 	"hexastore/internal/triplestore"
 )
 
@@ -22,9 +23,9 @@ func loadPair(triples [][3]string) (mem, base graph.Graph) {
 	stb := core.NewBuilder(nil)
 	ts := triplestore.New(stb.Dictionary())
 	for _, t := range triples {
-		s := stb.Dictionary().Encode(newIRI(t[0]))
-		p := stb.Dictionary().Encode(newIRI(t[1]))
-		o := stb.Dictionary().Encode(newIRI(t[2]))
+		s := stb.Dictionary().Encode(rdf.NewIRI(t[0]))
+		p := stb.Dictionary().Encode(rdf.NewIRI(t[1]))
+		o := stb.Dictionary().Encode(rdf.NewIRI(t[2]))
 		stb.Add(s, p, o)
 		ts.Add(s, p, o)
 	}

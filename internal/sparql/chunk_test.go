@@ -89,7 +89,9 @@ func chunkBackends(t *testing.T, ts []rdf.Triple) (backends map[string]graph.Gra
 	return backends, load(graph.Baseline(triplestore.New(nil)), ts)
 }
 
-// chunkShapes are the emission paths a chunk boundary can cut through.
+// chunkShapes are the emission paths a chunk boundary can cut through;
+// the chained OPTIONAL fetches the second group's list for the rows the
+// first leaves unbound.
 // ordered results are compared with the oracle row by row; LIMIT alone
 // keeps whichever rows come first, so it is checked as a subset of the
 // first shape's answer — the same query without the LIMIT.
@@ -108,6 +110,7 @@ var chunkShapes = []struct {
 	{name: "ask", src: `ASK { ?s <http://c/p> <http://c/K> . ?s <http://c/flag> <http://c/Yes> . ?s <http://c/r> ?x }`},
 	{name: "filter-vars", src: `SELECT ?s ?x ?y WHERE { ?s <http://c/p> <http://c/K> . ?s <http://c/r> ?x . ?s <http://c/r2> ?y . FILTER (?x != ?y) }`},
 	{name: "optional", src: `SELECT ?s ?v WHERE { ?s <http://c/p> <http://c/K> . OPTIONAL { ?s <http://c/opt> ?v } }`},
+	{name: "optional-chained", src: `SELECT ?s ?v WHERE { ?s <http://c/p> <http://c/K> . OPTIONAL { ?s <http://c/opt> ?v } OPTIONAL { <http://c/other> <http://c/flag> ?v } }`},
 	{name: "union", src: `SELECT ?s ?x WHERE { ?s <http://c/p> <http://c/K> . { ?s <http://c/r> ?x } UNION { ?s <http://c/r2> ?x } }`},
 }
 

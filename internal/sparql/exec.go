@@ -19,18 +19,12 @@ import (
 	"hexastore/internal/stats"
 )
 
-func newIRI(s string) rdf.Term     { return rdf.NewIRI(s) }
-func newLiteral(s string) rdf.Term { return rdf.NewLiteral(s) }
-func newBlank(s string) rdf.Term   { return rdf.NewBlank(s) }
-
 // idPattern is a pattern with its constant positions resolved to
-// dictionary ids and its variable positions to solution slots (-1 at a
-// constant). resolved is false when some constant is not in the
+// dictionary ids. resolved is false when some constant is not in the
 // dictionary at all (the pattern cannot match anything).
 type idPattern struct {
 	pat      Pattern
 	ids      [3]core.ID
-	slot     [3]int
 	resolved bool
 }
 
@@ -77,8 +71,9 @@ func ExecContext(ctx context.Context, g graph.Graph, src string) (*Result, error
 // patterns first, then the one with the most positions bound, then text
 // order (see planOrderJoin). A Planner orders the same way with its
 // summary's estimates, and adds the plan and result caches. FILTERs run
-// at the earliest step where their variables are bound; OPTIONAL groups
-// extend solutions after the required patterns.
+// at the earliest step where their variables are bound. Each OPTIONAL
+// group is a left-outer step after the required patterns (batch.go); a
+// FILTER reading a variable only a group binds, or none, runs last.
 //
 // When the backend offers consistent snapshots (graph.Snapshotter — the
 // delta overlay), the whole evaluation is pinned to
@@ -224,7 +219,7 @@ type evaluator struct {
 	tr *obs.Span
 
 	// The cancellation tick of the goroutine that evaluates the query:
-	// planning, emission and the OPTIONAL matcher (see parallel.go).
+	// planning and emission (see parallel.go).
 	cancelTick
 
 	// mem accounts what the query holds (nil: unlimited). rowBytes is the
@@ -236,22 +231,24 @@ type evaluator struct {
 
 	vars []string
 
+	// optionals holds the OPTIONAL groups, resolved once for every branch.
+	optionals [][]idPattern
+
 	// reads holds the variables the query reads besides joining on them,
 	// when its answer is a set; nil when it is not (see setReads).
 	reads map[string]bool
 
-	// Every variable of the query is numbered once, in run: slots maps a
-	// name to its slot and cur holds the solution being extended or
-	// emitted, by slot, with core.None for "unbound". Patterns, filters,
-	// the projection, GROUP BY, aggregates and ORDER BY all carry slots
-	// resolved up front, so no per-row or per-cell work looks a name up.
+	// Every variable a pattern or the output reads is numbered once, in
+	// run: slots maps a name to its slot and cur holds the solution being
+	// emitted, by slot, with core.None for "unbound". The projection,
+	// GROUP BY, aggregates and ORDER BY carry slots resolved up front, so
+	// no per-row or per-cell work looks a name up.
 	slots      map[string]int
 	cur        []core.ID
-	projSlots  []int  // per output column of a non-aggregate query
-	projOpt    []bool // that column may legitimately be unbound
-	orderSlots []int  // per ORDER BY key of a non-aggregate query
-	groupSlots []int  // per GROUP BY variable
-	aggSlots   []int  // per aggregate; -1 for COUNT(*)
+	projSlots  []int // per output column of a non-aggregate query
+	orderSlots []int // per ORDER BY key of a non-aggregate query
+	groupSlots []int // per GROUP BY variable
+	aggSlots   []int // per aggregate; -1 for COUNT(*)
 	filters    []cfilter
 
 	res      *Result
@@ -271,8 +268,8 @@ type evaluator struct {
 	// in: one id per projected or grouped variable, None for unbound.
 	tuple []core.ID
 
-	// terms decodes ids for ORDER BY keys and late FILTERs (order.go);
-	// its snapshot's term table is what the result keeps.
+	// terms decodes ids for ORDER BY keys (order.go); its snapshot's term
+	// table is what the result keeps.
 	terms termReader
 
 	// ORDER BY state (order.go). orderKeys holds len(q.OrderBy) keys per
@@ -341,11 +338,7 @@ func (ev *evaluator) run() (*Result, error) {
 		}
 		ev.vars = outVars
 	} else {
-		optVars := q.OptionalVars()
 		ev.projSlots = ev.slotsOf(ev.vars)
-		for _, name := range ev.vars {
-			ev.projOpt = append(ev.projOpt, optVars[name])
-		}
 		for _, k := range q.OrderBy {
 			ev.orderSlots = append(ev.orderSlots, ev.slotOf(k.Var))
 		}
@@ -378,10 +371,8 @@ func (ev *evaluator) run() (*Result, error) {
 		ev.target = 1 // one solution decides the answer
 	}
 
-	// Resolve optional groups once; they are shared by all branches.
-	optionals := make([][]idPattern, 0, len(q.Optionals))
 	for _, group := range q.Optionals {
-		optionals = append(optionals, ev.resolve(group))
+		ev.optionals = append(ev.optionals, ev.resolve(group))
 	}
 	branches := make([][]idPattern, 0, 1)
 	for _, branch := range expandUnions(q) {
@@ -394,7 +385,7 @@ func (ev *evaluator) run() (*Result, error) {
 		if err := ev.ctxCheck(); err != nil {
 			return nil, err
 		}
-		if err := ev.runBranch(pats, optionals); err != nil {
+		if err := ev.runBranch(pats); err != nil {
 			return nil, err
 		}
 		if ev.done {
@@ -527,15 +518,15 @@ func expandUnions(q *Query) [][]Pattern {
 	return branches
 }
 
-// resolve maps the constants of pats to dictionary ids and their
-// variables to solution slots.
+// resolve maps the constants of pats to dictionary ids and numbers
+// their variables.
 func (ev *evaluator) resolve(pats []Pattern) []idPattern {
 	out := make([]idPattern, len(pats))
 	for i, p := range pats {
-		out[i] = idPattern{pat: p, slot: [3]int{-1, -1, -1}, resolved: true}
+		out[i] = idPattern{pat: p, resolved: true}
 		for j, term := range [3]Term{p.S, p.P, p.O} {
 			if term.Kind != Const {
-				out[i].slot[j] = ev.slotOf(term.Name)
+				ev.slotOf(term.Name)
 				continue
 			}
 			if id, ok := ev.dict.Lookup(term.RDF); ok {
@@ -567,7 +558,7 @@ func (o joinOrder) String() string {
 }
 
 // runBranch evaluates one union branch.
-func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error {
+func (ev *evaluator) runBranch(pats []idPattern) error {
 	var br *obs.Span
 	if ev.tr != nil {
 		br = ev.tr.Child("branch")
@@ -636,158 +627,45 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	}
 
 	// Stage filters: filter k runs at the earliest step after which all
-	// its variables are bound; filters mentioning optional (or absent)
-	// variables wait until emit time.
-	branchVars := map[string]bool{}
-	for i := range pats {
-		for _, v := range pats[i].pat.Vars() {
-			branchVars[v] = true
-		}
-	}
-	stepFilters := make([][]*cfilter, len(order)+1)
-	var lateFilters []*cfilter
+	// its variables are bound; one that reads a variable no required
+	// pattern binds, after the OPTIONAL groups (stepFilters[len(order)+1]).
+	stepFilters := make([][]*cfilter, len(order)+2)
 	for fi := range ev.filters {
-		f := &ev.filters[fi]
-		step, late := 0, false
+		f, step := &ev.filters[fi], 0
 		for _, v := range f.Vars() {
-			if !branchVars[v] {
-				late = true
-				break
+			at := slices.IndexFunc(order, func(pi int) bool { return slices.Contains(pats[pi].pat.Vars(), v) })
+			if at < 0 {
+				at = len(order)
 			}
-			for si, pi := range order {
-				has := false
-				for _, pv := range pats[pi].pat.Vars() {
-					if pv == v {
-						has = true
-						break
-					}
-				}
-				if has && si+1 > step {
-					step = si + 1
-					break
-				}
-			}
+			step = max(step, at+1)
 		}
-		if late {
-			lateFilters = append(lateFilters, f)
-		} else {
-			stepFilters[step] = append(stepFilters[step], f)
-		}
+		stepFilters[step] = append(stepFilters[step], f)
 	}
 	if ev.q.Explain == ExplainPlan {
 		// EXPLAIN without ANALYZE: emit the plan's step spans with the
 		// estimates and the forms planning chose; no join step runs.
-		plan := ev.batch.planBranch(pats, order, stepFilters, optionals, lateFilters)
+		plan := ev.batch.planBranch(pats, order, stepFilters)
 		for k := range plan.steps {
-			plan.steps[k].openSpan(br).Finish()
+			if !plan.steps[k].closes {
+				plan.steps[k].openSpan(br).Finish()
+			}
 		}
 		return nil
 	}
 
-	// Join the required patterns with the columnar batch engine; rows
-	// that survive are materialized (or extended by OPTIONAL groups)
-	// from the binding table.
-	return ev.batch.runBatch(pats, order, stepFilters, optionals, lateFilters)
+	// Join the required patterns and the OPTIONAL groups with the
+	// columnar batch engine; rows that survive are materialized from the
+	// binding table.
+	return ev.batch.runBatch(pats, order, stepFilters)
 }
 
-// runOptionals extends the current solution with optional group g
-// onward, then emits. An optional group that matches produces one
-// solution per match; a group that does not match leaves its variables
-// unbound.
-func (ev *evaluator) runOptionals(optionals [][]idPattern, g int, lateFilters []*cfilter) error {
-	if ev.done {
-		return nil
-	}
-	if g == len(optionals) {
-		return ev.emit(lateFilters)
-	}
-	group := optionals[g]
-	resolved := true
-	for i := range group {
-		if !group[i].resolved {
-			resolved = false
-			break
-		}
-	}
-	matched := false
-	if resolved {
-		var matchGroup func(i int) error
-		matchGroup = func(i int) error {
-			if ev.done {
-				return nil
-			}
-			if i == len(group) {
-				matched = true
-				return ev.runOptionals(optionals, g+1, lateFilters)
-			}
-			p := &group[i]
-			s, sVar := ev.resolvePos(p, 0)
-			pr, pVar := ev.resolvePos(p, 1)
-			o, oVar := ev.resolvePos(p, 2)
-			var walkErr error
-			merr := ev.src.Match(s, pr, o, func(ms, mp, mo core.ID) bool {
-				if !ev.tickOK() {
-					return false
-				}
-				if sVar >= 0 {
-					ev.cur[sVar] = ms
-				}
-				if pVar >= 0 {
-					if pVar == sVar && mp != ms {
-						return true
-					}
-					ev.cur[pVar] = mp
-				}
-				if oVar >= 0 {
-					if (oVar == sVar && mo != ms) || (oVar == pVar && mo != mp) {
-						return true
-					}
-					ev.cur[oVar] = mo
-				}
-				walkErr = matchGroup(i + 1)
-				return walkErr == nil && !ev.done
-			})
-			for _, v := range [3]int{sVar, pVar, oVar} {
-				if v >= 0 {
-					ev.cur[v] = core.None
-				}
-			}
-			if walkErr != nil {
-				return walkErr
-			}
-			if ev.ctxErr != nil {
-				return ev.ctxErr
-			}
-			return merr
-		}
-		if err := matchGroup(0); err != nil {
-			return err
-		}
-	}
-	if !matched {
-		// No extension: keep going with the group's variables unbound.
-		return ev.runOptionals(optionals, g+1, lateFilters)
-	}
-	return nil
-}
-
-// emit turns the current solution (ev.cur) into a result row — the one
-// place rows are made, whichever path bound the solution: the batch
-// engine's table rows or the OPTIONAL matcher. Late filters and DISTINCT
-// are decided on ids, an ORDER BY … LIMIT candidate that cannot make the
-// cut is dropped on its keys alone, and a kept row is its ids: terms are
+// emit turns the current solution (ev.cur), a complete one, into a
+// result row — the one place rows are made one at a time. DISTINCT is
+// decided on ids, an ORDER BY … LIMIT candidate that cannot make the cut
+// is dropped on its keys alone, and a kept row is its ids: terms are
 // decoded when the result is read.
-func (ev *evaluator) emit(lateFilters []*cfilter) error {
+func (ev *evaluator) emit() error {
 	cur := ev.cur
-	for _, f := range lateFilters {
-		ok, err := ev.terms.filterPass(f, f.l.id(cur), f.r.id(cur))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
 	if ev.aggMode {
 		return ev.fold()
 	}
@@ -847,11 +725,7 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 	}
 	dst := res.ids[row*nc : (row+1)*nc]
 	for i, s := range ev.projSlots {
-		id := cur[s]
-		if id == core.None && !ev.projOpt[i] {
-			return errUnbound(ev.vars[i])
-		}
-		dst[i] = id
+		dst[i] = cur[s] // unbound: None
 	}
 	if ev.heap != nil {
 		ev.siftDown(0)
@@ -862,23 +736,9 @@ func (ev *evaluator) emit(lateFilters []*cfilter) error {
 	return nil
 }
 
-// errUnbound is the error of a projected variable that no pattern of the
-// branch binds and no OPTIONAL group may bind.
-func errUnbound(name string) error {
-	return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", name)
-}
-
-// keepsEveryRow reports whether every solution that reaches emit with
-// its late filters passed becomes a result row: nothing folds, dedups or
-// competes for a bounded number of places.
-func (ev *evaluator) keepsEveryRow() bool {
-	return !ev.aggMode && ev.distinct == nil && ev.topK == 0
-}
-
 // retain notes n bytes a kept row or key holds. The meter hears of them
-// once a piece's worth has gathered, and at the end of each piece
-// (flushRetained): a piece has at most chunkRows rows, but the OPTIONAL
-// matcher can make any number of result rows from each of them.
+// once a piece's worth of rows has gathered, and at the end of each
+// piece (flushRetained).
 func (ev *evaluator) retain(n int64) error {
 	ev.grown += n
 	if ev.grown < int64(chunkRows)*ev.rowBytes {
@@ -1155,7 +1015,7 @@ func (ev *evaluator) walkGroups(br *branchRun, pats []idPattern, order []int, gw
 		}
 		if !ev.aggMode {
 			ev.cur[ev.projSlots[0]] = k
-			if err := ev.emit(nil); err != nil {
+			if err := ev.emit(); err != nil {
 				return err
 			}
 			rows++
@@ -1326,21 +1186,11 @@ const (
 
 var filterOps = map[string]filterOp{"=": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe}
 
-// operand is one side of a compiled FILTER: a variable's solution slot,
-// or a constant with its comparison key prepared once per query.
+// operand is one side of a compiled FILTER: a variable, or a constant
+// with its comparison key prepared once per query.
 type operand struct {
-	slot int     // -1 for a constant
-	name string  // the variable
+	name string  // the variable; "" for a constant
 	key  sortKey // the constant
-}
-
-// id returns the operand's id in solution cur (None for a constant or an
-// unbound variable).
-func (o *operand) id(cur []core.ID) core.ID {
-	if o.slot < 0 {
-		return core.None
-	}
-	return cur[o.slot]
 }
 
 // cfilter is a FILTER compiled for per-row evaluation.
@@ -1351,13 +1201,13 @@ type cfilter struct {
 }
 
 // compileFilters prepares the query's filters once: operator decoded,
-// variables resolved to slots, constants parsed.
+// constants parsed.
 func (ev *evaluator) compileFilters() error {
 	compile := func(t Term) operand {
 		if t.Kind == Const {
-			return operand{slot: -1, key: newSortKey(t.RDF)}
+			return operand{key: newSortKey(t.RDF)}
 		}
-		return operand{slot: ev.slotOf(t.Name), name: t.Name}
+		return operand{name: t.Name}
 	}
 	ev.filters = make([]cfilter, len(ev.q.Filters))
 	for i, f := range ev.q.Filters {
@@ -1377,7 +1227,7 @@ func (ev *evaluator) compileFilters() error {
 // when both operands are numeric, lexicographically on the term value
 // otherwise.
 func (tr *termReader) filterPass(f *cfilter, lid, rid core.ID) (bool, error) {
-	lvar, rvar := f.l.slot >= 0, f.r.slot >= 0
+	lvar, rvar := f.l.name != "", f.r.name != ""
 	if (lvar && lid == core.None) || (rvar && rid == core.None) {
 		return false, nil
 	}
@@ -1434,20 +1284,6 @@ func (ev *evaluator) applyModifiers() {
 	if cap(res.ids) > 2*len(res.ids) {
 		res.ids = slices.Clone(res.ids)
 	}
-}
-
-// resolvePos returns the id to use for position j of an OPTIONAL pattern
-// (a constant id, a bound variable's id, or None) and the slot to bind
-// if the position is an unbound variable (-1 otherwise).
-func (ev *evaluator) resolvePos(p *idPattern, j int) (core.ID, int) {
-	s := p.slot[j]
-	if s < 0 {
-		return p.ids[j], -1
-	}
-	if id := ev.cur[s]; id != core.None {
-		return id, -1
-	}
-	return core.None, s
 }
 
 // estimateSteps prices each step of the chosen order for the trace,

@@ -137,6 +137,68 @@ func TestExplainAnalyzeMemory(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeOptional: each OPTIONAL group is a step of its own
+// in EXPLAIN ANALYZE, of kind left-outer, with the rows that entered it,
+// the rows it passed on and how many of those no match reached (padded),
+// beside the spans of its patterns' steps. Three students have a
+// bachelor's degree; one has a master's, two have an advisor who
+// teaches. EXPLAIN alone shows the group without running it.
+func TestExplainAnalyzeOptional(t *testing.T) {
+	g := academicStore(t)
+	const src = `SELECT ?s ?m ?c WHERE { ?s <bachelorsFrom> ?b .
+		OPTIONAL { ?s <mastersFrom> ?m }
+		OPTIONAL { ?s <advisor> ?a . ?a <teacherOf> ?c } }`
+	q, err := Parse("EXPLAIN ANALYZE " + src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("query")
+	res, err := EvalOpts(context.Background(), g, q, EvalOptions{Trace: tr, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if len(res.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	}
+	checkAnalyzeTrace(t, tr, 6, 3)
+	groups := findSpans(tr, "step[OPTIONAL {")
+	if len(groups) != 2 {
+		t.Fatalf("group step spans = %d, want 2\n%s", len(groups), tr)
+	}
+	for i, padded := range []int64{2, 1} {
+		sp := groups[i]
+		if k, _ := sp.Attr("kind"); k != "left-outer" {
+			t.Errorf("%s: kind = %v, want left-outer", sp.Name(), k)
+		}
+		if in, out := attrInt(t, sp, "rowsIn"), attrInt(t, sp, "rowsOut"); in != 3 || out != 3 {
+			t.Errorf("%s: rowsIn/rowsOut = %d/%d, want 3/3", sp.Name(), in, out)
+		}
+		if got := attrInt(t, sp, "padded"); got != padded {
+			t.Errorf("%s: padded = %d, want %d", sp.Name(), got, padded)
+		}
+	}
+	if got := attrInt(t, findSpans(tr, "step[?a <teacherOf> ?c .]")[0], "rowsOut"); got != 2 {
+		t.Errorf("the second group's last step: rowsOut = %d, want 2", got)
+	}
+
+	if q, err = Parse("EXPLAIN " + src); err != nil {
+		t.Fatal(err)
+	}
+	tr = obs.NewTrace("query")
+	if _, err := EvalOpts(context.Background(), g, q, EvalOptions{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	groups = findSpans(tr, "step[OPTIONAL {")
+	if len(groups) != 2 || len(findSpans(tr, "step[")) != 6 {
+		t.Fatalf("plan-only: %d group and %d step spans, want 2 and 6\n%s", len(groups), len(findSpans(tr, "step[")), tr)
+	}
+	if k, _ := groups[0].Attr("kind"); k != "left-outer" {
+		t.Errorf("plan-only %s: kind = %v, want left-outer", groups[0].Name(), k)
+	}
+}
+
 func TestExplainPlanOnlySkipsExecution(t *testing.T) {
 	g := academicStore(t)
 	q, err := Parse(`EXPLAIN SELECT ?prof ?course WHERE {

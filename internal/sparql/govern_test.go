@@ -374,6 +374,33 @@ func TestBudgetOptionalFanOut(t *testing.T) {
 	}
 }
 
+// TestBudgetOptionalGivesBack runs a chained OPTIONAL whose second
+// group fetches one shared list for the pieces the first leaves unbound:
+// the list is held while the branch runs, so after the query the meter
+// carries the result rows alone — two ids and a sequence number each —
+// on every backend and across lanes.
+func TestBudgetOptionalGivesBack(t *testing.T) {
+	backends, _ := chunkBackends(t, chunkTriples(40))
+	q, err := Parse(`SELECT ?s ?v WHERE { ?s <http://c/p> <http://c/K> .
+		OPTIONAL { ?s <http://c/opt> ?v } OPTIONAL { <http://c/other> <http://c/flag> ?v } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setChunkRows(t, 4)
+	for name, g := range backends {
+		for _, workers := range []int{1, 4} {
+			m := govern.NewMeter(0)
+			res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers, Meter: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(res.Len()) * (2*8 + 8); res.Len() != 40 || m.Used() != want {
+				t.Errorf("%s workers=%d: %d rows, %d bytes accounted after the query, want 40 rows and %d", name, workers, res.Len(), m.Used(), want)
+			}
+		}
+	}
+}
+
 // TestBudgetCountDistinctFewValues counts the distinct values of a
 // join whose 200,000 rows carry only 200, interleaved: what
 // COUNT(DISTINCT) holds must grow with the distinct (group, value)

@@ -65,8 +65,8 @@ func parseNum(s string) numVal {
 }
 
 // termReader turns ids into terms for one goroutine of an evaluation —
-// the evaluator's own for ORDER BY keys and late FILTERs, one per lane
-// for staged FILTERs — through a snapshot of the dictionary's term
+// the evaluator's own for ORDER BY keys, one per executor for
+// FILTERs — through a snapshot of the dictionary's term
 // table, so a decode is an index and a slice with no lock, no
 // allocation and no per-query table to fill. The evaluator's snapshot,
 // refreshed once the evaluation ends, is the term table its result keeps. nums

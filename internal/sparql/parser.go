@@ -528,7 +528,7 @@ func (p *parser) parseFilter() (Filter, error) {
 // (treated as a plain literal so numeric comparison applies).
 func (p *parser) parseOperand() (Term, error) {
 	if p.tok.kind == tokNumber {
-		t := C(newLiteral(p.tok.text))
+		t := C(rdf.NewLiteral(p.tok.text))
 		return t, p.advance()
 	}
 	return p.parseTerm()
@@ -788,24 +788,24 @@ func (p *parser) parseTerm() (Term, error) {
 	case tokVar:
 		t = V(p.tok.text)
 	case tokIRI:
-		t = C(newIRI(p.tok.text))
+		t = C(rdf.NewIRI(p.tok.text))
 	case tokLiteral:
-		t = C(newLiteral(p.tok.text))
+		t = C(rdf.NewLiteral(p.tok.text))
 	case tokBlank:
-		t = C(newBlank(p.tok.text))
+		t = C(rdf.NewBlank(p.tok.text))
 	case tokPrefixed:
 		name, local, _ := strings.Cut(p.tok.text, ":")
 		base, ok := p.prefixes[name]
 		if !ok {
 			return Term{}, p.errHere("undeclared prefix %q", name)
 		}
-		t = C(newIRI(base + local))
+		t = C(rdf.NewIRI(base + local))
 	case tokKeyword:
 		if !strings.EqualFold(p.tok.text, "a") {
 			return Term{}, p.errHere("expected term, found %q", p.tok.text)
 		}
 		// The Turtle/SPARQL shorthand for rdf:type.
-		t = C(newIRI(rdfTypeIRI))
+		t = C(rdf.NewIRI(rdfTypeIRI))
 	case tokOp:
 		if strings.HasPrefix(p.tok.text, "<") {
 			return Term{}, p.errHere("unterminated IRI (no '>' before whitespace)")
