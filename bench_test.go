@@ -592,6 +592,48 @@ func BenchmarkScanRotation(b *testing.B) {
 	b.SetBytes(bytesOut)
 }
 
+// scanShapeNames names scanRotation's shapes, in its order.
+var scanShapeNames = []string{"chain", "triangle", "distinct-semijoin", "group-count", "count-distinct", "order-limit", "filter"}
+
+// BenchmarkScanShapes times each scan-mem shape on its own, in process:
+// LUBM-30 with the end-to-end benchmark's per-department population,
+// loaded as hexserver loads it (N-Triples through the parallel encoder),
+// evaluated by Planner.EvalColumnar on one worker with the result cache
+// off. Join, semijoin and group walks are on the clock; JSON and HTTP are
+// not.
+func BenchmarkScanShapes(b *testing.B) {
+	var nt bytes.Buffer
+	w := rdf.NewWriter(&nt)
+	lubm.Config{
+		Universities: 30, Seed: 1, DeptsPerUniv: 15,
+		UndergradPerDept: 120, GradPerDept: 30, CoursesPerDept: 20,
+		FullPerDept: 3, AssocPerDept: 4, AssistPerDept: 3,
+	}.Generate(func(t rdf.Triple) bool { return w.Write(t) == nil })
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	bld := core.NewBuilder(nil)
+	if _, err := bld.AddNTriples(&nt, 0); err != nil {
+		b.Fatal(err)
+	}
+	pl := sparql.NewPlanner(graph.Memory(bld.BuildParallel(0)))
+	for i, text := range scanRotation {
+		q, err := sparql.Parse(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(scanShapeNames[i], func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				res, err := pl.EvalColumnar(context.Background(), q, sparql.EvalOptions{Workers: 1, NoResultCache: true})
+				if err != nil || res.Len() == 0 {
+					b.Fatalf("%d rows, %v", res.Len(), err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkOrderByLimit times ORDER BY … LIMIT over every advisor pair:
 // all candidates are visited but only the top 100 are kept (a bounded
 // heap on keys parsed once per distinct id), so allocs/op should track

@@ -6,9 +6,11 @@ package core
 // and sop, P holds pso and pos, O holds osp and ops — and each pair has
 // one arena. A head's record in it is the head's two vectors back to
 // back, first ordering first, each the self-delimiting bytes idlist.Packed
-// describes; the second is found by skipping the first's EncodedLen. The
-// two vectors of a record index the same triples, so a head has both or
-// neither. An arena keeps its records in a short list of immutable
+// describes: a header, a skip table of group heads and offsets, and
+// groups of 16 entries laid out by column (key offsets, one-id values,
+// the longer lists' lengths, ends and payloads). The second is found by
+// skipping the first's EncodedLen, a header read. The two vectors of a
+// record index the same triples, so a head has both or neither. An arena keeps its records in a short list of immutable
 // segments and finds a head's record through a directory indexed by the
 // head's id:
 //

@@ -440,7 +440,7 @@ func TestPackedBytesPerTriple(t *testing.T) {
 	st := b.BuildParallel(1)
 	got := float64(st.IndexBytes()) / float64(st.Len())
 	t.Logf("%d triples, IndexBytes %d = %.3f B/triple", st.Len(), st.IndexBytes(), got)
-	const bound = 22.1 + 0.5
+	const bound = 19.2 + 0.5
 	if got > bound {
 		t.Fatalf("the packed index costs %.3f B/triple, more than %.1f", got, bound)
 	}

@@ -319,59 +319,81 @@ func (it *Iter) SeekGE(id ID) (ID, bool) {
 	}
 }
 
-// View is a read-only view of a sorted ID list: either a raw slice or a
-// compressed block list. It is the value handed across layer boundaries
-// (store → batch engine, main store → delta overlay) so that compressed
-// backends can serve candidate lists zero-copy while raw backends keep
-// their slice form.
+// View is a read-only view of a sorted ID list: a raw slice, a
+// compressed block list, or the one id of a packed vector's one-id entry.
+// It is the value handed across layer boundaries (store → batch engine,
+// main store → delta overlay) so that compressed backends can serve
+// candidate lists zero-copy while raw backends keep their slice form.
 type View struct {
-	raw   []ID
-	isRaw bool
-	c     Compressed
+	raw  []ID
+	c    Compressed
+	one  ID
+	kind viewKind
 }
+
+// viewKind says which of View's forms holds the list.
+type viewKind uint8
+
+const (
+	viewCompressed viewKind = iota // c; the zero View is the empty list
+	viewRaw                        // raw
+	viewOne                        // the one id one
+)
 
 // ViewOf wraps a sorted slice (not copied; the caller must keep it
 // immutable for the view's lifetime).
-func ViewOf(ids []ID) View { return View{raw: ids, isRaw: true} }
+func ViewOf(ids []ID) View { return View{raw: ids, kind: viewRaw} }
 
 // View returns c as a View.
 func (c Compressed) View() View { return View{c: c} }
 
 // Len returns the number of values.
 func (v View) Len() int {
-	if v.isRaw {
+	switch v.kind {
+	case viewRaw:
 		return len(v.raw)
+	case viewOne:
+		return 1
 	}
 	return v.c.n
 }
 
 // Contains reports whether id is in the list.
 func (v View) Contains(id ID) bool {
-	if v.isRaw {
+	switch v.kind {
+	case viewRaw:
 		return ContainsSorted(v.raw, id)
+	case viewOne:
+		return id == v.one
 	}
 	return v.c.Contains(id)
 }
 
 // AppendTo appends every value in ascending order to dst.
 func (v View) AppendTo(dst []ID) []ID {
-	if v.isRaw {
+	switch v.kind {
+	case viewRaw:
 		return append(dst, v.raw...)
+	case viewOne:
+		return append(dst, v.one)
 	}
 	return v.c.AppendTo(dst)
 }
 
 // Range streams every value in ascending order until fn returns false.
 func (v View) Range(fn func(ID) bool) {
-	if v.isRaw {
+	switch v.kind {
+	case viewRaw:
 		for _, id := range v.raw {
 			if !fn(id) {
 				return
 			}
 		}
-		return
+	case viewOne:
+		fn(v.one)
+	default:
+		v.c.Range(fn)
 	}
-	v.c.Range(fn)
 }
 
 // MergeFilterView merge-joins a non-decreasing binding column against a
@@ -383,8 +405,14 @@ func (v View) Range(fn func(ID) bool) {
 // block's range. This is the batch engine's merge-intersect step over
 // compressed storage.
 func MergeFilterView(col []ID, v View, keep func(i int)) {
-	if v.isRaw {
+	switch v.kind {
+	case viewRaw:
 		MergeFilter(col, v.raw, keep)
+		return
+	case viewOne:
+		for i := Gallop(col, 0, v.one); i < len(col) && col[i] == v.one; i++ {
+			keep(i)
+		}
 		return
 	}
 	c := v.c

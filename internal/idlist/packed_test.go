@@ -12,9 +12,11 @@ import (
 // checkPacked encodes keys[i] → lists[i] as a packed vector and holds
 // every accessor to the input: Len, Total, Range, the key cursor's
 // ascending seeks, Find on every key and on the absent keys beside them,
-// a key cursor's Seeks in the order seeks spells (checkSeeks) and
-// MergeKeys (checkMergeKeys). A copy rebuilt from the vector's own views — compressed
-// ones taken over as bytes, every third one re-encoded from a raw slice —
+// a key cursor's Seeks in the order seeks spells and over every key in
+// three orders, with View and ListLen at each (checkSeeks), the
+// whole-vector kernels (checkKernels) and MergeKeys (checkMergeKeys). A
+// copy rebuilt from the vector's own views — compressed and one-id ones
+// taken over as they are, every third one re-encoded from a raw slice —
 // must be the same bytes, entry for entry.
 func checkPacked(t *testing.T, keys []ID, lists [][]ID, seeks []byte) {
 	t.Helper()
@@ -191,8 +193,8 @@ func checkKernels(t *testing.T, p Packed, keys []ID, lists [][]ID, ops []byte) {
 			}
 			break
 		}
-		if k != keys[i] || !slices.Equal(cur.View().AppendTo(nil), lists[i]) {
-			t.Fatalf("Next entry %d = %d → %v, want %d → %v", i, k, cur.View().AppendTo(nil), keys[i], lists[i])
+		if k != keys[i] || !slices.Equal(cur.View().AppendTo(nil), lists[i]) || cur.ListLen() != len(lists[i]) {
+			t.Fatalf("Next entry %d = %d → %v (ListLen %d), want %d → %v", i, k, cur.View().AppendTo(nil), cur.ListLen(), keys[i], lists[i])
 		}
 	}
 
@@ -235,8 +237,9 @@ func checkKernels(t *testing.T, p Packed, keys []ID, lists [][]ID, ops []byte) {
 
 // checkSeeks drives one key cursor through a Seek per byte of ops —
 // forward, backward, repeated, absent and past the last key, as the byte
-// picks — and holds each result, and View after each hit, to the input
-// lists and to Find.
+// picks — and holds each result, and View and ListLen after each hit, to
+// the input lists and to Find; then seeks every key in ascending,
+// descending and scattered order.
 func checkSeeks(t *testing.T, p Packed, keys []ID, lists [][]ID, ops []byte) {
 	t.Helper()
 	cur := p.Keys()
@@ -264,8 +267,25 @@ func checkSeeks(t *testing.T, p Packed, keys []ID, lists [][]ID, ops []byte) {
 		if ok != want || fok != want {
 			t.Fatalf("seek %d: Seek(%d) = %v, Find found %v; want %v", step, target, ok, fok, want)
 		}
-		if ok && (!slices.Equal(cur.View().AppendTo(nil), lists[j]) || !slices.Equal(fv.AppendTo(nil), lists[j])) {
-			t.Fatalf("seek %d: View after Seek(%d) = %v, Find = %v; want %v", step, target, cur.View().AppendTo(nil), fv.AppendTo(nil), lists[j])
+		if ok && (!slices.Equal(cur.View().AppendTo(nil), lists[j]) || !slices.Equal(fv.AppendTo(nil), lists[j]) || cur.ListLen() != len(lists[j])) {
+			t.Fatalf("seek %d: View after Seek(%d) = %v (ListLen %d), Find = %v; want %v", step, target, cur.View().AppendTo(nil), cur.ListLen(), fv.AppendTo(nil), lists[j])
+		}
+	}
+
+	// Every key, on one cursor, in ascending, descending and scattered
+	// order: each Seek finds it, and View and ListLen are its list's.
+	n := len(keys)
+	for _, order := range []func(i int) int{
+		func(i int) int { return i },
+		func(i int) int { return n - 1 - i },
+		func(i int) int { return i * 7919 % n },
+	} {
+		cur := p.Keys()
+		for i := range n {
+			j := order(i)
+			if !cur.Seek(keys[j]) || !slices.Equal(cur.View().AppendTo(nil), lists[j]) || cur.ListLen() != len(lists[j]) {
+				t.Fatalf("Seek(%d), entry %d of %d in order: %v (ListLen %d), want %v", keys[j], j, n, cur.View().AppendTo(nil), cur.ListLen(), lists[j])
+			}
 		}
 	}
 }
@@ -300,10 +320,10 @@ func packedLists(keys []ID, one func(i int) bool, n int, wide bool) [][]ID {
 	return lists
 }
 
-// TestPackedSingletonEntries mixes one-id entries, whose value rides in
-// the entry header, with longer ones in every position relative to the
-// skip table's 16-entry groups, over dense keys and over key deltas near
-// 2^62.
+// TestPackedSingletonEntries mixes one-id entries, whose value is a
+// field of the group's value column, with longer ones in every position
+// relative to the 16-entry groups, over dense keys and over key deltas
+// near 2^62.
 func TestPackedSingletonEntries(t *testing.T) {
 	patterns := map[string]func(i, n int) bool{
 		"all singletons":       func(i, n int) bool { return true },
@@ -340,26 +360,40 @@ func TestPackedSingletonEntries(t *testing.T) {
 	}
 }
 
-// TestPackedEncodingBytes pins the entry format on a two-entry vector: a
-// one-id entry is its tagged key delta and its value, a longer one keeps
-// its length and byte length.
+// TestPackedEncodingBytes pins the group format on two vectors of two
+// entries: one whose lists all hold one id, and one that mixes a one-id
+// entry with a longer list.
 func TestPackedEncodingBytes(t *testing.T) {
 	var b PackedBuilder
 	b.Append(5, []ID{7})
-	b.Append(9, []ID{1, 2})
+	b.Append(9, []ID{12})
 	want := []byte{
-		2, 3, 7, // nKeys, total, dataLen
-		5<<1 | 1, 7, // key 5, one id: 7
-		4 << 1, 2, 2, 1, 1, // key 9 = 5+4, two ids in two bytes: 1, +1
+		2<<1 | 1, 5, 5, // two keys, every list one id; 5 bytes of groups; head key 5
+		3, 4, // key width 3 bits, key 9 = 5+4
+		7, 3, 5 << 3, // values: base 7, width 3 bits, 7−7 and 12−7
 	}
 	if got := b.Finish(nil); !bytes.Equal(got, want) {
-		t.Fatalf("encoded %v, want %v", got, want)
+		t.Fatalf("all one-id lists encoded %v, want %v", got, want)
+	}
+	b.Append(5, []ID{7})
+	b.Append(9, []ID{1, 2})
+	want = []byte{
+		2 << 1, 3, 10, 5, // two keys, three ids, 10 bytes of groups, head key 5
+		0b01, 3, 4, // mask: entry 0 holds one id; key width 3 bits, 9 = 5+4
+		7,    // the one value: base 7 (one value, no width)
+		2, 2, // widths of the lens and ends columns
+		2, 2, // the longer list holds 2 ids and its payload ends at byte 2
+		1, 1, // its AppendCompressed payload: 1, +1
+	}
+	if got := b.Finish(nil); !bytes.Equal(got, want) {
+		t.Fatalf("mixed lists encoded %v, want %v", got, want)
 	}
 }
 
 // TestPackedKeyDeltaLimit: a key delta — the first key included — of
-// 2^63 or more does not fit the tagged header, and the builder refuses
-// it; one less is accepted.
+// 2^63 or more is outside the builder's contract (dictionary ids are
+// dense, so such a gap is a corrupt key), and the builder refuses it;
+// one less is accepted, in a key column 64 bits wide.
 func TestPackedKeyDeltaLimit(t *testing.T) {
 	for _, keys := range [][]ID{{1 << 63}, {1, 1 + 1<<63}, {5, 6, 7 + 1<<63}} {
 		func() {
@@ -379,10 +413,13 @@ func TestPackedKeyDeltaLimit(t *testing.T) {
 
 // FuzzPackedVector turns bytes into a key set and list lengths — per
 // entry a uvarint key gap (up to 2^62) and a length byte, below 160 a
-// one-id list — and holds every accessor of the encoded vector to them,
-// the key cursor's SeekGE sequences included (on vectors of up to and of
-// more than one skip-table group). The same bytes, read again, are the
-// order of a key cursor's Seeks (checkSeeks).
+// one-id list, whose values the byte and the key's parity pick — and
+// holds every accessor of the encoded vector to them, the key cursor's
+// SeekGE sequences included (on vectors of up to and of more than one
+// group). The same bytes, read again, are the order of a key cursor's
+// Seeks (checkSeeks). The corpus covers vectors of 15, 16, 17, 32 and 33
+// entries and key and value columns of 0, 1, 7, 8, 17 and 32 or more
+// bits.
 func FuzzPackedVector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seeks := data
@@ -406,7 +443,7 @@ func FuzzPackedVector(f *testing.F) {
 			}
 			list := make([]ID, n)
 			for j := range list {
-				list[j] = 1 + ID(lb)<<(lb%50) + ID(j*(int(key%5)+1))
+				list[j] = 1 + key%2 + ID(lb)<<(lb%50) + ID(j*(int(key%5)+1))
 			}
 			keys, lists, prev = append(keys, key), append(lists, list), key
 		}
@@ -496,5 +533,70 @@ func BenchmarkPackedKernels(b *testing.B) {
 	})
 	if sum == 1 {
 		b.Log(sum)
+	}
+}
+
+// BenchmarkKeyCursor times the key cursor's kernels on two vectors
+// shaped like the scan shapes' LUBM vectors: 65,536 one-id entries (a
+// PSO vector of advisor's shape) and 8,192 entries of 20-id lists (a POS
+// vector of takesCourse's shape). MarkKeys reports ns per key marked;
+// a random Seek plus View (the lookup a join step repeats per row) and
+// an ascending Seek plus View over every fourth key (a merge walk), ns
+// per seek.
+func BenchmarkKeyCursor(b *testing.B) {
+	for _, shape := range []struct {
+		name   string
+		keys   int
+		listed int
+	}{{"one-id", 1 << 16, 1}, {"lists", 1 << 13, 20}} {
+		keys := make([]ID, shape.keys)
+		for i := range keys {
+			keys[i] = ID(4*i + 100_000 + i%3)
+		}
+		var pb PackedBuilder
+		list := make([]ID, shape.listed)
+		for i, k := range keys {
+			for j := range list {
+				list[j] = ID(200_000 + (i*7919)%300_000 + j*41)
+			}
+			pb.Append(k, list)
+		}
+		p := DecodePacked(pb.Finish(nil))
+		b.Run(shape.name+"/MarkKeys", func(b *testing.B) {
+			set := make([]uint64, (4*shape.keys+100_000)/64+1)
+			for i := 0; i < b.N; i++ {
+				cur := p.Keys()
+				for cur.MarkKeys(set, 1024) > 0 {
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+		})
+		probes := make([]ID, 4096)
+		for i := range probes {
+			probes[i] = keys[(i*7919)%len(keys)]
+		}
+		n := 0
+		b.Run(shape.name+"/RandomSeekView", func(b *testing.B) {
+			cur := p.Keys()
+			for i := 0; i < b.N; i++ {
+				if cur.Seek(probes[i%len(probes)]) {
+					n += cur.View().Len()
+				}
+			}
+		})
+		b.Run(shape.name+"/ForwardSeekView", func(b *testing.B) {
+			cur := p.Keys()
+			for i, j := 0, 0; i < b.N; i, j = i+1, j+4 {
+				if j >= len(keys) {
+					cur, j = p.Keys(), 0
+				}
+				if cur.Seek(keys[j]) {
+					n += cur.View().Len()
+				}
+			}
+		})
+		if n < 0 {
+			b.Log(n)
+		}
 	}
 }

@@ -50,13 +50,14 @@ func sortedProps(all []ID, props []ID) []ID {
 // the Type property, the number of triples carrying it.
 
 // BQ1Hexa answers BQ1 on the Hexastore: a single walk of the pos index
-// of Type, reading each object's subject-list length.
+// of Type, reading each object's subject-list length from the vector's
+// length column without building a view.
 func BQ1Hexa(st *core.Store, ids BartonIDs) map[ID]int {
 	out := make(map[ID]int)
-	st.Head(core.POS, ids.Type).Range(func(o ID, subjs idlist.View) bool {
-		out[o] = subjs.Len()
-		return true
-	})
+	cur := st.Head(core.POS, ids.Type).Keys()
+	for o, ok := cur.Next(); ok; o, ok = cur.Next() {
+		out[o] = cur.ListLen()
+	}
 	return out
 }
 

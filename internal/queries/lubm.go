@@ -114,9 +114,15 @@ func LQ4COVP(st *vp.Store, ids LUBMIDs) map[ID]map[Pair]bool {
 // LQ5Hexa: step 1 reads the professor's object vector straight from sop
 // indexing; step 2 refines it to universities by walking the pos subject
 // list of Type: University against it; step 3 is a pos lookup per
-// (degree property, university).
+// (degree property, university): the universities come in ascending
+// order, so each degree property's pos vector is walked by one key
+// cursor, forward.
 func LQ5Hexa(st *core.Store, ids LUBMIDs) map[ID]*idlist.List {
 	related := st.Head(core.SOP, ids.AssocProf10).Keys()
+	degrees := make([]idlist.KeyCursor, len(ids.DegreeProps))
+	for i, dp := range ids.DegreeProps {
+		degrees[i] = st.Head(core.POS, dp).Keys()
+	}
 	out := make(map[ID]*idlist.List)
 	var views []idlist.View
 	var buf []ID // the lists of one university, decoded back to back
@@ -124,9 +130,9 @@ func LQ5Hexa(st *core.Store, ids LUBMIDs) map[ID]*idlist.List {
 	seekEach(st.Subjects(ids.Type, ids.ClassUniversity), &related, func(u ID) {
 		views, lists = views[:0], lists[:0]
 		n := 0
-		for _, dp := range ids.DegreeProps {
-			if l := st.Subjects(dp, u); l.Len() > 0 {
-				views, n = append(views, l), n+l.Len()
+		for i := range degrees {
+			if c := &degrees[i]; c.Seek(u) {
+				views, n = append(views, c.View()), n+c.ListLen()
 			}
 		}
 		buf = slices.Grow(buf[:0], n)

@@ -59,16 +59,15 @@ func (s *Server) GovernorStats() govern.Stats { return s.gov.Stats() }
 
 // serveQuery runs one governed SPARQL query: admission, limits,
 // evaluation, observation, response. Tracing is enabled when the query
-// asks for it (EXPLAIN / EXPLAIN ANALYZE prefix, or ?explain=1) or when
-// the slow-query log is live — in the latter case the trace's most
-// expensive spans ride along on the slow-query line.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, queryText string) {
+// asks for it (EXPLAIN / EXPLAIN ANALYZE prefix, or explainParam, the
+// request's explain=1) or when the slow-query log is live — in the latter
+// case the trace's most expensive spans ride along on the slow-query line.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, queryText string, explainParam bool) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
-	explainParam := r.URL.Query().Get("explain") == "1" || r.Form.Get("explain") == "1"
 	var tr *obs.Trace
 	if q.Explain != sparql.ExplainNone || explainParam || s.slowQuery > 0 {
 		tr = obs.NewTrace("query")

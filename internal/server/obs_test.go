@@ -5,6 +5,7 @@ package server
 // backend mode.
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -295,6 +296,24 @@ func TestExplainParamAndPrefix(t *testing.T) {
 		t.Fatalf("step spans = %d, want 1", len(steps))
 	} else if _, ok := steps[0].Attrs["rowsOut"]; !ok {
 		t.Error("executed step span missing rowsOut")
+	}
+
+	// A POST form's explain=1 does the same.
+	resp, err := http.PostForm(ts.URL+"/sparql", url.Values{
+		"query":   {`SELECT ?who WHERE { <http://ex/alice> <http://ex/knows> ?who }`},
+		"explain": {"1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posted explainResults
+	err = json.NewDecoder(resp.Body).Decode(&posted)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("POST form: status %d, %v", resp.StatusCode, err)
+	}
+	if len(posted.Results.Bindings) != 1 || posted.Explain == nil || len(posted.Explain.find("step[")) != 1 {
+		t.Fatalf("POST form explain=1: %d bindings, explain tree %+v", len(posted.Results.Bindings), posted.Explain)
 	}
 
 	// Without the param or prefix there is no explain field.

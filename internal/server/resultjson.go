@@ -19,12 +19,15 @@ import (
 )
 
 // jsonFlushBytes is the fill level at which the writer hands its buffer
-// to the response; jsonBufBytes, the pooled capacity, leaves room for the
-// row that crosses it. jsonBlockRows is how many rows the writer decodes
-// at a time.
+// to the response. net/http's chunked writer copies a chunk's size line
+// into its 4 KiB connection buffer and then writes the chunk through, so
+// every flush costs two write(2) calls whatever its size: fewer, larger
+// flushes cost fewer. jsonStartBytes is a pooled buffer's first capacity;
+// it grows to the flush level only for answers that need it.
+// jsonBlockRows is how many rows the writer decodes at a time.
 const (
-	jsonFlushBytes = 32 << 10
-	jsonBufBytes   = 40 << 10
+	jsonFlushBytes = 256 << 10
+	jsonStartBytes = 16 << 10
 	jsonBlockRows  = 256
 )
 
@@ -38,7 +41,7 @@ type jsonScratch struct {
 }
 
 var jsonScratchPool = sync.Pool{New: func() any {
-	return &jsonScratch{buf: make([]byte, 0, jsonBufBytes)}
+	return &jsonScratch{buf: make([]byte, 0, jsonStartBytes)}
 }}
 
 // jsonTypes is the `"type":` value and the `"value":` name that follow a

@@ -204,7 +204,7 @@ func checkSerializeSpan(t *testing.T, tr *obs.Trace, res *sparql.Result, docLen 
 // write ends the encoding.
 func TestResultsJSONFlushesAndStopsOnError(t *testing.T) {
 	stb := core.NewBuilder(nil)
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 20000; i++ {
 		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("http://ex/subject/%06d", i)), rdf.NewIRI("http://ex/p"), rdf.NewLiteral("v")))
 	}
 	st := stb.Build()
@@ -216,9 +216,11 @@ func TestResultsJSONFlushesAndStopsOnError(t *testing.T) {
 	if err := writeResultsJSON(&cw, res, nil); err != nil {
 		t.Fatal(err)
 	}
-	if cw.writes < 5 || cw.largest > jsonBufBytes {
+	// One buffer: the flush level and the row that crosses it.
+	const row = len(`,{"s":{"type":"uri","value":"http://ex/subject/000000"},"o":{"type":"literal","value":"v"}}`)
+	if cw.writes < 5 || cw.largest > jsonFlushBytes+row {
 		t.Fatalf("%d bytes arrived in %d writes, largest %d: want several writes of at most %d",
-			cw.bytes, cw.writes, cw.largest, jsonBufBytes)
+			cw.bytes, cw.writes, cw.largest, jsonFlushBytes+row)
 	}
 	fw := countingWriter{failAt: 2}
 	if err := writeResultsJSON(&fw, res, nil); !errors.Is(err, errWriterGone) {

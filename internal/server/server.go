@@ -237,10 +237,14 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
+	// The query string is parsed once: url.Values unescapes all of it
+	// into a new map on every call.
 	var queryText, updateText string
+	var explain bool
 	switch r.Method {
 	case http.MethodGet:
-		queryText = r.URL.Query().Get("query")
+		params := r.URL.Query()
+		queryText, explain = params.Get("query"), params.Get("explain") == "1"
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		switch {
@@ -254,14 +258,14 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(ct, "application/sparql-update") {
 				updateText = string(body)
 			} else {
-				queryText = string(body)
+				queryText, explain = string(body), r.URL.Query().Get("explain") == "1"
 			}
 		default:
 			if err := r.ParseForm(); err != nil {
 				httpError(w, http.StatusBadRequest, "parse form: %v", err)
 				return
 			}
-			queryText = r.Form.Get("query")
+			queryText, explain = r.Form.Get("query"), r.Form.Get("explain") == "1"
 			updateText = r.Form.Get("update")
 		}
 	default:
@@ -278,7 +282,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.serveQuery(w, r, queryText)
+	s.serveQuery(w, r, queryText, explain)
 }
 
 // execUpdate applies a SPARQL UPDATE request and reports its effect. On

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"hexastore/internal/core"
 	"hexastore/internal/delta"
 	"hexastore/internal/disk"
 	"hexastore/internal/govern"
@@ -259,6 +262,10 @@ func TestChunkBudgetForced(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := renderResult(t, free)
+			if charge := rowCharge(q, free); rows.Used() != charge {
+				t.Errorf("%s %s: %d bytes accounted after the unlimited run, want its %d rows' %d",
+					name, sh.name, rows.Used(), free.Len(), charge)
+			}
 			peak := rows.Peak()
 			if _, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, MemBudget: peak - 1}); !errors.Is(err, govern.ErrBudgetExceeded) {
 				t.Errorf("%s %s: one byte under the %d-byte peak: err = %v, want govern.ErrBudgetExceeded", name, sh.name, peak, err)
@@ -282,6 +289,55 @@ func TestChunkBudgetForced(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rowCharge is what the answer res to q stays charged once q is
+// answered, priced as the evaluator's retain calls price it: per
+// collected row (rowBytes) an id per variable, a sort key per ORDER BY
+// key and a sequence number; the DISTINCT table that let the rows
+// through; per GROUP BY bucket its table entry, its counts and its row,
+// and each COUNT(DISTINCT)'s table of (group, value) pairs. Tables are
+// priced by building one of as many tuples (idTable.size depends on the
+// count and the width only).
+func rowCharge(q *Query, res *Result) int64 {
+	rowBytes := int64(len(res.Vars))*int64(unsafe.Sizeof(core.None)) +
+		int64(len(q.OrderBy))*int64(unsafe.Sizeof(sortKey{})) + 8
+	table := func(w, n int) int64 {
+		t := newIDTable(w)
+		key := make([]core.ID, w)
+		for i := 0; i < n; i++ {
+			for j := range key {
+				key[j] = core.ID(i + 1)
+			}
+			t.insert(key)
+		}
+		return t.size()
+	}
+	switch {
+	case res.IsAsk:
+		if res.Answer {
+			return rowBytes
+		}
+		return 0
+	case len(q.Aggregates) > 0:
+		charge := table(len(q.GroupBy), res.Len()) + int64(res.Len())*(int64(len(q.Aggregates))*8+rowBytes)
+		for _, a := range q.Aggregates {
+			if !a.Distinct {
+				continue
+			}
+			pairs := 0
+			col := slices.Index(res.Vars, a.As)
+			for r := 0; r < res.Len(); r++ {
+				n, _ := strconv.Atoi(res.At(r, col).Value)
+				pairs += n
+			}
+			charge += table(2, pairs)
+		}
+		return charge
+	case q.Distinct:
+		return table(len(res.Vars), res.Len()) + int64(res.Len())*rowBytes
+	}
+	return int64(res.Len()) * rowBytes
 }
 
 // countGraph counts the ids a query examines: every id a sorted list, a

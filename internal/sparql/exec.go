@@ -1006,7 +1006,7 @@ func (ev *evaluator) walkGroups(br *branchRun, pats []idPattern, order []int, gw
 		if !gw.keeps(k) {
 			continue
 		}
-		n := cur.View().Len()
+		n := cur.ListLen()
 		if onX {
 			n = gw.kept(cur.View(), !ev.aggMode)
 		}

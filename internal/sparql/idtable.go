@@ -72,12 +72,14 @@ func (t *idTable) hash(key []core.ID) uint64 {
 }
 
 // insert returns the number of key's tuple, adding a copy of key as the
-// next number when it is new (added).
+// next number when it is new (added). The table grows only to add: a key
+// it holds already costs no memory, so what a caller charges for an add
+// (size before and after) is all the table ever takes.
 func (t *idTable) insert(key []core.ID) (num int, added bool) {
 	if t.last >= 0 && t.holds(t.last, key) {
 		return t.last, false
 	}
-	if 2*(t.n+1) > len(t.slots) {
+	if len(t.slots) == 0 {
 		t.grow()
 	}
 	h := t.hash(key)
@@ -85,20 +87,24 @@ func (t *idTable) insert(key []core.ID) (num int, added bool) {
 	if t.w == 1 {
 		tag = key[0]
 	}
-	mask := len(t.slots) - 1
-	for i := int(h >> t.shift); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.num == 0 {
-			t.keys = append(t.keys, key...)
-			t.n++
-			s.tag, s.num = tag, int32(t.n)
-			t.last = t.n - 1
-			return t.last, true
+	for {
+		mask := len(t.slots) - 1
+		i := int(h >> t.shift)
+		for ; t.slots[i].num != 0; i = (i + 1) & mask {
+			if s := &t.slots[i]; s.tag == tag && (t.w == 1 || t.holds(int(s.num)-1, key)) {
+				t.last = int(s.num) - 1
+				return t.last, false
+			}
 		}
-		if s.tag == tag && (t.w == 1 || t.holds(int(s.num)-1, key)) {
-			t.last = int(s.num) - 1
-			return t.last, false
+		if 2*(t.n+1) > len(t.slots) {
+			t.grow() // key is new: make room, and find its slot again
+			continue
 		}
+		t.keys = append(t.keys, key...)
+		t.n++
+		t.slots[i] = idSlot{tag: tag, num: int32(t.n)}
+		t.last = t.n - 1
+		return t.last, true
 	}
 }
 
