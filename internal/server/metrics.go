@@ -13,6 +13,7 @@ package server
 import (
 	"net/http"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"time"
 
@@ -45,14 +46,29 @@ func (s *Server) metricsInit() {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	s.reg.GaugeFunc("hex_heap_bytes",
 		"Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
+		runtimeMetric("/memory/classes/heap/objects:bytes"))
+	s.reg.GaugeFunc("hex_heap_objects",
+		"Number of allocated heap objects (runtime.MemStats.HeapObjects): what a GC cycle marks.",
+		runtimeMetric("/gc/heap/objects:objects"))
+	s.reg.CounterFunc("hex_gc_cycles_total",
+		"Completed GC cycles.",
+		runtimeMetric("/gc/cycles/total:gc-cycles"))
 	s.registerCacheMetrics()
 	s.registerPagefileMetrics()
 	s.registerIndexMetrics()
+}
+
+// runtimeMetric returns a reader of one runtime/metrics value, which,
+// unlike runtime.ReadMemStats, does not stop the world.
+func runtimeMetric(name string) func() float64 {
+	return func() float64 {
+		sample := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample)
+		if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return float64(sample[0].Value.Uint64())
+	}
 }
 
 // mainStore returns the store the served graph is, or is an overlay or

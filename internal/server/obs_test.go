@@ -64,6 +64,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hex_govern_rejected_total",
 		"hex_goroutines",
 		"hex_heap_bytes",
+		"hex_heap_objects",
+		"hex_gc_cycles_total",
 		// obs.Default families registered by the storage packages; their
 		// values may be zero here, but the families must be exposed.
 		"hex_wal_fsync_seconds",

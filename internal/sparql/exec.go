@@ -129,7 +129,8 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		plans    *planCache
 		results  *resultCache
 		shape    string
-		rkey     string
+		rkey     []byte
+		keyBuf   [512]byte // rkey on the stack: get and put never keep the key
 		epoch    string
 		fillable bool
 	)
@@ -144,8 +145,8 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		shape, consts, outVars = shapeOf(q)
 		if useResult {
 			if epoch = graph.EpochOf(g); epoch != "" {
-				rkey = resultKey(shape, outVars, consts)
-				if res, ok := results.get(rkey, epoch); ok {
+				rkey = appendResultKey(keyBuf[:0], shape, outVars, consts)
+				if res, ok := results.get(rkey, epoch, g.Dictionary(), outVars); ok {
 					pl.resultHits.Add(1)
 					opt.Trace.Set("resultCache", "hit")
 					return res, nil
@@ -181,10 +182,10 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		// Cache fill. The retained bytes charge the query's meter first —
 		// a query already at its budget does not get to pin more memory
 		// process-wide; it just skips the fill (never fails over it).
-		size := resultFootprint(res) + int64(len(rkey)) + resultEntryOverhead
+		size := recordBytes(rkey, res)
 		if ev.mem.Grow(size) == nil {
 			defer ev.mem.Shrink(size)
-			results.put(rkey, epoch, res, size)
+			results.put(rkey, epoch, ev.dict, res)
 		}
 	}
 	return res, err
@@ -831,15 +832,18 @@ type groupSemi struct {
 
 // semiKeysPerRow bounds the semijoin vectors a group walk takes: at most
 // this many keys per value of the seed vector (its total list length).
-// On a 2-core x86-64 host, marking a key costs 15–17 ns
-// (BenchmarkPackedKernels) and walking a seed value about 25 ns, against
-// 160–190 ns for a seed row through the join pipeline in process and
-// about 250 ns of a server's CPU, collection included (LUBM-30, the
-// DISTINCT and COUNT(DISTINCT) shapes over advisor ⋈ takesCourse). The
-// walk stops paying at some 10 keys a row in process and 15 in the
-// server; the bound sits at the server's crossover, and keeps a rare
-// seed from building a bitset over every subject.
-const semiKeysPerRow = 16
+// The walk marks every key of the vector in a bitset and then walks the
+// seed values; the join pipeline runs each seed row through a semijoin
+// probe instead. On a 2-core x86-64 host (BenchmarkSemijoinCrossover,
+// DISTINCT and COUNT(DISTINCT) under one semijoin, seeds at random
+// subjects) the walk costs some 4 ns a key on top of 25–60 ns a seed
+// value, and the pipeline 120–170 ns a seed row: the walk costs
+// ×0.5–0.9 of the pipeline at 12–24 keys a row, the two tie at 32, and
+// the walk costs ×1.1–1.9 at 48–64. The bound sits at that crossover,
+// and keeps a rare seed from building a bitset over every subject. (A
+// server's pipeline row also pays for its collection, so its crossover
+// is no lower.) It is a variable so that the benchmark can move it.
+var semiKeysPerRow = 32
 
 // planGroupWalk reports whether the group walk answers the branch pats,
 // and opens its cursors if so. It reads the branch's patterns and its

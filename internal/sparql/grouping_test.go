@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -32,7 +33,8 @@ const groupingHead, groupingTails = 10_000, 101
 // those but club c5's pays a fee (fee), the even clubs and gH have a kind
 // (kind) and three predicates a label (label) — so a semijoin on a
 // club's members drops some of them and club c5 whole, and one on the
-// club drops the odd ones.
+// club drops the odd ones. Three subjects seed bnd, for the cases at the
+// walk's size bound.
 func groupingTriples() []rdf.Triple {
 	var ts []rdf.Triple
 	for i := 0; i < groupingHead+groupingTails; i++ {
@@ -53,6 +55,17 @@ func groupingTriples() []rdf.Triple {
 			if i/20%7 == 0 && c != 5 {
 				ts = append(ts, rdf.T(s, cx("fee"), rdf.NewLiteral("f")))
 			}
+		}
+	}
+	// Three seeds of bnd, two of them in each of the sets below, at and
+	// above, whose vectors hold one key fewer than, as many as and one
+	// more than semiKeysPerRow per seed.
+	for i, g := range []string{"b0", "b1", "b1"} {
+		ts = append(ts, rdf.T(cx(fmt.Sprintf("s%05d", 101+i)), cx("bnd"), cx(g)))
+	}
+	for i, set := range []string{"below", "at", "above"} {
+		for j := 0; j < (semiKeysPerRow-1+i)*3; j++ {
+			ts = append(ts, rdf.T(cx(fmt.Sprintf("s%05d", 102+j)), cx(set), cx("z")))
 		}
 	}
 	for _, c := range []string{"c0", "c2", "c4", "gH"} {
@@ -147,12 +160,22 @@ var groupingCases = []struct {
 	{name: "walk-order-window", ordered: true, path: groupKeys, src: `SELECT DISTINCT ?s WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f } ORDER BY DESC(?s) LIMIT 5 OFFSET 2`},
 	{name: "walk-window", window: true, path: groupKeys, src: `SELECT DISTINCT ?s WHERE { ?s <http://c/club> ?c . ?s <http://c/tag> ?t } LIMIT 7 OFFSET 3`},
 
+	// Semijoin vectors of 20 keys a seed (val), and of one key fewer
+	// than semiKeysPerRow and exactly as many.
+	{name: "walk-semi-20", path: groupKeys, src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/val> ?v }`},
+	{name: "walk-semi-20-count", path: groupKeys, src: `SELECT ?c (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/club> ?c . ?s <http://c/val> ?v } GROUP BY ?c`},
+	{name: "walk-bound-below", path: groupKeys, src: `SELECT DISTINCT ?g WHERE { ?s <http://c/bnd> ?g . ?s <http://c/below> ?z }`},
+	{name: "walk-bound-below-count", path: groupKeys, src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/bnd> ?g . ?s <http://c/below> ?z } GROUP BY ?g`},
+	{name: "walk-bound-at", path: groupKeys, src: `SELECT DISTINCT ?g WHERE { ?s <http://c/bnd> ?g . ?s <http://c/at> ?z }`},
+	{name: "walk-bound-at-count", path: groupKeys, src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/bnd> ?g . ?s <http://c/at> ?z } GROUP BY ?g`},
+
 	// What the group walk must leave to the row pipeline: a count of
-	// rows over two patterns (a bag), a semijoin vector past the size
-	// rule, FILTER, OPTIONAL, UNION and a DISTINCT of two variables.
+	// rows over two patterns (a bag), a semijoin vector one key a seed
+	// past semiKeysPerRow, FILTER, OPTIONAL, UNION and a DISTINCT of two
+	// variables.
 	{name: "walk-not-bag", path: "none", src: `SELECT ?c (COUNT(*) AS ?n) WHERE { ?s <http://c/club> ?c . ?s <http://c/tag> ?t } GROUP BY ?c`},
-	{name: "walk-not-size", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/val> ?v }`},
-	{name: "walk-not-size-count", path: "keyed", src: `SELECT ?c (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/club> ?c . ?s <http://c/val> ?v } GROUP BY ?c`},
+	{name: "walk-not-bound-above", path: "none", src: `SELECT DISTINCT ?g WHERE { ?s <http://c/bnd> ?g . ?s <http://c/above> ?z }`},
+	{name: "walk-not-bound-above-count", path: "keyed", src: `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/bnd> ?g . ?s <http://c/above> ?z } GROUP BY ?g`},
 	{name: "walk-not-filter", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . ?s <http://c/fee> ?f . FILTER (?c != <http://c/c0>) }`},
 	{name: "walk-not-optional", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c OPTIONAL { ?s <http://c/fee> ?f } }`},
 	{name: "walk-not-union", path: "none", src: `SELECT DISTINCT ?c WHERE { ?s <http://c/club> ?c . { ?s <http://c/fee> ?f } UNION { ?s <http://c/tag> ?t } }`},
@@ -386,4 +409,55 @@ func boolInt(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// BenchmarkSemijoinCrossover times the group walk against the join
+// pipeline on DISTINCT and COUNT(DISTINCT) under one semijoin whose
+// vector has keys=k keys per seed row: 2,048 seed rows ⟨?s p ?g⟩ in
+// groups of four, on subjects picked at random from k·2,048 with one q
+// value each, so every seed passes the semijoin. walk lifts
+// semiKeysPerRow past k, join sets it to zero; where join gets faster
+// than walk is where semiKeysPerRow belongs.
+func BenchmarkSemijoinCrossover(b *testing.B) {
+	const seeds = 2048
+	old := semiKeysPerRow
+	b.Cleanup(func() { semiKeysPerRow = old })
+	for _, k := range []int{8, 12, 16, 20, 24, 32, 48, 64} {
+		// The seeds are k·2,048 subjects' picks of 2,048, so no seek
+		// lands on a packed group's head more often than by chance.
+		rng := rand.New(rand.NewSource(int64(k)))
+		var ts []rdf.Triple
+		for i, j := range rng.Perm(k * seeds) {
+			s := cx(fmt.Sprintf("s%07d", i))
+			ts = append(ts, rdf.T(s, cx("q"), cx(fmt.Sprintf("v%d", i%97))))
+			if j < seeds {
+				ts = append(ts, rdf.T(s, cx("p"), cx(fmt.Sprintf("g%05d", j/4))))
+			}
+		}
+		pl := NewPlanner(buildMemory(ts))
+		for _, shape := range []struct{ name, src string }{
+			{"distinct", `SELECT DISTINCT ?g WHERE { ?s <http://c/p> ?g . ?s <http://c/q> ?x }`},
+			{"count-distinct", `SELECT ?g (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s <http://c/p> ?g . ?s <http://c/q> ?x } GROUP BY ?g`},
+		} {
+			q, err := Parse(shape.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, path := range []struct {
+				name  string
+				bound int
+			}{{"walk", 1 << 30}, {"join", 0}} {
+				b.Run(fmt.Sprintf("%s/keys=%d/%s", shape.name, k, path.name), func(b *testing.B) {
+					semiKeysPerRow = path.bound
+					for n := 0; n < b.N; n++ {
+						res, err := pl.EvalColumnar(context.Background(), q, EvalOptions{Workers: 1, NoResultCache: true})
+						if err != nil || res.Len() != seeds/4 {
+							b.Fatalf("%d rows, %v", res.Len(), err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/seeds, "ns/seed")
+				})
+			}
+		}
+	}
 }

@@ -3,8 +3,15 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hexastore/internal/core"
@@ -60,7 +67,7 @@ func TestShapeNormalization(t *testing.T) {
 
 	key := func(src string) string {
 		s, c, out := shapeOf(mustParse(t, src))
-		return resultKey(s, out, c)
+		return string(appendResultKey(nil, s, out, c))
 	}
 	// Each group varies one clause; no two of its queries may share a
 	// result key, or one would be answered with the other's rows.
@@ -144,7 +151,7 @@ func TestShapeNormalization(t *testing.T) {
 func TestResultKeyOutputNames(t *testing.T) {
 	key := func(src string) string {
 		s, c, out := shapeOf(mustParse(t, src))
-		return resultKey(s, out, c)
+		return string(appendResultKey(nil, s, out, c))
 	}
 	base := key(`SELECT ?x WHERE { ?x <http://ex/p> ?y }`)
 	if renamedOut := key(`SELECT ?z WHERE { ?z <http://ex/p> ?y }`); renamedOut == base {
@@ -191,9 +198,10 @@ func TestPlanCacheLRUAndEpoch(t *testing.T) {
 // TestResultCacheEpochAndBytes: epoch purge-on-write, byte-cap
 // eviction, and isolation of served copies from the cached entry.
 func TestResultCacheEpochAndBytes(t *testing.T) {
+	d := dictionary.New()
+	vars := []string{"x"}
 	mk := func(n int) *Result {
-		r := &Result{Vars: []string{"x"}, n: n}
-		d := dictionary.New()
+		r := &Result{Vars: vars, n: n}
 		for i := 0; i < n; i++ {
 			r.ids = append(r.ids, d.Encode(rdf.NewLiteral(fmt.Sprint(i))))
 		}
@@ -203,32 +211,35 @@ func TestResultCacheEpochAndBytes(t *testing.T) {
 	}
 	c := newResultCache(4096)
 	small := mk(3)
-	c.put("k1", "e1", small, resultFootprint(small))
-	if got, ok := c.get("k1", "e1"); !ok || got.Len() != 3 {
+	c.put([]byte("k1"), "e1", d, small)
+	if got, ok := c.get([]byte("k1"), "e1", d, vars); !ok || got.Len() != 3 || got.At(2, 0).Value != "2" {
 		t.Fatalf("get = %v %v", got, ok)
 	}
-	if _, ok := c.get("k1", "e2"); ok {
+	if _, ok := c.get([]byte("k1"), "e2", d, vars); ok {
 		t.Fatal("stale epoch served")
 	}
+	if _, ok := c.get([]byte("k1"), "e1", dictionary.New(), vars); ok {
+		t.Fatal("served through another dictionary")
+	}
 	// New-epoch put purges the old resident set and counts churn.
-	c.put("k2", "e2", small, resultFootprint(small))
-	if _, ok := c.get("k1", "e2"); ok {
+	c.put([]byte("k2"), "e2", d, small)
+	if _, ok := c.get([]byte("k1"), "e2", d, vars); ok {
 		t.Fatal("entry survived the epoch purge")
 	}
 	if _, _, _, _, churn := c.snapshot(); churn != 1 {
 		t.Fatalf("churn = %d, want 1", churn)
 	}
 
-	// Byte-cap eviction: entries larger than the cache are refused, and
-	// filling past the cap evicts from the LRU tail.
+	// Byte-cap eviction: entries larger than a segment may be are
+	// refused, and filling past the cap evicts the oldest segment.
 	huge := mk(1000)
-	c.put("huge", "e2", huge, resultFootprint(huge))
-	if _, ok := c.get("huge", "e2"); ok {
+	c.put([]byte("huge"), "e2", d, huge)
+	if _, ok := c.get([]byte("huge"), "e2", d, vars); ok {
 		t.Fatal("over-cap entry cached")
 	}
 	for i := 0; i < 64; i++ {
 		r := mk(12)
-		c.put(fmt.Sprintf("fill%d", i), "e2", r, resultFootprint(r))
+		c.put([]byte(fmt.Sprintf("fill%d", i)), "e2", d, r)
 	}
 	if _, bytes, capBytes, evictions, _ := c.snapshot(); bytes > capBytes || evictions == 0 {
 		t.Fatalf("bytes %d cap %d evictions %d", bytes, capBytes, evictions)
@@ -236,21 +247,242 @@ func TestResultCacheEpochAndBytes(t *testing.T) {
 
 	// A served result is a private header over the shared cells: sorting
 	// it or filling its Rows view must not disturb the cached body.
-	d := dictionary.New()
-	r := &Result{Vars: []string{"x"}, n: 2, ids: []core.ID{d.Encode(rdf.NewLiteral("b")), d.Encode(rdf.NewLiteral("a"))}}
+	r := &Result{Vars: vars, n: 2, ids: []core.ID{d.Encode(rdf.NewLiteral("b")), d.Encode(rdf.NewLiteral("a"))}}
 	snap := d.Snapshot()
 	r.terms = snap.View()
-	c.put("sorted", "e2", r, resultFootprint(r))
-	got, _ := c.get("sorted", "e2")
+	c.put([]byte("sorted"), "e2", d, r)
+	got, _ := c.get([]byte("sorted"), "e2", d, vars)
 	got.fillRows()
 	got.SortRows()
 	if got.At(0, 0).Value != "a" || got.Rows[0]["x"].Value != "a" {
 		t.Fatalf("SortRows left %v / %v first", got.At(0, 0), got.Rows[0])
 	}
-	again, _ := c.get("sorted", "e2")
+	again, _ := c.get([]byte("sorted"), "e2", d, vars)
 	if again.At(0, 0).Value != "b" || again.Rows != nil {
 		t.Fatal("mutating a served result corrupted the cached entry")
 	}
+}
+
+// modelAnswer is the answer the result-cache model caches for key k at
+// epoch e: a pure function of both, with cells, computed terms and ASK
+// flags that vary in size and kind.
+func modelAnswer(k, e int) *Result {
+	rng := rand.New(rand.NewSource(int64(k)*7919 + int64(e)))
+	r := &Result{}
+	switch rng.Intn(8) {
+	case 0:
+		r.IsAsk, r.Answer = true, rng.Intn(2) == 0
+		return r
+	case 1:
+		r.n = rng.Intn(3) // rows without columns
+		return r
+	}
+	cols := 1 + rng.Intn(3)
+	r.n = rng.Intn(40)
+	for i := 0; i < r.n*cols; i++ {
+		if rng.Intn(5) == 0 {
+			r.ids = append(r.ids, computedID|core.ID(len(r.computed)))
+			r.computed = append(r.computed, rdf.Term{Kind: rdf.TermKind(rng.Intn(3)), Value: strings.Repeat("v", rng.Intn(20))})
+		} else {
+			r.ids = append(r.ids, core.ID(1+rng.Intn(1000)))
+		}
+	}
+	return r
+}
+
+func modelKey(k int) []byte { return []byte(fmt.Sprintf("key-%d-%s", k, strings.Repeat("k", k%37))) }
+
+func sameAnswer(got, want *Result) bool {
+	return got.n == want.n && got.IsAsk == want.IsAsk && got.Answer == want.Answer &&
+		slices.Equal(got.ids, want.ids) && slices.Equal(got.computed, want.computed)
+}
+
+// TestResultCacheModel drives seeded random get/put/epoch/capacity
+// sequences against a plain-map reference of which keys were put at the
+// current epoch: every hit returns that key's answer for that epoch —
+// cells, computed terms, row count and ASK flags — no hit outlives its
+// epoch, a put that fits is served at once, and the cache never holds
+// more bytes than its cap.
+func TestResultCacheModel(t *testing.T) {
+	d := dictionary.New()
+	vars := []string{"a", "b"}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		caps := []int64{2 << 10, 4 << 10, 16 << 10, 64 << 10, 1 << 20}
+		c := newResultCache(caps[rng.Intn(len(caps))])
+		if seed%2 == 0 {
+			c.gen = 1<<(64-rcGenShift) - 3 // the index generation wraps
+		}
+		// cached holds the keys put at the current epoch; resident those
+		// put at the epoch of the last put, which the cache still holds
+		// until a put at a newer one purges them.
+		epoch, cached, resident, putEpoch := 0, map[int]bool{}, map[int]bool{}, 0
+		hits := 0
+		for op := 0; op < 4000; op++ {
+			k := rng.Intn(200)
+			switch x := rng.Intn(100); {
+			case x < 45:
+				got, ok := c.get(modelKey(k), strconv.Itoa(epoch), d, vars)
+				if ok {
+					hits++
+					if !cached[k] {
+						t.Fatalf("seed %d op %d: hit on key %d, never put at epoch %d", seed, op, k, epoch)
+					}
+					if !sameAnswer(got, modelAnswer(k, epoch)) || !slices.Equal(got.Vars, vars) {
+						t.Fatalf("seed %d op %d: key %d served a wrong answer", seed, op, k)
+					}
+				}
+			case x < 50:
+				// An epoch older than the last put's is superseded.
+				if putEpoch > 0 {
+					if _, ok := c.get(modelKey(k), strconv.Itoa(rng.Intn(putEpoch)), d, vars); ok {
+						t.Fatalf("seed %d op %d: stale epoch served", seed, op)
+					}
+				}
+			case x < 97:
+				key, res := modelKey(k), modelAnswer(k, epoch)
+				c.put(key, strconv.Itoa(epoch), d, res)
+				if putEpoch != epoch {
+					resident, putEpoch = map[int]bool{}, epoch
+				}
+				cached[k], resident[k] = true, true
+				if _, ok := c.get(key, strconv.Itoa(epoch), d, vars); !ok &&
+					recordWords(key, res) <= c.segCap && len(c.slots)/2 < c.maxSlots {
+					t.Fatalf("seed %d op %d: a put of %d words into a %d-word segment is not served",
+						seed, op, recordWords(key, res), c.segCap)
+				}
+			case x < 99:
+				epoch++
+				cached = map[int]bool{}
+			default:
+				c = newResultCache(caps[rng.Intn(len(caps))])
+				cached, resident = map[int]bool{}, map[int]bool{}
+			}
+			if entries, bytes, capBytes, _, _ := c.snapshot(); bytes > capBytes || entries > len(resident) {
+				t.Fatalf("seed %d op %d: %d entries in %d bytes, cap %d, %d keys put", seed, op, entries, bytes, capBytes, len(resident))
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("seed %d: no hits", seed)
+		}
+	}
+}
+
+// TestResultCacheConcurrentEviction: readers hold zero-copy hits and
+// read their cells while writers fill a small cache past its cap, so
+// segments are evicted and epochs purged under them. Run under -race.
+func TestResultCacheConcurrentEviction(t *testing.T) {
+	d := dictionary.New()
+	c := newResultCache(16 << 10)
+	var epoch atomic.Int64
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 3000; i++ {
+				e := int(epoch.Load())
+				if rng.Intn(200) == 0 {
+					e = int(epoch.Add(1))
+				}
+				k := rng.Intn(300)
+				c.put(modelKey(k), strconv.Itoa(e), d, modelAnswer(k, e))
+			}
+		}(w)
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(100 + int64(r)))
+			type held struct {
+				res  *Result
+				k, e int
+			}
+			var hold []held
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e, k := int(epoch.Load()), rng.Intn(300)
+				if res, ok := c.get(modelKey(k), strconv.Itoa(e), d, nil); ok {
+					hold = append(hold, held{res, k, e})
+				}
+				if len(hold) == 32 {
+					for _, h := range hold {
+						if !sameAnswer(h.res, modelAnswer(h.k, h.e)) {
+							t.Errorf("key %d epoch %d: a held hit changed under eviction", h.k, h.e)
+							return
+						}
+					}
+					hold = hold[:0]
+				}
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if _, _, _, evictions, churn := c.snapshot(); evictions == 0 || churn == 0 {
+		t.Fatalf("evictions %d, epoch churn %d: nothing was dropped under the readers", evictions, churn)
+	}
+}
+
+// TestPointerFreeCacheFootprint: a result cache full of lookup-sized
+// answers is a handful of heap objects, a hit allocates only its Result
+// header, and a put into a segment with room allocates nothing.
+func TestPointerFreeCacheFootprint(t *testing.T) {
+	d := dictionary.New()
+	vars := []string{"x", "y"}
+	res := &Result{Vars: vars, n: 3, ids: []core.ID{11, 12, 13, 14, 15, 16}}
+	key := func(dst []byte, i int) []byte {
+		dst = append(dst[:0], "sel ?0 ?1 where { $0 <http://swat.cse.lehigh.edu/onto/univ-bench.owl#takesCourse> ?1 } "...)
+		return strconv.AppendInt(dst, int64(i), 10)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapObjects
+	c := newResultCache(32 << 20)
+	var kb []byte
+	const n = 50000
+	for i := 0; i < n; i++ {
+		kb = key(kb, i)
+		c.put(kb, "e1", d, res)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	entries, _, _, _, _ := c.snapshot()
+	if entries != n {
+		t.Fatalf("%d of %d entries resident", entries, n)
+	}
+	grew := int64(ms.HeapObjects) - int64(before)
+	t.Logf("%d answers: %d heap objects", n, grew)
+	if grew > 100 {
+		t.Fatalf("a cache of %d answers holds %d heap objects, want at most 100", n, grew)
+	}
+
+	kb = key(kb, 7)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := c.get(kb, "e1", d, vars); !ok {
+			t.Fatal("miss")
+		}
+	}); allocs > 1 {
+		t.Fatalf("a hit allocates %.1f objects, want at most 1", allocs)
+	}
+	i := n
+	if allocs := testing.AllocsPerRun(100, func() {
+		i++
+		kb = key(kb, i)
+		c.put(kb, "e1", d, res)
+	}); allocs > 0 {
+		t.Fatalf("a put allocates %.1f objects, want none", allocs)
+	}
+	runtime.KeepAlive(c)
 }
 
 // cacheTestQueries covers the shapes the differential suite must hold

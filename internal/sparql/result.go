@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"slices"
-	"unsafe"
 
 	"hexastore/internal/core"
 	"hexastore/internal/dictionary"
@@ -158,25 +157,4 @@ func (r *Result) SortRows() {
 	if r.Rows != nil {
 		r.fillRows()
 	}
-}
-
-// resultEntryOverhead is what one result-cache entry retains besides the
-// body and its key: the Result header, the LRU node and list element,
-// and its share of the index map.
-const resultEntryOverhead = 256
-
-// resultFootprint is the number of bytes a cached result retains: the id
-// array at its capacity (8 B a cell), the computed terms and the
-// variable names. The term table it decodes through is the dictionary's
-// and is not counted. It sizes the result cache's byte cap and is what a
-// filling query's memory meter is charged.
-func resultFootprint(r *Result) int64 {
-	size := int64(cap(r.ids)) * int64(unsafe.Sizeof(core.None))
-	for _, v := range r.Vars {
-		size += int64(unsafe.Sizeof(v)) + int64(len(v))
-	}
-	for _, t := range r.computed {
-		size += int64(unsafe.Sizeof(t)) + int64(len(t.Value))
-	}
-	return size
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"encoding/binary"
 	"strconv"
 	"strings"
 
@@ -71,7 +72,7 @@ func (w *shapeWalk) patterns(pats []Pattern) {
 // (projection variables and aggregate aliases — or every variable for
 // SELECT *). The output names are NOT normalized away: a result cached
 // for `SELECT ?x …` cannot answer `SELECT ?y …` even when the shapes
-// coincide, so the result-cache key re-attaches them (see resultKey).
+// coincide, so the result-cache key re-attaches them (see appendResultKey).
 func shapeOf(q *Query) (shape string, consts []rdf.Term, outVars []string) {
 	w := &shapeWalk{vars: make(map[string]int)}
 	if q.Ask {
@@ -166,21 +167,23 @@ func shapeOf(q *Query) (shape string, consts []rdf.Term, outVars []string) {
 	return w.b.String(), w.consts, outVars
 }
 
-// resultKey builds the full result-cache key: the shape, the actual
-// output column names, and the extracted constants. Everything an answer
-// depends on except the snapshot epoch, which the cache itself tracks.
-func resultKey(shape string, outVars []string, consts []rdf.Term) string {
-	var b strings.Builder
-	b.Grow(len(shape) + 16*len(outVars) + 24*len(consts))
-	b.WriteString(shape)
-	b.WriteByte('\x00')
+// appendResultKey appends the full result-cache key to dst: the shape,
+// the actual output column names, and the extracted constants, each
+// length-prefixed so that no name or value can mimic a boundary.
+// Everything an answer depends on except the snapshot epoch, which the
+// cache itself tracks.
+func appendResultKey(dst []byte, shape string, outVars []string, consts []rdf.Term) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(shape)))
+	dst = append(dst, shape...)
+	dst = binary.AppendUvarint(dst, uint64(len(outVars)))
 	for _, v := range outVars {
-		b.WriteString(v)
-		b.WriteByte('\x01')
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
 	}
 	for _, c := range consts {
-		b.WriteString(c.String())
-		b.WriteByte('\x00')
+		dst = append(dst, byte(c.Kind))
+		dst = binary.AppendUvarint(dst, uint64(len(c.Value)))
+		dst = append(dst, c.Value...)
 	}
-	return b.String()
+	return dst
 }
