@@ -1,20 +1,15 @@
 // Ablation benchmarks for the extension subsystems: the disk-based
-// Hexastore (§7 future work), the cost-based SPARQL planner ([41]), and
-// the Turtle front end. These complement the per-figure benchmarks in
-// bench_test.go.
+// Hexastore (§7 future work) and the Turtle front end. These complement
+// the per-figure benchmarks in bench_test.go.
 package hexastore_test
 
 import (
-	"context"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"hexastore/internal/core"
 	"hexastore/internal/disk"
-	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
-	"hexastore/internal/sparql"
 )
 
 // BenchmarkDiskVsMemory compares the in-memory sextuple store with the
@@ -69,57 +64,6 @@ func BenchmarkDiskVsMemory(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPlannerStatsVsNoStats compares statistics-free evaluation
-// (the package-level entry point, which orders by bound positions alone)
-// with a Planner's statistics on joins where ordering matters: a highly
-// selective pattern written after an unselective one.
-func BenchmarkPlannerStatsVsNoStats(b *testing.B) {
-	bld := core.NewBuilder(nil)
-	rng := rand.New(rand.NewSource(77))
-	common := rdf.NewIRI("common")
-	rare := rdf.NewIRI("rare")
-	for i := 0; i < 30_000; i++ {
-		bld.AddTriple(rdf.T(numIRI("s", rng.Intn(3000)), common, numIRI("o", rng.Intn(3000))))
-	}
-	for i := 0; i < 30; i++ {
-		bld.AddTriple(rdf.T(numIRI("s", i), rare, rdf.NewLiteral("x")))
-	}
-	st := bld.Build()
-	pl := sparql.NewPlanner(graph.Memory(st))
-
-	for _, c := range []struct{ name, src string }{
-		// The rare pattern binds two positions, so bound positions alone
-		// start from it.
-		{"RareMoreBound", `SELECT ?s ?o WHERE { ?s <common> ?o . ?s <rare> "x" }`},
-		// Both patterns bind only the predicate: without statistics the
-		// tie goes to text order, and the 30,000-row pattern runs first.
-		{"RareEquallyBound", `SELECT ?s ?o WHERE { ?s <common> ?o . ?s <rare> ?z }`},
-	} {
-		q, err := sparql.Parse(c.src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name+"/NoStats", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sparql.EvalOpts(context.Background(), graph.Memory(st), q, sparql.EvalOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(c.name+"/StatsPlanner", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func numIRI(prefix string, n int) rdf.Term {
-	return rdf.NewIRI(prefix + itoa(n))
 }
 
 func itoa(n int) string {

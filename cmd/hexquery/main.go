@@ -14,14 +14,12 @@
 // join workers (default GOMAXPROCS), matching hexload/hexserver/hexbench.
 // -timeout puts a deadline on the query and -mem-budget limits its
 // engine memory: crossing it fails the query instead of OOMing.
-// A query on an in-memory store runs through a sparql.Planner, as
-// hexserver runs it, so -explain prints the cost-based plan hexserver
-// would run (pattern order, cardinality estimates, access-path hints)
-// without executing. A -disk query plans without statistics: a disk
-// store's summary takes a full scan that neither -timeout nor
-// -mem-budget would bound. -explain-analyze executes and prints the
-// full span tree with estimated vs actual rows per step — equivalent to
-// prefixing the query with EXPLAIN or EXPLAIN ANALYZE.
+// A query runs through a sparql.Planner, as hexserver runs it, so
+// -explain prints the cost-based plan hexserver would run (pattern
+// order, cardinality estimates, access-path hints) without executing.
+// -explain-analyze executes and prints the full span tree with estimated
+// vs actual rows per step — equivalent to prefixing the query with
+// EXPLAIN or EXPLAIN ANALYZE.
 package main
 
 import (
@@ -54,7 +52,7 @@ func main() {
 		memBudget = flag.String("mem-budget", "",
 			"per-query memory limit (e.g. 64M, 1G): a query whose join pieces, fetched lists and result rows would cross it fails instead of OOMing — at the value itself, where earlier releases wrote temp files and failed at 4x it (empty = unlimited)")
 		explain = flag.Bool("explain", false,
-			"print the query plan (statistics used, pattern order, cardinality estimates) without executing")
+			"print the query plan (pattern order, cardinality estimates, plan-cache outcome) without executing")
 		explainAnalyze = flag.Bool("explain-analyze", false,
 			"execute the query with tracing and print the span tree (estimated vs actual rows per step)")
 	)
@@ -121,13 +119,7 @@ func main() {
 		g = hexastore.AsGraph(st)
 	}
 	triples = g.Len()
-	eval := func(ctx context.Context, q *sparql.Query, opt sparql.EvalOptions) (*sparql.Result, error) {
-		return sparql.EvalOpts(ctx, g, q, opt)
-	}
-	if diskSt == nil {
-		// A memory store's summary is read off its index heads.
-		eval = sparql.NewPlanner(g).EvalOpts
-	}
+	pl := sparql.NewPlanner(g)
 
 	start := time.Now()
 	ctx := context.Background()
@@ -156,7 +148,7 @@ func main() {
 	if q.Explain != sparql.ExplainNone {
 		opt.Trace = obs.NewTrace("query")
 	}
-	res, err := eval(ctx, q, opt)
+	res, err := pl.EvalOpts(ctx, q, opt)
 	opt.Trace.Finish()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)

@@ -107,7 +107,7 @@ func main() {
 	slowQuery := flag.Duration("slow-query", time.Second,
 		"log queries slower than this, with their peak memory (0 = disable)")
 	planCache := flag.Int("plan-cache", sparql.DefaultPlanCacheSize,
-		"query-shape plan cache capacity in entries: repeated query shapes reuse the memoized join order until statistics refresh (0 = disable)")
+		"query-shape plan cache capacity in entries: repeated query shapes reuse the memoized join order until the store grows or shrinks by a tenth (0 = disable)")
 	resultCache := flag.String("result-cache-bytes", "32M",
 		"snapshot-epoch result cache budget (e.g. 32M, 1G): repeated read queries answer from cache until any write bumps the store epoch (empty or 0 = disable)")
 	maxReplicaLag := flag.Duration("max-replica-lag", 30*time.Second,

@@ -150,13 +150,9 @@ type DB struct {
 	queryTimeout time.Duration
 	memBudget    int64
 
-	// plMu guards the lazily built planner; planCacheSize and
-	// resultCacheBytes are the cache budgets it is built with (see
-	// WithPlanCache / WithResultCache).
-	plMu             sync.Mutex
-	pl               *sparql.Planner
-	planCacheSize    int
-	resultCacheBytes int64
+	// pl is the handle's cost-based planner, with the cache budgets of
+	// WithPlanCache and WithResultCache.
+	pl *sparql.Planner
 }
 
 // Unwrap exposes the backend behind the handle — the concrete store, or
@@ -263,7 +259,7 @@ const DefaultResultCacheBytes = 32 << 20
 // entries; negative disables it, 0 keeps the default
 // (sparql.DefaultPlanCacheSize). The plan cache memoizes the cost-based
 // planner's join order and access-path choices per canonical query
-// shape, invalidated when statistics are refreshed.
+// shape, planned again once the store has grown or shrunk by a tenth.
 func WithPlanCache(entries int) Option {
 	return func(o *options) { o.planCacheSize = entries }
 }
@@ -367,13 +363,20 @@ func Open(opts ...Option) (*DB, error) {
 
 // newDB assembles the handle shared by every Open path.
 func newDB(g graph.Graph, closer io.Closer, o options) *DB {
+	pl := sparql.NewPlanner(g)
+	if o.planCacheSize != 0 {
+		pl.SetPlanCacheSize(o.planCacheSize)
+	}
+	if o.resultCacheBytes == 0 {
+		o.resultCacheBytes = DefaultResultCacheBytes
+	}
+	pl.SetResultCacheBytes(o.resultCacheBytes)
 	return &DB{
-		Graph:            g,
-		closer:           closer,
-		queryTimeout:     o.queryTimeout,
-		memBudget:        o.memBudget,
-		planCacheSize:    o.planCacheSize,
-		resultCacheBytes: o.resultCacheBytes,
+		Graph:        g,
+		closer:       closer,
+		queryTimeout: o.queryTimeout,
+		memBudget:    o.memBudget,
+		pl:           pl,
 	}
 }
 
@@ -417,37 +420,8 @@ func (db *DB) DeltaStats() (stats delta.Stats, ok bool) {
 	return db.overlay.Stats(), true
 }
 
-// planner returns the handle's cost-based planner, building dataset
-// statistics on first use (Open stays O(1); the first query pays the
-// scan) and refreshing them lazily once the store has drifted ≥10% from
-// the summary they were built on. A refresh bumps the planner's stats
-// epoch — invalidating memoized plans — but stale statistics between
-// refreshes only degrade join ordering, never correctness: the result
-// cache keys on the store's snapshot epoch, which every write bumps
-// immediately.
-func (db *DB) planner() *sparql.Planner {
-	db.plMu.Lock()
-	defer db.plMu.Unlock()
-	if db.pl == nil {
-		pl := sparql.NewPlanner(db.Graph)
-		if db.planCacheSize != 0 {
-			pl.SetPlanCacheSize(db.planCacheSize)
-		}
-		if db.resultCacheBytes != 0 {
-			pl.SetResultCacheBytes(db.resultCacheBytes)
-		} else {
-			pl.SetResultCacheBytes(DefaultResultCacheBytes)
-		}
-		db.pl = pl
-		return pl
-	}
-	db.pl.RefreshIfDrifted()
-	return db.pl
-}
-
-// CacheStats reports the handle's plan- and result-cache counters
-// (building the planner if no query has run yet).
-func (db *DB) CacheStats() sparql.CacheStats { return db.planner().CacheStats() }
+// CacheStats reports the handle's plan- and result-cache counters.
+func (db *DB) CacheStats() sparql.CacheStats { return db.pl.CacheStats() }
 
 // rlock takes the shared DB lock unless the backend is an overlay
 // (whose readers pin immutable snapshots instead of locking).
@@ -510,7 +484,7 @@ func (db *DB) QueryContext(ctx context.Context, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.planner().EvalOpts(ctx, q, sparql.EvalOptions{MemBudget: db.memBudget})
+	return db.pl.EvalOpts(ctx, q, sparql.EvalOptions{MemBudget: db.memBudget})
 }
 
 // QueryTraced is QueryContext with execution tracing: it returns the
@@ -534,7 +508,7 @@ func (db *DB) QueryTraced(ctx context.Context, src string) (*Result, *Trace, err
 	// A trace must describe the execution that produced these rows, so a
 	// traced query never serves from (or fills) the result cache; the
 	// plan cache still applies and is reported in the plan span.
-	res, err := db.planner().EvalOpts(ctx, q, sparql.EvalOptions{
+	res, err := db.pl.EvalOpts(ctx, q, sparql.EvalOptions{
 		MemBudget: db.memBudget, Trace: tr, NoResultCache: true,
 	})
 	tr.Finish()
@@ -648,15 +622,13 @@ func WriteNTriples(g Graph, w io.Writer) error {
 // Query parses and evaluates a SPARQL-subset SELECT query against the
 // in-memory store st. See package sparql for the supported grammar
 // (PREFIX, FILTER, OPTIONAL, UNION, ORDER BY, LIMIT, OFFSET). For other
-// backends use QueryGraph or a DB handle from Open. It plans without
-// statistics: patterns run connected first, then most bound first, then
-// in text order, so two patterns that bind the same number of positions
-// run in the order written whatever their sizes. A DB handle's Query
-// orders joins by dataset statistics.
+// backends use QueryGraph or a DB handle from Open. It orders joins by
+// the store's counts, as a DB handle's Query does, without the handle's
+// plan and result caches.
 func Query(st *Store, src string) (*Result, error) { return sparql.Exec(graph.Memory(st), src) }
 
 // QueryGraph parses and evaluates a SPARQL-subset SELECT/ASK query
-// against any Graph backend. Like Query, it plans without statistics.
+// against any Graph backend. Like Query, it plans without caches.
 func QueryGraph(g Graph, src string) (*Result, error) { return sparql.Exec(g, src) }
 
 // Update parses and applies a SPARQL UPDATE request (INSERT DATA /

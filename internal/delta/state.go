@@ -261,7 +261,7 @@ func baseState(main graph.Graph) *state {
 
 // mainView is a state with an empty delta over a memory main, served as
 // the main itself: read-only, under the state's epoch. Its Unwrap is the
-// *core.Store, so the sorted sources, the statistics and the query
+// *core.Store, so the sorted sources, the cost model and the query
 // engine take the store's direct paths instead of merging an empty delta.
 type mainView struct {
 	graph.Graph
@@ -452,6 +452,13 @@ func (st *state) Count(s, p, o ID) (int, error) {
 		n = 0
 	}
 	return n, nil
+}
+
+// Distinct answers graph.Distincter from the main store alone: the
+// planner prices from it, and a count that leaves out what is pending
+// only skews an estimate.
+func (st *state) Distinct(ix core.Index, head ID) (int, error) {
+	return graph.Distinct(st.main, ix, head)
 }
 
 // mainSortedList returns the main store's sorted candidate list for a

@@ -483,6 +483,30 @@ func (st *Store) Count(s, p, o ID) (int, error) {
 	return n, err
 }
 
+// Distinct returns the number of distinct keys under head in ordering ix
+// — the distinct second components of ix's tree under the prefix head —
+// or, when head is None, the number of distinct heads: one prefix scan
+// of that tree, or a scan of all of it. It implements graph.Distincter.
+func (st *Store) Distinct(ix core.Index, head ID) (int, error) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	n, col, last := 0, 1, uint64(None)
+	count := func(k btree.Key) bool {
+		if k[col] != last {
+			n, last = n+1, k[col]
+		}
+		return true
+	}
+	var err error
+	if head == None {
+		col = 0
+		err = st.trees[ix].Scan(btree.Key{}, btree.MaxKey, count)
+	} else {
+		err = st.trees[ix].ScanPrefix1(uint64(head), count)
+	}
+	return n, err
+}
+
 // AddTriple dictionary-encodes and inserts an rdf.Triple.
 func (st *Store) AddTriple(t rdf.Triple) (added bool, err error) {
 	if !t.Valid() {

@@ -120,6 +120,38 @@ func EpochOf(g Graph) string {
 	return ""
 }
 
+// Distincter is an optional Graph capability: the number of distinct
+// keys under head in ordering ix — the values the second position of ix
+// takes in the triples whose first position is head, e.g. the subjects
+// of predicate p for (PSO, p) — or, when head is None, the number of
+// heads of ix. The planner's cost model reads its distinct counts
+// through Distinct.
+type Distincter interface {
+	Distinct(ix core.Index, head ID) (int, error)
+}
+
+// Distinct returns the count Distincter names. A memory store reads it
+// off its index headers, a backend with the capability answers it, and
+// any other graph answers with an upper bound: the triples under head
+// (Count), or every triple (Len) for the heads.
+func Distinct(g Graph, ix core.Index, head ID) (int, error) {
+	if st, ok := Unwrap(g).(*core.Store); ok {
+		if head == None {
+			return st.Heads(ix), nil
+		}
+		return st.Head(ix, head).Len(), nil
+	}
+	if d, ok := g.(Distincter); ok {
+		return d.Distinct(ix, head)
+	}
+	if head == None {
+		return g.Len(), nil
+	}
+	var t [3]ID
+	t[ix/2] = head // ix/2 is the position ix is headed by: S, P or O
+	return g.Count(t[0], t[1], t[2])
+}
+
 // TripleOp is one entry of a batched update: an insert, or a delete when
 // Del is set.
 type TripleOp struct {

@@ -97,7 +97,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, queryText st
 	// ?explain=1 bypasses the result cache (EXPLAIN-prefixed queries
 	// bypass it inside the evaluator): a trace must describe the
 	// execution that produced these rows, never ride on cached ones.
-	res, err := s.planner().EvalColumnar(ctx, q, sparql.EvalOptions{
+	res, err := s.pl.EvalColumnar(ctx, q, sparql.EvalOptions{
 		Meter: m, Trace: tr, NoResultCache: explainParam,
 	})
 	unlock()

@@ -145,15 +145,14 @@ func (s *Server) registerPagefileMetrics() {
 }
 
 // registerCacheMetrics publishes the planner's plan- and result-cache
-// counters. Func-backed against the live planner accessor, so in-place
-// stats refreshes and cache retuning are always reflected.
+// counters, read on scrape, so cache retuning is always reflected.
 func (s *Server) registerCacheMetrics() {
-	cs := func() sparql.CacheStats { return s.planner().CacheStats() }
+	cs := func() sparql.CacheStats { return s.pl.CacheStats() }
 	s.reg.CounterFunc("hex_plan_cache_hits_total",
 		"Queries whose join order was served from the plan cache.",
 		func() float64 { return float64(cs().PlanHits) })
 	s.reg.CounterFunc("hex_plan_cache_misses_total",
-		"Queries planned from scratch (shape absent or statistics epoch stale).",
+		"Queries planned from scratch (shape absent, or priced before the store drifted by a tenth).",
 		func() float64 { return float64(cs().PlanMisses) })
 	s.reg.CounterFunc("hex_plan_cache_evictions_total",
 		"Plan-cache entries evicted by the LRU capacity.",

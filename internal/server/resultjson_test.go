@@ -347,7 +347,7 @@ func TestServeLargeResultAllocsPerRow(t *testing.T) {
 // for byte.
 func TestCachedResultSharedUnderWrites(t *testing.T) {
 	srv := New(joinStore(200, 10, 3))
-	pl := srv.planner()
+	pl := srv.pl
 	q, err := sparql.Parse(largeJoin)
 	if err != nil {
 		t.Fatal(err)

@@ -29,13 +29,12 @@ import (
 )
 
 // Server serves one Graph backend. It is safe for concurrent use: the
-// backend carries its own synchronization, the planner pointer is
-// guarded here, and mutating requests are serialized against query
-// evaluation (see reqMu) — unless the backend offers consistent
-// snapshots (graph.Snapshotter: the delta overlay, a sealed memory
-// store), in which case queries and updates run fully
-// concurrently: each query pins one immutable version and updates never
-// block readers.
+// backend and the planner carry their own synchronization, and mutating
+// requests are serialized against query evaluation (see reqMu) — unless
+// the backend offers consistent snapshots (graph.Snapshotter: the delta
+// overlay, a sealed memory store), in which case queries and updates run
+// fully concurrently: each query pins one immutable version and updates
+// never block readers.
 type Server struct {
 	g graph.Graph
 
@@ -53,7 +52,6 @@ type Server struct {
 	// entirely.
 	reqMu sync.RWMutex
 
-	mu sync.RWMutex
 	pl *sparql.Planner
 
 	// readOnly rejects every mutating endpoint with 403; set for WAL
@@ -137,11 +135,11 @@ func NewGraph(g graph.Graph) *Server {
 
 // SetPlanCacheSize resizes the planner's query-shape plan cache
 // (entries; <= 0 disables it).
-func (s *Server) SetPlanCacheSize(n int) { s.planner().SetPlanCacheSize(n) }
+func (s *Server) SetPlanCacheSize(n int) { s.pl.SetPlanCacheSize(n) }
 
 // SetResultCacheBytes resizes the planner's snapshot-epoch result cache
 // (bytes; <= 0 disables it).
-func (s *Server) SetResultCacheBytes(n int64) { s.planner().SetResultCacheBytes(n) }
+func (s *Server) SetResultCacheBytes(n int64) { s.pl.SetResultCacheBytes(n) }
 
 // rlock acquires the shared request lock (no-op on snapshot backends)
 // and returns the unlock.
@@ -222,13 +220,6 @@ func (s *Server) Handler() http.Handler {
 // Off by default: profiling endpoints expose internals and add
 // overhead-on-demand, so they are strictly opt-in.
 func (s *Server) EnablePprof() { s.pprof = true }
-
-// planner returns the current planner snapshot.
-func (s *Server) planner() *sparql.Planner {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pl
-}
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -324,7 +315,6 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, updateText s
 			httpError(w, http.StatusInternalServerError, "flush: %v", err)
 			return
 		}
-		s.planner().RefreshIfDrifted()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
@@ -381,7 +371,6 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, "flush: %v", err)
 			return
 		}
-		s.planner().RefreshIfDrifted()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]int{"added": added, "total": s.g.Len()})
@@ -392,21 +381,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	sum := s.planner().Stats()
 	dict := s.g.Dictionary()
 	out := map[string]any{
-		"triples":          s.g.Len(),
-		"dictionaryTerms":  dict.Len(),
-		"dictionaryBytes":  dict.SizeBytes(),
-		"distinctSubjects": sum.DistinctS,
-		"distinctPreds":    sum.DistinctP,
-		"distinctObjects":  sum.DistinctO,
+		"triples":         s.g.Len(),
+		"dictionaryTerms": dict.Len(),
+		"dictionaryBytes": dict.SizeBytes(),
 	}
 	// The query caches report their counters under one block (emitted
 	// for every backend): plan-cache occupancy and
 	// hit/miss/eviction totals, result-cache bytes and totals, and how
 	// often a write invalidated the resident result epoch.
-	cs := s.planner().CacheStats()
+	cs := s.pl.CacheStats()
 	out["cache"] = map[string]any{
 		"planCacheEnabled":     cs.PlanEnabled,
 		"planCacheEntries":     cs.PlanEntries,
@@ -414,7 +399,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"planCacheHits":        cs.PlanHits,
 		"planCacheMisses":      cs.PlanMisses,
 		"planCacheEvictions":   cs.PlanEvictions,
-		"statsEpoch":           cs.StatsEpoch,
 		"resultCacheEnabled":   cs.ResultEnabled,
 		"resultCacheEntries":   cs.ResultEntries,
 		"resultCacheBytes":     cs.ResultBytes,
@@ -446,13 +430,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			out["walPath"] = ds.WALPath
 		}
 	}
-	// The in-memory Hexastore additionally reports its index layout,
-	// the §4.1 space-expansion factor, and the physical footprint of
-	// the packed index: heap bytes, bytes per triple, the compression
-	// ratio against the paper's layout's estimated cost for the same
-	// content, what the arenas hold, how much of that is dead, and in how
-	// many segments.
+	// The in-memory Hexastore additionally reports its distinct
+	// subjects, predicates and objects — head counts its index headers
+	// hold; on disk each would be a scan of a whole tree, so a disk
+	// backend omits them — its index layout, the §4.1 space-expansion
+	// factor, and the physical footprint of the packed index: heap bytes,
+	// bytes per triple, the compression ratio against the paper's
+	// layout's estimated cost for the same content, what the arenas hold,
+	// how much of that is dead, and in how many segments.
 	if st := s.memStore(); st != nil {
+		out["distinctSubjects"] = st.Heads(core.SPO)
+		out["distinctPreds"] = st.Heads(core.PSO)
+		out["distinctObjects"] = st.Heads(core.OSP)
 		stats := st.Stats()
 		out["headers"] = stats.Headers
 		out["vectorEntries"] = stats.VectorEntries

@@ -16,7 +16,6 @@ import (
 	"hexastore/internal/idlist"
 	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
-	"hexastore/internal/stats"
 )
 
 // idPattern is a pattern with its constant positions resolved to
@@ -67,13 +66,14 @@ func ExecContext(ctx context.Context, g graph.Graph, src string) (*Result, error
 //
 // Planning: each UNION clause multiplies the query into branches (the
 // standard BGP rewriting); within a branch, required patterns are
-// ordered by the Planner's cost model over no statistics — connected
-// patterns first, then the one with the most positions bound, then text
-// order (see planOrderJoin). A Planner orders the same way with its
-// summary's estimates, and adds the plan and result caches. FILTERs run
-// at the earliest step where their variables are bound. Each OPTIONAL
-// group is a left-outer step after the required patterns (batch.go); a
-// FILTER reading a variable only a group binds, or none, runs last.
+// ordered by the cost model, priced from the counts of the pinned
+// snapshot — connected patterns first, then the smallest estimated join,
+// then the one with the most positions bound, then text order (see
+// planOrderJoin). A Planner orders the same way and adds the plan and
+// result caches. FILTERs run at the earliest step where their variables
+// are bound. Each OPTIONAL group is a left-outer step after the required
+// patterns (batch.go); a FILTER reading a variable only a group binds,
+// or none, runs last.
 //
 // When the backend offers consistent snapshots (graph.Snapshotter — the
 // delta overlay), the whole evaluation is pinned to
@@ -96,8 +96,8 @@ func withRows(res *Result, err error) (*Result, error) {
 }
 
 // evalWith is the shared core of every entry point. pl is nil for the
-// package-level ones (no statistics, no caches). The result is columnar
-// only: Rows is left nil.
+// package-level ones (no caches). The result is columnar only: Rows is
+// left nil.
 func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt EvalOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -158,10 +158,6 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		}
 	}
 
-	var sum *stats.Summary
-	if pl != nil {
-		sum = pl.sum.Load()
-	}
 	ev := &evaluator{
 		src:     g,
 		dict:    g.Dictionary(),
@@ -169,7 +165,6 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		pl:      pl,
 		plans:   plans,
 		shape:   shape,
-		sum:     sum,
 		workers: workers,
 		tr:      opt.Trace,
 		mem:     meterFor(&opt),
@@ -196,10 +191,9 @@ type evaluator struct {
 	dict *dictionary.Dictionary
 	q    *Query
 
-	// sum is the owning Planner's statistics summary; nil for the
-	// package-level entry points, which plan over noStats and report
-	// neither estimates nor access-path hints.
-	sum *stats.Summary
+	// cost prices this evaluation's plans from src; made on first use
+	// (costs), so a plan-cache hit reads no count.
+	cost *costSource
 
 	// pl is the owning Planner (nil for package-level entry points);
 	// plans is its plan cache pinned for this evaluation, shape the
@@ -573,17 +567,20 @@ func (ev *evaluator) runBranch(pats []idPattern) error {
 		}
 	}
 	// Plan: a memoized join order for this shape and branch when the plan
-	// cache holds one built under the current statistics epoch, otherwise
-	// cost-based join ordering, over no statistics for the package-level
-	// entry points (whose hints are dropped: they would rest on no data).
+	// cache holds one priced at about the snapshot's size, otherwise
+	// cost-based join ordering. A memoized plan keeps the per-step
+	// estimates it was priced with, so a traced hit (every query, while
+	// the server's slow-query log is on) reads no count from the store.
 	branch := ev.branchIdx
 	ev.branchIdx++
+	ev.batch.exist = ev.existentials(pats)
 	var order []int
 	var hints []stepHint
+	var ests []float64
 	planCacheAttr := ""
 	if ev.plans != nil && ev.shape != "" {
 		var ok bool
-		order, hints, ok = ev.plans.get(ev.shape, branch, len(pats), ev.pl.statsEpoch.Load())
+		order, hints, ests, ok = ev.plans.get(ev.shape, branch, len(pats), ev.src.Len())
 		if ok {
 			ev.pl.planHits.Add(1)
 			planCacheAttr = "hit"
@@ -593,30 +590,26 @@ func (ev *evaluator) runBranch(pats []idPattern) error {
 		}
 	}
 	if order == nil {
-		if ev.sum != nil {
-			order, hints = planOrderJoin(ev.sum, pats)
-		} else {
-			order, _ = planOrderJoin(noStats, pats)
+		var err error
+		if order, hints, err = planOrderJoin(ev.costs(), pats); err != nil {
+			return err
+		}
+		if planCacheAttr == "miss" || br != nil {
+			if ests, err = ev.estimateSteps(pats, order); err != nil {
+				return err
+			}
 		}
 		if planCacheAttr == "miss" {
-			ev.plans.put(ev.shape, branch, len(pats), ev.pl.statsEpoch.Load(), order, hints)
+			ev.plans.put(ev.shape, branch, len(pats), ev.cost.n, order, hints, ests)
 		}
 	}
 	ev.batch.stepHints = hints
-	ev.batch.exist = ev.existentials(pats)
 
 	// Record the chosen plan — pattern order plus the per-step
 	// cardinality estimates the planner saw — and hand the branch span to
 	// the batch engine so each step gets its own child with actuals.
-	var ests []float64
 	if br != nil {
-		ests = ev.estimateSteps(pats, order)
 		plan := br.Child("plan")
-		statsAttr := "none"
-		if ev.sum != nil {
-			statsAttr = "summary"
-		}
-		plan.Set("stats", statsAttr)
 		if planCacheAttr != "" {
 			plan.Set("planCache", planCacheAttr)
 		}
@@ -1293,18 +1286,11 @@ func (ev *evaluator) applyModifiers() {
 // estimateSteps prices each step of the chosen order for the trace,
 // simulating the evolving join: the cost model's estimated intermediate
 // cardinality after each step (directly comparable to the step's rowsOut
-// actual in EXPLAIN ANALYZE), or -1 throughout without statistics. A
-// semijoin step only keeps or drops rows, so its estimate never exceeds
-// the step before's.
-func (ev *evaluator) estimateSteps(pats []idPattern, order []int) []float64 {
+// actual in EXPLAIN ANALYZE). A semijoin step only keeps or drops rows,
+// so its estimate never exceeds the step before's.
+func (ev *evaluator) estimateSteps(pats []idPattern, order []int) ([]float64, error) {
 	ests := make([]float64, len(order))
-	if ev.sum == nil {
-		for si := range ests {
-			ests[si] = -1
-		}
-		return ests
-	}
-	js := newJoinState(ev.sum)
+	js := newJoinState(ev.costs())
 	var vars []string
 	for si, pi := range order {
 		before := js.card
@@ -1318,5 +1304,13 @@ func (ev *evaluator) estimateSteps(pats []idPattern, order []int) []float64 {
 		}
 		ests[si] = js.card
 	}
-	return ests
+	return ests, ev.cost.err
+}
+
+// costs returns the evaluation's cost source, made on first use.
+func (ev *evaluator) costs() *costSource {
+	if ev.cost == nil {
+		ev.cost = newCostSource(ev.src)
+	}
+	return ev.cost
 }

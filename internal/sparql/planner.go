@@ -2,11 +2,12 @@ package sparql
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"hexastore/internal/core"
 	"hexastore/internal/graph"
-	"hexastore/internal/stats"
 )
 
 // DefaultPlanCacheSize is the number of query shapes a new Planner
@@ -14,13 +15,11 @@ import (
 const DefaultPlanCacheSize = 256
 
 // Planner evaluates queries with cost-based basic-graph-pattern ordering
-// driven by a cached statistics summary (Stocker et al. [41] style) and
-// a join-size model over the sextuple indexes' cheap per-pattern
-// cardinalities. It is the only planner: a package-level evaluation
-// runs the same ordering over an empty summary (see planOrderJoin). It
-// works over any Graph backend: memory-backed graphs build the summary
-// off the index heads, others with one scan. Build one Planner per graph
-// and reuse it; call Refresh after bulk updates.
+// (Stocker et al. [41] style): a join-size model priced from the counts
+// the sextuple indexes keep in their vector headers, read from the
+// snapshot each evaluation pins (see costSource). It is the only planner:
+// the package-level entry points run the same ordering over the same
+// numbers, without the caches. It works over any Graph backend.
 //
 // A Planner also hosts the repeated-query fast path: a query-shape plan
 // cache (on by default, see SetPlanCacheSize) memoizing join orders and
@@ -28,9 +27,7 @@ const DefaultPlanCacheSize = 256
 // cache (SetResultCacheBytes) serving hot read queries without running a
 // single join step. All methods are safe for concurrent use.
 type Planner struct {
-	g          graph.Graph
-	sum        atomic.Pointer[stats.Summary]
-	statsEpoch atomic.Uint64
+	g graph.Graph
 
 	plans   atomic.Pointer[planCache]   // nil inner value: disabled
 	results atomic.Pointer[resultCache] // nil inner value: disabled
@@ -39,49 +36,13 @@ type Planner struct {
 	resultHits, resultMisses atomic.Uint64
 }
 
-// NewPlanner builds the statistics summary for g and returns a Planner
-// with the plan cache enabled at DefaultPlanCacheSize and the result
-// cache disabled. A backend that fails mid-scan yields an empty summary:
-// every pattern then prices alike, so the order follows connectivity and
-// bound positions (see planOrderJoin) rather than failing.
+// NewPlanner returns a Planner over g with the plan cache enabled at
+// DefaultPlanCacheSize and the result cache disabled. It reads nothing
+// from g: plans are priced when they are made.
 func NewPlanner(g graph.Graph) *Planner {
 	pl := &Planner{g: g}
 	pl.plans.Store(newPlanCache(DefaultPlanCacheSize))
-	pl.Refresh()
 	return pl
-}
-
-// Refresh rebuilds the statistics summary after the graph changed and
-// bumps the statistics epoch, invalidating every memoized plan (they
-// were ranked under the old statistics). Cached results are untouched —
-// their validity tracks the data epoch, not the statistics.
-func (pl *Planner) Refresh() {
-	sum, err := stats.BuildGraph(pl.g)
-	if err != nil {
-		sum = &stats.Summary{}
-	}
-	pl.sum.Store(sum)
-	pl.statsEpoch.Add(1)
-}
-
-// RefreshIfDrifted runs Refresh when the graph's triple count has
-// drifted from the count the summary was built on by at least a tenth
-// of that count. A summary costs a full scan to build, and stale
-// statistics only degrade join ordering, never correctness, so callers
-// run this after writes instead of Refresh. Any change to an empty
-// summary's graph refreshes it; a graph that did not change is never
-// rescanned. The refresh keeps the caches and their hit/miss counters,
-// and cached results key on the data epoch, so they invalidate on the
-// write itself either way.
-func (pl *Planner) RefreshIfDrifted() {
-	built := pl.Stats().Triples
-	drift := pl.g.Len() - built
-	if drift < 0 {
-		drift = -drift
-	}
-	if drift > 0 && drift*10 >= built {
-		pl.Refresh()
-	}
 }
 
 // SetPlanCacheSize resizes the plan cache to hold n query shapes;
@@ -107,7 +68,6 @@ func (pl *Planner) CacheStats() CacheStats {
 		PlanMisses:   pl.planMisses.Load(),
 		ResultHits:   pl.resultHits.Load(),
 		ResultMisses: pl.resultMisses.Load(),
-		StatsEpoch:   pl.statsEpoch.Load(),
 	}
 	if pc := pl.plans.Load(); pc != nil {
 		cs.PlanEnabled = true
@@ -119,12 +79,6 @@ func (pl *Planner) CacheStats() CacheStats {
 	}
 	return cs
 }
-
-// Stats returns the cached summary.
-func (pl *Planner) Stats() *stats.Summary { return pl.sum.Load() }
-
-// Graph returns the backend the planner evaluates against.
-func (pl *Planner) Graph() graph.Graph { return pl.g }
 
 // EvalOpts is the governed evaluation entry point with cost-based
 // planning and the plan/result caches: the planner's analogue of the
@@ -141,67 +95,210 @@ func (pl *Planner) EvalColumnar(ctx context.Context, q *Query, opt EvalOptions) 
 	return evalWith(ctx, pl.g, q, pl, opt)
 }
 
-// joinState tracks the evolving join-size estimate of a basic graph
-// pattern under construction: the current intermediate cardinality and a
-// per-variable estimate of its distinct values, so the next pattern's
-// contribution is priced as a join (|A ⋈ B| = |A|·|B| / Π max(V(A,y),
-// V(B,y)) over shared variables y) instead of by its stand-alone
-// cardinality. V(pattern, y) comes from the summary's per-predicate
-// distinct counts when the predicate is constant, and from the global
-// distinct counts otherwise.
-type joinState struct {
-	sum   *stats.Summary
-	card  float64            // estimated rows of the intermediate result
-	dv    map[string]float64 // per bound variable: estimated distinct values
-	bound map[string]bool
+// costSource prices patterns from the snapshot an evaluation pinned. The
+// estimator of Stocker et al. [41] needs two kinds of number, and the
+// sextuple layout keeps both in its vector headers: how many triples a
+// subject, predicate or object heads (Count), and how many keys a head's
+// vector holds, or how many heads an ordering has (graph.Distinct). Each
+// is read at most once per evaluation, when the cost model first asks
+// for it, so pricing a plan costs what the plan joins — on disk, a
+// prefix scan per predicate — and not a summary of the store. The first
+// read that fails fails the query.
+type costSource struct {
+	g     graph.Graph // the store behind the pinned snapshot
+	n     int         // its triples
+	reads []costRead
+	err   error
+
+	readBuf [16]costRead
 }
 
-func newJoinState(sum *stats.Summary) *joinState {
-	return &joinState{sum: sum, card: 1, dv: make(map[string]float64), bound: make(map[string]bool)}
+// costRead is one number read: the triples whose ix head is head, or,
+// with distinct, the keys under head in ix (None: the heads of ix).
+type costRead struct {
+	distinct bool
+	ix       core.Index
+	head     core.ID
+	n        float64
 }
 
-// patternConstEstimate prices p with only its constants bound.
-func patternConstEstimate(sum *stats.Summary, p *idPattern) float64 {
+// newCostSource prices from the store behind pinned, found the way the
+// fetch paths find it (graph.Unwrap), so an adapter wrapped around the
+// snapshot does not stand between the cost model and the headers.
+func newCostSource(pinned graph.Graph) *costSource {
+	g := pinned
+	switch u := graph.Unwrap(pinned).(type) {
+	case *core.Store:
+		g = graph.Memory(u)
+	case graph.Graph:
+		g = u
+	}
+	cs := &costSource{g: g, n: g.Len()}
+	cs.reads = cs.readBuf[:0]
+	return cs
+}
+
+func (cs *costSource) read(distinct bool, ix core.Index, head core.ID) float64 {
+	for _, r := range cs.reads {
+		if r.distinct == distinct && r.ix == ix && r.head == head {
+			return r.n
+		}
+	}
+	var n int
+	var err error
+	if distinct {
+		n, err = graph.Distinct(cs.g, ix, head)
+	} else {
+		var t [3]core.ID
+		t[ix/2] = head // ix/2 is the position ix is headed by
+		n, err = cs.g.Count(t[0], t[1], t[2])
+	}
+	if err != nil && cs.err == nil {
+		cs.err = err
+	}
+	cs.reads = append(cs.reads, costRead{distinct, ix, head, float64(n)})
+	return float64(n)
+}
+
+// distinct is the number of keys under head in ordering ix, at least 1:
+// a pending overlay counts its main's keys, which a new predicate has
+// none of, and on any store a head with triples has a key.
+func (cs *costSource) distinct(ix core.Index, head core.ID) float64 {
+	return max(cs.read(true, ix, head), 1)
+}
+
+// estimate returns the estimated number of triples matching the pattern
+// ⟨s,p,o⟩, None the wildcard: exact for one bound position, and under
+// the uniformity and independence assumptions of [41] for more.
+func (cs *costSource) estimate(s, p, o core.ID) float64 {
+	switch {
+	case cs.n == 0:
+		return 0
+	case p != core.None && (s != core.None || o != core.None):
+		pc, div := cs.read(false, core.PSO, p), 1.0
+		if pc == 0 {
+			return 0
+		}
+		if s != core.None {
+			div *= cs.distinct(core.PSO, p)
+		}
+		if o != core.None {
+			div *= cs.distinct(core.POS, p)
+		}
+		return min1(pc / div)
+	case s != core.None && o != core.None:
+		sc := cs.read(false, core.SPO, s)
+		if sc == 0 {
+			return 0
+		}
+		// Independence: P(subject=s) * P(object=o) * T.
+		return min1(sc * cs.read(false, core.OSP, o) / float64(cs.n))
+	case s != core.None:
+		return cs.read(false, core.SPO, s)
+	case p != core.None:
+		return cs.read(false, core.PSO, p)
+	case o != core.None:
+		return cs.read(false, core.OSP, o)
+	default:
+		return float64(cs.n)
+	}
+}
+
+// min1 floors tiny positive estimates at a small epsilon so planners can
+// still distinguish "almost certainly one row" from "zero rows".
+func min1(est float64) float64 {
+	if est > 0 && est < 1e-9 {
+		return 1e-9
+	}
+	return est
+}
+
+// constEstimate prices p with only its constants bound.
+func (cs *costSource) constEstimate(p *idPattern) float64 {
 	var ids [3]core.ID
 	for j := 0; j < 3; j++ {
 		if p.term(j).Kind == Const {
 			ids[j] = p.ids[j]
 		}
 	}
-	return sum.EstimatePattern(ids[0], ids[1], ids[2])
+	return cs.estimate(ids[0], ids[1], ids[2])
 }
 
-// varDomain estimates how many distinct values position j of p takes
-// among p's matches, capped by the pattern's own cardinality.
-func varDomain(sum *stats.Summary, p *idPattern, j int, est float64) float64 {
-	var d int
-	if p.term(1).Kind == Const { // constant predicate: per-predicate counts
-		switch j {
-		case 0:
-			d = sum.PredDistinctS[p.ids[1]]
-		case 2:
-			d = sum.PredDistinctO[p.ids[1]]
-		default:
-			d = 1
+// headedBy[j] is the ordering whose heads are position j's values.
+var headedBy = [3]core.Index{core.SPO, core.PSO, core.OSP}
+
+// domain estimates how many distinct values position j of p takes among
+// p's matches, capped by the pattern's own estimate est: the keys of
+// the predicate's vectors when it is constant, the heads of the
+// position's ordering otherwise.
+func (cs *costSource) domain(p *idPattern, j int, est float64) float64 {
+	var d float64
+	switch {
+	case p.term(1).Kind != Const:
+		d = cs.read(true, headedBy[j], core.None)
+	case j == 0:
+		d = cs.read(true, core.PSO, p.ids[1])
+	case j == 2:
+		d = cs.read(true, core.POS, p.ids[1])
+	default:
+		d = 1
+	}
+	if est > 0 && d > est {
+		d = est
+	}
+	return max(d, 1)
+}
+
+// joinState tracks the evolving join-size estimate of a basic graph
+// pattern under construction: the current intermediate cardinality and a
+// per-variable estimate of its distinct values, so the next pattern's
+// contribution is priced as a join (|A ⋈ B| = |A|·|B| / Π max(V(A,y),
+// V(B,y)) over shared variables y) instead of by its stand-alone
+// cardinality. A variable's estimate is read only once a join on it is
+// priced (domainOf).
+type joinState struct {
+	cs   *costSource
+	card float64      // estimated rows of the intermediate result
+	vars []boundVar   // the variables bound so far
+	done []*idPattern // the patterns joined so far
+
+	varBuf  [8]boundVar
+	doneBuf [8]*idPattern
+}
+
+// boundVar is a bound variable and the least of the cardinalities the
+// join has had since it was bound.
+type boundVar struct {
+	name string
+	lo   float64
+}
+
+func newJoinState(cs *costSource) *joinState {
+	js := &joinState{cs: cs, card: 1}
+	js.vars, js.done = js.varBuf[:0], js.doneBuf[:0]
+	return js
+}
+
+// varIndex returns the index of name in vars, or -1 when it is unbound.
+func (js *joinState) varIndex(name string) int {
+	return slices.IndexFunc(js.vars, func(v boundVar) bool { return v.name == name })
+}
+
+func (js *joinState) bound(name string) bool { return js.varIndex(name) >= 0 }
+
+// domainOf returns bound variable v's distinct-value estimate: joins
+// only narrow a variable's domain, so the least of lo and the domains of
+// its positions in the patterns joined so far.
+func (js *joinState) domainOf(v int) float64 {
+	d := js.vars[v].lo
+	for _, p := range js.done {
+		for j := 0; j < 3; j++ {
+			if t := p.term(j); t.Kind == Var && t.Name == js.vars[v].name {
+				d = min(d, js.cs.domain(p, j, js.cs.constEstimate(p)))
+			}
 		}
-	} else {
-		switch j {
-		case 0:
-			d = sum.DistinctS
-		case 1:
-			d = sum.DistinctP
-		default:
-			d = sum.DistinctO
-		}
 	}
-	v := float64(d)
-	if est > 0 && v > est {
-		v = est
-	}
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return d
 }
 
 // cost returns the estimated cardinality of the intermediate result
@@ -209,7 +306,7 @@ func varDomain(sum *stats.Summary, p *idPattern, j int, est float64) float64 {
 // estimate, divided per shared variable by the larger of the two sides'
 // distinct-value estimates.
 func (js *joinState) cost(p *idPattern) float64 {
-	est := patternConstEstimate(js.sum, p)
+	est := js.cs.constEstimate(p)
 	if est <= 0 {
 		return 0
 	}
@@ -217,17 +314,15 @@ func (js *joinState) cost(p *idPattern) float64 {
 	seen := [3]string{}
 	for j := 0; j < 3; j++ {
 		t := p.term(j)
-		if t.Kind != Var || !js.bound[t.Name] {
+		if t.Kind != Var {
 			continue
 		}
-		if t.Name == seen[0] || t.Name == seen[1] {
-			continue // same variable twice in one pattern: one join key
+		v := js.varIndex(t.Name)
+		if v < 0 || t.Name == seen[0] || t.Name == seen[1] {
+			continue // unbound, or the same variable twice in one pattern: one join key
 		}
 		seen[j] = t.Name
-		vp := varDomain(js.sum, p, j, est)
-		if va := js.dv[t.Name]; va > vp {
-			vp = va
-		}
+		vp := max(js.cs.domain(p, j, est), js.domainOf(v))
 		if vp > 1 {
 			out /= vp
 		}
@@ -236,31 +331,19 @@ func (js *joinState) cost(p *idPattern) float64 {
 }
 
 // advance commits p to the join: the cardinality becomes cost(p), every
-// variable of p becomes bound, and distinct-value estimates are updated
-// — joins only narrow a variable's domain (min), and no variable can
-// have more distinct values than the intermediate result has rows.
+// variable of p becomes bound, and no variable can have more distinct
+// values than the intermediate result has rows.
 func (js *joinState) advance(p *idPattern) {
-	nc := js.cost(p)
-	est := patternConstEstimate(js.sum, p)
+	nc := max(js.cost(p), 1e-9) // keep downstream estimates finite and ordered
 	for j := 0; j < 3; j++ {
-		t := p.term(j)
-		if t.Kind != Var {
-			continue
+		if t := p.term(j); t.Kind == Var && !js.bound(t.Name) {
+			js.vars = append(js.vars, boundVar{name: t.Name, lo: math.Inf(1)})
 		}
-		vp := varDomain(js.sum, p, j, est)
-		if cur, ok := js.dv[t.Name]; !ok || vp < cur {
-			js.dv[t.Name] = vp
-		}
-		js.bound[t.Name] = true
 	}
-	if nc < 1e-9 {
-		nc = 1e-9 // keep downstream estimates finite and ordered
-	}
+	js.done = append(js.done, p)
 	js.card = nc
-	for v, d := range js.dv {
-		if d > nc {
-			js.dv[v] = nc
-		}
+	for i := range js.vars {
+		js.vars[i].lo = min(js.vars[i].lo, nc)
 	}
 }
 
@@ -274,7 +357,7 @@ func (js *joinState) filterHint(p *idPattern) stepHint {
 	for j := 0; j < 3; j++ {
 		if t := p.term(j); t.Kind == Var {
 			distinctVars[t.Name] = true
-			if !js.bound[t.Name] {
+			if !js.bound(t.Name) {
 				newVar = true
 			}
 		}
@@ -282,35 +365,35 @@ func (js *joinState) filterHint(p *idPattern) stepHint {
 	if newVar || len(distinctVars) != 1 {
 		return hintNone
 	}
-	if est := patternConstEstimate(js.sum, p); est > probeHintFactor*js.card {
+	if est := js.cs.constEstimate(p); est > probeHintFactor*js.card {
 		return hintProbe
 	}
 	return hintMerge
 }
-
-// noStats is the summary the package-level entry points plan over:
-// empty, so planOrderJoin orders by connectivity and bound positions.
-var noStats = &stats.Summary{}
 
 // planOrderJoin orders the patterns of one branch by estimated join
 // size: at every step it picks, among the patterns connected to the
 // already-bound variables (to avoid Cartesian products), the one whose
 // join with the current intermediate result is estimated smallest; equal
 // estimates go to the pattern with more positions bound (constants and
-// bound variables), then to the earlier one in the text. Over an empty
-// summary every estimate is zero, so the order is connected and
-// most-bound-first. It returns the order and the per-step access-path
-// hints — the two things the plan cache memoizes per shape.
-func planOrderJoin(sum *stats.Summary, pats []idPattern) ([]int, []stepHint) {
+// bound variables), then to the earlier one in the text. It returns the
+// order and the per-step access-path hints — the two things the plan
+// cache memoizes per shape — or the error of a count it could not read.
+// A one-pattern branch has one order and no filter step, so it reads
+// nothing.
+func planOrderJoin(cs *costSource, pats []idPattern) ([]int, []stepHint, error) {
 	n := len(pats)
+	if n == 1 {
+		return []int{0}, []stepHint{hintNone}, nil
+	}
 	chosen := make([]int, 0, n)
 	hints := make([]stepHint, 0, n)
 	used := make([]bool, n)
-	js := newJoinState(sum)
+	js := newJoinState(cs)
 
 	sharesBoundVar := func(p *idPattern) bool {
 		for _, v := range p.pat.Vars() {
-			if js.bound[v] {
+			if js.bound(v) {
 				return true
 			}
 		}
@@ -319,7 +402,7 @@ func planOrderJoin(sum *stats.Summary, pats []idPattern) ([]int, []stepHint) {
 	boundPositions := func(p *idPattern) int {
 		nb := 0
 		for j := 0; j < 3; j++ {
-			if t := p.term(j); t.Kind == Const || js.bound[t.Name] {
+			if t := p.term(j); t.Kind == Const || js.bound(t.Name) {
 				nb++
 			}
 		}
@@ -334,7 +417,7 @@ func planOrderJoin(sum *stats.Summary, pats []idPattern) ([]int, []stepHint) {
 			if used[i] {
 				continue
 			}
-			connected := len(js.bound) == 0 || sharesBoundVar(&pats[i])
+			connected := len(js.vars) == 0 || sharesBoundVar(&pats[i])
 			c := js.cost(&pats[i])
 			nb := boundPositions(&pats[i])
 			better := false
@@ -357,5 +440,5 @@ func planOrderJoin(sum *stats.Summary, pats []idPattern) ([]int, []stepHint) {
 		hints = append(hints, js.filterHint(&pats[best]))
 		js.advance(&pats[best])
 	}
-	return chosen, hints
+	return chosen, hints, cs.err
 }

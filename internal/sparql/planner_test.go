@@ -9,11 +9,12 @@ import (
 
 	"hexastore/internal/core"
 	"hexastore/internal/delta"
+	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/lubm"
 	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
-	"hexastore/internal/stats"
+	"hexastore/internal/triplestore"
 )
 
 // skewedStore builds a dataset where the cost-based planner's choice
@@ -82,10 +83,6 @@ func TestPlannerResultsMatchDefaultEval(t *testing.T) {
 
 func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 	st := skewedStore(t)
-	sum, err := stats.BuildGraph(st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dict := st.Dictionary()
 	commonID, _ := dict.Lookup(rdf.NewIRI("common"))
 	rareID, _ := dict.Lookup(rdf.NewIRI("rare"))
@@ -97,7 +94,10 @@ func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 	pats[0].ids[1] = commonID
 	pats[1].ids[1] = rareID
 
-	order, _ := planOrderJoin(sum, pats)
+	order, _, err := planOrderJoin(newCostSource(st), pats)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if order[0] != 1 {
 		t.Fatalf("planner ordered common predicate first: order = %v", order)
 	}
@@ -105,10 +105,6 @@ func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 
 func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 	st := skewedStore(t)
-	sum, err := stats.BuildGraph(st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dict := st.Dictionary()
 	rareID, _ := dict.Lookup(rdf.NewIRI("rare"))
 	commonID, _ := dict.Lookup(rdf.NewIRI("common"))
@@ -126,7 +122,10 @@ func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 	pats[1].ids[1] = rareID
 	pats[2].ids[1] = commonID
 
-	order, _ := planOrderJoin(sum, pats)
+	order, _, err := planOrderJoin(newCostSource(st), pats)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if order[0] == 1 {
 		// Both rare patterns are equivalent starts; fine either way.
 		t.Skip("planner started with the disconnected twin; acceptable")
@@ -136,38 +135,21 @@ func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 	}
 }
 
-func TestPlannerRefresh(t *testing.T) {
-	stb := core.NewBuilder(nil)
-	stb.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("p"), rdf.NewIRI("b")))
-	ov, err := delta.New(graph.Memory(stb.Build()), delta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := NewPlanner(ov)
-	if pl.Stats().Triples != 1 {
-		t.Fatalf("Triples = %d, want 1", pl.Stats().Triples)
-	}
-	if _, err := graph.AddTriple(ov, rdf.T(rdf.NewIRI("c"), rdf.NewIRI("p"), rdf.NewIRI("d"))); err != nil {
-		t.Fatal(err)
-	}
-	pl.Refresh()
-	if pl.Stats().Triples != 2 {
-		t.Fatalf("after Refresh Triples = %d, want 2", pl.Stats().Triples)
-	}
-}
-
-// TestPlannerRefreshIfDrifted holds the one refresh rule the server and
-// the facade share: refresh once the store has moved by a tenth of the
-// summary's count, and never for a store that did not move.
-func TestPlannerRefreshIfDrifted(t *testing.T) {
+// TestPlanCacheReplansAfterDrift holds the plan cache's one staleness
+// rule: a memoized plan is planned again once the store has moved by a
+// tenth of the count it was priced at, and never for a store that did
+// not move.
+func TestPlanCacheReplansAfterDrift(t *testing.T) {
 	triple := func(i int) rdf.Triple {
 		return rdf.T(rdf.NewIRI(fmt.Sprintf("s%d", i)), rdf.NewIRI("p"), rdf.NewIRI("o"))
 	}
+	// Two patterns and no constant, so even the empty store plans it.
+	const src = `SELECT ?s WHERE { ?s ?p ?o . ?o ?q ?r }`
 	for _, c := range []struct {
 		name        string
-		built       int  // triples the summary is built on
+		built       int  // triples the plan is priced at
 		add, remove int  // then written
-		want        bool // whether the summary is rebuilt
+		want        bool // whether the plan is made again
 	}{
 		{"unchanged", 100, 0, 0, false},
 		{"9% added", 100, 9, 0, false},
@@ -186,6 +168,9 @@ func TestPlannerRefreshIfDrifted(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := NewPlanner(ov)
+		if _, err := plannerExec(pl, src); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < c.add; i++ {
 			if _, err := graph.AddTriple(ov, triple(c.built+i)); err != nil {
 				t.Fatal(err)
@@ -196,14 +181,42 @@ func TestPlannerRefreshIfDrifted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		epoch := pl.CacheStats().StatsEpoch
-		pl.RefreshIfDrifted()
-		if refreshed := pl.CacheStats().StatsEpoch != epoch; refreshed != c.want {
-			t.Errorf("%s: refreshed = %v, want %v", c.name, refreshed, c.want)
+		if _, err := plannerExec(pl, src); err != nil {
+			t.Fatal(err)
 		}
-		if want := c.built + c.add - c.remove; c.want && pl.Stats().Triples != want {
-			t.Errorf("%s: refreshed summary holds %d triples, want %d", c.name, pl.Stats().Triples, want)
+		cs := pl.CacheStats()
+		if replanned := cs.PlanMisses == 2; replanned != c.want || cs.PlanHits+cs.PlanMisses != 2 {
+			t.Errorf("%s: %d hits, %d misses; want replanned = %v", c.name, cs.PlanHits, cs.PlanMisses, c.want)
 		}
+	}
+}
+
+// TestPlannerPricesPendingDelta checks that a pending overlay is priced
+// on what it holds now: a predicate written after NewPlanner, which
+// only the delta has, counts at once, so the rare predicate that was
+// there from the start still goes first.
+func TestPlannerPricesPendingDelta(t *testing.T) {
+	stb := core.NewBuilder(nil)
+	for i := 0; i < 20; i++ {
+		stb.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("s%d", i)), rdf.NewIRI("rare"), rdf.NewLiteral("x")))
+	}
+	ov, err := delta.New(graph.Memory(stb.Build()), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(ov)
+	for i := 0; i < 500; i++ {
+		if _, err := graph.AddTriple(ov, rdf.T(rdf.NewIRI(fmt.Sprintf("s%d", i%100)), rdf.NewIRI("common"), rdf.NewIRI(fmt.Sprintf("o%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ds := ov.Stats(); ds.DeltaAdds == 0 {
+		t.Fatal("the writes were compacted away; the test needs them pending")
+	}
+	order := planOrder(t, `SELECT ?s ?o WHERE { ?s <common> ?o . ?s <rare> ?z }`,
+		func(q *Query, opt EvalOptions) (*Result, error) { return pl.EvalOpts(context.Background(), q, opt) })
+	if !strings.Contains(order[0], "<rare>") {
+		t.Errorf("plan starts from %q, want the <rare> pattern (order %q)", order[0], order)
 	}
 }
 
@@ -233,11 +246,11 @@ const restrictedChain = `SELECT ?student ?course WHERE {
 	?student <lubm:advisor> ?prof .
 	?prof <lubm:teacherOf> ?course }`
 
-// planOrderOf runs EXPLAIN on q through eval and returns the plan span's
-// pattern order and the trace.
-func planOrderOf(t *testing.T, eval func(*Query, EvalOptions) (*Result, error)) ([]string, *obs.Trace) {
+// planOrder runs EXPLAIN on src through eval and returns the plan
+// span's pattern order and the trace.
+func planOrderTrace(t *testing.T, src string, eval func(*Query, EvalOptions) (*Result, error)) ([]string, *obs.Trace) {
 	t.Helper()
-	q, err := Parse(restrictedChain)
+	q, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,50 +271,113 @@ func planOrderOf(t *testing.T, eval func(*Query, EvalOptions) (*Result, error)) 
 	return strings.Split(fmt.Sprint(order), " ; "), tr
 }
 
-// TestNoStatsStartsMostBound checks the statistics-free plan: without a
-// summary, and with an empty one, every estimate ties, so the order is
-// connected and most-bound-first — it starts from the two-constant
-// pattern, not from the first pattern in the text.
-func TestNoStatsStartsMostBound(t *testing.T) {
-	b := core.NewBuilder(nil)
+// planOrder is planOrderTrace without the trace.
+func planOrder(t *testing.T, src string, eval func(*Query, EvalOptions) (*Result, error)) []string {
+	t.Helper()
+	order, _ := planOrderTrace(t, src, eval)
+	return order
+}
+
+// TestPlansStartMostSelective checks the restricted chain's plan on
+// every way of pricing it: the package-level entry point and a Planner
+// read the same counts, and a backend that cannot count distinct keys
+// (the flat baseline) prices with their upper bounds. Each starts from
+// the two-constant pattern, written second, and every step carries a
+// priced estimate.
+func TestPlansStartMostSelective(t *testing.T) {
+	var ts []rdf.Triple
 	lubm.Config{Universities: 2, Seed: 1, DeptsPerUniv: 3, UndergradPerDept: 10, GradPerDept: 5}.Generate(func(tr rdf.Triple) bool {
-		b.AddTriple(tr)
+		ts = append(ts, tr)
 		return true
 	})
-	g := graph.Memory(b.Build())
+	mem, base := buildMemory(ts), buildBaseline(ts)
 	want := []string{"subOrganizationOf", "memberOf", "advisor", "teacherOf"}
-	check := func(name string, order []string) {
-		t.Helper()
+	pl := NewPlanner(mem)
+	for _, c := range []struct {
+		name string
+		eval func(*Query, EvalOptions) (*Result, error)
+	}{
+		{"EvalOpts", func(q *Query, opt EvalOptions) (*Result, error) { return EvalOpts(context.Background(), mem, q, opt) }},
+		{"Planner", func(q *Query, opt EvalOptions) (*Result, error) { return pl.EvalOpts(context.Background(), q, opt) }},
+		{"baseline", func(q *Query, opt EvalOptions) (*Result, error) { return EvalOpts(context.Background(), base, q, opt) }},
+	} {
+		order, tr := planOrderTrace(t, restrictedChain, c.eval)
 		if len(order) != len(want) {
-			t.Fatalf("%s: order %q, want %d steps", name, order, len(want))
+			t.Fatalf("%s: order %q, want %d steps", c.name, order, len(want))
 		}
 		for i, p := range want {
 			if !strings.Contains(order[i], "<lubm:"+p+">") {
-				t.Errorf("%s: step %d is %q, want the %s pattern (order %q)", name, i+1, order[i], p, order)
+				t.Errorf("%s: step %d is %q, want the %s pattern (order %q)", c.name, i+1, order[i], p, order)
+			}
+		}
+		for _, sp := range findSpans(tr, "step[") {
+			if est := attrInt(t, sp, "estRows"); est < 0 {
+				t.Errorf("%s %s: estRows = %d, want a priced estimate", c.name, sp.Name(), est)
 			}
 		}
 	}
+}
 
-	order, tr := planOrderOf(t, func(q *Query, opt EvalOptions) (*Result, error) {
-		return EvalOpts(context.Background(), g, q, opt)
-	})
-	check("EvalOpts", order)
-	if v, _ := findSpans(tr, "plan")[0].Attr("stats"); v != "none" {
-		t.Errorf("EvalOpts plan stats = %v, want none", v)
+// TestEntryPointsAgreeOnOrder checks that the package-level entry point
+// and a Planner choose the same order, the rare pattern first, on a
+// memory store, a pending overlay and disk — also when both patterns
+// bind only their predicate, where text order alone would start from
+// the 30,000-row pattern.
+func TestEntryPointsAgreeOnOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var ts []rdf.Triple
+	for i := 0; i < 30_000; i++ {
+		ts = append(ts, rdf.T(rdf.NewIRI(fmt.Sprintf("s%d", rng.Intn(3000))), rdf.NewIRI("common"), rdf.NewIRI(fmt.Sprintf("o%d", rng.Intn(3000)))))
 	}
-	for _, sp := range findSpans(tr, "step[") {
-		if est := attrInt(t, sp, "estRows"); est != -1 {
-			t.Errorf("EvalOpts %s: estRows = %d, want -1 without statistics", sp.Name(), est)
+	for i := 0; i < 30; i++ {
+		ts = append(ts, rdf.T(rdf.NewIRI(fmt.Sprintf("s%d", i)), rdf.NewIRI("rare"), rdf.NewLiteral("x")))
+	}
+	pending := liveMemory(t, buildMemory(ts[1:]))
+	if _, err := graph.AddTriple(pending, ts[0]); err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]graph.Graph{"memory": buildMemory(ts), "pending overlay": pending, "disk": buildDisk(t, ts)}
+	for name, g := range backends {
+		pl := NewPlanner(g)
+		for _, src := range []string{
+			`SELECT ?s ?o WHERE { ?s <common> ?o . ?s <rare> "x" }`,
+			`SELECT ?s ?o WHERE { ?s <common> ?o . ?s <rare> ?z }`,
+		} {
+			pkg := planOrder(t, src, func(q *Query, opt EvalOptions) (*Result, error) { return EvalOpts(context.Background(), g, q, opt) })
+			planned := planOrder(t, src, func(q *Query, opt EvalOptions) (*Result, error) { return pl.EvalOpts(context.Background(), q, opt) })
+			if fmt.Sprint(pkg) != fmt.Sprint(planned) {
+				t.Errorf("%s %s: EvalOpts order %q, Planner order %q", name, src, pkg, planned)
+			}
+			if !strings.Contains(pkg[0], "<rare>") {
+				t.Errorf("%s %s: plan starts from %q, want the <rare> pattern", name, src, pkg[0])
+			}
 		}
 	}
+}
 
-	pl := NewPlanner(g)
-	pl.sum.Store(&stats.Summary{})
-	order, tr = planOrderOf(t, func(q *Query, opt EvalOptions) (*Result, error) {
-		return pl.EvalOpts(context.Background(), q, opt)
-	})
-	check("empty-summary Planner", order)
-	if v, _ := findSpans(tr, "plan")[0].Attr("stats"); v != "summary" {
-		t.Errorf("Planner plan stats = %v, want summary", v)
+// buildDisk bulk-loads ts into a new disk store.
+func buildDisk(t testing.TB, ts []rdf.Triple) graph.Graph {
+	t.Helper()
+	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 256})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { ds.Close() })
+	ids := make([][3]core.ID, len(ts))
+	for i, tr := range ts {
+		ids[i][0], ids[i][1], ids[i][2] = ds.Dictionary().EncodeTriple(tr)
+	}
+	if err := ds.BulkLoad(ids); err != nil {
+		t.Fatal(err)
+	}
+	return graph.Disk(ds)
+}
+
+// buildBaseline loads ts into the flat triples table.
+func buildBaseline(ts []rdf.Triple) graph.Graph {
+	g := graph.Baseline(triplestore.New(nil))
+	for _, tr := range ts {
+		graph.AddTriple(g, tr)
+	}
+	return g
 }

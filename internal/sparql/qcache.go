@@ -46,12 +46,14 @@ const (
 // row).
 const probeHintFactor = 8
 
-// planEntry is one memoized plan: the join order and access-path hints
-// of every union branch of a shape, valid for one statistics epoch.
+// planEntry is one memoized plan: the join order, access-path hints and
+// per-step estimates of every union branch of a shape, and the triple
+// count they were priced at.
 type planEntry struct {
-	epoch   uint64
+	priced  int
 	orders  [][]int
 	hints   [][]stepHint
+	ests    [][]float64
 	numPats []int // per-branch pattern count, guards against collisions
 }
 
@@ -88,44 +90,47 @@ func (c *planCache) pushFront(n *planNode) {
 	c.root.next = n
 }
 
-// get returns the memoized order and hints for one branch of shape, or
-// ok=false when absent, built under a different statistics epoch, or
-// structurally incompatible (defensive: a shape collision cannot happen
-// with the canonical walk, but a wrong plan must never be applied).
-func (c *planCache) get(shape string, branch, numPats int, epoch uint64) (order []int, hints []stepHint, ok bool) {
+// get returns the memoized order, hints and estimates for one branch of
+// shape, or ok=false when absent, structurally incompatible (defensive:
+// a shape collision cannot happen with the canonical walk, but a wrong
+// plan must never be applied), or priced at a count the snapshot's size
+// has moved from by a tenth or more. Stale counts only degrade join
+// ordering, never correctness, so a plan survives smaller drift; any
+// change to an empty store's size counts.
+func (c *planCache) get(shape string, branch, numPats, size int) (order []int, hints []stepHint, ests []float64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, found := c.items[shape]
 	if !found {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	e := &n.entry
-	if e.epoch != epoch {
-		// Stale statistics: drop the whole shape, the caller replans.
+	if d := size - e.priced; d != 0 && 10*max(d, -d) >= e.priced {
+		// Priced on a store that is no more: drop the whole shape, the
+		// caller replans.
 		c.unlink(n)
 		delete(c.items, shape)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	if branch >= len(e.orders) || e.orders[branch] == nil || e.numPats[branch] != numPats {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	c.unlink(n)
 	c.pushFront(n)
-	return e.orders[branch], e.hints[branch], true
+	return e.orders[branch], e.hints[branch], e.ests[branch], true
 }
 
-// put memoizes the plan of one branch of shape under epoch.
-func (c *planCache) put(shape string, branch, numPats int, epoch uint64, order []int, hints []stepHint) {
+// put memoizes the plan of one branch of shape, priced at size triples
+// (or, for a later branch of a shape already held, at the count its
+// first branch was priced at, which get kept).
+func (c *planCache) put(shape string, branch, numPats, size int, order []int, hints []stepHint, ests []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, found := c.items[shape]
 	if found {
-		if n.entry.epoch != epoch {
-			n.entry = planEntry{epoch: epoch}
-		}
 		c.unlink(n)
 	} else {
-		n = &planNode{key: shape, entry: planEntry{epoch: epoch}}
+		n = &planNode{key: shape, entry: planEntry{priced: size}}
 		c.items[shape] = n
 	}
 	c.pushFront(n)
@@ -139,10 +144,12 @@ func (c *planCache) put(shape string, branch, numPats int, epoch uint64, order [
 	for branch >= len(e.orders) {
 		e.orders = append(e.orders, nil)
 		e.hints = append(e.hints, nil)
+		e.ests = append(e.ests, nil)
 		e.numPats = append(e.numPats, 0)
 	}
 	e.orders[branch] = order
 	e.hints[branch] = hints
+	e.ests[branch] = ests
 	e.numPats[branch] = numPats
 }
 
@@ -556,7 +563,6 @@ type CacheStats struct {
 	PlanHits      uint64
 	PlanMisses    uint64
 	PlanEvictions uint64
-	StatsEpoch    uint64
 
 	ResultEnabled   bool
 	ResultEntries   int

@@ -165,32 +165,33 @@ func TestResultKeyOutputNames(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUAndEpoch: capacity eviction and stats-epoch
-// invalidation.
+// TestPlanCacheLRUAndEpoch: capacity eviction, and invalidation once
+// the store has drifted by a tenth from the count a plan was priced at.
 func TestPlanCacheLRUAndEpoch(t *testing.T) {
 	c := newPlanCache(2)
-	c.put("s1", 0, 2, 7, []int{1, 0}, []stepHint{hintNone, hintMerge})
-	c.put("s2", 0, 1, 7, []int{0}, []stepHint{hintNone})
-	if order, hints, ok := c.get("s1", 0, 2, 7); !ok || len(order) != 2 || hints[1] != hintMerge {
-		t.Fatalf("get s1 = %v %v %v", order, hints, ok)
+	c.put("s1", 0, 2, 70, []int{1, 0}, []stepHint{hintNone, hintMerge}, []float64{3, 1})
+	c.put("s2", 0, 1, 70, []int{0}, []stepHint{hintNone}, []float64{5})
+	if order, hints, ests, ok := c.get("s1", 0, 2, 76); !ok || len(order) != 2 || hints[1] != hintMerge || ests[0] != 3 {
+		t.Fatalf("get s1 = %v %v %v %v", order, hints, ests, ok)
 	}
 	// s2 is now least-recent; inserting s3 evicts it.
-	c.put("s3", 0, 1, 7, []int{0}, []stepHint{hintNone})
-	if _, _, ok := c.get("s2", 0, 1, 7); ok {
+	c.put("s3", 0, 1, 70, []int{0}, []stepHint{hintNone}, []float64{5})
+	if _, _, _, ok := c.get("s2", 0, 1, 70); ok {
 		t.Fatal("s2 survived past capacity")
 	}
 	if entries, capacity, evictions := c.snapshot(); entries != 2 || capacity != 2 || evictions != 1 {
 		t.Fatalf("snapshot = %d/%d evictions %d", entries, capacity, evictions)
 	}
-	// A stale statistics epoch refuses (and drops) the entry.
-	if _, _, ok := c.get("s1", 0, 2, 8); ok {
-		t.Fatal("stale epoch served")
+	// A store a tenth larger than the priced count refuses (and drops)
+	// the entry.
+	if _, _, _, ok := c.get("s1", 0, 2, 77); ok {
+		t.Fatal("drifted plan served")
 	}
-	if _, _, ok := c.get("s1", 0, 2, 7); ok {
-		t.Fatal("stale entry not dropped")
+	if _, _, _, ok := c.get("s1", 0, 2, 70); ok {
+		t.Fatal("drifted entry not dropped")
 	}
 	// Wrong pattern count (defensive collision guard) refuses.
-	if _, _, ok := c.get("s3", 0, 2, 7); ok {
+	if _, _, _, ok := c.get("s3", 0, 2, 70); ok {
 		t.Fatal("mismatched pattern count served")
 	}
 }

@@ -15,9 +15,9 @@ import (
 // sitting at the same syntactic positions. The shape walk renames
 // variables to ?0, ?1, … in first-occurrence order and replaces every
 // constant with a positional placeholder $0, $1, …, returning the
-// extracted constants alongside the key. The join order of a basic graph
-// pattern depends only on the shape (plus the statistics epoch), so one
-// memoized plan serves every parameterization; the extracted constants
+// extracted constants alongside the key. The plan cache memoizes one join
+// order per shape, priced with the constants of the query that missed,
+// so one memoized plan serves every parameterization; the extracted constants
 // re-enter the key only at the result-cache layer, where answers do
 // depend on them.
 //
