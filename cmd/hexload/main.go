@@ -27,8 +27,8 @@ func main() {
 		turtle   = flag.Bool("turtle", false, "parse the input file as Turtle instead of N-Triples")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0),
 			"goroutines for the load pipeline (parse, dictionary encoding, index build); "+
-				"1 = sequential, which also makes -snapshot output byte-reproducible "+
-				"(parallel encoding assigns dictionary ids in arrival order)")
+				"1 = sequential. Ids and the built store, -snapshot output included, "+
+				"are the same for every worker count")
 	)
 	flag.Parse()
 

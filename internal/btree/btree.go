@@ -1021,16 +1021,26 @@ func (t *Tree) ScanPrefix2(a, b uint64, fn func(Key) bool) error {
 // layer. It returns an error if keys are not strictly increasing or the
 // tree is not empty.
 func (t *Tree) BulkBuild(keys []Key) error {
+	return t.BulkBuildFunc(len(keys), func(i int) Key { return keys[i] })
+}
+
+// BulkBuildFunc is BulkBuild over the n keys key(0), ..., key(n-1), so
+// that a caller can derive each key as the build takes it rather than
+// hold them all in an array. key may be called more than once per index.
+func (t *Tree) BulkBuildFunc(n int, key func(i int) Key) error {
 	if t.root != pagefile.NilPage {
 		return fmt.Errorf("btree: BulkBuild on non-empty tree")
 	}
-	for i := 1; i < len(keys); i++ {
-		if Compare(keys[i-1], keys[i]) >= 0 {
+	if n == 0 {
+		return nil
+	}
+	prev := key(0)
+	for i := 1; i < n; i++ {
+		k := key(i)
+		if Compare(prev, k) >= 0 {
 			return fmt.Errorf("btree: BulkBuild keys not strictly increasing at %d", i)
 		}
-	}
-	if len(keys) == 0 {
-		return nil
+		prev = k
 	}
 
 	type nodeRef struct {
@@ -1041,8 +1051,9 @@ func (t *Tree) BulkBuild(keys []Key) error {
 	var level []nodeRef
 	var prevLeaf *pagefile.Page
 
-	// flushLeaf writes one leaf page holding keys[start:end]: as the
-	// compressed leaf enc holds, or raw when enc is nil.
+	// flushLeaf writes one leaf page holding key(start), ...,
+	// key(end-1): as the compressed leaf enc holds, or raw when enc is
+	// nil.
 	flushLeaf := func(start, end int, enc *leafEncoder) error {
 		p, err := t.pf.Allocate()
 		if err != nil {
@@ -1053,8 +1064,8 @@ func (t *Tree) BulkBuild(keys []Key) error {
 			writeCompLeaf(d, enc)
 		} else {
 			d[0] = tagLeaf
-			for i, k := range keys[start:end] {
-				putKeyAt(d, leafKeysOff, i, k)
+			for i := start; i < end; i++ {
+				putKeyAt(d, leafKeysOff, i-start, key(i))
 			}
 			setNodeCount(d, end-start)
 		}
@@ -1065,7 +1076,7 @@ func (t *Tree) BulkBuild(keys []Key) error {
 			t.pf.Release(prevLeaf)
 		}
 		prevLeaf = p
-		level = append(level, nodeRef{id: p.ID(), min: keys[start]})
+		level = append(level, nodeRef{id: p.ID(), min: key(start)})
 		return nil
 	}
 
@@ -1081,7 +1092,8 @@ func (t *Tree) BulkBuild(keys []Key) error {
 		enc := &t.enc
 		enc.reset()
 		start := 0
-		for i, k := range keys {
+		for i := 0; i < n; i++ {
+			k := key(i)
 			before := *enc
 			enc.add(k)
 			if i > start && (enc.plain > byteTarget || enc.size() > compLeafCap) {
@@ -1094,7 +1106,7 @@ func (t *Tree) BulkBuild(keys []Key) error {
 				enc.add(k)
 			}
 		}
-		if err := flushLeaf(start, len(keys), enc); err != nil {
+		if err := flushLeaf(start, n, enc); err != nil {
 			return err
 		}
 	} else {
@@ -1104,11 +1116,8 @@ func (t *Tree) BulkBuild(keys []Key) error {
 		if target < 1 {
 			target = 1
 		}
-		for start := 0; start < len(keys); start += target {
-			end := start + target
-			if end > len(keys) {
-				end = len(keys)
-			}
+		for start := 0; start < n; start += target {
+			end := min(start+target, n)
 			if err := flushLeaf(start, end, nil); err != nil {
 				return err
 			}
@@ -1161,7 +1170,7 @@ func (t *Tree) BulkBuild(keys []Key) error {
 		level = next
 	}
 	t.setRoot(level[0].id)
-	t.setCount(uint64(len(keys)))
+	t.setCount(uint64(n))
 	return nil
 }
 

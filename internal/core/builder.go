@@ -83,9 +83,9 @@ func (b *Builder) Build() *Store {
 	return buildFrom(b.dict, ts, 1)
 }
 
-// BuildParallel constructs the store using up to workers goroutines
-// (workers <= 0 means runtime.GOMAXPROCS(0); 1 runs the sequential
-// passes). It consumes the recorded triples — the sort works in the
+// BuildParallel constructs the store, spreading the work over workers
+// goroutines (workers <= 0 means runtime.GOMAXPROCS(0); 1 runs the
+// sequential passes). It consumes the recorded triples — the sort works in the
 // builder's buffer rather than a copy of it — and the builder must not be
 // reused for another Build afterwards (Add starts a fresh load).
 //
@@ -98,50 +98,96 @@ func (b *Builder) BuildParallel(workers int) *Store {
 	return buildFrom(b.dict, ts, workers)
 }
 
-// buildFrom sorts, dedupes and packs ts, which it owns, into a new store,
-// using up to workers goroutines. Dictionary ids are dense, so every
-// ordering is sorted by stable counting passes over one column: (s,p,o)
-// by three least-significant-digit passes — o, then p, then s — and each
-// other ordering by one pass over an ordering that already sorts its
-// last two columns. The six orderings are total orders over the deduped
-// triples, so what is built is the same for every worker count.
+// buildFrom sorts, dedupes and packs ts, which it owns, into a new store.
+// The packing of an ordering, and the merges of the arenas, each run on
+// up to workers goroutines, beside the sort's (see SortOrderings). What
+// is built is the same for every worker count.
 func buildFrom(dict *dictionary.Dictionary, ts [][3]ID, workers int) *Store {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	st := NewShared(dict)
+	// Each ordering's runs are packed as it arrives. The two orderings of
+	// a head position arrive one after the other, and meet in its arena
+	// while the next orderings are packed.
+	var runs [6]packedRun
+	l := newLanes(workers)
+	SortOrderings(ts, workers, func(ix Index, sorted [][3]ID) {
+		runs[ix] = packOrdering(sorted, ix, workers)
+		st.size = len(sorted)
+		if ix%2 == 1 { // both orderings of head position ix/2 are packed
+			i := ix / 2
+			l.do(func() { st.arenas[i] = records(runs[2*i], runs[2*i+1]) })
+		}
+	})
+	l.wait()
+	return st
+}
+
+// columns lists each ordering's triple columns, most significant first.
+var columns = [6][3]int{SPO: {0, 1, 2}, SOP: {0, 2, 1}, PSO: {1, 0, 2}, POS: {1, 2, 0}, OSP: {2, 0, 1}, OPS: {2, 1, 0}}
+
+// SortOrderings sorts ts, which it consumes, into the six orderings and
+// hands each to fn: in AllIndexes order, one call at a time, on the
+// calling goroutine. Each is the deduped triples without a None, sorted
+// by the ordering's columns and still in (s, p, o) form, and it is fn's
+// only until fn returns: its array is then reused for a later ordering.
+//
+// Dictionary ids are dense, so every ordering is sorted by stable
+// counting passes over one column: SPO by three least-significant-digit
+// passes — o, then p, then s — and each other ordering by one pass over
+// an ordering that already sorts its last two columns: PSO and OSP from
+// SPO, SOP and POS from OSP, OPS from POS. The counting arrays span
+// 0..MaxID(ts). With workers > 1 the next orderings are derived on a
+// second goroutine while fn runs. Three triple arrays, ts among them,
+// are live at most, and each ordering is a total order over the deduped
+// triples, so what fn sees is the same for every worker count.
+func SortOrderings(ts [][3]ID, workers int, fn func(ix Index, sorted [][3]ID)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ts = slices.DeleteFunc(ts, func(t [3]ID) bool { return t[0] == None || t[1] == None || t[2] == None })
+	top := MaxID(ts)
+	next := make([]uint32, top+2)
+	spo := make([][3]ID, len(ts))
+	countingSort(spo, ts, 2, next)
+	countingSort(ts, spo, 1, next)
+	countingSort(spo, ts, 0, next)
+	spo = dedupeTriples(spo)
+
+	// The derivations beside fn count in their own array.
+	deriving := next
+	if workers > 1 {
+		deriving = make([]uint32, len(next))
+	}
+	l := newLanes(workers)
+	var osp, sop [][3]ID
+	l.do(func() {
+		osp = countingSort(ts, spo, 2, deriving)
+		sop = countingSort(make([][3]ID, len(spo)), osp, 0, deriving)
+	})
+	fn(SPO, spo)
+	l.wait()
+	fn(SOP, sop)
+	pso := countingSort(sop, spo, 1, next)
+	var pos, ops [][3]ID
+	l.do(func() { pos = countingSort(spo, osp, 1, deriving) })
+	fn(PSO, pso)
+	l.wait()
+	l.do(func() { ops = countingSort(pso, pos, 2, deriving) })
+	fn(POS, pos)
+	l.wait()
+	fn(OSP, osp)
+	fn(OPS, ops)
+}
+
+// MaxID returns the largest id in ts, None for none.
+func MaxID(ts [][3]ID) ID {
 	var top ID
 	for _, t := range ts {
 		top = max(top, t[0], t[1], t[2])
 	}
-	spo := make([][3]ID, len(ts))
-	countingSort(spo, ts, 2, top)
-	countingSort(ts, spo, 1, top)
-	countingSort(spo, ts, 0, top)
-	spo = dedupeTriples(spo)
-	st := NewShared(dict)
-	st.size = len(spo)
-
-	// Each task packs one ordering's runs; the orderings meet in their
-	// head position's arena at the end.
-	var runs [6]packedRun
-	l := newLanes(workers)
-	l.do(func() { runs[SPO] = packOrdering(spo, 0, 1, 2) })
-	l.do(func() { runs[PSO] = packOrdering(sortedByColumn(spo, 1, top), 1, 0, 2) })
-	l.do(func() {
-		osp := sortedByColumn(spo, 2, top)
-		l.do(func() { runs[SOP] = packOrdering(sortedByColumn(osp, 0, top), 0, 2, 1) })
-		l.do(func() {
-			pos := sortedByColumn(osp, 1, top)
-			l.do(func() { runs[OPS] = packOrdering(sortedByColumn(pos, 2, top), 2, 1, 0) })
-			runs[POS] = packOrdering(pos, 1, 2, 0)
-		})
-		runs[OSP] = packOrdering(osp, 2, 0, 1)
-	})
-	l.wait()
-	for i := range st.arenas {
-		st.arenas[i] = records(runs[2*i], runs[2*i+1])
-	}
-	return st
+	return top
 }
 
 // lanes runs tasks on up to n goroutines at once, or inline with n == 1.
@@ -183,8 +229,36 @@ type packedRun struct {
 	b     []byte
 }
 
-// packOrdering builds ordering (a, b, c)'s run from ts sorted by it.
-func packOrdering(ts [][3]ID, a, b, c int) packedRun {
+// packOrdering builds ordering ix's run from ts sorted by it, in up to
+// workers parts cut between heads and packed side by side. A head's
+// vectors depend on its triples alone, so the run is the same for every
+// worker count.
+func packOrdering(ts [][3]ID, ix Index, workers int) packedRun {
+	a := columns[ix][0]
+	parts := make([]packedRun, max(workers, 1))
+	l := newLanes(workers)
+	lo := 0
+	for k := range parts {
+		hi := max(lo, (k+1)*len(ts)/len(parts))
+		for hi > 0 && hi < len(ts) && ts[hi][a] == ts[hi-1][a] {
+			hi++
+		}
+		part := ts[lo:hi]
+		l.do(func() { parts[k] = packPart(part, columns[ix]) })
+		lo = hi
+	}
+	l.wait()
+	run := parts[0]
+	for _, p := range parts[1:] {
+		run.heads = append(run.heads, p.heads...)
+		run.b = append(run.b, p.b...)
+	}
+	return run
+}
+
+// packPart packs ts, sorted by the columns col, into a run.
+func packPart(ts [][3]ID, col [3]int) packedRun {
+	a, b, c := col[0], col[1], col[2]
 	var run packedRun
 	var pb idlist.PackedBuilder
 	members := make([]ID, 0, 64)
@@ -227,19 +301,13 @@ func records(first, second packedRun) arena {
 	return ar
 }
 
-// sortedByColumn returns a copy of ts stably sorted by column col alone.
-// top bounds the ids in that column.
-func sortedByColumn(ts [][3]ID, col int, top ID) [][3]ID {
-	out := make([][3]ID, len(ts))
-	countingSort(out, ts, col, top)
-	return out
-}
-
-// countingSort writes src into dst, which has its length, stably sorted
-// by column col: a counting sort over the id range 0..top, dictionary ids
-// being dense.
-func countingSort(dst, src [][3]ID, col int, top ID) {
-	next := make([]uint32, top+2) // next[id+1] counts id, then next[id] is its write cursor
+// countingSort writes src into dst, which is at least as long, stably
+// sorted by column col, and returns dst cut to src's length: a counting
+// sort over the id range, dictionary ids being dense. next holds a
+// counter per id plus one, and is cleared first.
+func countingSort(dst, src [][3]ID, col int, next []uint32) [][3]ID {
+	dst = dst[:len(src)]
+	clear(next) // next[id+1] counts id, then next[id] is its write cursor
 	for _, t := range src {
 		next[t[col]+1]++
 	}
@@ -250,6 +318,7 @@ func countingSort(dst, src [][3]ID, col int, top ID) {
 		dst[next[t[col]]] = t
 		next[t[col]]++
 	}
+	return dst
 }
 
 func dedupeTriples(ts [][3]ID) [][3]ID {

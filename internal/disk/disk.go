@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -535,76 +534,48 @@ func (st *Store) DecodeMatch(s, p, o ID, fn func(rdf.Triple) bool) error {
 
 // BulkLoad replaces the contents of an empty store with the given
 // triples, bulk-building each of the six trees from a sorted permutation.
-// This is the fast path for loading a dataset from scratch.
+// This is the fast path for loading a dataset from scratch. Triples
+// holding a None are skipped; triples is not modified.
 func (st *Store) BulkLoad(triples [][3]ID) error {
 	return st.BulkLoadParallel(triples, 1)
 }
 
-// BulkLoadParallel is BulkLoad with the CPU-bound half — permuting and
-// sorting the six key arrays — spread over up to workers goroutines
-// (workers <= 0 means runtime.GOMAXPROCS(0)). The tree builds themselves
-// stay sequential: all six trees share one pagefile, and writing them one
-// at a time keeps the buffer pool working on a single tree's pages. Key
-// preparation runs ahead over a bounded channel, so at most two prepared
-// key arrays are in memory beyond the one being built. The resulting
-// store is identical to BulkLoad's for every worker count.
+// BulkLoadParallel is BulkLoad with the next orderings sorted beside the
+// tree builds when workers > 1 (workers <= 0 means
+// runtime.GOMAXPROCS(0)). The sort is the memory build's
+// (core.SortOrderings), over a copy of triples. The tree builds stay
+// sequential and in core.AllIndexes order: all six trees share one
+// pagefile, so the pages, and the file, are the same for every worker
+// count.
+//
+// The sort counts ids in an array spanning them, so BulkLoadParallel
+// refuses, before it allocates, an id above what dense dictionary ids
+// reach: the store's dictionary's length or three per triple, whichever
+// is more, plus maxIDSlack.
 func (st *Store) BulkLoadParallel(triples [][3]ID, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.trees[core.SPO].Len() != 0 {
 		return fmt.Errorf("disk: BulkLoad on non-empty store")
 	}
-	if workers == 1 {
-		keys := make([]btree.Key, 0, len(triples))
-		for _, ix := range core.AllIndexes {
-			keys = keys[:0]
-			for _, t := range triples {
-				if t[0] == None || t[1] == None || t[2] == None {
-					continue
-				}
-				keys = append(keys, permute(ix, t[0], t[1], t[2]))
-			}
-			sortKeys(keys)
-			keys = dedupeKeys(keys)
-			if err := st.trees[ix].BulkBuild(keys); err != nil {
-				return err
-			}
-		}
-		return nil
+	if top, bound := core.MaxID(triples), max(st.dict.Len(), 3*len(triples))+maxIDSlack; top > ID(bound) {
+		return fmt.Errorf("disk: BulkLoad id %d is above %d, the most %d triples and %d terms can use", top, bound, len(triples), st.dict.Len())
 	}
-
-	type prepared struct {
-		ix   core.Index
-		keys []btree.Key
-	}
-	ready := make(chan prepared, 1) // bounds prepared-but-unbuilt arrays
-	sortWorkers := (workers + 1) / 2
-	go func() {
-		for _, ix := range core.AllIndexes {
-			keys := make([]btree.Key, 0, len(triples))
-			for _, t := range triples {
-				if t[0] == None || t[1] == None || t[2] == None {
-					continue
-				}
-				keys = append(keys, permute(ix, t[0], t[1], t[2]))
-			}
-			sortSliceWorkers(keys, sortWorkers)
-			ready <- prepared{ix: ix, keys: dedupeKeys(keys)}
-		}
-		close(ready)
-	}()
 	var err error
-	for p := range ready {
-		if err != nil {
-			continue // drain so the preparer can exit
+	core.SortOrderings(slices.Clone(triples), workers, func(ix core.Index, ts [][3]ID) {
+		if err == nil {
+			err = st.trees[ix].BulkBuildFunc(len(ts), func(i int) btree.Key {
+				return permute(ix, ts[i][0], ts[i][1], ts[i][2])
+			})
 		}
-		err = st.trees[p.ix].BulkBuild(p.keys)
-	}
+	})
 	return err
 }
+
+// maxIDSlack is the headroom BulkLoadParallel allows raw ids over the
+// dense bound: it keeps small hand-made loads loadable and costs the sort
+// at most 256 KiB of counters.
+const maxIDSlack = 1 << 16
 
 // Flush persists all dirty pages and new dictionary terms durably: both
 // the dictionary sidecar and the pagefile are fsynced, so a triple whose
@@ -667,23 +638,4 @@ func (st *Store) CheckIntegrity() error {
 		}
 	}
 	return nil
-}
-
-func sortKeys(keys []btree.Key) {
-	// Three-pass LSD radix-style sort would be overkill; use sort.Slice.
-	sortSlice(keys)
-}
-
-func dedupeKeys(keys []btree.Key) []btree.Key {
-	if len(keys) < 2 {
-		return keys
-	}
-	w := 1
-	for r := 1; r < len(keys); r++ {
-		if btree.Compare(keys[r], keys[w-1]) != 0 {
-			keys[w] = keys[r]
-			w++
-		}
-	}
-	return keys[:w]
 }

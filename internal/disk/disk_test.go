@@ -1,9 +1,11 @@
 package disk
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hexastore/internal/core"
@@ -293,10 +295,10 @@ func TestBulkLoad(t *testing.T) {
 }
 
 // TestBulkLoadParallelIdentical loads the same triples sequentially and
-// with several worker counts, requiring byte-identical scans: the
-// parallel path only moves the permute+sort work onto goroutines, so
-// tree contents (and even page layout, since builds stay sequential and
-// in index order) must not depend on the worker count.
+// with several worker counts, requiring identical scans and a
+// byte-identical store.db: the worker count only moves the sort beside
+// the tree builds, which stay sequential and in index order, so neither
+// the trees nor their page layout may depend on it.
 func TestBulkLoadParallelIdentical(t *testing.T) {
 	var triples [][3]ID
 	rng := rand.New(rand.NewSource(8))
@@ -315,14 +317,24 @@ func TestBulkLoadParallelIdentical(t *testing.T) {
 		}
 		return out
 	}
+	file := func(st *Store) []byte {
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(st.Dir(), storeFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 
 	ref := newStore(t)
 	if err := ref.BulkLoad(triples); err != nil {
 		t.Fatalf("BulkLoad: %v", err)
 	}
-	want := scan(ref)
+	want, wantFile := scan(ref), file(ref)
 
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		st := newStore(t)
 		if err := st.BulkLoadParallel(triples, workers); err != nil {
 			t.Fatalf("BulkLoadParallel(%d): %v", workers, err)
@@ -338,6 +350,60 @@ func TestBulkLoadParallelIdentical(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: triple %d = %v, want %v", workers, i, got[i], want[i])
 			}
+		}
+		if !bytes.Equal(file(st), wantFile) {
+			t.Fatalf("workers=%d: %s differs from the sequential load's", workers, storeFile)
+		}
+	}
+}
+
+// allocated returns the bytes run allocates on the heap.
+func allocated(run func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBulkLoadRejectsSparseID loads one triple whose id no dictionary of
+// this size gives: the counting sort would need an array spanning it, so
+// the load must fail before allocating one.
+func TestBulkLoadRejectsSparseID(t *testing.T) {
+	st := newStore(t)
+	var err error
+	if n := allocated(func() { err = st.BulkLoad([][3]ID{{1 << 40, 1, 1}}) }); n > 1<<20 {
+		t.Errorf("a refused BulkLoad allocated %d B", n)
+	}
+	if err == nil {
+		t.Fatal("BulkLoad of id 1<<40 succeeded")
+	}
+	if st.Len() != 0 {
+		t.Fatalf("a refused BulkLoad left %d triples", st.Len())
+	}
+}
+
+// TestBulkLoadAllocation bounds what a load allocates by a small multiple
+// of its input's 24 B per triple: the sort keeps three triple arrays, the
+// trees take their keys as they build.
+func TestBulkLoadAllocation(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(3))
+	triples := make([][3]ID, n)
+	for i := range triples {
+		triples[i] = [3]ID{ID(rng.Intn(n/10) + 1), ID(rng.Intn(20) + 1), ID(rng.Intn(n/5) + 1)}
+	}
+	for _, workers := range []int{1, 2} {
+		st := newStore(t)
+		var err error
+		got := allocated(func() { err = st.BulkLoadParallel(triples, workers) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("workers=%d: %.1f B/triple", workers, float64(got)/n)
+		if limit := uint64(5 * 24 * n); got > limit {
+			t.Errorf("workers=%d: BulkLoadParallel allocated %d B, over %d (5 × 24 B per triple)", workers, got, limit)
 		}
 	}
 }

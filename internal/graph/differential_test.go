@@ -212,6 +212,62 @@ func TestDifferentialDistinctLimit(t *testing.T) {
 	}
 }
 
+// TestDifferentialLimitZero checks that LIMIT 0 answers no rows on every
+// backend — a memory store, an overlay with pending writes and disk —
+// with and without ORDER BY, OFFSET or aggregates, and that a Planner's
+// plan and result caches keep it apart from the same query without a
+// LIMIT, whichever of the two runs first.
+func TestDifferentialLimitZero(t *testing.T) {
+	full := `PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ?p ?o }`
+	zeros := []string{
+		full + ` LIMIT 0`,
+		full + ` ORDER BY ?s LIMIT 0`,
+		full + ` LIMIT 0 OFFSET 2`,
+		`PREFIX ex: <http://ex/> SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } LIMIT 0`,
+	}
+	gs := backends(t, sampleTriples())
+	b := core.NewBuilder(nil)
+	for _, tr := range sampleTriples() {
+		b.AddTriple(tr)
+	}
+	gs["sealed memory"] = graph.Memory(b.Build())
+	pending := overMemory(t, sampleTriples())
+	if _, err := graph.AddTriple(pending, rdf.T(ex("new"), ex("knows"), ex("alice"))); err != nil {
+		t.Fatal(err)
+	}
+	gs["pending overlay"] = pending
+	for _, name := range []string{"sealed memory", "memory", "pending overlay", "disk"} {
+		for _, src := range zeros {
+			res, err := sparql.Exec(gs[name], src)
+			if err != nil {
+				t.Fatalf("%s: Exec(%q): %v", name, src, err)
+			}
+			if len(res.Rows) != 0 {
+				t.Errorf("%s: %q returned %d rows, want 0", name, src, len(res.Rows))
+			}
+		}
+		for _, order := range [][]string{{full, zeros[0]}, {zeros[0], full}} {
+			pl := sparql.NewPlanner(gs[name])
+			pl.SetResultCacheBytes(1 << 20)
+			for round := 0; round < 2; round++ {
+				for _, src := range order {
+					q, err := sparql.Parse(src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
+					if err != nil {
+						t.Fatalf("%s: planner %q: %v", name, src, err)
+					}
+					if zero := src == zeros[0]; zero != (len(res.Rows) == 0) {
+						t.Errorf("%s: planner round %d: %q returned %d rows", name, round, src, len(res.Rows))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDifferentialOptional stresses OPTIONAL under the batch engine:
 // several groups, optional variables in filters, and optional groups
 // joining through required columns — identical across all backends.

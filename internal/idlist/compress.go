@@ -203,6 +203,20 @@ func (c Compressed) Contains(id ID) bool {
 	if c.n == 0 {
 		return false
 	}
+	if c.skip == nil { // one block: decode up to id, no scratch
+		v := ID(0)
+		for pos := 0; pos < len(c.data); {
+			d, k := uint64(c.data[pos]), 1
+			if d >= 0x80 {
+				d, k = binary.Uvarint(c.data[pos:])
+			}
+			pos += k
+			if v += ID(d); v >= id {
+				return v == id
+			}
+		}
+		return false
+	}
 	var scratch [BlockSize]ID
 	bc := blockCursor{c: c}
 	for {
@@ -417,6 +431,24 @@ func MergeFilterView(col []ID, v View, keep func(i int)) {
 	}
 	c := v.c
 	if c.n == 0 || len(col) == 0 {
+		return
+	}
+	if c.skip == nil { // one block: merge as it decodes, no scratch
+		i, val := 0, ID(0)
+		for pos := 0; pos < len(c.data) && i < len(col); {
+			d, k := uint64(c.data[pos]), 1
+			if d >= 0x80 {
+				d, k = binary.Uvarint(c.data[pos:])
+			}
+			pos += k
+			val += ID(d)
+			if col[i] < val {
+				i = Gallop(col, i+1, val)
+			}
+			for ; i < len(col) && col[i] == val; i++ {
+				keep(i)
+			}
+		}
 		return
 	}
 	var scratch [BlockSize]ID

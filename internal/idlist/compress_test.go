@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -133,6 +134,44 @@ func TestMergeFilterView(t *testing.T) {
 		MergeFilterView(col, ViewOf(list), func(i int) { gotRaw = append(gotRaw, i) })
 		if !reflect.DeepEqual(gotRaw, want) {
 			t.Fatalf("trial %d: raw MergeFilterView = %v, want %v", trial, gotRaw, want)
+		}
+	}
+}
+
+// TestMergeFilterViewBlockEdges checks MergeFilterView and Contains
+// against MergeFilter and a search of the decoded list at the lengths
+// around one block — where a list is merged as it decodes, without
+// scratch, or block by block through the skip section — with column
+// values that repeat, fall between the list's and run past its ends.
+func TestMergeFilterViewBlockEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1} {
+		for trial := 0; trial < 50; trial++ {
+			c := Compress(randSorted(rng, n, []int64{5, 300}[trial%2])) // 1- and 2-byte deltas
+			list := c.AppendTo(nil)
+			if len(list) != n {
+				t.Fatalf("n=%d: decoded %d values", n, len(list))
+			}
+			top := ID(1)
+			if n > 0 {
+				top = list[n-1] + 3
+			}
+			col := make([]ID, rng.Intn(3*n+4))
+			for i := range col {
+				col[i] = ID(rng.Int63n(int64(top)))
+			}
+			slices.Sort(col)
+			var want, got []int
+			MergeFilter(col, list, func(i int) { want = append(want, i) })
+			MergeFilterView(col, c.View(), func(i int) { got = append(got, i) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d trial %d: MergeFilterView = %v, want %v", n, trial, got, want)
+			}
+			for _, id := range append(col, top) {
+				if got, want := c.Contains(id), ContainsSorted(list, id); got != want {
+					t.Fatalf("n=%d trial %d: Contains(%d) = %v, want %v", n, trial, id, got, want)
+				}
+			}
 		}
 	}
 }

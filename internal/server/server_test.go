@@ -70,6 +70,28 @@ func TestSPARQLGet(t *testing.T) {
 	}
 }
 
+// TestSPARQLLimitZero checks that LIMIT 0 answers a head and no
+// bindings, before and after the same query without LIMIT has filled
+// the server's caches.
+func TestSPARQLLimitZero(t *testing.T) {
+	ts, _ := newTestServer(t)
+	all := `SELECT ?s WHERE { ?s ?p ?o }`
+	for round := 0; round < 2; round++ {
+		for _, c := range []struct {
+			src  string
+			want int
+		}{{all + ` LIMIT 0`, 0}, {all, 2}} {
+			var res sparqlResults
+			if code := getJSON(t, ts.URL+"/sparql?query="+url.QueryEscape(c.src), &res); code != 200 {
+				t.Fatalf("%q: status = %d", c.src, code)
+			}
+			if len(res.Results.Bindings) != c.want || len(res.Head.Vars) != 1 || res.Head.Vars[0] != "s" {
+				t.Fatalf("round %d: %q: vars %v, %d bindings, want [s] and %d", round, c.src, res.Head.Vars, len(res.Results.Bindings), c.want)
+			}
+		}
+	}
+}
+
 func TestSPARQLPostForm(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp, err := http.PostForm(ts.URL+"/sparql", url.Values{

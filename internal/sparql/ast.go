@@ -198,9 +198,12 @@ type Query struct {
 	Unions  []Union
 	Filters []Filter
 	OrderBy []OrderKey
-	Limit   int // 0 means no limit
+	Limit   int // NoLimit means none
 	Offset  int
 }
+
+// NoLimit is Query.Limit without a LIMIT clause; LIMIT 0 asks for no rows.
+const NoLimit = -1
 
 // Update is a parsed SPARQL 1.1 UPDATE request: a sequence of
 // INSERT DATA / DELETE DATA operations separated by ';'. The DATA forms

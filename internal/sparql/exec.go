@@ -354,13 +354,16 @@ func (ev *evaluator) run() (*Result, error) {
 	// Early termination is only sound without ORDER BY or aggregation:
 	// otherwise every solution is a candidate. With ORDER BY and LIMIT the
 	// candidates are still all visited, but only offset+limit are kept.
+	// A LIMIT 0 answers no rows whatever the order: nothing is visited.
 	ev.target = -1
-	if !ev.aggMode && q.Limit > 0 {
-		if len(q.OrderBy) == 0 {
-			ev.target = q.Offset + q.Limit
-		} else {
-			ev.topK = q.Offset + q.Limit
-		}
+	switch {
+	case ev.aggMode || q.Limit == NoLimit:
+	case q.Limit == 0:
+		ev.target = 0
+	case len(q.OrderBy) == 0:
+		ev.target = q.Offset + q.Limit
+	default:
+		ev.topK = q.Offset + q.Limit
 	}
 	if q.Ask {
 		ev.target = 1 // one solution decides the answer
@@ -377,6 +380,9 @@ func (ev *evaluator) run() (*Result, error) {
 	ev.cur = make([]core.ID, len(ev.slots))
 
 	for _, pats := range branches {
+		if ev.target == 0 {
+			break
+		}
 		if err := ev.ctxCheck(); err != nil {
 			return nil, err
 		}

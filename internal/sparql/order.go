@@ -276,12 +276,12 @@ func (ev *evaluator) sortRows() {
 	res.ids, res.n = ids, hi-lo
 }
 
-// window returns the row range [lo, hi) that OFFSET and LIMIT (0 = none)
-// select out of n rows.
+// window returns the row range [lo, hi) that OFFSET and LIMIT (NoLimit:
+// none) select out of n rows.
 func window(n, offset, limit int) (lo, hi int) {
 	lo = min(offset, n)
 	hi = n
-	if limit > 0 && lo+limit < hi {
+	if limit != NoLimit && lo+limit < hi {
 		hi = lo + limit
 	}
 	return lo, hi

@@ -302,7 +302,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	q := &Query{Explain: explain}
+	q := &Query{Explain: explain, Limit: NoLimit}
 	if p.isKeyword("DISTINCT") {
 		q.Distinct = true
 		if err := p.advance(); err != nil {
@@ -360,7 +360,7 @@ func (p *parser) parseAsk() (*Query, error) {
 			return nil, err
 		}
 	}
-	q := &Query{Ask: true}
+	q := &Query{Ask: true, Limit: NoLimit}
 	if err := p.parseGroupGraphPattern(q); err != nil {
 		return nil, err
 	}

@@ -145,7 +145,7 @@ func shapeOf(q *Query) (shape string, consts []rdf.Term, outVars []string) {
 			w.b.WriteByte(' ')
 		}
 	}
-	if q.Limit > 0 {
+	if q.Limit != NoLimit {
 		w.b.WriteString(" limit ")
 		w.b.WriteString(strconv.Itoa(q.Limit))
 	}

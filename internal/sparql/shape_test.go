@@ -96,9 +96,10 @@ const skelVars = 6
 // genSkel writes a query of the parser's forms — ASK; SELECT with
 // DISTINCT, *, variables or COUNT aggregates and GROUP BY; patterns,
 // UNION, OPTIONAL and FILTER; ORDER BY, LIMIT and OFFSET — from the
-// choices pick makes. Each clause has one spelling (no ASC, no LIMIT 0,
+// choices pick makes. Each clause has one spelling (no ASC, no OFFSET 0,
 // WHERE groups in clause order), so that texts equal up to names and
-// constants are exactly those of equal canon.
+// constants are exactly those of equal canon. LIMIT 0 is a clause of its
+// own: it asks for no rows.
 func genSkel(pick func(n int) int) *skel {
 	var where skel
 	var used []int
@@ -235,7 +236,7 @@ func genSkel(pick func(n int) int) *skel {
 		}
 	}
 	if pick(3) == 0 {
-		s.lit(" LIMIT " + strconv.Itoa(1+pick(20)))
+		s.lit(" LIMIT " + strconv.Itoa(pick(21)))
 	}
 	if pick(3) == 0 {
 		s.lit(" OFFSET " + strconv.Itoa(1+pick(20)))
@@ -328,6 +329,12 @@ func TestShapeProperty(t *testing.T) {
 					same, !same, a.src, b.src, a.shape, b.shape)
 			}
 		}
+	}
+	// The pair the random texts rarely meet: LIMIT 0 answers no rows.
+	none, _, _ := shapeOf(mustParse(t, `SELECT ?s WHERE { ?s ?p ?o }`))
+	zero, _, _ := shapeOf(mustParse(t, `SELECT ?s WHERE { ?s ?p ?o } LIMIT 0`))
+	if none == zero {
+		t.Fatalf("LIMIT 0 and no LIMIT share the shape %q", none)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestParseBasic(t *testing.T) {
 	if q.Patterns[1].O.RDF.Kind != rdf.Literal || q.Patterns[1].O.RDF.Value != "42" {
 		t.Errorf("pattern 1 object = %v", q.Patterns[1].O)
 	}
-	if q.Distinct || q.Limit != 0 {
+	if q.Distinct || q.Limit != NoLimit {
 		t.Error("unexpected DISTINCT/LIMIT")
 	}
 }
